@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench chaos live-chaos perf perf-check soak soak-smoke lint lint-otp fmt clippy ci clean
+.PHONY: all build test bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp fmt clippy ci clean
 
 all: build
 
@@ -33,6 +33,15 @@ test:
 ## Run the criterion-style micro-benchmarks (wall-clock, release).
 bench:
 	$(CARGO) bench -p otp-bench
+
+## Pair the repo's benchmark (benchmark/run.sh, BENCHMARK.json) on
+## BENCH_BASE against the working tree: BENCH_PAIRS alternating pairs
+## (default 10), per-metric medians, quartiles and win counts, then
+## `benchmark/run.sh compare`. One workload with BENCH_WORKLOAD=name.
+##   make bench-pair BENCH_BASE=main BENCH_WORKLOAD=sim-seq-crash
+BENCH_BASE ?= HEAD~1
+bench-pair:
+	scripts/bench_pair.sh $(BENCH_BASE) $(BENCH_WORKLOAD)
 
 ## Sweep CHAOS_SEEDS seeds across the chaos grid (engine × mode ×
 ## nemesis intensity); fails with one-line reproducers on any invariant

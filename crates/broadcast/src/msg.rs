@@ -166,23 +166,47 @@ pub enum Wire<P> {
         oracle_seq: u64,
     },
     /// View-change round announcement, multicast by a recovering site: the
-    /// initiator asks every member of the proposed view for a state digest
-    /// before it re-admits itself (union-of-survivors recovery).
+    /// initiator asks every member of the proposed view how far it has
+    /// delivered before it re-admits itself (union-of-survivors recovery).
     ViewChange {
         /// The proposed view's epoch (strictly above every installed one).
         epoch: u64,
         /// The recovering site driving the round.
         initiator: SiteId,
     },
-    /// A member's reply to [`Wire::ViewChange`]: its full ordering-state
-    /// digest, unicast back to the initiator. The initiator installs the
-    /// view only after the union of all live members' digests is merged.
+    /// A member's reply to [`Wire::ViewChange`], sent as it fences the old
+    /// epoch: the length of its definitive log. The minimum over all
+    /// replies is the round's digest floor.
+    StateSummary {
+        /// Epoch of the round this summary answers.
+        epoch: u64,
+        /// The replying member.
+        from: SiteId,
+        /// The member's definitive-log length at reply time.
+        delivered: u64,
+    },
+    /// Second announcement of a round, multicast by the initiator once
+    /// every member has summarised (or crashed): every live member has
+    /// delivered at least `floor` messages, so nobody needs to ship state
+    /// below it.
+    ViewFloor {
+        /// Epoch of the round.
+        epoch: u64,
+        /// The recovering site driving the round.
+        initiator: SiteId,
+        /// Minimum delivered length over the round's summaries.
+        floor: u64,
+    },
+    /// A member's reply to [`Wire::ViewFloor`]: its ordering state cut
+    /// above the floor ([`EngineSnapshot::delta_above`]), unicast back to
+    /// the initiator. The initiator installs the view only after the union
+    /// of all live members' digests is merged.
     StateDigest {
         /// Epoch of the round this digest answers.
         epoch: u64,
         /// The replying member.
         from: SiteId,
-        /// The member's broadcast-engine state at reply time.
+        /// The member's broadcast-engine state above the round's floor.
         snapshot: EngineSnapshot<P>,
     },
 }
@@ -209,6 +233,8 @@ impl<P: PayloadSize> Wire<P> {
             Wire::SeqOrderBatch { ids, .. } => HDR + 16 + 12 * ids.len() as u32,
             Wire::OracleData { msg, .. } => HDR + 8 + msg.payload.size_bytes(),
             Wire::ViewChange { .. } => HDR + 12,
+            Wire::StateSummary { .. } => HDR + 16,
+            Wire::ViewFloor { .. } => HDR + 20,
             Wire::StateDigest { snapshot, .. } => {
                 let payloads: u32 =
                     snapshot.received.iter().map(|m| 12 + m.payload.size_bytes()).sum();

@@ -373,6 +373,8 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             | Wire::SeqOrderBatch { .. }
             | Wire::OracleData { .. }
             | Wire::ViewChange { .. }
+            | Wire::StateSummary { .. }
+            | Wire::ViewFloor { .. }
             | Wire::StateDigest { .. } => Vec::new(),
         }
     }

@@ -223,14 +223,12 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
     }
 
     fn snapshot(&self) -> EngineSnapshot<P> {
-        let mut decided = BTreeMap::new();
-        decided.insert(0, self.definitive_log.clone());
         // Sorted collect: state-transfer payload must not inherit
         // HashMap iteration order.
         let mut received: Vec<Message<P>> = self.received.values().cloned().collect();
         received.sort_by_key(|m| m.id);
         EngineSnapshot {
-            decided,
+            decided: BTreeMap::new(),
             received,
             definitive_log: self.definitive_log.clone(),
             // The oracle seq of every known message: the only way a

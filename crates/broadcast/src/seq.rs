@@ -196,6 +196,8 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
             | Wire::DecideBatch { .. }
             | Wire::OracleData { .. }
             | Wire::ViewChange { .. }
+            | Wire::StateSummary { .. }
+            | Wire::ViewFloor { .. }
             | Wire::StateDigest { .. } => {}
         }
     }
@@ -317,14 +319,12 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     }
 
     fn snapshot(&self) -> EngineSnapshot<P> {
-        let mut decided = BTreeMap::new();
-        decided.insert(0, self.definitive_log.clone());
         // Sorted collect: state-transfer payload must not inherit
         // HashMap iteration order.
         let mut received: Vec<Message<P>> = self.received.values().cloned().collect();
         received.sort_by_key(|m| m.id);
         EngineSnapshot {
-            decided,
+            decided: BTreeMap::new(),
             received,
             definitive_log: self.definitive_log.clone(),
             // Every sequence assignment seen so far, delivered or not — a
@@ -419,9 +419,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     /// peer whose only copy of a live assignment gets rejected as
     /// dead-epoch traffic re-learns it under the new epoch, and
     /// `or_insert` makes the re-announce idempotent at peers that already
-    /// have it. (The fence-less legacy driver instead re-feeds the held
-    /// order wires *before* calling this, so there the held assignments
-    /// keep their slots.)
+    /// have it.
     ///
     /// The re-announce is a **delta**: it starts at the minimum delivered
     /// length across every snapshot folded into the restore

@@ -18,7 +18,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSnapshot<P> {
     /// Decided batches by consensus instance (empty for engines that do
-    /// not batch; the sequencer engine stores one implicit batch).
+    /// not agree in batches: the sequencer and oracle engines carry their
+    /// order in `order_tags`).
     pub decided: BTreeMap<u64, Vec<MsgId>>,
     /// All received data messages (payload store).
     pub received: Vec<Message<P>>,
@@ -108,6 +109,52 @@ impl<P> EngineSnapshot<P> {
         self.epoch = self.epoch.max(other.epoch);
         self.order_fence = self.order_fence.max(other.order_fence);
         self.min_delivered = self.min_delivered.min(other.min_delivered);
+    }
+
+    /// Cuts this snapshot down to a view-change **delta digest**: what a
+    /// restore still needs from this sender when the base snapshot it is
+    /// merged into has delivered at least `floor` messages.
+    ///
+    /// Definitive logs are prefix-consistent (Global Order), so the base's
+    /// first `floor` deliveries are this sender's `definitive_log[..floor]`,
+    /// and the base snapshot already carries their payloads, their order
+    /// tags and every decided instance that first delivered one of them.
+    /// The delta therefore drops
+    ///
+    /// * the `definitive_log` copy ([`EngineSnapshot::merge`] never adopts
+    ///   a digest's log);
+    /// * `received` / `order_tags` entries for ids inside that prefix;
+    /// * `decided` instances all of whose ids lie inside it, up to the last
+    ///   instance that touches it (an instance that straddles the floor is
+    ///   kept whole — consensus values are never edited — and so is an
+    ///   empty instance above it: with `floor == 0` nothing is dropped);
+    ///
+    /// and keeps everything else, `min_delivered` / `epoch` / `order_fence`
+    /// included. The sender's delivered tail *above* the floor survives in
+    /// `order_tags` / `decided`, so a sender that was ahead of the base
+    /// still re-delivers every slot ≥ `floor` (DESIGN.md §7).
+    ///
+    /// The caller owes the precondition: `floor` must not exceed the
+    /// delivered length of the base the delta will be merged into. A floor
+    /// past this sender's own log is clamped to it.
+    pub fn delta_above(mut self, floor: u64) -> Self {
+        let cut = usize::try_from(floor)
+            .map_or(self.definitive_log.len(), |f| f.min(self.definitive_log.len()));
+        let below: std::collections::HashSet<MsgId> =
+            self.definitive_log[..cut].iter().copied().collect();
+        self.received.retain(|m| !below.contains(&m.id));
+        self.order_tags.retain(|(id, _)| !below.contains(id));
+        let last_touching = self
+            .decided
+            .iter()
+            .rev()
+            .find(|(_, batch)| batch.iter().any(|id| below.contains(id)))
+            .map(|(instance, _)| *instance);
+        if let Some(last) = last_touching {
+            self.decided.retain(|k, batch| *k > last || !batch.iter().all(|id| below.contains(id)));
+        }
+        self.definitive_log = Vec::new();
+        self
     }
 }
 

@@ -44,7 +44,7 @@ use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, SnapshotInd
 use otp_telemetry::{Counter, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
 use otp_txn::history::CommittedTxn;
 use otp_txn::txn::{TxnId, TxnRequest};
-use otp_view::{DigestOutcome, Membership, ViewChange, ViewId};
+use otp_view::{CrashOutcome, DigestOutcome, Membership, SummaryOutcome, ViewChange, ViewId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -829,7 +829,8 @@ pub struct Cluster {
     /// initiator) — a sharded site recovers each of its domains
     /// independently. BTreeMap: crash notifications iterate this, and the
     /// iteration order must be deterministic for byte-identical replays.
-    pending_views: BTreeMap<(u16, SiteId), ViewChange<TxnPayload>>,
+    /// Each round carries the instant it was proposed (`view_round_us`).
+    pending_views: BTreeMap<(u16, SiteId), (ViewChange<TxnPayload>, SimTime)>,
     /// Per recovering site: the domains whose round has not installed
     /// yet. The site starts serving when this empties.
     pending_domains: Vec<BTreeSet<u16>>,
@@ -846,9 +847,15 @@ pub struct Cluster {
     /// Relay-domain view installations (counted separately so the
     /// single-group `view_install` counter is untouched by sharding).
     relay_view_installs: Arc<Counter>,
-    /// State digests that arrived for a round that no longer exists
-    /// (superseded or completed) — normal under churn, but kept visible.
+    /// Round replies and floor messages that arrived for a round that no
+    /// longer exists (superseded, completed or abandoned) — normal under
+    /// churn, but kept visible.
     stale_view_digests: Arc<Counter>,
+    /// Wire bytes of every `StateSummary` / `StateDigest` sent, and the
+    /// simulated microseconds rounds spent between propose and install.
+    view_summary_bytes: Arc<Counter>,
+    view_digest_bytes: Arc<Counter>,
+    view_round_us: Arc<Counter>,
     /// Rounds explicitly aborted because a newer round for the same site
     /// superseded them (newest epoch wins).
     superseded_views: Arc<Counter>,
@@ -1029,6 +1036,9 @@ impl Cluster {
             relay_processed: vec![0; sites],
             relay_view_installs: metrics.counter("relay_view_install", Scope::global()),
             stale_view_digests: metrics.counter("stale_view_digest", Scope::global()),
+            view_summary_bytes: metrics.counter("view_summary_bytes", Scope::global()),
+            view_digest_bytes: metrics.counter("view_digest_bytes", Scope::global()),
+            view_round_us: metrics.counter("view_round_us", Scope::global()),
             superseded_views: metrics.counter("view_supersede", Scope::global()),
             open_quantum: (0..sites).map(|_| Vec::new()).collect(),
             quantum_gen: vec![0; sites],
@@ -1288,7 +1298,8 @@ impl Cluster {
     /// simulated time — one per domain the site participates in (its own
     /// group, plus the relay when sharded): the site multicasts a
     /// `ViewChange` announcement to the domain, every live member replies
-    /// with a state digest, and the site starts serving only once every
+    /// with how far it has delivered and then, told the minimum, with a
+    /// state digest above it, and the site starts serving only once every
     /// domain's union-of-replies is installed — so an order assignment
     /// known to *any* survivor is honored, not just the donor's. `donor`
     /// is kept as a liveness hint (it must be up at recovery time); the
@@ -1439,6 +1450,9 @@ impl Cluster {
                 .sum::<u64>(),
         );
         counters.add("stale_view_digest", self.stale_view_digests.get());
+        counters.add("view_summary_bytes", self.view_summary_bytes.get());
+        counters.add("view_digest_bytes", self.view_digest_bytes.get());
+        counters.add("view_round_us", self.view_round_us.get());
         counters.add("view_supersede", self.superseded_views.get());
         if self.config.groups > 1 {
             counters.add("relay_view_install", self.relay_view_installs.get());
@@ -1643,7 +1657,13 @@ impl Cluster {
         let mut buckets: Vec<Vec<(SiteId, Wire<TxnPayload>)>> =
             (0..num_domains).map(|_| Vec::new()).collect();
         for (domain, from, wire) in wires {
-            let is_view = matches!(wire, Wire::ViewChange { .. } | Wire::StateDigest { .. });
+            let is_view = matches!(
+                wire,
+                Wire::ViewChange { .. }
+                    | Wire::StateSummary { .. }
+                    | Wire::ViewFloor { .. }
+                    | Wire::StateDigest { .. }
+            );
             if self.crashed[to.index()] {
                 // View wires belong to a round; a crashed addressee will
                 // never answer it (the round learns via the crash
@@ -1673,7 +1693,10 @@ impl Cluster {
     }
 
     /// Handles membership traffic for domain `d` addressed to the live
-    /// site `to`.
+    /// site `to`. A round has two request/reply phases: the announcement
+    /// is answered with a [`Wire::StateSummary`] (how far the member
+    /// delivered), the floor message — the minimum over the summaries —
+    /// with a [`Wire::StateDigest`] cut above it.
     fn handle_view_wire(&mut self, to: SiteId, d: u16, wire: Wire<TxnPayload>) {
         let du = d as usize;
         match wire {
@@ -1685,33 +1708,59 @@ impl Cluster {
                 if to == initiator || self.recovering[to.index()] {
                     return;
                 }
-                // Digest first, then install: the reply reflects everything
-                // this member knew up to the instant it fenced the old
-                // epoch, so any order assignment it ever accepted from the
-                // dead incarnation is inside the digest, and anything
-                // arriving after it is fenced — no assignment can slip
-                // between the two (the union argument, DESIGN.md §7).
+                // The member fences the old epoch here and ships its state
+                // only when the floor arrives. Engine state only grows, so
+                // that later digest still holds every order assignment
+                // this member accepted from the dead incarnation before
+                // the fence, and anything arriving after it is fenced — no
+                // assignment can slip between the two (the union argument,
+                // DESIGN.md §7).
+                self.record_install(to, d, epoch, self.domain_sequencer(du) == Some(initiator));
+                let delivered = self.domain_log_len(to, du) as u64;
+                let summary = Wire::StateSummary { epoch, from: to, delivered };
+                self.view_summary_bytes.add(u64::from(summary.size_bytes()));
+                self.apply_engine_actions(to, d, vec![EngineAction::Send(initiator, summary)]);
+            }
+            Wire::StateSummary { epoch, from, delivered } => {
+                let Some((round, _)) = self.pending_views.get_mut(&(d, to)) else {
+                    self.stale_view_digests.incr(); // reply to a dead round
+                    return;
+                };
+                match round.on_summary(from, epoch, delivered) {
+                    SummaryOutcome::FloorReady(floor) => self.announce_floor(d, to, epoch, floor),
+                    SummaryOutcome::Accepted => {}
+                    SummaryOutcome::WrongEpoch { .. } | SummaryOutcome::Unexpected => {
+                        self.stale_view_digests.incr();
+                    }
+                }
+            }
+            Wire::ViewFloor { epoch, initiator, floor } => {
+                if to == initiator || self.recovering[to.index()] {
+                    return;
+                }
+                // A floor held at a partition can outlive its round (the
+                // initiator crashed, or re-proposed under a newer epoch):
+                // nobody is waiting for that digest.
+                let live_round = self
+                    .pending_views
+                    .get(&(d, initiator))
+                    .is_some_and(|(r, _)| r.epoch() == epoch);
+                if !live_round {
+                    self.stale_view_digests.incr();
+                    return;
+                }
                 let snapshot = if self.topology.is_relay(du) {
                     self.relay_engines[to.index()].snapshot()
                 } else {
                     self.engines[to.index()].snapshot()
                 };
-                self.record_install(to, d, epoch, self.domain_sequencer(du) == Some(initiator));
-                let digest = Wire::StateDigest { epoch, from: to, snapshot };
-                let size = digest.size_bytes();
-                let now = self.queue.now();
-                if self.topology.cross_frame(to, initiator) {
-                    self.cross_group_frames.incr();
-                }
-                let seg = self.topology.segment_of(du);
-                let dl = self.net.unicast_on(seg, to, initiator, size, now, &mut self.rng);
-                self.queue.schedule(
-                    dl.arrival,
-                    Ev::Wire { from: to, to: initiator, domain: d, wire: digest },
-                );
+                let digest =
+                    Wire::StateDigest { epoch, from: to, snapshot: snapshot.delta_above(floor) };
+                self.view_digest_bytes.add(u64::from(digest.size_bytes()));
+                self.apply_engine_actions(to, d, vec![EngineAction::Send(initiator, digest)]);
             }
             Wire::StateDigest { epoch, from, snapshot } => {
-                let Some(round) = self.pending_views.get_mut(&(d, to)) else {
+                let Some((round, _)) = self.pending_views.get_mut(&(d, to)) else {
                     self.stale_view_digests.incr(); // reply to a dead round
                     return;
                 };
@@ -1725,6 +1774,13 @@ impl Cluster {
             }
             _ => unreachable!("handle_view_wire only sees view wires"),
         }
+    }
+
+    /// Second phase of `site`'s round for domain `d`: every member has
+    /// summarised or crashed, so the floor goes out to the domain.
+    fn announce_floor(&mut self, d: u16, site: SiteId, epoch: u64, floor: u64) {
+        let wire = Wire::ViewFloor { epoch, initiator: site, floor };
+        self.apply_engine_actions(site, d, vec![EngineAction::Multicast(wire)]);
     }
 
     /// Installs `epoch` for domain `d` at `site`: the domain's engine
@@ -1773,23 +1829,28 @@ impl Cluster {
         }
         self.local_epoch[site.index()] += 1;
         self.net.set_down(site);
-        let completed: Vec<(u16, SiteId)> = self
+        let advanced: Vec<(u16, SiteId, u64, CrashOutcome)> = self
             .pending_views
             .iter_mut()
-            .filter_map(|((d, initiator), round)| {
-                round.on_member_crashed(site).then_some((*d, *initiator))
+            .map(|((d, initiator), (round, _))| {
+                (*d, *initiator, round.epoch(), round.on_member_crashed(site))
             })
             .collect();
-        for (d, initiator) in completed {
-            self.install_view_for(d, initiator);
+        for (d, initiator, epoch, outcome) in advanced {
+            match outcome {
+                CrashOutcome::Pending => {}
+                CrashOutcome::FloorReady(floor) => self.announce_floor(d, initiator, epoch, floor),
+                CrashOutcome::Completed => self.install_view_for(d, initiator),
+            }
         }
     }
 
     /// Starts view-change recovery of `site`: one round per domain the
     /// site participates in (own group + relay when sharded), each
     /// proposing that domain's next epoch over its current live members.
-    /// Every member replies with a state digest; a domain's view installs
-    /// when the union of its replies is merged, and the site starts
+    /// Every member replies with a summary and then a state digest (see
+    /// [`Cluster::handle_view_wire`]); a domain's view installs when the
+    /// union of its digests is merged, and the site starts
     /// serving once every domain has installed (see
     /// [`Cluster::install_view_for`] / [`Cluster::finish_site_recovery`]).
     /// `donor` is a liveness hint kept from the pre-view-change API: it
@@ -1800,7 +1861,7 @@ impl Cluster {
     /// a recovery that starts while this site's previous rounds are still
     /// collecting digests aborts each older round explicitly (newest
     /// epoch wins — [`ViewChange::superseded_by`]) and proposes afresh
-    /// under the domain's next epoch. The old rounds' late digests land
+    /// under the domain's next epoch. The old rounds' late replies land
     /// as `stale_view_digest`s; each abort is counted as
     /// `view_supersede`.
     ///
@@ -1819,7 +1880,7 @@ impl Cluster {
                 let superseded = self
                     .pending_views
                     .get(&(d, s))
-                    .is_some_and(|round| round.superseded_by(self.next_epoch[d as usize]));
+                    .is_some_and(|(round, _)| round.superseded_by(self.next_epoch[d as usize]));
                 if superseded {
                     self.pending_views.remove(&(d, s));
                     self.superseded_views.incr();
@@ -1864,7 +1925,7 @@ impl Cluster {
             .collect();
         let round = ViewChange::propose(epoch, site, members);
         let complete = round.is_complete();
-        self.pending_views.insert((d, site), round);
+        self.pending_views.insert((d, site), (round, self.queue.now()));
         if complete {
             self.install_view_for(d, site);
         } else {
@@ -1886,13 +1947,12 @@ impl Cluster {
     /// ([`Cluster::finish_site_recovery`]).
     fn install_view_for(&mut self, d: u16, site: SiteId) {
         let du = d as usize;
-        let round = self.pending_views.remove(&(d, site)).expect("round pending for installer");
-        let epoch = round.epoch();
         // The base pair: among the domain's live members, the one whose
         // definitive log is longest — restoring from the most advanced
         // survivor minimizes re-execution at the recovered replica.
-        // Consistency does not depend on this choice: `EngineSnapshot::
-        // merge` never lets a digest extend the base's definitive log (a
+        // Consistency does not depend on this choice as long as the base
+        // has delivered at least the round's floor (below): `EngineSnapshot
+        // ::merge` never lets a digest extend the base's definitive log (a
         // digest sender that was ahead may have crashed since replying),
         // so the restored engine only suppresses re-delivery of what the
         // base replica actually executed; everything beyond it re-delivers
@@ -1912,6 +1972,21 @@ impl Cluster {
         // pre-crash state — a crash never destroys the driver-held
         // engine/replica pair, which models stable storage.
         let primary = primary.unwrap_or(site);
+        let (round, proposed_at) =
+            self.pending_views.remove(&(d, site)).expect("round pending for installer");
+        // The digests were cut above the floor, so the base must cover
+        // everything below it. Every member that summarised and is still
+        // alive has delivered at least the floor (logs only grow) — the
+        // one way to get here with a shorter base is that all of them
+        // crashed since. What they shipped is then not enough to restore
+        // from: ask whoever is live now (possibly nobody) afresh.
+        if round.floor().is_some_and(|floor| (self.domain_log_len(primary, du) as u64) < floor) {
+            self.superseded_views.incr();
+            self.propose_round(d, site);
+            return;
+        }
+        let epoch = round.epoch();
+        self.view_round_us.add(self.queue.now().saturating_since(proposed_at).as_micros());
         let mut engine_snap = if self.topology.is_relay(du) {
             self.relay_engines[primary.index()].snapshot()
         } else {
@@ -1975,12 +2050,12 @@ impl Cluster {
         // that was down) — no survivor's digest has it, so without this
         // the message could only surface at the staggered replay. Dead-
         // incarnation *order assignments* are deliberately not re-taught
-        // here (unlike the legacy path): every member of the view fenced
-        // them at the announcement, so held copies are rejected everywhere
-        // and `finish_restore` renumbers the affected messages under the
-        // new epoch instead — re-teaching them would be fenced anyway (the
-        // base snapshot inherits the primary's raised fence).
-        for wire in self.own_held_wires(site, d, false) {
+        // here: every member of the view fenced them at the announcement,
+        // so held copies are rejected everywhere and `finish_restore`
+        // renumbers the affected messages under the new epoch instead —
+        // re-teaching them would be fenced anyway (the base snapshot
+        // inherits the primary's raised fence).
+        for wire in self.own_held_wires(site, d) {
             let (engine, ctx) = self.engine_parts(site, du);
             let actions = engine.on_receive(&ctx, site, wire);
             self.apply_engine_actions(site, d, actions);
@@ -2108,18 +2183,13 @@ impl Cluster {
         }
     }
 
-    /// `site`'s own surviving pre-crash wires for domain `domain` still
-    /// sitting in the driver's hold buffers (cut by a partition, or
-    /// destined to a site that was down): the payload wires, plus — for
-    /// the legacy recovery path only — the order-assignment wires
-    /// (`include_orders`). Consensus wires are never included:
-    /// re-proposing lost material is the consensus protocol's own job.
-    fn own_held_wires(
-        &self,
-        site: SiteId,
-        domain: u16,
-        include_orders: bool,
-    ) -> Vec<Wire<TxnPayload>> {
+    /// `site`'s own surviving pre-crash payload wires for domain `domain`
+    /// still sitting in the driver's hold buffers (cut by a partition, or
+    /// destined to a site that was down). Order-assignment wires are left
+    /// out — every view member fenced the dead incarnation's — and so are
+    /// consensus wires: re-proposing lost material is the consensus
+    /// protocol's own job.
+    fn own_held_wires(&self, site: SiteId, domain: u16) -> Vec<Wire<TxnPayload>> {
         self.partition_held
             .iter()
             .filter(|(from, _, d, _)| *from == site && *d == domain)
@@ -2131,71 +2201,8 @@ impl Cluster {
                     .filter(|(d, from, _)| *from == site && *d == domain)
                     .map(|(_, _, w)| w.clone()),
             )
-            .filter(|w| {
-                matches!(w, Wire::Data(_) | Wire::OracleData { .. })
-                    || (include_orders
-                        && matches!(w, Wire::SeqOrder { .. } | Wire::SeqOrderBatch { .. }))
-            })
+            .filter(|w| matches!(w, Wire::Data(_) | Wire::OracleData { .. }))
             .collect()
-    }
-
-    /// The pre-view-change recovery path: fresh engine and replica from a
-    /// *single* donor's snapshots, synchronously, then replay of
-    /// everything buffered while down.
-    ///
-    /// Kept (hidden) as the regression hook for the divergence window this
-    /// subsystem closes: an order assignment or message id known to a
-    /// survivor other than the donor — or still in flight — is invisible
-    /// here, so a restored sequencer can renumber a seqno another site
-    /// already holds. `tests/view_change.rs` drives this path to the
-    /// observable invariant violation and shows the same scenario passing
-    /// under [`Cluster::schedule_recover`]'s view-change round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the donor is itself crashed, or the cluster is sharded
-    /// (this path predates sequencing groups).
-    #[doc(hidden)]
-    pub fn legacy_recover_single_donor(&mut self, site: SiteId, donor: SiteId) {
-        assert_eq!(self.config.groups, 1, "legacy single-donor recovery predates sharded groups");
-        assert!(!self.crashed[donor.index()], "donor {donor} must be up");
-        self.crashed[site.index()] = false;
-        self.net.set_up(site);
-        // 1. Fresh engine from the donor's broadcast state.
-        let engine_snap = self.engines[donor.index()].snapshot();
-        let mut fresh_engine = self.make_engine(site, 0);
-        let engine_actions = {
-            let ctx =
-                EngineCtx::at_epoch(site, &self.topology.domains[0], self.installed_epoch(site));
-            fresh_engine.restore(&ctx, engine_snap)
-        };
-        self.engines[site.index()] = fresh_engine;
-        // 2. Fresh replica from the donor's database + pending tail.
-        let replica_actions = self.restore_replica_from(site, donor);
-        self.apply_replica_actions(site, replica_actions);
-        // 3. Deliveries the engine replays (tentative again here).
-        self.apply_engine_actions(site, 0, engine_actions);
-        // 3b. Re-teach the fresh engine its own held pre-crash traffic —
-        // order assignments included: without a view round there is no
-        // fence, so held-buffer assignments must be re-learned or the
-        // repair pass would renumber them.
-        for wire in self.own_held_wires(site, 0, true) {
-            let (engine, ctx) = self.engine_parts(site, 0);
-            let actions = engine.on_receive(&ctx, site, wire);
-            self.apply_engine_actions(site, 0, actions);
-        }
-        // 3c. Repair what no snapshot or wire carries (the divergence
-        // window: this renumbers against one donor's knowledge only).
-        let finish_actions = {
-            let (engine, ctx) = self.engine_parts(site, 0);
-            engine.finish_restore(&ctx)
-        };
-        self.apply_engine_actions(site, 0, finish_actions);
-        // 4. Everything buffered while down arrives now.
-        let held = std::mem::take(&mut self.held_wires[site.index()]);
-        let wires =
-            held.into_iter().map(|(domain, from, wire)| (from, site, domain, wire)).collect();
-        self.replay_staggered(wires);
     }
 
     /// Schedules held wires for delivery now, 10 µs apart in hold order —

@@ -112,7 +112,9 @@ pub enum Intensity {
     /// View-change targeted composition: the sequencer dies inside a
     /// partition that cuts off its recovery donor (the transfer can only
     /// complete at the heal), followed by two back-to-back crash/recover
-    /// pairs — three views installed per run. See
+    /// pairs and a second sequencer recovery whose round is hit from the
+    /// inside (a member crash and a partition between its two phases) —
+    /// five views installed per run. See
     /// [`NemesisSchedule::view_change_targeted`].
     ViewChange,
 }
@@ -287,6 +289,6 @@ mod tests {
         let hostile = Intensity::Hostile.schedule(1, 4, horizon).len();
         assert!(rough < hostile);
         let vc = Intensity::ViewChange.schedule(1, 4, horizon);
-        assert_eq!(vc.len(), 8, "three crash/recover pairs + partition window");
+        assert_eq!(vc.len(), 14, "five crash/recover pairs + two partition windows");
     }
 }

@@ -352,12 +352,19 @@ impl NemesisSchedule {
     ///    the view-change round can only complete at the heal;
     /// 3. after the heal, the last site and site 1 crash back-to-back
     ///    (recover, then the next crash lands right after), driving two
-    ///    more views in quick succession.
+    ///    more views in quick succession;
+    /// 4. site 0 crashes and recovers once more, and this time the faults
+    ///    land *inside* its round (announce → summaries → floor → digests,
+    ///    four LAN hops): within 0.1–1.5 ms of the recovery the last site
+    ///    crashes — for some seeds before it summarised, for some between
+    ///    its summary and the floor, for some after its digest — and a
+    ///    partition cuts site 1 off, holding whichever round message is in
+    ///    flight to or from it (for most seeds the floor) until the heal.
     ///
     /// Event times carry a small seed-derived jitter so a sweep explores
     /// different interleavings while staying survivable: every crash is
-    /// recovered, the cut is healed, and a live majority remains at every
-    /// instant for 4+ sites.
+    /// recovered and every cut is healed. Steps 1–3 keep a live majority
+    /// at every instant for 4+ sites; step 4 deliberately does not.
     ///
     /// # Panics
     ///
@@ -375,7 +382,7 @@ impl NemesisSchedule {
         let seq = SiteId::new(0);
         let donor = SiteId::new(1);
         let last = SiteId::new((sites - 1) as u16);
-        let events = vec![
+        let mut events = vec![
             (at(8), NemesisEvent::PartitionHalves { group_a: vec![donor] }),
             (at(14), NemesisEvent::Crash { site: seq }),
             (at(20), NemesisEvent::Recover { site: seq }),
@@ -385,6 +392,18 @@ impl NemesisSchedule {
             (at(50), NemesisEvent::Crash { site: donor }),
             (at(58), NemesisEvent::Recover { site: donor }),
         ];
+        // Step 4. The two mid-round faults are placed in LAN time after
+        // the recovery, not in shares of the horizon: a round's phases are
+        // a few hundred microseconds apart whatever the run length.
+        events.push((at(66), NemesisEvent::Crash { site: seq }));
+        let round_start = at(72);
+        events.push((round_start, NemesisEvent::Recover { site: seq }));
+        events.push((at(80), NemesisEvent::Heal));
+        events.push((at(86), NemesisEvent::Recover { site: last }));
+        let mut mid_round =
+            || round_start + SimDuration::from_nanos(rng.uniform_range(100_000, 1_500_000));
+        events.push((mid_round(), NemesisEvent::Crash { site: last }));
+        events.push((mid_round(), NemesisEvent::PartitionHalves { group_a: vec![donor] }));
         NemesisSchedule::from_events(events)
     }
 
@@ -575,35 +594,55 @@ mod tests {
             let a = NemesisSchedule::view_change_targeted(seed, 4, horizon());
             let b = NemesisSchedule::view_change_targeted(seed, 4, horizon());
             assert_eq!(a, b, "seed {seed}");
-            assert_eq!(a.len(), 8);
+            assert_eq!(a.len(), 14);
             // Sorted, inside the horizon, quiescent tail preserved.
             let times: Vec<SimTime> = a.events.iter().map(|(t, _)| *t).collect();
             let mut sorted = times.clone();
             sorted.sort();
             assert_eq!(times, sorted, "seed {seed}");
             assert!(a.quiet_from < horizon(), "seed {seed}");
-            // Every crash recovered, the partition healed — in order.
+            // Every crash recovered, every partition healed. One site is
+            // down at a time until the last composition, where a member
+            // dies inside the sequencer's recovery round.
             let mut down: Vec<SiteId> = Vec::new();
             let mut cut = false;
-            for (_, ev) in &a.events {
+            for (i, (_, ev)) in a.events.iter().enumerate() {
                 match ev {
                     NemesisEvent::PartitionHalves { group_a } => {
                         assert_eq!(group_a, &vec![SiteId::new(1)], "donor cut");
+                        assert!(!cut, "seed {seed}: cuts do not nest");
                         cut = true;
                     }
                     NemesisEvent::Heal => cut = false,
                     NemesisEvent::Crash { site } => {
                         assert!(!down.contains(site), "seed {seed}: double crash");
                         down.push(*site);
-                        assert_eq!(down.len(), 1, "seed {seed}: one site down at a time");
+                        assert!(i >= 8 || down.len() == 1, "seed {seed}: one site down at a time");
                     }
                     NemesisEvent::Recover { site } => {
-                        assert_eq!(down.pop(), Some(*site), "seed {seed}: paired recovery");
+                        assert!(down.contains(site), "seed {seed}: recovery of a live site");
+                        down.retain(|s| s != site);
                     }
                     _ => panic!("unexpected event {ev:?}"),
                 }
             }
             assert!(down.is_empty() && !cut, "seed {seed}: everything healed");
+            // The last composition lands inside the round: a member crash
+            // and a cut within 1.5 ms of the sequencer's second recovery.
+            let round_start = a.events[9].0;
+            assert_eq!(a.events[9].1, NemesisEvent::Recover { site: SiteId::new(0) });
+            for (t, ev) in &a.events[10..12] {
+                assert!(
+                    matches!(ev, NemesisEvent::Crash { .. } | NemesisEvent::PartitionHalves { .. }),
+                    "seed {seed}: {ev:?}"
+                );
+                let after = t.saturating_since(round_start);
+                assert!(
+                    after >= SimDuration::from_micros(100)
+                        && after < SimDuration::from_micros(1500),
+                    "seed {seed}: {after:?} after the recovery"
+                );
+            }
             // The sequencer's crash/recover pair sits inside the cut: the
             // donor is partitioned for the whole transfer.
             let crash0 = a

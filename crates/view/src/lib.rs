@@ -18,11 +18,14 @@
 //!   observed by all live members (the cluster's invariant bundle enforces
 //!   this across chaos runs).
 //! * [`ViewChange`] — the round state machine at the recovering site:
-//!   *propose* (multicast `Wire::ViewChange`), *collect* (one
-//!   `Wire::StateDigest` per live member, merged incrementally with
-//!   [`otp_broadcast::EngineSnapshot::merge`]), *install* (when every
-//!   expected member replied or crashed). The driver executes the wires;
-//!   the machine is pure state, so it runs identically in the simulator.
+//!   *propose* (multicast `Wire::ViewChange`), *summarise* (one
+//!   `Wire::StateSummary` per live member: how far it has delivered),
+//!   *floor* (multicast `Wire::ViewFloor` with the minimum), *collect*
+//!   (one `Wire::StateDigest` per member, cut above the floor and merged
+//!   incrementally with [`otp_broadcast::EngineSnapshot::merge`]),
+//!   *install* (when every expected member replied or crashed). The
+//!   driver executes the wires; the machine is pure state, so it runs
+//!   identically in the simulator.
 //! * The **union argument** (see DESIGN.md §7): with crash faults only and
 //!   a live majority, every order assignment that any site will ever act
 //!   on is either (a) present in some survivor's digest — the union honors
@@ -37,12 +40,16 @@
 //! ```
 //! use otp_broadcast::EngineSnapshot;
 //! use otp_simnet::SiteId;
-//! use otp_view::{DigestOutcome, ViewChange};
+//! use otp_view::{DigestOutcome, SummaryOutcome, ViewChange};
 //!
 //! let (s0, s1, s2) = (SiteId::new(0), SiteId::new(1), SiteId::new(2));
 //! // Site 0 recovers: it proposes epoch 1 over the live members {1, 2}.
 //! let mut round: ViewChange<u32> = ViewChange::propose(1, s0, [s1, s2]);
 //! assert!(!round.is_complete());
+//! // Phase 1: both members say how far they delivered; the floor is the min.
+//! assert_eq!(round.on_summary(s1, 1, 7), SummaryOutcome::Accepted);
+//! assert_eq!(round.on_summary(s2, 1, 5), SummaryOutcome::FloorReady(5));
+//! // Phase 2: both members ship their state above slot 5.
 //! assert_eq!(round.on_digest(s1, 1, EngineSnapshot::empty()), DigestOutcome::Accepted);
 //! assert_eq!(round.on_digest(s2, 1, EngineSnapshot::empty()), DigestOutcome::Completed);
 //! let merged = round.into_merged();
@@ -123,6 +130,39 @@ impl fmt::Display for Membership {
     }
 }
 
+/// What [`ViewChange::on_summary`] did with an incoming summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SummaryOutcome {
+    /// Counted; more summaries are still expected.
+    Accepted,
+    /// Counted, and it was the last one: the driver must multicast
+    /// `Wire::ViewFloor` with this floor. The round now expects one digest
+    /// from every member that summarised.
+    FloorReady(u64),
+    /// Carried a different epoch than this round — ignored (see
+    /// [`DigestOutcome::WrongEpoch`]).
+    WrongEpoch {
+        /// Epoch the summary answered.
+        got: u64,
+    },
+    /// Sent by a site the round does not expect a summary from (not a
+    /// member, a duplicate, or the floor is already out) — ignored.
+    Unexpected,
+}
+
+/// What a member crash did to a round ([`ViewChange::on_member_crashed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashOutcome {
+    /// The round still waits on somebody else (or never waited on the
+    /// crashed site).
+    Pending,
+    /// The crashed member was the last missing summary: the driver must
+    /// multicast `Wire::ViewFloor` with this floor.
+    FloorReady(u64),
+    /// Nothing is outstanding any more: the round is complete.
+    Completed,
+}
+
 /// What [`ViewChange::on_digest`] did with an incoming digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DigestOutcome {
@@ -137,24 +177,40 @@ pub enum DigestOutcome {
         /// Epoch the digest answered.
         got: u64,
     },
-    /// Sent by a site the round does not expect (not a member, or already
-    /// collected) — ignored.
+    /// Sent by a site the round does not expect a digest from (not a
+    /// member, already collected, or the floor is not out yet) — ignored.
     Unexpected,
 }
 
 /// The view-change round state machine at the recovering site.
 ///
-/// Propose → collect → install; see the [crate docs](self) for the
-/// protocol and the union argument. The machine never touches a network:
-/// the driver multicasts the `ViewChange` announcement, routes incoming
-/// `StateDigest` wires into [`ViewChange::on_digest`], reports crashes via
-/// [`ViewChange::on_member_crashed`], and calls
+/// Propose → summarise → floor → collect → install; see the
+/// [crate docs](self) for the protocol and the union argument. The machine
+/// never touches a network: the driver multicasts the `ViewChange`
+/// announcement, routes incoming `StateSummary` wires into
+/// [`ViewChange::on_summary`], multicasts `ViewFloor` when told the floor
+/// is ready, routes `StateDigest` wires into [`ViewChange::on_digest`],
+/// reports crashes via [`ViewChange::on_member_crashed`], and calls
 /// [`ViewChange::into_merged`] once [`ViewChange::is_complete`].
+///
+/// The floor is the **minimum** delivered length over every summary —
+/// including those of members that crashed after summarising. Definitive
+/// logs only grow, so every member still alive at install has delivered at
+/// least `floor` messages, and so has the base snapshot the driver picks
+/// among them: digests cut above the floor lose nothing the base lacks.
 #[derive(Debug, Clone)]
 pub struct ViewChange<P> {
     epoch: u64,
     initiator: SiteId,
+    /// Members still owing the current phase's reply.
     expected: BTreeSet<SiteId>,
+    /// Summary phase only: members that summarised and are still alive —
+    /// the digest phase's expected set.
+    summarised: BTreeSet<SiteId>,
+    /// Minimum delivered length over every summary so far.
+    low: u64,
+    /// `Some` once the summary phase closed.
+    floor: Option<u64>,
     collected: BTreeSet<SiteId>,
     merged: EngineSnapshot<P>,
 }
@@ -174,6 +230,9 @@ impl<P: Clone + fmt::Debug> ViewChange<P> {
             epoch,
             initiator,
             expected,
+            summarised: BTreeSet::new(),
+            low: u64::MAX,
+            floor: None,
             collected: BTreeSet::new(),
             merged: EngineSnapshot::empty(),
         }
@@ -200,9 +259,17 @@ impl<P: Clone + fmt::Debug> ViewChange<P> {
         newer_epoch > self.epoch
     }
 
-    /// Members whose digests are still outstanding.
+    /// Members whose reply to the current phase (summary, then digest) is
+    /// still outstanding.
     pub fn outstanding(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.expected.iter().copied()
+    }
+
+    /// The digest floor, once every member summarised or crashed; `None`
+    /// while summaries are still outstanding (and for a round nobody
+    /// summarised in — it collects no digests either).
+    pub fn floor(&self) -> Option<u64> {
+        self.floor
     }
 
     /// Members whose digests have been merged.
@@ -210,12 +277,41 @@ impl<P: Clone + fmt::Debug> ViewChange<P> {
         self.collected.len()
     }
 
-    /// True when every expected member has replied or crashed.
+    /// True when every expected member has sent its digest or crashed.
     pub fn is_complete(&self) -> bool {
-        self.expected.is_empty()
+        self.expected.is_empty() && self.summarised.is_empty()
     }
 
-    /// Feeds one member's digest into the round.
+    /// Closes the summary phase if nobody owes a summary any more: the
+    /// members that summarised now owe a digest. Returns the floor when
+    /// there is one to announce.
+    fn close_summaries(&mut self) -> Option<u64> {
+        if !self.expected.is_empty() || self.summarised.is_empty() {
+            return None;
+        }
+        self.expected = std::mem::take(&mut self.summarised);
+        self.floor = Some(self.low);
+        self.floor
+    }
+
+    /// Feeds one member's delivered length into the round.
+    pub fn on_summary(&mut self, from: SiteId, epoch: u64, delivered: u64) -> SummaryOutcome {
+        if epoch != self.epoch {
+            return SummaryOutcome::WrongEpoch { got: epoch };
+        }
+        if self.floor.is_some() || !self.expected.remove(&from) {
+            return SummaryOutcome::Unexpected;
+        }
+        self.summarised.insert(from);
+        self.low = self.low.min(delivered);
+        match self.close_summaries() {
+            Some(floor) => SummaryOutcome::FloorReady(floor),
+            None => SummaryOutcome::Accepted,
+        }
+    }
+
+    /// Feeds one member's digest (cut above [`ViewChange::floor`]) into
+    /// the round.
     pub fn on_digest(
         &mut self,
         from: SiteId,
@@ -225,7 +321,7 @@ impl<P: Clone + fmt::Debug> ViewChange<P> {
         if epoch != self.epoch {
             return DigestOutcome::WrongEpoch { got: epoch };
         }
-        if !self.expected.remove(&from) {
+        if self.floor.is_none() || !self.expected.remove(&from) {
             return DigestOutcome::Unexpected;
         }
         self.collected.insert(from);
@@ -237,12 +333,25 @@ impl<P: Clone + fmt::Debug> ViewChange<P> {
         }
     }
 
-    /// Removes a crashed member from the expected set (its knowledge is
-    /// lost with it; whatever it already contributed stays merged).
-    /// Returns true when this completed the round.
-    pub fn on_member_crashed(&mut self, site: SiteId) -> bool {
-        let was_waiting = self.expected.remove(&site);
-        was_waiting && self.is_complete()
+    /// Removes a crashed member from the round (its knowledge is lost with
+    /// it; whatever it already contributed — a summary that lowered the
+    /// floor, a merged digest — stays). A member that summarised and then
+    /// crashed owes no digest.
+    pub fn on_member_crashed(&mut self, site: SiteId) -> CrashOutcome {
+        let was_waiting = self.expected.remove(&site) | self.summarised.remove(&site);
+        if !was_waiting {
+            return CrashOutcome::Pending;
+        }
+        if self.floor.is_none() {
+            if let Some(floor) = self.close_summaries() {
+                return CrashOutcome::FloorReady(floor);
+            }
+        }
+        if self.is_complete() {
+            CrashOutcome::Completed
+        } else {
+            CrashOutcome::Pending
+        }
     }
 
     /// Consumes the round and yields the union of every collected digest.
@@ -254,10 +363,10 @@ impl<P: Clone + fmt::Debug> ViewChange<P> {
     /// close.
     pub fn into_merged(self) -> EngineSnapshot<P> {
         assert!(
-            self.expected.is_empty(),
+            self.is_complete(),
             "view-change round {} still waiting on {:?}",
             self.epoch,
-            self.expected
+            self.expected.union(&self.summarised).collect::<Vec<_>>()
         );
         self.merged
     }
@@ -282,6 +391,17 @@ mod tests {
         s
     }
 
+    /// A round over `sites` (initiator first) whose summary phase already
+    /// closed: every other member reported `delivered`.
+    fn round_at_floor(epoch: u64, sites: usize, delivered: u64) -> ViewChange<u32> {
+        let mut round = ViewChange::propose(epoch, SiteId::new(0), SiteId::all(sites));
+        for s in 1..sites as u16 {
+            round.on_summary(SiteId::new(s), epoch, delivered);
+        }
+        assert_eq!(round.floor(), Some(delivered));
+        round
+    }
+
     #[test]
     fn view_ids_and_memberships() {
         assert_eq!(ViewId::INITIAL.next(), ViewId(1));
@@ -296,9 +416,26 @@ mod tests {
     }
 
     #[test]
-    fn round_collects_all_expected_members() {
+    fn floor_is_the_minimum_over_all_summaries() {
         let mut round: ViewChange<u32> = ViewChange::propose(2, SiteId::new(0), SiteId::all(4));
         assert_eq!(round.outstanding().count(), 3, "initiator is never expected");
+        assert_eq!(round.on_summary(SiteId::new(1), 2, 9), SummaryOutcome::Accepted);
+        assert_eq!(round.on_summary(SiteId::new(2), 2, 4), SummaryOutcome::Accepted);
+        assert_eq!(round.floor(), None, "one summary still outstanding");
+        // A digest before the floor is out answers nothing the round asked.
+        assert_eq!(
+            round.on_digest(SiteId::new(1), 2, EngineSnapshot::empty()),
+            DigestOutcome::Unexpected
+        );
+        assert_eq!(round.on_summary(SiteId::new(3), 2, 6), SummaryOutcome::FloorReady(4));
+        assert_eq!(round.floor(), Some(4));
+        assert!(!round.is_complete(), "the digest phase has only begun");
+        assert_eq!(round.outstanding().count(), 3, "every summariser owes a digest");
+    }
+
+    #[test]
+    fn round_collects_all_expected_members() {
+        let mut round = round_at_floor(2, 4, 0);
         assert_eq!(
             round.on_digest(SiteId::new(1), 2, EngineSnapshot::empty()),
             DigestOutcome::Accepted
@@ -317,8 +454,24 @@ mod tests {
     }
 
     #[test]
-    fn stale_duplicate_and_foreign_digests_are_ignored() {
+    fn stale_duplicate_and_foreign_summaries_are_ignored() {
         let mut round: ViewChange<u32> = ViewChange::propose(5, SiteId::new(0), SiteId::all(3));
+        assert_eq!(round.on_summary(SiteId::new(1), 4, 7), SummaryOutcome::WrongEpoch { got: 4 });
+        assert_eq!(round.on_summary(SiteId::new(1), 5, 7), SummaryOutcome::Accepted);
+        // Duplicate from the same member: ignored — it cannot lower the floor.
+        assert_eq!(round.on_summary(SiteId::new(1), 5, 0), SummaryOutcome::Unexpected);
+        // A site outside the view, and the initiator itself: ignored.
+        assert_eq!(round.on_summary(SiteId::new(9), 5, 0), SummaryOutcome::Unexpected);
+        assert_eq!(round.on_summary(SiteId::new(0), 5, 0), SummaryOutcome::Unexpected);
+        assert_eq!(round.on_summary(SiteId::new(2), 5, 8), SummaryOutcome::FloorReady(7));
+        // The floor is out: a late summary changes nothing.
+        assert_eq!(round.on_summary(SiteId::new(2), 5, 0), SummaryOutcome::Unexpected);
+        assert_eq!(round.floor(), Some(7));
+    }
+
+    #[test]
+    fn stale_duplicate_and_foreign_digests_are_ignored() {
+        let mut round = round_at_floor(5, 3, 0);
         assert_eq!(
             round.on_digest(SiteId::new(1), 4, EngineSnapshot::empty()),
             DigestOutcome::WrongEpoch { got: 4 }
@@ -343,24 +496,63 @@ mod tests {
     #[test]
     fn member_crash_can_complete_the_round() {
         let mut round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(3), SiteId::all(4));
+        for s in 0..3 {
+            round.on_summary(SiteId::new(s), 1, 0);
+        }
         round.on_digest(SiteId::new(0), 1, snap_with(&[(id(0, 0), 0)], &[], 0));
-        assert!(!round.on_member_crashed(SiteId::new(1)), "one more still expected");
-        assert!(round.on_member_crashed(SiteId::new(2)), "last outstanding member crashed");
+        assert_eq!(round.on_member_crashed(SiteId::new(1)), CrashOutcome::Pending);
+        assert_eq!(round.on_member_crashed(SiteId::new(2)), CrashOutcome::Completed);
         assert!(round.is_complete());
+        // A crash of an already-collected member changes nothing.
+        assert_eq!(round.on_member_crashed(SiteId::new(0)), CrashOutcome::Pending);
         // The crashed members' knowledge is gone, the collected digest stays.
         let merged = round.into_merged();
         assert_eq!(merged.order_tags, vec![(id(0, 0), 0)]);
-        // A crash of an already-collected member changes nothing.
+    }
+
+    /// A member that crashes between its summary and the floor owes no
+    /// digest, but its summary still bounds the floor from below (a lower
+    /// floor only ships more).
+    #[test]
+    fn member_crash_between_summary_and_digest_completes_the_round() {
+        let mut round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(0), SiteId::all(4));
+        assert_eq!(round.on_summary(SiteId::new(1), 1, 3), SummaryOutcome::Accepted);
+        assert_eq!(round.on_summary(SiteId::new(2), 1, 8), SummaryOutcome::Accepted);
+        // Member 1 summarised, then died; member 3 dies before summarising
+        // — the last outstanding summary, so the floor goes out.
+        assert_eq!(round.on_member_crashed(SiteId::new(1)), CrashOutcome::Pending);
+        assert_eq!(round.on_member_crashed(SiteId::new(3)), CrashOutcome::FloorReady(3));
+        assert_eq!(round.outstanding().collect::<Vec<_>>(), vec![SiteId::new(2)]);
+        assert_eq!(
+            round.on_digest(SiteId::new(1), 1, EngineSnapshot::empty()),
+            DigestOutcome::Unexpected,
+            "the crashed member is no longer expected"
+        );
+        assert_eq!(
+            round.on_digest(SiteId::new(2), 1, EngineSnapshot::empty()),
+            DigestOutcome::Completed
+        );
+    }
+
+    /// Every member crashing before the floor leaves nothing to collect.
+    #[test]
+    fn round_nobody_summarised_in_completes_without_a_floor() {
+        let mut round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(0), SiteId::all(3));
+        round.on_summary(SiteId::new(1), 1, 3);
+        assert_eq!(round.on_member_crashed(SiteId::new(1)), CrashOutcome::Pending);
+        assert_eq!(round.on_member_crashed(SiteId::new(2)), CrashOutcome::Completed);
+        assert_eq!(round.floor(), None);
+        assert_eq!(round.into_merged(), EngineSnapshot::empty());
     }
 
     #[test]
     fn union_covers_assignments_no_single_donor_has() {
         // Survivor 1 knows slots 0-1, survivor 2 knows slots 1-2 and is
         // further along: the union must cover all of 0-2.
-        let mut round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(0), SiteId::all(3));
+        let mut round = round_at_floor(1, 3, 0);
         let (a, b, c) = (id(1, 0), id(2, 0), id(2, 1));
-        round.on_digest(SiteId::new(1), 1, snap_with(&[(a, 0), (b, 1)], &[a], 3));
-        round.on_digest(SiteId::new(2), 1, snap_with(&[(b, 1), (c, 2)], &[a, b], 3));
+        round.on_digest(SiteId::new(1), 1, snap_with(&[(a, 0), (b, 1)], &[a], 3).delta_above(0));
+        round.on_digest(SiteId::new(2), 1, snap_with(&[(b, 1), (c, 2)], &[a, b], 3).delta_above(0));
         let merged = round.into_merged();
         assert_eq!(merged.order_tags, vec![(a, 0), (b, 1), (c, 2)], "max-seqno union");
         // The digests' definitive logs are NOT adopted: the restore pairs
@@ -378,14 +570,19 @@ mod tests {
     /// every survivor and crashed after replying must not drag the merged
     /// definitive log past the base — everything in the log is suppressed
     /// from re-delivery, so the base replica would permanently miss the
-    /// tail. The tail must instead come back as deliverable order tags.
+    /// tail. The tail must instead come back as deliverable order tags —
+    /// also when the digest is a delta above the round's floor.
     #[test]
     fn ahead_then_crashed_digest_does_not_extend_the_base_log() {
         let (a, b) = (id(1, 0), id(1, 1));
         let mut round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(0), SiteId::all(3));
-        // Member 2 was ahead (delivered A and B), replies, then crashes.
-        round.on_digest(SiteId::new(2), 1, snap_with(&[(a, 0), (b, 1)], &[a, b], 0));
-        assert!(round.on_member_crashed(SiteId::new(1)));
+        // Member 2 was ahead (delivered A and B), member 1 only delivered A.
+        round.on_summary(SiteId::new(2), 1, 2);
+        assert_eq!(round.on_summary(SiteId::new(1), 1, 1), SummaryOutcome::FloorReady(1));
+        // Member 2 replies above the floor, then crashes; so does member 1
+        // before replying.
+        round.on_digest(SiteId::new(2), 1, snap_with(&[(a, 0), (b, 1)], &[a, b], 0).delta_above(1));
+        assert_eq!(round.on_member_crashed(SiteId::new(1)), CrashOutcome::Completed);
         // Base: a survivor that only delivered A.
         let mut base = snap_with(&[(a, 0)], &[a], 0);
         base.merge(round.into_merged());
@@ -395,29 +592,33 @@ mod tests {
     }
 
     /// Supersession (newest epoch wins): only a strictly newer epoch may
-    /// replace a pending round for the same site.
+    /// replace a pending round for the same site — in either phase.
     #[test]
     fn supersession_requires_a_strictly_newer_epoch() {
-        let round: ViewChange<u32> = ViewChange::propose(5, SiteId::new(0), SiteId::all(3));
-        assert!(round.superseded_by(6));
-        assert!(round.superseded_by(u64::MAX));
-        assert!(!round.superseded_by(5), "same epoch never supersedes");
-        assert!(!round.superseded_by(4), "older rounds never win");
+        let summarising: ViewChange<u32> = ViewChange::propose(5, SiteId::new(0), SiteId::all(3));
+        let collecting = round_at_floor(5, 3, 2);
+        for round in [summarising, collecting] {
+            assert!(round.superseded_by(6));
+            assert!(round.superseded_by(u64::MAX));
+            assert!(!round.superseded_by(5), "same epoch never supersedes");
+            assert!(!round.superseded_by(4), "older rounds never win");
+        }
     }
 
     /// The merged snapshot's `min_delivered` is the minimum over every
     /// collected digest — the restored sequencer's delta re-announce
     /// floor. The fold identity (`empty()` = MAX) must never survive a
-    /// real digest.
+    /// real digest, and the digest floor does not touch it.
     #[test]
     fn merged_min_delivered_is_the_minimum_over_digests() {
         let (a, b) = (id(1, 0), id(1, 1));
-        let mut round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(0), SiteId::all(3));
+        let mut round = round_at_floor(1, 3, 1);
         assert_eq!(round.merged.min_delivered, u64::MAX, "fold identity");
-        round.on_digest(SiteId::new(1), 1, snap_with(&[(a, 0), (b, 1)], &[a, b], 0));
-        round.on_digest(SiteId::new(2), 1, snap_with(&[(a, 0)], &[a], 0));
+        round.on_digest(SiteId::new(1), 1, snap_with(&[(a, 0), (b, 1)], &[a, b], 0).delta_above(1));
+        round.on_digest(SiteId::new(2), 1, snap_with(&[(a, 0)], &[a], 0).delta_above(1));
         let merged = round.into_merged();
         assert_eq!(merged.min_delivered, 1, "the laggard's delivered length wins");
+        assert_eq!(merged.order_tags, vec![(b, 1)], "nothing below the floor was shipped");
     }
 
     #[test]
@@ -425,5 +626,11 @@ mod tests {
     fn partial_round_refuses_to_install() {
         let round: ViewChange<u32> = ViewChange::propose(1, SiteId::new(0), SiteId::all(3));
         let _ = round.into_merged();
+    }
+
+    #[test]
+    #[should_panic(expected = "still waiting")]
+    fn round_between_phases_refuses_to_install() {
+        let _ = round_at_floor(1, 3, 0).into_merged();
     }
 }

@@ -18,10 +18,11 @@
 //! first, then shows the union path converging on the same inputs.
 
 use otp_broadcast::{
-    AtomicBroadcast, EngineAction, EngineCtx, Message, MsgId, Oracle, OrderDomain, ScrambleConfig,
-    ScrambledAbcast, SeqAbcast, Wire,
+    AtomicBroadcast, EngineAction, EngineCtx, EngineSnapshot, Message, MsgId, OptAbcast,
+    OptAbcastConfig, Oracle, OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast, Wire,
 };
 use otp_simnet::{SimDuration, SimRng, SiteId};
+use otp_view::{CrashOutcome, SummaryOutcome, ViewChange};
 use std::sync::OnceLock;
 
 fn site(n: u16) -> SiteId {
@@ -196,4 +197,129 @@ fn scramble_single_donor_id_reuse_fixed_by_union() {
         at_witness.iter().any(|a| matches!(a, EngineAction::OptDeliver(msg) if msg.id == fresh_id)),
         "witness accepts the fresh incarnation's message: {at_witness:?}"
     );
+}
+
+/// Ids delivered definitively by `actions`, in order.
+fn to_delivered(actions: &[EngineAction<u32>]) -> Vec<MsgId> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            EngineAction::ToDeliver(ids) => Some(ids.clone()),
+            _ => None,
+        })
+        .flatten()
+        .collect()
+}
+
+/// The digest sender is *ahead* of the base and crashes after replying
+/// (sequencer engine). Its digest is a delta above the round's floor — the
+/// base's delivered length — so it ships nothing about slot 0, and still
+/// the restored engine re-delivers the sender's whole tail: every slot at
+/// or above the floor comes back through the delta's order tags.
+#[test]
+fn ahead_then_crashed_sender_redelivers_its_tail_from_the_delta() {
+    let ids: Vec<MsgId> = (0..3).map(|k| MsgId::new(site(3), k)).collect();
+    let mut base: SeqAbcast<u32> = SeqAbcast::new(site(0));
+    let mut ahead: SeqAbcast<u32> = SeqAbcast::new(site(0));
+    for (k, id) in ids.iter().enumerate() {
+        // Both survivors hold every payload; the base saw only slot 0's
+        // assignment before the sequencer died.
+        for (peer, me) in [(&mut base, 1u16), (&mut ahead, 2)] {
+            peer.on_receive(&ctx(me), site(3), data(3, k as u64, 10 + k as u32));
+        }
+        let order = Wire::SeqOrder { epoch: 0, seqno: k as u64, id: *id };
+        ahead.on_receive(&ctx(2), site(0), order.clone());
+        if k == 0 {
+            base.on_receive(&ctx(1), site(0), order);
+        }
+    }
+    assert_eq!(base.definitive_log(), [ids[0]]);
+    assert_eq!(ahead.definitive_log(), ids);
+
+    let mut round: ViewChange<u32> = ViewChange::propose(1, site(0), [site(1), site(2)]);
+    round.on_summary(site(2), 1, ahead.definitive_log().len() as u64);
+    let outcome = round.on_summary(site(1), 1, base.definitive_log().len() as u64);
+    assert_eq!(outcome, SummaryOutcome::FloorReady(1), "floor = the laggard's length");
+    let delta = ahead.snapshot().delta_above(1);
+    assert!(delta.definitive_log.is_empty(), "no log copy is shipped");
+    assert_eq!(delta.order_tags, vec![(ids[1], 1), (ids[2], 2)], "only slots >= floor");
+    assert_eq!(delta.received.len(), 2, "slot 0's payload stays home");
+    round.on_digest(site(2), 1, delta);
+    // The sender dies after replying; the base never gets to reply.
+    assert_eq!(round.on_member_crashed(site(2)), CrashOutcome::Pending);
+    assert_eq!(round.on_member_crashed(site(1)), CrashOutcome::Completed);
+
+    let mut merged = base.snapshot();
+    merged.merge(round.into_merged());
+    let mut restored: SeqAbcast<u32> = SeqAbcast::new(site(0));
+    let mut actions = restored.restore(&ctx(0), merged);
+    restored.bump_incarnation();
+    restored.install_view(1, true);
+    actions.extend(restored.finish_restore(&ctx(0)));
+    assert_eq!(to_delivered(&actions), ids[1..], "the tail re-delivers, slot 0 does not");
+    assert_eq!(restored.definitive_log(), ids);
+    apply_orders(&mut base, 1, site(0), &actions);
+    assert_eq!(base.definitive_log(), ids, "the base catches up from the re-announce");
+}
+
+/// Same shape for the optimistic engine, where the tail lives in decided
+/// consensus instances: the delta drops the instance wholly below the
+/// floor and keeps the later ones whole — including an empty one, which
+/// the delivery cursor must still step over.
+#[test]
+fn opt_delta_keeps_the_decided_instances_above_the_floor() {
+    let ids: Vec<MsgId> = (0..4).map(|k| MsgId::new(site(3), k)).collect();
+    let payloads = |range: std::ops::Range<usize>| -> Vec<Message<u32>> {
+        range.map(|k| Message { id: ids[k], payload: k as u32 }).collect()
+    };
+    // The sender decided {0: [m0], 1: [m0, m1] (m0 raced), 2: [], 3: [m2, m3]}
+    // and delivered everything; the base stopped after instance 0.
+    let mut ahead = EngineSnapshot::empty();
+    ahead.decided.insert(0, vec![ids[0]]);
+    ahead.decided.insert(1, vec![ids[0], ids[1]]);
+    ahead.decided.insert(2, Vec::new());
+    ahead.decided.insert(3, vec![ids[2], ids[3]]);
+    ahead.received = payloads(0..4);
+    ahead.definitive_log = ids.clone();
+    ahead.min_delivered = 4;
+    let mut base = EngineSnapshot::empty();
+    base.decided.insert(0, vec![ids[0]]);
+    base.received = payloads(0..4);
+    base.definitive_log = vec![ids[0]];
+    base.min_delivered = 1;
+
+    let full = ahead.clone().delta_above(0);
+    assert_eq!(full.decided, ahead.decided, "floor 0 cuts nothing but the log copy");
+    assert_eq!(full.received, ahead.received);
+    let delta = ahead.delta_above(1);
+    assert_eq!(
+        delta.decided.keys().copied().collect::<Vec<_>>(),
+        vec![1, 2, 3],
+        "instance 0 is wholly below the floor; 1 straddles it and stays whole"
+    );
+    assert_eq!(delta.decided[&1], vec![ids[0], ids[1]]);
+    assert_eq!(delta.received, payloads(1..4));
+    assert_eq!(delta.min_delivered, 4, "the cut leaves min_delivered alone");
+
+    base.merge(delta);
+    let cfg = OptAbcastConfig::new(4, SimDuration::from_millis(20));
+    let mut restored: OptAbcast<u32> = OptAbcast::new(cfg);
+    let actions = restored.restore(&ctx(0), base);
+    assert_eq!(to_delivered(&actions), ids[1..]);
+    assert_eq!(restored.definitive_log(), ids);
+}
+
+/// A floor past the sender's own log (it can only come from a caller bug
+/// or a sender that never summarised) is clamped, not trusted.
+#[test]
+fn delta_floor_is_clamped_to_the_senders_log() {
+    let a = MsgId::new(site(3), 0);
+    let b = MsgId::new(site(3), 1);
+    let mut snap: EngineSnapshot<u32> = EngineSnapshot::empty();
+    snap.definitive_log = vec![a];
+    snap.order_tags = vec![(a, 0), (b, 1)];
+    snap.received = vec![Message { id: a, payload: 0 }, Message { id: b, payload: 1 }];
+    let delta = snap.delta_above(u64::MAX);
+    assert_eq!(delta.order_tags, vec![(b, 1)], "the undelivered slot is still shipped");
+    assert_eq!(delta.received.len(), 1);
 }

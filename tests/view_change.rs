@@ -4,13 +4,12 @@
 //! The window (ROADMAP, pre-fix): the batched sequencer multicasts an
 //! order-assignment window and crashes while the frames are still in
 //! flight — some live sites already applied them, the donor did not, and
-//! no hold buffer has them. The legacy synchronous recovery
-//! (`Cluster::legacy_recover_single_donor`, kept exactly for this test)
-//! restores from the donor alone and renumbers, binding one sequence
-//! number to two different messages across sites. The scan below drives a
-//! grid of (seed × crash instant) through both recovery paths: the legacy
-//! path must diverge somewhere in the grid, and the view-change path must
-//! survive *every* point of it.
+//! no hold buffer has them. Restoring from the donor alone renumbers,
+//! binding one sequence number to two different messages across sites
+//! (14 of the 120 scan points below diverged under that path before it
+//! was deleted; `crates/view/tests/union_recovery.rs` still drives the
+//! engines through it). The scan drives a grid of (seed × crash instant)
+//! through the view-change round, which must survive *every* point.
 
 use otpdb::core::{Cluster, ClusterBuilder, ClusterConfig, DurationDist, EngineKind};
 use otpdb::simnet::{SimDuration, SimTime, SiteId};
@@ -21,42 +20,62 @@ use otpdb::workload::StandardProcs;
 
 const ORDER_WINDOW: SimDuration = SimDuration::from_micros(250);
 
-/// A 4-site batched-sequencer cluster with a burst of updates from the
-/// non-sequencer sites — the workload that keeps assignment windows and
-/// order frames in flight around the crash instants the scan probes.
-fn seqbatch_cluster(seed: u64) -> Cluster {
+/// A 4-site, 2-class cluster over `engine` with 1 ms executions.
+fn cluster_over(engine: EngineKind, seed: u64) -> Cluster {
     let (registry, _) = StandardProcs::registry();
     let config = ClusterConfig::new(4, 2)
-        .with_engine(EngineKind::SequencerBatched { order_delay: ORDER_WINDOW })
+        .with_engine(engine)
         .with_exec_time(DurationDist::Fixed(SimDuration::from_millis(1)))
         .with_seed(seed);
-    let mut cluster = ClusterBuilder::from_config(config)
+    ClusterBuilder::from_config(config)
         .registry(registry)
         .initial_data(vec![
             (ObjectId::new(0, 0), Value::Int(0)),
             (ObjectId::new(1, 0), Value::Int(0)),
         ])
-        .build();
+        .build()
+}
+
+/// Schedules `n` increments `spacing` apart from 1 ms on, round-robin over
+/// the first `submitters` non-sequencer sites (a crash of site 0 loses no
+/// client) and over both classes.
+fn schedule_load(cluster: &mut Cluster, n: u64, submitters: u64, spacing: SimDuration) {
     let mut t = SimTime::from_millis(1);
-    for i in 0..8u64 {
+    for i in 0..n {
         cluster.schedule_update(
             t,
-            SiteId::new((1 + i % 3) as u16), // sites 1-3: the crash loses no client
+            SiteId::new((1 + i % submitters) as u16),
             ClassId::new((i % 2) as u32),
             ProcId::new(0),
             vec![Value::Int(0), Value::Int(1)],
         );
-        t += SimDuration::from_micros(300);
+        t += spacing;
     }
+}
+
+/// A batched-sequencer cluster with a burst of updates from the
+/// non-sequencer sites — the workload that keeps assignment windows and
+/// order frames in flight around the crash instants the scan probes.
+fn seqbatch_cluster(seed: u64) -> Cluster {
+    let mut cluster =
+        cluster_over(EngineKind::SequencerBatched { order_delay: ORDER_WINDOW }, seed);
+    schedule_load(&mut cluster, 8, 3, SimDuration::from_micros(300));
     cluster
 }
 
-/// Post-recovery liveness probes, one per site.
-fn schedule_probes(cluster: &mut Cluster) -> Vec<TxnId> {
+/// A plain-sequencer cluster under steady load from sites 1 and 2.
+fn sequencer_cluster(seed: u64) -> Cluster {
+    let mut cluster = cluster_over(EngineKind::Sequencer, seed);
+    schedule_load(&mut cluster, 40, 2, SimDuration::from_millis(2));
+    cluster
+}
+
+/// Liveness probes at `at`, one per site.
+fn schedule_probes_at(cluster: &mut Cluster, at: SimTime) -> Vec<TxnId> {
     (0..4u16)
         .map(|s| {
             cluster.schedule_update(
-                SimTime::from_millis(120),
+                at,
                 SiteId::new(s),
                 ClassId::new((s % 2) as u32),
                 ProcId::new(0),
@@ -66,19 +85,19 @@ fn schedule_probes(cluster: &mut Cluster) -> Vec<TxnId> {
         .collect()
 }
 
-/// Runs one scan point: crash the sequencer at `crash_us`, recover it via
-/// `legacy` (single donor, synchronous) or the view-change round, and
-/// report whether every invariant held.
-fn scan_point(seed: u64, crash_us: u64, legacy: bool) -> bool {
+/// Post-recovery liveness probes, one per site.
+fn schedule_probes(cluster: &mut Cluster) -> Vec<TxnId> {
+    schedule_probes_at(cluster, SimTime::from_millis(120))
+}
+
+/// Runs one scan point: crash the sequencer at `crash_us`, recover it
+/// through the view-change round 10 µs later, and report whether every
+/// invariant held.
+fn scan_point(seed: u64, crash_us: u64) -> bool {
     let mut c = seqbatch_cluster(seed);
     let crash_at = SimTime::from_micros(crash_us);
     c.schedule_crash(crash_at, SiteId::new(0));
-    if legacy {
-        c.run_until(crash_at);
-        c.legacy_recover_single_donor(SiteId::new(0), SiteId::new(1));
-    } else {
-        c.schedule_recover(crash_at + SimDuration::from_micros(10), SiteId::new(0), SiteId::new(1));
-    }
+    c.schedule_recover(crash_at + SimDuration::from_micros(10), SiteId::new(0), SiteId::new(1));
     let probes = schedule_probes(&mut c);
     c.run_until(SimTime::from_secs(120));
     c.check_invariants(&probes).is_ok() && c.converged()
@@ -89,32 +108,10 @@ fn scan_point(seed: u64, crash_us: u64, legacy: bool) -> bool {
 const CRASH_GRID_US: [u64; 5] = [1350, 1500, 1650, 1850, 2100];
 
 #[test]
-fn single_donor_recovery_diverges_where_view_change_survives() {
-    let mut diverging: Vec<(u64, u64)> = Vec::new();
+fn view_change_survives_the_single_donor_divergence_scan() {
     for seed in 0..24 {
         for crash_us in CRASH_GRID_US {
-            if !scan_point(seed, crash_us, true) {
-                diverging.push((seed, crash_us));
-            }
-        }
-    }
-    assert!(
-        !diverging.is_empty(),
-        "the legacy path must hit the renumber collision somewhere in the scan grid"
-    );
-    // Every scenario that breaks the legacy path passes under the
-    // view-change round — same seed, same crash instant, same workload.
-    for (seed, crash_us) in &diverging {
-        assert!(
-            scan_point(*seed, *crash_us, false),
-            "seed {seed} crash {crash_us}us: view-change recovery must survive"
-        );
-    }
-    // And the new path is clean across the whole grid, not just the
-    // legacy-breaking corner.
-    for seed in 0..24 {
-        for crash_us in CRASH_GRID_US {
-            assert!(scan_point(seed, crash_us, false), "seed {seed} crash {crash_us}us");
+            assert!(scan_point(seed, crash_us), "seed {seed} crash {crash_us}us");
         }
     }
 }
@@ -132,18 +129,7 @@ fn overlapping_rounds_resolve_to_the_newest_view() {
         EngineKind::Opt { consensus_timeout: SimDuration::from_millis(50) },
         EngineKind::SequencerBatched { order_delay: ORDER_WINDOW },
     ] {
-        let (registry, _) = StandardProcs::registry();
-        let config = ClusterConfig::new(4, 2)
-            .with_engine(engine)
-            .with_exec_time(DurationDist::Fixed(SimDuration::from_millis(1)))
-            .with_seed(53);
-        let mut c = ClusterBuilder::from_config(config)
-            .registry(registry)
-            .initial_data(vec![
-                (ObjectId::new(0, 0), Value::Int(0)),
-                (ObjectId::new(1, 0), Value::Int(0)),
-            ])
-            .build();
+        let mut c = cluster_over(engine, 53);
         let schedule = NemesisSchedule::from_events(vec![
             (
                 SimTime::from_millis(5),
@@ -183,29 +169,8 @@ fn recovery_installs_a_fresh_view_and_serves() {
             swap_probability: 0.0,
         },
     ] {
-        let (registry, _) = StandardProcs::registry();
-        let config = ClusterConfig::new(4, 2)
-            .with_engine(engine)
-            .with_exec_time(DurationDist::Fixed(SimDuration::from_millis(1)))
-            .with_seed(31);
-        let mut c = ClusterBuilder::from_config(config)
-            .registry(registry)
-            .initial_data(vec![
-                (ObjectId::new(0, 0), Value::Int(0)),
-                (ObjectId::new(1, 0), Value::Int(0)),
-            ])
-            .build();
-        let mut t = SimTime::from_millis(1);
-        for i in 0..12u64 {
-            c.schedule_update(
-                t,
-                SiteId::new((1 + i % 3) as u16),
-                ClassId::new((i % 2) as u32),
-                ProcId::new(0),
-                vec![Value::Int(0), Value::Int(1)],
-            );
-            t += SimDuration::from_millis(1);
-        }
+        let mut c = cluster_over(engine, 31);
+        schedule_load(&mut c, 12, 3, SimDuration::from_millis(1));
         c.schedule_crash(SimTime::from_millis(5), SiteId::new(0));
         c.schedule_recover(SimTime::from_millis(40), SiteId::new(0), SiteId::new(1));
         let probes = schedule_probes(&mut c);
@@ -216,4 +181,81 @@ fn recovery_installs_a_fresh_view_and_serves() {
         assert!(report.is_ok(), "{engine:?}: {report}");
         assert!(c.converged(), "{engine:?}");
     }
+}
+
+/// A floor message that outlives its round: a partition cuts site 1 off
+/// between the two phases of the sequencer's recovery round, the
+/// sequencer dies again and re-proposes under the next epoch, and the
+/// heal releases the dead round's floor (or site 1's summary for it,
+/// depending on where the cut lands). Nobody waits for that reply any
+/// more: it is counted as `stale_view_digest`, never answered with state,
+/// and the newer round installs.
+#[test]
+fn floor_of_a_dead_round_is_counted_stale_not_answered() {
+    use otpdb::simnet::nemesis::{NemesisEvent, NemesisSchedule};
+    for cut_after_us in (100..=1500).step_by(100) {
+        let mut c = sequencer_cluster(71);
+        let seq = SiteId::new(0);
+        let recover_at = SimTime::from_millis(40);
+        let schedule = NemesisSchedule::from_events(vec![
+            (SimTime::from_millis(20), NemesisEvent::Crash { site: seq }),
+            (recover_at, NemesisEvent::Recover { site: seq }),
+            (
+                recover_at + SimDuration::from_micros(cut_after_us),
+                NemesisEvent::PartitionHalves { group_a: vec![SiteId::new(1)] },
+            ),
+            (SimTime::from_millis(45), NemesisEvent::Crash { site: seq }),
+            (SimTime::from_millis(50), NemesisEvent::Recover { site: seq }),
+            (SimTime::from_millis(70), NemesisEvent::Heal),
+        ]);
+        c.schedule_nemesis(&schedule);
+        let probes = schedule_probes(&mut c);
+        c.run_until(SimTime::from_secs(120));
+        let stats = c.stats();
+        assert!(
+            stats.counters.get("stale_view_digest") >= 1,
+            "cut {cut_after_us}us: the dead round's held message is counted"
+        );
+        assert_eq!(c.current_view().len(), 4, "cut {cut_after_us}us");
+        let report = c.check_invariants(&probes);
+        assert!(report.is_ok(), "cut {cut_after_us}us: {report}");
+        assert!(c.converged(), "cut {cut_after_us}us");
+    }
+}
+
+/// The digests of a round are cut above its floor, so the base they are
+/// merged into must have delivered at least that much. Every member that
+/// summarised has — unless all of them die before the install: site 3
+/// recovers after a long outage, and sites 0–2 crash in a burst inside its
+/// round. When the burst lands after the floor went out, the only base
+/// left is site 3's own pre-crash state, shorter than the floor: the round
+/// must start over (`view_supersede`) instead of installing digests it
+/// cannot complete. Whatever the burst's timing, the cluster recovers.
+#[test]
+fn round_whose_summarisers_all_died_starts_over() {
+    use otpdb::simnet::nemesis::{NemesisEvent, NemesisSchedule};
+    let mut restarted = 0;
+    for burst_after_us in (400..=2000).step_by(200) {
+        let mut c = sequencer_cluster(72);
+        let at = |us: u64| SimTime::from_millis(100) + SimDuration::from_micros(us);
+        let schedule = NemesisSchedule::from_events(vec![
+            (SimTime::from_millis(10), NemesisEvent::Crash { site: SiteId::new(3) }),
+            (at(0), NemesisEvent::Recover { site: SiteId::new(3) }),
+            (at(burst_after_us), NemesisEvent::Crash { site: SiteId::new(0) }),
+            (at(burst_after_us + 10), NemesisEvent::Crash { site: SiteId::new(1) }),
+            (at(burst_after_us + 20), NemesisEvent::Crash { site: SiteId::new(2) }),
+            (SimTime::from_millis(150), NemesisEvent::Recover { site: SiteId::new(0) }),
+            (SimTime::from_millis(160), NemesisEvent::Recover { site: SiteId::new(1) }),
+            (SimTime::from_millis(170), NemesisEvent::Recover { site: SiteId::new(2) }),
+        ]);
+        c.schedule_nemesis(&schedule);
+        let probes = schedule_probes_at(&mut c, SimTime::from_millis(400));
+        c.run_until(SimTime::from_secs(120));
+        restarted += c.stats().counters.get("view_supersede");
+        assert_eq!(c.current_view().len(), 4, "burst {burst_after_us}us");
+        let report = c.check_invariants(&probes);
+        assert!(report.is_ok(), "burst {burst_after_us}us: {report}");
+        assert!(c.converged(), "burst {burst_after_us}us");
+    }
+    assert!(restarted >= 1, "some burst must land between the floor and the last digest");
 }
