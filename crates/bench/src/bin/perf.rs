@@ -131,6 +131,7 @@ fn main() -> ExitCode {
         println!("  abort_rate         {:.6}", m.abort_rate);
         println!("  msgs_per_commit    {:.4}", m.msgs_per_commit);
         println!("  sim_duration_ns    {}", m.sim_duration_ns);
+        println!("  one_step_rate      {:.3} (not in BENCH.json)", m.one_step_rate);
         for s in &stages {
             println!(
                 "  stage {:<14} n {:<6} p50_ns {:<12} p99_ns {}",
@@ -148,8 +149,15 @@ fn main() -> ExitCode {
     };
     let wall_ms = started.elapsed().as_millis();
 
-    let mut table =
-        Table::new(vec!["cell", "throughput/s", "p50_ms", "p99_ms", "abort_rate", "msgs/commit"]);
+    let mut table = Table::new(vec![
+        "cell",
+        "throughput/s",
+        "p50_ms",
+        "p99_ms",
+        "abort_rate",
+        "msgs/commit",
+        "one-step",
+    ]);
     for (cell, m) in &report.cells {
         table.row(vec![
             cell.id(),
@@ -158,6 +166,7 @@ fn main() -> ExitCode {
             format!("{:.2}", m.p99_commit_ns as f64 / 1e6),
             format!("{:.4}", m.abort_rate),
             format!("{:.2}", m.msgs_per_commit),
+            format!("{:.2}", m.one_step_rate),
         ]);
     }
     println!("{}", table.to_markdown());

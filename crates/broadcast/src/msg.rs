@@ -10,11 +10,12 @@ use std::sync::Arc;
 
 /// The value type consensus agrees on: one batch of the definitive order.
 ///
-/// Behind an [`Arc`] because a batch fans out hard: every round's estimate
-/// carries it, the coordinator re-broadcasts it, every receiver relays the
-/// decision once, and the simulation driver clones the wire per receiver —
-/// sharing one allocation turns all of that into reference-count bumps
-/// (the consensus `Instance` fan-out item of the flamegraph wishlist).
+/// Behind an [`Arc`] because a batch fans out hard: every site's proposal
+/// for an instance goes to every member, a round's estimate and the
+/// coordinator's proposal and decision carry it again, and the simulation
+/// driver clones the wire per receiver — sharing one allocation turns all
+/// of that into reference-count bumps, and a decided batch is one
+/// allocation cluster-wide however the sites came to decide it.
 pub type OrderBatch = Arc<Vec<MsgId>>;
 
 /// How far a recovering endpoint jumps its own message-sequence space past
@@ -241,7 +242,8 @@ impl<P: PayloadSize> Wire<P> {
                 let orders = 12 * (snapshot.order_tags.len() + snapshot.definitive_log.len());
                 let decided: usize =
                     snapshot.decided.values().map(|batch| 8 + 12 * batch.len()).sum();
-                HDR + 24 + payloads + orders as u32 + decided as u32
+                let horizon = snapshot.instance_horizon.map_or(0, |_| 8);
+                HDR + 24 + horizon + payloads + orders as u32 + decided as u32
             }
         }
     }

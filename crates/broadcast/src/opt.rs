@@ -11,6 +11,25 @@
 //! confirmation arrives while the application is still busy processing —
 //! the latency of ordering is hidden.
 //!
+//! ## One-step definitive order
+//!
+//! A site's proposal for instance `k` goes to every member and doubles as
+//! its vote (`otp_consensus`, step 0): when all `n` proposals are the same
+//! batch — the spontaneous-order case, i.e. almost always — every site
+//! decides one hop after the last proposal left and the instance sends
+//! nothing more. The rotating-coordinator rounds start at the same instant
+//! and are the fallback for every other case; this engine only drops what
+//! of their traffic has become moot (see `drop_moot`) and answers a
+//! decided instance's messages only when they are a straggler's pull.
+//!
+//! A restored endpoint does not vote in instances its previous incarnation
+//! may have voted in — those up to the horizon the survivors' snapshots
+//! report ([`EngineSnapshot::instance_horizon`]): it joins them with
+//! [`Instance::rejoin`], so its second proposal can complete a
+//! coordinator's majority but never outrank a survivor's estimate, and a
+//! batch some site decided in one step on the first incarnation's vote
+//! stays the only batch the rounds can decide.
+//!
 //! ## Definitive delivery
 //!
 //! Decided batches are concatenated in instance order; within the
@@ -24,7 +43,8 @@
 //! A site initiates instance `k+1` as soon as instance `k` has decided and
 //! it still has undecided messages; a site joins any instance it first
 //! hears about from others (with its own undecided list as its proposal,
-//! possibly empty). Ties between equally-fresh consensus estimates are
+//! possibly empty, minus what a lower instance still running at this site
+//! is about to settle). Ties between equally-fresh consensus estimates are
 //! broken by `Vec<MsgId>`'s lexicographic order, which prefers non-empty
 //! batches — so progress is made as long as some site has undecided
 //! messages.
@@ -34,6 +54,7 @@ use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire, REC
 use crate::traits::{AtomicBroadcast, EngineSnapshot};
 use otp_consensus::{Action as CAction, ConsensusMsg, Instance, InstanceConfig};
 use otp_simnet::{SimDuration, SiteId};
+use otp_telemetry::Counter;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -96,10 +117,11 @@ pub struct OptAbcast<P> {
     /// Received (opt-delivered) but not yet covered by a processed
     /// decision, in receive order — this is what we propose.
     undecided: Vec<MsgId>,
-    /// Running consensus instances. The value type is [`OrderBatch`]
+    /// Running consensus instances (a handful at most; ordered, because a
+    /// view change visits them all). The value type is [`OrderBatch`]
     /// (`Arc`-shared): one proposal allocation per joined instance, and all
     /// the estimate/propose/decide fan-out is reference-count bumps.
-    instances: HashMap<u64, Instance<OrderBatch>>,
+    instances: BTreeMap<u64, Instance<OrderBatch>>,
     /// Decided batches by instance (shared with helpout frames and the
     /// delivery cursor — cloning a batch is a refcount bump).
     decided: BTreeMap<u64, OrderBatch>,
@@ -115,6 +137,17 @@ pub struct OptAbcast<P> {
     /// asks about several already-decided instances in one tick gets a
     /// single [`Wire::DecideBatch`] instead of one decide frame each.
     pending_helpouts: BTreeMap<SiteId, BTreeSet<u64>>,
+    /// Instances below this number are ones a previous incarnation of this
+    /// endpoint may have voted in: it joins them as a rejoined site
+    /// ([`Instance::rejoin`]) — no vote, and an estimate no coordinator
+    /// prefers to a survivor's. 0 until the endpoint is restored.
+    rejoined_below: u64,
+    /// Instances this site decided in one step / through a round, a
+    /// `Decide` or a help-out (restored decisions are neither). Detached
+    /// until [`AtomicBroadcast::set_decide_counters`] swaps in the
+    /// driver's registry handles.
+    fast_decides: Arc<Counter>,
+    slow_decides: Arc<Counter>,
 }
 
 impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
@@ -131,13 +164,16 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             definitive_log: Vec::new(),
             to_set: HashSet::new(),
             undecided: Vec::new(),
-            instances: HashMap::new(),
+            instances: BTreeMap::new(),
             decided: BTreeMap::new(),
             next_initiate: 0,
             batch_timer_for: None,
             cursor_instance: 0,
             cursor_pos: 0,
             pending_helpouts: BTreeMap::new(),
+            rejoined_below: 0,
+            fast_decides: Arc::new(Counter::new()),
+            slow_decides: Arc::new(Counter::new()),
         }
     }
 
@@ -178,6 +214,9 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
                     });
                 }
                 CAction::Decided(batch) => {
+                    let one_step =
+                        self.instances.get(&instance).is_some_and(Instance::decided_in_one_step);
+                    if one_step { &self.fast_decides } else { &self.slow_decides }.incr();
                     out.extend(self.on_decided(me, instance, batch));
                 }
             }
@@ -247,8 +286,24 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         // The one allocation per joined instance; every subsequent clone of
         // the proposal (estimates, proposes, decides, per-receiver wire
         // fan-out) shares it.
-        let proposal: OrderBatch = Arc::new(self.undecided.clone());
-        let (inst, actions) = Instance::new(me, self.ccfg, proposal);
+        let mut proposal = self.undecided.clone();
+        // Joining on first contact can get ahead of this site's own
+        // decisions: a peer decided `instance - 1` in one step and moved
+        // on while the last vote for it is still on its way here. What a
+        // lower instance still running here is about to settle is left out
+        // — the peers that are ahead have left it out — or the proposals
+        // would differ by exactly the batch everybody already agrees on.
+        // (Should the lower instance settle on something else, the ids are
+        // still in `undecided` and go into the next proposal.)
+        for running in self.instances.range(..instance).map(|(_, inst)| inst.estimate()) {
+            proposal.retain(|id| !running.contains(id));
+        }
+        let proposal: OrderBatch = Arc::new(proposal);
+        let (inst, actions) = if instance < self.rejoined_below {
+            Instance::rejoin(me, self.ccfg, proposal)
+        } else {
+            Instance::new(me, self.ccfg, proposal)
+        };
         self.instances.insert(instance, inst);
         self.consensus_actions(me, instance, actions)
     }
@@ -329,12 +384,18 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         instance: u64,
         msg: ConsensusMsg<OrderBatch>,
     ) -> Vec<EngineAction<P>> {
-        // Already decided instance: help the straggler with the decision.
+        // Already decided instance: help a straggler that pulls — its
+        // estimate or nack reaching this site as the round's coordinator —
+        // with the decision. (Nobody relays decisions, so this is how a
+        // site that missed one gets it; a late `Propose` or `Ack` is a
+        // peer still running a round, and the round will serve it.)
         // Buffered, not sent — the receive path flushes everything owed to
         // one target as a single frame per tick (see `flush_helpouts`).
         if self.decided.contains_key(&instance) {
-            if !matches!(msg, ConsensusMsg::Decide { .. }) {
-                self.pending_helpouts.entry(from).or_default().insert(instance);
+            if let ConsensusMsg::Estimate { round, .. } | ConsensusMsg::Nack { round } = msg {
+                if self.ccfg.coordinator(round) == me {
+                    self.pending_helpouts.entry(from).or_default().insert(instance);
+                }
             }
             return Vec::new();
         }
@@ -379,6 +440,34 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         }
     }
 
+    /// Drops round traffic emitted earlier in this receive call for an
+    /// instance that decided later in the same call (typically: the
+    /// coordinator proposed at a majority of votes, or a site acked, and
+    /// the last vote of a unanimous tally was further down the batch).
+    /// Nobody needs it — the decision needs no round — and each frame
+    /// dropped here is `n` deliveries the peers do not have to ignore.
+    /// Estimates always go out: they are the votes the peers are counting.
+    fn drop_moot(&self, decided_before: usize, out: &mut Vec<EngineAction<P>>) {
+        if self.decided.len() == decided_before {
+            return;
+        }
+        out.retain(|a| {
+            let instance = match a {
+                EngineAction::Multicast(Wire::Consensus { instance, msg })
+                | EngineAction::Send(_, Wire::Consensus { instance, msg })
+                    if matches!(msg, ConsensusMsg::Propose { .. } | ConsensusMsg::Ack { .. }) =>
+                {
+                    instance
+                }
+                EngineAction::SetTimer { token, .. } if token.round != BATCH_ROUND => {
+                    &token.instance
+                }
+                _ => return true,
+            };
+            !self.decided.contains_key(instance)
+        });
+    }
+
     /// Emits every buffered decision help-out: one target owed a single
     /// decision gets the legacy `Consensus`/`Decide` frame, a target owed
     /// several gets one [`Wire::DecideBatch`].
@@ -386,10 +475,6 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         if self.pending_helpouts.is_empty() {
             return;
         }
-        // `owed`, not `instances`: the BTreeSet of instance ids owed to
-        // one target (the `instances` *field* is the HashMap of live
-        // consensus instances — shadowing it here trips `otp-lint`'s
-        // name-keyed unordered-iter heuristic, and deserves to).
         for (to, owed) in std::mem::take(&mut self.pending_helpouts) {
             let decides: Vec<(u64, OrderBatch)> = owed
                 .into_iter()
@@ -428,7 +513,9 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         from: SiteId,
         wire: Wire<P>,
     ) -> Vec<EngineAction<P>> {
+        let decided_before = self.decided.len();
         let mut out = self.ingest_wire(ctx.me, from, wire);
+        self.drop_moot(decided_before, &mut out);
         self.flush_helpouts(&mut out);
         out
     }
@@ -438,10 +525,12 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         ctx: &EngineCtx<'_>,
         wires: Vec<(SiteId, Wire<P>)>,
     ) -> Vec<EngineAction<P>> {
+        let decided_before = self.decided.len();
         let mut out = Vec::new();
         for (from, wire) in wires {
             out.extend(self.ingest_wire(ctx.me, from, wire));
         }
+        self.drop_moot(decided_before, &mut out);
         // One helpout flush for the whole tick: a straggler's burst of
         // questions about decided instances costs one frame, not one per
         // instance.
@@ -478,6 +567,13 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
             epoch: 0,
             order_fence: 0,
             min_delivered: self.definitive_log.len() as u64,
+            instance_horizon: Some(
+                self.decided
+                    .keys()
+                    .chain(self.instances.keys())
+                    .max()
+                    .map_or(0, |highest| highest + 1),
+            ),
         }
     }
 
@@ -486,6 +582,11 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         ctx: &EngineCtx<'_>,
         snapshot: EngineSnapshot<P>,
     ) -> Vec<EngineAction<P>> {
+        // The dead incarnation may have voted in every instance up to the
+        // horizon, the one above the highest any live member knows of
+        // included (it could have decided that one alone and moved on) —
+        // and in none beyond: deciding takes a majority's participation.
+        self.rejoined_below = snapshot.instance_horizon.unwrap_or(0) + 1;
         self.decided = snapshot.decided.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
         self.definitive_log = snapshot.definitive_log.clone();
         self.to_set = snapshot.definitive_log.iter().copied().collect();
@@ -548,6 +649,17 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
 
     fn bump_incarnation(&mut self) {
         self.next_seq += RECOVERY_SEQ_GAP;
+    }
+
+    fn decide_counts(&self) -> (u64, u64) {
+        (self.fast_decides.get(), self.slow_decides.get())
+    }
+
+    fn set_decide_counters(&mut self, fast: Arc<Counter>, slow: Arc<Counter>) {
+        fast.add(self.fast_decides.get());
+        slow.add(self.slow_decides.get());
+        self.fast_decides = fast;
+        self.slow_decides = slow;
     }
 }
 
@@ -868,5 +980,358 @@ mod tests {
             .iter()
             .all(|a| !matches!(a, EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_))));
         assert!(es[0].tentative_log().is_empty());
+    }
+
+    /// A hand-cranked network for the one-step tests: every frame an
+    /// engine emits sits in `flight` (one entry per receiver) until the
+    /// test delivers it, so a test decides who hears what and when; timers
+    /// wait in `timers` until the test fires them.
+    struct Lab {
+        es: Vec<OptAbcast<u32>>,
+        dom: OrderDomain,
+        flight: Vec<(SiteId, SiteId, Wire<u32>)>,
+        timers: Vec<(SiteId, TimerToken)>,
+    }
+
+    fn is_vote(w: &Wire<u32>) -> bool {
+        matches!(w, Wire::Consensus { msg: ConsensusMsg::Estimate { round: 0, ts: 0, .. }, .. })
+    }
+
+    impl Lab {
+        fn new(n: usize) -> Self {
+            Lab {
+                es: engines(n),
+                dom: OrderDomain::global(n),
+                flight: Vec::new(),
+                timers: Vec::new(),
+            }
+        }
+
+        fn apply(&mut self, site: SiteId, actions: Vec<EngineAction<u32>>) {
+            for a in actions {
+                match a {
+                    EngineAction::Multicast(w) => {
+                        for to in SiteId::all(self.es.len()) {
+                            self.flight.push((site, to, w.clone()));
+                        }
+                    }
+                    EngineAction::Send(to, w) => self.flight.push((site, to, w)),
+                    EngineAction::SetTimer { token, .. } => self.timers.push((site, token)),
+                    EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_) => {}
+                }
+            }
+        }
+
+        fn broadcast(&mut self, site: u16, payload: u32) -> MsgId {
+            let site = SiteId::new(site);
+            let (id, actions) = self.es[site.index()].broadcast(&ctx_at(&self.dom, site), payload);
+            self.apply(site, actions);
+            id
+        }
+
+        /// Delivers, in emission order and one frame per receive call,
+        /// every frame in flight that `pick` selects — including what those
+        /// deliveries emit — until none is left.
+        fn deliver(&mut self, pick: impl Fn(SiteId, SiteId, &Wire<u32>) -> bool) {
+            while let Some(i) = self.flight.iter().position(|(f, t, w)| pick(*f, *t, w)) {
+                let (from, to, wire) = self.flight.remove(i);
+                let actions = self.es[to.index()].on_receive(&ctx_at(&self.dom, to), from, wire);
+                self.apply(to, actions);
+            }
+        }
+
+        /// Fires every consensus round timer armed at `site`.
+        fn fire_round_timers(&mut self, site: u16) {
+            let site = SiteId::new(site);
+            let (due, rest) = std::mem::take(&mut self.timers)
+                .into_iter()
+                .partition(|(s, token)| *s == site && token.round != BATCH_ROUND);
+            self.timers = rest;
+            for (_, token) in due {
+                let actions = self.es[site.index()].on_timer(&ctx_at(&self.dom, site), token);
+                self.apply(site, actions);
+            }
+        }
+    }
+
+    /// The spontaneous-order case end to end: four equal proposals, every
+    /// site decides on the fourth vote, and apart from the votes the only
+    /// consensus frame ever emitted is the coordinator's proposal at a
+    /// majority — which nobody answers.
+    #[test]
+    fn unanimous_instance_decides_in_one_step_and_goes_quiet() {
+        let mut lab = Lab::new(4);
+        let id = lab.broadcast(1, 7);
+        lab.deliver(|_, _, _| true);
+        for e in &lab.es {
+            assert_eq!(e.definitive_log(), [id]);
+            assert_eq!(e.decide_counts(), (1, 0));
+        }
+        assert!(lab.flight.is_empty());
+    }
+
+    /// A site one vote behind on instance 0 joins instance 1 on first
+    /// contact and must not re-propose what instance 0 is about to settle:
+    /// its peers, already past instance 0, propose `[m2]` — so does it,
+    /// and instance 1 is decided in one step everywhere.
+    #[test]
+    fn proposal_leaves_out_what_a_running_lower_instance_covers() {
+        let mut lab = Lab::new(4);
+        // Site 2's vote for instance 0 is slow to reach site 3.
+        let slow = |f: SiteId, t: SiteId, w: &Wire<u32>| {
+            f == SiteId::new(2)
+                && t == SiteId::new(3)
+                && matches!(w, Wire::Consensus { instance: 0, .. })
+        };
+        let m1 = lab.broadcast(1, 1);
+        lab.deliver(|f, t, w| !slow(f, t, w));
+        assert_eq!(lab.es[0].definitive_log(), [m1]);
+        assert!(lab.es[3].definitive_log().is_empty(), "three votes of four");
+        let m2 = lab.broadcast(0, 2);
+        lab.deliver(|f, t, w| !slow(f, t, w));
+        for site in 0..3 {
+            assert_eq!(lab.es[site].definitive_log(), [m1, m2], "site {site}");
+        }
+        assert_eq!(lab.es[3].decided_instances(), 1, "instance 1, ahead of instance 0");
+        lab.deliver(|_, _, _| true);
+        for e in &lab.es {
+            assert_eq!(e.definitive_log(), [m1, m2]);
+            assert_eq!(e.decide_counts(), (2, 0));
+        }
+    }
+
+    /// Round traffic emitted earlier in a receive call for an instance
+    /// that decides later in the same call never leaves the site; the votes
+    /// always do.
+    #[test]
+    fn moot_round_traffic_is_dropped_within_a_receive_call() {
+        let mut lab = Lab::new(4);
+        let id = lab.broadcast(1, 7);
+        lab.deliver(|_, _, w| matches!(w, Wire::Data(_)));
+        // The coordinator gets all four votes in one batch: it proposes at
+        // the third and decides at the fourth.
+        let coord = SiteId::new(0);
+        let (votes, rest) =
+            std::mem::take(&mut lab.flight).into_iter().partition(|(_, to, _)| *to == coord);
+        lab.flight = rest;
+        let batch: Vec<(SiteId, Wire<u32>)> = votes.into_iter().map(|(f, _, w)| (f, w)).collect();
+        assert_eq!(batch.len(), 4);
+        let out = lab.es[0].on_receive_batch(&ctx_at(&lab.dom, coord), batch);
+        assert_eq!(out, vec![EngineAction::ToDeliver(vec![id])]);
+
+        // A site that joins on first contact inside the deciding batch
+        // still sends its vote — the peers are counting — but not the
+        // round timer. Site 3 here: fresh engine, data and votes at once.
+        let mut late: OptAbcast<u32> =
+            OptAbcast::new(OptAbcastConfig::new(4, SimDuration::from_millis(20)));
+        let three = SiteId::new(3);
+        let mut batch = vec![(SiteId::new(1), Wire::Data(Message { id, payload: 7 }))];
+        let vote =
+            |est: &[MsgId]| ConsensusMsg::Estimate { round: 0, est: Arc::new(est.to_vec()), ts: 0 };
+        for from in 0..4u16 {
+            batch.push((SiteId::new(from), Wire::Consensus { instance: 0, msg: vote(&[id]) }));
+        }
+        let out = late.on_receive_batch(&ctx_at(&lab.dom, three), batch);
+        assert!(
+            out.iter().any(|a| matches!(a, EngineAction::Multicast(w) if is_vote(w))),
+            "{out:?}"
+        );
+        assert!(!out.iter().any(|a| matches!(a, EngineAction::SetTimer { .. })), "{out:?}");
+        assert_eq!(late.definitive_log(), [id]);
+    }
+
+    /// Only a straggler's pull is answered for a decided instance: its
+    /// estimate or nack reaching the round's coordinator. A peer still
+    /// running a round — a late `Propose` or `Ack` — gets no help-out
+    /// frame, and neither does a vote that reaches a non-coordinator.
+    #[test]
+    fn decided_instance_answers_pulls_only() {
+        let mut lab = Lab::new(3);
+        lab.broadcast(0, 7);
+        lab.deliver(|_, _, _| true);
+        assert_eq!(lab.es[0].decided_instances(), 1);
+        let batch = Arc::new(vec![]);
+        let ask = |lab: &mut Lab, at: u16, msg| {
+            let at = SiteId::new(at);
+            lab.es[at.index()].on_receive(
+                &ctx_at(&lab.dom, at),
+                SiteId::new(2),
+                Wire::Consensus { instance: 0, msg },
+            )
+        };
+        let silent = [
+            (0, ConsensusMsg::Propose { round: 2, value: Arc::clone(&batch) }),
+            (0, ConsensusMsg::Ack { round: 0 }),
+            (0, ConsensusMsg::Estimate { round: 1, est: Arc::clone(&batch), ts: 0 }),
+            (1, ConsensusMsg::Estimate { round: 0, est: Arc::clone(&batch), ts: 0 }),
+        ];
+        for (at, msg) in silent {
+            let out = ask(&mut lab, at, msg.clone());
+            assert!(out.is_empty(), "site {at} answered {msg:?}: {out:?}");
+        }
+        let answered = [
+            (0, ConsensusMsg::Estimate { round: 0, est: Arc::clone(&batch), ts: 0 }),
+            (0, ConsensusMsg::Nack { round: 0 }),
+            (1, ConsensusMsg::Estimate { round: 1, est: batch, ts: 0 }),
+        ];
+        for (at, msg) in answered {
+            let out = ask(&mut lab, at, msg.clone());
+            assert!(
+                matches!(
+                    out.as_slice(),
+                    [EngineAction::Send(to, Wire::Consensus { msg: ConsensusMsg::Decide { .. }, .. })]
+                        if *to == SiteId::new(2)
+                ),
+                "site {at} on {msg:?}: {out:?}"
+            );
+        }
+    }
+
+    /// What replaces the decision relay. Site 2 is cut off while sites 0
+    /// and 1 decide instance 0 through a round; the coordinator's `Decide`
+    /// for site 2 stays held past site 2's patience — and is never
+    /// delivered in this test. Site 2's nack, once the cut heals, pulls the
+    /// decision out of the decided coordinator.
+    #[test]
+    fn nack_pulls_the_decision_a_partition_held_back() {
+        let mut lab = Lab::new(3);
+        let loner = SiteId::new(2);
+        let cut = move |from: SiteId, to: SiteId| (from == loner) != (to == loner);
+        let m0 = lab.broadcast(0, 7);
+        let m2 = lab.broadcast(2, 9);
+        lab.deliver(|f, t, _| !cut(f, t));
+        assert_eq!(lab.es[0].definitive_log(), [m0]);
+        assert_eq!(lab.es[1].definitive_log(), [m0]);
+        assert_eq!(lab.es[0].decide_counts(), (0, 1), "two of three: the rounds decided");
+        assert_eq!(lab.es[2].tentative_log(), [m2]);
+        assert!(lab.es[2].definitive_log().is_empty());
+        // One patience later, still cut off: site 2 suspects round 0.
+        lab.fire_round_timers(2);
+        // The coordinator's own `Decide` never arrives; the heal releases
+        // everything else.
+        let is_decide =
+            |w: &Wire<u32>| matches!(w, Wire::Consensus { msg: ConsensusMsg::Decide { .. }, .. });
+        let before = lab.flight.len();
+        lab.flight.retain(|(f, t, w)| !(*f == SiteId::new(0) && *t == loner && is_decide(w)));
+        assert_eq!(lab.flight.len(), before - 1, "one broadcast copy was waiting at the cut");
+        lab.deliver(|_, _, _| true);
+        for e in &lab.es {
+            assert_eq!(e.definitive_log(), [m0, m2]);
+        }
+    }
+
+    /// Re-incarnation safety, round 0's coordinator dead. Site 0 holds
+    /// all four votes for `[m1]`, decides in one step and delivers; the
+    /// vote of site 3 has reached nobody else. Then site 0 goes down — its
+    /// proposal with it —, site 3 crashes and is rebuilt from the
+    /// survivors, and proposes `[m2, m1]`. Sites 1 and 2 have instance 0
+    /// open, so the snapshot's horizon covers it and site 3 rejoins it:
+    /// their `[m1]` outranks its proposal whatever order round 1's
+    /// coordinator hears them in, and the rounds decide what site 0
+    /// delivered.
+    #[test]
+    fn reincarnated_voter_cannot_overturn_a_one_step_decision() {
+        let mut lab = Lab::new(4);
+        let (a, x) = (SiteId::new(0), SiteId::new(3));
+        let m1 = lab.broadcast(2, 1);
+        lab.deliver(|_, _, w| matches!(w, Wire::Data(_)));
+        // Every vote reaches site 0; site 3's vote reaches only site 0,
+        // and site 3 itself hears nothing more before it dies.
+        lab.deliver(|f, t, w| is_vote(w) && t != x && (f != x || t == a));
+        assert_eq!(lab.es[0].definitive_log(), [m1]);
+        assert_eq!(lab.es[0].decide_counts(), (1, 0));
+        assert!(lab.es[1].definitive_log().is_empty() && lab.es[2].definitive_log().is_empty());
+        // Sites 0 and 3 are gone; what they had in flight is lost with
+        // them, what was in flight to them waits.
+        lab.flight.retain(|(f, _, _)| *f != a && *f != x);
+        let m2 = lab.broadcast(1, 2);
+        lab.deliver(|_, t, w| matches!(w, Wire::Data(_)) && t != a && t != x);
+        // The newcomer is rebuilt from the union of what the members know.
+        let mut snap = lab.es[1].snapshot();
+        snap.merge(lab.es[2].snapshot());
+        let mut reborn: OptAbcast<u32> =
+            OptAbcast::new(OptAbcastConfig::new(4, SimDuration::from_millis(20)));
+        reborn.restore(&ctx_at(&lab.dom, x), snap);
+        lab.es[3] = reborn;
+        // What waited for site 3 is replayed: it joins instance 0 with its
+        // own idea of the order, and votes again.
+        lab.deliver(|_, t, _| t != a);
+        assert!(
+            lab.es[1].definitive_log().is_empty(),
+            "three survivors of four cannot skip the rounds"
+        );
+        // Round 0's coordinator is down: one patience, then round 1 — for
+        // this instance, and again for the one that orders `m2`.
+        for _instance in 0..2 {
+            for site in 1..4 {
+                lab.fire_round_timers(site);
+            }
+            lab.deliver(|_, t, _| t != a);
+        }
+        for site in 1..4 {
+            assert_eq!(lab.es[site].definitive_log(), [m1, m2], "site {site}");
+        }
+    }
+
+    /// Re-incarnation safety, round 0's coordinator alive — the
+    /// interleaving no rule at the receivers covers. Every estimate in
+    /// this run is sent, stamped 0, before anybody knows that site 3 will
+    /// be rebuilt: site 0 (the coordinator) holds its own and site 2's,
+    /// site 1 holds three of four, and the vote of site 3 for site 1 sits
+    /// at a cut while site 3 crashes, the view changes and site 3 is
+    /// restored from all three members. Then the cut heals: site 1 counts
+    /// four of four and decides `[m1]`, and the new site 3's `[m2, m1]`
+    /// completes site 0's majority. Site 0 must still propose `[m1]`.
+    #[test]
+    fn reincarnated_voter_cannot_overturn_a_one_step_decision_at_a_live_coordinator() {
+        let mut lab = Lab::new(4);
+        let (coord, a, x) = (SiteId::new(0), SiteId::new(1), SiteId::new(3));
+        let m1 = lab.broadcast(2, 1);
+        lab.deliver(|_, _, w| matches!(w, Wire::Data(_)));
+        // The survivors' votes travel, except site 1's to the coordinator;
+        // site 3's stay in flight.
+        lab.deliver(|f, t, w| is_vote(w) && f != x && t != x && !(f == a && t == coord));
+        assert!(lab.es.iter().all(|e| e.decided_instances() == 0));
+        // Site 3 dies. Its votes to sites 0 and 2 are lost with it, the one
+        // to site 1 waits at the cut; what is sent to it from now on waits.
+        lab.flight.retain(|(f, t, _)| *f != x || *t == a);
+        let m2 = lab.broadcast(1, 2);
+        lab.deliver(|_, t, w| matches!(w, Wire::Data(_)) && t != x);
+        // The view change: every member contributes, none has decided.
+        let mut snap = lab.es[0].snapshot();
+        snap.merge(lab.es[1].snapshot());
+        snap.merge(lab.es[2].snapshot());
+        assert_eq!(snap.instance_horizon, Some(1));
+        let mut reborn: OptAbcast<u32> =
+            OptAbcast::new(OptAbcastConfig::new(4, SimDuration::from_millis(20)));
+        reborn.restore(&ctx_at(&lab.dom, x), snap);
+        lab.es[3] = reborn;
+        // The cut heals: the first incarnation's vote completes site 1's
+        // tally.
+        lab.deliver(|f, t, w| f == x && t == a && is_vote(w));
+        assert_eq!(lab.es[1].decide_counts(), (1, 0));
+        assert_eq!(lab.es[1].definitive_log()[0], m1);
+        // What waited for site 3 is replayed: it joins instance 0 with its
+        // own idea of the order — as a rejoined site, so without a vote.
+        lab.deliver(|_, t, _| t == x);
+        assert!(!lab.flight.iter().any(|(f, _, w)| *f == x && is_vote(w)), "{:?}", lab.flight);
+        assert!(lab.flight.iter().any(|(f, t, w)| {
+            *f == x
+                && *t == coord
+                && matches!(
+                    w,
+                    Wire::Consensus {
+                        instance: 0,
+                        msg: ConsensusMsg::Estimate { ts: otp_consensus::REJOINED_TS, est, .. },
+                    } if **est == [m2, m1]
+                )
+        }));
+        // Site 0 hears sites 0, 2 and — last — 3: a majority.
+        lab.deliver(|f, t, w| !(f == a && t == coord && is_vote(w)));
+        lab.deliver(|_, _, _| true);
+        for (site, e) in lab.es.iter().enumerate() {
+            assert_eq!(e.definitive_log(), [m1, m2], "site {site}");
+        }
+        assert_eq!(lab.es[3].decide_counts().0, 0, "a rejoined site decides nothing in one step");
     }
 }

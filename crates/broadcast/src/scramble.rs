@@ -238,6 +238,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
             epoch: 0,
             order_fence: 0,
             min_delivered: self.definitive_log.len() as u64,
+            instance_horizon: None,
         }
     }
 

@@ -333,6 +333,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
             epoch: self.epoch,
             order_fence: self.order_fence,
             min_delivered: self.definitive_log.len() as u64,
+            instance_horizon: None,
         }
     }
 

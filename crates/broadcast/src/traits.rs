@@ -45,6 +45,15 @@ pub struct EngineSnapshot<P> {
     /// `or_insert`. Bounds the re-announce frame by the in-flight window
     /// instead of by history.
     pub min_delivered: u64,
+    /// One past the highest consensus instance the snapshotting engine has
+    /// joined or knows decided (`None` for engines that run no instances);
+    /// under [`EngineSnapshot::merge`] the maximum. A site can only have
+    /// voted in an instance whose predecessor a majority had joined, so a
+    /// site restored from the union of the live members may have voted, in
+    /// its previous life, in instances up to and including this one and in
+    /// none above — which is where the optimistic engine stops treating
+    /// itself as rejoined (`otp_consensus::Instance::rejoin`).
+    pub instance_horizon: Option<u64>,
 }
 
 impl<P> EngineSnapshot<P> {
@@ -63,6 +72,7 @@ impl<P> EngineSnapshot<P> {
             epoch: 0,
             order_fence: 0,
             min_delivered: u64::MAX,
+            instance_horizon: None,
         }
     }
 
@@ -84,7 +94,8 @@ impl<P> EngineSnapshot<P> {
     ///   what closes the single-donor renumber window;
     /// * `epoch` / `order_fence` — max;
     /// * `min_delivered` — min: the floor of the restored sequencer's
-    ///   delta re-announce (everything below it is delivered everywhere).
+    ///   delta re-announce (everything below it is delivered everywhere);
+    /// * `instance_horizon` — max (`None` below everything).
     pub fn merge(&mut self, other: EngineSnapshot<P>) {
         for (instance, batch) in other.decided {
             self.decided.entry(instance).or_insert(batch);
@@ -109,6 +120,7 @@ impl<P> EngineSnapshot<P> {
         self.epoch = self.epoch.max(other.epoch);
         self.order_fence = self.order_fence.max(other.order_fence);
         self.min_delivered = self.min_delivered.min(other.min_delivered);
+        self.instance_horizon = self.instance_horizon.max(other.instance_horizon);
     }
 
     /// Cuts this snapshot down to a view-change **delta digest**: what a
@@ -130,7 +142,7 @@ impl<P> EngineSnapshot<P> {
     ///   empty instance above it: with `floor == 0` nothing is dropped);
     ///
     /// and keeps everything else, `min_delivered` / `epoch` / `order_fence`
-    /// included. The sender's delivered tail *above* the floor survives in
+    /// / `instance_horizon` included. The sender's delivered tail *above* the floor survives in
     /// `order_tags` / `decided`, so a sender that was ahead of the base
     /// still re-delivers every slot ≥ `floor` (DESIGN.md §7).
     ///
@@ -268,6 +280,27 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
     /// Surfaced in run statistics so stale traffic is loud, not silent.
     fn stale_epoch_rejects(&self) -> u64 {
         0
+    }
+
+    /// `(fast, slow)`: consensus instances this endpoint decided in one
+    /// step — on `n` of `n` equal round-0 proposals, the paper's Figure 1
+    /// case measured where it is cashed in — and instances it decided
+    /// through a round, a `Decide` or a help-out. Engines that run no
+    /// consensus report none; default: `(0, 0)`.
+    fn decide_counts(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    /// Attaches the shared counters behind
+    /// [`AtomicBroadcast::decide_counts`], the way
+    /// [`AtomicBroadcast::set_stale_counter`] does for rejects: the tally
+    /// becomes readable from a running cluster's registry and survives the
+    /// engine being replaced at a recovery. Default: nothing to count.
+    fn set_decide_counters(
+        &mut self,
+        _fast: std::sync::Arc<otp_telemetry::Counter>,
+        _slow: std::sync::Arc<otp_telemetry::Counter>,
+    ) {
     }
 
     /// Attaches a shared [`otp_telemetry`] counter that the engine bumps

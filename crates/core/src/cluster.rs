@@ -910,6 +910,16 @@ pub struct Cluster {
     trace: Option<Arc<dyn TraceSink>>,
 }
 
+/// Hands `engine` its handles in the driver's registry (`scope` = its site
+/// and order domain): stale-epoch rejects, one-step and round decisions.
+fn attach_engine_counters(engine: &mut Engine, metrics: &MetricsRegistry, scope: Scope) {
+    engine.set_stale_counter(metrics.counter("stale_epoch_reject", scope));
+    engine.set_decide_counters(
+        metrics.counter("fast_decide", scope),
+        metrics.counter("slow_decide", scope),
+    );
+}
+
 impl Cluster {
     /// Builds a cluster: `initial_data` is loaded into every site's
     /// database copy before any event runs. Construct through
@@ -957,16 +967,14 @@ impl Cluster {
                 })
             }
         };
-        // Engines bump a registry-scoped `stale_epoch_reject` handle in
-        // place of their private tally — the driver's unified registry is
-        // the single place the counts live.
+        // Engines bump registry-scoped handles in place of their private
+        // tallies — the driver's unified registry is the single place the
+        // counts live.
         let engines: Vec<Engine> = SiteId::all(sites)
             .map(|s| {
                 let g = topology.group_of_site(s);
                 let mut e = factory(&topology.domains[g]);
-                e.set_stale_counter(
-                    metrics.counter("stale_epoch_reject", Scope::site(s).group(g as u16)),
-                );
+                attach_engine_counters(&mut e, &metrics, Scope::site(s).group(g as u16));
                 e
             })
             .collect();
@@ -979,9 +987,10 @@ impl Cluster {
             SiteId::all(sites)
                 .map(|s| {
                     let mut e = Box::new(SeqAbcast::new(relay.sequencer())) as Engine;
-                    e.set_stale_counter(
-                        metrics
-                            .counter("stale_epoch_reject", Scope::site(s).group(relay_idx as u16)),
+                    attach_engine_counters(
+                        &mut e,
+                        &metrics,
+                        Scope::site(s).group(relay_idx as u16),
                     );
                     e
                 })
@@ -1124,8 +1133,8 @@ impl Cluster {
     }
 
     /// A fresh engine for domain `du` at `site` (recovery path). The
-    /// replacement engine shares the site's registry counter, so rejects
-    /// observed before the swap stay visible in run stats.
+    /// replacement engine shares the site's registry counters, so rejects
+    /// and decisions observed before the swap stay visible in run stats.
     fn make_engine(&mut self, site: SiteId, du: usize) -> Engine {
         let domain = &self.topology.domains[du];
         let mut engine = if self.topology.is_relay(du) {
@@ -1133,9 +1142,7 @@ impl Cluster {
         } else {
             (self.engine_factory)(domain)
         };
-        engine.set_stale_counter(
-            self.metrics.counter("stale_epoch_reject", Scope::site(site).group(du as u16)),
-        );
+        attach_engine_counters(&mut engine, &self.metrics, Scope::site(site).group(du as u16));
         engine
     }
 
@@ -1449,6 +1456,16 @@ impl Cluster {
                 .map(|e| e.stale_epoch_rejects())
                 .sum::<u64>(),
         );
+        // One-step vs round decisions of the consensus-based engine: the
+        // hit rate is the paper's Figure 1 quantity, measured where it
+        // pays off.
+        let (fast, slow) = self
+            .engines
+            .iter()
+            .map(|e| e.decide_counts())
+            .fold((0, 0), |(f, s), (ef, es)| (f + ef, s + es));
+        counters.add("fast_decide", fast);
+        counters.add("slow_decide", slow);
         counters.add("stale_view_digest", self.stale_view_digests.get());
         counters.add("view_summary_bytes", self.view_summary_bytes.get());
         counters.add("view_digest_bytes", self.view_digest_bytes.get());

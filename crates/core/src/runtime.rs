@@ -648,12 +648,15 @@ impl LiveCluster {
             }
         };
 
-        // Engine stale-epoch rejects land in the shared registry, same
-        // metric name as the simulated driver (the live runtime is
-        // unsharded, so every site is group 0).
+        // Engine stale-epoch rejects and one-step/round decision counts
+        // land in the shared registry, same metric names as the simulated
+        // driver (the live runtime is unsharded, so every site is group 0).
         for (i, e) in engines.iter_mut().enumerate() {
-            e.set_stale_counter(
-                metrics.counter("stale_epoch_reject", Scope::site(SiteId::new(i as u16)).group(0)),
+            let scope = Scope::site(SiteId::new(i as u16)).group(0);
+            e.set_stale_counter(metrics.counter("stale_epoch_reject", scope));
+            e.set_decide_counters(
+                metrics.counter("fast_decide", scope),
+                metrics.counter("slow_decide", scope),
             );
         }
 
@@ -1266,6 +1269,9 @@ impl SiteWorker {
         let db = self.replica.db().clone();
         let mut counters = Counters::new();
         counters.merge(self.replica.counters());
+        let (fast, slow) = self.engine.decide_counts();
+        counters.add("fast_decide", fast);
+        counters.add("slow_decide", slow);
         SiteOutcome {
             log,
             commit_log: self.replica.commit_log().to_vec(),

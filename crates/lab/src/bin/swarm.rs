@@ -94,7 +94,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: swarm [--seeds N] [--start-seed N] [--seed N] \
                      [--grid-cell CELL] [--live-fault crash|partition|stall|pressure] \
-                     [--intensity calm|rough|hostile|viewchange] [--txns N] [--groups N] \
+                     [--intensity calm|rough|hostile|viewchange|fastpath] [--txns N] [--groups N] \
                      [--sabotage KIND] [--repro-out FILE] [--trace-out FILE] [--list-cells]\n\
                      CHAOS_SEEDS bounds the sweep when --seeds is absent; --intensity \
                      restricts the sweep to one nemesis intensity (the CI chaos matrix); \

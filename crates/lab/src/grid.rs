@@ -4,6 +4,7 @@
 //! swarm output and in the `--grid-cell` reproducer flag, so a cell can be
 //! round-tripped through a command line.
 
+use crate::runner::{WORKLOAD_SPACING, WORKLOAD_START};
 use otp_core::{EngineKind, Mode};
 use otp_simnet::nemesis::{NemesisKnobs, NemesisSchedule};
 use otp_simnet::{SimDuration, SimTime};
@@ -117,6 +118,12 @@ pub enum Intensity {
     /// five views installed per run. See
     /// [`NemesisSchedule::view_change_targeted`].
     ViewChange,
+    /// One-step targeted composition: cuts, crashes with quick recoveries
+    /// (one of them inside a cut) and a loss burst that all begin inside
+    /// the exchange following a broadcast of the runner's workload and end
+    /// within one consensus patience. See
+    /// [`NemesisSchedule::fast_path_targeted`].
+    FastPath,
 }
 
 impl Intensity {
@@ -133,6 +140,13 @@ impl Intensity {
                 NemesisSchedule::generate(seed, sites, horizon, &NemesisKnobs::hostile())
             }
             Intensity::ViewChange => NemesisSchedule::view_change_targeted(seed, sites, horizon),
+            Intensity::FastPath => NemesisSchedule::fast_path_targeted(
+                seed,
+                sites,
+                horizon,
+                WORKLOAD_START,
+                WORKLOAD_SPACING,
+            ),
         }
     }
 
@@ -142,6 +156,7 @@ impl Intensity {
             Intensity::Rough => "rough",
             Intensity::Hostile => "hostile",
             Intensity::ViewChange => "viewchange",
+            Intensity::FastPath => "fastpath",
         }
     }
 
@@ -156,13 +171,22 @@ impl Intensity {
             "rough" => Ok(Intensity::Rough),
             "hostile" => Ok(Intensity::Hostile),
             "viewchange" => Ok(Intensity::ViewChange),
-            other => Err(format!("unknown intensity {other:?} (calm|rough|hostile|viewchange)")),
+            "fastpath" => Ok(Intensity::FastPath),
+            other => {
+                Err(format!("unknown intensity {other:?} (calm|rough|hostile|viewchange|fastpath)"))
+            }
         }
     }
 
     /// All intensities, in grid order.
-    pub fn all() -> [Intensity; 4] {
-        [Intensity::Calm, Intensity::Rough, Intensity::Hostile, Intensity::ViewChange]
+    pub fn all() -> [Intensity; 5] {
+        [
+            Intensity::Calm,
+            Intensity::Rough,
+            Intensity::Hostile,
+            Intensity::ViewChange,
+            Intensity::FastPath,
+        ]
     }
 }
 
@@ -243,13 +267,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_has_forty_eight_cells_with_unique_ids() {
+    fn grid_has_sixty_cells_with_unique_ids() {
         let cells = GridCell::all();
-        assert_eq!(cells.len(), 48);
+        assert_eq!(cells.len(), 60);
         let mut ids: Vec<String> = cells.iter().map(GridCell::id).collect();
         ids.sort();
         ids.dedup();
-        assert_eq!(ids.len(), 48, "ids are unique");
+        assert_eq!(ids.len(), 60, "ids are unique");
+        assert!(ids.iter().any(|id| id == "opt-otp-fastpath"), "fast-path column present");
         assert!(ids.iter().any(|id| id == "optq-otp-hostile"), "quantum column present");
         assert!(ids.iter().any(|id| id == "sharded-otp-hostile"), "sharded column present");
     }
@@ -290,5 +315,7 @@ mod tests {
         assert!(rough < hostile);
         let vc = Intensity::ViewChange.schedule(1, 4, horizon);
         assert_eq!(vc.len(), 14, "five crash/recover pairs + two partition windows");
+        let fp = Intensity::FastPath.schedule(1, 4, horizon);
+        assert_eq!(fp.len(), 14, "three cuts + three crash/recover pairs + one loss burst");
     }
 }

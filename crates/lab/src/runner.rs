@@ -18,8 +18,10 @@ use std::sync::Arc;
 
 /// Virtual-time window in which the nemesis may inject faults.
 const CHAOS_HORIZON: SimTime = SimTime::from_millis(400);
+/// First submission of the main workload.
+pub(crate) const WORKLOAD_START: SimTime = SimTime::from_millis(1);
 /// Inter-submission spacing of the main workload.
-const WORKLOAD_SPACING: SimDuration = SimDuration::from_millis(4);
+pub(crate) const WORKLOAD_SPACING: SimDuration = SimDuration::from_millis(4);
 /// Margin after the schedule's quiescent point before liveness probes.
 const PROBE_MARGIN: SimDuration = SimDuration::from_millis(250);
 /// How long after the probes the run may keep processing events.
@@ -226,7 +228,7 @@ pub fn run_cell_with_schedule(
     // into a cross-group transaction (one sub per group) so the relay
     // gate is under fire throughout the nemesis schedule.
     let sites_per_group = spec.sites / spec.groups;
-    let mut t = SimTime::from_millis(1);
+    let mut t = WORKLOAD_START;
     for i in 0..spec.txns {
         if spec.groups > 1 && i % 8 == 7 {
             let parts = (0..spec.groups)

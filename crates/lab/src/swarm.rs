@@ -170,7 +170,7 @@ mod tests {
         // The env var may or may not be set in the harness; only check the
         // shape invariants that hold either way.
         let config = SwarmConfig::from_env();
-        assert_eq!(config.cells.len(), 48);
+        assert_eq!(config.cells.len(), 60);
         assert_eq!(config.start_seed, 1);
     }
 }

@@ -407,6 +407,115 @@ impl NemesisSchedule {
         NemesisSchedule::from_events(events)
     }
 
+    /// A schedule aimed at the one-step exchange of the optimistic engine
+    /// (the chaos grid's `fastpath` intensity): every fault starts within a
+    /// few hundred microseconds *after* a broadcast — while the proposals
+    /// that double as votes are in the air — and ends well inside one
+    /// consensus patience, so the instance it hit is still open. The
+    /// workload is expected to broadcast at `first_beat + k × beat`.
+    ///
+    /// 1. a cut separates one voter (and enough company to make a half)
+    ///    from the rest of the members for 1–6 beats: no side holds `n`
+    ///    votes, on an even split no side holds a majority either, and the
+    ///    heal delivers the held votes on top of whatever the rounds did in
+    ///    the meantime;
+    /// 2. site 0 — round 0's coordinator — crashes one hop after a
+    ///    broadcast, having voted or not, and recovers 2–10 beats later
+    ///    with the instance still waiting out its first patience: the
+    ///    rebuilt site votes a second time in it;
+    /// 3. a loss burst covers a run of back-to-back instances, and inside
+    ///    it a random member crashes one hop after a broadcast and
+    ///    recovers 2–8 beats later — votes of the dead incarnation are
+    ///    still being retransmitted when the view changes;
+    /// 4. a second cut, around a different voter;
+    /// 5. a cut that spans a member's crash *and* its recovery: the member
+    ///    votes, the cut comes down with some of those votes in the air,
+    ///    the member crashes 30–300 µs later and is told to recover 1–2
+    ///    beats after that — but the view-change round needs every live
+    ///    member, so it waits at the cut next to the dead incarnation's
+    ///    votes. The heal, another 1–2 beats on, releases both: members on
+    ///    the far side count a vote of a site whose successor is being
+    ///    assembled from their own snapshots at that moment, and that
+    ///    successor rejoins the instances the vote belongs to.
+    ///
+    /// Event times carry seed-derived jitter so a sweep explores the
+    /// interleavings; every crash is recovered, every cut healed, one site
+    /// is down at a time and windows do not overlap except the burst around
+    /// the second crash and the cut around the third — given a horizon of
+    /// at least ~90 beats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sites < 3` or `beat` is zero.
+    pub fn fast_path_targeted(
+        seed: u64,
+        sites: usize,
+        horizon: SimTime,
+        first_beat: SimTime,
+        beat: SimDuration,
+    ) -> Self {
+        assert!(sites >= 3, "fast-path schedule needs at least 3 sites");
+        assert!(beat > SimDuration::ZERO, "the workload needs a rhythm");
+        let mut rng = SimRng::seed_from(seed ^ 0x0066_6173_7470_6174); // "fastpat"
+        let beats = horizon.saturating_since(first_beat).as_nanos() / beat.as_nanos();
+        // A broadcast near `pct`% of the horizon, as a beat number.
+        let near = |rng: &mut SimRng, pct: u64| beats * pct / 100 + rng.uniform_range(0, 4);
+        let at_beat = |k: u64| first_beat + beat.mul_u64(k);
+        // An instant inside the exchange that follows broadcast `k`.
+        let in_exchange = |rng: &mut SimRng, k: u64| {
+            at_beat(k) + SimDuration::from_nanos(rng.uniform_range(20_000, 400_000))
+        };
+        let beats_later = |rng: &mut SimRng, lo: u64, hi: u64| {
+            beat.mul_u64(rng.uniform_range(lo, hi + 1))
+                + SimDuration::from_nanos(rng.uniform_range(0, beat.as_nanos()))
+        };
+        let mut events = Vec::new();
+        for pct in [8, 66] {
+            let k = near(&mut rng, pct);
+            let cut = in_exchange(&mut rng, k);
+            let mut group_a: Vec<SiteId> = SiteId::all(sites).collect();
+            rng.shuffle(&mut group_a);
+            group_a.truncate(sites / 2);
+            group_a.sort_unstable();
+            events.push((cut, NemesisEvent::PartitionHalves { group_a }));
+            events.push((cut + beats_later(&mut rng, 1, 5), NemesisEvent::Heal));
+        }
+        let coordinator = SiteId::new(0);
+        let k = near(&mut rng, 24);
+        let crash = in_exchange(&mut rng, k);
+        events.push((crash, NemesisEvent::Crash { site: coordinator }));
+        events.push((
+            crash + beats_later(&mut rng, 2, 9),
+            NemesisEvent::Recover { site: coordinator },
+        ));
+
+        let member = SiteId::new(rng.uniform_range(0, sites as u64) as u16);
+        let k = near(&mut rng, 44);
+        let crash = in_exchange(&mut rng, k);
+        let back = crash + beats_later(&mut rng, 2, 7);
+        let burst = at_beat(k.saturating_sub(rng.uniform_range(1, 4)));
+        let probability = 0.1 + 0.25 * rng.uniform_f64();
+        events.push((burst, NemesisEvent::LossBurst { probability }));
+        events.push((crash, NemesisEvent::Crash { site: member }));
+        events.push((back, NemesisEvent::Recover { site: member }));
+        events.push((back + beats_later(&mut rng, 1, 3), NemesisEvent::LossEnd));
+
+        let k = near(&mut rng, 76);
+        let cut = in_exchange(&mut rng, k);
+        let mut group_a: Vec<SiteId> = SiteId::all(sites).collect();
+        rng.shuffle(&mut group_a);
+        let voter = group_a[rng.uniform_range(0, sites as u64) as usize];
+        group_a.truncate(sites / 2);
+        group_a.sort_unstable();
+        let crash = cut + SimDuration::from_nanos(rng.uniform_range(30_000, 300_000));
+        let back = crash + beats_later(&mut rng, 1, 1);
+        events.push((cut, NemesisEvent::PartitionHalves { group_a }));
+        events.push((crash, NemesisEvent::Crash { site: voter }));
+        events.push((back, NemesisEvent::Recover { site: voter }));
+        events.push((back + beats_later(&mut rng, 1, 1), NemesisEvent::Heal));
+        NemesisSchedule::from_events(events)
+    }
+
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -658,6 +767,95 @@ mod tests {
             NemesisSchedule::view_change_targeted(2, 4, horizon()),
             "seeds shift the interleaving"
         );
+    }
+
+    #[test]
+    fn fast_path_targeted_is_deterministic_survivable_and_on_the_beat() {
+        let first = SimTime::from_millis(1);
+        let beat = SimDuration::from_millis(4);
+        let make = |seed| {
+            NemesisSchedule::fast_path_targeted(seed, 4, SimTime::from_millis(400), first, beat)
+        };
+        for seed in 0..50 {
+            let a = make(seed);
+            assert_eq!(a, make(seed), "seed {seed}");
+            assert_eq!(a.len(), 14, "two cuts, two crashes, one burst, one crash inside a cut");
+            assert!(
+                a.quiet_from < SimTime::from_millis(400) && a.quiet_from > first,
+                "seed {seed}"
+            );
+            let mut down: Option<SiteId> = None;
+            let mut cut = false;
+            let mut lossy = false;
+            // The last four events are the cut that spans a crash and its
+            // recovery; everything before them keeps its windows disjoint.
+            let (disjoint, spanning) = a.events.split_at(10);
+            assert!(
+                matches!(
+                    spanning,
+                    [
+                        (_, NemesisEvent::PartitionHalves { .. }),
+                        (_, NemesisEvent::Crash { site: died }),
+                        (_, NemesisEvent::Recover { site: back }),
+                        (_, NemesisEvent::Heal),
+                    ] if died == back
+                ),
+                "seed {seed}: {spanning:?}"
+            );
+            let since_cut = spanning[1].0.saturating_since(spanning[0].0);
+            assert!(
+                (30_000..300_000).contains(&since_cut.as_nanos()),
+                "seed {seed}: the crash follows the cut by less than a hop or three"
+            );
+            for (t, ev) in disjoint {
+                // Every fault begins inside an exchange: 20–400 µs after a
+                // beat (the burst: on one).
+                let into_beat = (t.saturating_since(first).as_nanos() % beat.as_nanos()) as i64;
+                match ev {
+                    NemesisEvent::PartitionHalves { group_a } => {
+                        assert_eq!(group_a.len(), 2, "seed {seed}: a half");
+                        assert!(!cut && down.is_none(), "seed {seed}: windows are disjoint");
+                        assert!((20_000..400_000).contains(&into_beat), "seed {seed}: {into_beat}");
+                        cut = true;
+                    }
+                    NemesisEvent::Heal => cut = false,
+                    NemesisEvent::Crash { site } => {
+                        assert!(down.is_none() && !cut, "seed {seed}: one site down at a time");
+                        assert!((20_000..400_000).contains(&into_beat), "seed {seed}: {into_beat}");
+                        down = Some(*site);
+                    }
+                    NemesisEvent::Recover { site } => {
+                        assert_eq!(down.take(), Some(*site), "seed {seed}");
+                    }
+                    NemesisEvent::LossBurst { probability } => {
+                        assert!((0.1..=0.35).contains(probability), "seed {seed}");
+                        assert_eq!(into_beat, 0, "seed {seed}");
+                        lossy = true;
+                    }
+                    NemesisEvent::LossEnd => lossy = false,
+                    other => panic!("unexpected event {other:?}"),
+                }
+            }
+            assert!(down.is_none() && !cut && !lossy, "seed {seed}: everything ends");
+            // Round 0's coordinator is the first to die; the second crash
+            // sits inside the burst, recovery included.
+            let pos = |want: &dyn Fn(&NemesisEvent) -> bool| {
+                a.events.iter().position(|(_, e)| want(e)).unwrap()
+            };
+            let first_crash = pos(&|e| matches!(e, NemesisEvent::Crash { .. }));
+            assert_eq!(a.events[first_crash].1, NemesisEvent::Crash { site: SiteId::new(0) });
+            let burst = pos(&|e| matches!(e, NemesisEvent::LossBurst { .. }));
+            let burst_end = pos(&|e| matches!(e, NemesisEvent::LossEnd));
+            let inside = &a.events[burst + 1..burst_end];
+            assert!(
+                matches!(
+                    inside,
+                    [(_, NemesisEvent::Crash { .. }), (_, NemesisEvent::Recover { .. })]
+                ),
+                "seed {seed}: {inside:?}"
+            );
+        }
+        assert_ne!(make(1), make(2), "seeds shift the interleaving");
     }
 
     #[test]

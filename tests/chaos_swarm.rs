@@ -8,9 +8,9 @@
 
 use otp_lab::{run_cell, run_swarm, CellSpec, GridCell, Sabotage, SwarmConfig};
 
-/// Fixed tier-1 budget: one pass over the 40-cell grid. Deliberately not
+/// Fixed tier-1 budget: one pass over the 60-cell grid. Deliberately not
 /// env-driven — the tier-1 suite must run the same cases everywhere.
-const TIER1_SEEDS: u64 = 40;
+const TIER1_SEEDS: u64 = 60;
 const TIER1_TXNS: u64 = 36;
 
 #[test]
@@ -31,7 +31,7 @@ fn bounded_swarm_passes_all_invariants() {
     let mut cells: Vec<String> = report.outcomes.iter().map(|o| o.spec.cell.id()).collect();
     cells.sort();
     cells.dedup();
-    assert_eq!(cells.len(), 40);
+    assert_eq!(cells.len(), TIER1_SEEDS as usize);
 }
 
 #[test]
@@ -50,6 +50,8 @@ fn double_run_produces_byte_identical_stats() {
         "seqbatch-otp-viewchange",
         "opt-otp-viewchange",
         "scramble-conservative-viewchange",
+        "opt-otp-fastpath",
+        "optq-conservative-fastpath",
     ] {
         let cell: GridCell = cell_id.parse().unwrap();
         let spec = CellSpec::new(41, cell).with_txns(TIER1_TXNS);

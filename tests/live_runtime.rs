@@ -141,27 +141,43 @@ fn zero_deadline_shutdown_loses_no_admitted_work() {
 /// cross-site workload forces spontaneous-order violations (real aborts);
 /// the run must still converge, quiesce, and return long before a
 /// deliberately huge deadline.
+///
+/// The first violation is constructed, not hoped for (jitter alone left
+/// `abort == 0` in a third of the runs when the binary's tests shared two
+/// cores): site 7 is cut off and Opt-delivers its own X — the only message
+/// that can reach it — and starts executing it; the other seven order Y
+/// without ever seeing X; at the heal site 7 TO-delivers Y with X at the
+/// head of the class queue, and has to abort it.
 #[test]
 fn conflict_aborts_converge_without_burning_deadline() {
     with_watchdog("conflict_aborts_converge_without_burning_deadline", WATCHDOG_CAP, |_| {
         let mut cfg = LiveConfig::new(8, 1).with_exec_time(Duration::from_micros(1500));
         // Jitter an order of magnitude above the base delay: per-receiver
         // arrival spread makes tentative orders disagree across sites, so
-        // spontaneous-order violations (real aborts) are statistically
-        // certain over 300 same-class transactions, independent of thread
-        // scheduling luck.
+        // the bulk of the workload keeps hitting the abort path too.
         cfg.net_delay = Duration::from_micros(100);
         cfg.net_jitter = Duration::from_millis(2);
         let cluster = LiveCluster::start(cfg, registry(), initial(1));
-        for i in 0..300u64 {
+        let submit = |site: u16| {
             cluster
                 .submit(
-                    SiteId::new((i % 8) as u16),
+                    SiteId::new(site),
                     ClassId::new(0),
                     ProcId::new(0),
                     vec![Value::Int(0), Value::Int(1)],
                 )
                 .expect("admitted");
+        };
+        let loner = SiteId::new(7);
+        cluster.partition_halves(&[loner]);
+        submit(7); // X: tentative at site 7, invisible to everyone else
+        submit(0); // Y: definitive first, by a majority that never saw X
+        while cluster.committed_total() < 7 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        cluster.heal();
+        for i in 2..300u64 {
+            submit((i % 8) as u16);
         }
         let t0 = Instant::now();
         let report = cluster.shutdown(Duration::from_secs(120));
