@@ -31,7 +31,7 @@ use otp_storage::{
     ClassId, Database, ObjectId, ObjectKey, ProcId, ProcRegistry, SnapshotIndex, TxnCtx, TxnIndex,
     Value,
 };
-use otp_txn::history::CommittedTxn;
+use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::txn::{TxnId, TxnRequest};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -143,7 +143,7 @@ pub struct AsyncCluster {
     submit_time: HashMap<TxnId, SimTime>,
     /// Per-site logical position counters for history records.
     position: Vec<u64>,
-    histories: Vec<Vec<CommittedTxn>>,
+    histories: Vec<HistoryLog>,
     /// Results of completed queries.
     pub query_results: HashMap<TxnId, Vec<Value>>,
     next_query_seq: u64,
@@ -181,7 +181,7 @@ impl AsyncCluster {
             origins: HashMap::new(),
             submit_time: HashMap::new(),
             position: vec![0; config.sites],
-            histories: vec![Vec::new(); config.sites],
+            histories: vec![HistoryLog::new(); config.sites],
             query_results: HashMap::new(),
             next_query_seq: 0,
             commit_latency: Histogram::new(),
@@ -209,7 +209,7 @@ impl AsyncCluster {
 
     /// Per-site histories for serializability checking.
     pub fn histories(&self) -> Vec<Vec<CommittedTxn>> {
-        self.histories.clone()
+        self.histories.iter().map(HistoryLog::to_vec).collect()
     }
 
     /// Whether all sites converged to the same committed state.
@@ -314,12 +314,7 @@ impl AsyncCluster {
                     .collect();
                 self.position[site.index()] += 2;
                 let pos = self.position[site.index()] - 1; // between updates
-                self.histories[site.index()].push(CommittedTxn {
-                    id: qid,
-                    reads,
-                    writes: Vec::new(),
-                    position: pos,
-                });
+                self.histories[site.index()].push(qid, pos, reads, []);
                 self.query_results.insert(qid, values);
                 self.counters.incr("query");
             }
@@ -380,12 +375,12 @@ impl AsyncCluster {
         // Record in the primary's history.
         self.position[primary.index()] += 2;
         let pos = self.position[primary.index()];
-        self.histories[primary.index()].push(CommittedTxn {
-            id: txn,
-            reads: effects.reads.iter().map(|k| ObjectId { class, key: *k }).collect(),
-            writes: writes.iter().map(|(k, _)| ObjectId { class, key: *k }).collect(),
-            position: pos,
-        });
+        self.histories[primary.index()].push(
+            txn,
+            pos,
+            effects.reads.iter().map(|&key| ObjectId { class, key }),
+            writes.iter().map(|&(key, _)| ObjectId { class, key }),
+        );
 
         // Respond to the client.
         let now = self.queue.now();
@@ -421,12 +416,13 @@ impl AsyncCluster {
         self.counters.incr("apply");
         self.position[site.index()] += 2;
         let pos = self.position[site.index()];
-        self.histories[site.index()].push(CommittedTxn {
-            id: ws.txn,
-            reads: ws.reads.iter().map(|k| ObjectId { class: ws.class, key: *k }).collect(),
-            writes: ws.writes.iter().map(|(k, _)| ObjectId { class: ws.class, key: *k }).collect(),
-            position: pos,
-        });
+        let class = ws.class;
+        self.histories[site.index()].push(
+            ws.txn,
+            pos,
+            ws.reads.iter().map(|&key| ObjectId { class, key }),
+            ws.writes.iter().map(|&(key, _)| ObjectId { class, key }),
+        );
     }
 }
 

@@ -34,15 +34,16 @@ use crate::conservative::ConservativeReplica;
 use crate::event::{ExecToken, ReplicaAction};
 use crate::replica::Replica;
 use otp_broadcast::{
-    AtomicBroadcast, EngineAction, EngineCtx, GroupId, Message, MsgId, OptAbcast, OptAbcastConfig,
-    Oracle, OrderDomain, PayloadSize, ScrambleConfig, ScrambledAbcast, SeqAbcast, TimerToken, Wire,
+    AtomicBroadcast, EngineAction, EngineCtx, EngineSnapshot, GroupId, Message, MsgId, OptAbcast,
+    OptAbcastConfig, Oracle, OrderDomain, PayloadSize, ScrambleConfig, ScrambledAbcast, SeqAbcast,
+    TimerToken, Wire,
 };
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, SnapshotIndex, Value};
-use otp_telemetry::{Counter, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
-use otp_txn::history::CommittedTxn;
+use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
+use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::txn::{TxnId, TxnRequest};
 use otp_view::{CrashOutcome, DigestOutcome, Membership, SummaryOutcome, ViewChange, ViewId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -413,7 +414,8 @@ impl ClusterBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is unbuildable: no sites, no
+    /// Panics when the configuration is unbuildable: no sites or more than
+    /// 64 (the per-transaction commit set is a 64-bit mask), no
     /// classes, zero groups, sites not evenly divisible across groups,
     /// fewer classes than groups, or a non-sequencer engine with more
     /// than one group (the optimistic/oracle engines still assume one
@@ -421,6 +423,7 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         let c = &self.config;
         assert!(c.sites > 0, "need at least one site");
+        assert!(c.sites <= 64, "at most 64 sites, got {}", c.sites);
         assert!(c.classes > 0, "need at least one conflict class");
         assert!(c.groups >= 1, "need at least one sequencing group");
         if c.groups > 1 {
@@ -501,11 +504,25 @@ impl AnyReplica {
         }
     }
 
-    /// Local committed history (updates + queries).
-    pub fn history(&self) -> &[CommittedTxn] {
+    /// Local committed history (updates + queries), rebuilt from the flat
+    /// log.
+    pub fn history(&self) -> Vec<CommittedTxn> {
+        self.history_log().to_vec()
+    }
+
+    /// Local committed history as kept.
+    pub fn history_log(&self) -> &HistoryLog {
         match self {
-            AnyReplica::Otp(r) => r.history(),
-            AnyReplica::Conservative(r) => r.history(),
+            AnyReplica::Otp(r) => r.history_log(),
+            AnyReplica::Conservative(r) => r.history_log(),
+        }
+    }
+
+    /// Moves the local history out, leaving an empty log.
+    pub(crate) fn take_history(&mut self) -> HistoryLog {
+        match self {
+            AnyReplica::Otp(r) => r.take_history(),
+            AnyReplica::Conservative(r) => r.take_history(),
         }
     }
 
@@ -521,14 +538,6 @@ impl AnyReplica {
         match self {
             AnyReplica::Otp(r) => &r.counters,
             AnyReplica::Conservative(r) => &r.counters,
-        }
-    }
-
-    /// Garbage-collects unreachable versions (watermark-based).
-    pub fn collect_versions(&mut self) -> usize {
-        match self {
-            AnyReplica::Otp(r) => r.collect_versions(),
-            AnyReplica::Conservative(r) => r.collect_versions(),
         }
     }
 }
@@ -642,10 +651,12 @@ struct CrossGate {
     /// Cross ids whose relay descriptor this site already processed
     /// (dedup across duplicate relay injections).
     relay_seen: HashSet<u64>,
-    /// Txn ids already Opt-delivered to the replica (dedup across
-    /// duplicate sub copies injected by different relay members).
+    /// Cross-sub txn ids already Opt-delivered to the replica (dedup
+    /// across the copies different relay members inject; a plain
+    /// transaction is broadcast once, so it needs none).
     seen_opt: HashSet<TxnId>,
-    /// Txn ids already released to TO (same dedup, definitive side).
+    /// Cross-sub txn ids already released to TO (same dedup, definitive
+    /// side).
     seen_to: HashSet<TxnId>,
 }
 
@@ -790,6 +801,41 @@ impl RunStats {
 /// the transaction is a cross-group sub).
 type SiteMsgMap = HashMap<MsgId, (Arc<TxnRequest>, Option<u64>)>;
 
+/// What the driver tracks for one transaction between its submission and
+/// the commit by the last member of its ordering group, which releases
+/// the entry.
+#[derive(Debug)]
+struct Completion {
+    /// When a live site first accepted the request.
+    submitted: SimTime,
+    /// The group member that broadcast it — completion and commit latency
+    /// count there (`None` for cross subs: first commit anywhere
+    /// completes them).
+    home: Option<SiteId>,
+    /// Sites that committed it, one bit per site index.
+    committed_at: u64,
+}
+
+impl Completion {
+    /// A fresh entry for a request accepted at `submitted`.
+    fn at(submitted: SimTime) -> Self {
+        Completion { submitted, home: None, committed_at: 0 }
+    }
+}
+
+/// One site's state-size gauges in the registry.
+#[derive(Debug)]
+struct RetentionGauges {
+    /// Entries in the site's message map.
+    msg_map: Arc<Gauge>,
+    /// Transactions submitted at the site whose completion entry is held.
+    pending_completions: Arc<Gauge>,
+    /// Committed versions across the site's version chains.
+    versions: Arc<Gauge>,
+    /// Entries in the site's history log.
+    history: Arc<Gauge>,
+}
+
 /// The simulated cluster. See the [module docs](self).
 pub struct Cluster {
     config: ClusterConfig,
@@ -872,26 +918,25 @@ pub struct Cluster {
     /// on heal (channels are reliable across partitions, like crashes).
     partition_held: Vec<(SiteId, SiteId, u16, Wire<TxnPayload>)>,
     /// Per-site map from group-stream message id to the transaction it
-    /// carries (and its cross id when it is a cross-group sub), filled at
-    /// Opt-delivery (TO-deliver only carries the id).
+    /// carries (and its cross id when it is a cross-group sub): filled at
+    /// Opt-delivery, consumed at TO-delivery (which carries only the id),
+    /// so it holds the site's in-flight window and nothing older.
     msg_map: Vec<SiteMsgMap>,
     /// Per-site map from relay-stream message id to its descriptor.
     relay_map: Vec<HashMap<MsgId, Arc<CrossTag>>>,
     /// Per-site cross-group merge gate (inert when `groups == 1`).
     gates: Vec<CrossGate>,
-    /// The group member that broadcast each transaction — completion and
-    /// commit latency count there (absent for cross subs: first commit
-    /// anywhere completes them).
-    home_site: HashMap<TxnId, SiteId>,
-    /// Group that orders each scheduled transaction.
+    /// Per transaction, from submission until the last member of its
+    /// group commits it.
+    completions: HashMap<TxnId, Completion>,
+    /// Group that orders each scheduled transaction — recorded only when
+    /// sharded (with one group every lookup's fallback is the answer).
     pub(crate) txn_group: HashMap<TxnId, u16>,
     /// Cross id of each cross-group sub-transaction.
     pub(crate) cross_of: HashMap<TxnId, u64>,
     next_txn_seq: Vec<u64>,
     next_cross_seq: Vec<u64>,
     next_query_seq: u64,
-    submit_time: HashMap<TxnId, SimTime>,
-    commit_sites: HashMap<TxnId, HashSet<SiteId>>,
     query_start: HashMap<TxnId, SimTime>,
     /// Results of completed queries: `(snapshot, values read)`.
     pub query_results: HashMap<TxnId, (SnapshotIndex, Vec<Value>)>,
@@ -905,9 +950,26 @@ pub struct Cluster {
     /// The unified metrics registry every counter above is registered in
     /// (engines hold per-site/per-group `stale_epoch_reject` handles).
     metrics: Arc<MetricsRegistry>,
+    /// Per-site state-size gauges, refreshed by [`Cluster::metrics`] and
+    /// [`Cluster::stats`] rather than on the hot path.
+    retention: Vec<RetentionGauges>,
     /// Lifecycle trace sink; `None` = tracing off (the default), one
     /// pointer check per hook.
     trace: Option<Arc<dyn TraceSink>>,
+}
+
+/// Txn ids of the cross-group subs of which `snap`'s definitive log holds
+/// a copy, read off the snapshot's payload store.
+fn delivered_cross_subs(snap: &EngineSnapshot<TxnPayload>) -> HashSet<TxnId> {
+    let delivered: HashSet<MsgId> = snap.definitive_log.iter().copied().collect();
+    snap.received
+        .iter()
+        .filter(|m| delivered.contains(&m.id))
+        .filter_map(|m| match &m.payload {
+            TxnPayload::Txn { req, cross: Some(_) } => Some(req.id),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Hands `engine` its handles in the driver's registry (`scope` = its site
@@ -1056,14 +1118,12 @@ impl Cluster {
             msg_map: (0..sites).map(|_| HashMap::new()).collect(),
             relay_map: (0..sites).map(|_| HashMap::new()).collect(),
             gates: (0..sites).map(|_| CrossGate::default()).collect(),
-            home_site: HashMap::new(),
+            completions: HashMap::new(),
             txn_group: HashMap::new(),
             cross_of: HashMap::new(),
             next_txn_seq: vec![0; sites],
             next_cross_seq: vec![0; sites],
             next_query_seq: 0,
-            submit_time: HashMap::new(),
-            commit_sites: HashMap::new(),
             query_start: HashMap::new(),
             query_results: HashMap::new(),
             txn_outputs: HashMap::new(),
@@ -1072,6 +1132,14 @@ impl Cluster {
             query_latency: Histogram::new(),
             completed: 0,
             cross_group_frames: metrics.counter("cross_group_frames", Scope::global()),
+            retention: SiteId::all(sites)
+                .map(|s| RetentionGauges {
+                    msg_map: metrics.gauge("msg_map_entries", Scope::site(s)),
+                    pending_completions: metrics.gauge("pending_completions", Scope::site(s)),
+                    versions: metrics.gauge("retained_versions", Scope::site(s)),
+                    history: metrics.gauge("history_entries", Scope::site(s)),
+                })
+                .collect(),
             metrics,
             trace,
             config,
@@ -1095,9 +1163,26 @@ impl Cluster {
     }
 
     /// The cluster's unified metrics registry (snapshotable at any
-    /// instant; deterministic order).
+    /// instant; deterministic order), with the per-site retention gauges
+    /// refreshed.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        self.refresh_retention();
         Arc::clone(&self.metrics)
+    }
+
+    /// Samples what each site keeps per transaction into its gauges:
+    /// message-map entries, held completion entries (by submitting site),
+    /// committed versions and history entries.
+    fn refresh_retention(&self) {
+        for (i, g) in self.retention.iter().enumerate() {
+            let site = SiteId::new(i as u16);
+            let replica = &self.replicas[i];
+            let pending = self.completions.keys().filter(|t| t.origin == site).count();
+            g.msg_map.set(self.msg_map[i].len() as i64);
+            g.pending_completions.set(pending as i64);
+            g.versions.set(replica.db().retained_versions() as i64);
+            g.history.set(replica.history_log().len() as i64);
+        }
     }
 
     /// Records a lifecycle stage for `txn` observed at `site`, if a
@@ -1187,7 +1272,9 @@ impl Cluster {
         let seq = self.next_txn_seq[site.index()];
         self.next_txn_seq[site.index()] += 1;
         let id = TxnId::new(site, seq);
-        self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
+        if self.config.groups > 1 {
+            self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
+        }
         let request = TxnRequest::new(id, class, proc, args);
         self.queue.schedule(at, Ev::Submit { site, request });
         id
@@ -1281,19 +1368,6 @@ impl Cluster {
         self.next_query_seq += 1;
         self.queue.schedule(at, Ev::Query { site, qid, reads });
         qid
-    }
-
-    /// Runs version garbage collection on every live replica now. Returns
-    /// total versions dropped. Call between runs or wire it into a
-    /// periodic schedule from the driver.
-    pub fn collect_versions(&mut self) -> usize {
-        let mut dropped = 0;
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            if !self.crashed[i] {
-                dropped += r.collect_versions();
-            }
-        }
-        dropped
     }
 
     /// Schedules a crash of `site`.
@@ -1438,8 +1512,10 @@ impl Cluster {
         }
     }
 
-    /// Collects run statistics (cheap; can be called repeatedly).
+    /// Collects run statistics (cheap; can be called repeatedly) and
+    /// refreshes the retention gauges.
     pub fn stats(&self) -> RunStats {
+        self.refresh_retention();
         let mut counters = Counters::new();
         for r in &self.replicas {
             counters.merge(r.counters());
@@ -1488,7 +1564,7 @@ impl Cluster {
 
     /// Per-site histories (updates + queries) for serializability checks.
     pub fn histories(&self) -> Vec<Vec<CommittedTxn>> {
-        self.replicas.iter().map(|r| r.history().to_vec()).collect()
+        self.replicas.iter().map(AnyReplica::history).collect()
     }
 
     /// Per-site committed-transaction id lists.
@@ -1608,12 +1684,16 @@ impl Cluster {
             self.forward_to_group(site, g, request, false);
             return;
         }
-        self.submit_time.entry(request.id).or_insert(self.queue.now());
+        let now = self.queue.now();
+        let member = self.topology.group_of_site(site) == g;
+        let completion = self.completions.entry(request.id).or_insert_with(|| Completion::at(now));
+        if member {
+            completion.home = Some(site);
+        }
         if request.id.origin == site {
             self.trace_stage(site, request.id, g as u16, Stage::Submit);
         }
-        if self.topology.group_of_site(site) == g {
-            self.home_site.insert(request.id, site);
+        if member {
             self.trace_stage(site, request.id, g as u16, Stage::Broadcast);
             let payload = TxnPayload::Txn { req: Arc::new(request), cross: None };
             let (engine, ctx) = self.engine_parts(site, g);
@@ -1653,7 +1733,7 @@ impl Cluster {
         }
         let now = self.queue.now();
         for sub in &tag.subs {
-            self.submit_time.entry(sub.id).or_insert(now);
+            self.completions.entry(sub.id).or_insert_with(|| Completion::at(now));
             let g = self.topology.group_of_class(sub.class) as u16;
             self.trace_stage(site, sub.id, g, Stage::Submit);
         }
@@ -2010,6 +2090,11 @@ impl Cluster {
             self.engines[primary.index()].snapshot()
         };
         engine_snap.merge(round.into_merged());
+        let delivered_subs = if self.config.groups > 1 && !self.topology.is_relay(du) {
+            delivered_cross_subs(&engine_snap)
+        } else {
+            HashSet::new()
+        };
         let mut fresh_engine = self.make_engine(site, du);
         let engine_actions = {
             let ctx = EngineCtx::at_epoch(site, &self.topology.domains[du], epoch);
@@ -2025,8 +2110,10 @@ impl Cluster {
         } else {
             self.engines[site.index()] = fresh_engine;
             // Fresh replica from the primary's database + pending tail.
-            // (Ids only the digests knew are re-filled into the message
-            // map by the replayed Opt-deliveries below.)
+            // (The primary's message map holds exactly what it
+            // Opt-delivered and has not TO-delivered — the restored log's
+            // undelivered tail; ids only the digests knew are re-filled by
+            // the replayed Opt-deliveries below.)
             let replica_actions = self.restore_replica_from(site, primary);
             self.apply_replica_actions(site, replica_actions);
             if self.config.groups > 1 {
@@ -2034,17 +2121,11 @@ impl Cluster {
                     self.gates[site.index()] = self.gates[primary.index()].clone();
                     self.relay_processed[site.index()] = self.relay_processed[primary.index()];
                 }
-                // The dedup sets must describe the *restored* engine log
-                // through this site's (rebuilt) message map — the adopted
-                // gate's sets describe the primary's live state, which can
-                // disagree with the merged log.
-                let suppressed: HashSet<TxnId> = self.engines[site.index()]
-                    .definitive_log()
-                    .iter()
-                    .filter_map(|id| self.msg_map[site.index()].get(id).map(|(req, _)| req.id))
-                    .collect();
-                self.gates[site.index()].seen_opt = suppressed.clone();
-                self.gates[site.index()].seen_to = suppressed;
+                // The dedup sets must describe the *restored* engine log —
+                // the adopted gate's sets describe the primary's live
+                // state, which can disagree with the merged log.
+                self.gates[site.index()].seen_opt = delivered_subs.clone();
+                self.gates[site.index()].seen_to = delivered_subs;
                 // Gate-queued subs are in the engine's definitive log
                 // (suppressed from replay) but were never released to the
                 // replica, so the restored replica snapshot does not carry
@@ -2346,7 +2427,7 @@ impl Cluster {
             unreachable!("group streams carry only transactions")
         };
         self.msg_map[site.index()].insert(msg.id, (Arc::clone(req), *cross));
-        if self.config.groups > 1 && !self.gates[site.index()].seen_opt.insert(req.id) {
+        if cross.is_some() && !self.gates[site.index()].seen_opt.insert(req.id) {
             return; // duplicate cross-sub copy; the replica saw the first
         }
         // The one deep copy on the delivery path: the replica takes
@@ -2365,16 +2446,19 @@ impl Cluster {
             self.process_relay_to(site, &ids);
             return;
         }
+        // Each TO-delivery consumes its message-map entry: the map keeps
+        // only what is Opt-delivered and not yet definitive.
+        let map = &mut self.msg_map[site.index()];
+        let mut take =
+            |id: &MsgId| map.remove(id).expect("Local Order: Opt-delivery precedes TO-delivery");
         if self.config.groups == 1 {
             // Unsharded: the gate is inert — one map borrow and one
             // replica call for the whole batch of same-instant definitive
             // deliveries (the pre-sharding path, byte-identical).
-            let map = &self.msg_map[site.index()];
             let batch: Vec<(TxnId, ClassId)> = ids
                 .iter()
                 .map(|id| {
-                    let (req, _) =
-                        map.get(id).expect("Local Order: Opt-delivery precedes TO-delivery");
+                    let (req, _) = take(id);
                     (req.id, req.class)
                 })
                 .collect();
@@ -2385,15 +2469,10 @@ impl Cluster {
             self.apply_replica_actions(site, actions);
             return;
         }
+        let gate = &mut self.gates[site.index()];
         for id in &ids {
-            let (req, cross) = {
-                let (req, cross) = self.msg_map[site.index()]
-                    .get(id)
-                    .expect("Local Order: Opt-delivery precedes TO-delivery");
-                (Arc::clone(req), *cross)
-            };
-            let gate = &mut self.gates[site.index()];
-            if !gate.seen_to.insert(req.id) {
+            let (req, cross) = take(id);
+            if cross.is_some() && !gate.seen_to.insert(req.id) {
                 continue; // duplicate cross-sub copy, already queued
             }
             gate.queue.push_back((req, cross));
@@ -2482,11 +2561,21 @@ impl Cluster {
                 ReplicaAction::Committed { txn, index: _, output } => {
                     let g = self.group_of_txn(site, txn);
                     self.trace_stage(site, txn, g, Stage::Commit);
+                    // "Global" commit = committed at every member of the
+                    // ordering group (the whole cluster when unsharded).
+                    let group_size = self.topology.domains[g as usize].len() as u32;
+                    // Every routed transaction holds an entry from its
+                    // submission on, so a commit without one is a recovery
+                    // replay at a site whose earlier incarnation committed
+                    // it before the last member did: nothing is left to
+                    // count.
+                    let Some(entry) = self.completions.get_mut(&txn) else {
+                        continue;
+                    };
                     // Tracked per site: a recovery replay can re-commit at
                     // the same site (see below) and must not make the
                     // group-commit count reach the group size early.
-                    let committed_at = self.commit_sites.entry(txn).or_default();
-                    let first_at_site = committed_at.insert(site);
+                    entry.committed_at |= 1 << site.index();
                     // The home site (the group member that broadcast the
                     // request) counts completion; cross subs have no home
                     // — their first commit anywhere completes them. A site
@@ -2494,28 +2583,17 @@ impl Cluster {
                     // that never saw the transaction legitimately
                     // re-commits it on replay — count the completion (and
                     // its latency) only once.
-                    let is_home = match self.home_site.get(&txn) {
-                        Some(h) => *h == site,
-                        None => true,
-                    };
+                    let is_home = entry.home.is_none_or(|h| h == site);
                     if is_home && !self.txn_outputs.contains_key(&txn) {
                         self.completed += 1;
-                        if let Some(t0) = self.submit_time.get(&txn) {
-                            self.commit_latency.record(now.saturating_since(*t0));
-                        }
+                        self.commit_latency.record(now.saturating_since(entry.submitted));
                         self.txn_outputs.insert(txn, output);
                     }
-                    // "Global" commit = committed at every member of the
-                    // ordering group (the whole cluster when unsharded).
-                    let group_size = self
-                        .txn_group
-                        .get(&txn)
-                        .map(|g| self.topology.domains[*g as usize].len())
-                        .unwrap_or(self.config.sites);
-                    if first_at_site && self.commit_sites[&txn].len() == group_size {
-                        if let Some(t0) = self.submit_time.get(&txn) {
-                            self.global_commit_latency.record(now.saturating_since(*t0));
-                        }
+                    // The last member's commit releases the entry; nothing
+                    // reads it afterwards.
+                    if entry.committed_at.count_ones() == group_size {
+                        self.global_commit_latency.record(now.saturating_since(entry.submitted));
+                        self.completions.remove(&txn);
                     }
                 }
             }
@@ -2775,25 +2853,76 @@ mod tests {
         check_one_copy_serializable(&c.histories()).unwrap();
     }
 
+    /// Commits trim the chains they wrote once the watermark covers them,
+    /// so chains stay short *during* a run — and every snapshot query
+    /// still reads exactly the committed prefix its snapshot names.
     #[test]
     fn version_gc_bounds_history_without_breaking_queries() {
         let cfg = ClusterConfig::new(3, 1).with_seed(37);
         let mut c = cluster(cfg, initial_data(1, 1));
-        // 50 updates on the same key → 50 versions + the initial one.
+        // 50 `+1`s on the one key, and a query every 3 ms at a rotating site.
         drive_workload(&mut c, 50, SimDuration::from_millis(2));
+        for i in 0..40u64 {
+            let site = SiteId::new((i % 3) as u16);
+            c.schedule_query(SimTime::from_millis(1 + i * 3), site, vec![ObjectId::new(0, 0)]);
+        }
+        for ms in 1..=300 {
+            c.run_until(SimTime::from_millis(ms));
+            for r in &c.replicas {
+                // One class commits in index order: the watermark covers
+                // every commit at once, so one version is all that is left.
+                assert_eq!(r.db().retained_versions(), 1, "at {ms} ms");
+            }
+        }
         c.run_until(SimTime::from_secs(60));
         assert_eq!(c.stats().completed, 50);
-        let dropped = c.collect_versions();
-        assert!(dropped >= 3 * 49, "each site drops old versions: {dropped}");
-        // Current state intact at every site, and new queries still work.
+        assert_eq!(c.query_results.len(), 40);
+        for (snap, values) in c.query_results.values() {
+            // Index i is the i-th `+1`: the snapshot after i reads i.
+            assert_eq!(values, &vec![Value::Int(snap.watermark().raw() as i64)], "{snap:?}");
+        }
         for r in &c.replicas {
             assert_eq!(r.db().read_committed(ObjectId::new(0, 0)), Some(&Value::Int(50)));
         }
-        let t = c.now() + SimDuration::from_millis(1);
-        c.schedule_query(t, SiteId::new(0), vec![ObjectId::new(0, 0)]);
-        c.run_until(SimTime::from_secs(120));
-        let (_, values) = c.query_results.values().next().expect("query ran");
-        assert_eq!(values, &vec![Value::Int(50)]);
+    }
+
+    /// A recovery replay re-commits at a site what its earlier incarnation
+    /// committed. Whether the completion entry is still held (the site's
+    /// bit is set) or already released (the entry is gone), the replay
+    /// counts no completion, no latency sample and no held entry again.
+    #[test]
+    fn replayed_commit_counts_nothing_twice() {
+        let cfg = ClusterConfig::new(3, 2).with_seed(5);
+        let mut c = cluster(cfg, initial_data(2, 1));
+        let args = vec![Value::Int(0), Value::Int(1)];
+        let released = c.schedule_update(
+            SimTime::from_millis(1),
+            SiteId::new(0),
+            ClassId::new(0),
+            ProcId::new(0),
+            args,
+        );
+        c.run_until(SimTime::from_secs(10));
+        assert!(c.completions.is_empty(), "every member committed: released");
+        // Another transaction, committed so far only at its home.
+        let home = SiteId::new(1);
+        let held = TxnId::new(home, 99);
+        let entry = Completion { home: Some(home), ..Completion::at(c.now()) };
+        c.completions.insert(held, entry);
+        let commit = |txn| ReplicaAction::Committed {
+            txn,
+            index: otp_storage::TxnIndex::new(9),
+            output: Vec::new(),
+        };
+        c.apply_replica_actions(home, vec![commit(held)]);
+        let before = c.stats();
+        c.apply_replica_actions(SiteId::new(0), vec![commit(released)]);
+        c.apply_replica_actions(home, vec![commit(held)]);
+        let after = c.stats();
+        assert_eq!(after.completed, before.completed);
+        assert_eq!(after.commit_latency.len(), before.commit_latency.len());
+        assert_eq!(after.global_commit_latency.len(), before.global_commit_latency.len());
+        assert_eq!(c.completions.keys().collect::<Vec<_>>(), vec![&held], "nothing re-held");
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! the OTP replica under identical schedules is experiment E2.
 
 use crate::event::{ExecToken, ReplicaAction};
+use crate::replica::CommittedPrefix;
 use otp_simnet::metrics::Counters;
 use otp_simnet::SiteId;
 use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, SnapshotIndex, TxnCtx, TxnIndex};
-use otp_txn::history::CommittedTxn;
+use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::txn::{TxnId, TxnRequest};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -35,9 +36,8 @@ pub struct ConservativeReplica {
     effects: HashMap<TxnId, otp_storage::TxnEffects>,
     to_index: HashMap<TxnId, TxnIndex>,
     last_index: TxnIndex,
-    committed_above: BTreeSet<u64>,
-    watermark: TxnIndex,
-    history: Vec<CommittedTxn>,
+    prefix: CommittedPrefix,
+    history: HistoryLog,
     commit_log: Vec<(TxnId, TxnIndex)>,
     /// Event counters (commits, submissions — never any aborts).
     pub counters: Counters,
@@ -57,9 +57,8 @@ impl ConservativeReplica {
             effects: HashMap::new(),
             to_index: HashMap::new(),
             last_index: TxnIndex::INITIAL,
-            committed_above: BTreeSet::new(),
-            watermark: TxnIndex::INITIAL,
-            history: Vec::new(),
+            prefix: CommittedPrefix::default(),
+            history: HistoryLog::new(),
             commit_log: Vec::new(),
             counters: Counters::new(),
         }
@@ -77,7 +76,7 @@ impl ConservativeReplica {
 
     /// Snapshot index for queries (same semantics as the OTP replica).
     pub fn query_snapshot(&self) -> SnapshotIndex {
-        SnapshotIndex::after(self.watermark)
+        self.prefix.query_snapshot()
     }
 
     /// Local commit log in commit order.
@@ -85,25 +84,30 @@ impl ConservativeReplica {
         &self.commit_log
     }
 
-    /// Recorded history (updates; queries appended by the query processor).
-    pub fn history(&self) -> &[CommittedTxn] {
+    /// Recorded history (updates; queries appended by the query processor),
+    /// rebuilt from the flat log.
+    pub fn history(&self) -> Vec<CommittedTxn> {
+        self.history.to_vec()
+    }
+
+    /// The recorded history as kept.
+    pub fn history_log(&self) -> &HistoryLog {
         &self.history
     }
 
-    /// Appends a query record to the local history.
-    pub fn record_query(&mut self, id: TxnId, reads: Vec<ObjectId>, snap: SnapshotIndex) {
-        self.history.push(CommittedTxn {
-            id,
-            reads,
-            writes: Vec::new(),
-            position: CommittedTxn::query_position(snap),
-        });
+    /// Moves the recorded history out, leaving an empty log.
+    pub(crate) fn take_history(&mut self) -> HistoryLog {
+        std::mem::take(&mut self.history)
     }
 
-    /// Garbage-collects versions below the committed watermark; see
-    /// [`crate::Replica::collect_versions`].
-    pub fn collect_versions(&mut self) -> usize {
-        self.db.collect_versions(self.watermark)
+    /// Appends a query record to the local history.
+    pub fn record_query(
+        &mut self,
+        id: TxnId,
+        reads: impl IntoIterator<Item = ObjectId>,
+        snap: SnapshotIndex,
+    ) {
+        self.history.push(id, CommittedTxn::query_position(snap), reads, []);
     }
 
     /// Caches the request body; conservative processing starts nothing
@@ -166,21 +170,19 @@ impl ConservativeReplica {
         debug_assert_eq!(request.id, token.txn);
         let index = self.to_index.remove(&token.txn).expect("TO-delivered");
         let effects = self.effects.remove(&token.txn).expect("executed");
+        let written = || effects.undo.written_keys().map(|key| ObjectId { class, key });
         self.db
             .partition_mut(class)
             .expect("class exists")
             .promote(effects.undo.written_keys(), index);
         self.commit_log.push((token.txn, index));
-        self.history.push(CommittedTxn {
-            id: token.txn,
-            reads: effects.reads.iter().map(|k| ObjectId { class, key: *k }).collect(),
-            writes: effects.undo.written_keys().map(|k| ObjectId { class, key: k }).collect(),
-            position: CommittedTxn::update_position(index),
-        });
-        self.committed_above.insert(index.raw());
-        while self.committed_above.remove(&(self.watermark.raw() + 1)) {
-            self.watermark = self.watermark.next();
-        }
+        self.history.push(
+            token.txn,
+            CommittedTxn::update_position(index),
+            effects.reads.iter().map(|&key| ObjectId { class, key }),
+            written(),
+        );
+        self.prefix.commit(&mut self.db, index, written());
         self.counters.incr("commit");
         let mut actions =
             vec![ReplicaAction::Committed { txn: token.txn, index, output: effects.output }];
@@ -216,15 +218,7 @@ impl ConservativeReplica {
         let mut r = ConservativeReplica::new(site, snapshot.db, registry);
         r.last_index = snapshot.last_index;
         let pending_idx: BTreeSet<u64> = snapshot.pending.iter().map(|(_, i)| i.raw()).collect();
-        r.watermark = match pending_idx.iter().next() {
-            Some(m) => TxnIndex::new(m - 1),
-            None => snapshot.last_index,
-        };
-        for i in (r.watermark.raw() + 1)..=snapshot.last_index.raw() {
-            if !pending_idx.contains(&i) {
-                r.committed_above.insert(i);
-            }
-        }
+        r.prefix = CommittedPrefix::restored(snapshot.last_index, &pending_idx);
         let mut actions = Vec::new();
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for (req, idx) in snapshot.pending {

@@ -31,13 +31,14 @@
 //! *sum* of queue positions).
 
 use crate::event::ExecToken;
+use crate::replica::CommittedPrefix;
 use otp_simnet::metrics::Counters;
 use otp_simnet::SiteId;
 use otp_storage::{
     apply_multi_undo, ClassId, Database, MultiCtx, MultiEffects, ObjectId, SnapshotIndex, TxnIndex,
     Value,
 };
-use otp_txn::history::CommittedTxn;
+use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::txn::{DeliveryState, ExecState, TxnId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -186,9 +187,8 @@ pub struct MultiReplica {
     running: BTreeSet<TxnId>,
     to_index: HashMap<TxnId, TxnIndex>,
     last_index: TxnIndex,
-    committed_above: BTreeSet<u64>,
-    watermark: TxnIndex,
-    history: Vec<CommittedTxn>,
+    prefix: CommittedPrefix,
+    history: HistoryLog,
     commit_log: Vec<(TxnId, TxnIndex)>,
     /// Counters: commits, aborts, reorders, interlocks resolved.
     pub counters: Counters,
@@ -225,9 +225,8 @@ impl MultiReplica {
             running: BTreeSet::new(),
             to_index: HashMap::new(),
             last_index: TxnIndex::INITIAL,
-            committed_above: BTreeSet::new(),
-            watermark: TxnIndex::INITIAL,
-            history: Vec::new(),
+            prefix: CommittedPrefix::default(),
+            history: HistoryLog::new(),
             commit_log: Vec::new(),
             counters: Counters::new(),
         }
@@ -245,7 +244,7 @@ impl MultiReplica {
 
     /// Snapshot index for queries (committed definitive prefix).
     pub fn query_snapshot(&self) -> SnapshotIndex {
-        SnapshotIndex::after(self.watermark)
+        self.prefix.query_snapshot()
     }
 
     /// Local commit log.
@@ -253,9 +252,10 @@ impl MultiReplica {
         &self.commit_log
     }
 
-    /// Local history for serializability checking.
-    pub fn history(&self) -> &[CommittedTxn] {
-        &self.history
+    /// Local history for serializability checking, rebuilt from the flat
+    /// log.
+    pub fn history(&self) -> Vec<CommittedTxn> {
+        self.history.to_vec()
     }
 
     /// Structural invariants across all queues: committable prefix per
@@ -470,23 +470,19 @@ impl MultiReplica {
         self.running.remove(&txn);
         self.to_index.remove(&txn);
         self.commit_log.push((txn, index));
-        self.history.push(CommittedTxn {
-            id: txn,
-            reads: effects.reads.clone(),
-            writes: effects
-                .undo
-                .iter()
-                .flat_map(|(c, u)| {
-                    let c = *c;
-                    u.written_keys().map(move |k| ObjectId { class: c, key: k }).collect::<Vec<_>>()
-                })
-                .collect(),
-            position: CommittedTxn::update_position(index),
-        });
-        self.committed_above.insert(index.raw());
-        while self.committed_above.remove(&(self.watermark.raw() + 1)) {
-            self.watermark = self.watermark.next();
-        }
+        let written = || {
+            effects.undo.iter().flat_map(|(c, u)| {
+                let class = *c;
+                u.written_keys().map(move |key| ObjectId { class, key })
+            })
+        };
+        self.history.push(
+            txn,
+            CommittedTxn::update_position(index),
+            effects.reads.iter().copied(),
+            written(),
+        );
+        self.prefix.commit(&mut self.db, index, written());
         self.counters.incr("commit");
 
         let mut out = vec![MultiAction::Committed { txn, index }];

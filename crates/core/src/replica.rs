@@ -44,7 +44,7 @@ use otp_simnet::SiteId;
 use otp_storage::{
     ClassId, Database, ObjectId, ProcRegistry, SnapshotIndex, TxnCtx, TxnEffects, TxnIndex,
 };
-use otp_txn::history::CommittedTxn;
+use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::queue::ClassQueue;
 use otp_txn::txn::{DeliveryState, ExecState, TxnId, TxnRequest};
 use std::collections::{BTreeSet, HashMap};
@@ -60,6 +60,76 @@ pub struct ReplicaSnapshot {
     pub last_index: TxnIndex,
     /// TO-delivered but not yet committed transactions, in index order.
     pub pending: Vec<(TxnRequest, TxnIndex)>,
+}
+
+/// A replica's committed definitive prefix, and the version trimming it
+/// allows.
+///
+/// Every index up to the *watermark* `w` is committed. A query takes its
+/// snapshot at `w.5` and reads at once (Section 5), so of an object's
+/// versions only the newest one `≤ w` and those above `w` can be read
+/// again. A commit therefore trims the chains it wrote as soon as the
+/// watermark covers it — at once when commits arrive in index order, when
+/// the watermark catches up otherwise — which keeps each chain at one
+/// version plus those written inside the out-of-order window.
+#[derive(Debug, Default)]
+pub(crate) struct CommittedPrefix {
+    /// Every index `≤ watermark` is committed.
+    watermark: TxnIndex,
+    /// Committed indices above the watermark.
+    above: BTreeSet<u64>,
+    /// Objects written by commits above the watermark, with the writer's
+    /// index: trimmed once the watermark reaches it.
+    untrimmed: Vec<(TxnIndex, ObjectId)>,
+}
+
+impl CommittedPrefix {
+    /// The prefix of a replica restored with `last_index` assigned and the
+    /// `pending` indices still to commit.
+    pub(crate) fn restored(last_index: TxnIndex, pending: &BTreeSet<u64>) -> Self {
+        let watermark = pending.first().map_or(last_index, |m| TxnIndex::new(m - 1));
+        let above = (watermark.raw() + 1..=last_index.raw()).filter(|i| !pending.contains(i));
+        CommittedPrefix { watermark, above: above.collect(), untrimmed: Vec::new() }
+    }
+
+    /// The snapshot index a query starting now receives.
+    pub(crate) fn query_snapshot(&self) -> SnapshotIndex {
+        SnapshotIndex::after(self.watermark)
+    }
+
+    /// Records the commit of `index`, whose `written` objects are already
+    /// promoted in `db`, advances the watermark and trims every chain it
+    /// now covers.
+    pub(crate) fn commit(
+        &mut self,
+        db: &mut Database,
+        index: TxnIndex,
+        written: impl Iterator<Item = ObjectId>,
+    ) {
+        let before = self.watermark;
+        self.above.insert(index.raw());
+        while self.above.remove(&(self.watermark.raw() + 1)) {
+            self.watermark = self.watermark.next();
+        }
+        let w = self.watermark;
+        let mut trim = |o: ObjectId| {
+            db.partition_mut(o.class).expect("class exists").trim([o.key], w);
+        };
+        if index <= w {
+            written.for_each(&mut trim);
+        } else {
+            self.untrimmed.extend(written.map(|o| (index, o)));
+        }
+        if w > before {
+            self.untrimmed.retain(|&(writer, o)| {
+                let covered = writer <= w;
+                if covered {
+                    trim(o);
+                }
+                !covered
+            });
+        }
+    }
 }
 
 /// The OTP replica at one site.
@@ -82,14 +152,12 @@ pub struct Replica {
     to_index: HashMap<TxnId, TxnIndex>,
     /// Last assigned definitive index.
     last_index: TxnIndex,
-    /// Indices committed so far, above the watermark.
-    committed_above: BTreeSet<u64>,
-    /// All indices `≤ watermark` are committed — the snapshot point for
-    /// queries (Section 5: versions must exist before a query may need
-    /// them).
-    watermark: TxnIndex,
+    /// The committed prefix — the snapshot point for queries (Section 5:
+    /// versions must exist before a query may need them) — and the
+    /// version trimming below it.
+    prefix: CommittedPrefix,
     /// Local history for serializability checking.
-    history: Vec<CommittedTxn>,
+    history: HistoryLog,
     /// Commit log `(txn, index)` in local commit order.
     commit_log: Vec<(TxnId, TxnIndex)>,
     /// Protocol event counters: commits, aborts, reorders, …
@@ -113,9 +181,8 @@ impl Replica {
             executing: vec![None; classes],
             to_index: HashMap::new(),
             last_index: TxnIndex::INITIAL,
-            committed_above: BTreeSet::new(),
-            watermark: TxnIndex::INITIAL,
-            history: Vec::new(),
+            prefix: CommittedPrefix::default(),
+            history: HistoryLog::new(),
             commit_log: Vec::new(),
             counters: Counters::new(),
         }
@@ -136,7 +203,7 @@ impl Replica {
     /// merely the TO-delivered one) guarantees every version a query may
     /// read already exists.
     pub fn query_snapshot(&self) -> SnapshotIndex {
-        SnapshotIndex::after(self.watermark)
+        self.prefix.query_snapshot()
     }
 
     /// Local commit log `(txn, definitive index)` in commit order.
@@ -145,34 +212,36 @@ impl Replica {
     }
 
     /// The recorded history (committed update transactions; the cluster
-    /// appends query entries).
-    pub fn history(&self) -> &[CommittedTxn] {
+    /// appends query entries), rebuilt from the flat log.
+    pub fn history(&self) -> Vec<CommittedTxn> {
+        self.history.to_vec()
+    }
+
+    /// The recorded history as kept.
+    pub fn history_log(&self) -> &HistoryLog {
         &self.history
+    }
+
+    /// Moves the recorded history out, leaving an empty log (shutdown
+    /// hand-off).
+    pub(crate) fn take_history(&mut self) -> HistoryLog {
+        std::mem::take(&mut self.history)
     }
 
     /// Appends a query record to the local history (used by the query
     /// processor so 1-copy-serializability checks can include reads).
-    pub fn record_query(&mut self, id: TxnId, reads: Vec<ObjectId>, snap: SnapshotIndex) {
-        self.history.push(CommittedTxn {
-            id,
-            reads,
-            writes: Vec::new(),
-            position: CommittedTxn::query_position(snap),
-        });
+    pub fn record_query(
+        &mut self,
+        id: TxnId,
+        reads: impl IntoIterator<Item = ObjectId>,
+        snap: SnapshotIndex,
+    ) {
+        self.history.push(id, CommittedTxn::query_position(snap), reads, []);
     }
 
     /// Number of transactions queued across all classes (observability).
     pub fn queued(&self) -> usize {
         self.queues.iter().map(ClassQueue::len).sum()
-    }
-
-    /// Garbage-collects versions no snapshot can reach anymore: keeps, per
-    /// object, the newest version visible at the current watermark plus
-    /// everything newer. Safe because queries take their snapshot at the
-    /// watermark of their start instant and read immediately. Returns the
-    /// number of dropped versions.
-    pub fn collect_versions(&mut self) -> usize {
-        self.db.collect_versions(self.watermark)
     }
 
     /// Validates every class queue's structural invariant. Tests call this
@@ -378,6 +447,7 @@ impl Replica {
         let queue = &mut self.queues[class.index()];
         let (_entry, has_next) = queue.commit_head(txn).expect("txn is the head");
         let effects = self.effects.remove(&txn).expect("committed txn must have executed");
+        let written = || effects.undo.written_keys().map(|key| ObjectId { class, key });
         self.db
             .partition_mut(class)
             .expect("class exists")
@@ -387,16 +457,13 @@ impl Replica {
 
         // History + watermark bookkeeping.
         self.commit_log.push((txn, index));
-        self.history.push(CommittedTxn {
-            id: txn,
-            reads: effects.reads.iter().map(|k| ObjectId { class, key: *k }).collect(),
-            writes: effects.undo.written_keys().map(|k| ObjectId { class, key: k }).collect(),
-            position: CommittedTxn::update_position(index),
-        });
-        self.committed_above.insert(index.raw());
-        while self.committed_above.remove(&(self.watermark.raw() + 1)) {
-            self.watermark = self.watermark.next();
-        }
+        self.history.push(
+            txn,
+            CommittedTxn::update_position(index),
+            effects.reads.iter().map(|&key| ObjectId { class, key }),
+            written(),
+        );
+        self.prefix.commit(&mut self.db, index, written());
         self.counters.incr("commit");
 
         let mut actions = vec![ReplicaAction::Committed { txn, index, output: effects.output }];
@@ -439,16 +506,7 @@ impl Replica {
         r.last_index = snapshot.last_index;
         // Committed = everything ≤ last_index except the pending tail.
         let pending_idx: BTreeSet<u64> = snapshot.pending.iter().map(|(_, i)| i.raw()).collect();
-        let min_pending = pending_idx.iter().next().copied();
-        r.watermark = match min_pending {
-            Some(m) => TxnIndex::new(m - 1),
-            None => snapshot.last_index,
-        };
-        for i in (r.watermark.raw() + 1)..=snapshot.last_index.raw() {
-            if !pending_idx.contains(&i) {
-                r.committed_above.insert(i);
-            }
-        }
+        r.prefix = CommittedPrefix::restored(snapshot.last_index, &pending_idx);
         // Re-enqueue the pending tail as committable, in definitive order,
         // then start executing each class's head.
         let mut actions = Vec::new();
@@ -736,6 +794,29 @@ mod tests {
         assert_eq!(r.query_snapshot(), SnapshotIndex::after(TxnIndex::new(1)));
         r.on_to_deliver(tid(1), ClassId::new(1));
         assert_eq!(r.query_snapshot(), SnapshotIndex::after(TxnIndex::new(2)));
+    }
+
+    /// A commit above the watermark keeps the version a snapshot at the
+    /// watermark still reads; once the watermark covers it, its chain is
+    /// trimmed to the newest version.
+    #[test]
+    fn out_of_order_commit_is_trimmed_when_the_watermark_catches_up() {
+        let mut r = replica(2);
+        let a0 = r.on_opt_deliver(req(0, 0, 1)); // index 1, class 0
+        let a1 = r.on_opt_deliver(req(1, 1, 5)); // index 2, class 1
+        r.on_to_deliver(tid(0), ClassId::new(0));
+        r.on_to_deliver(tid(1), ClassId::new(1));
+        // Index 2 commits first: the watermark stays at 0.
+        r.on_exec_done(exec_token(&a1));
+        assert_eq!(r.query_snapshot(), SnapshotIndex::after(TxnIndex::INITIAL));
+        let snap = r.query_snapshot();
+        assert_eq!(r.db().read_at(ObjectId::new(1, 0), snap), Some(&Value::Int(0)));
+        assert_eq!(r.db().retained_versions(), 3, "class 1 keeps its initial version");
+        // Index 1 commits: watermark 2, both chains down to one version.
+        r.on_exec_done(exec_token(&a0));
+        assert_eq!(r.query_snapshot(), SnapshotIndex::after(TxnIndex::new(2)));
+        assert_eq!(r.db().retained_versions(), 2);
+        assert_eq!(r.db().read_committed(ObjectId::new(1, 0)), Some(&Value::Int(5)));
     }
 
     #[test]

@@ -82,7 +82,7 @@ use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, TxnIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
-use otp_txn::history::CommittedTxn;
+use otp_txn::history::HistoryLog;
 use otp_txn::txn::{TxnId, TxnRequest};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap};
@@ -366,8 +366,9 @@ pub struct LiveReport {
     /// Replica protocol counters, merged over all sites.
     pub counters: Counters,
     /// Per-site committed histories (read/write sets + serialization
-    /// positions) for the driver-agnostic invariant bundle.
-    pub histories: Vec<Vec<CommittedTxn>>,
+    /// positions) for the driver-agnostic invariant bundle, as each site
+    /// recorded them.
+    pub histories: Vec<HistoryLog>,
     /// Per-site commit logs with definitive indexes.
     pub commit_logs: Vec<Vec<(TxnId, TxnIndex)>>,
 }
@@ -380,7 +381,7 @@ impl LiveReport {
     /// trivially.
     pub fn run_histories(&self) -> RunHistories {
         RunHistories {
-            histories: self.histories.clone(),
+            histories: self.histories.iter().map(HistoryLog::to_vec).collect(),
             commit_logs: self.commit_logs.clone(),
             dbs: self.dbs.clone(),
             live: SiteId::all(self.dbs.len()).collect(),
@@ -403,7 +404,7 @@ type LiveEngine = Box<dyn AtomicBroadcast<TxnPayload> + Send>;
 struct SiteOutcome {
     log: Vec<TxnId>,
     commit_log: Vec<(TxnId, TxnIndex)>,
-    history: Vec<CommittedTxn>,
+    history: HistoryLog,
     db: Database,
     latency: Histogram,
     counters: Counters,
@@ -1275,7 +1276,7 @@ impl SiteWorker {
         SiteOutcome {
             log,
             commit_log: self.replica.commit_log().to_vec(),
-            history: self.replica.history().to_vec(),
+            history: self.replica.take_history(),
             db,
             latency: self.latency,
             counters,

@@ -116,15 +116,23 @@ impl ClassPartition {
         }
     }
 
+    /// Trims the given keys' version chains below `watermark`: keeps the
+    /// newest version a snapshot at `watermark` sees and everything newer
+    /// ([`VersionChain::collect_below`]). Returns the number of dropped
+    /// versions.
+    pub fn trim(
+        &mut self,
+        keys: impl IntoIterator<Item = ObjectKey>,
+        watermark: TxnIndex,
+    ) -> usize {
+        keys.into_iter()
+            .map(|key| self.versions.get_mut(&key).map_or(0, |c| c.collect_below(watermark)))
+            .sum()
+    }
+
     /// Number of live objects (with at least one committed version).
     pub fn committed_objects(&self) -> usize {
         self.versions.len()
-    }
-
-    /// Runs version GC below `watermark` on every chain; returns dropped
-    /// version count.
-    pub fn collect_versions(&mut self, watermark: TxnIndex) -> usize {
-        self.versions.values_mut().map(|c| c.collect_below(watermark)).sum()
     }
 }
 
@@ -218,9 +226,13 @@ impl Database {
         self.partitions.get(object.class.index())?.read_at(object.key, snap)
     }
 
-    /// Version GC across all partitions.
-    pub fn collect_versions(&mut self, watermark: TxnIndex) -> usize {
-        self.partitions.iter_mut().map(|p| Arc::make_mut(p).collect_versions(watermark)).sum()
+    /// Committed versions held across every object's chain (equal to the
+    /// number of objects when each chain is down to its newest version).
+    pub fn retained_versions(&self) -> usize {
+        self.partitions
+            .iter()
+            .map(|p| p.versions.values().map(VersionChain::len).sum::<usize>())
+            .sum()
     }
 
     /// A clean copy containing only committed state: version chains are
@@ -365,9 +377,28 @@ mod tests {
             p.write_current(key, Value::Int(i as i64));
             p.promote([key].into_iter(), TxnIndex::new(i));
         }
-        let dropped = d.collect_versions(TxnIndex::new(5));
+        let dropped = d.partition_mut(class).unwrap().trim([key], TxnIndex::new(5));
         assert_eq!(dropped, 5, "all but the newest visible version dropped");
         assert_eq!(d.read_committed(ObjectId::new(0, 1)), Some(&Value::Int(5)));
+    }
+
+    #[test]
+    fn trim_touches_only_the_named_keys() {
+        let mut d = db();
+        let (class, key) = (ClassId::new(0), ObjectKey::new(1));
+        for i in 1..=3u64 {
+            let p = d.partition_mut(class).unwrap();
+            p.write_current(key, Value::Int(i as i64));
+            p.promote([key].into_iter(), TxnIndex::new(i));
+        }
+        assert_eq!(d.retained_versions(), 5, "4 versions of (0,1) + 1 of (1,1)");
+        // Watermark 2: version 2 is what a snapshot at 2.5 reads, 3 is newer.
+        let p = d.partition_mut(class).unwrap();
+        assert_eq!(p.trim([key, ObjectKey::new(9)], TxnIndex::new(2)), 2);
+        let o = ObjectId::new(0, 1);
+        assert_eq!(d.read_at(o, SnapshotIndex::after(TxnIndex::new(2))), Some(&Value::Int(2)));
+        assert_eq!(d.read_committed(o), Some(&Value::Int(3)));
+        assert_eq!(d.retained_versions(), 3);
     }
 
     #[test]

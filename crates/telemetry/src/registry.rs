@@ -71,6 +71,12 @@ impl Gauge {
         self.0.fetch_add(delta, Ordering::AcqRel) + delta
     }
 
+    /// Replaces the value (a sampled size rather than a running sum).
+    #[inline]
+    pub fn set(&self, value: i64) {
+        self.0.store(value, Ordering::Release);
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> i64 {
@@ -284,6 +290,8 @@ mod tests {
         assert_eq!(g.add(5), 5);
         assert_eq!(g.add(-2), 3);
         assert_eq!(g.get(), 3);
+        g.set(11);
+        assert_eq!(g.get(), 11);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! be conflict-equivalent to some serial history over one logical copy.
 //! This module lets tests *check* that, instead of trusting the proof:
 //!
-//! * every site records its committed transactions (and queries) as
-//!   [`CommittedTxn`]s with read/write sets and a local position;
+//! * every site records its committed transactions (and queries) with
+//!   read/write sets and a local position in a flat [`HistoryLog`], which
+//!   rebuilds them as [`CommittedTxn`]s for the checker;
 //! * [`conflict_edges`] extracts the ordered conflict relation of one site;
 //! * [`check_one_copy_serializable`] unions the relations of all sites and
 //!   reports either an *order conflict* (two sites serialize a conflicting
@@ -50,6 +51,100 @@ impl CommittedTxn {
     /// Position of a query with snapshot index `i.5`.
     pub fn query_position(snap: SnapshotIndex) -> u64 {
         snap.watermark().raw() * 2 + 1
+    }
+}
+
+/// One site's history in flat form: a fixed-size entry per committed
+/// transaction or query, with every read and write set packed into one
+/// shared object arena. Recording allocates nothing once the two vectors
+/// have grown; [`HistoryLog::to_vec`] rebuilds the [`CommittedTxn`]s the
+/// checker takes, only when someone asks for them.
+///
+/// ```
+/// use otp_simnet::SiteId;
+/// use otp_storage::ObjectId;
+/// use otp_txn::history::HistoryLog;
+/// use otp_txn::txn::TxnId;
+///
+/// let mut log = HistoryLog::new();
+/// log.push(TxnId::new(SiteId::new(0), 1), 2, [ObjectId::new(0, 7)], [ObjectId::new(0, 7)]);
+/// let txns = log.to_vec();
+/// assert_eq!(txns[0].writes, vec![ObjectId::new(0, 7)]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct HistoryLog {
+    entries: Vec<LogEntry>,
+    /// Each entry's reads, then its writes, entry after entry.
+    objects: Vec<ObjectId>,
+}
+
+/// A [`HistoryLog`] record. Its objects run from the previous entry's
+/// `writes_end` (0 for the first) to `reads_end` (reads), then on to
+/// `writes_end` (writes).
+#[derive(Debug, Clone, Copy)]
+struct LogEntry {
+    id: TxnId,
+    position: u64,
+    reads_end: u32,
+    writes_end: u32,
+}
+
+impl HistoryLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        HistoryLog::default()
+    }
+
+    /// Number of recorded transactions and queries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Records a transaction (or a query: no writes) at `position` (doubled
+    /// scale, see [`CommittedTxn::update_position`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would exceed `u32::MAX` objects.
+    pub fn push(
+        &mut self,
+        id: TxnId,
+        position: u64,
+        reads: impl IntoIterator<Item = ObjectId>,
+        writes: impl IntoIterator<Item = ObjectId>,
+    ) {
+        let end = |objects: &Vec<ObjectId>| {
+            u32::try_from(objects.len()).expect("history arena exceeds u32::MAX objects")
+        };
+        self.objects.extend(reads);
+        let reads_end = end(&self.objects);
+        self.objects.extend(writes);
+        let writes_end = end(&self.objects);
+        self.entries.push(LogEntry { id, position, reads_end, writes_end });
+    }
+
+    /// The history as the checker takes it, in recording order.
+    pub fn to_vec(&self) -> Vec<CommittedTxn> {
+        let mut start = 0;
+        self.entries
+            .iter()
+            .map(|e| {
+                let (reads_end, writes_end) = (e.reads_end as usize, e.writes_end as usize);
+                let txn = CommittedTxn {
+                    id: e.id,
+                    reads: self.objects[start..reads_end].to_vec(),
+                    writes: self.objects[reads_end..writes_end].to_vec(),
+                    position: e.position,
+                };
+                start = writes_end;
+                txn
+            })
+            .collect()
     }
 }
 

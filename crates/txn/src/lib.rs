@@ -12,7 +12,7 @@
 //!   commit-head (E2/CC3), abort-head (CC8) and
 //!   reschedule-before-first-pending (CC10), with the committable-prefix
 //!   invariant checked;
-//! * [`history`] — committed-history recording and the
+//! * [`history`] — committed-history recording (the flat [`HistoryLog`]) and the
 //!   1-copy-serializability checker ([`check_one_copy_serializable`]),
 //!   including the paper's Section 5 query anomaly as a test case.
 //!
@@ -42,6 +42,8 @@ pub mod history;
 pub mod queue;
 pub mod txn;
 
-pub use history::{check_one_copy_serializable, check_same_committed_set, CommittedTxn, Violation};
+pub use history::{
+    check_one_copy_serializable, check_same_committed_set, CommittedTxn, HistoryLog, Violation,
+};
 pub use queue::{ClassQueue, QueueEntry, QueueError};
 pub use txn::{DeliveryState, ExecState, TxnId, TxnRequest};
