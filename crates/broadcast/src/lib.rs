@@ -55,6 +55,7 @@
 
 pub mod domain;
 pub mod harness;
+mod idset;
 pub mod msg;
 pub mod opt;
 pub mod order;
@@ -63,8 +64,9 @@ pub mod seq;
 mod traits;
 
 pub use domain::{EngineCtx, GroupId, OrderDomain};
+pub use idset::IdSet;
 pub use msg::{EngineAction, Message, MsgId, PayloadSize, TimerToken, Wire, RECOVERY_SEQ_GAP};
 pub use opt::{OptAbcast, OptAbcastConfig};
 pub use scramble::{Oracle, ScrambleConfig, ScrambledAbcast};
 pub use seq::SeqAbcast;
-pub use traits::{AtomicBroadcast, EngineSnapshot};
+pub use traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};

@@ -50,8 +50,9 @@
 //! messages.
 
 use crate::domain::EngineCtx;
+use crate::idset::IdSet;
 use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire, RECOVERY_SEQ_GAP};
-use crate::traits::{AtomicBroadcast, EngineSnapshot};
+use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
 use otp_consensus::{Action as CAction, ConsensusMsg, Instance, InstanceConfig};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
@@ -106,14 +107,13 @@ pub struct OptAbcast<P> {
     cfg: OptAbcastConfig,
     ccfg: InstanceConfig,
     next_seq: u64,
-    /// Payload store for every received data message.
-    received: HashMap<MsgId, Message<P>>,
-    /// Ids opt-delivered, in receive order (the tentative order).
-    opt_log: Vec<MsgId>,
-    opt_set: HashSet<MsgId>,
+    /// Payload store for every received data message; also what makes a
+    /// data wire a duplicate.
+    received: HashMap<MsgId, P>,
     /// Ids TO-delivered, in definitive order.
     definitive_log: Vec<MsgId>,
-    to_set: HashSet<MsgId>,
+    /// The same ids as a set, for the skip-if-delivered checks.
+    to_set: IdSet,
     /// Received (opt-delivered) but not yet covered by a processed
     /// decision, in receive order — this is what we propose.
     undecided: Vec<MsgId>,
@@ -159,10 +159,8 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             ccfg: InstanceConfig::new(cfg.sites, cfg.consensus_timeout),
             next_seq: 0,
             received: HashMap::new(),
-            opt_log: Vec::new(),
-            opt_set: HashSet::new(),
             definitive_log: Vec::new(),
-            to_set: HashSet::new(),
+            to_set: IdSet::new(),
             undecided: Vec::new(),
             instances: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -180,11 +178,6 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
     /// The engine configuration.
     pub fn config(&self) -> &OptAbcastConfig {
         &self.cfg
-    }
-
-    /// The tentative (receive) order observed so far.
-    pub fn tentative_log(&self) -> &[MsgId] {
-        &self.opt_log
     }
 
     /// Number of consensus instances this site has seen decided.
@@ -317,7 +310,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             let mut stalled = false;
             while self.cursor_pos < batch.len() {
                 let id = batch[self.cursor_pos];
-                if self.to_set.contains(&id) {
+                if self.to_set.contains(id) {
                     self.cursor_pos += 1;
                     continue;
                 }
@@ -361,13 +354,11 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         if id.origin == me {
             self.next_seq = self.next_seq.max(id.seq + 1);
         }
-        self.received.insert(id, msg.clone());
+        self.received.insert(id, msg.payload.clone());
         let mut out = Vec::new();
-        if self.to_set.contains(&id) {
-            // Arrived after recovery sync already accounted for it — the
-            // application has the effects; do not re-deliver.
-        } else if self.opt_set.insert(id) {
-            self.opt_log.push(id);
+        // Delivered already means it arrived after recovery sync accounted
+        // for it — the application has the effects; do not re-deliver.
+        if !self.to_set.contains(id) {
             self.undecided.push(id);
             out.push(EngineAction::OptDeliver(msg));
         }
@@ -557,7 +548,11 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         // Sorted collect: `received` is a HashMap, and a snapshot is
         // state-transfer payload — its Vec order must not depend on
         // hash iteration order.
-        let mut received: Vec<Message<P>> = self.received.values().cloned().collect();
+        let mut received: Vec<Message<P>> = self
+            .received
+            .iter()
+            .map(|(id, payload)| Message { id: *id, payload: payload.clone() })
+            .collect();
         received.sort_by_key(|m| m.id);
         EngineSnapshot {
             decided: self.decided.iter().map(|(k, v)| (*k, v.as_ref().clone())).collect(),
@@ -588,34 +583,30 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         // and in none beyond: deciding takes a majority's participation.
         self.rejoined_below = snapshot.instance_horizon.unwrap_or(0) + 1;
         self.decided = snapshot.decided.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
-        self.definitive_log = snapshot.definitive_log.clone();
         self.to_set = snapshot.definitive_log.iter().copied().collect();
-        // Everything already TO-delivered is also considered opt-delivered.
-        self.opt_set = self.to_set.clone();
-        self.opt_log = snapshot.definitive_log;
+        self.definitive_log = snapshot.definitive_log;
         for m in snapshot.received {
-            self.received.insert(m.id, m);
+            self.received.insert(m.id, m.payload);
         }
         // Messages received but not yet definitively delivered become our
         // undecided proposal material, in deterministic id order (the
         // donor's receive order is unknown to us). They are re-emitted as
         // fresh Opt-deliveries: tentative again at this site.
         let mut pending: Vec<MsgId> =
-            self.received.keys().filter(|id| !self.to_set.contains(id)).copied().collect();
+            self.received.keys().filter(|id| !self.to_set.contains(**id)).copied().collect();
         pending.sort_unstable();
-        let mut actions: Vec<EngineAction<P>> = Vec::new();
-        for id in &pending {
-            if self.opt_set.insert(*id) {
-                self.opt_log.push(*id);
-                actions.push(EngineAction::OptDeliver(self.received[id].clone()));
-            }
-        }
+        let mut actions: Vec<EngineAction<P>> = pending
+            .iter()
+            .map(|id| {
+                EngineAction::OptDeliver(Message { id: *id, payload: self.received[id].clone() })
+            })
+            .collect();
         self.undecided = pending;
         // Fast-forward the cursor past fully-delivered decided batches.
         self.cursor_instance = 0;
         self.cursor_pos = 0;
         while let Some(batch) = self.decided.get(&self.cursor_instance) {
-            if batch.iter().all(|id| self.to_set.contains(id)) {
+            if batch.iter().all(|id| self.to_set.contains(*id)) {
                 self.cursor_instance += 1;
             } else {
                 break;
@@ -651,6 +642,14 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         self.next_seq += RECOVERY_SEQ_GAP;
     }
 
+    fn retained(&self) -> EngineRetention {
+        EngineRetention {
+            payloads: self.received.len(),
+            log: self.definitive_log.len(),
+            index: self.to_set.runs(),
+        }
+    }
+
     fn decide_counts(&self) -> (u64, u64) {
         (self.fast_decides.get(), self.slow_decides.get())
     }
@@ -679,10 +678,15 @@ mod tests {
 
     /// Synchronous lock-step driver: delivers all pending wires in FIFO
     /// order with zero delay. Good enough for unit-level protocol checks;
-    /// the jittery/lossy cases live in the harness-based tests.
-    fn pump(engines: &mut [OptAbcast<u32>], mut wires: Vec<(SiteId, Option<SiteId>, Wire<u32>)>) {
+    /// the jittery/lossy cases live in the harness-based tests. Returns
+    /// each site's Opt-deliveries, in order.
+    fn pump(
+        engines: &mut [OptAbcast<u32>],
+        mut wires: Vec<(SiteId, Option<SiteId>, Wire<u32>)>,
+    ) -> Vec<Vec<MsgId>> {
         let n = engines.len();
         let dom = OrderDomain::global(n);
+        let mut opt_logs = vec![Vec::new(); n];
         let mut guard = 0;
         while !wires.is_empty() {
             guard += 1;
@@ -698,11 +702,13 @@ mod tests {
                     match a {
                         EngineAction::Multicast(w) => wires.push((t, None, w)),
                         EngineAction::Send(dst, w) => wires.push((t, Some(dst), w)),
+                        EngineAction::OptDeliver(m) => opt_logs[t.index()].push(m.id),
                         _ => {}
                     }
                 }
             }
         }
+        opt_logs
     }
 
     fn collect_broadcast(
@@ -727,9 +733,9 @@ mod tests {
         let mut es = engines(3);
         let dom = OrderDomain::global(3);
         let wires = collect_broadcast(&dom, &mut es[0], SiteId::new(0), 42);
-        pump(&mut es, wires);
+        let opt_logs = pump(&mut es, wires);
         for (i, e) in es.iter().enumerate() {
-            assert_eq!(e.tentative_log().len(), 1, "opt-delivered at site {i}");
+            assert_eq!(opt_logs[i].len(), 1, "opt-delivered at site {i}");
             assert_eq!(e.definitive_log().len(), 1, "to-delivered at site {i}");
             assert_eq!(e.definitive_log()[0], MsgId::new(SiteId::new(0), 0));
         }
@@ -974,12 +980,21 @@ mod tests {
     fn own_broadcast_not_delivered_until_loopback() {
         let mut es = engines(2);
         let dom = OrderDomain::global(2);
-        let (_, actions) = es[0].broadcast(&ctx_at(&dom, SiteId::new(0)), 5);
+        let c0 = ctx_at(&dom, SiteId::new(0));
+        let (_, actions) = es[0].broadcast(&c0, 5);
         // Broadcasting alone does not deliver anything locally.
         assert!(actions
             .iter()
             .all(|a| !matches!(a, EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_))));
-        assert!(es[0].tentative_log().is_empty());
+        // The loopback copy is what Opt-delivers it, once.
+        let [EngineAction::Multicast(data)] = actions.as_slice() else {
+            panic!("broadcast multicasts the data only: {actions:?}");
+        };
+        let opt_delivers = |actions: Vec<EngineAction<u32>>| {
+            actions.iter().filter(|a| matches!(a, EngineAction::OptDeliver(_))).count()
+        };
+        assert_eq!(opt_delivers(es[0].on_receive(&c0, SiteId::new(0), data.clone())), 1);
+        assert_eq!(opt_delivers(es[0].on_receive(&c0, SiteId::new(0), data.clone())), 0);
     }
 
     /// A hand-cranked network for the one-step tests: every frame an
@@ -988,6 +1003,8 @@ mod tests {
     /// wait in `timers` until the test fires them.
     struct Lab {
         es: Vec<OptAbcast<u32>>,
+        /// Each site's Opt-deliveries, in order.
+        opt_logs: Vec<Vec<MsgId>>,
         dom: OrderDomain,
         flight: Vec<(SiteId, SiteId, Wire<u32>)>,
         timers: Vec<(SiteId, TimerToken)>,
@@ -1001,6 +1018,7 @@ mod tests {
         fn new(n: usize) -> Self {
             Lab {
                 es: engines(n),
+                opt_logs: vec![Vec::new(); n],
                 dom: OrderDomain::global(n),
                 flight: Vec::new(),
                 timers: Vec::new(),
@@ -1017,7 +1035,8 @@ mod tests {
                     }
                     EngineAction::Send(to, w) => self.flight.push((site, to, w)),
                     EngineAction::SetTimer { token, .. } => self.timers.push((site, token)),
-                    EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_) => {}
+                    EngineAction::OptDeliver(m) => self.opt_logs[site.index()].push(m.id),
+                    EngineAction::ToDeliver(_) => {}
                 }
             }
         }
@@ -1203,7 +1222,7 @@ mod tests {
         assert_eq!(lab.es[0].definitive_log(), [m0]);
         assert_eq!(lab.es[1].definitive_log(), [m0]);
         assert_eq!(lab.es[0].decide_counts(), (0, 1), "two of three: the rounds decided");
-        assert_eq!(lab.es[2].tentative_log(), [m2]);
+        assert_eq!(lab.opt_logs[2], [m2]);
         assert!(lab.es[2].definitive_log().is_empty());
         // One patience later, still cut off: site 2 suspects round 0.
         lab.fire_round_timers(2);

@@ -22,11 +22,12 @@
 //! the new epoch.
 
 use crate::domain::EngineCtx;
+use crate::idset::IdSet;
 use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire, RECOVERY_SEQ_GAP};
-use crate::traits::{AtomicBroadcast, EngineSnapshot};
+use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Marker in [`TimerToken::round`] identifying the order-batch flush timer.
@@ -61,7 +62,7 @@ pub struct SeqAbcast<P> {
     /// Sequencer-only: next global sequence number to hand out.
     next_global: u64,
     /// Sequencer-only: ids already numbered (idempotence on duplicates).
-    numbered: HashSet<MsgId>,
+    numbered: IdSet,
     /// Sequencer-only: assignments made but not yet multicast.
     pending_order: Vec<(u64, MsgId)>,
     /// Sequencer-only: whether a flush timer is armed.
@@ -72,16 +73,16 @@ pub struct SeqAbcast<P> {
     /// everything below it, so [`SeqAbcast::finish_restore`] re-announces
     /// only the suffix (delta re-announce).
     reannounce_floor: u64,
-    /// Payload store.
-    received: HashMap<MsgId, Message<P>>,
-    /// Global order assignments received so far.
+    /// Payload store; also what makes a data wire a duplicate.
+    received: HashMap<MsgId, P>,
+    /// Order assignments not yet delivered: every key is at or above the
+    /// log's length. A delivered position `p` holds `definitive_log[p]`.
     order: BTreeMap<u64, MsgId>,
-    /// Next global number to TO-deliver.
-    deliver_next: u64,
-    opt_log: Vec<MsgId>,
-    opt_set: HashSet<MsgId>,
+    /// Ids TO-delivered, in sequence-number order: entry `p` is position
+    /// `p`, so its length is the next position to deliver.
     definitive_log: Vec<MsgId>,
-    to_set: HashSet<MsgId>,
+    /// The same ids as a set, for the skip-if-delivered checks.
+    to_set: IdSet,
 }
 
 impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
@@ -98,17 +99,14 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
             stale_rejects: Arc::new(Counter::new()),
             order_batch_delay: None,
             next_global: 0,
-            numbered: HashSet::new(),
+            numbered: IdSet::new(),
             pending_order: Vec::new(),
             batch_timer_armed: false,
             reannounce_floor: 0,
             received: HashMap::new(),
             order: BTreeMap::new(),
-            deliver_next: 0,
-            opt_log: Vec::new(),
-            opt_set: HashSet::new(),
             definitive_log: Vec::new(),
-            to_set: HashSet::new(),
+            to_set: IdSet::new(),
         }
     }
 
@@ -121,9 +119,20 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
         self
     }
 
-    /// The tentative (receive) order observed so far.
-    pub fn tentative_log(&self) -> &[MsgId] {
-        &self.opt_log
+    /// Next sequence number to TO-deliver.
+    fn deliver_next(&self) -> u64 {
+        self.definitive_log.len() as u64
+    }
+
+    /// Every assignment known at position `from` or above, delivered or
+    /// not, in position order: the log's positions, then the undelivered
+    /// map.
+    fn assignments(&self, from: u64) -> impl Iterator<Item = (u64, MsgId)> + '_ {
+        let len = self.definitive_log.len();
+        let start = usize::try_from(from).map_or(len, |f| f.min(len));
+        let delivered = self.definitive_log[start..].iter().zip(start as u64..);
+        let undelivered = self.order.range(from..).map(|(seqno, id)| (*seqno, *id));
+        delivered.map(|(id, seqno)| (seqno, *id)).chain(undelivered)
     }
 
     /// Appends one `ToDeliver` batch with everything that just became
@@ -131,15 +140,17 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
     /// sequence order).
     fn try_deliver(&mut self, out: &mut Vec<EngineAction<P>>) {
         let mut delivered: Vec<MsgId> = Vec::new();
-        while let Some(id) = self.order.get(&self.deliver_next).copied() {
-            if !self.received.contains_key(&id) {
-                break; // data lagging behind its order assignment
+        loop {
+            let next = self.deliver_next();
+            let Some(entry) = self.order.first_entry() else { break };
+            if *entry.key() != next || !self.received.contains_key(entry.get()) {
+                break; // a gap, or data lagging behind its order assignment
             }
-            if self.to_set.insert(id) {
-                self.definitive_log.push(id);
-                delivered.push(id);
-            }
-            self.deliver_next += 1;
+            let id = entry.remove();
+            let fresh = self.to_set.insert(id);
+            debug_assert!(fresh, "{id} holds two positions (DESIGN.md §15)");
+            self.definitive_log.push(id);
+            delivered.push(id);
         }
         if !delivered.is_empty() {
             out.push(EngineAction::ToDeliver(delivered));
@@ -212,9 +223,8 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
         if id.origin == me {
             self.next_seq = self.next_seq.max(id.seq + 1);
         }
-        self.received.insert(id, msg.clone());
-        if !self.to_set.contains(&id) && self.opt_set.insert(id) {
-            self.opt_log.push(id);
+        self.received.insert(id, msg.payload.clone());
+        if !self.to_set.contains(id) {
             out.push(EngineAction::OptDeliver(msg));
         }
         if me == self.sequencer && self.numbered.insert(id) {
@@ -249,7 +259,9 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
             return;
         }
         self.epoch = self.epoch.max(epoch);
-        self.order.entry(seqno).or_insert(id);
+        if seqno >= self.deliver_next() {
+            self.order.entry(seqno).or_insert(id);
+        }
         // A sequencer must never reassign a sequence number it has seen
         // assigned — a restored sequencer learns its own pre-crash
         // assignments through replayed SeqOrder wires.
@@ -321,7 +333,11 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     fn snapshot(&self) -> EngineSnapshot<P> {
         // Sorted collect: state-transfer payload must not inherit
         // HashMap iteration order.
-        let mut received: Vec<Message<P>> = self.received.values().cloned().collect();
+        let mut received: Vec<Message<P>> = self
+            .received
+            .iter()
+            .map(|(id, payload)| Message { id: *id, payload: payload.clone() })
+            .collect();
         received.sort_by_key(|m| m.id);
         EngineSnapshot {
             decided: BTreeMap::new(),
@@ -329,7 +345,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
             definitive_log: self.definitive_log.clone(),
             // Every sequence assignment seen so far, delivered or not — a
             // restored sequencer must never reassign one of them.
-            order_tags: self.order.iter().map(|(seqno, id)| (*id, *seqno)).collect(),
+            order_tags: self.assignments(0).map(|(seqno, id)| (id, seqno)).collect(),
             epoch: self.epoch,
             order_fence: self.order_fence,
             min_delivered: self.definitive_log.len() as u64,
@@ -344,30 +360,28 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     ) -> Vec<EngineAction<P>> {
         self.epoch = self.epoch.max(snapshot.epoch).max(ctx.epoch);
         self.order_fence = self.order_fence.max(snapshot.order_fence);
-        self.definitive_log = snapshot.definitive_log.clone();
         self.to_set = snapshot.definitive_log.iter().copied().collect();
-        self.opt_set = self.to_set.clone();
-        self.opt_log = snapshot.definitive_log.clone();
+        self.definitive_log = snapshot.definitive_log;
         for m in snapshot.received {
-            self.received.insert(m.id, m);
+            self.received.insert(m.id, m.payload);
         }
-        for (i, id) in snapshot.definitive_log.iter().enumerate() {
-            self.order.insert(i as u64, *id);
-        }
-        self.deliver_next = snapshot.definitive_log.len() as u64;
+        let deliver_next = self.deliver_next();
         // The delta re-announce floor: every member whose state is folded
         // into this snapshot has delivered (hence applied) all assignments
         // below the minimum delivered length, so the repair pass need not
         // re-teach them. Clamped by the base log length — a floor can never
         // exceed what the base itself delivered.
-        self.reannounce_floor = snapshot.min_delivered.min(self.deliver_next);
+        self.reannounce_floor = snapshot.min_delivered.min(deliver_next);
         // Undelivered assignments the donor knew about (e.g. an order wire
         // that outran its data) survive the transfer, and the sequencing
         // cursor moves past everything ever assigned — reassigning a seqno
         // would make sites TO-deliver different messages at one position.
-        self.next_global = self.deliver_next;
+        // A tag below the log's end names what the log holds there.
+        self.next_global = deliver_next;
         for (id, seqno) in snapshot.order_tags {
-            self.order.insert(seqno, id);
+            if seqno >= deliver_next {
+                self.order.insert(seqno, id);
+            }
             self.next_global = self.next_global.max(seqno + 1);
         }
         // Never reuse an own message id the donor knew about — whether it
@@ -376,7 +390,8 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
         let my_max = self
             .received
             .keys()
-            .chain(self.order.values())
+            .copied()
+            .chain(self.assignments(0).map(|(_, id)| id))
             .filter(|id| id.origin == ctx.me)
             .map(|id| id.seq)
             .max();
@@ -387,17 +402,14 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
         // their Opt-deliveries (deterministic id order) so the application
         // can rebuild its queues, then whatever is sequenced and ready.
         let mut pending: Vec<MsgId> =
-            self.received.keys().filter(|id| !self.to_set.contains(id)).copied().collect();
+            self.received.keys().filter(|id| !self.to_set.contains(**id)).copied().collect();
         pending.sort_unstable();
-        let mut actions: Vec<EngineAction<P>> = Vec::new();
-        for id in pending {
-            if self.opt_set.insert(id) {
-                self.opt_log.push(id);
-                actions.push(EngineAction::OptDeliver(self.received[&id].clone()));
-            }
-        }
+        let mut actions: Vec<EngineAction<P>> = pending
+            .into_iter()
+            .map(|id| EngineAction::OptDeliver(Message { id, payload: self.received[&id].clone() }))
+            .collect();
         if ctx.me == self.sequencer {
-            self.numbered = self.order.values().copied().collect();
+            self.numbered = self.assignments(0).map(|(_, id)| id).collect();
         }
         self.try_deliver(&mut actions);
         actions
@@ -436,9 +448,9 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
         if ctx.me != self.sequencer {
             return actions;
         }
-        self.numbered = self.order.values().copied().collect();
+        self.numbered = self.assignments(0).map(|(_, id)| id).collect();
         let mut unassigned: Vec<MsgId> =
-            self.received.keys().filter(|id| !self.numbered.contains(id)).copied().collect();
+            self.received.keys().filter(|id| !self.numbered.contains(**id)).copied().collect();
         unassigned.sort_unstable();
         for id in unassigned {
             let seqno = self.next_global;
@@ -446,8 +458,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
             self.numbered.insert(id);
             self.order.insert(seqno, id);
         }
-        self.pending_order =
-            self.order.range(self.reannounce_floor..).map(|(seqno, id)| (*seqno, *id)).collect();
+        self.pending_order = self.assignments(self.reannounce_floor).collect();
         self.flush_pending(&mut actions);
         self.try_deliver(&mut actions);
         actions
@@ -462,6 +473,14 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
 
     fn bump_incarnation(&mut self) {
         self.next_seq += RECOVERY_SEQ_GAP;
+    }
+
+    fn retained(&self) -> EngineRetention {
+        EngineRetention {
+            payloads: self.received.len(),
+            log: self.definitive_log.len(),
+            index: self.to_set.runs() + self.numbered.runs() + self.order.len(),
+        }
     }
 
     fn stale_epoch_rejects(&self) -> u64 {
@@ -909,6 +928,81 @@ mod tests {
         }
         assert_eq!(b.definitive_log(), seq.definitive_log());
         assert_eq!(b.definitive_log().len(), 4);
+    }
+
+    /// Pins what a snapshot carries and what a restore derives from it:
+    /// `order_tags` lists every assignment, delivered or not, in position
+    /// order (a merge re-delivers a digest's tail through them), and the
+    /// repair pass re-announces from the floor across the delivered and
+    /// undelivered parts alike.
+    #[test]
+    fn snapshot_tags_and_re_announce_are_pinned() {
+        let dom = dom4();
+        let c0 = EngineCtx::new(SiteId::new(0), &dom);
+        let c1 = EngineCtx::new(SiteId::new(1), &dom);
+        let seq0 = SiteId::new(0);
+        let id = |origin: u16, seq: u64| MsgId::new(SiteId::new(origin), seq);
+        let (a, b, c, d, e) = (id(2, 0), id(3, 0), id(2, 1), id(3, 1), id(1, 0));
+        let data = |m: MsgId| Wire::Data(Message { id: m, payload: m.seq as u32 });
+        let ids = |snap: &EngineSnapshot<u32>| -> Vec<MsgId> {
+            snap.received.iter().map(|m| m.id).collect()
+        };
+        // Order before data, a gap, then the data that fills it.
+        let mut member: SeqAbcast<u32> = SeqAbcast::new(seq0);
+        member.on_receive(&c1, seq0, Wire::SeqOrder { epoch: 0, seqno: 0, id: a });
+        member.on_receive(
+            &c1,
+            seq0,
+            Wire::SeqOrderBatch { epoch: 0, start_seqno: 1, ids: vec![b, c] },
+        );
+        member.on_receive(&c1, b.origin, data(b));
+        assert!(member.definitive_log().is_empty(), "position 0 is open");
+        member.on_receive(&c1, a.origin, data(a));
+        assert!(member.on_receive(&c1, a.origin, data(a)).is_empty(), "a duplicate is silent");
+        member.on_receive(&c1, seq0, Wire::SeqOrder { epoch: 0, seqno: 4, id: e });
+        member.on_receive(&c1, d.origin, data(d));
+        assert_eq!(member.definitive_log(), [a, b]);
+        let mut snap = member.snapshot();
+        assert_eq!(snap.order_tags, vec![(a, 0), (b, 1), (c, 2), (e, 4)]);
+        assert_eq!(ids(&snap), vec![a, b, d]);
+        // A lagging member sets the re-announce floor at 1.
+        let mut lagging: SeqAbcast<u32> = SeqAbcast::new(seq0);
+        lagging.on_receive(&c1, seq0, Wire::SeqOrder { epoch: 0, seqno: 0, id: a });
+        lagging.on_receive(&c1, a.origin, data(a));
+        snap.merge(lagging.snapshot());
+        assert_eq!(snap.min_delivered, 1);
+        let mut seq: SeqAbcast<u32> =
+            SeqAbcast::new(seq0).with_order_batching(SimDuration::from_millis(1));
+        let restored = seq.restore(&c0, snap);
+        assert_eq!(restored, vec![EngineAction::OptDeliver(Message { id: d, payload: 1 })]);
+        let finished = seq.finish_restore(&c0);
+        assert_eq!(order_assignments(&finished), vec![(1, b), (2, c), (4, e), (5, d)]);
+        assert_eq!(finished.len(), 2, "two contiguous runs: {finished:?}");
+        let after = seq.snapshot();
+        assert_eq!(after.order_tags, vec![(a, 0), (b, 1), (c, 2), (e, 4), (d, 5)]);
+        assert_eq!(ids(&after), vec![a, b, d]);
+        assert_eq!(after.definitive_log, [a, b]);
+        // The last payload fills position 2; position 3 was never assigned.
+        let delivered = seq.on_receive(&c0, c.origin, data(c));
+        assert!(delivered.contains(&EngineAction::ToDeliver(vec![c])), "{delivered:?}");
+        assert_eq!(seq.snapshot().order_tags, after.order_tags);
+    }
+
+    /// One id at two positions is a broken invariant, not a case to skip:
+    /// every delivery appends to the log, whose length is the next
+    /// position. (The single-donor restore that `otp-view`'s
+    /// `union_recovery` tests replay produced exactly this.)
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "holds two positions")]
+    fn one_id_at_two_positions_is_refused() {
+        let dom = dom4();
+        let c1 = EngineCtx::new(SiteId::new(1), &dom);
+        let mut e: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
+        let id = MsgId::new(SiteId::new(2), 0);
+        e.on_receive(&c1, SiteId::new(2), Wire::Data(Message { id, payload: 1 }));
+        let twice = Wire::SeqOrderBatch { epoch: 0, start_seqno: 0, ids: vec![id, id] };
+        e.on_receive(&c1, SiteId::new(0), twice);
     }
 
     /// The incarnation gap must be anchored at the highest own id *any*

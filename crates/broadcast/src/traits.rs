@@ -170,6 +170,19 @@ impl<P> EngineSnapshot<P> {
     }
 }
 
+/// What an engine holds that grows with traffic, in entries
+/// ([`AtomicBroadcast::retained`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineRetention {
+    /// Payloads in the payload store.
+    pub payloads: usize,
+    /// Ids in the definitive log.
+    pub log: usize,
+    /// Dedup and ordering index entries: id-set runs plus undelivered
+    /// order assignments. Bounded by reordering, not by message count.
+    pub index: usize,
+}
+
 /// An atomic broadcast endpoint at one site.
 ///
 /// All engines in this crate implement the paper's primitive: messages are
@@ -280,6 +293,13 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
     /// Surfaced in run statistics so stale traffic is loud, not silent.
     fn stale_epoch_rejects(&self) -> u64 {
         0
+    }
+
+    /// Sizes of the structures this endpoint keeps per message, for a
+    /// cluster's retention gauges. Sampled off the hot path. Default:
+    /// nothing reported.
+    fn retained(&self) -> EngineRetention {
+        EngineRetention::default()
     }
 
     /// `(fast, slow)`: consensus instances this endpoint decided in one

@@ -834,6 +834,11 @@ struct RetentionGauges {
     versions: Arc<Gauge>,
     /// Entries in the site's history log.
     history: Arc<Gauge>,
+    /// Payloads, definitive-log entries and index entries the site's
+    /// engines hold (group and relay domain summed).
+    engine_payloads: Arc<Gauge>,
+    engine_log: Arc<Gauge>,
+    engine_index: Arc<Gauge>,
 }
 
 /// The simulated cluster. See the [module docs](self).
@@ -1138,6 +1143,9 @@ impl Cluster {
                     pending_completions: metrics.gauge("pending_completions", Scope::site(s)),
                     versions: metrics.gauge("retained_versions", Scope::site(s)),
                     history: metrics.gauge("history_entries", Scope::site(s)),
+                    engine_payloads: metrics.gauge("engine_payloads", Scope::site(s)),
+                    engine_log: metrics.gauge("engine_log_entries", Scope::site(s)),
+                    engine_index: metrics.gauge("engine_index_entries", Scope::site(s)),
                 })
                 .collect(),
             metrics,
@@ -1172,7 +1180,7 @@ impl Cluster {
 
     /// Samples what each site keeps per transaction into its gauges:
     /// message-map entries, held completion entries (by submitting site),
-    /// committed versions and history entries.
+    /// committed versions, history entries and the engines' stores.
     fn refresh_retention(&self) {
         for (i, g) in self.retention.iter().enumerate() {
             let site = SiteId::new(i as u16);
@@ -1182,6 +1190,16 @@ impl Cluster {
             g.pending_completions.set(pending as i64);
             g.versions.set(replica.db().retained_versions() as i64);
             g.history.set(replica.history_log().len() as i64);
+            let engines = std::iter::once(&self.engines[i]).chain(self.relay_engines.get(i));
+            let (mut payloads, mut log, mut index) = (0, 0, 0);
+            for kept in engines.map(|e| e.retained()) {
+                payloads += kept.payloads;
+                log += kept.log;
+                index += kept.index;
+            }
+            g.engine_payloads.set(payloads as i64);
+            g.engine_log.set(log as i64);
+            g.engine_index.set(index as i64);
         }
     }
 

@@ -79,13 +79,25 @@ fn renumber_scenario() -> (SeqAbcast<u32>, SeqAbcast<u32>, [MsgId; 3]) {
 /// The legacy single-donor path binds slot 1 to two different messages:
 /// the restored sequencer renumbers in deterministic id order (`M1` first)
 /// while the witness already holds `1 → M2`. The witness then ignores the
-/// conflicting re-announce and stalls on `M1` forever.
+/// conflicting re-announce and stalls on `M1` forever. (The re-announce
+/// also gives `M2` slot 2, a second position for one id, which an engine
+/// treats as a broken invariant: only the slot-1 assignment is applied.)
 fn seq_legacy_diverges(restored: &mut SeqAbcast<u32>) {
     let (donor, mut witness, [a, m1, m2]) = renumber_scenario();
     let mut actions = restored.restore(&ctx(0), donor.snapshot());
     actions.extend(restored.finish_restore(&ctx(0)));
     assert_eq!(restored.definitive_log(), [a, m1, m2], "renumbered in id order");
-    apply_orders(&mut witness, 2, site(0), &actions);
+    let announced: Vec<(u64, MsgId)> = actions
+        .iter()
+        .flat_map(|x| match x {
+            EngineAction::Multicast(Wire::SeqOrderBatch { start_seqno, ids, .. }) => {
+                ids.iter().zip(*start_seqno..).map(|(id, seqno)| (seqno, *id)).collect()
+            }
+            _ => Vec::new(),
+        })
+        .collect();
+    assert_eq!(announced, [(1, m1), (2, m2)]);
+    witness.on_receive(&ctx(2), site(0), Wire::SeqOrder { epoch: 0, seqno: 1, id: m1 });
     // Slot 1: M1 at the restored sequencer, M2 at the witness.
     assert_eq!(restored.definitive_log()[1], m1);
     assert_eq!(witness.definitive_log()[1], m2, "same slot, different message");

@@ -4,8 +4,11 @@
 //! message map is consumed at TO-delivery, a completion entry is released
 //! when the last member of the transaction's group commits — every
 //! version chain is down to one version (commits trim below the committed
-//! watermark), and the history log, the one record that legitimately
-//! grows, grows exactly linearly. A crash-and-recover run still counts
+//! watermark), the engines' dedup and ordering index is the same handful
+//! of entries however long the run (delivered ids are per-origin runs,
+//! delivered order assignments are dropped), and the records that
+//! legitimately grow — the history log, the engines' payload stores and
+//! definitive logs — grow exactly linearly. A crash-and-recover run still counts
 //! each completion and each latency sample exactly once although the
 //! entries that guard against double counting are released. The sizes are
 //! read from the cluster's retention gauges, the way an operator reads
@@ -89,6 +92,7 @@ fn drained_runs_hold_no_per_txn_driver_state_and_one_version_per_object() {
     for (engine, mode, groups) in shapes() {
         let label = format!("{engine:?} {mode:?} groups={groups}");
         let mut history = Vec::new();
+        let mut stores = Vec::new();
         for n in [32, 128] {
             let (cluster, expected) = drained_run(engine, mode, groups, n);
             assert_eq!(cluster.stats().completed, expected, "{label} n={n}");
@@ -109,10 +113,18 @@ fn drained_runs_hold_no_per_txn_driver_state_and_one_version_per_object() {
                 assert_eq!(entries, commits, "{label} n={n} site {s}: one entry per commit");
             }
             history.push((0..SITES).map(|s| gauge(&cluster, "history_entries", s)).collect());
+            let per_site = |name: &str| (0..SITES).map(|s| gauge(&cluster, name, s)).collect();
+            let kept: [Vec<i64>; 3] =
+                ["engine_payloads", "engine_log_entries", "engine_index_entries"].map(per_site);
+            assert!(kept[2].iter().all(|i| (1..=2 * SITES as i64).contains(i)), "{label} {kept:?}");
+            stores.push(kept);
         }
-        let (small, large): (&Vec<i64>, &Vec<i64>) = (&history[0], &history[1]);
-        let scaled: Vec<i64> = small.iter().map(|h| 4 * h).collect();
-        assert_eq!(large, &scaled, "{label}: history grows exactly linearly");
+        let scaled = |small: &Vec<i64>| small.iter().map(|h| 4 * h).collect::<Vec<i64>>();
+        assert_eq!(history[1], scaled(&history[0]), "{label}: history grows exactly linearly");
+        let [payloads, log, index] = &stores[0];
+        assert_eq!(stores[1][0], scaled(payloads), "{label}: payloads grow exactly linearly");
+        assert_eq!(stores[1][1], scaled(log), "{label}: logs grow exactly linearly");
+        assert_eq!(&stores[1][2], index, "{label}: the engines' index does not grow");
     }
 }
 
