@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp fmt clippy ci clean
+.PHONY: all build test bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines fmt clippy ci clean
 
 all: build
 
@@ -89,6 +89,15 @@ lint: fmt clippy lint-otp
 ## the audited allowlist. Writes the byte-stable JSON report CI uploads.
 lint-otp:
 	$(CARGO) run --release -p otp-analysis --bin otp-lint -- --out LINT.json
+
+## Net non-test Rust code lines of the working tree against BASE, per
+## changed file and directory and in total, as `otp-lint --loc` counts
+## them (comments stripped, #[cfg(test)] items masked). Every PR reports
+## the totals.
+##   make net-lines BASE=main
+BASE ?= HEAD
+net-lines:
+	scripts/net_lines.sh $(BASE)
 
 fmt:
 	$(CARGO) fmt --all --check

@@ -1,7 +1,7 @@
 //! The `otp-lint` CLI: the workspace determinism & concurrency linter.
 //!
 //! ```text
-//! otp-lint [--root DIR] [--path FILE]... [--json] [--out FILE] [--list-rules]
+//! otp-lint [--root DIR] [--path FILE]... [--json] [--out FILE] [--list-rules] [--loc]
 //! ```
 //!
 //! Default mode lints the whole workspace (every `crates/*/src` tree
@@ -14,10 +14,15 @@
 //! mode the diagnostics print. `--json` renders the byte-stable report
 //! (two runs over the same tree are byte-identical; CI uploads it as an
 //! artifact), `--out FILE` writes it to a file instead of stdout.
+//!
+//! `--loc` lints nothing: it prints each file's code lines
+//! ([`otp_analysis::code_lines`]: comments stripped, `#[cfg(test)]`
+//! items masked) as `<lines>\t<path>`, then `<total>\ttotal`.
+//! `scripts/net_lines.sh` diffs two such listings.
 
 use otp_analysis::config::Config;
 use otp_analysis::report::{Report, ALL_RULES};
-use otp_analysis::{analyze_file, finish};
+use otp_analysis::{analyze_file, code_lines, finish, workspace_files};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -27,6 +32,7 @@ struct Args {
     json: bool,
     out: Option<String>,
     list_rules: bool,
+    loc: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -36,6 +42,7 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         out: None,
         list_rules: false,
+        loc: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -46,9 +53,11 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--out" => args.out = Some(value("--out")?),
             "--list-rules" => args.list_rules = true,
+            "--loc" => args.loc = true,
             "--help" | "-h" => {
                 println!(
-                    "otp-lint [--root DIR] [--path FILE]... [--json] [--out FILE] [--list-rules]"
+                    "otp-lint [--root DIR] [--path FILE]... [--json] [--out FILE] [--list-rules] \
+                     [--loc]"
                 );
                 std::process::exit(0);
             }
@@ -86,6 +95,10 @@ fn run() -> Result<(Report, Args), String> {
     } else {
         args.root.clone()
     };
+    if args.loc {
+        print_loc(&root, &args.paths)?;
+        std::process::exit(0);
+    }
     let cfg = Config::workspace();
     let report = if args.paths.is_empty() {
         otp_analysis::analyze_workspace(&root, &cfg)
@@ -101,6 +114,35 @@ fn run() -> Result<(Report, Args), String> {
         finish(per_file, args.paths.len())
     };
     Ok((report, args))
+}
+
+/// `--loc`: code lines of `paths` (workspace-relative), or of every
+/// workspace file when `paths` is empty, then their total.
+fn print_loc(root: &Path, paths: &[String]) -> Result<(), String> {
+    let rels: Vec<String> = if paths.is_empty() {
+        let files =
+            workspace_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
+        files
+            .iter()
+            .map(|abs| {
+                let rel = abs.strip_prefix(root).unwrap_or(abs).to_string_lossy();
+                rel.replace(std::path::MAIN_SEPARATOR, "/")
+            })
+            .collect()
+    } else {
+        paths.to_vec()
+    };
+    let mut total = 0;
+    for rel in rels {
+        let abs = root.join(&rel);
+        let source =
+            std::fs::read_to_string(&abs).map_err(|e| format!("{}: {e}", abs.display()))?;
+        let lines = code_lines(&source);
+        total += lines;
+        println!("{lines}\t{rel}");
+    }
+    println!("{total}\ttotal");
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -182,6 +182,15 @@ pub fn analyze_file(path: &str, source: &str, cfg: &Config) -> FileAnalysis {
     out
 }
 
+/// Code lines of one source file, the unit of the repo's net-lines
+/// policy: the lines a token starts on once comments and literals are
+/// stripped and `#[cfg(test)]` items are masked. Blank lines, comment
+/// lines, lines inside a string literal and test modules count nothing.
+pub fn code_lines(source: &str) -> usize {
+    let toks = lexer::mask_cfg_test(&lexer::lex(source).toks);
+    toks.iter().map(|t| t.line).collect::<BTreeSet<u32>>().len()
+}
+
 /// Runs the global passes (the lock graph) and folds everything into a
 /// normalized [`Report`]. `per_file` is the per-file output in any
 /// order; unused directives become `bad-directive` findings here, after
@@ -326,6 +335,15 @@ mod tests {
         let src = "fn f(m: &HashMap<u32, u32>) { for k in m.keys() { touch(k); } }";
         let out = analyze_file("other/a.rs", src, &sim_cfg());
         assert!(out.findings.is_empty());
+    }
+
+    #[test]
+    fn code_lines_skip_comments_blank_lines_and_tests() {
+        let src = "//! docs\nfn f() {\n\n    // note\n    let s = \"a\nb\nc\";\n}\n#[cfg(test)]\n\
+                   mod tests {\n    fn t() {}\n}\n";
+        // `fn f() {`, `let s = "a`, `c";` and `}`: the string's middle
+        // line and the test module count nothing.
+        assert_eq!(code_lines(src), 4);
     }
 
     #[test]

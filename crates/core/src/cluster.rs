@@ -10,6 +10,14 @@
 //! view-change round ([`otp_view`]) in simulated time, restoring the site
 //! from the union of every live member's state digest (see DESIGN.md §7).
 //!
+//! Engines and replicas are built, and each site's group-stream
+//! deliveries handed to its replica and traced, by the site layer the
+//! threaded runtime shares (`site.rs`, DESIGN.md §16). This driver
+//! supplies the simulated effects (`SimSite`: frames on the modelled
+//! network, events on the virtual-time queue, completion accounting) and
+//! keeps what only the simulator has: request routing, the relay stream
+//! and `CrossGate`, the delivery quantum, view changes and the nemesis.
+//!
 //! # Sharded sequencing groups
 //!
 //! With [`ClusterConfig::groups`] `> 1` the conflict-class space is
@@ -30,24 +38,27 @@
 //! produces the same run. With `groups == 1` the driver is byte-identical
 //! to the pre-sharding single-total-order cluster.
 
-use crate::conservative::ConservativeReplica;
 use crate::event::{ExecToken, ReplicaAction};
-use crate::replica::Replica;
+use crate::site::{
+    attach_engine_counters, record_stage, take_delivered, Engine, EngineFactory, Site, SiteEffects,
+    SiteMsgMap,
+};
 use otp_broadcast::{
-    AtomicBroadcast, EngineAction, EngineCtx, EngineSnapshot, GroupId, Message, MsgId, OptAbcast,
-    OptAbcastConfig, Oracle, OrderDomain, PayloadSize, ScrambleConfig, ScrambledAbcast, SeqAbcast,
-    TimerToken, Wire,
+    EngineAction, EngineCtx, EngineSnapshot, GroupId, Message, MsgId, OrderDomain, PayloadSize,
+    SeqAbcast, TimerToken, Wire,
 };
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
-use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, SnapshotIndex, Value};
-use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
-use otp_txn::history::{CommittedTxn, HistoryLog};
+use otp_storage::{ClassId, ObjectId, ProcId, ProcRegistry, SnapshotIndex, Value};
+use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
+use otp_txn::history::CommittedTxn;
 use otp_txn::txn::{TxnId, TxnRequest};
 use otp_view::{CrashOutcome, DigestOutcome, Membership, SummaryOutcome, ViewChange, ViewId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+pub use crate::site::AnyReplica;
 
 /// A cross-group transaction descriptor, TO-broadcast on the relay
 /// stream. It carries one sub-transaction per involved group; the relay's
@@ -449,99 +460,6 @@ impl ClusterBuilder {
     }
 }
 
-/// Either replica kind behind one interface.
-#[derive(Debug)]
-pub enum AnyReplica {
-    /// The paper's optimistic replica.
-    Otp(Replica),
-    /// The conservative baseline replica.
-    Conservative(ConservativeReplica),
-}
-
-impl AnyReplica {
-    pub(crate) fn on_opt_deliver(&mut self, request: TxnRequest) -> Vec<ReplicaAction> {
-        match self {
-            AnyReplica::Otp(r) => r.on_opt_deliver(request),
-            AnyReplica::Conservative(r) => r.on_opt_deliver(request),
-        }
-    }
-
-    pub(crate) fn on_to_deliver_batch(&mut self, batch: &[(TxnId, ClassId)]) -> Vec<ReplicaAction> {
-        match self {
-            AnyReplica::Otp(r) => r.on_to_deliver_batch(batch),
-            AnyReplica::Conservative(r) => r.on_to_deliver_batch(batch),
-        }
-    }
-
-    pub(crate) fn on_exec_done(&mut self, token: ExecToken) -> Vec<ReplicaAction> {
-        match self {
-            AnyReplica::Otp(r) => r.on_exec_done(token),
-            AnyReplica::Conservative(r) => r.on_exec_done(token),
-        }
-    }
-
-    /// The database copy at this site.
-    pub fn db(&self) -> &Database {
-        match self {
-            AnyReplica::Otp(r) => r.db(),
-            AnyReplica::Conservative(r) => r.db(),
-        }
-    }
-
-    /// Snapshot index a query starting now would get.
-    pub fn query_snapshot(&self) -> SnapshotIndex {
-        match self {
-            AnyReplica::Otp(r) => r.query_snapshot(),
-            AnyReplica::Conservative(r) => r.query_snapshot(),
-        }
-    }
-
-    /// Local commit log.
-    pub fn commit_log(&self) -> &[(TxnId, otp_storage::TxnIndex)] {
-        match self {
-            AnyReplica::Otp(r) => r.commit_log(),
-            AnyReplica::Conservative(r) => r.commit_log(),
-        }
-    }
-
-    /// Local committed history (updates + queries), rebuilt from the flat
-    /// log.
-    pub fn history(&self) -> Vec<CommittedTxn> {
-        self.history_log().to_vec()
-    }
-
-    /// Local committed history as kept.
-    pub fn history_log(&self) -> &HistoryLog {
-        match self {
-            AnyReplica::Otp(r) => r.history_log(),
-            AnyReplica::Conservative(r) => r.history_log(),
-        }
-    }
-
-    /// Moves the local history out, leaving an empty log.
-    pub(crate) fn take_history(&mut self) -> HistoryLog {
-        match self {
-            AnyReplica::Otp(r) => r.take_history(),
-            AnyReplica::Conservative(r) => r.take_history(),
-        }
-    }
-
-    fn record_query(&mut self, id: TxnId, reads: Vec<ObjectId>, snap: SnapshotIndex) {
-        match self {
-            AnyReplica::Otp(r) => r.record_query(id, reads, snap),
-            AnyReplica::Conservative(r) => r.record_query(id, reads, snap),
-        }
-    }
-
-    /// Protocol counters of this replica.
-    pub fn counters(&self) -> &Counters {
-        match self {
-            AnyReplica::Otp(r) => &r.counters,
-            AnyReplica::Conservative(r) => &r.counters,
-        }
-    }
-}
-
 /// The sharded topology: which sites and classes belong to which
 /// sequencing group, plus the relay domain when there is more than one.
 ///
@@ -695,9 +613,6 @@ impl CrossGate {
     }
 }
 
-type Engine = Box<dyn AtomicBroadcast<TxnPayload>>;
-type EngineFactory = Box<dyn FnMut(&OrderDomain) -> Engine>;
-
 enum Ev {
     Submit {
         site: SiteId,
@@ -796,10 +711,6 @@ impl RunStats {
         }
     }
 }
-
-/// One site's group-stream message bodies: id → (request, cross id when
-/// the transaction is a cross-group sub).
-type SiteMsgMap = HashMap<MsgId, (Arc<TxnRequest>, Option<u64>)>;
 
 /// What the driver tracks for one transaction between its submission and
 /// the commit by the last member of its ordering group, which releases
@@ -977,14 +888,13 @@ fn delivered_cross_subs(snap: &EngineSnapshot<TxnPayload>) -> HashSet<TxnId> {
         .collect()
 }
 
-/// Hands `engine` its handles in the driver's registry (`scope` = its site
-/// and order domain): stale-epoch rejects, one-step and round decisions.
-fn attach_engine_counters(engine: &mut Engine, metrics: &MetricsRegistry, scope: Scope) {
-    engine.set_stale_counter(metrics.counter("stale_epoch_reject", scope));
-    engine.set_decide_counters(
-        metrics.counter("fast_decide", scope),
-        metrics.counter("slow_decide", scope),
-    );
+/// `site`'s engine for the relay stream. It is always a plain sequencer:
+/// cross-group descriptors are rare and need nothing fancier than a total
+/// order everyone shares.
+fn relay_engine(relay: &OrderDomain, metrics: &MetricsRegistry, scope: Scope) -> Engine {
+    let mut engine: Engine = Box::new(SeqAbcast::new(relay.sequencer()));
+    attach_engine_counters(&mut engine, metrics, scope);
+    engine
 }
 
 impl Cluster {
@@ -1006,81 +916,28 @@ impl Cluster {
         let topology = GroupTopology::new(sites, config.groups);
         let num_domains = topology.domains.len();
 
-        // Engine factory (also used for recovery): one engine instance
-        // per (site, domain) pair the site participates in.
-        let mut factory: EngineFactory = match config.engine {
-            EngineKind::Opt { consensus_timeout } => {
-                let cfg = OptAbcastConfig::new(sites, consensus_timeout);
-                Box::new(move |_: &OrderDomain| Box::new(OptAbcast::new(cfg)) as Engine)
-            }
-            EngineKind::OptBatched { consensus_timeout, batch_delay } => {
-                let cfg =
-                    OptAbcastConfig::new(sites, consensus_timeout).with_batch_delay(batch_delay);
-                Box::new(move |_: &OrderDomain| Box::new(OptAbcast::new(cfg)) as Engine)
-            }
-            EngineKind::Sequencer => {
-                Box::new(move |d: &OrderDomain| Box::new(SeqAbcast::new(d.sequencer())) as Engine)
-            }
-            EngineKind::SequencerBatched { order_delay } => Box::new(move |d: &OrderDomain| {
-                Box::new(SeqAbcast::new(d.sequencer()).with_order_batching(order_delay)) as Engine
-            }),
-            EngineKind::Scrambled { agreement_delay, swap_probability } => {
-                let oracle = Oracle::new();
-                let mut fork_rng = SimRng::seed_from(config.seed ^ 0x5ca1ab1e);
-                let cfg = ScrambleConfig { agreement_delay, swap_probability };
-                Box::new(move |_: &OrderDomain| {
-                    Box::new(ScrambledAbcast::new(cfg, Arc::clone(&oracle), fork_rng.fork()))
-                        as Engine
-                })
-            }
-        };
-        // Engines bump registry-scoped handles in place of their private
-        // tallies — the driver's unified registry is the single place the
-        // counts live.
+        // One engine per (site, domain) pair the site participates in; the
+        // factory stays for recovery.
+        let mut factory = EngineFactory::new(config.engine, config.seed);
         let engines: Vec<Engine> = SiteId::all(sites)
             .map(|s| {
                 let g = topology.group_of_site(s);
-                let mut e = factory(&topology.domains[g]);
-                attach_engine_counters(&mut e, &metrics, Scope::site(s).group(g as u16));
-                e
+                factory.make(&topology.domains[g], &metrics, Scope::site(s).group(g as u16))
             })
             .collect();
-        // The relay stream is always a plain sequencer: cross-group
-        // descriptors are rare and need nothing fancier than a total
-        // order everyone shares.
         let relay_engines: Vec<Engine> = if config.groups > 1 {
-            let relay_idx = topology.relay_idx();
-            let relay = &topology.domains[relay_idx];
+            let relay = topology.relay_idx();
             SiteId::all(sites)
                 .map(|s| {
-                    let mut e = Box::new(SeqAbcast::new(relay.sequencer())) as Engine;
-                    attach_engine_counters(
-                        &mut e,
-                        &metrics,
-                        Scope::site(s).group(relay_idx as u16),
-                    );
-                    e
+                    let scope = Scope::site(s).group(relay as u16);
+                    relay_engine(&topology.domains[relay], &metrics, scope)
                 })
                 .collect()
         } else {
             Vec::new()
         };
-
-        // One database copy per site.
-        let mut base_db = Database::new(config.classes);
-        for (oid, v) in &initial_data {
-            base_db.load(*oid, v.clone());
-        }
-        let replicas: Vec<AnyReplica> = SiteId::all(sites)
-            .map(|s| match config.mode {
-                Mode::Otp => AnyReplica::Otp(Replica::new(s, base_db.clone(), registry.clone())),
-                Mode::Conservative => AnyReplica::Conservative(ConservativeReplica::new(
-                    s,
-                    base_db.clone(),
-                    registry.clone(),
-                )),
-            })
-            .collect();
+        let replicas =
+            crate::site::replicas(config.mode, sites, config.classes, &registry, &initial_data);
 
         // Sharded clusters run a switched topology: one wire segment per
         // group plus the shared backbone (segment 0) for relay and
@@ -1203,19 +1060,41 @@ impl Cluster {
         }
     }
 
-    /// Records a lifecycle stage for `txn` observed at `site`, if a
-    /// trace sink is attached. Never perturbs the run.
+    /// Records a routing stage of `txn` at `site` under its group's
+    /// label. The router stamps `Submit` at the client's site and
+    /// `Broadcast` at the group member that takes the request, which may
+    /// be two sites, so it does not go through [`Site::submit`].
     fn trace_stage(&self, site: SiteId, txn: TxnId, group: u16, stage: Stage) {
-        if let Some(sink) = &self.trace {
-            sink.record(TraceEvent {
-                at: self.queue.now(),
-                site,
-                origin: txn.origin,
-                seq: txn.seq,
-                group,
-                stage,
-            });
-        }
+        record_stage(self.trace.as_deref(), || self.queue.now(), site, group, txn, stage);
+    }
+
+    /// `site` as the shared site code sees it, acting through the
+    /// simulated effects; wires go out on domain `domain`.
+    fn site_view(&mut self, site: SiteId, domain: u16) -> Site<'_, SimSite<'_>> {
+        let i = site.index();
+        let fx = SimSite {
+            site,
+            domain,
+            epoch: self.local_epoch[i],
+            queue: &mut self.queue,
+            net: &mut self.net,
+            rng: &mut self.rng,
+            topology: &self.topology,
+            exec_time: self.config.exec_time,
+            cross_group_frames: &self.cross_group_frames,
+            completions: &mut self.completions,
+            txn_outputs: &mut self.txn_outputs,
+            completed: &mut self.completed,
+            commit_latency: &mut self.commit_latency,
+            global_commit_latency: &mut self.global_commit_latency,
+        };
+        let (group, trace) = (self.topology.site_group[i], self.trace.as_deref());
+        Site::new(site, group, &mut self.replicas[i], &mut self.msg_map[i], trace, fx)
+    }
+
+    /// [`Cluster::site_view`] on `site`'s own group domain.
+    fn group_site(&mut self, site: SiteId) -> Site<'_, SimSite<'_>> {
+        self.site_view(site, self.topology.site_group[site.index()])
     }
 
     /// The engine (own-group or relay) serving domain `d` at `site`, with
@@ -1240,22 +1119,31 @@ impl Cluster {
     /// and decisions observed before the swap stay visible in run stats.
     fn make_engine(&mut self, site: SiteId, du: usize) -> Engine {
         let domain = &self.topology.domains[du];
-        let mut engine = if self.topology.is_relay(du) {
-            Box::new(SeqAbcast::new(domain.sequencer())) as Engine
+        let scope = Scope::site(site).group(du as u16);
+        if self.topology.is_relay(du) {
+            relay_engine(domain, &self.metrics, scope)
         } else {
-            (self.engine_factory)(domain)
-        };
-        attach_engine_counters(&mut engine, &self.metrics, Scope::site(site).group(du as u16));
-        engine
+            self.engine_factory.make(domain, &self.metrics, scope)
+        }
+    }
+
+    /// The engine (own-group or relay) serving domain `du` at `s`.
+    fn engine(&self, s: SiteId, du: usize) -> &Engine {
+        let relay = self.topology.is_relay(du);
+        let engines = if relay { &self.relay_engines } else { &self.engines };
+        &engines[s.index()]
+    }
+
+    /// [`Cluster::engine`], mutably.
+    fn engine_mut(&mut self, s: SiteId, du: usize) -> &mut Engine {
+        let relay = self.topology.is_relay(du);
+        let engines = if relay { &mut self.relay_engines } else { &mut self.engines };
+        &mut engines[s.index()]
     }
 
     /// Definitive-log length of the engine serving domain `du` at `s`.
     fn domain_log_len(&self, s: SiteId, du: usize) -> usize {
-        if self.topology.is_relay(du) {
-            self.relay_engines[s.index()].definitive_log().len()
-        } else {
-            self.engines[s.index()].definitive_log().len()
-        }
+        self.engine(s, du).definitive_log().len()
     }
 
     /// The ordering-authority site of domain `du`, if its engine has one.
@@ -1442,9 +1330,9 @@ impl Cluster {
     /// With a zero delivery quantum (the default), wire arrivals forming an
     /// adjacent same-instant run to one site are coalesced into a single
     /// per-tick delivery batch: the engine sees the whole run in one
-    /// [`AtomicBroadcast::on_receive_batch`] call and can amortize its
-    /// outputs (one ordering frame, one TO-delivery batch) instead of
-    /// paying the dispatch round-trip per message. This path is
+    /// [`otp_broadcast::AtomicBroadcast::on_receive_batch`] call and can
+    /// amortize its outputs (one ordering frame, one TO-delivery batch)
+    /// instead of paying the dispatch round-trip per message. This path is
     /// byte-identical to the pre-quantum driver.
     ///
     /// With a positive [`ClusterConfig::delivery_quantum`], the first wire
@@ -1606,9 +1494,7 @@ impl Cluster {
         match ev {
             Ev::Submit { site, request } => self.route_submit(site, request),
             Ev::SubmitCross { site, tag } => self.submit_cross(site, tag),
-            Ev::Wire { from, to, domain, wire } => {
-                self.handle_wire_batch(to, vec![(domain, from, wire)])
-            }
+            Ev::Wire { .. } => unreachable!("run_until delivers wires in batches"),
             Ev::Timer { site, domain, token } => {
                 if self.crashed[site.index()] || self.recovering[site.index()] {
                     return;
@@ -1621,8 +1507,7 @@ impl Cluster {
                 if self.crashed[site.index()] || epoch != self.local_epoch[site.index()] {
                     return;
                 }
-                let actions = self.replicas[site.index()].on_exec_done(token);
-                self.apply_replica_actions(site, actions);
+                self.group_site(site).exec_done(token);
             }
             Ev::Query { site, qid, reads } => {
                 // Queries are client requests, not replica-internal events:
@@ -1864,11 +1749,7 @@ impl Cluster {
                     self.stale_view_digests.incr();
                     return;
                 }
-                let snapshot = if self.topology.is_relay(du) {
-                    self.relay_engines[to.index()].snapshot()
-                } else {
-                    self.engines[to.index()].snapshot()
-                };
+                let snapshot = self.engine(to, du).snapshot();
                 let digest =
                     Wire::StateDigest { epoch, from: to, snapshot: snapshot.delta_above(floor) };
                 self.view_digest_bytes.add(u64::from(digest.size_bytes()));
@@ -1906,17 +1787,14 @@ impl Cluster {
     /// watermark (and counter), leaving the single-group history
     /// untouched.
     fn record_install(&mut self, site: SiteId, d: u16, epoch: u64, fence_orders: bool) {
+        self.engine_mut(site, d as usize).install_view(epoch, fence_orders);
         if self.topology.is_relay(d as usize) {
-            self.relay_engines[site.index()].install_view(epoch, fence_orders);
             if epoch > self.relay_epoch[site.index()] {
                 self.relay_epoch[site.index()] = epoch;
                 self.relay_view_installs.incr();
             }
-        } else {
-            self.engines[site.index()].install_view(epoch, fence_orders);
-            if epoch > self.installed_epoch(site) {
-                self.epoch_history[site.index()].push(epoch);
-            }
+        } else if epoch > self.installed_epoch(site) {
+            self.epoch_history[site.index()].push(epoch);
         }
     }
 
@@ -2102,11 +1980,7 @@ impl Cluster {
         }
         let epoch = round.epoch();
         self.view_round_us.add(self.queue.now().saturating_since(proposed_at).as_micros());
-        let mut engine_snap = if self.topology.is_relay(du) {
-            self.relay_engines[primary.index()].snapshot()
-        } else {
-            self.engines[primary.index()].snapshot()
-        };
+        let mut engine_snap = self.engine(primary, du).snapshot();
         engine_snap.merge(round.into_merged());
         let delivered_subs = if self.config.groups > 1 && !self.topology.is_relay(du) {
             delivered_cross_subs(&engine_snap)
@@ -2118,15 +1992,14 @@ impl Cluster {
             let ctx = EngineCtx::at_epoch(site, &self.topology.domains[du], epoch);
             fresh_engine.restore(&ctx, engine_snap)
         };
+        *self.engine_mut(site, du) = fresh_engine;
         if self.topology.is_relay(du) {
-            self.relay_engines[site.index()] = fresh_engine;
             // The descriptor store rides alongside the relay engine the
             // way the message map rides alongside the group engine.
             if primary != site {
                 self.relay_map[site.index()] = self.relay_map[primary.index()].clone();
             }
         } else {
-            self.engines[site.index()] = fresh_engine;
             // Fresh replica from the primary's database + pending tail.
             // (The primary's message map holds exactly what it
             // Opt-delivered and has not TO-delivered — the restored log's
@@ -2180,11 +2053,7 @@ impl Cluster {
         // dead one could still have in flight, and the view installs (with
         // the order fence when this site is the domain's sequencer) so the
         // repair pass below emits under the new epoch.
-        if self.topology.is_relay(du) {
-            self.relay_engines[site.index()].bump_incarnation();
-        } else {
-            self.engines[site.index()].bump_incarnation();
-        }
+        self.engine_mut(site, du).bump_incarnation();
         self.record_install(site, d, epoch, self.domain_sequencer(du) == Some(site));
         // With every surviving self-sent wire re-learned and the view
         // installed, the engine repairs what no snapshot or wire carries:
@@ -2202,11 +2071,7 @@ impl Cluster {
         // primary is not guaranteed to have processed every concurrent
         // announcement yet).
         let fence = self.sequencer_fence[du];
-        if self.topology.is_relay(du) {
-            self.relay_engines[site.index()].install_view(fence, true);
-        } else {
-            self.engines[site.index()].install_view(fence, true);
-        }
+        self.engine_mut(site, du).install_view(fence, true);
         self.pending_domains[site.index()].remove(&d);
         if self.pending_domains[site.index()].is_empty() {
             self.finish_site_recovery(site);
@@ -2280,23 +2145,11 @@ impl Cluster {
     /// snapshot taken now, clones `source`'s message map (ids it knows map
     /// identically everywhere), and returns the restore actions.
     fn restore_replica_from(&mut self, site: SiteId, source: SiteId) -> Vec<ReplicaAction> {
-        match &self.replicas[source.index()] {
-            AnyReplica::Otp(source_replica) => {
-                let snap = source_replica.snapshot();
-                let (fresh, actions) = Replica::restore(site, self.registry.clone(), snap);
-                self.msg_map[site.index()] = self.msg_map[source.index()].clone();
-                self.replicas[site.index()] = AnyReplica::Otp(fresh);
-                actions
-            }
-            AnyReplica::Conservative(source_replica) => {
-                let snap = source_replica.snapshot();
-                let (fresh, actions) =
-                    ConservativeReplica::restore(site, self.registry.clone(), snap);
-                self.msg_map[site.index()] = self.msg_map[source.index()].clone();
-                self.replicas[site.index()] = AnyReplica::Conservative(fresh);
-                actions
-            }
-        }
+        let (fresh, actions) =
+            self.replicas[source.index()].restored_at(site, Arc::clone(&self.registry));
+        self.msg_map[site.index()] = self.msg_map[source.index()].clone();
+        self.replicas[site.index()] = fresh;
+        actions
     }
 
     /// `site`'s own surviving pre-crash payload wires for domain `domain`
@@ -2374,122 +2227,56 @@ impl Cluster {
         }
     }
 
+    /// Interprets `site`'s engine actions for domain `domain`, in order.
+    /// Relay deliveries stock the descriptor store and extend the relay
+    /// order; a sharded group stream's cross-sub copies and definitive
+    /// deliveries pass the site's [`CrossGate`]; everything else is the
+    /// shared site code's ([`Site::apply_engine_actions`]).
     fn apply_engine_actions(
         &mut self,
         site: SiteId,
         domain: u16,
         actions: Vec<EngineAction<TxnPayload>>,
     ) {
-        let now = self.queue.now();
-        let segment = self.topology.segment_of(domain as usize);
+        let relay = self.topology.is_relay(domain as usize);
+        let sharded = self.config.groups > 1;
         for a in actions {
             match a {
-                EngineAction::Multicast(wire) => {
-                    let size = wire.size_bytes();
-                    let deliveries = self.net.multicast_to_on(
-                        segment,
-                        site,
-                        &self.topology.domains[domain as usize].members,
-                        size,
-                        now,
-                        &mut self.rng,
-                    );
-                    // The last delivery takes ownership; the rest clone
-                    // (cheap: payloads are Arc-shared).
-                    let mut wire = Some(wire);
-                    let last = deliveries.len().saturating_sub(1);
-                    for (i, d) in deliveries.into_iter().enumerate() {
-                        if self.topology.cross_frame(site, d.to) {
-                            self.cross_group_frames.incr();
-                        }
-                        let w = if i == last {
-                            wire.take().expect("one take per multicast")
-                        } else {
-                            wire.as_ref().expect("taken only at the end").clone()
-                        };
-                        self.queue.schedule(
-                            d.arrival,
-                            Ev::Wire { from: site, to: d.to, domain, wire: w },
-                        );
-                    }
+                EngineAction::OptDeliver(msg) if relay => {
+                    // Relay descriptors never touch the replica.
+                    let TxnPayload::Cross(tag) = msg.payload else {
+                        unreachable!("relay stream carries only cross descriptors")
+                    };
+                    self.relay_map[site.index()].insert(msg.id, tag);
                 }
-                EngineAction::Send(to, wire) => {
-                    let size = wire.size_bytes();
-                    if self.topology.cross_frame(site, to) {
-                        self.cross_group_frames.incr();
-                    }
-                    let d = self.net.unicast_on(segment, site, to, size, now, &mut self.rng);
-                    self.queue.schedule(d.arrival, Ev::Wire { from: site, to, domain, wire });
-                }
-                EngineAction::SetTimer { token, delay } => {
-                    self.queue.schedule(now + delay, Ev::Timer { site, domain, token });
-                }
-                EngineAction::OptDeliver(msg) => self.opt_deliver(site, domain, msg),
-                EngineAction::ToDeliver(ids) => self.to_deliver(site, domain, ids),
+                EngineAction::ToDeliver(ids) if relay => self.process_relay_to(site, &ids),
+                EngineAction::OptDeliver(msg) if sharded => self.sharded_opt_deliver(site, msg),
+                EngineAction::ToDeliver(ids) if sharded => self.gate_to_deliver(site, &ids),
+                a => self.site_view(site, domain).apply_engine_actions([a]),
             }
         }
     }
 
-    /// One tentative delivery from domain `domain`'s stream at `site`.
-    fn opt_deliver(&mut self, site: SiteId, domain: u16, msg: Message<TxnPayload>) {
-        if self.topology.is_relay(domain as usize) {
-            // Relay descriptors never touch the replica: they only stock
-            // the descriptor store the definitive relay order consumes.
-            let TxnPayload::Cross(tag) = &msg.payload else {
-                unreachable!("relay stream carries only cross descriptors")
-            };
-            self.relay_map[site.index()].insert(msg.id, Arc::clone(tag));
-            return;
+    /// Opt-delivery on a sharded group stream. Every live member of a
+    /// group injects each cross-group sub, so only the first copy reaches
+    /// the replica; every copy keeps its map entry for the TO-delivery
+    /// that consumes it.
+    fn sharded_opt_deliver(&mut self, site: SiteId, msg: Message<TxnPayload>) {
+        if let TxnPayload::Txn { req, cross: cross @ Some(_) } = &msg.payload {
+            if !self.gates[site.index()].seen_opt.insert(req.id) {
+                self.msg_map[site.index()].insert(msg.id, (Arc::clone(req), *cross));
+                return;
+            }
         }
-        let TxnPayload::Txn { req, cross } = &msg.payload else {
-            unreachable!("group streams carry only transactions")
-        };
-        self.msg_map[site.index()].insert(msg.id, (Arc::clone(req), *cross));
-        if cross.is_some() && !self.gates[site.index()].seen_opt.insert(req.id) {
-            return; // duplicate cross-sub copy; the replica saw the first
-        }
-        // The one deep copy on the delivery path: the replica takes
-        // ownership of the request body.
-        let request = TxnRequest::clone(req);
-        self.trace_stage(site, request.id, domain, Stage::OptDeliver);
-        let actions = self.replicas[site.index()].on_opt_deliver(request);
-        self.apply_replica_actions(site, actions);
+        self.group_site(site).apply_engine_actions([EngineAction::OptDeliver(msg)]);
     }
 
-    /// A batch of definitive deliveries from domain `domain` at `site`.
-    /// ("TO" is the paper's total-order verb, not a conversion prefix.)
-    #[allow(clippy::wrong_self_convention)]
-    fn to_deliver(&mut self, site: SiteId, domain: u16, ids: Vec<MsgId>) {
-        if self.topology.is_relay(domain as usize) {
-            self.process_relay_to(site, &ids);
-            return;
-        }
-        // Each TO-delivery consumes its message-map entry: the map keeps
-        // only what is Opt-delivered and not yet definitive.
-        let map = &mut self.msg_map[site.index()];
-        let mut take =
-            |id: &MsgId| map.remove(id).expect("Local Order: Opt-delivery precedes TO-delivery");
-        if self.config.groups == 1 {
-            // Unsharded: the gate is inert — one map borrow and one
-            // replica call for the whole batch of same-instant definitive
-            // deliveries (the pre-sharding path, byte-identical).
-            let batch: Vec<(TxnId, ClassId)> = ids
-                .iter()
-                .map(|id| {
-                    let (req, _) = take(id);
-                    (req.id, req.class)
-                })
-                .collect();
-            for (id, _) in &batch {
-                self.trace_stage(site, *id, domain, Stage::ToDeliver);
-            }
-            let actions = self.replicas[site.index()].on_to_deliver_batch(&batch);
-            self.apply_replica_actions(site, actions);
-            return;
-        }
+    /// Definitive deliveries on a sharded group stream wait in the site's
+    /// gate until the relay order admits them.
+    fn gate_to_deliver(&mut self, site: SiteId, ids: &[MsgId]) {
         let gate = &mut self.gates[site.index()];
-        for id in &ids {
-            let (req, cross) = take(id);
+        for id in ids {
+            let (req, cross) = take_delivered(&mut self.msg_map[site.index()], id);
             if cross.is_some() && !gate.seen_to.insert(req.id) {
                 continue; // duplicate cross-sub copy, already queued
             }
@@ -2502,12 +2289,7 @@ impl Cluster {
     fn drain_gate(&mut self, site: SiteId) {
         let batch = self.gates[site.index()].release();
         if !batch.is_empty() {
-            let g = self.topology.group_of_site(site) as u16;
-            for (id, _) in &batch {
-                self.trace_stage(site, *id, g, Stage::ToDeliver);
-            }
-            let actions = self.replicas[site.index()].on_to_deliver_batch(&batch);
-            self.apply_replica_actions(site, actions);
+            self.group_site(site).to_deliver_batch(&batch);
         }
     }
 
@@ -2551,70 +2333,125 @@ impl Cluster {
         }
     }
 
-    /// Ordering group of `txn` for trace labels (falls back to the
-    /// observing site's group for ids scheduled outside the router).
-    fn group_of_txn(&self, site: SiteId, txn: TxnId) -> u16 {
-        self.txn_group
-            .get(&txn)
-            .copied()
-            .unwrap_or_else(|| self.topology.group_of_site(site) as u16)
+    fn apply_replica_actions(&mut self, site: SiteId, actions: Vec<ReplicaAction>) {
+        self.group_site(site).apply_replica_actions(actions);
+    }
+}
+
+/// The simulator's side of one site's [`SiteEffects`]: wires become
+/// frames on the modelled network and arrival events, timers and
+/// executions become events on the virtual-time queue, and a commit
+/// settles the transaction's completion entry. Borrows the cluster's
+/// fields for one step, beside the [`Site`] view of the same site.
+struct SimSite<'a> {
+    site: SiteId,
+    /// Order domain the site's wires and timers belong to.
+    domain: u16,
+    /// The site's event epoch: a crash cancels its pending executions.
+    epoch: u32,
+    queue: &'a mut EventQueue<Ev>,
+    net: &'a mut MulticastNet,
+    rng: &'a mut SimRng,
+    topology: &'a GroupTopology,
+    exec_time: DurationDist,
+    cross_group_frames: &'a Counter,
+    completions: &'a mut HashMap<TxnId, Completion>,
+    txn_outputs: &'a mut HashMap<TxnId, Vec<Value>>,
+    completed: &'a mut u64,
+    commit_latency: &'a mut Histogram,
+    global_commit_latency: &'a mut Histogram,
+}
+
+impl SimSite<'_> {
+    /// Schedules `wire`'s arrival at `to`, counting a frame that crosses
+    /// a group boundary.
+    fn arrive(&mut self, to: SiteId, at: SimTime, wire: Wire<TxnPayload>) {
+        if self.topology.cross_frame(self.site, to) {
+            self.cross_group_frames.incr();
+        }
+        let (from, domain) = (self.site, self.domain);
+        self.queue.schedule(at, Ev::Wire { from, to, domain, wire });
+    }
+}
+
+impl SiteEffects for SimSite<'_> {
+    fn now(&self) -> SimTime {
+        self.queue.now()
     }
 
-    fn apply_replica_actions(&mut self, site: SiteId, actions: Vec<ReplicaAction>) {
-        let now = self.queue.now();
-        for a in actions {
-            match a {
-                ReplicaAction::StartExecution { token } => {
-                    let g = self.group_of_txn(site, token.txn);
-                    if token.attempt > 0 {
-                        // A retry implies the previous attempt was undone:
-                        // the abort is observable exactly here.
-                        self.trace_stage(site, token.txn, g, Stage::Abort);
-                    }
-                    self.trace_stage(site, token.txn, g, Stage::Execute);
-                    let d = self.config.exec_time.sample(&mut self.rng);
-                    let epoch = self.local_epoch[site.index()];
-                    self.queue.schedule(now + d, Ev::ExecDone { site, epoch, token });
-                }
-                ReplicaAction::Committed { txn, index: _, output } => {
-                    let g = self.group_of_txn(site, txn);
-                    self.trace_stage(site, txn, g, Stage::Commit);
-                    // "Global" commit = committed at every member of the
-                    // ordering group (the whole cluster when unsharded).
-                    let group_size = self.topology.domains[g as usize].len() as u32;
-                    // Every routed transaction holds an entry from its
-                    // submission on, so a commit without one is a recovery
-                    // replay at a site whose earlier incarnation committed
-                    // it before the last member did: nothing is left to
-                    // count.
-                    let Some(entry) = self.completions.get_mut(&txn) else {
-                        continue;
-                    };
-                    // Tracked per site: a recovery replay can re-commit at
-                    // the same site (see below) and must not make the
-                    // group-commit count reach the group size early.
-                    entry.committed_at |= 1 << site.index();
-                    // The home site (the group member that broadcast the
-                    // request) counts completion; cross subs have no home
-                    // — their first commit anywhere completes them. A site
-                    // that commits, crashes, and is recovered from a donor
-                    // that never saw the transaction legitimately
-                    // re-commits it on replay — count the completion (and
-                    // its latency) only once.
-                    let is_home = entry.home.is_none_or(|h| h == site);
-                    if is_home && !self.txn_outputs.contains_key(&txn) {
-                        self.completed += 1;
-                        self.commit_latency.record(now.saturating_since(entry.submitted));
-                        self.txn_outputs.insert(txn, output);
-                    }
-                    // The last member's commit releases the entry; nothing
-                    // reads it afterwards.
-                    if entry.committed_at.count_ones() == group_size {
-                        self.global_commit_latency.record(now.saturating_since(entry.submitted));
-                        self.completions.remove(&txn);
-                    }
-                }
+    fn multicast(&mut self, wire: Wire<TxnPayload>) {
+        let domain = self.domain as usize;
+        let deliveries = self.net.multicast_to_on(
+            self.topology.segment_of(domain),
+            self.site,
+            &self.topology.domains[domain].members,
+            wire.size_bytes(),
+            self.queue.now(),
+            self.rng,
+        );
+        // The last delivery takes ownership; the rest clone (cheap:
+        // payloads are Arc-shared).
+        if let Some((last, rest)) = deliveries.split_last() {
+            for d in rest {
+                self.arrive(d.to, d.arrival, wire.clone());
             }
+            self.arrive(last.to, last.arrival, wire);
+        }
+    }
+
+    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
+        let segment = self.topology.segment_of(self.domain as usize);
+        let (site, now) = (self.site, self.queue.now());
+        let d = self.net.unicast_on(segment, site, to, wire.size_bytes(), now, self.rng);
+        self.arrive(to, d.arrival, wire);
+    }
+
+    fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
+        let (site, domain) = (self.site, self.domain);
+        self.queue.schedule(self.queue.now() + delay, Ev::Timer { site, domain, token });
+    }
+
+    fn start_execution(&mut self, token: ExecToken) {
+        let d = self.exec_time.sample(self.rng);
+        let (site, epoch) = (self.site, self.epoch);
+        self.queue.schedule(self.queue.now() + d, Ev::ExecDone { site, epoch, token });
+    }
+
+    fn committed(&mut self, txn: TxnId, output: Vec<Value>) {
+        let (site, now) = (self.site, self.queue.now());
+        // "Global" commit = committed at every member of the ordering
+        // group (the whole cluster when unsharded). A site's replica only
+        // commits transactions of its own group.
+        let group = self.topology.group_of_site(site);
+        let group_size = self.topology.domains[group].len() as u32;
+        // Every routed transaction holds an entry from its submission on,
+        // so a commit without one is a recovery replay at a site whose
+        // earlier incarnation committed it before the last member did:
+        // nothing is left to count.
+        let Some(entry) = self.completions.get_mut(&txn) else {
+            return;
+        };
+        // Tracked per site: a recovery replay can re-commit at the same
+        // site (see below) and must not make the group-commit count reach
+        // the group size early.
+        entry.committed_at |= 1 << site.index();
+        // The home site (the group member that broadcast the request)
+        // counts completion; cross subs have no home — their first commit
+        // anywhere completes them. A site that commits, crashes, and is
+        // recovered from a donor that never saw the transaction
+        // legitimately re-commits it on replay — count the completion (and
+        // its latency) only once.
+        let is_home = entry.home.is_none_or(|h| h == site);
+        if is_home && !self.txn_outputs.contains_key(&txn) {
+            *self.completed += 1;
+            self.commit_latency.record(now.saturating_since(entry.submitted));
+            self.txn_outputs.insert(txn, output);
+        }
+        // The last member's commit releases the entry; nothing reads it
+        // afterwards.
+        if entry.committed_at.count_ones() == group_size {
+            self.global_commit_latency.record(now.saturating_since(entry.submitted));
+            self.completions.remove(&txn);
         }
     }
 }

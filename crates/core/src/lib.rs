@@ -22,7 +22,9 @@
 //!   latency/abort statistics ([`RunStats`]).
 //! * [`runtime::LiveCluster`] — the same state machines on real threads
 //!   and channels (wall-clock time), proving the core is simulator-
-//!   agnostic.
+//!   agnostic. Both drivers feed each site through one site layer
+//!   (`site.rs`): engine and replica construction, the delivery hand-off
+//!   to the replica, and lifecycle tracing are written once there.
 //!
 //! # Quick example: a 4-site OTP cluster
 //!
@@ -66,6 +68,7 @@ pub mod invariants;
 pub mod multiclass;
 pub mod replica;
 pub mod runtime;
+mod site;
 
 pub use asynchronous::{AsyncCluster, AsyncConfig, WriteSet};
 pub use cluster::{

@@ -9,13 +9,17 @@
 //! simulator: effects apply at submission, the completion fires after the
 //! configured delay.
 //!
-//! The runtime is generic over the same [`EngineKind`] / [`Mode`] axes as
-//! the simulated [`crate::Cluster`], and ports the simulator's hot-path
-//! wins: a site drains its channel in bounded adaptive batches into
-//! [`AtomicBroadcast::on_receive_batch`] (the real-clock analogue of the
-//! delivery quantum), and payloads stay `Arc`-shared end to end — the one
-//! deep copy per transaction happens at Opt-delivery, exactly as in the
-//! simulator.
+//! Each site thread runs the site layer the simulated [`crate::Cluster`]
+//! runs (`site.rs`): the same engine factory over [`EngineKind`],
+//! the same replica over [`Mode`], and the same code handing deliveries to
+//! the replica and tracing lifecycle stages — so the one deep copy per
+//! transaction happens at Opt-delivery, exactly as in the simulator. This
+//! file supplies only the thread's side of `SiteEffects` (wires to the
+//! network thread, timers and executions on a wall-clock heap, commit
+//! counters). A site drains its channel in bounded adaptive batches into
+//! [`otp_broadcast::AtomicBroadcast::on_receive_batch`] (the real-clock
+//! analogue of the delivery quantum), and payloads stay `Arc`-shared end
+//! to end.
 //!
 //! # Flow control and shutdown
 //!
@@ -36,9 +40,11 @@
 //! wire can be lost. See DESIGN.md §9.
 //!
 //! This runtime exists to demonstrate that nothing in `otp-core` depends
-//! on virtual time: the event-driven state machines are identical. For
-//! experiments use the simulator — it is deterministic and much faster.
-//! For wall-clock scale numbers, `otp-bench soak` drives this runtime.
+//! on virtual time: the state machines and the site layer feeding them
+//! are the simulator's own code, and wall time reaches that code only
+//! through `SiteEffects::now`. For experiments use the simulator — it is
+//! deterministic and much faster. For wall-clock scale numbers,
+//! `otp-bench soak` drives this runtime.
 //!
 //! # Example
 //!
@@ -68,20 +74,18 @@
 //! assert!(report.quiesced);
 //! ```
 
-use crate::cluster::{AnyReplica, EngineKind, Mode, TxnPayload};
-use crate::conservative::ConservativeReplica;
-use crate::event::ReplicaAction;
+use crate::cluster::{EngineKind, Mode, TxnPayload};
+use crate::event::ExecToken;
 use crate::invariants::{InvariantReport, RunHistories};
-use crate::replica::Replica;
-use otp_broadcast::{
-    AtomicBroadcast, EngineAction, EngineCtx, MsgId, OptAbcast, OptAbcastConfig, Oracle,
-    OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast, TimerToken, Wire,
+use crate::site::{
+    record_stage, replicas, AnyReplica, Engine, EngineFactory, Site, SiteEffects, SiteMsgMap,
 };
+use otp_broadcast::{EngineCtx, OrderDomain, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, TxnIndex, Value};
-use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
+use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
 use otp_txn::history::HistoryLog;
 use otp_txn::txn::{TxnId, TxnRequest};
 use parking_lot::Mutex;
@@ -136,8 +140,8 @@ pub struct LiveConfig {
     pub max_in_flight: usize,
     /// Upper bound of one adaptive channel drain: at most this many
     /// queued messages are handed to the engine as a single
-    /// [`AtomicBroadcast::on_receive_batch`] call. Bounds per-batch
-    /// latency; the drain never *waits* for the limit to fill.
+    /// [`otp_broadcast::AtomicBroadcast::on_receive_batch`] call. Bounds
+    /// per-batch latency; the drain never *waits* for the limit to fill.
     pub drain_limit: usize,
     /// Extra time [`LiveCluster::shutdown`] spends draining in-flight
     /// work after the caller's deadline, so admitted transactions are not
@@ -200,29 +204,38 @@ enum SiteMsg {
     Submit { request: TxnRequest },
 }
 
-struct DueWire {
+/// `item`, due at `due`. Ordered by `due` alone and reversed, so a
+/// `BinaryHeap` of them pops the earliest first.
+struct Due<T> {
     due: Instant,
+    item: T,
+}
+
+impl<T> PartialEq for Due<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due
+    }
+}
+impl<T> Eq for Due<T> {}
+impl<T> PartialOrd for Due<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Due<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.due.cmp(&self.due) // min-heap
+    }
+}
+
+/// A wire on its way from `from` to `to`.
+struct Hop {
     to: SiteId,
     from: SiteId,
     wire: Wire<TxnPayload>,
 }
 
-impl PartialEq for DueWire {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl Eq for DueWire {}
-impl PartialOrd for DueWire {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DueWire {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due) // min-heap
-    }
-}
+type DueWire = Due<Hop>;
 
 /// State shared between the controller, the site threads and the network
 /// thread.
@@ -398,8 +411,6 @@ impl LiveReport {
         crate::invariants::check_invariants(&self.run_histories(), probes)
     }
 }
-
-type LiveEngine = Box<dyn AtomicBroadcast<TxnPayload> + Send>;
 
 struct SiteOutcome {
     log: Vec<TxnId>,
@@ -616,91 +627,40 @@ impl LiveCluster {
             net_main(net_rx, site_txs_for_net, shared_for_net, chaos_for_net, net_rules)
         });
 
-        // One engine per site, same factory axis as the simulated cluster.
-        // The scramble oracle is shared; everything here is Send.
-        let mut engines: Vec<LiveEngine> = match config.engine {
-            EngineKind::Opt { consensus_timeout } => {
-                let cfg = OptAbcastConfig::new(n, consensus_timeout);
-                (0..n).map(|_| Box::new(OptAbcast::new(cfg)) as LiveEngine).collect()
-            }
-            EngineKind::OptBatched { consensus_timeout, batch_delay } => {
-                let cfg = OptAbcastConfig::new(n, consensus_timeout).with_batch_delay(batch_delay);
-                (0..n).map(|_| Box::new(OptAbcast::new(cfg)) as LiveEngine).collect()
-            }
-            EngineKind::Sequencer => {
-                (0..n).map(|_| Box::new(SeqAbcast::new(SiteId::new(0))) as LiveEngine).collect()
-            }
-            EngineKind::SequencerBatched { order_delay } => (0..n)
-                .map(|_| {
-                    Box::new(SeqAbcast::new(SiteId::new(0)).with_order_batching(order_delay))
-                        as LiveEngine
-                })
-                .collect(),
-            EngineKind::Scrambled { agreement_delay, swap_probability } => {
-                let oracle = Oracle::new();
-                let mut rng = SimRng::seed_from(config.seed ^ 0x5ca1ab1e);
-                let cfg = ScrambleConfig { agreement_delay, swap_probability };
-                (0..n)
-                    .map(|_| {
-                        Box::new(ScrambledAbcast::new(cfg, Arc::clone(&oracle), rng.fork()))
-                            as LiveEngine
-                    })
-                    .collect()
-            }
-        };
-
-        // Engine stale-epoch rejects and one-step/round decision counts
-        // land in the shared registry, same metric names as the simulated
-        // driver (the live runtime is unsharded, so every site is group 0).
-        for (i, e) in engines.iter_mut().enumerate() {
-            let scope = Scope::site(SiteId::new(i as u16)).group(0);
-            e.set_stale_counter(metrics.counter("stale_epoch_reject", scope));
-            e.set_decide_counters(
-                metrics.counter("fast_decide", scope),
-                metrics.counter("slow_decide", scope),
-            );
-        }
-
-        // One database template.
-        let mut base_db = Database::new(config.classes);
-        for (oid, v) in &initial_data {
-            base_db.load(*oid, v.clone());
-        }
-
         let submit_times: Vec<Arc<Mutex<HashMap<u64, Instant>>>> =
             (0..n).map(|_| Arc::new(Mutex::new(HashMap::new()))).collect();
 
-        // Site threads.
+        // Site threads. Engines and replicas come from the site layer the
+        // simulated cluster builds with; the live runtime is unsharded, so
+        // every site orders the one global domain as group 0.
+        let domain = OrderDomain::global(n);
+        let mut engines = EngineFactory::new(config.engine, config.seed);
+        let replicas = replicas(config.mode, n, config.classes, &registry, &initial_data);
         let mut handles = Vec::new();
-        for (((i, rx), ctrl), engine) in site_rxs.into_iter().enumerate().zip(ctrl_rxs).zip(engines)
+        for (((i, rx), ctrl), replica) in
+            site_rxs.into_iter().enumerate().zip(ctrl_rxs).zip(replicas)
         {
             let me = SiteId::new(i as u16);
-            let replica = match config.mode {
-                Mode::Otp => AnyReplica::Otp(Replica::new(me, base_db.clone(), registry.clone())),
-                Mode::Conservative => AnyReplica::Conservative(ConservativeReplica::new(
-                    me,
-                    base_db.clone(),
-                    registry.clone(),
-                )),
-            };
             let worker = SiteWorker {
-                me,
-                cfg: config.clone(),
-                domain: OrderDomain::global(n),
-                engine,
+                engine: engines.make(&domain, &metrics, Scope::site(me).group(0)),
+                domain: domain.clone(),
                 replica,
-                timers: BinaryHeap::new(),
-                msg_map: HashMap::new(),
-                net: net_tx.clone(),
-                shared: shared.clone(),
+                msg_map: SiteMsgMap::new(),
+                trace: trace.clone(),
+                io: LiveIo {
+                    me,
+                    cfg: config.clone(),
+                    timers: BinaryHeap::new(),
+                    net: net_tx.clone(),
+                    shared: shared.clone(),
+                    submit_times: submit_times[i].clone(),
+                    latency: Histogram::new(),
+                    jitter_rng: SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64)),
+                    stopping: false,
+                    anchor,
+                },
                 ctrl,
                 pressure: None,
-                submit_times: submit_times[i].clone(),
-                latency: Histogram::new(),
-                jitter_rng: SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64)),
-                stopping: false,
-                trace: trace.clone(),
-                anchor,
             };
             handles.push(std::thread::spawn(move || worker.run(rx)));
         }
@@ -737,19 +697,9 @@ impl LiveCluster {
                     // A submit that had to block records the wait as an
                     // AdmissionWait stage, stamped at the wait's *start*
                     // (so Submit − AdmissionWait is the wait duration).
-                    if let (Some(t0), Some(sink)) = (waited_since, self.trace.as_deref()) {
-                        if sink.enabled() {
-                            sink.record(TraceEvent {
-                                at: SimTime::from_nanos(
-                                    t0.saturating_duration_since(self.anchor).as_nanos() as u64,
-                                ),
-                                site,
-                                origin: site,
-                                seq: id.seq,
-                                group: 0,
-                                stage: Stage::AdmissionWait,
-                            });
-                        }
+                    if let Some(t0) = waited_since {
+                        let at = || stamp(self.anchor, t0);
+                        record_stage(self.trace.as_deref(), at, site, 0, id, Stage::AdmissionWait);
                     }
                     return Ok(id);
                 }
@@ -1095,7 +1045,7 @@ fn net_main(
             let mut still_parked = Vec::with_capacity(parked.len());
             let mut released = 0u32;
             for mut w in parked.drain(..) {
-                if chaos.blocked(w.from, w.to) {
+                if chaos.blocked(w.item.from, w.item.to) {
                     still_parked.push(w);
                 } else {
                     w.due = now + RELEASE_STAGGER * released;
@@ -1109,7 +1059,7 @@ fn net_main(
         let now = Instant::now();
         while heap.peek().is_some_and(|w| w.due <= now) {
             let w = heap.pop().expect("peeked");
-            if chaos.blocked(w.from, w.to) {
+            if chaos.blocked(w.item.from, w.item.to) {
                 chaos.held.fetch_add(1, Ordering::AcqRel);
                 parked.push(w);
                 continue;
@@ -1118,14 +1068,14 @@ fn net_main(
             if loss > 0.0 && rules.rng.uniform_f64() < loss {
                 // "Lost": charge a retransmission delay and requeue. The
                 // wire never leaves the accounting, same as the sim.
-                heap.push(DueWire { due: now + rules.retransmit, ..w });
+                heap.push(Due { due: now + rules.retransmit, ..w });
                 continue;
             }
-            let DueWire { to, from, wire, .. } = w;
+            let Hop { to, from, wire } = w.item;
             if let Err(e) = site_txs[to.index()].try_send(SiteMsg::Wire { from, wire }) {
                 match e {
                     crossbeam::channel::TrySendError::Full(SiteMsg::Wire { from, wire }) => {
-                        heap.push(DueWire { due: now + FULL_RETRY, to, from, wire });
+                        heap.push(Due { due: now + FULL_RETRY, item: Hop { to, from, wire } });
                     }
                     crossbeam::channel::TrySendError::Full(_) => {
                         unreachable!("net only forwards wires")
@@ -1163,52 +1113,23 @@ fn net_main(
 /// What a site thread waits on besides channel messages.
 enum Pending {
     Timer(TimerToken),
-    ExecDone(crate::event::ExecToken),
+    ExecDone(ExecToken),
 }
 
-struct DuePending {
-    due: Instant,
-    what: Pending,
-}
-
-impl PartialEq for DuePending {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl Eq for DuePending {}
-impl PartialOrd for DuePending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DuePending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due)
-    }
-}
-
-/// Per-site thread state: one engine, one replica, one timer heap.
+/// Per-site thread state: one engine, one replica, one timer heap. The
+/// delivery path itself is the shared site layer ([`crate::site`]); this
+/// thread feeds it and carries out its effects ([`LiveIo`]).
 struct SiteWorker {
-    me: SiteId,
-    cfg: LiveConfig,
     /// The single global order domain — the threaded runtime is unsharded,
     /// so every engine call runs at epoch 0 over all sites.
     domain: OrderDomain,
-    engine: LiveEngine,
+    engine: Engine,
     replica: AnyReplica,
-    timers: BinaryHeap<DuePending>,
-    /// Opt-delivered message → transaction mapping, consumed (removed) at
-    /// TO-delivery so the map stays bounded by the in-flight window.
-    msg_map: HashMap<MsgId, (TxnId, ClassId)>,
-    net: crossbeam::channel::Sender<DueWire>,
-    shared: Arc<Shared>,
-    submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
-    latency: Histogram,
-    jitter_rng: SimRng,
-    /// Set once the stop flag is observed; engine timers stop re-arming so
-    /// the teardown drain terminates.
-    stopping: bool,
+    msg_map: SiteMsgMap,
+    /// Lifecycle trace sink (`None` = tracing off, the default; the hot
+    /// path then pays one pointer-null branch per stage point).
+    trace: Option<Arc<dyn TraceSink>>,
+    io: LiveIo,
     /// Nemesis control channel: stalls, pressure spikes, freeze/thaw.
     /// Control messages are *not* counted in `in_flight` — they carry no
     /// protocol work, they only delay it (see DESIGN.md §10).
@@ -1217,26 +1138,56 @@ struct SiteWorker {
     /// drain batch shrinks to `drain_limit` and each iteration pauses,
     /// so the bounded inbound queue saturates and backpressure fires.
     pressure: Option<(usize, Instant)>,
-    /// Lifecycle trace sink (`None` = tracing off, the default; the hot
-    /// path then pays one pointer-null branch per stage point).
-    trace: Option<Arc<dyn TraceSink>>,
+}
+
+/// A site thread's side of [`SiteEffects`]: wires go to the network
+/// thread, engine timers and executions into the thread's own timer heap,
+/// and every one of them is counted in flight until it is consumed.
+struct LiveIo {
+    me: SiteId,
+    cfg: LiveConfig,
+    timers: BinaryHeap<Due<Pending>>,
+    net: crossbeam::channel::Sender<DueWire>,
+    shared: Arc<Shared>,
+    submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
+    latency: Histogram,
+    jitter_rng: SimRng,
+    /// Set once the stop flag is observed; engine timers stop re-arming so
+    /// the teardown drain terminates.
+    stopping: bool,
     /// Wall-clock zero of the trace timeline (cluster start).
     anchor: Instant,
 }
 
+/// Nanoseconds from `anchor` to `at` on the trace timeline.
+fn stamp(anchor: Instant, at: Instant) -> SimTime {
+    SimTime::from_nanos(
+        at.saturating_duration_since(anchor).as_nanos().min(u128::from(u64::MAX)) as u64
+    )
+}
+
 impl SiteWorker {
+    /// This site as the shared site code sees it, plus the engine with the
+    /// context the next call on it needs.
+    fn parts(&mut self) -> (Site<'_, &mut LiveIo>, &mut Engine, EngineCtx<'_>) {
+        let (me, trace) = (self.io.me, self.trace.as_deref());
+        let site = Site::new(me, 0, &mut self.replica, &mut self.msg_map, trace, &mut self.io);
+        (site, &mut self.engine, EngineCtx::new(me, &self.domain))
+    }
+
     fn run(mut self, rx: crossbeam::channel::Receiver<SiteMsg>) -> SiteOutcome {
-        let cfg_limit = self.cfg.drain_limit.max(1);
+        let cfg_limit = self.io.cfg.drain_limit.max(1);
         let mut wires: Vec<(SiteId, Wire<TxnPayload>)> = Vec::with_capacity(cfg_limit);
         loop {
             self.poll_ctrl();
             self.fire_due_timers();
-            if self.shared.stop.load(Ordering::Acquire) {
+            if self.io.shared.stop.load(Ordering::Acquire) {
                 self.drain_at_stop(&rx);
                 break;
             }
             let drain_limit = self.effective_drain_limit(cfg_limit);
             let timeout = self
+                .io
                 .timers
                 .peek()
                 .map(|t| t.due.saturating_duration_since(Instant::now()))
@@ -1259,7 +1210,7 @@ impl SiteWorker {
                 }
             }
             self.flush(&mut wires);
-            self.shared.in_flight.add(-consumed);
+            self.io.shared.in_flight.add(-consumed);
             if self.pressure.is_some() {
                 // Throttle between drains so the queue actually backs up.
                 std::thread::sleep(PRESSURE_PAUSE);
@@ -1278,7 +1229,7 @@ impl SiteWorker {
             commit_log: self.replica.commit_log().to_vec(),
             history: self.replica.take_history(),
             db,
-            latency: self.latency,
+            latency: self.io.latency,
             counters,
         }
     }
@@ -1308,7 +1259,7 @@ impl SiteWorker {
     fn stall(&mut self, d: Duration) {
         let until = Instant::now() + d;
         loop {
-            if self.shared.stop.load(Ordering::Acquire) {
+            if self.io.shared.stop.load(Ordering::Acquire) {
                 return;
             }
             let left = until.saturating_duration_since(Instant::now());
@@ -1327,7 +1278,7 @@ impl SiteWorker {
     /// recovery-with-state-transfer.
     fn frozen(&mut self) {
         loop {
-            if self.shared.stop.load(Ordering::Acquire) {
+            if self.io.shared.stop.load(Ordering::Acquire) {
                 return;
             }
             match self.ctrl.recv_timeout(IDLE_TICK) {
@@ -1369,13 +1320,8 @@ impl SiteWorker {
                 self.flush(wires);
                 // Submission and broadcast coincide here: the site thread
                 // hands the accepted request straight to its engine.
-                self.trace_stage(request.id, Stage::Submit);
-                self.trace_stage(request.id, Stage::Broadcast);
-                let (_, actions) = self.engine.broadcast(
-                    &EngineCtx::new(self.me, &self.domain),
-                    TxnPayload::Txn { req: Arc::new(request), cross: None },
-                );
-                self.apply_engine_actions(actions);
+                let (mut site, engine, ctx) = self.parts();
+                site.submit(engine, &ctx, request);
             }
         }
     }
@@ -1385,27 +1331,20 @@ impl SiteWorker {
         if wires.is_empty() {
             return;
         }
-        let actions = self
-            .engine
-            .on_receive_batch(&EngineCtx::new(self.me, &self.domain), std::mem::take(wires));
-        self.apply_engine_actions(actions);
+        let (mut site, engine, ctx) = self.parts();
+        let actions = engine.on_receive_batch(&ctx, std::mem::take(wires));
+        site.apply_engine_actions(actions);
     }
 
     fn fire_due_timers(&mut self) {
-        while self.timers.peek().is_some_and(|t| t.due <= Instant::now()) {
-            let t = self.timers.pop().expect("peeked");
-            match t.what {
-                Pending::Timer(token) => {
-                    let actions =
-                        self.engine.on_timer(&EngineCtx::new(self.me, &self.domain), token);
-                    self.apply_engine_actions(actions);
-                }
-                Pending::ExecDone(token) => {
-                    let actions = self.replica.on_exec_done(token);
-                    self.apply_replica_actions(actions);
-                }
+        while self.io.timers.peek().is_some_and(|t| t.due <= Instant::now()) {
+            let t = self.io.timers.pop().expect("peeked");
+            let (mut site, engine, ctx) = self.parts();
+            match t.item {
+                Pending::Timer(token) => site.apply_engine_actions(engine.on_timer(&ctx, token)),
+                Pending::ExecDone(token) => site.exec_done(token),
             }
-            self.shared.in_flight.add(-1);
+            self.io.shared.in_flight.add(-1);
         }
     }
 
@@ -1415,7 +1354,7 @@ impl SiteWorker {
     /// exits with messages sitting in its channel. Engine timers no
     /// longer re-arm (`stopping`), so the loop terminates.
     fn drain_at_stop(&mut self, rx: &crossbeam::channel::Receiver<SiteMsg>) {
-        self.stopping = true;
+        self.io.stopping = true;
         loop {
             self.fire_due_timers();
             match rx.try_recv() {
@@ -1424,13 +1363,13 @@ impl SiteWorker {
                     let mut consumed = 0i64;
                     self.ingest(msg, &mut wires, &mut consumed);
                     self.flush(&mut wires);
-                    self.shared.in_flight.add(-consumed);
+                    self.io.shared.in_flight.add(-consumed);
                 }
                 Err(_) => {
-                    if self.timers.is_empty() {
+                    if self.io.timers.is_empty() {
                         break;
                     }
-                    let next = self.timers.peek().expect("non-empty").due;
+                    let next = self.io.timers.peek().expect("non-empty").due;
                     std::thread::sleep(
                         next.saturating_duration_since(Instant::now())
                             .min(Duration::from_millis(1)),
@@ -1439,26 +1378,9 @@ impl SiteWorker {
             }
         }
     }
+}
 
-    /// Records `txn` reaching `stage` at this site, stamped with
-    /// nanoseconds since cluster start. The threaded runtime is
-    /// unsharded, so the group is always 0.
-    fn trace_stage(&self, txn: TxnId, stage: Stage) {
-        if let Some(sink) = self.trace.as_deref() {
-            if sink.enabled() {
-                let ns = self.anchor.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                sink.record(TraceEvent {
-                    at: SimTime::from_nanos(ns),
-                    site: self.me,
-                    origin: txn.origin,
-                    seq: txn.seq,
-                    group: 0,
-                    stage,
-                });
-            }
-        }
-    }
-
+impl LiveIo {
     fn jitter(&mut self) -> Duration {
         let span = self.cfg.net_jitter.as_nanos() as u64;
         if span == 0 {
@@ -1473,88 +1395,54 @@ impl SiteWorker {
     fn post_wire(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
         let due = Instant::now() + self.cfg.net_delay + self.jitter();
         self.shared.in_flight.add(1);
-        if self.net.send(DueWire { due, to, from: self.me, wire }).is_err() {
+        if self.net.send(Due { due, item: Hop { to, from: self.me, wire } }).is_err() {
             self.shared.in_flight.add(-1);
         }
     }
 
-    fn apply_engine_actions(&mut self, actions: Vec<EngineAction<TxnPayload>>) {
-        for a in actions {
-            match a {
-                EngineAction::Multicast(wire) => {
-                    // Clone for all but the last destination — payloads are
-                    // Arc-shared, so each clone is a refcount bump.
-                    let last = SiteId::new((self.cfg.sites - 1) as u16);
-                    for to in SiteId::all(self.cfg.sites - 1) {
-                        self.post_wire(to, wire.clone());
-                    }
-                    self.post_wire(last, wire);
-                }
-                EngineAction::Send(to, wire) => self.post_wire(to, wire),
-                EngineAction::SetTimer { token, delay } => {
-                    if self.stopping {
-                        continue;
-                    }
-                    self.shared.in_flight.add(1);
-                    self.timers.push(DuePending {
-                        due: Instant::now() + Duration::from_nanos(delay.as_nanos()),
-                        what: Pending::Timer(token),
-                    });
-                }
-                EngineAction::OptDeliver(msg) => {
-                    let TxnPayload::Txn { req, .. } = &msg.payload else {
-                        unreachable!("threaded runtime never broadcasts cross-group descriptors")
-                    };
-                    // The one deep copy per transaction per site.
-                    let request = TxnRequest::clone(req);
-                    self.trace_stage(request.id, Stage::OptDeliver);
-                    self.msg_map.insert(msg.id, (request.id, request.class));
-                    let actions = self.replica.on_opt_deliver(request);
-                    self.apply_replica_actions(actions);
-                }
-                EngineAction::ToDeliver(ids) => {
-                    let batch: Vec<(TxnId, ClassId)> = ids
-                        .iter()
-                        .map(|id| self.msg_map.remove(id).expect("Opt-delivered before TO"))
-                        .collect();
-                    for (txn, _) in &batch {
-                        self.trace_stage(*txn, Stage::ToDeliver);
-                    }
-                    let actions = self.replica.on_to_deliver_batch(&batch);
-                    self.apply_replica_actions(actions);
-                }
-            }
+    /// Arms `what` to fire `after` from now, counted in flight until then.
+    fn arm(&mut self, after: Duration, what: Pending) {
+        self.shared.in_flight.add(1);
+        self.timers.push(Due { due: Instant::now() + after, item: what });
+    }
+}
+
+impl SiteEffects for &mut LiveIo {
+    fn now(&self) -> SimTime {
+        stamp(self.anchor, Instant::now())
+    }
+
+    fn multicast(&mut self, wire: Wire<TxnPayload>) {
+        // Clone for all but the last destination — payloads are
+        // Arc-shared, so each clone is a refcount bump.
+        let last = SiteId::new((self.cfg.sites - 1) as u16);
+        for to in SiteId::all(self.cfg.sites - 1) {
+            self.post_wire(to, wire.clone());
+        }
+        self.post_wire(last, wire);
+    }
+
+    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
+        self.post_wire(to, wire);
+    }
+
+    fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
+        if !self.stopping {
+            self.arm(Duration::from_nanos(delay.as_nanos()), Pending::Timer(token));
         }
     }
 
-    fn apply_replica_actions(&mut self, actions: Vec<ReplicaAction>) {
-        for a in actions {
-            match a {
-                ReplicaAction::StartExecution { token } => {
-                    // A retry implies the previous attempt was aborted by
-                    // a definitive-order mismatch; surface that as an
-                    // Abort stage before the fresh Execute.
-                    if token.attempt > 0 {
-                        self.trace_stage(token.txn, Stage::Abort);
-                    }
-                    self.trace_stage(token.txn, Stage::Execute);
-                    self.shared.in_flight.add(1);
-                    self.timers.push(DuePending {
-                        due: Instant::now() + self.cfg.exec_time,
-                        what: Pending::ExecDone(token),
-                    });
-                }
-                ReplicaAction::Committed { txn, .. } => {
-                    self.trace_stage(txn, Stage::Commit);
-                    self.shared.committed_total.incr();
-                    if txn.origin == self.me {
-                        self.shared.origin_committed.incr();
-                        if let Some(t0) = self.submit_times.lock().remove(&txn.seq) {
-                            let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                            self.latency.record(SimDuration::from_nanos(ns));
-                        }
-                    }
-                }
+    fn start_execution(&mut self, token: ExecToken) {
+        self.arm(self.cfg.exec_time, Pending::ExecDone(token));
+    }
+
+    fn committed(&mut self, txn: TxnId, _output: Vec<Value>) {
+        self.shared.committed_total.incr();
+        if txn.origin == self.me {
+            self.shared.origin_committed.incr();
+            if let Some(t0) = self.submit_times.lock().remove(&txn.seq) {
+                let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                self.latency.record(SimDuration::from_nanos(ns));
             }
         }
     }

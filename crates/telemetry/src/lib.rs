@@ -30,4 +30,4 @@ pub mod trace;
 
 pub use recorder::FlightRecorder;
 pub use registry::{Counter, Gauge, MetricKey, MetricsRegistry, MetricsSnapshot, Scope};
-pub use trace::{diff_traces, MemSink, NoopSink, Stage, TraceDivergence, TraceEvent, TraceSink};
+pub use trace::{diff_traces, MemSink, Stage, TraceDivergence, TraceEvent, TraceSink};

@@ -133,30 +133,12 @@ impl TraceEvent {
 ///
 /// Implementations must not perturb the caller: no RNG access, no
 /// panics, no observable feedback into event ordering. `record` takes
-/// `&self` so one sink can be shared across driver threads.
+/// `&self` so one sink can be shared across driver threads. Drivers
+/// represent "tracing off" as the *absence* of a sink (`Option::None`,
+/// one branch on the hot path), never as a sink that drops events.
 pub trait TraceSink: Send + Sync {
-    /// Whether the sink wants events at all. Drivers may skip event
-    /// construction when this is false.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Records one event.
     fn record(&self, ev: TraceEvent);
-}
-
-/// A sink that drops everything. Drivers represent "tracing off" as the
-/// *absence* of a sink (`Option::None`, one branch on the hot path);
-/// `NoopSink` exists for call sites that want a non-optional handle.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _ev: TraceEvent) {}
 }
 
 /// In-memory sink that keeps every event in arrival order.
@@ -303,13 +285,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"stage\":\"submit\""));
         assert!(lines[1].contains("\"stage\":\"commit\""));
-    }
-
-    #[test]
-    fn noop_sink_reports_disabled() {
-        let sink = NoopSink;
-        assert!(!sink.enabled());
-        sink.record(ev(1, Stage::Submit)); // must not panic
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   known; that is the paper's entire point).
 
 use otp_core::runtime::{LiveCluster, LiveConfig};
-use otp_core::{ClusterBuilder, ClusterConfig};
+use otp_core::{Cluster, ClusterBuilder, ClusterConfig, EngineKind, Mode};
 use otp_lab::watchdog::with_watchdog;
 use otp_lab::{run_cell, CellSpec, GridCell, Sabotage};
-use otp_simnet::{SimTime, SiteId};
+use otp_simnet::{SimDuration, SimTime, SiteId};
 use otp_storage::{ClassId, ObjectId, ObjectKey, ProcError, ProcId, ProcRegistry, Value};
 use otp_telemetry::{diff_traces, MemSink, Stage, TraceSink};
-use otp_workload::{StandardProcs, WorkloadSpec};
+use otp_workload::{Arrival, ClassSelection, StandardProcs, WorkloadSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,6 +58,102 @@ fn sim_trace_is_byte_identical_across_double_runs() {
     let divergence = diff_traces(&a, &c).expect("different seeds must diverge");
     assert!(divergence.line >= 1);
     assert!(divergence.left.is_some() || divergence.right.is_some());
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Runs `config` traced, with `workload` scheduling the load, and
+/// returns `(event count, FNV-1a of the JSONL dump, dump)`.
+fn pinned_trace(
+    config: ClusterConfig,
+    workload: impl FnOnce(&mut Cluster),
+) -> (usize, u64, String) {
+    let (registry, _) = StandardProcs::registry();
+    let data = (0..config.classes as u32)
+        .flat_map(|c| (0..16).map(move |k| (ObjectId::new(c, k), Value::Int(1000))))
+        .collect();
+    let sink = Arc::new(MemSink::new());
+    let mut cluster = ClusterBuilder::from_config(config)
+        .registry(registry)
+        .initial_data(data)
+        .trace_sink(sink.clone() as Arc<dyn TraceSink>)
+        .build();
+    workload(&mut cluster);
+    cluster.run_until(SimTime::from_secs(60));
+    let dump = sink.dump_jsonl();
+    (sink.len(), fnv1a(dump.as_bytes()), dump)
+}
+
+/// The simulator's trace bytes are pinned: the dumps of three cluster
+/// shapes must equal the ones recorded before the per-site delivery and
+/// tracing code moved into `site.rs`. Any change to what is traced, in
+/// what order, at which instant or with which group label turns this
+/// red — e.g. tracing `Execute` before `Abort` on a retry.
+#[test]
+fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
+    let (_, procs) = StandardProcs::registry();
+    let spec_load = |spec: WorkloadSpec| {
+        let schedule = spec.generate(&procs);
+        move |c: &mut Cluster| {
+            schedule.apply(c);
+        }
+    };
+
+    // Unsharded OTP on the consensus engine, dense arrivals on a hotspot:
+    // tentative-order mismatches force aborted-and-retried executions.
+    let hot = WorkloadSpec::new(4, 8, 160)
+        .with_selection(ClassSelection::HotSpot { hot_fraction: 0.125, hot_probability: 0.9 })
+        .with_arrival(Arrival::Fixed(SimDuration::from_micros(400)))
+        .with_seed(3);
+    let otp = pinned_trace(ClusterConfig::new(4, 8).with_seed(3), spec_load(hot));
+    assert!(otp.2.contains("\"stage\":\"abort\""), "the hotspot shape must trace a retry");
+
+    // Conservative replicas on the batched sequencer, with snapshot queries.
+    let queries = WorkloadSpec::new(3, 4, 90).with_queries(0.5, 2).with_seed(5);
+    let cons = pinned_trace(
+        ClusterConfig::new(3, 4)
+            .with_engine(EngineKind::SequencerBatched {
+                order_delay: SimDuration::from_micros(200),
+            })
+            .with_mode(Mode::Conservative)
+            .with_seed(5),
+        spec_load(queries),
+    );
+
+    // Two sequencing groups with cross-group updates on the relay stream.
+    let cross = pinned_trace(
+        ClusterConfig::new(4, 2).with_engine(EngineKind::Sequencer).with_groups(2).with_seed(9),
+        |c: &mut Cluster| {
+            let add = |d: i64| vec![Value::Int(0), Value::Int(d)];
+            let mut t = SimTime::from_millis(1);
+            for i in 0..24u64 {
+                let class = (i % 2) as u32;
+                let site = SiteId::new((2 * class + (i / 2 % 2) as u32) as u16);
+                c.schedule_update(t, site, ClassId::new(class), procs.add, add(1));
+                t += SimDuration::from_micros(600);
+            }
+            let mut t = SimTime::from_micros(1500);
+            for k in 0..8u64 {
+                let parts = (0..2).map(|cl| (ClassId::new(cl), procs.add, add(100))).collect();
+                c.schedule_cross_update(t, SiteId::new((k % 4) as u16), parts);
+                t += SimDuration::from_micros(900);
+            }
+        },
+    );
+    assert!(cross.2.contains("\"stage\":\"relay_wait\""), "cross updates pass the relay");
+
+    let pins = [(otp.0, otp.1), (cons.0, cons.1), (cross.0, cross.1)];
+    let recorded = [
+        (2884, 13_284_260_801_166_220_815),
+        (1260, 7_671_287_276_880_295_094),
+        (416, 13_295_177_785_212_375_855),
+    ];
+    assert_eq!(pins, recorded, "trace bytes moved");
 }
 
 #[test]
