@@ -39,6 +39,7 @@
 //! to the pre-sharding single-total-order cluster.
 
 use crate::event::{ExecToken, ReplicaAction};
+use crate::replica::Replica;
 use crate::site::{
     attach_engine_counters, record_stage, take_delivered, Engine, EngineFactory, Site, SiteEffects,
     SiteMsgMap,
@@ -57,8 +58,6 @@ use otp_txn::txn::{TxnId, TxnRequest};
 use otp_view::{CrashOutcome, DigestOutcome, Membership, SummaryOutcome, ViewChange, ViewId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-
-pub use crate::site::AnyReplica;
 
 /// A cross-group transaction descriptor, TO-broadcast on the relay
 /// stream. It carries one sub-transaction per involved group; the relay's
@@ -182,13 +181,15 @@ pub enum EngineKind {
     },
 }
 
-/// Which transaction-processing algorithm runs at each site.
+/// Which transaction-processing algorithm runs at each site: the execution
+/// policy of its [`Replica`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// The paper's optimistic algorithm: execute on Opt-delivery, commit
     /// on TO-delivery.
     Otp,
-    /// Conservative baseline: execute only after TO-delivery.
+    /// Conservative baseline: execute only after TO-delivery (a queue head
+    /// starts only once it is committable).
     Conservative,
 }
 
@@ -768,7 +769,7 @@ pub struct Cluster {
     relay_engines: Vec<Engine>,
     engine_factory: EngineFactory,
     /// Public for test assertions; index by `SiteId::index`.
-    pub replicas: Vec<AnyReplica>,
+    pub replicas: Vec<Replica>,
     crashed: Vec<bool>,
     /// Sites mid-recovery: re-admitted to the network so the view-change
     /// round can run, but not serving — their non-view wires are held and
@@ -1470,7 +1471,7 @@ impl Cluster {
 
     /// Per-site histories (updates + queries) for serializability checks.
     pub fn histories(&self) -> Vec<Vec<CommittedTxn>> {
-        self.replicas.iter().map(AnyReplica::history).collect()
+        self.replicas.iter().map(Replica::history).collect()
     }
 
     /// Per-site committed-transaction id lists.

@@ -9,15 +9,16 @@
 //!   paper's Figures 4–6, over conflict-class queues and a multi-version
 //!   store. Transactions start executing on *tentative* (Opt-)delivery and
 //!   commit on *definitive* (TO-)delivery; mismatches abort and reschedule
-//!   exactly as in Section 3.
-//! * [`ConservativeReplica`] — the classic execute-after-TO-deliver
-//!   baseline (no optimism, no aborts, full ordering latency on the
-//!   critical path).
+//!   exactly as in Section 3. The same replica in [`Mode::Conservative`]
+//!   is the classic execute-after-TO-deliver baseline (no optimism, no
+//!   aborts, full ordering latency on the critical path): it starts only
+//!   committable queue heads. [`ConservativeReplica`] is a logic-free
+//!   wrapper kept for callers that name that baseline by its former type.
 //! * [`AsyncCluster`] — lazy primary-copy replication (the "commercial"
 //!   baseline): local commits, lazy write-set propagation, demonstrably
 //!   *not* 1-copy-serializable.
 //! * [`Cluster`] — the deterministic simulated cluster driving any engine
-//!   ([`EngineKind`]) and either replica ([`Mode`]), with snapshot
+//!   ([`EngineKind`]) and either execution policy ([`Mode`]), with snapshot
 //!   queries (Section 5), crash/recovery with state transfer, and full
 //!   latency/abort statistics ([`RunStats`]).
 //! * [`runtime::LiveCluster`] — the same state machines on real threads
@@ -62,7 +63,6 @@
 
 pub mod asynchronous;
 pub mod cluster;
-pub mod conservative;
 pub mod event;
 pub mod invariants;
 pub mod multiclass;
@@ -72,12 +72,11 @@ mod site;
 
 pub use asynchronous::{AsyncCluster, AsyncConfig, WriteSet};
 pub use cluster::{
-    AnyReplica, Cluster, ClusterBuilder, ClusterConfig, CrossTag, DurationDist, EngineKind, Mode,
-    RunStats, SubmitError, TxnPayload,
+    Cluster, ClusterBuilder, ClusterConfig, CrossTag, DurationDist, EngineKind, Mode, RunStats,
+    SubmitError, TxnPayload,
 };
-pub use conservative::ConservativeReplica;
 pub use event::{ExecToken, ReplicaAction};
 pub use invariants::{check_invariants, InvariantReport, InvariantViolation, RunHistories};
 pub use multiclass::{MultiAction, MultiRegistry, MultiReplica, MultiRequest};
-pub use replica::{Replica, ReplicaSnapshot};
+pub use replica::{ConservativeReplica, Replica, ReplicaSnapshot};
 pub use runtime::{LiveCluster, LiveConfig, LiveReport};

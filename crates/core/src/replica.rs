@@ -16,6 +16,22 @@
 //!   the transaction before the first `pending` entry (CC10) and resubmit
 //!   if it reached the front (CC12).
 //!
+//! ## Two execution policies
+//!
+//! The replica's [`Mode`] is its execution policy. [`Mode::Otp`] is the
+//! paper's algorithm as above. [`Mode::Conservative`] is the classic
+//! baseline that executes a transaction only after its TO-delivery: the
+//! same queues and modules with the tentative schedule never executed.
+//! It differs by exactly two rules (DESIGN.md §17):
+//!
+//! 1. a queue head is started only once it is `committable`;
+//! 2. CC8 aborts a `pending` head only if it has run (is executing or
+//!    `executed`) — under OTP a pending head always has, under
+//!    conservative processing it never has, so nothing ever aborts.
+//!
+//! CC10 keeps each queue's committable prefix in definitive order, so the
+//! conservative policy starts transactions in exactly that order.
+//!
 //! ## Execution
 //!
 //! Stored procedures run *at submission time*, writing the class partition
@@ -38,6 +54,7 @@
 //! later), so "all work done" means every start has its completion
 //! delivered, not merely that a commit count was reached.
 
+use crate::cluster::Mode;
 use crate::event::{ExecToken, ReplicaAction};
 use otp_simnet::metrics::Counters;
 use otp_simnet::SiteId;
@@ -132,7 +149,7 @@ impl CommittedPrefix {
     }
 }
 
-/// The OTP replica at one site.
+/// The replica at one site, under either execution policy ([`Mode`]).
 ///
 /// Drive it with the `on_*` event methods; execute the returned
 /// [`ReplicaAction`]s (the only action needing driver support is
@@ -140,6 +157,7 @@ impl CommittedPrefix {
 /// [`Replica::on_exec_done`] after the simulated execution time).
 #[derive(Debug)]
 pub struct Replica {
+    mode: Mode,
     site: SiteId,
     db: Database,
     registry: Arc<ProcRegistry>,
@@ -165,14 +183,21 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates a replica over an initial database.
+    /// Creates an OTP replica over an initial database.
+    pub fn new(site: SiteId, db: Database, registry: Arc<ProcRegistry>) -> Self {
+        Replica::with_mode(site, db, registry, Mode::Otp)
+    }
+
+    /// Creates a replica over an initial database that processes
+    /// transactions under `mode`.
     ///
     /// # Panics
     ///
     /// Panics if the database has no classes.
-    pub fn new(site: SiteId, db: Database, registry: Arc<ProcRegistry>) -> Self {
+    pub fn with_mode(site: SiteId, db: Database, registry: Arc<ProcRegistry>, mode: Mode) -> Self {
         let classes = db.classes();
         Replica {
+            mode,
             site,
             db,
             registry,
@@ -196,6 +221,11 @@ impl Replica {
     /// Read access to the database (tests, queries, state transfer).
     pub fn db(&self) -> &Database {
         &self.db
+    }
+
+    /// Protocol counters of this replica.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// The snapshot index a query starting now receives: `w.5`, where `w`
@@ -369,12 +399,13 @@ impl Replica {
         // claim is that mismatches only matter when they reorder a class.)
         let tentative_pos = queue.position(txn).expect("entry exists");
 
-        // CC7–CC9: a pending head is executing (or executed) out of
-        // definitive order — abort it.
+        // CC7–CC9: a pending head that has run (is executing, or executed)
+        // ran out of definitive order — abort it. A pending head has always
+        // run under OTP and never under conservative processing.
         let head = queue.head().expect("queue is non-empty");
-        let head_id = head.id();
-        if head.delivery == DeliveryState::Pending {
-            debug_assert_ne!(head_id, txn, "txn was just marked committable");
+        let has_run = head.exec == ExecState::Executed || self.executing[class.index()].is_some();
+        if head.delivery == DeliveryState::Pending && has_run {
+            debug_assert_ne!(head.id(), txn, "txn was just marked committable");
             self.abort_head(class);
         }
 
@@ -400,26 +431,30 @@ impl Replica {
 
     /// Runs the head's stored procedure against the class partition and
     /// reports the execution start. The effects (undo log, read/write
-    /// sets) are held until commit or abort.
+    /// sets) are held until commit or abort. Conservative processing
+    /// starts only a committable head.
     fn submit_head(&mut self, class: ClassId) -> Vec<ReplicaAction> {
         let queue = &mut self.queues[class.index()];
         let Ok((txn, attempt)) = queue.head_for_execution() else {
             return Vec::new();
         };
+        let head = queue.head().expect("head exists");
+        if self.mode == Mode::Conservative && head.delivery == DeliveryState::Pending {
+            return Vec::new();
+        }
         debug_assert!(self.executing[class.index()].is_none(), "one execution per class");
-        let request = queue.head().expect("head exists").request.clone();
+        let request = head.request.clone();
         let proc = self
             .registry
             .get(request.proc)
             .unwrap_or_else(|| panic!("unknown stored procedure {}", request.proc))
             .clone();
         let mut ctx = TxnCtx::new(&mut self.db, class);
-        if let Err(e) = proc.execute(&mut ctx, &request.args) {
+        if proc.execute(&mut ctx, &request.args).is_err() {
             // Deterministic failures (bad args / rule violations) happen
             // identically at every site; the transaction still commits
             // (possibly having written nothing) and the error is recorded.
             self.counters.incr("proc_error");
-            let _ = e;
         }
         self.effects.insert(txn, ctx.finish());
         self.executing[class.index()] = Some((txn, attempt));
@@ -523,6 +558,48 @@ impl Replica {
             actions.extend(r.submit_head(ClassId::new(c as u32)));
         }
         (r, actions)
+    }
+
+    /// A replica of this one's mode at `site`, restored from a snapshot of
+    /// this one taken now, with the actions that resubmit its pending
+    /// definitive tail.
+    pub(crate) fn restored_at(
+        &self,
+        site: SiteId,
+        registry: Arc<ProcRegistry>,
+    ) -> (Replica, Vec<ReplicaAction>) {
+        // The replayed tail is all committable: either mode starts the
+        // same heads.
+        let (mut fresh, actions) = Replica::restore(site, registry, self.snapshot());
+        fresh.mode = self.mode;
+        (fresh, actions)
+    }
+}
+
+/// The conservative baseline under its former type name: a [`Replica`] in
+/// [`Mode::Conservative`], with no logic of its own. New code builds
+/// `Replica::with_mode(site, db, registry, Mode::Conservative)`.
+#[derive(Debug)]
+pub struct ConservativeReplica(Replica);
+
+impl ConservativeReplica {
+    /// Creates a conservative replica over an initial database.
+    pub fn new(site: SiteId, db: Database, registry: Arc<ProcRegistry>) -> Self {
+        ConservativeReplica(Replica::with_mode(site, db, registry, Mode::Conservative))
+    }
+}
+
+impl std::ops::Deref for ConservativeReplica {
+    type Target = Replica;
+
+    fn deref(&self) -> &Replica {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for ConservativeReplica {
+    fn deref_mut(&mut self) -> &mut Replica {
+        &mut self.0
     }
 }
 
@@ -832,5 +909,222 @@ mod tests {
     fn to_deliver_without_opt_panics() {
         let mut r = replica(1);
         r.on_to_deliver(tid(0), ClassId::new(0));
+    }
+
+    // ------------------------------------------------------------------
+    // Conservative processing.
+    // ------------------------------------------------------------------
+
+    fn conservative(classes: usize) -> Replica {
+        Replica::with_mode(SiteId::new(0), db(classes), registry(), Mode::Conservative)
+    }
+
+    #[test]
+    fn conservative_starts_nothing_on_opt_delivery() {
+        let mut r = conservative(1);
+        assert!(r.on_opt_deliver(req(0, 0, 1)).is_empty());
+        assert_eq!(r.counters.get("submit"), 0);
+    }
+
+    #[test]
+    fn conservative_executes_in_definitive_order_regardless_of_tentative() {
+        let mut r = conservative(1);
+        // Tentative arrival order: T1, T0. Conservative ignores it.
+        r.on_opt_deliver(req(1, 0, 10));
+        r.on_opt_deliver(req(0, 0, 1));
+        // Definitive: T0 first.
+        let a = r.on_to_deliver(tid(0), ClassId::new(0));
+        let tok0 = exec_token(&a);
+        assert_eq!(tok0.txn, tid(0));
+        assert!(r.on_to_deliver(tid(1), ClassId::new(0)).is_empty(), "class busy");
+        let a = r.on_exec_done(tok0);
+        let tok1 = exec_token(&a);
+        assert_eq!(tok1.txn, tid(1));
+        r.on_exec_done(tok1);
+        let log: Vec<TxnId> = r.commit_log().iter().map(|(t, _)| *t).collect();
+        assert_eq!(log, vec![tid(0), tid(1)]);
+        assert_eq!(r.db().read_committed(ObjectId::new(0, 0)), Some(&Value::Int(11)));
+        assert_eq!(r.counters.get("commit"), 2);
+        assert_eq!(r.counters.get("abort"), 0);
+        r.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn conservative_watermark_and_snapshot() {
+        let mut r = conservative(1);
+        r.on_opt_deliver(req(0, 0, 5));
+        let a = r.on_to_deliver(tid(0), ClassId::new(0));
+        assert_eq!(r.query_snapshot(), SnapshotIndex::after(TxnIndex::INITIAL));
+        r.on_exec_done(exec_token(&a));
+        assert_eq!(r.query_snapshot(), SnapshotIndex::after(TxnIndex::new(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "TO-delivered before Opt-delivery")]
+    fn conservative_to_deliver_without_opt_panics() {
+        let mut r = conservative(1);
+        r.on_to_deliver(tid(0), ClassId::new(0));
+    }
+
+    #[test]
+    fn conservative_query_recording() {
+        let mut r = conservative(1);
+        r.record_query(tid(9), vec![ObjectId::new(0, 0)], SnapshotIndex::after(TxnIndex::new(1)));
+        assert_eq!(r.history().len(), 1);
+        assert_eq!(r.site(), SiteId::new(0));
+    }
+
+    /// A restored replica keeps its donor's policy: a conservative one
+    /// still starts nothing on Opt-delivery.
+    #[test]
+    fn restored_replica_keeps_the_donor_mode() {
+        let mut r = conservative(1);
+        r.on_opt_deliver(req(0, 0, 7));
+        r.on_to_deliver(tid(0), ClassId::new(0));
+        let (mut fresh, actions) = r.restored_at(SiteId::new(1), registry());
+        assert_eq!(fresh.mode, Mode::Conservative);
+        assert_eq!(exec_token(&actions).txn, tid(0), "the TO-delivered tail replays");
+        assert!(fresh.on_opt_deliver(req(1, 0, 1)).is_empty());
+        let a = fresh.on_exec_done(exec_token(&actions));
+        assert_eq!(committed(&a), vec![tid(0)]);
+        assert_eq!(a.len(), 1, "the pending T1 does not start: {a:?}");
+    }
+
+    /// Registry whose procedure 0 folds `args[1]` into key 0 as
+    /// `v·31 + delta`: any reordering within a class changes the value.
+    fn mix_registry() -> Arc<ProcRegistry> {
+        let mut reg = ProcRegistry::new();
+        reg.register_fn("mix", |ctx, args| {
+            let d = args.get(1).and_then(Value::as_int).unwrap_or(0);
+            let v = ctx.read(ObjectKey::new(0))?.as_int().unwrap_or(0);
+            let next = v.wrapping_mul(31).wrapping_add(d);
+            ctx.write(ObjectKey::new(0), Value::Int(next))?;
+            ctx.emit(Value::Int(next));
+            Ok(())
+        });
+        Arc::new(reg)
+    }
+
+    /// What one [`drive`] run produced.
+    struct Run {
+        replica: Replica,
+        /// Every started attempt, with whether its transaction was
+        /// TO-delivered by then.
+        starts: Vec<(ExecToken, bool)>,
+        /// Each committed transaction's output, by transaction.
+        outputs: Vec<(TxnId, Vec<Value>)>,
+    }
+
+    /// Drives a `mode` replica over transactions `txns[i] = (class, delta)`
+    /// with id `i`: Opt-deliveries in `opt` order, TO-deliveries in `to`
+    /// order and completions of running attempts, interleaved by `steps`
+    /// (`0` Opt-delivers, `1` TO-delivers — or Opt-delivers when the next
+    /// TO-delivery would break Local Order — and `2` completes the running
+    /// attempt the step's index picks), then drains everything.
+    fn drive(
+        mode: Mode,
+        txns: &[(u32, i64)],
+        opt: &[usize],
+        to: &[usize],
+        steps: &[(u8, usize)],
+    ) -> Run {
+        let mut run = Run {
+            replica: Replica::with_mode(SiteId::new(0), db(3), mix_registry(), mode),
+            starts: Vec::new(),
+            outputs: Vec::new(),
+        };
+        let (mut opted, mut toed) = (0, 0);
+        let mut opt_done = vec![false; txns.len()];
+        let mut to_done = vec![false; txns.len()];
+        let mut running: Vec<ExecToken> = Vec::new();
+        // Enough drain steps for every delivery and every attempt,
+        // aborted ones included.
+        let drain = std::iter::repeat_n((3, 0), 6 * txns.len() + 2);
+        for (op, pick) in steps.iter().copied().chain(drain) {
+            let r = &mut run.replica;
+            // A drain step (`3`) delivers, then completes, once every
+            // Opt-delivery is done.
+            let draining = op == 3 && opted == opt.len();
+            let actions = match op {
+                1 | 3 if (op == 1 || draining) && toed < to.len() && opt_done[to[toed]] => {
+                    let i = to[toed];
+                    toed += 1;
+                    to_done[i] = true;
+                    r.on_to_deliver(tid(i as u64), ClassId::new(txns[i].0))
+                }
+                2 | 3 if (op == 2 || draining) && !running.is_empty() => {
+                    r.on_exec_done(running.remove(pick % running.len()))
+                }
+                _ if opted < opt.len() => {
+                    let i = opt[opted];
+                    opted += 1;
+                    opt_done[i] = true;
+                    r.on_opt_deliver(req(i as u64, txns[i].0, txns[i].1))
+                }
+                _ => Vec::new(),
+            };
+            for a in actions {
+                match a {
+                    ReplicaAction::StartExecution { token } => {
+                        run.starts.push((token, to_done[token.txn.seq as usize]));
+                        running.push(token);
+                    }
+                    ReplicaAction::Committed { txn, output, .. } => run.outputs.push((txn, output)),
+                }
+            }
+        }
+        assert!(running.is_empty() && toed == to.len(), "the drain finished the run");
+        run.outputs.sort_by_key(|(txn, _)| *txn);
+        run
+    }
+
+    /// `keys` sorted into a permutation of `0..keys.len()`.
+    fn permutation(keys: &[u64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        order
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Conservative processing never aborts, starts only TO-delivered
+        /// transactions, commits each class in TO order and ends in the
+        /// state the OTP policy reaches on the same inputs.
+        #[test]
+        fn prop_conservative_policy_is_otp_without_tentative_execution(
+            txns in proptest::collection::vec((0u32..3, -50i64..50, 0u64..1_000, 0u64..1_000), 1..14),
+            steps in proptest::collection::vec((0u8..3, 0usize..8), 0..60),
+        ) {
+            let opt = permutation(&txns.iter().map(|t| t.2).collect::<Vec<_>>());
+            let to = permutation(&txns.iter().map(|t| t.3).collect::<Vec<_>>());
+            let txns: Vec<(u32, i64)> = txns.iter().map(|t| (t.0, t.1)).collect();
+            let cons = drive(Mode::Conservative, &txns, &opt, &to, &steps);
+            let otp = drive(Mode::Otp, &txns, &opt, &to, &steps);
+            let c = &cons.replica;
+            proptest::prop_assert_eq!(c.counters.get("abort"), 0);
+            for (token, to_delivered) in &cons.starts {
+                proptest::prop_assert_eq!(token.attempt, 0, "{:?}", token);
+                proptest::prop_assert!(*to_delivered, "{:?} started before its TO-delivery", token);
+            }
+            for class in 0..3 {
+                let expected: Vec<TxnId> =
+                    to.iter().filter(|&&i| txns[i].0 == class).map(|&i| tid(i as u64)).collect();
+                let committed: Vec<TxnId> = c
+                    .commit_log()
+                    .iter()
+                    .map(|(t, _)| *t)
+                    .filter(|t| txns[t.seq as usize].0 == class)
+                    .collect();
+                proptest::prop_assert_eq!(committed, expected, "class {} commits in TO order", class);
+                let key = ObjectId::new(class, 0);
+                proptest::prop_assert_eq!(c.db().read_committed(key), otp.replica.db().read_committed(key));
+            }
+            proptest::prop_assert_eq!(cons.outputs.len(), txns.len());
+            proptest::prop_assert_eq!(&cons.outputs, &otp.outputs);
+            proptest::prop_assert_eq!(c.counters.get("submit"), c.counters.get("commit"));
+            proptest::prop_assert!(c.check_invariants().is_ok());
+            proptest::prop_assert!(otp.replica.check_invariants().is_ok());
+        }
     }
 }

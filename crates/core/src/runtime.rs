@@ -77,9 +77,8 @@
 use crate::cluster::{EngineKind, Mode, TxnPayload};
 use crate::event::ExecToken;
 use crate::invariants::{InvariantReport, RunHistories};
-use crate::site::{
-    record_stage, replicas, AnyReplica, Engine, EngineFactory, Site, SiteEffects, SiteMsgMap,
-};
+use crate::replica::Replica;
+use crate::site::{record_stage, replicas, Engine, EngineFactory, Site, SiteEffects, SiteMsgMap};
 use otp_broadcast::{EngineCtx, OrderDomain, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
@@ -1124,7 +1123,7 @@ struct SiteWorker {
     /// so every engine call runs at epoch 0 over all sites.
     domain: OrderDomain,
     engine: Engine,
-    replica: AnyReplica,
+    replica: Replica,
     msg_map: SiteMsgMap,
     /// Lifecycle trace sink (`None` = tracing off, the default; the hot
     /// path then pays one pointer-null branch per stage point).

@@ -23,18 +23,15 @@
 //! its own (DESIGN.md §16).
 
 use crate::cluster::{EngineKind, Mode, TxnPayload};
-use crate::conservative::ConservativeReplica;
 use crate::event::{ExecToken, ReplicaAction};
 use crate::replica::Replica;
 use otp_broadcast::{
     AtomicBroadcast, EngineAction, EngineCtx, Message, MsgId, OptAbcast, OptAbcastConfig, Oracle,
     OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast, TimerToken, Wire,
 };
-use otp_simnet::metrics::Counters;
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
-use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, SnapshotIndex, TxnIndex, Value};
+use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, Value};
 use otp_telemetry::{MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
-use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::txn::{TxnId, TxnRequest};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,113 +113,13 @@ pub(crate) fn replicas(
     classes: usize,
     registry: &Arc<ProcRegistry>,
     initial_data: &[(ObjectId, Value)],
-) -> Vec<AnyReplica> {
+) -> Vec<Replica> {
     let mut db = Database::new(classes);
     for (oid, v) in initial_data {
         db.load(*oid, v.clone());
     }
-    let replica = |site| match mode {
-        Mode::Otp => AnyReplica::Otp(Replica::new(site, db.clone(), Arc::clone(registry))),
-        Mode::Conservative => AnyReplica::Conservative(ConservativeReplica::new(
-            site,
-            db.clone(),
-            Arc::clone(registry),
-        )),
-    };
+    let replica = |site| Replica::with_mode(site, db.clone(), Arc::clone(registry), mode);
     SiteId::all(sites).map(replica).collect()
-}
-
-/// Either replica kind behind one interface.
-#[derive(Debug)]
-pub enum AnyReplica {
-    /// The paper's optimistic replica.
-    Otp(Replica),
-    /// The conservative baseline replica.
-    Conservative(ConservativeReplica),
-}
-
-/// Calls the same method on whichever replica `$replica` holds.
-macro_rules! dispatch {
-    ($replica:expr, $r:ident => $call:expr) => {
-        match $replica {
-            AnyReplica::Otp($r) => $call,
-            AnyReplica::Conservative($r) => $call,
-        }
-    };
-}
-
-impl AnyReplica {
-    /// A replica of the same kind at `site`, restored from a snapshot of
-    /// this one taken now, with the actions that resubmit its pending
-    /// definitive tail.
-    pub(crate) fn restored_at(
-        &self,
-        site: SiteId,
-        registry: Arc<ProcRegistry>,
-    ) -> (AnyReplica, Vec<ReplicaAction>) {
-        match self {
-            AnyReplica::Otp(r) => {
-                let (fresh, actions) = Replica::restore(site, registry, r.snapshot());
-                (AnyReplica::Otp(fresh), actions)
-            }
-            AnyReplica::Conservative(r) => {
-                let (fresh, actions) = ConservativeReplica::restore(site, registry, r.snapshot());
-                (AnyReplica::Conservative(fresh), actions)
-            }
-        }
-    }
-
-    pub(crate) fn on_opt_deliver(&mut self, request: TxnRequest) -> Vec<ReplicaAction> {
-        dispatch!(self, r => r.on_opt_deliver(request))
-    }
-
-    pub(crate) fn on_to_deliver_batch(&mut self, batch: &[(TxnId, ClassId)]) -> Vec<ReplicaAction> {
-        dispatch!(self, r => r.on_to_deliver_batch(batch))
-    }
-
-    pub(crate) fn on_exec_done(&mut self, token: ExecToken) -> Vec<ReplicaAction> {
-        dispatch!(self, r => r.on_exec_done(token))
-    }
-
-    /// The database copy at this site.
-    pub fn db(&self) -> &Database {
-        dispatch!(self, r => r.db())
-    }
-
-    /// Snapshot index a query starting now would get.
-    pub fn query_snapshot(&self) -> SnapshotIndex {
-        dispatch!(self, r => r.query_snapshot())
-    }
-
-    /// Local commit log.
-    pub fn commit_log(&self) -> &[(TxnId, TxnIndex)] {
-        dispatch!(self, r => r.commit_log())
-    }
-
-    /// Local committed history (updates + queries), rebuilt from the flat
-    /// log.
-    pub fn history(&self) -> Vec<CommittedTxn> {
-        self.history_log().to_vec()
-    }
-
-    /// Local committed history as kept.
-    pub fn history_log(&self) -> &HistoryLog {
-        dispatch!(self, r => r.history_log())
-    }
-
-    /// Moves the local history out, leaving an empty log.
-    pub(crate) fn take_history(&mut self) -> HistoryLog {
-        dispatch!(self, r => r.take_history())
-    }
-
-    pub(crate) fn record_query(&mut self, id: TxnId, reads: Vec<ObjectId>, snap: SnapshotIndex) {
-        dispatch!(self, r => r.record_query(id, reads, snap))
-    }
-
-    /// Protocol counters of this replica.
-    pub fn counters(&self) -> &Counters {
-        dispatch!(self, r => &r.counters)
-    }
 }
 
 /// What a driver does on a site's behalf when the shared site code asks.
@@ -264,7 +161,7 @@ pub(crate) struct Site<'a, F> {
     /// Group label of this site's trace events: its ordering group (0
     /// when unsharded).
     group: u16,
-    replica: &'a mut AnyReplica,
+    replica: &'a mut Replica,
     msg_map: &'a mut SiteMsgMap,
     /// `None` = tracing off: one branch per stage point, no clock read.
     trace: Option<&'a dyn TraceSink>,
@@ -276,7 +173,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     pub(crate) fn new(
         me: SiteId,
         group: u16,
-        replica: &'a mut AnyReplica,
+        replica: &'a mut Replica,
         msg_map: &'a mut SiteMsgMap,
         trace: Option<&'a dyn TraceSink>,
         fx: F,
@@ -416,7 +313,7 @@ pub(crate) fn record_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otp_storage::{ObjectKey, ProcError, ProcId};
+    use otp_storage::{ObjectKey, ProcError, ProcId, TxnIndex};
     use std::sync::Mutex;
 
     const ME: SiteId = SiteId::new(1);
@@ -486,7 +383,7 @@ mod tests {
 
     /// An OTP replica at [`ME`] with its message map, the log and the fake.
     struct Fixture {
-        replica: AnyReplica,
+        replica: Replica,
         map: SiteMsgMap,
         log: Arc<Log>,
         fake: Fake,

@@ -89,11 +89,13 @@ fn pinned_trace(
     (sink.len(), fnv1a(dump.as_bytes()), dump)
 }
 
-/// The simulator's trace bytes are pinned: the dumps of three cluster
+/// The simulator's trace bytes are pinned: the dumps of four cluster
 /// shapes must equal the ones recorded before the per-site delivery and
-/// tracing code moved into `site.rs`. Any change to what is traced, in
-/// what order, at which instant or with which group label turns this
-/// red — e.g. tracing `Execute` before `Abort` on a retry.
+/// tracing code moved into `site.rs` (the first three) and before the
+/// conservative policy became a mode of the one replica (the fourth).
+/// Any change to what is traced, in what order, at which instant or with
+/// which group label turns this red — e.g. tracing `Execute` before
+/// `Abort` on a retry.
 #[test]
 fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
     let (_, procs) = StandardProcs::registry();
@@ -104,13 +106,17 @@ fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
         }
     };
 
-    // Unsharded OTP on the consensus engine, dense arrivals on a hotspot:
+    // Dense arrivals on a hotspot: tentative and definitive order differ.
+    let hot = |seed| {
+        WorkloadSpec::new(4, 8, 160)
+            .with_selection(ClassSelection::HotSpot { hot_fraction: 0.125, hot_probability: 0.9 })
+            .with_arrival(Arrival::Fixed(SimDuration::from_micros(400)))
+            .with_seed(seed)
+    };
+
+    // Unsharded OTP on the consensus engine on the hotspot:
     // tentative-order mismatches force aborted-and-retried executions.
-    let hot = WorkloadSpec::new(4, 8, 160)
-        .with_selection(ClassSelection::HotSpot { hot_fraction: 0.125, hot_probability: 0.9 })
-        .with_arrival(Arrival::Fixed(SimDuration::from_micros(400)))
-        .with_seed(3);
-    let otp = pinned_trace(ClusterConfig::new(4, 8).with_seed(3), spec_load(hot));
+    let otp = pinned_trace(ClusterConfig::new(4, 8).with_seed(3), spec_load(hot(3)));
     assert!(otp.2.contains("\"stage\":\"abort\""), "the hotspot shape must trace a retry");
 
     // Conservative replicas on the batched sequencer, with snapshot queries.
@@ -147,11 +153,27 @@ fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
     );
     assert!(cross.2.contains("\"stage\":\"relay_wait\""), "cross updates pass the relay");
 
-    let pins = [(otp.0, otp.1), (cons.0, cons.1), (cross.0, cross.1)];
+    // Conservative replicas on the consensus engine on the hotspot, so
+    // CC10 moves TO-delivered transactions ahead of pending ones, and
+    // site 2 crashing mid-run and recovering: the restored replica
+    // replays the donor's TO-delivered tail before serving new deliveries.
+    let load = spec_load(hot(13));
+    let recovered = pinned_trace(
+        ClusterConfig::new(4, 8).with_mode(Mode::Conservative).with_seed(13),
+        |c: &mut Cluster| {
+            load(c);
+            c.schedule_crash(SimTime::from_millis(20), SiteId::new(2));
+            c.schedule_recover(SimTime::from_millis(40), SiteId::new(2), SiteId::new(0));
+        },
+    );
+    assert!(!recovered.2.contains("\"stage\":\"abort\""), "conservative never retries");
+
+    let pins = [(otp.0, otp.1), (cons.0, cons.1), (cross.0, cross.1), (recovered.0, recovered.1)];
     let recorded = [
         (2884, 13_284_260_801_166_220_815),
         (1260, 7_671_287_276_880_295_094),
         (416, 13_295_177_785_212_375_855),
+        (2660, 4_972_698_955_476_274_653),
     ];
     assert_eq!(pins, recorded, "trace bytes moved");
 }
