@@ -24,6 +24,11 @@
 //! * [`ScrambledAbcast`] — an oracle instrument with *controllable*
 //!   agreement delay and mismatch rate, used by the E2/E3 experiments.
 //!
+//! Each engine is two halves (DESIGN.md §18): one shared dissemination
+//! half — payload store, duplicate rule, own-id cursor, definitive log,
+//! the payload part of snapshot and restore — and its own ordering half
+//! (consensus batches, sequencer numbering, or the oracle).
+//!
 //! [`order`] computes the spontaneous-total-order metrics behind Figure 1,
 //! and [`harness::LanCluster`] runs any engine over the simulated LAN.
 //!
@@ -53,6 +58,7 @@
 //! assert_eq!(cluster.to_logs[1], cluster.to_logs[0]); // Global Order
 //! ```
 
+mod dissemination;
 pub mod domain;
 pub mod harness;
 mod idset;

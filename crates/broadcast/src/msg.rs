@@ -134,24 +134,15 @@ pub enum Wire<P> {
         /// `(instance, decided batch)` pairs, in instance order.
         decides: Vec<(u64, OrderBatch)>,
     },
-    /// Sequencer engine: global sequence number assignment for a message.
-    SeqOrder {
+    /// Sequencer engine: one wire carrying a run of consecutive sequence
+    /// assignments — `ids[k]` gets position `start_seqno + k`. A run of
+    /// one is a single assignment; a longer run amortizes the per-message
+    /// ordering frame over a whole accumulation window (the Slim-ABC style
+    /// throughput optimization).
+    SeqOrderBatch {
         /// View epoch the assigning sequencer incarnation was installed in.
         /// Receivers reject assignments from an epoch below their order
         /// fence (a dead sequencer incarnation) — see DESIGN.md §7.
-        epoch: u64,
-        /// Position in the definitive total order.
-        seqno: u64,
-        /// The message being ordered.
-        id: MsgId,
-    },
-    /// Sequencer engine, batched: one wire carrying a run of consecutive
-    /// sequence assignments — `ids[k]` gets position `start_seqno + k`.
-    /// Amortizes the per-message ordering frame over a whole accumulation
-    /// window (the Slim-ABC style throughput optimization).
-    SeqOrderBatch {
-        /// View epoch of the assigning sequencer incarnation (see
-        /// [`Wire::SeqOrder`]).
         epoch: u64,
         /// Position of `ids[0]` in the definitive total order.
         start_seqno: u64,
@@ -230,7 +221,6 @@ impl<P: PayloadSize> Wire<P> {
             Wire::DecideBatch { decides } => {
                 HDR + decides.iter().map(|(_, v)| 16 + 12 * v.len() as u32).sum::<u32>()
             }
-            Wire::SeqOrder { .. } => HDR + 28,
             Wire::SeqOrderBatch { ids, .. } => HDR + 16 + 12 * ids.len() as u32,
             Wire::OracleData { msg, .. } => HDR + 8 + msg.payload.size_bytes(),
             Wire::ViewChange { .. } => HDR + 12,
@@ -321,7 +311,7 @@ mod tests {
     fn wire_sizes_scale_with_content() {
         let m = Message { id: MsgId::new(SiteId::new(0), 0), payload: vec![0u8; 100] };
         assert_eq!(Wire::Data(m.clone()).size_bytes(), 124);
-        let small = Wire::<Vec<u8>>::SeqOrder { epoch: 0, seqno: 1, id: m.id };
+        let small = Wire::<Vec<u8>>::SeqOrderBatch { epoch: 0, start_seqno: 1, ids: vec![m.id] };
         assert!(small.size_bytes() < 64);
         let est = Wire::<Vec<u8>>::Consensus {
             instance: 0,

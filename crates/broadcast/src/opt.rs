@@ -49,14 +49,14 @@
 //! batches — so progress is made as long as some site has undecided
 //! messages.
 
+use crate::dissemination::Dissemination;
 use crate::domain::EngineCtx;
-use crate::idset::IdSet;
-use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire, RECOVERY_SEQ_GAP};
+use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire};
 use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
 use otp_consensus::{Action as CAction, ConsensusMsg, Instance, InstanceConfig};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Marker in [`TimerToken::round`] identifying batch-initiation timers
@@ -106,14 +106,8 @@ impl OptAbcastConfig {
 pub struct OptAbcast<P> {
     cfg: OptAbcastConfig,
     ccfg: InstanceConfig,
-    next_seq: u64,
-    /// Payload store for every received data message; also what makes a
-    /// data wire a duplicate.
-    received: HashMap<MsgId, P>,
-    /// Ids TO-delivered, in definitive order.
-    definitive_log: Vec<MsgId>,
-    /// The same ids as a set, for the skip-if-delivered checks.
-    to_set: IdSet,
+    /// Payloads, definitive log and own-id cursor (DESIGN.md §18).
+    dis: Dissemination<P>,
     /// Received (opt-delivered) but not yet covered by a processed
     /// decision, in receive order — this is what we propose.
     undecided: Vec<MsgId>,
@@ -157,10 +151,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         OptAbcast {
             cfg,
             ccfg: InstanceConfig::new(cfg.sites, cfg.consensus_timeout),
-            next_seq: 0,
-            received: HashMap::new(),
-            definitive_log: Vec::new(),
-            to_set: IdSet::new(),
+            dis: Dissemination::new(),
             undecided: Vec::new(),
             instances: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -310,18 +301,17 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             let mut stalled = false;
             while self.cursor_pos < batch.len() {
                 let id = batch[self.cursor_pos];
-                if self.to_set.contains(id) {
+                if self.dis.is_delivered(id) {
                     self.cursor_pos += 1;
                     continue;
                 }
-                if !self.received.contains_key(&id) {
+                if !self.dis.has(id) {
                     // Data not here yet: TO-delivery must wait for the
                     // Opt-delivery (Local Order).
                     stalled = true;
                     break;
                 }
-                self.to_set.insert(id);
-                self.definitive_log.push(id);
+                self.dis.deliver(id);
                 delivered.push(id);
                 self.cursor_pos += 1;
             }
@@ -344,22 +334,12 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
     }
 
     fn on_data(&mut self, me: SiteId, msg: Message<P>) -> Vec<EngineAction<P>> {
-        if self.received.contains_key(&msg.id) {
+        let Some(fresh) = self.dis.accept(me, &msg) else {
             return Vec::new(); // duplicate
-        }
-        let id = msg.id;
-        // A message tagged with our own origin is one a previous
-        // incarnation of this endpoint sent before crashing: never reuse
-        // its sequence number.
-        if id.origin == me {
-            self.next_seq = self.next_seq.max(id.seq + 1);
-        }
-        self.received.insert(id, msg.payload.clone());
+        };
         let mut out = Vec::new();
-        // Delivered already means it arrived after recovery sync accounted
-        // for it — the application has the effects; do not re-deliver.
-        if !self.to_set.contains(id) {
-            self.undecided.push(id);
+        if fresh {
+            self.undecided.push(msg.id);
             out.push(EngineAction::OptDeliver(msg));
         }
         // A decided batch may have been stalled waiting for this data.
@@ -404,7 +384,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
     }
 
     /// Handles one wire without flushing the helpout buffer — the receive
-    /// entry points flush exactly once per call, however many wires landed.
+    /// path flushes exactly once per call, however many wires landed.
     fn ingest_wire(&mut self, me: SiteId, from: SiteId, wire: Wire<P>) -> Vec<EngineAction<P>> {
         match wire {
             Wire::Data(msg) => self.on_data(me, msg),
@@ -421,8 +401,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
                 }
                 out
             }
-            Wire::SeqOrder { .. }
-            | Wire::SeqOrderBatch { .. }
+            Wire::SeqOrderBatch { .. }
             | Wire::OracleData { .. }
             | Wire::ViewChange { .. }
             | Wire::StateSummary { .. }
@@ -488,27 +467,13 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
 
 impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
     fn broadcast(&mut self, ctx: &EngineCtx<'_>, payload: P) -> (MsgId, Vec<EngineAction<P>>) {
-        let id = MsgId::new(ctx.me, self.next_seq);
-        self.next_seq += 1;
+        let id = self.dis.next_id(ctx.me);
         let msg = Message { id, payload };
         // The data is multicast to everyone including ourselves; our own
         // Opt-delivery happens when the loopback copy arrives, exactly as
         // with IP multicast — so the sender sees the same tentative order
         // as everyone else.
         (id, vec![EngineAction::Multicast(Wire::Data(msg))])
-    }
-
-    fn on_receive(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        from: SiteId,
-        wire: Wire<P>,
-    ) -> Vec<EngineAction<P>> {
-        let decided_before = self.decided.len();
-        let mut out = self.ingest_wire(ctx.me, from, wire);
-        self.drop_moot(decided_before, &mut out);
-        self.flush_helpouts(&mut out);
-        out
     }
 
     fn on_receive_batch(
@@ -541,27 +506,12 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
     }
 
     fn definitive_log(&self) -> &[MsgId] {
-        &self.definitive_log
+        self.dis.definitive_log()
     }
 
     fn snapshot(&self) -> EngineSnapshot<P> {
-        // Sorted collect: `received` is a HashMap, and a snapshot is
-        // state-transfer payload — its Vec order must not depend on
-        // hash iteration order.
-        let mut received: Vec<Message<P>> = self
-            .received
-            .iter()
-            .map(|(id, payload)| Message { id: *id, payload: payload.clone() })
-            .collect();
-        received.sort_by_key(|m| m.id);
         EngineSnapshot {
             decided: self.decided.iter().map(|(k, v)| (*k, v.as_ref().clone())).collect(),
-            received,
-            definitive_log: self.definitive_log.clone(),
-            order_tags: Vec::new(),
-            epoch: 0,
-            order_fence: 0,
-            min_delivered: self.definitive_log.len() as u64,
             instance_horizon: Some(
                 self.decided
                     .keys()
@@ -569,6 +519,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
                     .max()
                     .map_or(0, |highest| highest + 1),
             ),
+            ..self.dis.snapshot()
         }
     }
 
@@ -582,56 +533,27 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         // included (it could have decided that one alone and moved on) —
         // and in none beyond: deciding takes a majority's participation.
         self.rejoined_below = snapshot.instance_horizon.unwrap_or(0) + 1;
+        let decided_ids = snapshot.decided.values().flatten().copied();
+        self.dis.restore(ctx.me, snapshot.received, snapshot.definitive_log, decided_ids);
         self.decided = snapshot.decided.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
-        self.to_set = snapshot.definitive_log.iter().copied().collect();
-        self.definitive_log = snapshot.definitive_log;
-        for m in snapshot.received {
-            self.received.insert(m.id, m.payload);
-        }
-        // Messages received but not yet definitively delivered become our
-        // undecided proposal material, in deterministic id order (the
-        // donor's receive order is unknown to us). They are re-emitted as
-        // fresh Opt-deliveries: tentative again at this site.
-        let mut pending: Vec<MsgId> =
-            self.received.keys().filter(|id| !self.to_set.contains(**id)).copied().collect();
-        pending.sort_unstable();
-        let mut actions: Vec<EngineAction<P>> = pending
-            .iter()
-            .map(|id| {
-                EngineAction::OptDeliver(Message { id: *id, payload: self.received[id].clone() })
-            })
-            .collect();
+        // Messages received but not yet definitively delivered are
+        // tentative again: our undecided proposal material, and fresh
+        // Opt-deliveries.
+        let pending = self.dis.undelivered();
+        let mut actions: Vec<EngineAction<P>> =
+            pending.iter().map(|id| EngineAction::OptDeliver(self.dis.message(*id))).collect();
         self.undecided = pending;
         // Fast-forward the cursor past fully-delivered decided batches.
         self.cursor_instance = 0;
         self.cursor_pos = 0;
         while let Some(batch) = self.decided.get(&self.cursor_instance) {
-            if batch.iter().all(|id| self.to_set.contains(*id)) {
+            if batch.iter().all(|id| self.dis.is_delivered(*id)) {
                 self.cursor_instance += 1;
             } else {
                 break;
             }
         }
         self.next_initiate = self.cursor_instance;
-        // Our own sequence numbers must not collide with pre-crash ones.
-        // Scan *everything* the snapshot reports, not just the payload
-        // store: a decided batch can name an own id whose data the donor
-        // never received (a proposal can outrun its data wire). Missing
-        // those made the post-restore incarnation gap start from a stale
-        // cursor — with more than RECOVERY_SEQ_GAP ids in the reported
-        // window, the jump landed on ids the dead incarnation had already
-        // used and peers silently deduplicated the new messages.
-        let my_max = self
-            .received
-            .keys()
-            .copied()
-            .chain(self.decided.values().flat_map(|batch| batch.iter().copied()))
-            .filter(|id| id.origin == ctx.me)
-            .map(|id| id.seq)
-            .max();
-        if let Some(mx) = my_max {
-            self.next_seq = self.next_seq.max(mx + 1);
-        }
         // Decided batches may be immediately deliverable from the restored
         // state (data present, not yet in the definitive log).
         actions.extend(self.try_deliver());
@@ -639,15 +561,11 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
     }
 
     fn bump_incarnation(&mut self) {
-        self.next_seq += RECOVERY_SEQ_GAP;
+        self.dis.bump_incarnation();
     }
 
     fn retained(&self) -> EngineRetention {
-        EngineRetention {
-            payloads: self.received.len(),
-            log: self.definitive_log.len(),
-            index: self.to_set.runs(),
-        }
+        self.dis.retained(0)
     }
 
     fn decide_counts(&self) -> (u64, u64) {
@@ -666,6 +584,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
 mod tests {
     use super::*;
     use crate::domain::OrderDomain;
+    use crate::msg::RECOVERY_SEQ_GAP;
 
     fn engines(n: usize) -> Vec<OptAbcast<u32>> {
         let cfg = OptAbcastConfig::new(n, SimDuration::from_millis(20));
@@ -832,13 +751,39 @@ mod tests {
 
         // Old data arriving again after recovery must not re-deliver.
         let old = Message { id: MsgId::new(SiteId::new(0), 2), payload: 2u32 };
-        let actions = recovered.on_receive(&c2, SiteId::new(0), Wire::Data(old));
-        assert!(
+        let silent = |actions: &[EngineAction<u32>]| {
             !actions
                 .iter()
-                .any(|a| matches!(a, EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_))),
-            "{actions:?}"
-        );
+                .any(|a| matches!(a, EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_)))
+        };
+        let actions = recovered.on_receive(&c2, SiteId::new(0), Wire::Data(old.clone()));
+        assert!(silent(&actions), "{actions:?}");
+
+        // Nor when the restored store no longer holds its payload: then
+        // the data is no duplicate, only delivered. The same for every
+        // engine; each reads its own wire kind and ignores the other.
+        let mut cut: EngineSnapshot<u32> = EngineSnapshot::empty();
+        cut.decided.insert(0, vec![old.id]);
+        cut.order_tags = vec![(old.id, 0)];
+        cut.definitive_log = vec![old.id];
+        cut.min_delivered = 1;
+        let scramble = crate::ScrambleConfig::delay_only(SimDuration::from_millis(1));
+        let rng = otp_simnet::SimRng::seed_from(1);
+        let engines: [Box<dyn AtomicBroadcast<u32>>; 3] = [
+            Box::new(OptAbcast::new(cfg)),
+            Box::new(crate::SeqAbcast::new(SiteId::new(0))),
+            Box::new(crate::ScrambledAbcast::new(scramble, crate::Oracle::new(), rng)),
+        ];
+        for mut engine in engines {
+            engine.restore(&c2, cut.clone());
+            let wires = vec![
+                (SiteId::new(0), Wire::Data(old.clone())),
+                (SiteId::new(0), Wire::OracleData { msg: old.clone(), oracle_seq: 0 }),
+            ];
+            let actions = engine.on_receive_batch(&c2, wires);
+            assert!(silent(&actions), "{engine:?}: {actions:?}");
+            assert_eq!(engine.definitive_log(), [old.id]);
+        }
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! still hold, so OTP replicas run over it unchanged. It is *not* a real
 //! protocol — it is the lab instrument the benches use; see DESIGN.md §5.
 
+use crate::dissemination::Dissemination;
 use crate::domain::EngineCtx;
-use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire, RECOVERY_SEQ_GAP};
-use crate::traits::{AtomicBroadcast, EngineSnapshot};
+use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire};
+use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
 use otp_simnet::rng::SimRng;
 use otp_simnet::{SimDuration, SiteId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -75,18 +76,15 @@ pub struct ScrambledAbcast<P> {
     cfg: ScrambleConfig,
     oracle: Arc<Oracle>,
     rng: SimRng,
-    next_seq: u64,
-    received: HashMap<MsgId, Message<P>>,
+    /// Payloads, definitive log and own-id cursor (DESIGN.md §18).
+    dis: Dissemination<P>,
     /// oracle_seq → id, for messages whose TO-delivery timer has fired or
     /// is pending.
     order: BTreeMap<u64, MsgId>,
     /// Oracle seqs whose agreement delay has elapsed.
     ripe: BTreeMap<u64, bool>,
-    deliver_next: u64,
     /// A message held back to be opt-delivered after its successor.
     swap_hold: Option<Message<P>>,
-    opt_log: Vec<MsgId>,
-    definitive_log: Vec<MsgId>,
 }
 
 impl<P: Clone + std::fmt::Debug> ScrambledAbcast<P> {
@@ -98,14 +96,10 @@ impl<P: Clone + std::fmt::Debug> ScrambledAbcast<P> {
             cfg,
             oracle,
             rng,
-            next_seq: 0,
-            received: HashMap::new(),
+            dis: Dissemination::new(),
             order: BTreeMap::new(),
             ripe: BTreeMap::new(),
-            deliver_next: 0,
             swap_hold: None,
-            opt_log: Vec::new(),
-            definitive_log: Vec::new(),
         }
     }
 
@@ -115,96 +109,80 @@ impl<P: Clone + std::fmt::Debug> ScrambledAbcast<P> {
         (0..n).map(|_| ScrambledAbcast::new(cfg, Arc::clone(&oracle), rng.fork())).collect()
     }
 
-    /// The tentative (Opt-delivery) order observed so far.
-    pub fn tentative_log(&self) -> &[MsgId] {
-        &self.opt_log
-    }
-
-    fn opt_deliver(&mut self, msg: Message<P>, out: &mut Vec<EngineAction<P>>) {
-        self.opt_log.push(msg.id);
-        out.push(EngineAction::OptDeliver(msg));
-    }
-
-    fn flush_hold(&mut self, out: &mut Vec<EngineAction<P>>) {
-        if let Some(held) = self.swap_hold.take() {
-            self.opt_deliver(held, out);
-        }
-    }
-
     fn try_to_deliver(&mut self, out: &mut Vec<EngineAction<P>>) {
         let mut delivered: Vec<MsgId> = Vec::new();
-        while let (Some(&ready), Some(id)) =
-            (self.ripe.get(&self.deliver_next), self.order.get(&self.deliver_next).copied())
-        {
-            if !ready {
+        loop {
+            // TO-delivery is strictly in oracle-seq order from zero, so the
+            // log's length is the next seq to deliver.
+            let next = self.dis.definitive_log().len() as u64;
+            let (Some(true), Some(&id)) = (self.ripe.get(&next).copied(), self.order.get(&next))
+            else {
                 break;
-            }
+            };
             // Local Order: if the message is still held back for a swap,
             // release its Opt-delivery first — closing the current batch so
             // the Opt-delivery stays ahead of the id's TO-delivery.
-            if self.swap_hold.as_ref().is_some_and(|h| h.id == id) {
+            if let Some(held) = self.swap_hold.take_if(|h| h.id == id) {
                 if !delivered.is_empty() {
                     out.push(EngineAction::ToDeliver(std::mem::take(&mut delivered)));
                 }
-                self.flush_hold(out);
+                out.push(EngineAction::OptDeliver(held));
             }
-            self.definitive_log.push(id);
+            self.dis.deliver(id);
             delivered.push(id);
-            self.deliver_next += 1;
         }
         if !delivered.is_empty() {
             out.push(EngineAction::ToDeliver(delivered));
         }
     }
-}
 
-impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
-    fn broadcast(&mut self, ctx: &EngineCtx<'_>, payload: P) -> (MsgId, Vec<EngineAction<P>>) {
-        let id = MsgId::new(ctx.me, self.next_seq);
-        self.next_seq += 1;
-        let oracle_seq = self.oracle.next();
-        let msg = Message { id, payload };
-        (id, vec![EngineAction::Multicast(Wire::OracleData { msg, oracle_seq })])
-    }
-
-    fn on_receive(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        _from: SiteId,
-        wire: Wire<P>,
-    ) -> Vec<EngineAction<P>> {
+    /// Handles one wire of a receive batch.
+    fn on_wire(&mut self, me: SiteId, wire: Wire<P>, out: &mut Vec<EngineAction<P>>) {
         let Wire::OracleData { msg, oracle_seq } = wire else {
-            return Vec::new();
+            return;
         };
-        if self.received.contains_key(&msg.id) {
-            return Vec::new();
-        }
-        // Sent by a previous incarnation of this endpoint: never reuse its
-        // sequence number.
-        if msg.id.origin == ctx.me {
-            self.next_seq = self.next_seq.max(msg.id.seq + 1);
-        }
-        self.received.insert(msg.id, msg.clone());
+        // A duplicate, or delivered already: its oracle seq is behind the
+        // delivery cursor.
+        let Some(true) = self.dis.accept(me, &msg) else {
+            return;
+        };
         self.order.insert(oracle_seq, msg.id);
         self.ripe.insert(oracle_seq, false);
-
-        let mut out = Vec::new();
         // A previously held message is released by the next arrival: the
         // pair appears swapped in the tentative order.
-        let had_hold = self.swap_hold.is_some();
-        if had_hold {
-            self.opt_deliver(msg.clone(), &mut out);
-            self.flush_hold(&mut out);
+        if let Some(held) = self.swap_hold.take() {
+            out.push(EngineAction::OptDeliver(msg));
+            out.push(EngineAction::OptDeliver(held));
         } else if self.rng.chance(self.cfg.swap_probability) {
-            self.swap_hold = Some(msg.clone());
+            self.swap_hold = Some(msg);
         } else {
-            self.opt_deliver(msg.clone(), &mut out);
+            out.push(EngineAction::OptDeliver(msg));
         }
         // Arm the agreement timer for this message.
         out.push(EngineAction::SetTimer {
             token: TimerToken { instance: oracle_seq, round: ORACLE_ROUND },
             delay: self.cfg.agreement_delay,
         });
+    }
+}
+
+impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
+    fn broadcast(&mut self, ctx: &EngineCtx<'_>, payload: P) -> (MsgId, Vec<EngineAction<P>>) {
+        let id = self.dis.next_id(ctx.me);
+        let oracle_seq = self.oracle.next();
+        let msg = Message { id, payload };
+        (id, vec![EngineAction::Multicast(Wire::OracleData { msg, oracle_seq })])
+    }
+
+    fn on_receive_batch(
+        &mut self,
+        ctx: &EngineCtx<'_>,
+        wires: Vec<(SiteId, Wire<P>)>,
+    ) -> Vec<EngineAction<P>> {
+        let mut out = Vec::new();
+        for (_, wire) in wires {
+            self.on_wire(ctx.me, wire, &mut out);
+        }
         out
     }
 
@@ -219,26 +197,16 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
     }
 
     fn definitive_log(&self) -> &[MsgId] {
-        &self.definitive_log
+        self.dis.definitive_log()
     }
 
     fn snapshot(&self) -> EngineSnapshot<P> {
-        // Sorted collect: state-transfer payload must not inherit
-        // HashMap iteration order.
-        let mut received: Vec<Message<P>> = self.received.values().cloned().collect();
-        received.sort_by_key(|m| m.id);
         EngineSnapshot {
-            decided: BTreeMap::new(),
-            received,
-            definitive_log: self.definitive_log.clone(),
             // The oracle seq of every known message: the only way a
             // restored endpoint can re-arm messages the donor had received
             // but not yet TO-delivered.
             order_tags: self.order.iter().map(|(seq, id)| (*id, *seq)).collect(),
-            epoch: 0,
-            order_fence: 0,
-            min_delivered: self.definitive_log.len() as u64,
-            instance_horizon: None,
+            ..self.dis.snapshot()
         }
     }
 
@@ -247,57 +215,37 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
         ctx: &EngineCtx<'_>,
         snapshot: EngineSnapshot<P>,
     ) -> Vec<EngineAction<P>> {
-        self.definitive_log = snapshot.definitive_log.clone();
-        self.opt_log = snapshot.definitive_log.clone();
-        for m in snapshot.received {
-            self.received.insert(m.id, m);
-        }
-        // TO-delivery is strictly in oracle-seq order from zero, so the
-        // definitive log covers seqs 0..len densely.
-        self.deliver_next = snapshot.definitive_log.len() as u64;
+        let tagged = snapshot.order_tags.iter().map(|(id, _)| *id);
+        self.dis.restore(ctx.me, snapshot.received, snapshot.definitive_log, tagged);
+        let deliver_next = self.dis.definitive_log().len() as u64;
         let mut actions = Vec::new();
         for (id, seq) in snapshot.order_tags {
             self.order.insert(seq, id);
-            if seq < self.deliver_next {
-                self.ripe.insert(seq, true);
-            } else {
+            let delivered = seq < deliver_next;
+            self.ripe.insert(seq, delivered);
+            if !delivered {
                 // Received by the donor but not yet TO-delivered: tentative
                 // again at this site — re-emit the Opt-delivery and restart
                 // the agreement timer (the pre-crash timer died with the
                 // crashed endpoint).
-                self.ripe.insert(seq, false);
-                let msg = self.received[&id].clone();
-                self.opt_deliver(msg, &mut actions);
+                actions.push(EngineAction::OptDeliver(self.dis.message(id)));
                 actions.push(EngineAction::SetTimer {
                     token: TimerToken { instance: seq, round: ORACLE_ROUND },
                     delay: self.cfg.agreement_delay,
                 });
             }
         }
-        // Our own sequence numbers must not collide with pre-crash ones —
-        // peers would silently drop the reused ids and their oracle seqs
-        // would become permanent holes in the delivery order. Scan the
-        // order map as well as the payload store: a merged digest can tag
-        // an own id this union's `received` happens to carry anyway, but
-        // the comprehensive scan keeps the incarnation gap anchored at the
-        // highest id *any* survivor reported, whatever shape the digest
-        // took (same audit as the opt engine's decided-batch scan).
-        let my_max = self
-            .received
-            .keys()
-            .copied()
-            .chain(self.order.values().copied())
-            .filter(|id| id.origin == ctx.me)
-            .map(|id| id.seq)
-            .max();
-        if let Some(mx) = my_max {
-            self.next_seq = self.next_seq.max(mx + 1);
-        }
         actions
     }
 
     fn bump_incarnation(&mut self) {
-        self.next_seq += RECOVERY_SEQ_GAP;
+        self.dis.bump_incarnation();
+    }
+
+    fn retained(&self) -> EngineRetention {
+        // Oracle positions are kept delivered or not, so this index grows
+        // with the run.
+        self.dis.retained(self.order.len() + self.ripe.len())
     }
 }
 
@@ -309,6 +257,8 @@ mod tests {
     /// Timed mini-driver for the oracle engine (it needs timers).
     struct Driver {
         engines: Vec<ScrambledAbcast<u32>>,
+        /// Each site's Opt-deliveries, in order: its tentative order.
+        opt_logs: Vec<Vec<MsgId>>,
         dom: OrderDomain,
         queue: otp_simnet::EventQueue<Ev>,
     }
@@ -323,6 +273,7 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             Driver {
                 engines: ScrambledAbcast::group(n, cfg, &mut rng),
+                opt_logs: vec![Vec::new(); n],
                 dom: OrderDomain::global(n),
                 queue: otp_simnet::EventQueue::new(),
             }
@@ -347,7 +298,8 @@ mod tests {
                     EngineAction::SetTimer { token, delay } => {
                         self.queue.schedule(now + delay, Ev::Timer { site, token });
                     }
-                    EngineAction::OptDeliver(_) | EngineAction::ToDeliver(_) => {}
+                    EngineAction::OptDeliver(m) => self.opt_logs[site.index()].push(m.id),
+                    EngineAction::ToDeliver(_) => {}
                 }
             }
         }
@@ -397,8 +349,8 @@ mod tests {
             d.broadcast(SiteId::new(0), k);
         }
         d.run();
-        for e in &d.engines {
-            assert_eq!(e.tentative_log(), e.definitive_log());
+        for (e, tentative) in d.engines.iter().zip(&d.opt_logs) {
+            assert_eq!(tentative, e.definitive_log());
         }
     }
 
@@ -416,9 +368,9 @@ mod tests {
         // Definitive order is the oracle order at every site.
         assert_eq!(d.engines[0].definitive_log(), e.definitive_log());
         // The tentative order should differ somewhere.
-        assert_ne!(e.tentative_log(), e.definitive_log(), "swaps must show up");
+        assert_ne!(d.opt_logs[1], e.definitive_log(), "swaps must show up");
         // But as a *set* it is the same 100 messages.
-        let mut a = e.tentative_log().to_vec();
+        let mut a = d.opt_logs[1].clone();
         let mut b = e.definitive_log().to_vec();
         a.sort_unstable();
         b.sort_unstable();
@@ -463,28 +415,43 @@ mod tests {
         // Found by the chaos swarm: a restored endpoint restarting at
         // next_seq = 0 reuses pre-crash MsgIds, which every peer silently
         // deduplicates — the reused ids' oracle seqs become permanent holes
-        // and TO-delivery stalls cluster-wide.
+        // and TO-delivery stalls cluster-wide. A restored endpoint learns
+        // that an id is taken from the donor's snapshot or from the dead
+        // incarnation's wire arriving after the restore; both hold for
+        // every engine.
+        type Engine = Box<dyn AtomicBroadcast<u32>>;
         let cfg = ScrambleConfig::delay_only(SimDuration::from_millis(1));
         let oracle = Oracle::new();
         let mut rng = SimRng::seed_from(8);
+        let mut scrambled =
+            || -> Engine { Box::new(ScrambledAbcast::new(cfg, Arc::clone(&oracle), rng.fork())) };
+        let opt_cfg = crate::OptAbcastConfig::new(2, SimDuration::from_millis(20));
+        let mut opt = || -> Engine { Box::new(crate::OptAbcast::new(opt_cfg)) };
+        let mut seq = || -> Engine { Box::new(crate::SeqAbcast::new(SiteId::new(1))) };
+        let kinds: [&mut dyn FnMut() -> Engine; 3] = [&mut scrambled, &mut opt, &mut seq];
         let dom = OrderDomain::global(2);
         let c0 = EngineCtx::new(SiteId::new(0), &dom);
-        let mut a: ScrambledAbcast<u32> =
-            ScrambledAbcast::new(cfg, Arc::clone(&oracle), rng.fork());
-        let (id0, actions) = a.broadcast(&c0, 1);
-        // The endpoint must see its own multicast to know the id is taken.
-        for act in actions {
-            if let EngineAction::Multicast(w) = act {
-                a.on_receive(&c0, SiteId::new(0), w);
+        for new_engine in kinds {
+            let mut a = new_engine();
+            let (id0, actions) = a.broadcast(&c0, 1);
+            let [EngineAction::Multicast(wire)] = actions.as_slice() else {
+                panic!("broadcast multicasts the data only: {actions:?}");
+            };
+            // Restored before the loopback copy arrived: only the wire can
+            // teach this incarnation the id.
+            let mut taught_by_wire = new_engine();
+            taught_by_wire.restore(&c0, a.snapshot());
+            // The endpoint must see its own multicast to know the id is
+            // taken, and then its snapshot carries it.
+            a.on_receive(&c0, SiteId::new(0), wire.clone());
+            let mut taught_by_snapshot = new_engine();
+            taught_by_snapshot.restore(&c0, a.snapshot());
+            taught_by_wire.on_receive(&c0, SiteId::new(0), wire.clone());
+            for mut restored in [taught_by_snapshot, taught_by_wire] {
+                let (id1, _) = restored.broadcast(&c0, 2);
+                assert!(id1.seq > id0.seq, "{restored:?} reuses {id0}");
             }
         }
-        let snap = a.snapshot();
-        let mut fresh: ScrambledAbcast<u32> =
-            ScrambledAbcast::new(cfg, Arc::clone(&oracle), rng.fork());
-        fresh.restore(&c0, snap);
-        let (id1, _) = fresh.broadcast(&c0, 2);
-        assert_ne!(id0, id1, "restored endpoint must not reuse pre-crash ids");
-        assert!(id1.seq > id0.seq);
     }
 
     #[test]
@@ -537,7 +504,7 @@ mod tests {
         d.run();
         let e = &d.engines[1];
         let mismatches =
-            e.tentative_log().iter().zip(e.definitive_log()).filter(|(a, b)| a != b).count();
+            d.opt_logs[1].iter().zip(e.definitive_log()).filter(|(a, b)| a != b).count();
         let rate = mismatches as f64 / 2000.0;
         // Each swap displaces two adjacent positions ⇒ position-mismatch
         // rate ≈ 2·p·(1-p) ± noise. For p=0.3 that is ≈ 0.42.

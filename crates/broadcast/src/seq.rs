@@ -14,20 +14,21 @@
 //!
 //! Failure handling: the sequencer is a single point of ordering, recovered
 //! through the view-change protocol of `otp-view` (see DESIGN.md §7). Every
-//! order assignment is tagged with the installed view [`Wire::SeqOrder`]
-//! epoch; when a view change re-admits the sequencer site, survivors fence
-//! out assignment frames from the dead incarnation and the restored
-//! incarnation — rebuilt from the *union* of all survivors' order maps —
-//! renumbers what no survivor knew and re-announces everything else under
-//! the new epoch.
+//! order assignment is tagged with the installed view's epoch
+//! ([`Wire::SeqOrderBatch`]); when a view change re-admits the sequencer
+//! site, survivors fence out assignment frames from the dead incarnation
+//! and the restored incarnation — rebuilt from the *union* of all
+//! survivors' order maps — renumbers what no survivor knew and re-announces
+//! everything else under the new epoch.
 
+use crate::dissemination::Dissemination;
 use crate::domain::EngineCtx;
 use crate::idset::IdSet;
-use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire, RECOVERY_SEQ_GAP};
+use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire};
 use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Marker in [`TimerToken::round`] identifying the order-batch flush timer.
@@ -37,9 +38,10 @@ const SEQ_BATCH_ROUND: u64 = u64::MAX - 2;
 #[derive(Debug)]
 pub struct SeqAbcast<P> {
     sequencer: SiteId,
-    next_seq: u64,
+    /// Payloads, definitive log and own-id cursor (DESIGN.md §18).
+    dis: Dissemination<P>,
     /// Installed view epoch: stamps every order assignment this incarnation
-    /// multicasts (see [`Wire::SeqOrder`]).
+    /// multicasts (see [`Wire::SeqOrderBatch`]).
     epoch: u64,
     /// Minimum acceptable assignment epoch. Raised when a view change
     /// recovers the sequencer site: assignments tagged below the fence come
@@ -73,16 +75,10 @@ pub struct SeqAbcast<P> {
     /// everything below it, so [`SeqAbcast::finish_restore`] re-announces
     /// only the suffix (delta re-announce).
     reannounce_floor: u64,
-    /// Payload store; also what makes a data wire a duplicate.
-    received: HashMap<MsgId, P>,
     /// Order assignments not yet delivered: every key is at or above the
-    /// log's length. A delivered position `p` holds `definitive_log[p]`.
+    /// log's length. A delivered position `p` holds the log's entry `p`,
+    /// so the log's length is the next position to deliver.
     order: BTreeMap<u64, MsgId>,
-    /// Ids TO-delivered, in sequence-number order: entry `p` is position
-    /// `p`, so its length is the next position to deliver.
-    definitive_log: Vec<MsgId>,
-    /// The same ids as a set, for the skip-if-delivered checks.
-    to_set: IdSet,
 }
 
 impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
@@ -93,7 +89,7 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
     pub fn new(sequencer: SiteId) -> Self {
         SeqAbcast {
             sequencer,
-            next_seq: 0,
+            dis: Dissemination::new(),
             epoch: 0,
             order_fence: 0,
             stale_rejects: Arc::new(Counter::new()),
@@ -103,10 +99,7 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
             pending_order: Vec::new(),
             batch_timer_armed: false,
             reannounce_floor: 0,
-            received: HashMap::new(),
             order: BTreeMap::new(),
-            definitive_log: Vec::new(),
-            to_set: IdSet::new(),
         }
     }
 
@@ -121,16 +114,16 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
 
     /// Next sequence number to TO-deliver.
     fn deliver_next(&self) -> u64 {
-        self.definitive_log.len() as u64
+        self.dis.definitive_log().len() as u64
     }
 
     /// Every assignment known at position `from` or above, delivered or
     /// not, in position order: the log's positions, then the undelivered
     /// map.
     fn assignments(&self, from: u64) -> impl Iterator<Item = (u64, MsgId)> + '_ {
-        let len = self.definitive_log.len();
-        let start = usize::try_from(from).map_or(len, |f| f.min(len));
-        let delivered = self.definitive_log[start..].iter().zip(start as u64..);
+        let log = self.dis.definitive_log();
+        let start = usize::try_from(from).map_or(log.len(), |f| f.min(log.len()));
+        let delivered = log[start..].iter().zip(start as u64..);
         let undelivered = self.order.range(from..).map(|(seqno, id)| (*seqno, *id));
         delivered.map(|(id, seqno)| (seqno, *id)).chain(undelivered)
     }
@@ -143,13 +136,11 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
         loop {
             let next = self.deliver_next();
             let Some(entry) = self.order.first_entry() else { break };
-            if *entry.key() != next || !self.received.contains_key(entry.get()) {
+            if *entry.key() != next || !self.dis.has(*entry.get()) {
                 break; // a gap, or data lagging behind its order assignment
             }
             let id = entry.remove();
-            let fresh = self.to_set.insert(id);
-            debug_assert!(fresh, "{id} holds two positions (DESIGN.md §15)");
-            self.definitive_log.push(id);
+            self.dis.deliver(id);
             delivered.push(id);
         }
         if !delivered.is_empty() {
@@ -158,46 +149,26 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
     }
 
     /// Multicasts every pending order assignment: contiguous runs coalesce
-    /// into one [`Wire::SeqOrderBatch`] each (a run of one stays a plain
-    /// [`Wire::SeqOrder`], the legacy wire). Runs can be non-contiguous
+    /// into one [`Wire::SeqOrderBatch`] each. Runs can be non-contiguous
     /// when a replayed pre-crash assignment bumped `next_global` in the
     /// middle of a window.
     fn flush_pending(&mut self, out: &mut Vec<EngineAction<P>>) {
-        if self.pending_order.is_empty() {
-            return;
-        }
         let pending = std::mem::take(&mut self.pending_order);
-        let mut run_start = 0;
-        for i in 1..=pending.len() {
-            let run_ends = i == pending.len() || pending[i].0 != pending[i - 1].0 + 1;
-            if !run_ends {
-                continue;
-            }
-            let run = &pending[run_start..i];
-            if run.len() == 1 {
-                out.push(EngineAction::Multicast(Wire::SeqOrder {
-                    epoch: self.epoch,
-                    seqno: run[0].0,
-                    id: run[0].1,
-                }));
-            } else {
-                out.push(EngineAction::Multicast(Wire::SeqOrderBatch {
-                    epoch: self.epoch,
-                    start_seqno: run[0].0,
-                    ids: run.iter().map(|(_, id)| *id).collect(),
-                }));
-            }
-            run_start = i;
+        for run in pending.chunk_by(|a, b| b.0 == a.0 + 1) {
+            out.push(EngineAction::Multicast(Wire::SeqOrderBatch {
+                epoch: self.epoch,
+                start_seqno: run[0].0,
+                ids: run.iter().map(|(_, id)| *id).collect(),
+            }));
         }
     }
 
     /// Ingests one wire without flushing pending assignments or running the
-    /// delivery loop — [`SeqAbcast::on_receive`] and the batched receive
-    /// path do both exactly once per call, however many wires arrived.
+    /// delivery loop — the receive path does both exactly once per call,
+    /// however many wires arrived.
     fn ingest(&mut self, me: SiteId, wire: Wire<P>, out: &mut Vec<EngineAction<P>>) {
         match wire {
             Wire::Data(msg) => self.ingest_data(me, msg, out),
-            Wire::SeqOrder { epoch, seqno, id } => self.ingest_order(me, epoch, seqno, id),
             Wire::SeqOrderBatch { epoch, start_seqno, ids } => {
                 for (k, id) in ids.into_iter().enumerate() {
                     self.ingest_order(me, epoch, start_seqno + k as u64, id);
@@ -214,17 +185,11 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
     }
 
     fn ingest_data(&mut self, me: SiteId, msg: Message<P>, out: &mut Vec<EngineAction<P>>) {
-        if self.received.contains_key(&msg.id) {
-            return;
-        }
+        let Some(fresh) = self.dis.accept(me, &msg) else {
+            return; // duplicate
+        };
         let id = msg.id;
-        // Sent by a previous incarnation of this endpoint: never reuse its
-        // sequence number.
-        if id.origin == me {
-            self.next_seq = self.next_seq.max(id.seq + 1);
-        }
-        self.received.insert(id, msg.payload.clone());
-        if !self.to_set.contains(id) {
+        if fresh {
             out.push(EngineAction::OptDeliver(msg));
         }
         if me == self.sequencer && self.numbered.insert(id) {
@@ -264,7 +229,7 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
         }
         // A sequencer must never reassign a sequence number it has seen
         // assigned — a restored sequencer learns its own pre-crash
-        // assignments through replayed SeqOrder wires.
+        // assignments through replayed order wires.
         if me == self.sequencer {
             self.next_global = self.next_global.max(seqno + 1);
         }
@@ -274,26 +239,9 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
 impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     fn broadcast(&mut self, ctx: &EngineCtx<'_>, payload: P) -> (MsgId, Vec<EngineAction<P>>) {
         self.epoch = self.epoch.max(ctx.epoch);
-        let id = MsgId::new(ctx.me, self.next_seq);
-        self.next_seq += 1;
+        let id = self.dis.next_id(ctx.me);
         let msg = Message { id, payload };
         (id, vec![EngineAction::Multicast(Wire::Data(msg))])
-    }
-
-    fn on_receive(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        _from: SiteId,
-        wire: Wire<P>,
-    ) -> Vec<EngineAction<P>> {
-        self.epoch = self.epoch.max(ctx.epoch);
-        let mut out = Vec::new();
-        self.ingest(ctx.me, wire, &mut out);
-        if self.order_batch_delay.is_none() {
-            self.flush_pending(&mut out);
-        }
-        self.try_deliver(&mut out);
-        out
     }
 
     fn on_receive_batch(
@@ -327,29 +275,17 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     }
 
     fn definitive_log(&self) -> &[MsgId] {
-        &self.definitive_log
+        self.dis.definitive_log()
     }
 
     fn snapshot(&self) -> EngineSnapshot<P> {
-        // Sorted collect: state-transfer payload must not inherit
-        // HashMap iteration order.
-        let mut received: Vec<Message<P>> = self
-            .received
-            .iter()
-            .map(|(id, payload)| Message { id: *id, payload: payload.clone() })
-            .collect();
-        received.sort_by_key(|m| m.id);
         EngineSnapshot {
-            decided: BTreeMap::new(),
-            received,
-            definitive_log: self.definitive_log.clone(),
             // Every sequence assignment seen so far, delivered or not — a
             // restored sequencer must never reassign one of them.
             order_tags: self.assignments(0).map(|(seqno, id)| (id, seqno)).collect(),
             epoch: self.epoch,
             order_fence: self.order_fence,
-            min_delivered: self.definitive_log.len() as u64,
-            instance_horizon: None,
+            ..self.dis.snapshot()
         }
     }
 
@@ -360,11 +296,10 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     ) -> Vec<EngineAction<P>> {
         self.epoch = self.epoch.max(snapshot.epoch).max(ctx.epoch);
         self.order_fence = self.order_fence.max(snapshot.order_fence);
-        self.to_set = snapshot.definitive_log.iter().copied().collect();
-        self.definitive_log = snapshot.definitive_log;
-        for m in snapshot.received {
-            self.received.insert(m.id, m.payload);
-        }
+        // Every tag counts for the own-id cursor, delivered or not: a tag
+        // below the log's end names what the log holds there.
+        let tagged = snapshot.order_tags.iter().map(|(id, _)| *id);
+        self.dis.restore(ctx.me, snapshot.received, snapshot.definitive_log, tagged);
         let deliver_next = self.deliver_next();
         // The delta re-announce floor: every member whose state is folded
         // into this snapshot has delivered (hence applied) all assignments
@@ -384,29 +319,14 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
             }
             self.next_global = self.next_global.max(seqno + 1);
         }
-        // Never reuse an own message id the donor knew about — whether it
-        // knew the data or only an order assignment whose data it never saw
-        // (the assignment wire can outrun the data wire).
-        let my_max = self
-            .received
-            .keys()
-            .copied()
-            .chain(self.assignments(0).map(|(_, id)| id))
-            .filter(|id| id.origin == ctx.me)
-            .map(|id| id.seq)
-            .max();
-        if let Some(mx) = my_max {
-            self.next_seq = self.next_seq.max(mx + 1);
-        }
         // Received-but-undelivered messages are tentative again: re-emit
-        // their Opt-deliveries (deterministic id order) so the application
-        // can rebuild its queues, then whatever is sequenced and ready.
-        let mut pending: Vec<MsgId> =
-            self.received.keys().filter(|id| !self.to_set.contains(**id)).copied().collect();
-        pending.sort_unstable();
-        let mut actions: Vec<EngineAction<P>> = pending
+        // their Opt-deliveries so the application can rebuild its queues,
+        // then whatever is sequenced and ready.
+        let mut actions: Vec<EngineAction<P>> = self
+            .dis
+            .undelivered()
             .into_iter()
-            .map(|id| EngineAction::OptDeliver(Message { id, payload: self.received[&id].clone() }))
+            .map(|id| EngineAction::OptDeliver(self.dis.message(id)))
             .collect();
         if ctx.me == self.sequencer {
             self.numbered = self.assignments(0).map(|(_, id)| id).collect();
@@ -449,10 +369,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
             return actions;
         }
         self.numbered = self.assignments(0).map(|(_, id)| id).collect();
-        let mut unassigned: Vec<MsgId> =
-            self.received.keys().filter(|id| !self.numbered.contains(**id)).copied().collect();
-        unassigned.sort_unstable();
-        for id in unassigned {
+        for id in self.dis.stored_where(|id| !self.numbered.contains(id)) {
             let seqno = self.next_global;
             self.next_global += 1;
             self.numbered.insert(id);
@@ -472,15 +389,11 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
     }
 
     fn bump_incarnation(&mut self) {
-        self.next_seq += RECOVERY_SEQ_GAP;
+        self.dis.bump_incarnation();
     }
 
     fn retained(&self) -> EngineRetention {
-        EngineRetention {
-            payloads: self.received.len(),
-            log: self.definitive_log.len(),
-            index: self.to_set.runs() + self.numbered.runs() + self.order.len(),
-        }
+        self.dis.retained(self.numbered.runs() + self.order.len())
     }
 
     fn stale_epoch_rejects(&self) -> u64 {
@@ -497,9 +410,15 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
 mod tests {
     use super::*;
     use crate::domain::OrderDomain;
+    use crate::msg::RECOVERY_SEQ_GAP;
 
     fn dom4() -> OrderDomain {
         OrderDomain::global(4)
+    }
+
+    /// The assignment of `id` to position `seqno`, tagged `epoch`.
+    fn order(epoch: u64, seqno: u64, id: MsgId) -> Wire<u32> {
+        Wire::SeqOrderBatch { epoch, start_seqno: seqno, ids: vec![id] }
     }
 
     fn engines(n: usize) -> Vec<SeqAbcast<u32>> {
@@ -573,7 +492,7 @@ mod tests {
         let mut e: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
         let id = MsgId::new(SiteId::new(2), 0);
         // Order assignment arrives first (data raced behind it).
-        let a1 = e.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 0, seqno: 0, id });
+        let a1 = e.on_receive(&c1, SiteId::new(0), order(0, 0, id));
         assert!(a1.is_empty());
         // Data arrives: opt-deliver then to-deliver, in that order.
         let a2 = e.on_receive(&c1, SiteId::new(2), Wire::Data(Message { id, payload: 9 }));
@@ -597,10 +516,10 @@ mod tests {
         let id1 = MsgId::new(SiteId::new(2), 1);
         e.on_receive(&c1, SiteId::new(2), Wire::Data(Message { id: id1, payload: 1 }));
         // seqno 1 known, seqno 0 missing → nothing TO-delivered.
-        let a = e.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 0, seqno: 1, id: id1 });
+        let a = e.on_receive(&c1, SiteId::new(0), order(0, 1, id1));
         assert!(a.is_empty());
         e.on_receive(&c1, SiteId::new(2), Wire::Data(Message { id: id0, payload: 0 }));
-        let a = e.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 0, seqno: 0, id: id0 });
+        let a = e.on_receive(&c1, SiteId::new(0), order(0, 0, id0));
         // Both deliver now, in order — and in ONE batch (they became
         // definitive at the same instant).
         let tos: Vec<Vec<MsgId>> = a
@@ -623,7 +542,7 @@ mod tests {
         let a1 = e.on_receive(&c0, SiteId::new(1), Wire::Data(m.clone()));
         let orders1 = a1
             .iter()
-            .filter(|a| matches!(a, EngineAction::Multicast(Wire::SeqOrder { .. })))
+            .filter(|a| matches!(a, EngineAction::Multicast(Wire::SeqOrderBatch { .. })))
             .count();
         assert_eq!(orders1, 1);
         let a2 = e.on_receive(&c0, SiteId::new(1), Wire::Data(m));
@@ -660,10 +579,10 @@ mod tests {
         let c0 = EngineCtx::new(SiteId::new(0), &dom);
         let c1 = EngineCtx::new(SiteId::new(1), &dom);
         let id_m = MsgId::new(SiteId::new(0), 0);
-        // Donor (site 1) saw SeqOrder{0, M} but never M's data, so its
+        // Donor (site 1) saw the assignment 0 → M but never M's data, so its
         // definitive log is empty while order[0] is taken.
         let mut donor: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
-        donor.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 0, seqno: 0, id: id_m });
+        donor.on_receive(&c1, SiteId::new(0), order(0, 0, id_m));
         assert!(donor.definitive_log().is_empty());
         // The sequencer (site 0) recovers from that donor and numbers a
         // fresh message: it must pick seqno 1, not 0.
@@ -681,7 +600,9 @@ mod tests {
             .on_receive(&c0, SiteId::new(0), Wire::Data(data))
             .iter()
             .find_map(|a| match a {
-                EngineAction::Multicast(Wire::SeqOrder { seqno, .. }) => Some(*seqno),
+                EngineAction::Multicast(Wire::SeqOrderBatch { start_seqno, .. }) => {
+                    Some(*start_seqno)
+                }
                 _ => None,
             })
             .expect("sequencer numbers the new message");
@@ -692,16 +613,10 @@ mod tests {
     fn order_assignments(actions: &[EngineAction<u32>]) -> Vec<(u64, MsgId)> {
         let mut out = Vec::new();
         for a in actions {
-            match a {
-                EngineAction::Multicast(Wire::SeqOrder { seqno, id, .. }) => {
-                    out.push((*seqno, *id))
+            if let EngineAction::Multicast(Wire::SeqOrderBatch { start_seqno, ids, .. }) = a {
+                for (k, id) in ids.iter().enumerate() {
+                    out.push((start_seqno + k as u64, *id));
                 }
-                EngineAction::Multicast(Wire::SeqOrderBatch { start_seqno, ids, .. }) => {
-                    for (k, id) in ids.iter().enumerate() {
-                        out.push((start_seqno + k as u64, *id));
-                    }
-                }
-                _ => {}
             }
         }
         out
@@ -787,18 +702,16 @@ mod tests {
         let b0 = MsgId::new(SiteId::new(2), 0);
         seq.on_receive(&c0, SiteId::new(1), Wire::Data(Message { id: a0, payload: 1 }));
         // Stray assignment from a previous incarnation at seqno 5.
-        seq.on_receive(
-            &c0,
-            SiteId::new(0),
-            Wire::SeqOrder { epoch: 0, seqno: 5, id: MsgId::new(SiteId::new(3), 9) },
-        );
+        seq.on_receive(&c0, SiteId::new(0), order(0, 5, MsgId::new(SiteId::new(3), 9)));
         seq.on_receive(&c0, SiteId::new(2), Wire::Data(Message { id: b0, payload: 2 }));
         let a = seq.on_timer(&c0, TimerToken { instance: 0, round: u64::MAX - 2 });
         assert_eq!(order_assignments(&a), vec![(0, a0), (6, b0)]);
-        // Two separate wires: a run of one stays a plain SeqOrder.
+        // Two separate wires, one assignment each.
         let singles = a
             .iter()
-            .filter(|x| matches!(x, EngineAction::Multicast(Wire::SeqOrder { .. })))
+            .filter(|x| {
+                matches!(x, EngineAction::Multicast(Wire::SeqOrderBatch { ids, .. }) if ids.len() == 1)
+            })
             .count();
         assert_eq!(singles, 2, "{a:?}");
     }
@@ -829,7 +742,7 @@ mod tests {
             "restored sequencer delivers what it renumbered: {actions:?}"
         );
         // The peer applies the fresh assignment and catches up.
-        let a = donor.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 0, seqno: 0, id });
+        let a = donor.on_receive(&c1, SiteId::new(0), order(0, 0, id));
         assert!(a.iter().any(|x| matches!(x, EngineAction::ToDeliver(d) if d.as_slice() == [id])));
     }
 
@@ -879,11 +792,7 @@ mod tests {
         let mut a: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
         for (k, id) in ids.iter().enumerate() {
             a.on_receive(&c1, SiteId::new(3), Wire::Data(Message { id: *id, payload: k as u32 }));
-            a.on_receive(
-                &c1,
-                SiteId::new(0),
-                Wire::SeqOrder { epoch: 0, seqno: k as u64, id: *id },
-            );
+            a.on_receive(&c1, SiteId::new(0), order(0, k as u64, *id));
         }
         assert_eq!(a.definitive_log().len(), 4);
         // ...survivor B knows every assignment but only delivered two (the
@@ -897,11 +806,7 @@ mod tests {
                     Wire::Data(Message { id: *id, payload: k as u32 }),
                 );
             }
-            b.on_receive(
-                &c2,
-                SiteId::new(0),
-                Wire::SeqOrder { epoch: 0, seqno: k as u64, id: *id },
-            );
+            b.on_receive(&c2, SiteId::new(0), order(0, k as u64, *id));
         }
         assert_eq!(b.definitive_log().len(), 2);
         // Union-of-survivors transfer: base = the most advanced (A).
@@ -949,7 +854,7 @@ mod tests {
         };
         // Order before data, a gap, then the data that fills it.
         let mut member: SeqAbcast<u32> = SeqAbcast::new(seq0);
-        member.on_receive(&c1, seq0, Wire::SeqOrder { epoch: 0, seqno: 0, id: a });
+        member.on_receive(&c1, seq0, order(0, 0, a));
         member.on_receive(
             &c1,
             seq0,
@@ -959,7 +864,7 @@ mod tests {
         assert!(member.definitive_log().is_empty(), "position 0 is open");
         member.on_receive(&c1, a.origin, data(a));
         assert!(member.on_receive(&c1, a.origin, data(a)).is_empty(), "a duplicate is silent");
-        member.on_receive(&c1, seq0, Wire::SeqOrder { epoch: 0, seqno: 4, id: e });
+        member.on_receive(&c1, seq0, order(0, 4, e));
         member.on_receive(&c1, d.origin, data(d));
         assert_eq!(member.definitive_log(), [a, b]);
         let mut snap = member.snapshot();
@@ -967,7 +872,7 @@ mod tests {
         assert_eq!(ids(&snap), vec![a, b, d]);
         // A lagging member sets the re-announce floor at 1.
         let mut lagging: SeqAbcast<u32> = SeqAbcast::new(seq0);
-        lagging.on_receive(&c1, seq0, Wire::SeqOrder { epoch: 0, seqno: 0, id: a });
+        lagging.on_receive(&c1, seq0, order(0, 0, a));
         lagging.on_receive(&c1, a.origin, data(a));
         snap.merge(lagging.snapshot());
         assert_eq!(snap.min_delivered, 1);
@@ -1009,9 +914,12 @@ mod tests {
     /// survivor reported — here one known only through an order tag, with
     /// a reported window wider than `RECOVERY_SEQ_GAP` itself (the
     /// overflow case: a relative jump from a stale cursor would land on
-    /// ids the dead incarnation already used).
+    /// ids the dead incarnation already used). The oracle engine's tags
+    /// count the same way; its tag names a delivered position, because an
+    /// undelivered one is re-armed from its payload.
     #[test]
     fn incarnation_gap_clears_order_tag_only_ids_beyond_the_gap() {
+        use crate::scramble::{Oracle, ScrambleConfig, ScrambledAbcast};
         let dom = dom4();
         let me = SiteId::new(0);
         let c0 = EngineCtx::new(me, &dom);
@@ -1019,11 +927,20 @@ mod tests {
         let mut snap: EngineSnapshot<u32> = EngineSnapshot::empty();
         snap.order_tags = vec![(MsgId::new(me, huge), 7)];
         snap.min_delivered = 0;
-        let mut seq: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
-        seq.restore(&c0, snap);
-        seq.bump_incarnation();
-        let (id, _) = seq.broadcast(&c0, 1);
-        assert!(id.seq > huge, "must clear every reported id: {} <= {huge}", id.seq);
+        let mut delivered = EngineSnapshot::empty();
+        delivered.order_tags = vec![(MsgId::new(me, huge), 0)];
+        delivered.definitive_log = vec![MsgId::new(me, huge)];
+        delivered.min_delivered = 1;
+        let cfg = ScrambleConfig::delay_only(SimDuration::from_millis(1));
+        let oracle = ScrambledAbcast::new(cfg, Oracle::new(), otp_simnet::SimRng::seed_from(1));
+        let inputs: [(Box<dyn AtomicBroadcast<u32>>, _); 2] =
+            [(Box::new(SeqAbcast::new(SiteId::new(0))), snap), (Box::new(oracle), delivered)];
+        for (mut engine, snap) in inputs {
+            engine.restore(&c0, snap);
+            engine.bump_incarnation();
+            let (id, _) = engine.broadcast(&c0, 1);
+            assert!(id.seq > huge, "{engine:?} must clear every reported id: {} <= {huge}", id.seq);
+        }
     }
 
     /// Epoch fencing: after a view change fences the dead sequencer
@@ -1038,10 +955,10 @@ mod tests {
         let m_new = MsgId::new(SiteId::new(2), 1);
         e.install_view(1, true);
         // Late frame from the dead epoch-0 incarnation: rejected.
-        e.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 0, seqno: 0, id: m_old });
+        e.on_receive(&c1, SiteId::new(0), order(0, 0, m_old));
         assert_eq!(e.stale_epoch_rejects(), 1);
         // The restored incarnation's epoch-1 re-announce lands fine.
-        e.on_receive(&c1, SiteId::new(0), Wire::SeqOrder { epoch: 1, seqno: 0, id: m_new });
+        e.on_receive(&c1, SiteId::new(0), order(1, 0, m_new));
         let a = e.on_receive(&c1, SiteId::new(2), Wire::Data(Message { id: m_new, payload: 9 }));
         assert!(
             a.iter().any(|x| matches!(x, EngineAction::ToDeliver(d) if d.as_slice() == [m_new])),
@@ -1071,7 +988,7 @@ mod tests {
         let epochs: Vec<u64> = a
             .iter()
             .filter_map(|x| match x {
-                EngineAction::Multicast(Wire::SeqOrder { epoch, .. }) => Some(*epoch),
+                EngineAction::Multicast(Wire::SeqOrderBatch { epoch, .. }) => Some(*epoch),
                 _ => None,
             })
             .collect();
@@ -1081,7 +998,7 @@ mod tests {
         assert_eq!(snap.order_fence, 3);
         let mut fresh: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
         fresh.restore(&c2, snap);
-        fresh.on_receive(&c2, SiteId::new(0), Wire::SeqOrder { epoch: 2, seqno: 9, id });
+        fresh.on_receive(&c2, SiteId::new(0), order(2, 9, id));
         assert_eq!(fresh.stale_epoch_rejects(), 1, "fence survives the transfer");
     }
 

@@ -214,32 +214,27 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
     /// actions to execute (typically a `Multicast` of the data).
     fn broadcast(&mut self, ctx: &EngineCtx<'_>, payload: P) -> (MsgId, Vec<EngineAction<P>>);
 
-    /// Handles a wire message received from the network.
+    /// Handles a whole tick's worth of wire messages received from the
+    /// network — an engine's one receive path. Both drivers call it: the
+    /// simulator coalesces same-instant (and, with a delivery quantum,
+    /// same-window) arrivals, and the threaded runtime drains its site
+    /// channel in bounded adaptive batches. Engines amortize per-message
+    /// work over the batch (the sequencer coalesces order assignments into
+    /// one [`crate::Wire::SeqOrderBatch`] frame per batch).
+    fn on_receive_batch(
+        &mut self,
+        ctx: &EngineCtx<'_>,
+        wires: Vec<(SiteId, Wire<P>)>,
+    ) -> Vec<EngineAction<P>>;
+
+    /// Handles one wire message received from the network: a batch of one.
     fn on_receive(
         &mut self,
         ctx: &EngineCtx<'_>,
         from: SiteId,
         wire: Wire<P>,
-    ) -> Vec<EngineAction<P>>;
-
-    /// Handles a whole tick's worth of wire messages at once. Batching
-    /// drivers call this so engines can amortize per-message work: the
-    /// simulator coalesces same-instant (and, with a delivery quantum,
-    /// same-window) arrivals, and the threaded runtime drains its site
-    /// channel in bounded adaptive batches. The default simply loops over
-    /// [`AtomicBroadcast::on_receive`]. Engines may override it to batch
-    /// their outputs (the sequencer coalesces order assignments into one
-    /// [`crate::Wire::SeqOrderBatch`] frame per batch).
-    fn on_receive_batch(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        wires: Vec<(SiteId, Wire<P>)>,
     ) -> Vec<EngineAction<P>> {
-        let mut out = Vec::new();
-        for (from, wire) in wires {
-            out.extend(self.on_receive(ctx, from, wire));
-        }
-        out
+        self.on_receive_batch(ctx, vec![(from, wire)])
     }
 
     /// Handles a timer armed via [`EngineAction::SetTimer`].

@@ -470,7 +470,7 @@ mod tests {
     fn wires_and_timers_pass_through_untouched() {
         let mut f = Fixture::new();
         let data = Wire::Data(txn_msg(2));
-        let order = Wire::SeqOrder { epoch: 1, seqno: 9, id: MsgId::new(ME, 2) };
+        let order = Wire::SeqOrderBatch { epoch: 1, start_seqno: 9, ids: vec![MsgId::new(ME, 2)] };
         let token = TimerToken { instance: 3, round: 1 };
         let delay = SimDuration::from_micros(70);
         f.site().apply_engine_actions([

@@ -39,11 +39,15 @@ fn data(origin: u16, seq: u64, payload: u32) -> Wire<u32> {
     Wire::Data(Message { id: MsgId::new(site(origin), seq), payload })
 }
 
+/// The sequencer's epoch-0 assignment of `id` to position `seqno`.
+fn order(seqno: u64, id: MsgId) -> Wire<u32> {
+    Wire::SeqOrderBatch { epoch: 0, start_seqno: seqno, ids: vec![id] }
+}
+
 /// Applies every multicast order assignment in `actions` to `peer`.
 fn apply_orders(peer: &mut SeqAbcast<u32>, me: u16, from: SiteId, actions: &[EngineAction<u32>]) {
     for a in actions {
-        if let EngineAction::Multicast(w @ (Wire::SeqOrder { .. } | Wire::SeqOrderBatch { .. })) = a
-        {
+        if let EngineAction::Multicast(w @ Wire::SeqOrderBatch { .. }) = a {
             peer.on_receive(&ctx(me), from, w.clone());
         }
     }
@@ -66,11 +70,11 @@ fn renumber_scenario() -> (SeqAbcast<u32>, SeqAbcast<u32>, [MsgId; 3]) {
     let mut witness: SeqAbcast<u32> = SeqAbcast::new(site(0));
     for (peer, me) in [(&mut donor, 1u16), (&mut witness, 2)] {
         peer.on_receive(&ctx(me), site(3), data(3, 0, 10));
-        peer.on_receive(&ctx(me), site(0), Wire::SeqOrder { epoch: 0, seqno: 0, id: a });
+        peer.on_receive(&ctx(me), site(0), order(0, a));
         peer.on_receive(&ctx(me), site(3), data(3, 1, 11));
         peer.on_receive(&ctx(me), site(3), data(3, 2, 12));
     }
-    witness.on_receive(&ctx(2), site(0), Wire::SeqOrder { epoch: 0, seqno: 1, id: m2 });
+    witness.on_receive(&ctx(2), site(0), order(1, m2));
     assert_eq!(donor.definitive_log(), [a]);
     assert_eq!(witness.definitive_log(), [a, m2]);
     (donor, witness, [a, m1, m2])
@@ -97,7 +101,7 @@ fn seq_legacy_diverges(restored: &mut SeqAbcast<u32>) {
         })
         .collect();
     assert_eq!(announced, [(1, m1), (2, m2)]);
-    witness.on_receive(&ctx(2), site(0), Wire::SeqOrder { epoch: 0, seqno: 1, id: m1 });
+    witness.on_receive(&ctx(2), site(0), order(1, m1));
     // Slot 1: M1 at the restored sequencer, M2 at the witness.
     assert_eq!(restored.definitive_log()[1], m1);
     assert_eq!(witness.definitive_log()[1], m2, "same slot, different message");
@@ -239,10 +243,10 @@ fn ahead_then_crashed_sender_redelivers_its_tail_from_the_delta() {
         for (peer, me) in [(&mut base, 1u16), (&mut ahead, 2)] {
             peer.on_receive(&ctx(me), site(3), data(3, k as u64, 10 + k as u32));
         }
-        let order = Wire::SeqOrder { epoch: 0, seqno: k as u64, id: *id };
-        ahead.on_receive(&ctx(2), site(0), order.clone());
+        let assignment = order(k as u64, *id);
+        ahead.on_receive(&ctx(2), site(0), assignment.clone());
         if k == 0 {
-            base.on_receive(&ctx(1), site(0), order);
+            base.on_receive(&ctx(1), site(0), assignment);
         }
     }
     assert_eq!(base.definitive_log(), [ids[0]]);

@@ -6,7 +6,8 @@
 //! version chain is down to one version (commits trim below the committed
 //! watermark), the engines' dedup and ordering index is the same handful
 //! of entries however long the run (delivered ids are per-origin runs,
-//! delivered order assignments are dropped), and the records that
+//! delivered order assignments are dropped; the oracle engine, which keeps
+//! every oracle position, is the exception), and the records that
 //! legitimately grow — the history log, the engines' payload stores and
 //! definitive logs — grow exactly linearly. A crash-and-recover run still counts
 //! each completion and each latency sample exactly once although the
@@ -32,9 +33,13 @@ const SEQ_BATCHED: EngineKind =
 /// `(engine, mode, groups)` of every drained-run scenario.
 fn shapes() -> Vec<(EngineKind, Mode, usize)> {
     let opt = EngineKind::Opt { consensus_timeout: SimDuration::from_millis(50) };
+    let scrambled = EngineKind::Scrambled {
+        agreement_delay: SimDuration::from_millis(1),
+        swap_probability: 0.1,
+    };
     let mut out = Vec::new();
     for mode in [Mode::Otp, Mode::Conservative] {
-        for (engine, groups) in [(opt, 1), (SEQ_BATCHED, 1), (SEQ_BATCHED, 4)] {
+        for (engine, groups) in [(opt, 1), (SEQ_BATCHED, 1), (SEQ_BATCHED, 4), (scrambled, 1)] {
             out.push((engine, mode, groups));
         }
     }
@@ -91,6 +96,9 @@ fn gauge(cluster: &Cluster, name: &str, site: usize) -> i64 {
 fn drained_runs_hold_no_per_txn_driver_state_and_one_version_per_object() {
     for (engine, mode, groups) in shapes() {
         let label = format!("{engine:?} {mode:?} groups={groups}");
+        // The oracle engine keeps every delivered oracle position: its
+        // index grows with the run, so only its stores are checked.
+        let flat_index = !matches!(engine, EngineKind::Scrambled { .. });
         let mut history = Vec::new();
         let mut stores = Vec::new();
         for n in [32, 128] {
@@ -116,7 +124,11 @@ fn drained_runs_hold_no_per_txn_driver_state_and_one_version_per_object() {
             let per_site = |name: &str| (0..SITES).map(|s| gauge(&cluster, name, s)).collect();
             let kept: [Vec<i64>; 3] =
                 ["engine_payloads", "engine_log_entries", "engine_index_entries"].map(per_site);
-            assert!(kept[2].iter().all(|i| (1..=2 * SITES as i64).contains(i)), "{label} {kept:?}");
+            assert!(kept[..2].iter().flatten().all(|n| *n > 0), "{label} {kept:?}");
+            if flat_index {
+                let bounded = kept[2].iter().all(|i| (1..=2 * SITES as i64).contains(i));
+                assert!(bounded, "{label} {kept:?}");
+            }
             stores.push(kept);
         }
         let scaled = |small: &Vec<i64>| small.iter().map(|h| 4 * h).collect::<Vec<i64>>();
@@ -124,7 +136,9 @@ fn drained_runs_hold_no_per_txn_driver_state_and_one_version_per_object() {
         let [payloads, log, index] = &stores[0];
         assert_eq!(stores[1][0], scaled(payloads), "{label}: payloads grow exactly linearly");
         assert_eq!(stores[1][1], scaled(log), "{label}: logs grow exactly linearly");
-        assert_eq!(&stores[1][2], index, "{label}: the engines' index does not grow");
+        if flat_index {
+            assert_eq!(&stores[1][2], index, "{label}: the engines' index does not grow");
+        }
     }
 }
 
