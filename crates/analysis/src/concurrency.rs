@@ -1,7 +1,7 @@
 //! The concurrency rule family for the threaded runtime: `lock-order`
 //! (cyclic Mutex acquisition across the program), `send-under-lock`
 //! (blocking channel send while a guard is live), `blocking-net-send`
-//! (net-thread paths must only `try_send`).
+//! (wire paths to a peer must only `try_send`).
 //!
 //! Guard tracking is lexical: a `.lock()` bound by `let` (or held by an
 //! `if let`/`while let` scrutinee — Rust extends those temporaries to
@@ -262,8 +262,8 @@ fn scan_body(file: &str, toks: &[Tok], f: &FnBody, is_net_fn: bool, out: &mut Co
                         out.blocking_net_send.push((
                             line,
                             format!(
-                                "blocking `send` on net-thread path `{}` — the net thread must \
-                                 only try_send (its backoff heap handles Full)",
+                                "blocking `send` on wire path `{}` — a site thread must only \
+                                 try_send to a peer (its heap retries Full)",
                                 f.name
                             ),
                         ));

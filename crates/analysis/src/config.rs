@@ -36,8 +36,9 @@ pub struct Config {
     pub concurrency_files: Vec<String>,
     /// Files in float-accumulation scope (`float-accum`).
     pub float_files: Vec<String>,
-    /// `(file, function)` pairs that run on a net thread: inside those
-    /// functions any blocking `send` is a `blocking-net-send` finding.
+    /// `(file, function)` pairs that hand wires to a peer's bounded
+    /// queue: inside those functions any blocking `send` is a
+    /// `blocking-net-send` finding.
     pub net_thread_fns: Vec<(String, String)>,
     /// The audited scope-table allowances.
     pub scope_allows: Vec<ScopeAllow>,
@@ -94,7 +95,13 @@ impl Config {
             "crates/bench/src/lib.rs",
             "crates/simnet/src/metrics.rs",
         ];
-        let net_fns = [("crates/core/src/runtime.rs", "net_main")];
+        // A site thread is the network: it hands each wire to the peer's
+        // queue itself, and must never block doing so (DESIGN.md §9).
+        let net_fns = [
+            ("crates/core/src/runtime.rs", "hand_off"),
+            ("crates/core/src/runtime.rs", "multicast"),
+            ("crates/core/src/runtime.rs", "send"),
+        ];
         let allows: &[(&str, RuleId, &str)] = &[
             (
                 "crates/core/src/runtime.rs",
@@ -171,7 +178,7 @@ impl Config {
         self.float_files.iter().any(|f| f == path)
     }
 
-    /// Net-thread function names for `path` (for `blocking-net-send`).
+    /// Wire-sending function names for `path` (for `blocking-net-send`).
     pub fn net_fns_for(&self, path: &str) -> Vec<&str> {
         self.net_thread_fns.iter().filter(|(f, _)| f == path).map(|(_, n)| n.as_str()).collect()
     }

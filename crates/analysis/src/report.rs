@@ -24,7 +24,7 @@ pub enum RuleId {
     LockOrder,
     /// Blocking channel `send` while a lock guard is live.
     SendUnderLock,
-    /// Blocking `send` on a net-thread path (must be `try_send`).
+    /// Blocking `send` on a wire path to a peer (must be `try_send`).
     BlockingNetSend,
     /// A malformed or unused `otp-lint:` directive (suppressions must
     /// stay auditable, so a broken one is itself a finding).
@@ -90,8 +90,8 @@ impl RuleId {
                  deadlock risk) — drop the guard or use try_send"
             }
             RuleId::BlockingNetSend => {
-                "blocking send on a net-thread path — the net thread must only try_send \
-                 (backoff heap handles Full)"
+                "blocking send on a wire path to a peer — a site thread must only try_send \
+                 (its heap retries Full)"
             }
             RuleId::BadDirective => {
                 "malformed or unused otp-lint directive — suppressions must name a rule and a \

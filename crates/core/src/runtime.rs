@@ -1,13 +1,15 @@
 //! Threaded (wall-clock) runtime — the library outside the simulator.
 //!
-//! [`LiveCluster`] runs one OS thread per site. Each thread hosts the same
-//! engine + replica state machines the simulator drives, fed from a
-//! *bounded* crossbeam channel; a network thread delivers inter-site
-//! messages after a configurable real-time delay with jitter (so
-//! spontaneous order — and its violations — happen for real).
-//! Stored-procedure "execution time" is modeled the same way as in the
-//! simulator: effects apply at submission, the completion fires after the
-//! configured delay.
+//! [`LiveCluster`] runs one OS thread per site and no other: the site
+//! threads *are* the network. Each thread hosts the same engine + replica
+//! state machines the simulator drives, fed from a *bounded* crossbeam
+//! channel. A wire leaves its sender stamped with the instant it is due
+//! (a configurable real-time delay plus jitter, so spontaneous order — and
+//! its violations — happen for real) and goes straight into its
+//! destination's channel; the destination keeps it in the heap it also
+//! keeps its timers in until that instant. Stored-procedure "execution
+//! time" is modeled the same way as in the simulator: effects apply at
+//! submission, the completion fires after the configured delay.
 //!
 //! Each site thread runs the site layer the simulated [`crate::Cluster`]
 //! runs (`site.rs`): the same engine factory over [`EngineKind`],
@@ -15,25 +17,25 @@
 //! the replica and tracing lifecycle stages — so the one deep copy per
 //! transaction happens at Opt-delivery, exactly as in the simulator. This
 //! file supplies only the thread's side of `SiteEffects` (wires to the
-//! network thread, timers and executions on a wall-clock heap, commit
-//! counters). A site drains its channel in bounded adaptive batches into
-//! [`otp_broadcast::AtomicBroadcast::on_receive_batch`] (the real-clock
-//! analogue of the delivery quantum), and payloads stay `Arc`-shared end
-//! to end.
+//! peers' channels; wires, timers and executions on a wall-clock heap;
+//! commit counters). Every wire that comes due in one pass over the heap
+//! goes to [`otp_broadcast::AtomicBroadcast::on_receive_batch`] as one
+//! batch (the real-clock analogue of the delivery quantum), and payloads
+//! stay `Arc`-shared end to end.
 //!
 //! # Flow control and shutdown
 //!
 //! Every queue is bounded. [`LiveCluster::submit`] applies admission
 //! control (a global in-flight-transaction window plus the site queue
 //! capacity) and blocks the *caller* under overload;
-//! [`LiveCluster::try_submit`] is the non-blocking variant. The network
-//! thread never blocks: a full site queue makes it requeue the wire in its
-//! own delay heap with a small backoff, so the net↔site channel pair
-//! cannot deadlock.
+//! [`LiveCluster::try_submit`] is the non-blocking variant. A site thread
+//! never blocks on a peer: a full peer queue makes it keep the wire in its
+//! own heap and retry after a small backoff, and every site thread keeps
+//! draining its own channel, so the bounded channels cannot deadlock.
 //!
 //! Shutdown is a two-phase quiescence protocol built on exact in-flight
 //! work accounting (one shared counter covering queued channel messages,
-//! undelivered wires in the network heap, and armed timers): phase one
+//! wires in transit wherever they wait, and armed timers): phase one
 //! halts admissions and waits for the counter to hit zero — which is
 //! *provable* idleness, not a heuristic commit count — and phase two stops
 //! the threads, which at that point have empty queues and no timers, so no
@@ -95,11 +97,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a site thread sleeps in `recv_timeout` with nothing due —
-/// bounds how fast it notices the stop flag.
+/// bounds how fast it notices the stop flag and control messages.
 const IDLE_TICK: Duration = Duration::from_millis(20);
-/// Same bound for the network thread.
-const NET_IDLE: Duration = Duration::from_millis(25);
-/// Requeue delay when a site queue is full (the net thread never blocks).
+/// Retry delay of a wire whose destination queue was full (a site thread
+/// never blocks on a peer).
 const FULL_RETRY: Duration = Duration::from_micros(500);
 /// Backoff of the blocking [`LiveCluster::submit`] under backpressure.
 const SUBMIT_RETRY: Duration = Duration::from_micros(100);
@@ -130,8 +131,6 @@ pub struct LiveConfig {
     pub exec_time: Duration,
     /// Capacity of each site's inbound channel (wires + submissions).
     pub site_queue: usize,
-    /// Capacity of the network thread's inbound channel.
-    pub net_queue: usize,
     /// Admission window: maximum transactions accepted but not yet
     /// committed at their origin. `submit` blocks (and `try_submit`
     /// rejects) past this. The window is checked optimistically, so
@@ -152,7 +151,8 @@ pub struct LiveConfig {
 
 impl LiveConfig {
     /// Defaults: optimistic engine (100ms consensus patience), OTP mode,
-    /// 200µs ± 300µs network, 1ms execution, 1024-deep queues.
+    /// a wire due 200µs + U(0, 300µs) after it is sent, 1ms execution,
+    /// 1024-deep site queues.
     pub fn new(sites: usize, classes: usize) -> Self {
         LiveConfig {
             sites,
@@ -163,7 +163,6 @@ impl LiveConfig {
             net_jitter: Duration::from_micros(300),
             exec_time: Duration::from_millis(1),
             site_queue: 1024,
-            net_queue: 4096,
             max_in_flight: 1024,
             drain_limit: 128,
             quiesce_grace: Duration::from_secs(5),
@@ -199,8 +198,15 @@ impl LiveConfig {
 pub use crate::cluster::SubmitError;
 
 enum SiteMsg {
-    Wire { from: SiteId, wire: Wire<TxnPayload> },
-    Submit { request: TxnRequest },
+    /// A wire in transit, to be delivered at `due`.
+    Wire {
+        due: Instant,
+        from: SiteId,
+        wire: Wire<TxnPayload>,
+    },
+    Submit {
+        request: TxnRequest,
+    },
 }
 
 /// `item`, due at `due`. Ordered by `due` alone and reversed, so a
@@ -227,24 +233,14 @@ impl<T> Ord for Due<T> {
     }
 }
 
-/// A wire on its way from `from` to `to`.
-struct Hop {
-    to: SiteId,
-    from: SiteId,
-    wire: Wire<TxnPayload>,
-}
-
-type DueWire = Due<Hop>;
-
-/// State shared between the controller, the site threads and the network
-/// thread.
+/// State shared between the controller and the site threads.
 struct Shared {
     /// Admission gate: `submit` refuses once this flips false.
     running: AtomicBool,
     /// Phase-2 stop signal: threads exit once set (after draining).
     stop: AtomicBool,
     /// Exact count of pending work units: queued channel messages,
-    /// undelivered wires in the net heap, armed timers. The invariant is
+    /// undelivered wires wherever they wait, armed timers. The invariant is
     /// increment-before-enqueue, decrement-after-processing (with the
     /// units a message spawns counted first), so zero ⇔ the system is
     /// quiescent — no thread can produce another event. A registry gauge
@@ -265,7 +261,7 @@ struct Shared {
 }
 
 /// Dynamic fault state shared by the cluster handle, the injector thread
-/// and the network thread. All of it is *topology*, not payload: wires
+/// and the site threads. All of it is *topology*, not payload: wires
 /// never bypass the in-flight accounting, they only get parked (still
 /// counted) or delayed.
 struct ChaosCtl {
@@ -283,9 +279,12 @@ struct ChaosCtl {
     /// wire is still counted in `Shared::in_flight`; shutdown treats
     /// `in_flight == held` as quiescent-modulo-undeliverable.
     held: AtomicI64,
-    /// Bumped on every topology change so the network thread rescans its
+    /// Bumped on every topology change so each site thread rescans its
     /// parked wires exactly when a release can matter.
     version: AtomicU64,
+    /// Whether a cut or an isolation is in force, recomputed by `bump`:
+    /// while it is false, `blocked` takes no lock.
+    faulted: AtomicBool,
 }
 
 impl ChaosCtl {
@@ -297,6 +296,7 @@ impl ChaosCtl {
             jitter_bits: AtomicU64::new(1f64.to_bits()),
             held: AtomicI64::new(0),
             version: AtomicU64::new(0),
+            faulted: AtomicBool::new(false),
         }
     }
 
@@ -306,6 +306,9 @@ impl ChaosCtl {
     /// froze and still deliver — same as the simulator, where in-flight
     /// frames of a crashing site are not clawed back.)
     fn blocked(&self, from: SiteId, to: SiteId) -> bool {
+        if !self.faulted.load(Ordering::Acquire) {
+            return false;
+        }
         if self.isolated.lock()[to.index()] {
             return true;
         }
@@ -323,7 +326,16 @@ impl ChaosCtl {
         f64::from_bits(self.jitter_bits.load(Ordering::Acquire))
     }
 
+    /// Publishes a topology change. Holding both locks (in `blocked`'s
+    /// order) while storing `faulted` makes the last of racing bumps see
+    /// every change made before it.
     fn bump(&self) {
+        let isolated = self.isolated.lock();
+        let cut = self.cut.lock();
+        let faulted = cut.is_some() || isolated.iter().any(|&i| i);
+        self.faulted.store(faulted, Ordering::Release);
+        drop(cut);
+        drop(isolated);
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 }
@@ -424,7 +436,6 @@ struct SiteOutcome {
 pub struct LiveCluster {
     site_txs: Vec<crossbeam::channel::Sender<SiteMsg>>,
     handles: Vec<JoinHandle<SiteOutcome>>,
-    net_handle: Option<JoinHandle<()>>,
     shared: Arc<Shared>,
     chaos: ChaosHandle,
     next_seq: Mutex<Vec<u64>>,
@@ -558,7 +569,7 @@ impl LiveDiag {
 }
 
 impl LiveCluster {
-    /// Spawns the site threads and the network thread.
+    /// Spawns the site threads.
     pub fn start(
         config: LiveConfig,
         registry: Arc<ProcRegistry>,
@@ -594,7 +605,6 @@ impl LiveCluster {
             metrics: metrics.clone(),
         });
         let chaos = Arc::new(ChaosCtl::new(n));
-        let (net_tx, net_rx) = crossbeam::channel::bounded::<DueWire>(config.net_queue);
         let mut site_txs = Vec::new();
         let mut site_rxs = Vec::new();
         let mut ctrl_txs = Vec::new();
@@ -609,22 +619,6 @@ impl LiveCluster {
             ctrl_txs.push(ctx);
             ctrl_rxs.push(crx);
         }
-
-        // Network thread: delivers wires to site queues after their due
-        // time, without ever blocking (full queues requeue with backoff).
-        // It owns the dynamic fault rules: partition/isolation parking,
-        // loss-burst retransmission and jitter-spike delay scaling.
-        let site_txs_for_net = site_txs.clone();
-        let shared_for_net = shared.clone();
-        let chaos_for_net = chaos.clone();
-        let net_rules = NetRules {
-            jitter_span: config.net_jitter,
-            retransmit: config.net_delay.max(Duration::from_micros(500)),
-            rng: SimRng::seed_from(config.seed ^ 0x6e65_745f_7468_6421),
-        };
-        let net_handle = std::thread::spawn(move || {
-            net_main(net_rx, site_txs_for_net, shared_for_net, chaos_for_net, net_rules)
-        });
 
         let submit_times: Vec<Arc<Mutex<HashMap<u64, Instant>>>> =
             (0..n).map(|_| Arc::new(Mutex::new(HashMap::new()))).collect();
@@ -649,17 +643,21 @@ impl LiveCluster {
                 io: LiveIo {
                     me,
                     cfg: config.clone(),
-                    timers: BinaryHeap::new(),
-                    net: net_tx.clone(),
+                    heap: BinaryHeap::new(),
+                    peers: site_txs.clone(),
                     shared: shared.clone(),
+                    chaos: chaos.clone(),
                     submit_times: submit_times[i].clone(),
                     latency: Histogram::new(),
-                    jitter_rng: SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64)),
+                    rng: SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64)),
                     stopping: false,
                     anchor,
                 },
                 ctrl,
                 pressure: None,
+                frozen: None,
+                parked: Vec::new(),
+                seen_version: 0,
             };
             handles.push(std::thread::spawn(move || worker.run(rx)));
         }
@@ -667,7 +665,6 @@ impl LiveCluster {
         LiveCluster {
             site_txs,
             handles,
-            net_handle: Some(net_handle),
             chaos: ChaosHandle { chaos, ctrl_txs, shared: shared.clone() },
             shared,
             next_seq: Mutex::new(vec![0; n]),
@@ -812,8 +809,8 @@ impl LiveCluster {
     // See DESIGN.md §10 for what each fault maps to in the thread/channel
     // topology and why none of them can corrupt the in-flight accounting.
 
-    /// Splits the network in two: cross-cut wires are parked by the net
-    /// thread (still counted in flight) until [`LiveCluster::heal`].
+    /// Splits the network in two: cross-cut wires are parked at their
+    /// destination (still counted in flight) until [`LiveCluster::heal`].
     pub fn partition_halves(&self, group_a: &[SiteId]) {
         self.chaos.partition_halves(group_a);
     }
@@ -953,10 +950,6 @@ impl LiveCluster {
             .add(undelivered_at_stop);
         // Phase 2: stop the threads (they notice within one idle tick).
         self.shared.stop.store(true, Ordering::Release);
-        if let Some(h) = self.net_handle {
-            let _ = h.join();
-        }
-        drop(self.site_txs);
         let mut committed = Vec::new();
         let mut commit_logs = Vec::new();
         let mut histories = Vec::new();
@@ -989,133 +982,30 @@ impl LiveCluster {
     }
 }
 
-/// Static inputs the network thread needs for fault emulation: the
-/// baseline jitter span (scaled during a jitter spike), the retransmission
-/// delay charged to a "lost" wire, and a private rng stream for loss and
-/// jitter draws.
-struct NetRules {
-    jitter_span: Duration,
-    retransmit: Duration,
-    rng: SimRng,
-}
-
-/// Network thread: a delay heap between the sites. Never blocks on a site
-/// queue — a full queue requeues the wire with a small backoff, so the
-/// site↔net channel pair cannot deadlock (sites may block sending here;
-/// this thread always returns to drain its channel).
-///
-/// Fault emulation happens here, at the same three points as the
-/// simulator's `SimNet`:
-///
-/// * **ingest** — during a jitter spike every arriving wire gains extra
-///   delay proportional to the spike scale;
-/// * **due-pop** — a wire whose endpoints straddle the active cut (or
-///   whose destination is isolated) is *parked*, not dropped: it stays
-///   counted in `in_flight` and is released (staggered) when the topology
-///   heals. Loss is modeled as a retransmission delay — channels stay
-///   reliable, matching the sim, so no accounting unit ever disappears;
-/// * **version bump** — a heal/recover rescans the parked set exactly
-///   once per topology change.
-fn net_main(
-    rx: crossbeam::channel::Receiver<DueWire>,
-    site_txs: Vec<crossbeam::channel::Sender<SiteMsg>>,
-    shared: Arc<Shared>,
-    chaos: Arc<ChaosCtl>,
-    mut rules: NetRules,
-) {
-    let mut heap: BinaryHeap<DueWire> = BinaryHeap::new();
-    let mut parked: Vec<DueWire> = Vec::new();
-    let mut seen_version = chaos.version.load(Ordering::Acquire);
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            // Clean shutdown quiesced first, so the heap holds nothing
-            // deliverable here; parked wires are reported via
-            // `undelivered_at_stop`, and in a forced teardown whatever
-            // else remains is covered by `quiesced: false`.
-            break;
-        }
-        let version = chaos.version.load(Ordering::Acquire);
-        if version != seen_version {
-            seen_version = version;
-            // Topology changed: release every parked wire that can now
-            // cross. Staggered re-dues keep a large release from landing
-            // as one burst on a just-thawed site's bounded queue.
-            let now = Instant::now();
-            let mut still_parked = Vec::with_capacity(parked.len());
-            let mut released = 0u32;
-            for mut w in parked.drain(..) {
-                if chaos.blocked(w.item.from, w.item.to) {
-                    still_parked.push(w);
-                } else {
-                    w.due = now + RELEASE_STAGGER * released;
-                    released += 1;
-                    chaos.held.fetch_sub(1, Ordering::AcqRel);
-                    heap.push(w);
-                }
-            }
-            parked = still_parked;
-        }
-        let now = Instant::now();
-        while heap.peek().is_some_and(|w| w.due <= now) {
-            let w = heap.pop().expect("peeked");
-            if chaos.blocked(w.item.from, w.item.to) {
-                chaos.held.fetch_add(1, Ordering::AcqRel);
-                parked.push(w);
-                continue;
-            }
-            let loss = chaos.loss();
-            if loss > 0.0 && rules.rng.uniform_f64() < loss {
-                // "Lost": charge a retransmission delay and requeue. The
-                // wire never leaves the accounting, same as the sim.
-                heap.push(Due { due: now + rules.retransmit, ..w });
-                continue;
-            }
-            let Hop { to, from, wire } = w.item;
-            if let Err(e) = site_txs[to.index()].try_send(SiteMsg::Wire { from, wire }) {
-                match e {
-                    crossbeam::channel::TrySendError::Full(SiteMsg::Wire { from, wire }) => {
-                        heap.push(Due { due: now + FULL_RETRY, item: Hop { to, from, wire } });
-                    }
-                    crossbeam::channel::TrySendError::Full(_) => {
-                        unreachable!("net only forwards wires")
-                    }
-                    crossbeam::channel::TrySendError::Disconnected(_) => {
-                        // Site already exited (forced teardown): the wire
-                        // is lost; account for its unit.
-                        shared.in_flight.add(-1);
-                    }
-                }
-            }
-        }
-        let timeout = heap
-            .peek()
-            .map(|w| w.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(NET_IDLE)
-            .min(NET_IDLE);
-        match rx.recv_timeout(timeout) {
-            Ok(mut w) => {
-                let scale = chaos.jitter_scale();
-                if scale > 1.0 && !rules.jitter_span.is_zero() {
-                    // Jitter spike: stretch the spread (not the base
-                    // delay), mirroring the sim's scaled jitter draw.
-                    let extra = rules.jitter_span.mul_f64((scale - 1.0) * rules.rng.uniform_f64());
-                    w.due += extra;
-                }
-                heap.push(w);
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// What a site thread waits on besides channel messages.
+/// What a site thread keeps in its heap besides channel messages.
 enum Pending {
     Timer(TimerToken),
     ExecDone(ExecToken),
+    /// A wire in transit: to this site (`to == me`), delivered when due;
+    /// or to a peer whose queue was full, handed over again when due.
+    Wire {
+        to: SiteId,
+        from: SiteId,
+        wire: Wire<TxnPayload>,
+    },
 }
 
-/// Per-site thread state: one engine, one replica, one timer heap. The
+/// What a frozen site holds back until it is thawed (a live crash
+/// processes nothing, see [`SiteCtrl::Freeze`]).
+#[derive(Default)]
+struct Frozen {
+    /// Timers, executions and deliverable wires that came due.
+    due: Vec<Due<Pending>>,
+    /// Submissions that arrived, in arrival order.
+    backlog: Vec<TxnRequest>,
+}
+
+/// Per-site thread state: one engine, one replica, one heap. The
 /// delivery path itself is the shared site layer ([`crate::site`]); this
 /// thread feeds it and carries out its effects ([`LiveIo`]).
 struct SiteWorker {
@@ -1137,20 +1027,31 @@ struct SiteWorker {
     /// drain batch shrinks to `drain_limit` and each iteration pauses,
     /// so the bounded inbound queue saturates and backpressure fires.
     pressure: Option<(usize, Instant)>,
+    /// Set between a freeze and its thaw.
+    frozen: Option<Frozen>,
+    /// Inbound wires that came due behind a cut or an isolation, each
+    /// counted in `ChaosCtl::held`, released when the topology changes.
+    parked: Vec<(SiteId, Wire<TxnPayload>)>,
+    /// The `ChaosCtl::version` the parked set was last scanned at.
+    seen_version: u64,
 }
 
-/// A site thread's side of [`SiteEffects`]: wires go to the network
-/// thread, engine timers and executions into the thread's own timer heap,
-/// and every one of them is counted in flight until it is consumed.
+/// A site thread's side of [`SiteEffects`]: wires go straight to the
+/// destination's channel, engine timers, executions and wires in transit
+/// into the thread's own heap, and every one of them is counted in flight
+/// until it is consumed.
 struct LiveIo {
     me: SiteId,
     cfg: LiveConfig,
-    timers: BinaryHeap<Due<Pending>>,
-    net: crossbeam::channel::Sender<DueWire>,
+    heap: BinaryHeap<Due<Pending>>,
+    /// Every site's inbound channel, indexed by site.
+    peers: Vec<crossbeam::channel::Sender<SiteMsg>>,
     shared: Arc<Shared>,
+    chaos: Arc<ChaosCtl>,
     submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
     latency: Histogram,
-    jitter_rng: SimRng,
+    /// Jitter and loss draws.
+    rng: SimRng,
     /// Set once the stop flag is observed; engine timers stop re-arming so
     /// the teardown drain terminates.
     stopping: bool,
@@ -1176,18 +1077,18 @@ impl SiteWorker {
 
     fn run(mut self, rx: crossbeam::channel::Receiver<SiteMsg>) -> SiteOutcome {
         let cfg_limit = self.io.cfg.drain_limit.max(1);
-        let mut wires: Vec<(SiteId, Wire<TxnPayload>)> = Vec::with_capacity(cfg_limit);
         loop {
             self.poll_ctrl();
-            self.fire_due_timers();
             if self.io.shared.stop.load(Ordering::Acquire) {
                 self.drain_at_stop(&rx);
                 break;
             }
+            self.release_parked();
+            self.deliver_due();
             let drain_limit = self.effective_drain_limit(cfg_limit);
             let timeout = self
                 .io
-                .timers
+                .heap
                 .peek()
                 .map(|t| t.due.saturating_duration_since(Instant::now()))
                 .unwrap_or(IDLE_TICK)
@@ -1197,19 +1098,16 @@ impl SiteWorker {
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
             };
-            // Bounded adaptive drain: batch whatever is already queued (up
-            // to drain_limit) into one on_receive_batch call. Never waits
-            // for more — an idle channel closes the batch immediately.
-            let mut consumed: i64 = 0;
-            self.ingest(first, &mut wires, &mut consumed);
-            while (consumed as usize) < drain_limit {
+            // Bounded adaptive drain: take whatever is already queued (up
+            // to drain_limit). Never waits for more — an idle channel
+            // closes the drain immediately.
+            self.ingest(first);
+            for _ in 1..drain_limit {
                 match rx.try_recv() {
-                    Ok(m) => self.ingest(m, &mut wires, &mut consumed),
+                    Ok(m) => self.ingest(m),
                     Err(_) => break,
                 }
             }
-            self.flush(&mut wires);
-            self.io.shared.in_flight.add(-consumed);
             if self.pressure.is_some() {
                 // Throttle between drains so the queue actually backs up.
                 std::thread::sleep(PRESSURE_PAUSE);
@@ -1233,21 +1131,26 @@ impl SiteWorker {
         }
     }
 
-    /// Applies any queued nemesis control messages. Stalls and freezes
-    /// block *here*, inside the site's own loop — inbound wires keep
-    /// queueing (and keep their in-flight units), which is exactly what a
-    /// descheduled or crashed process looks like from the outside.
+    /// Applies any queued nemesis control messages. A stall blocks
+    /// *here*, inside the site's own loop — inbound wires keep queueing
+    /// (and keep their in-flight units), which is exactly what a
+    /// descheduled process looks like from the outside.
     fn poll_ctrl(&mut self) {
         while let Ok(msg) = self.ctrl.try_recv() {
             match msg {
+                // A nested stall/pressure while frozen is meaningless;
+                // swallow it (schedules never overlap windows anyway).
+                SiteCtrl::Stall(_) | SiteCtrl::Pressure { .. } if self.frozen.is_some() => {}
                 SiteCtrl::Stall(d) => self.stall(d),
                 SiteCtrl::Pressure { drain_limit, dur } => {
                     self.pressure = Some((drain_limit.max(1), Instant::now() + dur));
                 }
-                SiteCtrl::Freeze => self.frozen(),
-                // Thaw without a matching freeze: stale (the freeze loop
-                // already consumed its pair, or recover raced crash).
-                SiteCtrl::Thaw => {}
+                SiteCtrl::Freeze => {
+                    self.frozen.get_or_insert_with(Frozen::default);
+                }
+                // A thaw without a matching freeze is stale (recover raced
+                // crash) and finds nothing to take.
+                SiteCtrl::Thaw => self.thaw(),
             }
         }
     }
@@ -1269,25 +1172,16 @@ impl SiteWorker {
         }
     }
 
-    /// Crash emulation: process *nothing* until thawed. The thread parks
-    /// on its control channel; protocol messages stay queued upstream
-    /// (the net thread also parks wires to an isolated site), timers stay
-    /// armed. No state is lost — the live driver models fail-stop-recover
-    /// without state transfer; the simulator remains the oracle for
-    /// recovery-with-state-transfer.
-    fn frozen(&mut self) {
-        loop {
-            if self.io.shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            match self.ctrl.recv_timeout(IDLE_TICK) {
-                Ok(SiteCtrl::Thaw) => return,
-                // A nested stall/pressure while frozen is meaningless;
-                // swallow it (schedules never overlap windows anyway).
-                Ok(_) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            }
+    /// Ends a crash emulation: everything held back while frozen runs now,
+    /// timers and deliveries through the heap, submissions in arrival
+    /// order. No state was lost — the live driver models
+    /// fail-stop-recover without state transfer; the simulator remains
+    /// the oracle for recovery-with-state-transfer.
+    fn thaw(&mut self) {
+        let Some(frozen) = self.frozen.take() else { return };
+        self.io.heap.extend(frozen.due);
+        for request in frozen.backlog {
+            self.submit(request);
         }
     }
 
@@ -1303,26 +1197,28 @@ impl SiteWorker {
         cfg_limit
     }
 
-    /// Consumes one channel message. Wires accumulate into the batch;
-    /// a submission flushes the batch first (preserving arrival order
-    /// around the broadcast) and feeds the engine directly.
-    fn ingest(
-        &mut self,
-        msg: SiteMsg,
-        wires: &mut Vec<(SiteId, Wire<TxnPayload>)>,
-        consumed: &mut i64,
-    ) {
-        *consumed += 1;
+    /// Consumes one channel message: a wire joins the heap until it is
+    /// due, a submission goes to the engine (or, while frozen, to the
+    /// backlog).
+    fn ingest(&mut self, msg: SiteMsg) {
         match msg {
-            SiteMsg::Wire { from, wire } => wires.push((from, wire)),
-            SiteMsg::Submit { request } => {
-                self.flush(wires);
-                // Submission and broadcast coincide here: the site thread
-                // hands the accepted request straight to its engine.
-                let (mut site, engine, ctx) = self.parts();
-                site.submit(engine, &ctx, request);
+            SiteMsg::Wire { due, from, wire } => {
+                let to = self.io.me;
+                self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
             }
+            SiteMsg::Submit { request } => match &mut self.frozen {
+                Some(frozen) => frozen.backlog.push(request),
+                None => self.submit(request),
+            },
         }
+    }
+
+    /// Submission and broadcast coincide here: the site thread hands the
+    /// accepted request straight to its engine.
+    fn submit(&mut self, request: TxnRequest) {
+        let (mut site, engine, ctx) = self.parts();
+        site.submit(engine, &ctx, request);
+        self.io.shared.in_flight.add(-1);
     }
 
     /// Hands the accumulated wires to the engine as one batch.
@@ -1330,79 +1226,160 @@ impl SiteWorker {
         if wires.is_empty() {
             return;
         }
+        let delivered = wires.len() as i64;
         let (mut site, engine, ctx) = self.parts();
         let actions = engine.on_receive_batch(&ctx, std::mem::take(wires));
         site.apply_engine_actions(actions);
+        self.io.shared.in_flight.add(-delivered);
     }
 
-    fn fire_due_timers(&mut self) {
-        while self.io.timers.peek().is_some_and(|t| t.due <= Instant::now()) {
-            let t = self.io.timers.pop().expect("peeked");
-            let (mut site, engine, ctx) = self.parts();
-            match t.item {
-                Pending::Timer(token) => site.apply_engine_actions(engine.on_timer(&ctx, token)),
-                Pending::ExecDone(token) => site.exec_done(token),
+    /// One pass over everything due in the heap, in due order. The fault
+    /// rules apply here, at the receiver: a wire whose link is cut or
+    /// whose destination is isolated is parked, a "lost" one is charged a
+    /// retransmission delay. The wires left are delivered as one batch; a
+    /// timer or completion in between flushes the wires before it.
+    fn deliver_due(&mut self) {
+        let now = Instant::now();
+        let me = self.io.me;
+        let mut wires = Vec::new();
+        while self.io.heap.peek().is_some_and(|t| t.due <= now) {
+            let Due { due, item } = self.io.heap.pop().expect("peeked");
+            let item = match item {
+                Pending::Wire { to, wire, .. } if to != me => {
+                    self.io.hand_off(to, due, wire);
+                    continue;
+                }
+                Pending::Wire { from, wire, .. } if self.io.chaos.blocked(from, me) => {
+                    self.io.chaos.held.fetch_add(1, Ordering::AcqRel);
+                    self.parked.push((from, wire));
+                    continue;
+                }
+                Pending::Wire { to, from, wire } if self.io.lost() => {
+                    // "Lost": charge a retransmission delay. The wire never
+                    // leaves the accounting, same as the sim.
+                    let due = now + self.io.cfg.net_delay.max(Duration::from_micros(500));
+                    self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
+                    continue;
+                }
+                item => item,
+            };
+            if let Some(frozen) = &mut self.frozen {
+                frozen.due.push(Due { due, item });
+                continue;
             }
-            self.io.shared.in_flight.add(-1);
+            match item {
+                Pending::Wire { from, wire, .. } => wires.push((from, wire)),
+                Pending::Timer(token) => {
+                    self.flush(&mut wires);
+                    let (mut site, engine, ctx) = self.parts();
+                    site.apply_engine_actions(engine.on_timer(&ctx, token));
+                    self.io.shared.in_flight.add(-1);
+                }
+                Pending::ExecDone(token) => {
+                    self.flush(&mut wires);
+                    let (mut site, ..) = self.parts();
+                    site.exec_done(token);
+                    self.io.shared.in_flight.add(-1);
+                }
+            }
+        }
+        self.flush(&mut wires);
+    }
+
+    /// Releases, on a topology change, every parked wire that can now
+    /// cross. Staggered due instants keep a large release from landing as
+    /// one burst on a just-thawed site.
+    fn release_parked(&mut self) {
+        let version = self.io.chaos.version.load(Ordering::Acquire);
+        if version == self.seen_version {
+            return;
+        }
+        self.seen_version = version;
+        let (now, to) = (Instant::now(), self.io.me);
+        let mut released = 0u32;
+        for (from, wire) in std::mem::take(&mut self.parked) {
+            if self.io.chaos.blocked(from, to) {
+                self.parked.push((from, wire));
+                continue;
+            }
+            self.io.chaos.held.fetch_sub(1, Ordering::AcqRel);
+            let due = now + RELEASE_STAGGER * released;
+            released += 1;
+            self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
         }
     }
 
-    /// Teardown drain: consume whatever is still queued or armed without
+    /// Teardown drain: consume whatever is still queued or due without
     /// blocking. After a clean (quiesced) phase one this is a no-op; in a
     /// forced teardown it processes what is reachable so a site never
     /// exits with messages sitting in its channel. Engine timers no
     /// longer re-arm (`stopping`), so the loop terminates.
     fn drain_at_stop(&mut self, rx: &crossbeam::channel::Receiver<SiteMsg>) {
         self.io.stopping = true;
+        self.thaw();
         loop {
-            self.fire_due_timers();
-            match rx.try_recv() {
-                Ok(msg) => {
-                    let mut wires = Vec::new();
-                    let mut consumed = 0i64;
-                    self.ingest(msg, &mut wires, &mut consumed);
-                    self.flush(&mut wires);
-                    self.io.shared.in_flight.add(-consumed);
-                }
-                Err(_) => {
-                    if self.io.timers.is_empty() {
-                        break;
-                    }
-                    let next = self.io.timers.peek().expect("non-empty").due;
-                    std::thread::sleep(
-                        next.saturating_duration_since(Instant::now())
-                            .min(Duration::from_millis(1)),
-                    );
-                }
+            self.deliver_due();
+            while let Ok(msg) = rx.try_recv() {
+                self.ingest(msg);
             }
+            let Some(next) = self.io.heap.peek().map(|t| t.due) else { break };
+            std::thread::sleep(
+                next.saturating_duration_since(Instant::now()).min(Duration::from_millis(1)),
+            );
         }
     }
 }
 
 impl LiveIo {
-    fn jitter(&mut self) -> Duration {
-        let span = self.cfg.net_jitter.as_nanos() as u64;
-        if span == 0 {
-            return Duration::ZERO;
+    /// When a wire sent now is due: the base delay plus jitter, the jitter
+    /// stretched during a jitter spike (the spread, not the base delay,
+    /// mirroring the sim's scaled jitter draw).
+    fn due(&mut self, now: Instant) -> Instant {
+        let span = self.cfg.net_jitter;
+        if span.is_zero() {
+            return now + self.cfg.net_delay;
         }
-        Duration::from_nanos(self.jitter_rng.index(span as usize) as u64)
+        now + self.cfg.net_delay + span.mul_f64(self.chaos.jitter_scale() * self.rng.uniform_f64())
     }
 
-    /// Queues a wire for delayed delivery. The unit is counted before the
-    /// send; a failed send (net thread gone during forced teardown) gives
-    /// it back.
-    fn post_wire(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
-        let due = Instant::now() + self.cfg.net_delay + self.jitter();
-        self.shared.in_flight.add(1);
-        if self.net.send(Due { due, item: Hop { to, from: self.me, wire } }).is_err() {
-            self.shared.in_flight.add(-1);
+    /// Whether a loss burst claims the wire being delivered (never in the
+    /// teardown drain, which must terminate).
+    fn lost(&mut self) -> bool {
+        let loss = self.chaos.loss();
+        !self.stopping && loss > 0.0 && self.rng.uniform_f64() < loss
+    }
+
+    /// Hands a wire of this site's, counted in flight by the caller, to
+    /// `to`, due at `due`. A loopback wire goes straight into this site's
+    /// heap. The thread never blocks on a peer: a full queue keeps the
+    /// wire in this heap for another try after [`FULL_RETRY`].
+    fn hand_off(&mut self, to: SiteId, due: Instant, wire: Wire<TxnPayload>) {
+        let from = self.me;
+        if to == from {
+            self.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
+            return;
+        }
+        match self.peers[to.index()].try_send(SiteMsg::Wire { due, from, wire }) {
+            Ok(()) => {}
+            Err(crossbeam::channel::TrySendError::Full(SiteMsg::Wire { due, wire, .. })) => {
+                let due = due.max(Instant::now() + FULL_RETRY);
+                self.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
+            }
+            Err(crossbeam::channel::TrySendError::Full(SiteMsg::Submit { .. })) => {
+                unreachable!("we sent a Wire")
+            }
+            // The destination already exited (forced teardown): the wire
+            // is lost; account for its unit.
+            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+                self.shared.in_flight.add(-1);
+            }
         }
     }
 
     /// Arms `what` to fire `after` from now, counted in flight until then.
     fn arm(&mut self, after: Duration, what: Pending) {
         self.shared.in_flight.add(1);
-        self.timers.push(Due { due: Instant::now() + after, item: what });
+        self.heap.push(Due { due: Instant::now() + after, item: what });
     }
 }
 
@@ -1412,17 +1389,23 @@ impl SiteEffects for &mut LiveIo {
     }
 
     fn multicast(&mut self, wire: Wire<TxnPayload>) {
+        let n = self.cfg.sites;
+        self.shared.in_flight.add(n as i64);
+        let now = Instant::now();
         // Clone for all but the last destination — payloads are
         // Arc-shared, so each clone is a refcount bump.
-        let last = SiteId::new((self.cfg.sites - 1) as u16);
-        for to in SiteId::all(self.cfg.sites - 1) {
-            self.post_wire(to, wire.clone());
+        for to in SiteId::all(n - 1) {
+            let due = self.due(now);
+            self.hand_off(to, due, wire.clone());
         }
-        self.post_wire(last, wire);
+        let due = self.due(now);
+        self.hand_off(SiteId::new((n - 1) as u16), due, wire);
     }
 
     fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
-        self.post_wire(to, wire);
+        self.shared.in_flight.add(1);
+        let due = self.due(Instant::now());
+        self.hand_off(to, due, wire);
     }
 
     fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {

@@ -2,10 +2,10 @@
 //!
 //! Run with: `cargo run --example live_cluster`
 //!
-//! Three site threads exchange messages through an in-process "network"
-//! thread that adds real (wall-clock) delay and jitter — so spontaneous
-//! order, optimistic execution and definitive commit all happen in real
-//! time, no simulator involved. This is the deployment shape of the
+//! Three site threads send each other messages directly, each stamped
+//! with a real (wall-clock) delay and jitter that its receiver waits out
+//! before delivering it — so spontaneous order, optimistic execution and
+//! definitive commit all happen in real time, no simulator involved. This is the deployment shape of the
 //! library; the simulator exists for reproducible experiments.
 
 use otpdb::core::runtime::{LiveCluster, LiveConfig};

@@ -86,8 +86,9 @@ fn doctored_tree_fails_with_rule_id_and_reproducer() {
     assert!(text.contains("src/evil.rs:2: wall-clock:"), "missing diagnostic:\n{text}");
 }
 
-/// The committed scope table must only name files that exist — a stale
-/// entry would silently stop auditing anything.
+/// The committed scope table must only name files (and wire-sending
+/// functions) that exist — a stale entry would silently stop auditing
+/// anything.
 #[test]
 fn scope_table_paths_exist() {
     let root = repo_root();
@@ -97,5 +98,9 @@ fn scope_table_paths_exist() {
     }
     for f in &cfg.concurrency_files {
         assert!(root.join(f).is_file(), "stale concurrency-scope entry: {f}");
+    }
+    for (f, func) in &cfg.net_thread_fns {
+        let src = std::fs::read_to_string(root.join(f)).unwrap_or_default();
+        assert!(src.contains(&format!("fn {func}(")), "stale blocking-net-send entry: {f} {func}");
     }
 }

@@ -2,9 +2,10 @@
 //! real threads, plus regression tests for the shutdown/liveness bugs the
 //! production pass fixed (in-flight wire loss at stop, deadline behavior
 //! under conflict aborts, the unwired admission gate), a tier-1 mini-soak
-//! exercising backpressure, and the live-nemesis satellites: stall
-//! tolerance, pressure-spike backpressure, and bounded shutdown under a
-//! never-healed partition.
+//! exercising backpressure, the live-nemesis satellites (stall
+//! tolerance, pressure-spike backpressure, bounded shutdown under a
+//! never-healed partition, a crashed site parking its inbound traffic),
+//! and deadlock freedom at one-message site queues.
 //!
 //! Every test body runs under a hard wall-clock watchdog
 //! ([`otp_lab::watchdog::with_watchdog`]) — a deadlock fails fast with an
@@ -99,7 +100,7 @@ fn threaded_engine_mode_matrix() {
 
 /// Regression (wire loss at stop): the old runtime's site threads broke
 /// out of their loop on the first recv timeout after `Stop`, while the
-/// net thread's heap and the site channels could still hold due wires —
+/// network's delay heap and the site channels could still hold due wires —
 /// so a deadline shorter than the workload silently dropped in-flight
 /// work and flipped `converged` false. The two-phase shutdown quiesces
 /// (bounded by the grace budget) before any thread exits: even a ZERO
@@ -460,7 +461,7 @@ fn shutdown_is_bounded_under_never_healed_partition() {
         }
 
         // Phase B: cut site 3 off forever; the 3-site majority quorum
-        // keeps deciding, its wires to site 3 park in the net thread.
+        // keeps deciding, its wires to site 3 park at site 3.
         cluster.partition_halves(&[SiteId::new(3)]);
         for i in 0..20u64 {
             cluster
@@ -489,5 +490,124 @@ fn shutdown_is_bounded_under_never_healed_partition() {
             assert_eq!(report.committed[s].len(), 60, "majority site {s}");
         }
         assert_eq!(report.committed[3].len(), 40, "cut-off site has phase A only");
+    });
+}
+
+/// The `held=` field of a diagnostics snapshot.
+fn held(snapshot: &str) -> i64 {
+    let field = snapshot.split_whitespace().find_map(|f| f.strip_prefix("held="));
+    field.and_then(|v| v.parse().ok()).expect("snapshot has a held= field")
+}
+
+/// Satellite (a crashed site parks its inbound traffic): one of four
+/// sites is frozen and isolated for 300 ms while traffic keeps arriving
+/// for it through a queue of 8. Its inbound wires must be parked
+/// (`held > 0`) rather than bounced between full queues for the whole
+/// outage, and after the thaw every admitted transaction — including the
+/// ones submitted at the frozen site — commits exactly once everywhere.
+#[test]
+fn crashed_site_parks_inbound_traffic_then_commits_exactly_once() {
+    with_watchdog(
+        "crashed_site_parks_inbound_traffic_then_commits_exactly_once",
+        WATCHDOG_CAP,
+        |dog| {
+            let mut cfg = LiveConfig::new(4, 2).with_exec_time(Duration::from_micros(200));
+            cfg.site_queue = 8;
+            let cluster = LiveCluster::start(cfg, registry(), initial(2));
+            let diag = cluster.diag_handle();
+            let dog_diag = diag.clone();
+            dog.set_diag("live-cluster", move || dog_diag.snapshot());
+            let submit = |site: u64, i: u64| {
+                cluster
+                    .submit(
+                        SiteId::new(site as u16),
+                        ClassId::new((i % 2) as u32),
+                        ProcId::new(0),
+                        vec![Value::Int(0), Value::Int(1)],
+                    )
+                    .expect("admitted")
+            };
+            for i in 0..40u64 {
+                submit(i % 4, i);
+            }
+            let frozen = SiteId::new(3);
+            cluster.crash_site(frozen);
+            let mut max_held = 0;
+            let mut admitted = 40u64;
+            std::thread::scope(|s| {
+                // Submissions at the frozen site itself: they wait (in its
+                // queue or its backlog) until the thaw.
+                let at_frozen = s.spawn(|| {
+                    for i in 0..10u64 {
+                        submit(3, i);
+                    }
+                });
+                let t0 = Instant::now();
+                let mut i = 0u64;
+                while t0.elapsed() < Duration::from_millis(300) {
+                    submit(i % 3, i);
+                    admitted += 1;
+                    i += 1;
+                    max_held = max_held.max(held(&diag.snapshot()));
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                cluster.recover_site(frozen);
+                at_frozen.join().expect("submitter at the frozen site");
+            });
+            admitted += 10;
+            assert!(max_held > 0, "wires to the frozen site were never parked");
+            let report = cluster.shutdown(Duration::from_secs(60));
+            assert!(report.quiesced, "a freeze only delays work, it must all drain");
+            assert!(report.converged);
+            assert_eq!(report.undelivered_at_stop, 0);
+            assert_eq!(report.accepted, admitted);
+            assert_eq!(report.committed_total, admitted * 4);
+            for (s, log) in report.committed.iter().enumerate() {
+                let unique: std::collections::HashSet<_> = log.iter().collect();
+                assert_eq!(log.len(), admitted as usize, "site {s}");
+                assert_eq!(unique.len(), log.len(), "site {s}: a txn committed twice");
+            }
+        },
+    );
+}
+
+/// Satellite (deadlock freedom at the smallest queue): with every site
+/// queue one message deep, each wire a site sends finds its peer's queue
+/// full most of the time. No site may block on a peer — a site blocked
+/// sending to a peer that is blocked sending back would stall both for
+/// good, and the watchdog would fire — so the run must converge and
+/// quiesce with every admitted transaction committed at every site.
+#[test]
+fn smallest_queues_cannot_deadlock() {
+    with_watchdog("smallest_queues_cannot_deadlock", Duration::from_secs(120), |dog| {
+        let mut cfg = LiveConfig::new(4, 2)
+            .with_engine(EngineKind::Opt { consensus_timeout: SimDuration::from_millis(100) })
+            .with_exec_time(Duration::from_micros(200));
+        cfg.site_queue = 1;
+        let cluster = LiveCluster::start(cfg, registry(), initial(2));
+        let diag = cluster.diag_handle();
+        dog.set_diag("live-cluster", move || diag.snapshot());
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let cluster = &cluster;
+                s.spawn(move || {
+                    for i in 0..200u64 {
+                        cluster
+                            .submit(
+                                SiteId::new(((t + i) % 4) as u16),
+                                ClassId::new((i % 2) as u32),
+                                ProcId::new(0),
+                                vec![Value::Int(0), Value::Int(1)],
+                            )
+                            .expect("admitted");
+                    }
+                });
+            }
+        });
+        let report = cluster.shutdown(Duration::from_secs(60));
+        assert!(report.quiesced);
+        assert!(report.converged);
+        assert_eq!(report.accepted, 400);
+        assert_eq!(report.committed_total, report.accepted * 4);
     });
 }
