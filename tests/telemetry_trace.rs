@@ -13,7 +13,7 @@
 //!   known; that is the paper's entire point).
 
 use otp_core::runtime::{LiveCluster, LiveConfig};
-use otp_core::{Cluster, ClusterBuilder, ClusterConfig, EngineKind, Mode};
+use otp_core::{Cluster, ClusterBuilder, ClusterConfig, EngineKind, Mode, RunStats};
 use otp_lab::watchdog::with_watchdog;
 use otp_lab::{run_cell, CellSpec, GridCell, Sabotage};
 use otp_simnet::{SimDuration, SimTime, SiteId};
@@ -68,11 +68,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Runs `config` traced, with `workload` scheduling the load, and
-/// returns `(event count, FNV-1a of the JSONL dump, dump)`.
+/// returns `(event count, FNV-1a of the JSONL dump, dump, run stats)`.
 fn pinned_trace(
     config: ClusterConfig,
     workload: impl FnOnce(&mut Cluster),
-) -> (usize, u64, String) {
+) -> (usize, u64, String, RunStats) {
     let (registry, _) = StandardProcs::registry();
     let data = (0..config.classes as u32)
         .flat_map(|c| (0..16).map(move |k| (ObjectId::new(c, k), Value::Int(1000))))
@@ -86,18 +86,20 @@ fn pinned_trace(
     workload(&mut cluster);
     cluster.run_until(SimTime::from_secs(60));
     let dump = sink.dump_jsonl();
-    (sink.len(), fnv1a(dump.as_bytes()), dump)
+    (sink.len(), fnv1a(dump.as_bytes()), dump, cluster.stats())
 }
 
-/// The simulator's trace bytes are pinned: the dumps of four cluster
+/// The simulator's trace bytes are pinned: the dumps of five cluster
 /// shapes must equal the ones recorded before the per-site delivery and
-/// tracing code moved into `site.rs` (the first three) and before the
-/// conservative policy became a mode of the one replica (the fourth).
+/// tracing code moved into `site.rs` (the first three), before the
+/// conservative policy became a mode of the one replica (the fourth) and
+/// before each site's engines, message map and cross-group gate became
+/// one record (the fifth).
 /// Any change to what is traced, in what order, at which instant or with
 /// which group label turns this red — e.g. tracing `Execute` before
 /// `Abort` on a retry.
 #[test]
-fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
+fn sim_trace_bytes_are_pinned_for_five_cluster_shapes() {
     let (_, procs) = StandardProcs::registry();
     let spec_load = |spec: WorkloadSpec| {
         let schedule = spec.generate(&procs);
@@ -132,26 +134,46 @@ fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
     );
 
     // Two sequencing groups with cross-group updates on the relay stream.
-    let cross = pinned_trace(
-        ClusterConfig::new(4, 2).with_engine(EngineKind::Sequencer).with_groups(2).with_seed(9),
-        |c: &mut Cluster| {
-            let add = |d: i64| vec![Value::Int(0), Value::Int(d)];
-            let mut t = SimTime::from_millis(1);
-            for i in 0..24u64 {
-                let class = (i % 2) as u32;
-                let site = SiteId::new((2 * class + (i / 2 % 2) as u32) as u16);
-                c.schedule_update(t, site, ClassId::new(class), procs.add, add(1));
-                t += SimDuration::from_micros(600);
-            }
-            let mut t = SimTime::from_micros(1500);
-            for k in 0..8u64 {
-                let parts = (0..2).map(|cl| (ClassId::new(cl), procs.add, add(100))).collect();
-                c.schedule_cross_update(t, SiteId::new((k % 4) as u16), parts);
-                t += SimDuration::from_micros(900);
-            }
-        },
-    );
+    let sharded =
+        || ClusterConfig::new(4, 2).with_engine(EngineKind::Sequencer).with_groups(2).with_seed(9);
+    let cross_load = |c: &mut Cluster| {
+        let add = |d: i64| vec![Value::Int(0), Value::Int(d)];
+        let mut t = SimTime::from_millis(1);
+        for i in 0..24u64 {
+            let class = (i % 2) as u32;
+            let site = SiteId::new((2 * class + (i / 2 % 2) as u32) as u16);
+            c.schedule_update(t, site, ClassId::new(class), procs.add, add(1));
+            t += SimDuration::from_micros(600);
+        }
+        let mut t = SimTime::from_micros(1500);
+        for k in 0..8u64 {
+            let parts = (0..2).map(|cl| (ClassId::new(cl), procs.add, add(100))).collect();
+            c.schedule_cross_update(t, SiteId::new((k % 4) as u16), parts);
+            t += SimDuration::from_micros(900);
+        }
+    };
+    let cross = pinned_trace(sharded(), cross_load);
     assert!(cross.2.contains("\"stage\":\"relay_wait\""), "cross updates pass the relay");
+
+    // The same load with group 1's second member crashing inside the
+    // cross-update window and recovering: its relay domain runs a view
+    // change of its own, it adopts the group primary's gate with the seen
+    // sets rebuilt from the merged log, and it folds in the relay tail it
+    // skipped while recovering.
+    let (crash_at, recover_at) = (SimTime::from_millis(3), SimTime::from_millis(5));
+    let bounced = pinned_trace(sharded(), |c: &mut Cluster| {
+        cross_load(c);
+        c.schedule_crash(crash_at, SiteId::new(3));
+        c.schedule_recover(recover_at, SiteId::new(3), SiteId::new(2));
+    });
+    assert!(bounced.3.counters.get("relay_view_install") > 0, "the relay domain recovered");
+    let relay_wait_after = bounced.2.lines().any(|line| {
+        let at: u64 = line[5..line.find(',').expect("t field")].parse().expect("t is a number");
+        line.contains("\"site\":3,")
+            && line.contains("\"stage\":\"relay_wait\"")
+            && at > recover_at.as_nanos()
+    });
+    assert!(relay_wait_after, "the recovered site still passes cross updates through the relay");
 
     // Conservative replicas on the consensus engine on the hotspot, so
     // CC10 moves TO-delivered transactions ahead of pending ones, and
@@ -168,12 +190,19 @@ fn sim_trace_bytes_are_pinned_for_three_cluster_shapes() {
     );
     assert!(!recovered.2.contains("\"stage\":\"abort\""), "conservative never retries");
 
-    let pins = [(otp.0, otp.1), (cons.0, cons.1), (cross.0, cross.1), (recovered.0, recovered.1)];
+    let pins = [
+        (otp.0, otp.1),
+        (cons.0, cons.1),
+        (cross.0, cross.1),
+        (recovered.0, recovered.1),
+        (bounced.0, bounced.1),
+    ];
     let recorded = [
         (2884, 13_284_260_801_166_220_815),
         (1260, 7_671_287_276_880_295_094),
         (416, 13_295_177_785_212_375_855),
         (2660, 4_972_698_955_476_274_653),
+        (369, 197_094_944_027_681_310),
     ];
     assert_eq!(pins, recorded, "trace bytes moved");
 }
