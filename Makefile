@@ -57,8 +57,8 @@ live-chaos:
 	LIVE_CHAOS_SEEDS=$(LIVE_CHAOS_SEEDS) $(CARGO) test --release --test live_chaos
 
 ## Run the deterministic perf matrix (simulated time) and rewrite
-## BENCH.json + BENCH_WALL.json. Refresh the committed baseline after a
-## legitimate shift with: make perf && cp BENCH.json BENCH_BASELINE.json
+## BENCH.json. Refresh the committed baseline after a legitimate shift
+## with: make perf && cp BENCH.json BENCH_BASELINE.json
 perf:
 	$(CARGO) run --release -p otp-bench --bin perf
 

@@ -129,12 +129,6 @@ impl Config {
                 RuleId::WallClock,
                 "soak CLI: wall-clock wrapper around the live runtime",
             ),
-            (
-                "crates/bench/src/bin/perf.rs",
-                RuleId::WallClock,
-                "outer harness timing only: wall duration goes to BENCH_WALL.json, never into \
-                 the gated BENCH.json bytes",
-            ),
         ];
         Config {
             determinism_prefixes: det_prefixes.iter().map(|s| s.to_string()).collect(),

@@ -1,9 +1,9 @@
 //! The perf harness CLI — the repo's machine-readable performance gate.
 //!
 //! Default mode runs the canonical engine × mode × workload matrix in
-//! simulated time, writes the byte-stable `BENCH.json` (plus the wall-clock
-//! side file `BENCH_WALL.json`, recorded but never gated) and prints a
-//! summary table.
+//! simulated time, writes the byte-stable `BENCH.json` and prints a
+//! summary table. Wall-clock cost is the repo's benchmark's business
+//! (`benchmark/`), not this gate's.
 //!
 //! `--check BASELINE [--tolerance PCT]` additionally diffs the fresh run
 //! against the committed baseline and exits nonzero on any regression,
@@ -15,22 +15,19 @@
 //! is identical to the untraced run's).
 //!
 //! ```text
-//! perf [--out BENCH.json] [--wall-out BENCH_WALL.json]
-//!      [--check BASELINE] [--tolerance 0.25]
+//! perf [--out BENCH.json] [--check BASELINE] [--tolerance 0.25]
 //!      [--cell ID] [--txns N] [--seed N] [--stage-breakdown] [--list-cells]
 //! ```
 
 use otp_bench::perf::{
     check_against_baseline, run_matrix, run_matrix_with_stages, run_perf_cell,
-    run_perf_cell_traced, PerfCell, PERF_SCHEMA, PERF_SEED, PERF_TXNS,
+    run_perf_cell_traced, PerfCell, PERF_SEED, PERF_TXNS,
 };
 use otp_simnet::metrics::Table;
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Args {
     out: String,
-    wall_out: String,
     check: Option<String>,
     tolerance: f64,
     cell: Option<PerfCell>,
@@ -43,7 +40,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         out: "BENCH.json".into(),
-        wall_out: "BENCH_WALL.json".into(),
         check: None,
         tolerance: 0.25,
         cell: None,
@@ -57,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--out" => args.out = value("--out")?,
-            "--wall-out" => args.wall_out = value("--wall-out")?,
             "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
                 let v = value("--tolerance")?;
@@ -84,11 +79,11 @@ fn parse_args() -> Result<Args, String> {
             "--list-cells" => args.list_cells = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: perf [--out BENCH.json] [--wall-out BENCH_WALL.json] \
-                     [--check BASELINE] [--tolerance 0.25] [--cell ID] [--txns N] \
-                     [--seed N] [--stage-breakdown] [--list-cells]\n\
-                     All gated metrics run in simulated time: the emitted BENCH.json is \
-                     byte-identical across runs. Wall clock goes to stdout and --wall-out only.\n\
+                    "usage: perf [--out BENCH.json] [--check BASELINE] [--tolerance 0.25] \
+                     [--cell ID] [--txns N] [--seed N] [--stage-breakdown] [--list-cells]\n\
+                     Every metric runs in simulated time: the emitted BENCH.json is \
+                     byte-identical across runs. Wall-clock cost is measured by the repo's \
+                     benchmark (benchmark/run.sh).\n\
                      --stage-breakdown traces every run and adds per-stage submit→stage \
                      latency columns (and a non-gated \"stages\" key to BENCH.json)."
                 );
@@ -141,13 +136,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let started = Instant::now();
     let report = if args.stage_breakdown {
         run_matrix_with_stages(&PerfCell::all(), args.txns, args.seed)
     } else {
         run_matrix(&PerfCell::all(), args.txns, args.seed)
     };
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(vec![
         "cell",
@@ -185,15 +178,9 @@ fn main() -> ExitCode {
         }
         println!("{}", stage_table.to_markdown());
     }
-    println!("wall_ms={wall_ms} (recorded, not gated — simulated metrics only in {})", args.out);
 
     if let Err(e) = std::fs::write(&args.out, report.to_json()) {
         eprintln!("perf: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    let wall_doc = format!("{{\n  \"schema\": {PERF_SCHEMA},\n  \"wall_ms\": {wall_ms}\n}}\n");
-    if let Err(e) = std::fs::write(&args.wall_out, wall_doc) {
-        eprintln!("perf: cannot write {}: {e}", args.wall_out);
         return ExitCode::FAILURE;
     }
 

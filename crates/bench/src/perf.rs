@@ -7,9 +7,9 @@
 //! produce byte-identical reports — zero noise — which is what lets CI gate
 //! on them with a plain file comparison plus a relative-tolerance diff
 //! against the committed `BENCH_BASELINE.json` (see
-//! [`check_against_baseline`]). Wall-clock duration is *recorded* by the
-//! `perf` binary (stdout and `BENCH_WALL.json`) but never gated and never
-//! part of `BENCH.json`, precisely so the byte-stability holds.
+//! [`check_against_baseline`]). Nothing here reads the wall clock: what
+//! the code costs on a CPU is the repo's benchmark's measurement
+//! (`benchmark/`).
 //!
 //! The matrix is engine × mode × workload:
 //!

@@ -28,8 +28,7 @@ use otp_broadcast::PayloadSize;
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{
-    ClassId, Database, ObjectId, ObjectKey, ProcId, ProcRegistry, SnapshotIndex, TxnCtx, TxnIndex,
-    Value,
+    ClassId, Database, ObjectId, ObjectKey, ProcId, ProcRegistry, TxnCtx, TxnIndex, Value,
 };
 use otp_txn::history::{CommittedTxn, HistoryLog};
 use otp_txn::txn::{TxnId, TxnRequest};
@@ -434,12 +433,6 @@ impl std::fmt::Debug for AsyncCluster {
             .field("now", &self.queue.now())
             .finish_non_exhaustive()
     }
-}
-
-/// The snapshot index is not meaningful under lazy replication; provided
-/// for interface symmetry in benches.
-pub fn read_committed_snapshot() -> SnapshotIndex {
-    SnapshotIndex::after(TxnIndex::INITIAL)
 }
 
 #[cfg(test)]

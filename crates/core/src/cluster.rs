@@ -1,7 +1,7 @@
 //! The simulated replicated-database cluster.
 //!
-//! [`Cluster`] is the top-level driver: it owns the LAN model, per-site
-//! broadcast engines and replicas, and an event queue. Client requests
+//! [`Cluster`] is the top-level driver: it owns the LAN model, one
+//! `SimNode` and one replica per site, and an event queue. Client requests
 //! enter as scheduled events; engine actions become network frames;
 //! deliveries drive the replicas; `StartExecution` actions become timed
 //! `ExecDone` events (execution duration is sampled from a configurable
@@ -10,13 +10,19 @@
 //! view-change round ([`otp_view`]) in simulated time, restoring the site
 //! from the union of every live member's state digest (see DESIGN.md §7).
 //!
-//! Engines and replicas are built, and each site's group-stream
-//! deliveries handed to its replica and traced, by the site layer the
-//! threaded runtime shares (`site.rs`, DESIGN.md §16). This driver
-//! supplies the simulated effects (`SimSite`: frames on the modelled
-//! network, events on the virtual-time queue, completion accounting) and
-//! keeps what only the simulator has: request routing, the relay stream
-//! and `CrossGate`, the delivery quantum, view changes and the nemesis.
+//! A `SimNode` is the site layer's `SiteNode` — the site's engines, one
+//! per order domain it belongs to, with their installed view epochs, its
+//! message map and its cross-group gate — plus what only the simulator
+//! keeps per site: its up/crashed/recovering status, event epoch, hold
+//! and quantum buffers, pending recovery domains, the relay descriptor
+//! store, id counters and retention gauges. Engines and replicas are
+//! built, and every group-stream delivery is handed through the gate to
+//! the replica and traced, by the site layer the threaded runtime shares
+//! (`site.rs`, DESIGN.md §16). This driver supplies the simulated effects
+//! (`SimSite`: frames on the modelled network, events on the virtual-time
+//! queue, completion accounting) and keeps what only the simulator has:
+//! request routing, the relay stream's deliveries, the delivery quantum,
+//! view changes and the nemesis.
 //!
 //! # Sharded sequencing groups
 //!
@@ -29,7 +35,7 @@
 //! through a cluster-wide *relay* stream: a descriptor carrying one
 //! sub-transaction per involved group is TO-broadcast on the relay, and
 //! each group inserts its sub into its own stream at the relay-dictated
-//! point (the per-site [`CrossGate`] enforces that point
+//! point (each site's cross-group gate in `site.rs` enforces that point
 //! deterministically), so all sites serialize cross-group transactions
 //! identically without sharing a total order for everything else. See
 //! DESIGN.md §11.
@@ -41,12 +47,11 @@
 use crate::event::{ExecToken, ReplicaAction};
 use crate::replica::Replica;
 use crate::site::{
-    attach_engine_counters, record_stage, take_delivered, Engine, EngineFactory, Site, SiteEffects,
-    SiteMsgMap,
+    attach_engine_counters, delivered_cross_subs, record_stage, DomainSlot, Engine, EngineFactory,
+    Site, SiteEffects, SiteNode,
 };
 use otp_broadcast::{
-    EngineAction, EngineCtx, EngineSnapshot, GroupId, Message, MsgId, OrderDomain, PayloadSize,
-    SeqAbcast, TimerToken, Wire,
+    EngineAction, EngineCtx, GroupId, MsgId, OrderDomain, PayloadSize, SeqAbcast, TimerToken, Wire,
 };
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
@@ -56,14 +61,14 @@ use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
 use otp_txn::history::CommittedTxn;
 use otp_txn::txn::{TxnId, TxnRequest};
 use otp_view::{CrashOutcome, DigestOutcome, Membership, SummaryOutcome, ViewChange, ViewId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// A cross-group transaction descriptor, TO-broadcast on the relay
 /// stream. It carries one sub-transaction per involved group; the relay's
 /// definitive order is the cluster-wide serialization point for the whole
-/// cross-group transaction (each group's [`CrossGate`] inserts the sub at
-/// exactly that point in its own stream).
+/// cross-group transaction (each group member's cross-group gate inserts
+/// the sub at exactly that point in its own stream).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossTag {
     /// Cluster-unique cross-transaction id (origin site in the high bits,
@@ -89,7 +94,7 @@ pub enum TxnPayload {
         /// The client request (or a cross-group sub-transaction).
         req: Arc<TxnRequest>,
         /// `Some(cross id)` when this is a sub-transaction of a
-        /// cross-group transaction: the delivering site's [`CrossGate`]
+        /// cross-group transaction: the delivering site's cross-group gate
         /// holds it until the relay order admits it.
         cross: Option<u64>,
     },
@@ -386,42 +391,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the broadcast engine on the underlying config.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Sets the processing mode on the underlying config.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Sets the network model on the underlying config.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.config.net = net;
-        self
-    }
-
-    /// Sets the delivery quantum on the underlying config.
-    pub fn delivery_quantum(mut self, quantum: SimDuration) -> Self {
-        self.config.delivery_quantum = quantum;
-        self
-    }
-
-    /// Sets the number of sequencing groups on the underlying config.
-    pub fn groups(mut self, groups: usize) -> Self {
-        self.config.groups = groups;
-        self
-    }
-
-    /// Sets the master seed on the underlying config.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// Validates the topology and builds the cluster.
     ///
     /// # Panics
@@ -533,84 +502,6 @@ impl GroupTopology {
     /// traffic sharding exists to avoid.
     fn cross_frame(&self, a: SiteId, b: SiteId) -> bool {
         self.groups > 1 && self.site_group[a.index()] != self.site_group[b.index()]
-    }
-}
-
-/// Per-site gate that merges a group's own TO-stream with the relay's
-/// definitive order of cross-group transactions.
-///
-/// A group member holds every group-TO-delivered transaction in `queue`
-/// and releases a prefix according to three rules, looped to fixpoint:
-///
-/// 1. a plain (single-group) head releases immediately — relay order
-///    only constrains cross-group transactions;
-/// 2. a cross head releases when it is the next unconsumed entry of
-///    `relay_order` (the relay admitted it);
-/// 3. if the next relay entry's sub is TO-delivered but stuck *behind* a
-///    stalled cross head, it jumps the queue — relay order wins between
-///    cross-group transactions, and nothing orders two cross txns within
-///    the group stream anyway.
-///
-/// The release sequence is a pure function of (group TO sequence, relay
-/// order), both cluster-agreed — so every member of a group releases the
-/// same sequence, and cross-group transactions interleave identically at
-/// *all* sites. A cross head whose relay slot has not arrived blocks the
-/// plain transactions behind it: deterministic, and it converges as soon
-/// as the relay stream catches up.
-#[derive(Debug, Clone, Default)]
-struct CrossGate {
-    /// Group-TO-delivered transactions awaiting release, in group TO
-    /// order, with their cross id when they are cross-group subs.
-    queue: VecDeque<(Arc<TxnRequest>, Option<u64>)>,
-    /// Relay-dictated order of cross ids whose sub belongs to this
-    /// site's group.
-    relay_order: Vec<u64>,
-    /// Next unconsumed `relay_order` index.
-    cursor: usize,
-    /// Cross ids whose relay descriptor this site already processed
-    /// (dedup across duplicate relay injections).
-    relay_seen: HashSet<u64>,
-    /// Cross-sub txn ids already Opt-delivered to the replica (dedup
-    /// across the copies different relay members inject; a plain
-    /// transaction is broadcast once, so it needs none).
-    seen_opt: HashSet<TxnId>,
-    /// Cross-sub txn ids already released to TO (same dedup, definitive
-    /// side).
-    seen_to: HashSet<TxnId>,
-}
-
-impl CrossGate {
-    /// Releases every transaction the rules admit, in order.
-    fn release(&mut self) -> Vec<(TxnId, ClassId)> {
-        let mut out = Vec::new();
-        loop {
-            match self.queue.front() {
-                Some((req, None)) => {
-                    out.push((req.id, req.class));
-                    self.queue.pop_front();
-                }
-                Some((req, Some(c))) => {
-                    if self.cursor < self.relay_order.len() && self.relay_order[self.cursor] == *c {
-                        out.push((req.id, req.class));
-                        self.queue.pop_front();
-                        self.cursor += 1;
-                    } else if self.cursor < self.relay_order.len() {
-                        let want = self.relay_order[self.cursor];
-                        if let Some(pos) = self.queue.iter().position(|(_, x)| *x == Some(want)) {
-                            let (jumper, _) = self.queue.remove(pos).expect("position just found");
-                            out.push((jumper.id, jumper.class));
-                            self.cursor += 1;
-                        } else {
-                            break;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -753,6 +644,49 @@ struct RetentionGauges {
     engine_index: Arc<Gauge>,
 }
 
+/// Whether a site serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Up,
+    Crashed,
+    /// Re-admitted to the network so the view-change rounds can run, but
+    /// not serving: its non-view wires are held and replayed once every
+    /// round installed.
+    Recovering,
+}
+
+/// One simulated site: its [`SiteNode`] (engines, message map, gate) and
+/// what only the simulator keeps for it.
+struct SimNode {
+    site: SiteNode,
+    status: Status,
+    /// Event epoch, bumped at crash to cancel in-flight local events
+    /// (exec/query completions) of the dead incarnation.
+    epoch: u32,
+    /// Wires that reached the site while it was down or recovering,
+    /// replayed once it serves again.
+    held_wires: Vec<(u16, SiteId, Wire<TxnPayload>)>,
+    /// Open delivery quantum: wires accumulated since the window opened
+    /// (empty = no window open). Only used when
+    /// `config.delivery_quantum > 0`.
+    open_quantum: Vec<(u16, SiteId, Wire<TxnPayload>)>,
+    /// Quantum generation, bumped every time a window opens, so a flush
+    /// event scheduled for a window that was fenced early cannot close a
+    /// newer window.
+    quantum_gen: u64,
+    /// While recovering: the domains whose round has not installed yet.
+    /// The site starts serving when this empties.
+    pending_domains: BTreeSet<u16>,
+    /// Relay-stream message id → its descriptor.
+    relay_map: HashMap<MsgId, Arc<CrossTag>>,
+    /// Relay definitive deliveries already folded into the gate — the
+    /// recovery reconcile point for the relay stream.
+    relay_processed: usize,
+    next_txn_seq: u64,
+    next_cross_seq: u64,
+    retention: RetentionGauges,
+}
+
 /// The simulated cluster. See the [module docs](self).
 pub struct Cluster {
     config: ClusterConfig,
@@ -762,22 +696,11 @@ pub struct Cluster {
     rng: SimRng,
     /// Group topology: domains (groups + relay), site→group, class→group.
     pub(crate) topology: GroupTopology,
-    /// Per-site engine for the site's own group domain.
-    engines: Vec<Engine>,
-    /// Per-site engine for the cluster-wide relay domain (empty when
-    /// `groups == 1` — there is no relay).
-    relay_engines: Vec<Engine>,
+    /// One per site; index by `SiteId::index`.
+    nodes: Vec<SimNode>,
     engine_factory: EngineFactory,
     /// Public for test assertions; index by `SiteId::index`.
     pub replicas: Vec<Replica>,
-    crashed: Vec<bool>,
-    /// Sites mid-recovery: re-admitted to the network so the view-change
-    /// round can run, but not serving — their non-view wires are held and
-    /// replayed once the view installs.
-    recovering: Vec<bool>,
-    /// Per-site event epoch, bumped at crash to cancel in-flight local
-    /// events (exec/query completions) of the dead incarnation.
-    local_epoch: Vec<u32>,
     /// The currently installed membership view (epoch + live set).
     view: Membership,
     /// Next view epoch to propose, per domain — strictly increasing
@@ -794,19 +717,6 @@ pub struct Cluster {
     /// iteration order must be deterministic for byte-identical replays.
     /// Each round carries the instant it was proposed (`view_round_us`).
     pending_views: BTreeMap<(u16, SiteId), (ViewChange<TxnPayload>, SimTime)>,
-    /// Per recovering site: the domains whose round has not installed
-    /// yet. The site starts serving when this empties.
-    pending_domains: Vec<BTreeSet<u16>>,
-    /// Per-site *group-domain* view epochs in installation order
-    /// (invariant: strictly increasing; live group members converge on
-    /// the newest). The last entry is the site's currently installed
-    /// epoch — see [`Cluster::installed_epoch`].
-    pub(crate) epoch_history: Vec<Vec<u64>>,
-    /// Per-site installed relay-domain epoch (sharded clusters only).
-    relay_epoch: Vec<u64>,
-    /// Per-site count of relay definitive deliveries already folded into
-    /// the gate — the recovery reconcile point for the relay stream.
-    relay_processed: Vec<usize>,
     /// Relay-domain view installations (counted separately so the
     /// single-group `view_install` counter is untouched by sharding).
     relay_view_installs: Arc<Counter>,
@@ -822,27 +732,9 @@ pub struct Cluster {
     /// Rounds explicitly aborted because a newer round for the same site
     /// superseded them (newest epoch wins).
     superseded_views: Arc<Counter>,
-    /// Per-site open delivery quantum: wires accumulated since the window
-    /// opened (empty = no window open). Only used when
-    /// `config.delivery_quantum > 0`.
-    open_quantum: Vec<Vec<(u16, SiteId, Wire<TxnPayload>)>>,
-    /// Per-site quantum generation, bumped every time a window opens, so a
-    /// flush event scheduled for a window that was fenced early cannot
-    /// close a newer window.
-    quantum_gen: Vec<u64>,
-    held_wires: Vec<Vec<(u16, SiteId, Wire<TxnPayload>)>>,
     /// Wires whose directed link is cut by a nemesis partition, replayed
     /// on heal (channels are reliable across partitions, like crashes).
     partition_held: Vec<(SiteId, SiteId, u16, Wire<TxnPayload>)>,
-    /// Per-site map from group-stream message id to the transaction it
-    /// carries (and its cross id when it is a cross-group sub): filled at
-    /// Opt-delivery, consumed at TO-delivery (which carries only the id),
-    /// so it holds the site's in-flight window and nothing older.
-    msg_map: Vec<SiteMsgMap>,
-    /// Per-site map from relay-stream message id to its descriptor.
-    relay_map: Vec<HashMap<MsgId, Arc<CrossTag>>>,
-    /// Per-site cross-group merge gate (inert when `groups == 1`).
-    gates: Vec<CrossGate>,
     /// Per transaction, from submission until the last member of its
     /// group commits it.
     completions: HashMap<TxnId, Completion>,
@@ -851,8 +743,6 @@ pub struct Cluster {
     pub(crate) txn_group: HashMap<TxnId, u16>,
     /// Cross id of each cross-group sub-transaction.
     pub(crate) cross_of: HashMap<TxnId, u64>,
-    next_txn_seq: Vec<u64>,
-    next_cross_seq: Vec<u64>,
     next_query_seq: u64,
     query_start: HashMap<TxnId, SimTime>,
     /// Results of completed queries: `(snapshot, values read)`.
@@ -867,26 +757,9 @@ pub struct Cluster {
     /// The unified metrics registry every counter above is registered in
     /// (engines hold per-site/per-group `stale_epoch_reject` handles).
     metrics: Arc<MetricsRegistry>,
-    /// Per-site state-size gauges, refreshed by [`Cluster::metrics`] and
-    /// [`Cluster::stats`] rather than on the hot path.
-    retention: Vec<RetentionGauges>,
     /// Lifecycle trace sink; `None` = tracing off (the default), one
     /// pointer check per hook.
     trace: Option<Arc<dyn TraceSink>>,
-}
-
-/// Txn ids of the cross-group subs of which `snap`'s definitive log holds
-/// a copy, read off the snapshot's payload store.
-fn delivered_cross_subs(snap: &EngineSnapshot<TxnPayload>) -> HashSet<TxnId> {
-    let delivered: HashSet<MsgId> = snap.definitive_log.iter().copied().collect();
-    snap.received
-        .iter()
-        .filter(|m| delivered.contains(&m.id))
-        .filter_map(|m| match &m.payload {
-            TxnPayload::Txn { req, cross: Some(_) } => Some(req.id),
-            _ => None,
-        })
-        .collect()
 }
 
 /// `site`'s engine for the relay stream. It is always a plain sequencer:
@@ -917,26 +790,48 @@ impl Cluster {
         let topology = GroupTopology::new(sites, config.groups);
         let num_domains = topology.domains.len();
 
-        // One engine per (site, domain) pair the site participates in; the
-        // factory stays for recovery.
+        // One engine per (site, domain) pair the site participates in: the
+        // factory builds the group's, in site order; the relay's is a
+        // plain sequencer and takes nothing from the factory, which stays
+        // for recovery.
         let mut factory = EngineFactory::new(config.engine, config.seed);
-        let engines: Vec<Engine> = SiteId::all(sites)
+        let nodes: Vec<SimNode> = SiteId::all(sites)
             .map(|s| {
                 let g = topology.group_of_site(s);
-                factory.make(&topology.domains[g], &metrics, Scope::site(s).group(g as u16))
+                let group = &topology.domains[g];
+                let scope = Scope::site(s).group(g as u16);
+                let engine = factory.make(group, &metrics, scope);
+                let mut domains = vec![DomainSlot::new(g as u16, group.clone(), engine)];
+                if config.groups > 1 {
+                    let relay = topology.relay_idx();
+                    let domain = &topology.domains[relay];
+                    let engine = relay_engine(domain, &metrics, Scope::site(s).group(relay as u16));
+                    domains.push(DomainSlot::new(relay as u16, domain.clone(), engine));
+                }
+                SimNode {
+                    site: SiteNode::new(s, g as u16, domains),
+                    status: Status::Up,
+                    epoch: 0,
+                    held_wires: Vec::new(),
+                    open_quantum: Vec::new(),
+                    quantum_gen: 0,
+                    pending_domains: BTreeSet::new(),
+                    relay_map: HashMap::new(),
+                    relay_processed: 0,
+                    next_txn_seq: 0,
+                    next_cross_seq: 0,
+                    retention: RetentionGauges {
+                        msg_map: metrics.gauge("msg_map_entries", Scope::site(s)),
+                        pending_completions: metrics.gauge("pending_completions", Scope::site(s)),
+                        versions: metrics.gauge("retained_versions", Scope::site(s)),
+                        history: metrics.gauge("history_entries", Scope::site(s)),
+                        engine_payloads: metrics.gauge("engine_payloads", Scope::site(s)),
+                        engine_log: metrics.gauge("engine_log_entries", Scope::site(s)),
+                        engine_index: metrics.gauge("engine_index_entries", Scope::site(s)),
+                    },
+                }
             })
             .collect();
-        let relay_engines: Vec<Engine> = if config.groups > 1 {
-            let relay = topology.relay_idx();
-            SiteId::all(sites)
-                .map(|s| {
-                    let scope = Scope::site(s).group(relay as u16);
-                    relay_engine(&topology.domains[relay], &metrics, scope)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let replicas =
             crate::site::replicas(config.mode, sites, config.classes, &registry, &initial_data);
 
@@ -953,39 +848,23 @@ impl Cluster {
             queue: EventQueue::new(),
             rng,
             topology,
-            engines,
-            relay_engines,
+            nodes,
             engine_factory: factory,
             replicas,
-            crashed: vec![false; sites],
-            recovering: vec![false; sites],
-            local_epoch: vec![0; sites],
             view: Membership::initial(sites),
             next_epoch: vec![1; num_domains],
             sequencer_fence: vec![0; num_domains],
             pending_views: BTreeMap::new(),
-            pending_domains: (0..sites).map(|_| BTreeSet::new()).collect(),
-            epoch_history: (0..sites).map(|_| Vec::new()).collect(),
-            relay_epoch: vec![0; sites],
-            relay_processed: vec![0; sites],
             relay_view_installs: metrics.counter("relay_view_install", Scope::global()),
             stale_view_digests: metrics.counter("stale_view_digest", Scope::global()),
             view_summary_bytes: metrics.counter("view_summary_bytes", Scope::global()),
             view_digest_bytes: metrics.counter("view_digest_bytes", Scope::global()),
             view_round_us: metrics.counter("view_round_us", Scope::global()),
             superseded_views: metrics.counter("view_supersede", Scope::global()),
-            open_quantum: (0..sites).map(|_| Vec::new()).collect(),
-            quantum_gen: vec![0; sites],
-            held_wires: (0..sites).map(|_| Vec::new()).collect(),
             partition_held: Vec::new(),
-            msg_map: (0..sites).map(|_| HashMap::new()).collect(),
-            relay_map: (0..sites).map(|_| HashMap::new()).collect(),
-            gates: (0..sites).map(|_| CrossGate::default()).collect(),
             completions: HashMap::new(),
             txn_group: HashMap::new(),
             cross_of: HashMap::new(),
-            next_txn_seq: vec![0; sites],
-            next_cross_seq: vec![0; sites],
             next_query_seq: 0,
             query_start: HashMap::new(),
             query_results: HashMap::new(),
@@ -995,17 +874,6 @@ impl Cluster {
             query_latency: Histogram::new(),
             completed: 0,
             cross_group_frames: metrics.counter("cross_group_frames", Scope::global()),
-            retention: SiteId::all(sites)
-                .map(|s| RetentionGauges {
-                    msg_map: metrics.gauge("msg_map_entries", Scope::site(s)),
-                    pending_completions: metrics.gauge("pending_completions", Scope::site(s)),
-                    versions: metrics.gauge("retained_versions", Scope::site(s)),
-                    history: metrics.gauge("history_entries", Scope::site(s)),
-                    engine_payloads: metrics.gauge("engine_payloads", Scope::site(s)),
-                    engine_log: metrics.gauge("engine_log_entries", Scope::site(s)),
-                    engine_index: metrics.gauge("engine_index_entries", Scope::site(s)),
-                })
-                .collect(),
             metrics,
             trace,
             config,
@@ -1040,17 +908,15 @@ impl Cluster {
     /// message-map entries, held completion entries (by submitting site),
     /// committed versions, history entries and the engines' stores.
     fn refresh_retention(&self) {
-        for (i, g) in self.retention.iter().enumerate() {
-            let site = SiteId::new(i as u16);
-            let replica = &self.replicas[i];
+        for (node, replica) in self.nodes.iter().zip(&self.replicas) {
+            let (g, site) = (&node.retention, replica.site());
             let pending = self.completions.keys().filter(|t| t.origin == site).count();
-            g.msg_map.set(self.msg_map[i].len() as i64);
+            g.msg_map.set(node.site.msg_map.len() as i64);
             g.pending_completions.set(pending as i64);
             g.versions.set(replica.db().retained_versions() as i64);
             g.history.set(replica.history_log().len() as i64);
-            let engines = std::iter::once(&self.engines[i]).chain(self.relay_engines.get(i));
             let (mut payloads, mut log, mut index) = (0, 0, 0);
-            for kept in engines.map(|e| e.retained()) {
+            for kept in node.site.domains.iter().map(|d| d.engine.retained()) {
                 payloads += kept.payloads;
                 log += kept.log;
                 index += kept.index;
@@ -1072,11 +938,11 @@ impl Cluster {
     /// `site` as the shared site code sees it, acting through the
     /// simulated effects; wires go out on domain `domain`.
     fn site_view(&mut self, site: SiteId, domain: u16) -> Site<'_, SimSite<'_>> {
-        let i = site.index();
+        let node = &mut self.nodes[site.index()];
         let fx = SimSite {
             site,
             domain,
-            epoch: self.local_epoch[i],
+            epoch: node.epoch,
             queue: &mut self.queue,
             net: &mut self.net,
             rng: &mut self.rng,
@@ -1089,30 +955,26 @@ impl Cluster {
             commit_latency: &mut self.commit_latency,
             global_commit_latency: &mut self.global_commit_latency,
         };
-        let (group, trace) = (self.topology.site_group[i], self.trace.as_deref());
-        Site::new(site, group, &mut self.replicas[i], &mut self.msg_map[i], trace, fx)
+        let (replica, trace) = (&mut self.replicas[site.index()], self.trace.as_deref());
+        Site::new(&mut node.site, replica, trace, fx)
     }
 
     /// [`Cluster::site_view`] on `site`'s own group domain.
     fn group_site(&mut self, site: SiteId) -> Site<'_, SimSite<'_>> {
-        self.site_view(site, self.topology.site_group[site.index()])
+        self.site_view(site, self.nodes[site.index()].site.group)
     }
 
-    /// The engine (own-group or relay) serving domain `d` at `site`, with
-    /// the context the next call on it needs. Split-borrows so the caller
-    /// can keep using `self` for everything *but* the engine vectors.
-    fn engine_parts(&mut self, site: SiteId, d: usize) -> (&mut Engine, EngineCtx<'_>) {
-        let epoch = if self.topology.is_relay(d) {
-            self.relay_epoch[site.index()]
-        } else {
-            self.epoch_history[site.index()].last().copied().unwrap_or(0)
-        };
-        let engine = if self.topology.is_relay(d) {
-            &mut self.relay_engines[site.index()]
-        } else {
-            &mut self.engines[site.index()]
-        };
-        (engine, EngineCtx::at_epoch(site, &self.topology.domains[d], epoch))
+    /// Runs `call` on `site`'s engine for domain `d` and interprets what
+    /// it emits ([`Cluster::apply_engine_actions`]).
+    fn on_engine(
+        &mut self,
+        site: SiteId,
+        d: u16,
+        call: impl FnOnce(&mut Engine, &EngineCtx<'_>) -> Vec<EngineAction<TxnPayload>>,
+    ) {
+        let (engine, ctx) = self.nodes[site.index()].site.engine_parts(d);
+        let actions = call(engine, &ctx);
+        self.apply_engine_actions(site, d, actions);
     }
 
     /// A fresh engine for domain `du` at `site` (recovery path). The
@@ -1128,23 +990,19 @@ impl Cluster {
         }
     }
 
-    /// The engine (own-group or relay) serving domain `du` at `s`.
-    fn engine(&self, s: SiteId, du: usize) -> &Engine {
-        let relay = self.topology.is_relay(du);
-        let engines = if relay { &self.relay_engines } else { &self.engines };
-        &engines[s.index()]
+    /// `s`'s slot (engine and installed epochs) for domain `d`.
+    fn slot(&self, s: SiteId, d: u16) -> &DomainSlot {
+        self.nodes[s.index()].site.slot(d)
     }
 
-    /// [`Cluster::engine`], mutably.
-    fn engine_mut(&mut self, s: SiteId, du: usize) -> &mut Engine {
-        let relay = self.topology.is_relay(du);
-        let engines = if relay { &mut self.relay_engines } else { &mut self.engines };
-        &mut engines[s.index()]
+    /// [`Cluster::slot`], mutably.
+    fn slot_mut(&mut self, s: SiteId, d: u16) -> &mut DomainSlot {
+        self.nodes[s.index()].site.slot_mut(d)
     }
 
-    /// Definitive-log length of the engine serving domain `du` at `s`.
-    fn domain_log_len(&self, s: SiteId, du: usize) -> usize {
-        self.engine(s, du).definitive_log().len()
+    /// Definitive-log length of the engine serving domain `d` at `s`.
+    fn domain_log_len(&self, s: SiteId, d: u16) -> usize {
+        self.slot(s, d).engine.definitive_log().len()
     }
 
     /// The ordering-authority site of domain `du`, if its engine has one.
@@ -1176,8 +1034,8 @@ impl Cluster {
         proc: ProcId,
         args: Vec<Value>,
     ) -> TxnId {
-        let seq = self.next_txn_seq[site.index()];
-        self.next_txn_seq[site.index()] += 1;
+        let seq = self.nodes[site.index()].next_txn_seq;
+        self.nodes[site.index()].next_txn_seq += 1;
         let id = TxnId::new(site, seq);
         if self.config.groups > 1 {
             self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
@@ -1214,13 +1072,14 @@ impl Cluster {
                 "cross-group updates take one sub-transaction per group"
             );
         }
-        let cross = ((site.raw() as u64) << 48) | self.next_cross_seq[site.index()];
-        self.next_cross_seq[site.index()] += 1;
+        let node = &mut self.nodes[site.index()];
+        let cross = ((site.raw() as u64) << 48) | node.next_cross_seq;
+        node.next_cross_seq += 1;
         let mut ids = Vec::with_capacity(parts.len());
         let mut subs = Vec::with_capacity(parts.len());
         for (class, proc, args) in parts {
-            let seq = self.next_txn_seq[site.index()];
-            self.next_txn_seq[site.index()] += 1;
+            let seq = self.nodes[site.index()].next_txn_seq;
+            self.nodes[site.index()].next_txn_seq += 1;
             let id = TxnId::new(site, seq);
             self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
             self.cross_of.insert(id, cross);
@@ -1311,7 +1170,11 @@ impl Cluster {
     /// (a recovering site is re-admitted to the network for its
     /// view-change round but serves nothing until the view installs).
     pub fn is_live(&self, site: SiteId) -> bool {
-        !self.crashed[site.index()] && !self.recovering[site.index()]
+        self.status(site) == Status::Up
+    }
+
+    fn status(&self, site: SiteId) -> Status {
+        self.nodes[site.index()].status
     }
 
     /// The currently live sites.
@@ -1388,12 +1251,12 @@ impl Cluster {
         wire: Wire<TxnPayload>,
         flush_at: SimTime,
     ) {
-        let buf = &mut self.open_quantum[to.index()];
-        let opening = buf.is_empty();
-        buf.push((domain, from, wire));
+        let node = &mut self.nodes[to.index()];
+        let opening = node.open_quantum.is_empty();
+        node.open_quantum.push((domain, from, wire));
         if opening {
-            self.quantum_gen[to.index()] += 1;
-            let gen = self.quantum_gen[to.index()];
+            node.quantum_gen += 1;
+            let gen = node.quantum_gen;
             self.queue.schedule(flush_at, Ev::QuantumFlush { site: to, gen });
         }
     }
@@ -1401,7 +1264,7 @@ impl Cluster {
     /// Closes `site`'s open delivery quantum (if any), handing the
     /// accumulated wires to the normal delivery path as one batch.
     fn flush_quantum(&mut self, site: SiteId) {
-        let batch = std::mem::take(&mut self.open_quantum[site.index()]);
+        let batch = std::mem::take(&mut self.nodes[site.index()].open_quantum);
         if !batch.is_empty() {
             self.handle_wire_batch(site, batch);
         }
@@ -1427,26 +1290,22 @@ impl Cluster {
         for r in &self.replicas {
             counters.merge(r.counters());
         }
-        // Membership-layer counters: per-site view installations, order
-        // frames fenced as dead-epoch traffic, digests for dead rounds.
-        counters
-            .add("view_install", self.epoch_history.iter().map(|h| h.len() as u64).sum::<u64>());
-        counters.add(
-            "stale_epoch_reject",
-            self.engines
-                .iter()
-                .chain(self.relay_engines.iter())
-                .map(|e| e.stale_epoch_rejects())
-                .sum::<u64>(),
-        );
-        // One-step vs round decisions of the consensus-based engine: the
-        // hit rate is the paper's Figure 1 quantity, measured where it
-        // pays off.
-        let (fast, slow) = self
-            .engines
-            .iter()
-            .map(|e| e.decide_counts())
-            .fold((0, 0), |(f, s), (ef, es)| (f + ef, s + es));
+        // Membership-layer counters: per-site group-view installations,
+        // order frames fenced as dead-epoch traffic, digests for dead
+        // rounds. One-step vs round decisions of the consensus-based
+        // engine: the hit rate is the paper's Figure 1 quantity, measured
+        // where it pays off (the relay's sequencer decides nothing).
+        let (mut installs, mut rejects, mut fast, mut slow) = (0, 0, 0, 0);
+        for node in &self.nodes {
+            installs += node.site.slot(node.site.group).epochs.len() as u64;
+            for d in &node.site.domains {
+                rejects += d.engine.stale_epoch_rejects();
+                let (f, s) = d.engine.decide_counts();
+                (fast, slow) = (fast + f, slow + s);
+            }
+        }
+        counters.add("view_install", installs);
+        counters.add("stale_epoch_reject", rejects);
         counters.add("fast_decide", fast);
         counters.add("slow_decide", slow);
         counters.add("stale_view_digest", self.stale_view_digests.get());
@@ -1497,15 +1356,12 @@ impl Cluster {
             Ev::SubmitCross { site, tag } => self.submit_cross(site, tag),
             Ev::Wire { .. } => unreachable!("run_until delivers wires in batches"),
             Ev::Timer { site, domain, token } => {
-                if self.crashed[site.index()] || self.recovering[site.index()] {
-                    return;
+                if self.is_live(site) {
+                    self.on_engine(site, domain, |engine, ctx| engine.on_timer(ctx, token));
                 }
-                let (engine, ctx) = self.engine_parts(site, domain as usize);
-                let actions = engine.on_timer(&ctx, token);
-                self.apply_engine_actions(site, domain, actions);
             }
             Ev::ExecDone { site, epoch, token } => {
-                if self.crashed[site.index()] || epoch != self.local_epoch[site.index()] {
+                if self.status(site) == Status::Crashed || epoch != self.nodes[site.index()].epoch {
                     return;
                 }
                 self.group_site(site).exec_done(token);
@@ -1514,7 +1370,7 @@ impl Cluster {
                 // Queries are client requests, not replica-internal events:
                 // they run whenever the site is up, regardless of how many
                 // crash/recovery epochs passed since they were scheduled.
-                if self.crashed[site.index()] || self.recovering[site.index()] {
+                if !self.is_live(site) {
                     return;
                 }
                 let replica = &mut self.replicas[site.index()];
@@ -1527,11 +1383,11 @@ impl Cluster {
                 self.query_results.insert(qid, (snap, values));
                 self.query_start.insert(qid, self.queue.now());
                 let d = self.config.query_time.sample(&mut self.rng);
-                let epoch = self.local_epoch[site.index()];
+                let epoch = self.nodes[site.index()].epoch;
                 self.queue.schedule(self.queue.now() + d, Ev::QueryDone { site, epoch, qid });
             }
             Ev::QueryDone { site, epoch, qid } => {
-                if self.crashed[site.index()] || epoch != self.local_epoch[site.index()] {
+                if self.status(site) == Status::Crashed || epoch != self.nodes[site.index()].epoch {
                     return;
                 }
                 if let Some(start) = self.query_start.remove(&qid) {
@@ -1567,7 +1423,7 @@ impl Cluster {
                 // for was already fenced; flushing here could close a
                 // *newer* window early, so only the matching generation
                 // acts.
-                if gen == self.quantum_gen[site.index()] {
+                if gen == self.nodes[site.index()].quantum_gen {
                     self.flush_quantum(site);
                 }
             }
@@ -1579,7 +1435,7 @@ impl Cluster {
     /// (one gateway unicast) otherwise.
     fn route_submit(&mut self, site: SiteId, request: TxnRequest) {
         let g = self.topology.group_of_class(request.class);
-        if self.crashed[site.index()] || self.recovering[site.index()] {
+        if !self.is_live(site) {
             if request.id.origin == site {
                 return; // client's site is down; request lost
             }
@@ -1600,9 +1456,7 @@ impl Cluster {
         if member {
             self.trace_stage(site, request.id, g as u16, Stage::Broadcast);
             let payload = TxnPayload::Txn { req: Arc::new(request), cross: None };
-            let (engine, ctx) = self.engine_parts(site, g);
-            let (_msg_id, actions) = engine.broadcast(&ctx, payload);
-            self.apply_engine_actions(site, g as u16, actions);
+            self.on_engine(site, g as u16, |engine, ctx| engine.broadcast(ctx, payload).1);
         } else {
             self.forward_to_group(site, g, request, true);
         }
@@ -1632,7 +1486,7 @@ impl Cluster {
 
     /// Broadcasts a cross-group descriptor on the relay stream.
     fn submit_cross(&mut self, site: SiteId, tag: CrossTag) {
-        if self.crashed[site.index()] || self.recovering[site.index()] {
+        if !self.is_live(site) {
             return; // client's site is down; descriptor lost
         }
         let now = self.queue.now();
@@ -1641,11 +1495,9 @@ impl Cluster {
             let g = self.topology.group_of_class(sub.class) as u16;
             self.trace_stage(site, sub.id, g, Stage::Submit);
         }
-        let relay = self.topology.relay_idx();
+        let relay = self.topology.relay_idx() as u16;
         let payload = TxnPayload::Cross(Arc::new(tag));
-        let (engine, ctx) = self.engine_parts(site, relay);
-        let (_msg_id, actions) = engine.broadcast(&ctx, payload);
-        self.apply_engine_actions(site, relay as u16, actions);
+        self.on_engine(site, relay, |engine, ctx| engine.broadcast(ctx, payload).1);
     }
 
     /// Delivers one tick's worth of wires to `to`: crash/partition/recovery
@@ -1665,31 +1517,31 @@ impl Cluster {
                     | Wire::ViewFloor { .. }
                     | Wire::StateDigest { .. }
             );
-            if self.crashed[to.index()] {
+            let status = self.status(to);
+            if status == Status::Crashed {
                 // View wires belong to a round; a crashed addressee will
                 // never answer it (the round learns via the crash
                 // notification), so they die here instead of being held.
                 if !is_view {
-                    self.held_wires[to.index()].push((domain, from, wire));
+                    self.nodes[to.index()].held_wires.push((domain, from, wire));
                 }
             } else if self.net.pair_blocked(from, to) {
                 self.partition_held.push((from, to, domain, wire));
             } else if is_view {
                 self.handle_view_wire(to, domain, wire);
-            } else if self.recovering[to.index()] {
+            } else if status == Status::Recovering {
                 // Held during the round, replayed under the installed view.
-                self.held_wires[to.index()].push((domain, from, wire));
+                self.nodes[to.index()].held_wires.push((domain, from, wire));
             } else {
                 buckets[domain as usize].push((from, wire));
             }
         }
         for (domain, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
+            if !bucket.is_empty() {
+                self.on_engine(to, domain as u16, |engine, ctx| {
+                    engine.on_receive_batch(ctx, bucket)
+                });
             }
-            let (engine, ctx) = self.engine_parts(to, domain);
-            let actions = engine.on_receive_batch(&ctx, bucket);
-            self.apply_engine_actions(to, domain as u16, actions);
         }
     }
 
@@ -1706,7 +1558,7 @@ impl Cluster {
                 // reaching a site that is itself mid-round: nothing useful
                 // to contribute (a recovering engine's state is not a
                 // survivor's state).
-                if to == initiator || self.recovering[to.index()] {
+                if to == initiator || self.status(to) == Status::Recovering {
                     return;
                 }
                 // The member fences the old epoch here and ships its state
@@ -1717,7 +1569,7 @@ impl Cluster {
                 // assignment can slip between the two (the union argument,
                 // DESIGN.md §7).
                 self.record_install(to, d, epoch, self.domain_sequencer(du) == Some(initiator));
-                let delivered = self.domain_log_len(to, du) as u64;
+                let delivered = self.domain_log_len(to, d) as u64;
                 let summary = Wire::StateSummary { epoch, from: to, delivered };
                 self.view_summary_bytes.add(u64::from(summary.size_bytes()));
                 self.apply_engine_actions(to, d, vec![EngineAction::Send(initiator, summary)]);
@@ -1736,7 +1588,7 @@ impl Cluster {
                 }
             }
             Wire::ViewFloor { epoch, initiator, floor } => {
-                if to == initiator || self.recovering[to.index()] {
+                if to == initiator || self.status(to) == Status::Recovering {
                     return;
                 }
                 // A floor held at a partition can outlive its round (the
@@ -1750,7 +1602,7 @@ impl Cluster {
                     self.stale_view_digests.incr();
                     return;
                 }
-                let snapshot = self.engine(to, du).snapshot();
+                let snapshot = self.slot(to, d).engine.snapshot();
                 let digest =
                     Wire::StateDigest { epoch, from: to, snapshot: snapshot.delta_above(floor) };
                 self.view_digest_bytes.add(u64::from(digest.size_bytes()));
@@ -1783,26 +1635,33 @@ impl Cluster {
     /// Installs `epoch` for domain `d` at `site`: the domain's engine
     /// learns the epoch (and, when `fence_orders` — the round re-admits
     /// the ordering authority — fences the dead incarnation's
-    /// assignments). Group-domain installs grow the per-site epoch history
-    /// the invariant bundle checks; relay installs track their own
-    /// watermark (and counter), leaving the single-group history
-    /// untouched.
+    /// assignments), and a newer epoch joins the site's history for the
+    /// domain. The group domain's history is what the invariant bundle
+    /// checks; relay installs are also counted on their own, so the
+    /// single-group `view_install` counter is untouched by sharding.
     fn record_install(&mut self, site: SiteId, d: u16, epoch: u64, fence_orders: bool) {
-        self.engine_mut(site, d as usize).install_view(epoch, fence_orders);
-        if self.topology.is_relay(d as usize) {
-            if epoch > self.relay_epoch[site.index()] {
-                self.relay_epoch[site.index()] = epoch;
+        let slot = self.slot_mut(site, d);
+        slot.engine.install_view(epoch, fence_orders);
+        if epoch > slot.installed() {
+            slot.epochs.push(epoch);
+            if self.topology.is_relay(d as usize) {
                 self.relay_view_installs.incr();
             }
-        } else if epoch > self.installed_epoch(site) {
-            self.epoch_history[site.index()].push(epoch);
         }
     }
 
     /// The group-domain view epoch `site` currently has installed (0 =
     /// the boot view).
     pub(crate) fn installed_epoch(&self, site: SiteId) -> u64 {
-        self.epoch_history[site.index()].last().copied().unwrap_or(0)
+        self.group_epochs(site).last().copied().unwrap_or(0)
+    }
+
+    /// `site`'s group-domain view epochs in installation order
+    /// (invariant: strictly increasing; live group members converge on
+    /// the newest).
+    pub(crate) fn group_epochs(&self, site: SiteId) -> &[u64] {
+        let node = &self.nodes[site.index()].site;
+        &node.slot(node.group).epochs
     }
 
     /// Marks `site` down: its event epoch advances (cancelling in-flight
@@ -1811,17 +1670,12 @@ impl Cluster {
     /// waiting on its digest is notified (the crashed member will never
     /// reply).
     fn crash_site(&mut self, site: SiteId) {
-        self.crashed[site.index()] = true;
-        if self.recovering[site.index()] {
-            self.recovering[site.index()] = false;
-            let stale: Vec<(u16, SiteId)> =
-                self.pending_views.keys().filter(|(_, s)| *s == site).copied().collect();
-            for key in stale {
-                self.pending_views.remove(&key);
-            }
-            self.pending_domains[site.index()].clear();
+        let node = &mut self.nodes[site.index()];
+        if std::mem::replace(&mut node.status, Status::Crashed) == Status::Recovering {
+            node.pending_domains.clear();
+            self.pending_views.retain(|(_, s), _| *s != site);
         }
-        self.local_epoch[site.index()] += 1;
+        self.nodes[site.index()].epoch += 1;
         self.net.set_down(site);
         let advanced: Vec<(u16, SiteId, u64, CrashOutcome)> = self
             .pending_views
@@ -1863,7 +1717,7 @@ impl Cluster {
     ///
     /// Panics if the donor hint is itself crashed or recovering.
     fn begin_recovery(&mut self, site: SiteId, donor: SiteId) {
-        if self.recovering[site.index()] {
+        if self.status(site) == Status::Recovering {
             // A second recovery racing the pending rounds for this same
             // site: newest epoch wins, each older round aborts explicitly.
             // (Epochs are handed out from strictly increasing per-domain
@@ -1883,18 +1737,15 @@ impl Cluster {
             }
             return;
         }
-        if !self.crashed[site.index()] {
-            return; // already up
+        if self.status(site) == Status::Up {
+            return;
         }
         assert!(self.is_live(donor), "donor {donor} must be up");
-        self.crashed[site.index()] = false;
-        self.recovering[site.index()] = true;
+        let node = &mut self.nodes[site.index()];
+        node.status = Status::Recovering;
+        node.pending_domains = node.site.domains.iter().map(|d| d.index).collect();
+        let domains: Vec<u16> = node.pending_domains.iter().copied().collect();
         self.net.set_up(site);
-        self.pending_domains[site.index()].insert(self.topology.group_of_site(site) as u16);
-        if self.config.groups > 1 {
-            self.pending_domains[site.index()].insert(self.topology.relay_idx() as u16);
-        }
-        let domains: Vec<u16> = self.pending_domains[site.index()].iter().copied().collect();
         for d in domains {
             self.propose_round(d, site);
         }
@@ -1957,8 +1808,8 @@ impl Cluster {
             if s == site || !self.is_live(s) {
                 continue;
             }
-            let len = self.domain_log_len(s, du);
-            if primary.is_none_or(|p| len > self.domain_log_len(p, du)) {
+            let len = self.domain_log_len(s, d);
+            if primary.is_none_or(|p| len > self.domain_log_len(p, d)) {
                 primary = Some(s);
             }
         }
@@ -1974,14 +1825,14 @@ impl Cluster {
         // one way to get here with a shorter base is that all of them
         // crashed since. What they shipped is then not enough to restore
         // from: ask whoever is live now (possibly nobody) afresh.
-        if round.floor().is_some_and(|floor| (self.domain_log_len(primary, du) as u64) < floor) {
+        if round.floor().is_some_and(|floor| (self.domain_log_len(primary, d) as u64) < floor) {
             self.superseded_views.incr();
             self.propose_round(d, site);
             return;
         }
         let epoch = round.epoch();
         self.view_round_us.add(self.queue.now().saturating_since(proposed_at).as_micros());
-        let mut engine_snap = self.engine(primary, du).snapshot();
+        let mut engine_snap = self.slot(primary, d).engine.snapshot();
         engine_snap.merge(round.into_merged());
         let delivered_subs = if self.config.groups > 1 && !self.topology.is_relay(du) {
             delivered_cross_subs(&engine_snap)
@@ -1993,12 +1844,12 @@ impl Cluster {
             let ctx = EngineCtx::at_epoch(site, &self.topology.domains[du], epoch);
             fresh_engine.restore(&ctx, engine_snap)
         };
-        *self.engine_mut(site, du) = fresh_engine;
+        self.slot_mut(site, d).engine = fresh_engine;
         if self.topology.is_relay(du) {
             // The descriptor store rides alongside the relay engine the
             // way the message map rides alongside the group engine.
             if primary != site {
-                self.relay_map[site.index()] = self.relay_map[primary.index()].clone();
+                self.nodes[site.index()].relay_map = self.nodes[primary.index()].relay_map.clone();
             }
         } else {
             // Fresh replica from the primary's database + pending tail.
@@ -2010,26 +1861,12 @@ impl Cluster {
             self.apply_replica_actions(site, replica_actions);
             if self.config.groups > 1 {
                 if primary != site {
-                    self.gates[site.index()] = self.gates[primary.index()].clone();
-                    self.relay_processed[site.index()] = self.relay_processed[primary.index()];
+                    let source = &self.nodes[primary.index()];
+                    let (gate, processed) = (source.site.gate.clone(), source.relay_processed);
+                    let node = &mut self.nodes[site.index()];
+                    (node.site.gate, node.relay_processed) = (gate, processed);
                 }
-                // The dedup sets must describe the *restored* engine log —
-                // the adopted gate's sets describe the primary's live
-                // state, which can disagree with the merged log.
-                self.gates[site.index()].seen_opt = delivered_subs.clone();
-                self.gates[site.index()].seen_to = delivered_subs;
-                // Gate-queued subs are in the engine's definitive log
-                // (suppressed from replay) but were never released to the
-                // replica, so the restored replica snapshot does not carry
-                // them — it must still see their Opt-delivery (Local
-                // Order) before the gate eventually releases them.
-                let queued: Vec<Arc<TxnRequest>> =
-                    self.gates[site.index()].queue.iter().map(|(r, _)| Arc::clone(r)).collect();
-                for req in queued {
-                    let actions =
-                        self.replicas[site.index()].on_opt_deliver(TxnRequest::clone(&req));
-                    self.apply_replica_actions(site, actions);
-                }
+                self.group_site(site).restore_gate(delivered_subs);
             }
         }
         // Deliveries the engine replays (tentative again here).
@@ -2046,25 +1883,19 @@ impl Cluster {
         // re-teaching them would be fenced anyway (the base snapshot
         // inherits the primary's raised fence).
         for wire in self.own_held_wires(site, d) {
-            let (engine, ctx) = self.engine_parts(site, du);
-            let actions = engine.on_receive(&ctx, site, wire);
-            self.apply_engine_actions(site, d, actions);
+            self.on_engine(site, d, |engine, ctx| engine.on_receive(ctx, site, wire));
         }
         // The new incarnation: its own id space jumps past anything the
         // dead one could still have in flight, and the view installs (with
         // the order fence when this site is the domain's sequencer) so the
         // repair pass below emits under the new epoch.
-        self.engine_mut(site, du).bump_incarnation();
+        self.slot_mut(site, d).engine.bump_incarnation();
         self.record_install(site, d, epoch, self.domain_sequencer(du) == Some(site));
         // With every surviving self-sent wire re-learned and the view
         // installed, the engine repairs what no snapshot or wire carries:
         // a restored sequencer renumbers assignments no survivor knew and
         // re-announces the rest under the new epoch.
-        let finish_actions = {
-            let (engine, ctx) = self.engine_parts(site, du);
-            engine.finish_restore(&ctx)
-        };
-        self.apply_engine_actions(site, d, finish_actions);
+        self.on_engine(site, d, |engine, ctx| engine.finish_restore(ctx));
         // Re-apply the highest order fence any round for this domain ever
         // proposed — a concurrent round can have re-admitted the ordering
         // authority, and this site missed that announcement (the base
@@ -2072,9 +1903,10 @@ impl Cluster {
         // primary is not guaranteed to have processed every concurrent
         // announcement yet).
         let fence = self.sequencer_fence[du];
-        self.engine_mut(site, du).install_view(fence, true);
-        self.pending_domains[site.index()].remove(&d);
-        if self.pending_domains[site.index()].is_empty() {
+        self.slot_mut(site, d).engine.install_view(fence, true);
+        let pending = &mut self.nodes[site.index()].pending_domains;
+        pending.remove(&d);
+        if pending.is_empty() {
             self.finish_site_recovery(site);
         }
     }
@@ -2085,45 +1917,37 @@ impl Cluster {
     /// everything held while down.
     fn finish_site_recovery(&mut self, site: SiteId) {
         // The site serves again under the installed views.
-        self.recovering[site.index()] = false;
+        self.nodes[site.index()].status = Status::Up;
         // Overlapping rounds: a newer view may have installed while this
         // site was mid-round (it ignores other rounds' announcements — a
-        // recovering engine has nothing to contribute). Catch up to the
-        // newest group epoch any live group peer carries, so the
-        // re-admitted site is never left serving under a superseded view.
-        let g = self.topology.group_of_site(site);
-        let newest = self.topology.domains[g]
-            .members
-            .iter()
-            .copied()
-            .filter(|s| self.is_live(*s))
-            .map(|s| self.installed_epoch(s))
-            .max()
-            .unwrap_or(0);
-        if newest > self.installed_epoch(site) {
-            self.record_install(site, g as u16, newest, false);
-        }
-        if self.config.groups > 1 {
-            let relay = self.topology.relay_idx() as u16;
-            let newest_relay = SiteId::all(self.config.sites)
-                .filter(|s| self.is_live(*s))
-                .map(|s| self.relay_epoch[s.index()])
+        // recovering engine has nothing to contribute). Catch up, domain
+        // by domain (group first, relay second), to the newest epoch any
+        // live member carries, so the re-admitted site is never left
+        // serving under a superseded view.
+        let domains: Vec<u16> =
+            self.nodes[site.index()].site.domains.iter().map(|d| d.index).collect();
+        for d in domains {
+            let newest = self.topology.domains[d as usize]
+                .members
+                .iter()
+                .filter(|s| self.is_live(**s))
+                .map(|s| self.slot(*s, d).installed())
                 .max()
                 .unwrap_or(0);
-            if newest_relay > self.relay_epoch[site.index()] {
-                self.record_install(site, relay, newest_relay, false);
+            if newest > self.slot(site, d).installed() {
+                self.record_install(site, d, newest, false);
             }
+        }
+        if self.config.groups > 1 {
             // Relay definitive deliveries beyond what the adopted gate had
             // folded in were skipped while recovering (`process_relay_to`
             // no-ops then): fold the tail in now. Prefix consistency
             // (Global Order) guarantees the restored relay log extends the
             // gate primary's processed prefix; `.get` clamps defensively.
-            let done = self.relay_processed[site.index()];
-            let tail: Vec<MsgId> = self.relay_engines[site.index()]
-                .definitive_log()
-                .get(done..)
-                .map(|s| s.to_vec())
-                .unwrap_or_default();
+            let done = self.nodes[site.index()].relay_processed;
+            let relay = self.slot(site, self.topology.relay_idx() as u16);
+            let tail: Vec<MsgId> =
+                relay.engine.definitive_log().get(done..).map(|s| s.to_vec()).unwrap_or_default();
             if !tail.is_empty() {
                 self.process_relay_to(site, &tail);
             }
@@ -2136,7 +1960,7 @@ impl Cluster {
         // Everything held while down and during the rounds arrives now.
         // (Wires whose link a partition currently cuts go back on hold at
         // delivery time.)
-        let held = std::mem::take(&mut self.held_wires[site.index()]);
+        let held = std::mem::take(&mut self.nodes[site.index()].held_wires);
         let wires =
             held.into_iter().map(|(domain, from, wire)| (from, site, domain, wire)).collect();
         self.replay_staggered(wires);
@@ -2148,7 +1972,7 @@ impl Cluster {
     fn restore_replica_from(&mut self, site: SiteId, source: SiteId) -> Vec<ReplicaAction> {
         let (fresh, actions) =
             self.replicas[source.index()].restored_at(site, Arc::clone(&self.registry));
-        self.msg_map[site.index()] = self.msg_map[source.index()].clone();
+        self.nodes[site.index()].site.msg_map = self.nodes[source.index()].site.msg_map.clone();
         self.replicas[site.index()] = fresh;
         actions
     }
@@ -2165,9 +1989,9 @@ impl Cluster {
             .filter(|(from, _, d, _)| *from == site && *d == domain)
             .map(|(_, _, _, w)| w.clone())
             .chain(
-                self.held_wires
+                self.nodes
                     .iter()
-                    .flatten()
+                    .flat_map(|n| &n.held_wires)
                     .filter(|(d, from, _)| *from == site && *d == domain)
                     .map(|(_, _, w)| w.clone()),
             )
@@ -2200,12 +2024,12 @@ impl Cluster {
                 self.replay_staggered(held);
             }
             NemesisEvent::Crash { site } => {
-                if !self.crashed[site.index()] {
+                if self.status(site) != Status::Crashed {
                     self.crash_site(site);
                 }
             }
             NemesisEvent::Recover { site } => {
-                if self.crashed[site.index()] {
+                if self.status(site) == Status::Crashed {
                     let donor = SiteId::all(self.config.sites)
                         .find(|s| *s != site && self.is_live(*s))
                         .expect("nemesis recovery requires a live donor");
@@ -2229,68 +2053,32 @@ impl Cluster {
     }
 
     /// Interprets `site`'s engine actions for domain `domain`, in order.
-    /// Relay deliveries stock the descriptor store and extend the relay
-    /// order; a sharded group stream's cross-sub copies and definitive
-    /// deliveries pass the site's [`CrossGate`]; everything else is the
-    /// shared site code's ([`Site::apply_engine_actions`]).
+    /// A group stream's are the shared site code's
+    /// ([`Site::apply_engine_actions`]). On the relay stream, deliveries
+    /// stock the descriptor store and extend the relay order; its wires
+    /// and timers go to the site code too.
     fn apply_engine_actions(
         &mut self,
         site: SiteId,
         domain: u16,
         actions: Vec<EngineAction<TxnPayload>>,
     ) {
-        let relay = self.topology.is_relay(domain as usize);
-        let sharded = self.config.groups > 1;
+        if !self.topology.is_relay(domain as usize) {
+            self.site_view(site, domain).apply_engine_actions(actions);
+            return;
+        }
         for a in actions {
             match a {
-                EngineAction::OptDeliver(msg) if relay => {
+                EngineAction::OptDeliver(msg) => {
                     // Relay descriptors never touch the replica.
                     let TxnPayload::Cross(tag) = msg.payload else {
                         unreachable!("relay stream carries only cross descriptors")
                     };
-                    self.relay_map[site.index()].insert(msg.id, tag);
+                    self.nodes[site.index()].relay_map.insert(msg.id, tag);
                 }
-                EngineAction::ToDeliver(ids) if relay => self.process_relay_to(site, &ids),
-                EngineAction::OptDeliver(msg) if sharded => self.sharded_opt_deliver(site, msg),
-                EngineAction::ToDeliver(ids) if sharded => self.gate_to_deliver(site, &ids),
+                EngineAction::ToDeliver(ids) => self.process_relay_to(site, &ids),
                 a => self.site_view(site, domain).apply_engine_actions([a]),
             }
-        }
-    }
-
-    /// Opt-delivery on a sharded group stream. Every live member of a
-    /// group injects each cross-group sub, so only the first copy reaches
-    /// the replica; every copy keeps its map entry for the TO-delivery
-    /// that consumes it.
-    fn sharded_opt_deliver(&mut self, site: SiteId, msg: Message<TxnPayload>) {
-        if let TxnPayload::Txn { req, cross: cross @ Some(_) } = &msg.payload {
-            if !self.gates[site.index()].seen_opt.insert(req.id) {
-                self.msg_map[site.index()].insert(msg.id, (Arc::clone(req), *cross));
-                return;
-            }
-        }
-        self.group_site(site).apply_engine_actions([EngineAction::OptDeliver(msg)]);
-    }
-
-    /// Definitive deliveries on a sharded group stream wait in the site's
-    /// gate until the relay order admits them.
-    fn gate_to_deliver(&mut self, site: SiteId, ids: &[MsgId]) {
-        let gate = &mut self.gates[site.index()];
-        for id in ids {
-            let (req, cross) = take_delivered(&mut self.msg_map[site.index()], id);
-            if cross.is_some() && !gate.seen_to.insert(req.id) {
-                continue; // duplicate cross-sub copy, already queued
-            }
-            gate.queue.push_back((req, cross));
-        }
-        self.drain_gate(site);
-    }
-
-    /// Releases everything the gate's rules admit to the replica.
-    fn drain_gate(&mut self, site: SiteId) {
-        let batch = self.gates[site.index()].release();
-        if !batch.is_empty() {
-            self.group_site(site).to_deliver_batch(&batch);
         }
     }
 
@@ -2302,35 +2090,36 @@ impl Cluster {
     /// crashed origin site can never stall a cross-group transaction:
     /// one live member suffices.
     fn process_relay_to(&mut self, site: SiteId, ids: &[MsgId]) {
-        if self.recovering[site.index()] {
+        if self.status(site) == Status::Recovering {
             // Folded in from `relay_processed` when recovery finishes.
             return;
         }
+        let my_group = self.nodes[site.index()].site.group;
         for id in ids {
+            let node = &mut self.nodes[site.index()];
             let tag = Arc::clone(
-                self.relay_map[site.index()]
+                node.relay_map
                     .get(id)
                     .expect("relay Local Order: descriptor Opt-delivery precedes TO-delivery"),
             );
-            self.relay_processed[site.index()] += 1;
-            if !self.gates[site.index()].relay_seen.insert(tag.cross) {
+            node.relay_processed += 1;
+            if !node.site.gate.relay_seen.insert(tag.cross) {
                 continue;
             }
-            let my_group = self.topology.group_of_site(site);
-            let Some(sub) =
-                tag.subs.iter().find(|s| self.topology.group_of_class(s.class) == my_group)
+            let Some(sub) = tag
+                .subs
+                .iter()
+                .find(|s| self.topology.group_of_class(s.class) == my_group as usize)
             else {
                 continue; // descriptor has no sub for this site's group
             };
-            self.gates[site.index()].relay_order.push(tag.cross);
+            node.site.gate.relay_order.push(tag.cross);
             // End of the relay wait: the cluster-wide relay order just
             // admitted this sub into its group stream.
-            self.trace_stage(site, sub.id, my_group as u16, Stage::RelayWait);
+            self.trace_stage(site, sub.id, my_group, Stage::RelayWait);
             let payload = TxnPayload::Txn { req: Arc::clone(sub), cross: Some(tag.cross) };
-            let (engine, ctx) = self.engine_parts(site, my_group);
-            let (_msg_id, actions) = engine.broadcast(&ctx, payload);
-            self.apply_engine_actions(site, my_group as u16, actions);
-            self.drain_gate(site);
+            self.on_engine(site, my_group, |engine, ctx| engine.broadcast(ctx, payload).1);
+            self.group_site(site).release_gate();
         }
     }
 
@@ -2986,7 +2775,7 @@ mod tests {
             for s in 0..4 {
                 let site = SiteId::new(s as u16);
                 assert_eq!(c.installed_epoch(site), 2, "{engine:?}: site {s} on the newest view");
-                assert_eq!(c.epoch_history[s], vec![1, 2], "{engine:?}: site {s}");
+                assert_eq!(c.group_epochs(site), [1, 2], "{engine:?}: site {s}");
             }
             let report = c.check_invariants(&[]);
             assert!(report.is_ok(), "{engine:?}: {report}");
@@ -3006,7 +2795,8 @@ mod tests {
         c.run_until(SimTime::from_secs(30));
         assert!(c.check_invariants(&[]).is_ok());
         // Doctor the bookkeeping the way a membership bug would.
-        c.epoch_history[1] = vec![2, 2];
+        let node = &mut c.nodes[1].site;
+        node.slot_mut(node.group).epochs = vec![2, 2];
         let report = c.check_invariants(&[]);
         assert!(!report.is_ok());
         let text = format!("{report}");
@@ -3046,43 +2836,6 @@ mod tests {
             .with_engine(EngineKind::Sequencer)
             .with_groups(groups)
             .with_seed(seed)
-    }
-
-    /// The gate's three release rules, exercised directly: plain heads
-    /// release unconditionally, cross heads wait for their relay slot,
-    /// and the relay's next admission jumps a stalled cross head.
-    #[test]
-    fn cross_gate_release_rules() {
-        let req = |n: u64, class: u32| {
-            Arc::new(TxnRequest::new(
-                TxnId::new(SiteId::new(0), n),
-                ClassId::new(class),
-                ProcId::new(0),
-                vec![],
-            ))
-        };
-        let mut g = CrossGate::default();
-        // Rule 1: a plain head releases immediately.
-        g.queue.push_back((req(0, 0), None));
-        assert_eq!(g.release().len(), 1);
-        // Rule 2: a cross head stalls until the relay admits its id...
-        g.queue.push_back((req(1, 0), Some(7)));
-        assert!(g.release().is_empty(), "no relay slot yet");
-        g.relay_order.push(7);
-        let out = g.release();
-        assert_eq!(out, vec![(TxnId::new(SiteId::new(0), 1), ClassId::new(0))]);
-        // Rule 3: relay order [.., 9, 8] vs queue [8, 9] — the relay's
-        // next admission (9) jumps the stalled head (8), then 8 follows
-        // once the relay admits it.
-        g.relay_order.push(9);
-        g.queue.push_back((req(2, 0), Some(8)));
-        g.queue.push_back((req(3, 0), Some(9)));
-        let out = g.release();
-        assert_eq!(out, vec![(TxnId::new(SiteId::new(0), 3), ClassId::new(0))], "9 jumps");
-        g.relay_order.push(8);
-        let out = g.release();
-        assert_eq!(out, vec![(TxnId::new(SiteId::new(0), 2), ClassId::new(0))], "8 follows");
-        assert!(g.queue.is_empty());
     }
 
     /// A workload where every site submits only its own group's classes

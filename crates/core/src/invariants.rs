@@ -387,7 +387,9 @@ impl Cluster {
             commit_logs: self.replicas.iter().map(|r| r.commit_log().to_vec()).collect(),
             dbs: self.replicas.iter().map(|r| r.db().clone()).collect(),
             live: self.live_sites(),
-            epoch_history: self.epoch_history.clone(),
+            epoch_history: SiteId::all(self.config().sites)
+                .map(|s| self.group_epochs(s).to_vec())
+                .collect(),
             site_group: self.topology.site_group.clone(),
             txn_group: self.txn_group.clone(),
             cross_of: self.cross_of.clone(),

@@ -80,8 +80,8 @@ use crate::cluster::{EngineKind, Mode, TxnPayload};
 use crate::event::ExecToken;
 use crate::invariants::{InvariantReport, RunHistories};
 use crate::replica::Replica;
-use crate::site::{record_stage, replicas, Engine, EngineFactory, Site, SiteEffects, SiteMsgMap};
-use otp_broadcast::{EngineCtx, OrderDomain, TimerToken, Wire};
+use crate::site::{record_stage, replicas, DomainSlot, EngineFactory, Site, SiteEffects, SiteNode};
+use otp_broadcast::{OrderDomain, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
@@ -634,11 +634,10 @@ impl LiveCluster {
             site_rxs.into_iter().enumerate().zip(ctrl_rxs).zip(replicas)
         {
             let me = SiteId::new(i as u16);
+            let engine = engines.make(&domain, &metrics, Scope::site(me).group(0));
             let worker = SiteWorker {
-                engine: engines.make(&domain, &metrics, Scope::site(me).group(0)),
-                domain: domain.clone(),
+                node: SiteNode::new(me, 0, vec![DomainSlot::new(0, domain.clone(), engine)]),
                 replica,
-                msg_map: SiteMsgMap::new(),
                 trace: trace.clone(),
                 io: LiveIo {
                     me,
@@ -1005,16 +1004,15 @@ struct Frozen {
     backlog: Vec<TxnRequest>,
 }
 
-/// Per-site thread state: one engine, one replica, one heap. The
+/// Per-site thread state: one site node, one replica, one heap. The
 /// delivery path itself is the shared site layer ([`crate::site`]); this
 /// thread feeds it and carries out its effects ([`LiveIo`]).
 struct SiteWorker {
-    /// The single global order domain — the threaded runtime is unsharded,
-    /// so every engine call runs at epoch 0 over all sites.
-    domain: OrderDomain,
-    engine: Engine,
+    /// The site's engine and message map. The threaded runtime is
+    /// unsharded: the node orders the one global domain, as group 0, and
+    /// installs no views, so every engine call runs at epoch 0.
+    node: SiteNode,
     replica: Replica,
-    msg_map: SiteMsgMap,
     /// Lifecycle trace sink (`None` = tracing off, the default; the hot
     /// path then pays one pointer-null branch per stage point).
     trace: Option<Arc<dyn TraceSink>>,
@@ -1067,12 +1065,10 @@ fn stamp(anchor: Instant, at: Instant) -> SimTime {
 }
 
 impl SiteWorker {
-    /// This site as the shared site code sees it, plus the engine with the
-    /// context the next call on it needs.
-    fn parts(&mut self) -> (Site<'_, &mut LiveIo>, &mut Engine, EngineCtx<'_>) {
-        let (me, trace) = (self.io.me, self.trace.as_deref());
-        let site = Site::new(me, 0, &mut self.replica, &mut self.msg_map, trace, &mut self.io);
-        (site, &mut self.engine, EngineCtx::new(me, &self.domain))
+    /// This site as the shared site code sees it.
+    fn site(&mut self) -> Site<'_, &mut LiveIo> {
+        let trace = self.trace.as_deref();
+        Site::new(&mut self.node, &mut self.replica, trace, &mut self.io)
     }
 
     fn run(mut self, rx: crossbeam::channel::Receiver<SiteMsg>) -> SiteOutcome {
@@ -1118,7 +1114,7 @@ impl SiteWorker {
         let db = self.replica.db().clone();
         let mut counters = Counters::new();
         counters.merge(self.replica.counters());
-        let (fast, slow) = self.engine.decide_counts();
+        let (fast, slow) = self.node.domains[0].engine.decide_counts();
         counters.add("fast_decide", fast);
         counters.add("slow_decide", slow);
         SiteOutcome {
@@ -1216,8 +1212,7 @@ impl SiteWorker {
     /// Submission and broadcast coincide here: the site thread hands the
     /// accepted request straight to its engine.
     fn submit(&mut self, request: TxnRequest) {
-        let (mut site, engine, ctx) = self.parts();
-        site.submit(engine, &ctx, request);
+        self.site().submit(request);
         self.io.shared.in_flight.add(-1);
     }
 
@@ -1227,9 +1222,8 @@ impl SiteWorker {
             return;
         }
         let delivered = wires.len() as i64;
-        let (mut site, engine, ctx) = self.parts();
-        let actions = engine.on_receive_batch(&ctx, std::mem::take(wires));
-        site.apply_engine_actions(actions);
+        let wires = std::mem::take(wires);
+        self.site().on_group_engine(|engine, ctx| engine.on_receive_batch(ctx, wires));
         self.io.shared.in_flight.add(-delivered);
     }
 
@@ -1271,14 +1265,12 @@ impl SiteWorker {
                 Pending::Wire { from, wire, .. } => wires.push((from, wire)),
                 Pending::Timer(token) => {
                     self.flush(&mut wires);
-                    let (mut site, engine, ctx) = self.parts();
-                    site.apply_engine_actions(engine.on_timer(&ctx, token));
+                    self.site().on_group_engine(|engine, ctx| engine.on_timer(ctx, token));
                     self.io.shared.in_flight.add(-1);
                 }
                 Pending::ExecDone(token) => {
                     self.flush(&mut wires);
-                    let (mut site, ..) = self.parts();
-                    site.exec_done(token);
+                    self.site().exec_done(token);
                     self.io.shared.in_flight.add(-1);
                 }
             }

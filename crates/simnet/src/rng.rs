@@ -128,12 +128,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Sample from a log-normal distribution parameterized by the mean and
-    /// standard deviation of the *underlying* normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

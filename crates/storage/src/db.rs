@@ -129,11 +129,6 @@ impl ClassPartition {
             .map(|key| self.versions.get_mut(&key).map_or(0, |c| c.collect_below(watermark)))
             .sum()
     }
-
-    /// Number of live objects (with at least one committed version).
-    pub fn committed_objects(&self) -> usize {
-        self.versions.len()
-    }
 }
 
 /// A full database copy (all class partitions) at one site.

@@ -17,7 +17,6 @@
 use crate::gen::{Arrival, Op};
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, ObjectId, ObjectKey, ProcError, ProcId, ProcRegistry, Value};
-use otp_txn::txn::TxnId;
 
 /// TPC-B-like workload configuration.
 #[derive(Debug, Clone)]
@@ -196,11 +195,6 @@ impl TpcB {
             reads.push(ObjectId { class, key: self.teller_key(t) });
         }
         reads
-    }
-
-    /// Query id helper for tests.
-    pub fn query_id(site: SiteId, seq: u64) -> TxnId {
-        TxnId::new(site, (1 << 62) | seq)
     }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fetch the last N `bench-json` workflow artifacts for the trend table.
 
-CI's `perf` job uploads one `bench-json` artifact (BENCH.json +
-BENCH_WALL.json) per run. This script pulls the most recent N of them from
+CI's `perf` job uploads one `bench-json` artifact (BENCH.json) per run.
+This script pulls the most recent N of them from
 previous runs via the GitHub REST API, extracts each BENCH.json under
 `--out/run-<workflow run id>/`, and prints the extracted paths
 **oldest-first, one per line** — exactly the argument order
