@@ -248,7 +248,7 @@ pub(crate) struct CrossGate {
 impl CrossGate {
     /// Releases every transaction the rules admit, in order.
     fn release(&mut self) -> Vec<(TxnId, ClassId)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.queue.len());
         loop {
             match self.queue.front() {
                 Some((req, None)) => {
