@@ -783,8 +783,10 @@ impl Cluster {
     ) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let mut rng = SimRng::seed_from(config.seed);
-        let net_rng = rng.fork();
-        let _ = net_rng; // net uses the cluster rng directly at send time
+        // The net draws from the cluster rng at send time, so this fork is
+        // unused; it stays because it advances the stream every schedule
+        // is drawn from.
+        let _ = rng.fork();
 
         let sites = config.sites;
         let topology = GroupTopology::new(sites, config.groups);
@@ -1034,15 +1036,20 @@ impl Cluster {
         proc: ProcId,
         args: Vec<Value>,
     ) -> TxnId {
-        let seq = self.nodes[site.index()].next_txn_seq;
-        self.nodes[site.index()].next_txn_seq += 1;
-        let id = TxnId::new(site, seq);
+        let id = self.next_txn_id(site);
         if self.config.groups > 1 {
             self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
         }
         let request = TxnRequest::new(id, class, proc, args);
         self.queue.schedule(at, Ev::Submit { site, request });
         id
+    }
+
+    /// The next update id issued to `site`'s clients.
+    fn next_txn_id(&mut self, site: SiteId) -> TxnId {
+        let node = &mut self.nodes[site.index()];
+        node.next_txn_seq += 1;
+        TxnId::new(site, node.next_txn_seq - 1)
     }
 
     /// Schedules a cross-group update: one sub-transaction per involved
@@ -1078,9 +1085,7 @@ impl Cluster {
         let mut ids = Vec::with_capacity(parts.len());
         let mut subs = Vec::with_capacity(parts.len());
         for (class, proc, args) in parts {
-            let seq = self.nodes[site.index()].next_txn_seq;
-            self.nodes[site.index()].next_txn_seq += 1;
-            let id = TxnId::new(site, seq);
+            let id = self.next_txn_id(site);
             self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
             self.cross_of.insert(id, cross);
             ids.push(id);
