@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines fmt clippy ci clean
+.PHONY: all build test bench-test bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines fmt clippy ci clean
 
 all: build
 
@@ -29,6 +29,11 @@ build:
 ## plus the examples smoke suite.
 test:
 	PROPTEST_CASES=$(PROPTEST_CASES) $(CARGO) test -q
+
+## Build and test the benchmark's own workspace (benchmark/), which
+## calls the library's public surface.
+bench-test:
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
 ## Run the criterion-style micro-benchmarks (wall-clock, release).
 bench:
@@ -106,7 +111,7 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 ## The full CI pipeline, in CI's order.
-ci: build test chaos perf-check lint
+ci: build test bench-test chaos perf-check lint
 
 clean:
 	$(CARGO) clean

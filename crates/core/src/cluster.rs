@@ -12,17 +12,19 @@
 //!
 //! A `SimNode` is the site layer's `SiteNode` — the site's engines, one
 //! per order domain it belongs to, with their installed view epochs, its
-//! message map and its cross-group gate — plus what only the simulator
-//! keeps per site: its up/crashed/recovering status, event epoch, hold
-//! and quantum buffers, pending recovery domains, the relay descriptor
-//! store, id counters and retention gauges. Engines and replicas are
-//! built, and every group-stream delivery is handed through the gate to
-//! the replica and traced, by the site layer the threaded runtime shares
-//! (`site.rs`, DESIGN.md §16). This driver supplies the simulated effects
-//! (`SimSite`: frames on the modelled network, events on the virtual-time
-//! queue, completion accounting) and keeps what only the simulator has:
-//! request routing, the relay stream's deliveries, the delivery quantum,
-//! view changes and the nemesis.
+//! message map, its cross-group gate, the relay descriptor store and its
+//! up/crashed/recovering status — plus what only the simulator keeps per
+//! site: event epoch, hold and quantum buffers, pending recovery domains,
+//! id counters and retention gauges. Engines and replicas are built, both
+//! order streams' deliveries are turned into gate and replica calls and
+//! traced, and a view-change member answers a round, by the site layer
+//! the threaded runtime shares (`site.rs`, DESIGN.md §16). This driver
+//! supplies the simulated effects (`SimSite`: frames on the modelled
+//! network, events on the virtual-time queue, completion accounting) and
+//! keeps what only the simulator has: request routing, the delivery
+//! quantum, the nemesis and the rounds themselves — their bookkeeping,
+//! the staleness check on a floor, and the installer's choice of base and
+//! its restore, which read other sites' state.
 //!
 //! # Sharded sequencing groups
 //!
@@ -44,15 +46,13 @@
 //! produces the same run. With `groups == 1` the driver is byte-identical
 //! to the pre-sharding single-total-order cluster.
 
-use crate::event::{ExecToken, ReplicaAction};
+use crate::event::ExecToken;
 use crate::replica::Replica;
 use crate::site::{
-    attach_engine_counters, delivered_cross_subs, record_stage, DomainSlot, Engine, EngineFactory,
-    Site, SiteEffects, SiteNode,
+    delivered_cross_subs, record_stage, DomainSlot, EngineFactory, Site, SiteEffects, SiteNode,
+    Status,
 };
-use otp_broadcast::{
-    EngineAction, EngineCtx, GroupId, MsgId, OrderDomain, PayloadSize, SeqAbcast, TimerToken, Wire,
-};
+use otp_broadcast::{EngineAction, EngineCtx, GroupId, OrderDomain, PayloadSize, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
@@ -644,22 +644,13 @@ struct RetentionGauges {
     engine_index: Arc<Gauge>,
 }
 
-/// Whether a site serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Up,
-    Crashed,
-    /// Re-admitted to the network so the view-change rounds can run, but
-    /// not serving: its non-view wires are held and replayed once every
-    /// round installed.
-    Recovering,
-}
-
-/// One simulated site: its [`SiteNode`] (engines, message map, gate) and
-/// what only the simulator keeps for it.
+/// One simulated site: its [`SiteNode`] (engines, message map, gate,
+/// relay descriptors, status) and what only the simulator keeps for it.
+/// A recovering site is re-admitted to the network so its view-change
+/// rounds can run, but its non-view wires are held and replayed once
+/// every round installed.
 struct SimNode {
     site: SiteNode,
-    status: Status,
     /// Event epoch, bumped at crash to cancel in-flight local events
     /// (exec/query completions) of the dead incarnation.
     epoch: u32,
@@ -677,11 +668,6 @@ struct SimNode {
     /// While recovering: the domains whose round has not installed yet.
     /// The site starts serving when this empties.
     pending_domains: BTreeSet<u16>,
-    /// Relay-stream message id → its descriptor.
-    relay_map: HashMap<MsgId, Arc<CrossTag>>,
-    /// Relay definitive deliveries already folded into the gate — the
-    /// recovery reconcile point for the relay stream.
-    relay_processed: usize,
     next_txn_seq: u64,
     next_cross_seq: u64,
     retention: RetentionGauges,
@@ -717,9 +703,6 @@ pub struct Cluster {
     /// iteration order must be deterministic for byte-identical replays.
     /// Each round carries the instant it was proposed (`view_round_us`).
     pending_views: BTreeMap<(u16, SiteId), (ViewChange<TxnPayload>, SimTime)>,
-    /// Relay-domain view installations (counted separately so the
-    /// single-group `view_install` counter is untouched by sharding).
-    relay_view_installs: Arc<Counter>,
     /// Round replies and floor messages that arrived for a round that no
     /// longer exists (superseded, completed or abandoned) — normal under
     /// churn, but kept visible.
@@ -762,15 +745,6 @@ pub struct Cluster {
     trace: Option<Arc<dyn TraceSink>>,
 }
 
-/// `site`'s engine for the relay stream. It is always a plain sequencer:
-/// cross-group descriptors are rare and need nothing fancier than a total
-/// order everyone shares.
-fn relay_engine(relay: &OrderDomain, metrics: &MetricsRegistry, scope: Scope) -> Engine {
-    let mut engine: Engine = Box::new(SeqAbcast::new(relay.sequencer()));
-    attach_engine_counters(&mut engine, metrics, scope);
-    engine
-}
-
 impl Cluster {
     /// Builds a cluster: `initial_data` is loaded into every site's
     /// database copy before any event runs. Construct through
@@ -792,34 +766,28 @@ impl Cluster {
         let topology = GroupTopology::new(sites, config.groups);
         let num_domains = topology.domains.len();
 
-        // One engine per (site, domain) pair the site participates in: the
-        // factory builds the group's, in site order; the relay's is a
-        // plain sequencer and takes nothing from the factory, which stays
-        // for recovery.
+        // One engine per (site, domain) pair the site participates in, in
+        // site order, each site's group domain before the relay; the
+        // factory stays for recovery.
         let mut factory = EngineFactory::new(config.engine, config.seed);
         let nodes: Vec<SimNode> = SiteId::all(sites)
             .map(|s| {
-                let g = topology.group_of_site(s);
-                let group = &topology.domains[g];
-                let scope = Scope::site(s).group(g as u16);
-                let engine = factory.make(group, &metrics, scope);
-                let mut domains = vec![DomainSlot::new(g as u16, group.clone(), engine)];
-                if config.groups > 1 {
-                    let relay = topology.relay_idx();
-                    let domain = &topology.domains[relay];
-                    let engine = relay_engine(domain, &metrics, Scope::site(s).group(relay as u16));
-                    domains.push(DomainSlot::new(relay as u16, domain.clone(), engine));
-                }
+                let domains = (0..num_domains as u16)
+                    .map(|d| (d, &topology.domains[d as usize]))
+                    .filter(|(_, domain)| domain.contains(s))
+                    .map(|(d, domain)| {
+                        let engine = factory.make(domain, &metrics, Scope::site(s).group(d));
+                        DomainSlot::new(d, domain.clone(), engine)
+                    })
+                    .collect();
+                let g = topology.group_of_site(s) as u16;
                 SimNode {
-                    site: SiteNode::new(s, g as u16, domains),
-                    status: Status::Up,
+                    site: SiteNode::new(s, g, config.groups, domains),
                     epoch: 0,
                     held_wires: Vec::new(),
                     open_quantum: Vec::new(),
                     quantum_gen: 0,
                     pending_domains: BTreeSet::new(),
-                    relay_map: HashMap::new(),
-                    relay_processed: 0,
                     next_txn_seq: 0,
                     next_cross_seq: 0,
                     retention: RetentionGauges {
@@ -857,7 +825,6 @@ impl Cluster {
             next_epoch: vec![1; num_domains],
             sequencer_fence: vec![0; num_domains],
             pending_views: BTreeMap::new(),
-            relay_view_installs: metrics.counter("relay_view_install", Scope::global()),
             stale_view_digests: metrics.counter("stale_view_digest", Scope::global()),
             view_summary_bytes: metrics.counter("view_summary_bytes", Scope::global()),
             view_digest_bytes: metrics.counter("view_digest_bytes", Scope::global()),
@@ -938,12 +905,11 @@ impl Cluster {
     }
 
     /// `site` as the shared site code sees it, acting through the
-    /// simulated effects; wires go out on domain `domain`.
-    fn site_view(&mut self, site: SiteId, domain: u16) -> Site<'_, SimSite<'_>> {
+    /// simulated effects.
+    fn site_view(&mut self, site: SiteId) -> Site<'_, SimSite<'_>> {
         let node = &mut self.nodes[site.index()];
         let fx = SimSite {
             site,
-            domain,
             epoch: node.epoch,
             queue: &mut self.queue,
             net: &mut self.net,
@@ -961,40 +927,14 @@ impl Cluster {
         Site::new(&mut node.site, replica, trace, fx)
     }
 
-    /// [`Cluster::site_view`] on `site`'s own group domain.
-    fn group_site(&mut self, site: SiteId) -> Site<'_, SimSite<'_>> {
-        self.site_view(site, self.nodes[site.index()].site.group)
-    }
-
-    /// Runs `call` on `site`'s engine for domain `d` and interprets what
-    /// it emits ([`Cluster::apply_engine_actions`]).
-    fn on_engine(
-        &mut self,
-        site: SiteId,
-        d: u16,
-        call: impl FnOnce(&mut Engine, &EngineCtx<'_>) -> Vec<EngineAction<TxnPayload>>,
-    ) {
-        let (engine, ctx) = self.nodes[site.index()].site.engine_parts(d);
-        let actions = call(engine, &ctx);
-        self.apply_engine_actions(site, d, actions);
-    }
-
-    /// A fresh engine for domain `du` at `site` (recovery path). The
-    /// replacement engine shares the site's registry counters, so rejects
-    /// and decisions observed before the swap stay visible in run stats.
-    fn make_engine(&mut self, site: SiteId, du: usize) -> Engine {
-        let domain = &self.topology.domains[du];
-        let scope = Scope::site(site).group(du as u16);
-        if self.topology.is_relay(du) {
-            relay_engine(domain, &self.metrics, scope)
-        } else {
-            self.engine_factory.make(domain, &self.metrics, scope)
-        }
+    /// `site`'s site node.
+    pub(crate) fn node(&self, site: SiteId) -> &SiteNode {
+        &self.nodes[site.index()].site
     }
 
     /// `s`'s slot (engine and installed epochs) for domain `d`.
     fn slot(&self, s: SiteId, d: u16) -> &DomainSlot {
-        self.nodes[s.index()].site.slot(d)
+        self.node(s).slot(d)
     }
 
     /// [`Cluster::slot`], mutably.
@@ -1179,7 +1119,7 @@ impl Cluster {
     }
 
     fn status(&self, site: SiteId) -> Status {
-        self.nodes[site.index()].status
+        self.node(site).status
     }
 
     /// The currently live sites.
@@ -1295,15 +1235,22 @@ impl Cluster {
         for r in &self.replicas {
             counters.merge(r.counters());
         }
-        // Membership-layer counters: per-site group-view installations,
-        // order frames fenced as dead-epoch traffic, digests for dead
-        // rounds. One-step vs round decisions of the consensus-based
-        // engine: the hit rate is the paper's Figure 1 quantity, measured
-        // where it pays off (the relay's sequencer decides nothing).
-        let (mut installs, mut rejects, mut fast, mut slow) = (0, 0, 0, 0);
+        // Membership-layer counters: per-site view installations, group
+        // and relay domains counted apart (so sharding leaves
+        // `view_install` untouched), order frames fenced as dead-epoch
+        // traffic, digests for dead rounds. One-step vs round decisions of
+        // the consensus-based engine: the hit rate is the paper's Figure 1
+        // quantity, measured where it pays off (the relay's sequencer
+        // decides nothing).
+        let (mut installs, mut relay_installs, mut rejects, mut fast, mut slow) = (0, 0, 0, 0, 0);
         for node in &self.nodes {
-            installs += node.site.slot(node.site.group).epochs.len() as u64;
             for d in &node.site.domains {
+                let epochs = d.epochs.len() as u64;
+                if d.index == node.site.group {
+                    installs += epochs;
+                } else {
+                    relay_installs += epochs;
+                }
                 rejects += d.engine.stale_epoch_rejects();
                 let (f, s) = d.engine.decide_counts();
                 (fast, slow) = (fast + f, slow + s);
@@ -1319,7 +1266,7 @@ impl Cluster {
         counters.add("view_round_us", self.view_round_us.get());
         counters.add("view_supersede", self.superseded_views.get());
         if self.config.groups > 1 {
-            counters.add("relay_view_install", self.relay_view_installs.get());
+            counters.add("relay_view_install", relay_installs);
         }
         RunStats {
             commit_latency: self.commit_latency.clone(),
@@ -1362,14 +1309,15 @@ impl Cluster {
             Ev::Wire { .. } => unreachable!("run_until delivers wires in batches"),
             Ev::Timer { site, domain, token } => {
                 if self.is_live(site) {
-                    self.on_engine(site, domain, |engine, ctx| engine.on_timer(ctx, token));
+                    self.site_view(site)
+                        .on_engine(domain, |engine, ctx| engine.on_timer(ctx, token));
                 }
             }
             Ev::ExecDone { site, epoch, token } => {
                 if self.status(site) == Status::Crashed || epoch != self.nodes[site.index()].epoch {
                     return;
                 }
-                self.group_site(site).exec_done(token);
+                self.site_view(site).exec_done(token);
             }
             Ev::Query { site, qid, reads } => {
                 // Queries are client requests, not replica-internal events:
@@ -1461,7 +1409,8 @@ impl Cluster {
         if member {
             self.trace_stage(site, request.id, g as u16, Stage::Broadcast);
             let payload = TxnPayload::Txn { req: Arc::new(request), cross: None };
-            self.on_engine(site, g as u16, |engine, ctx| engine.broadcast(ctx, payload).1);
+            self.site_view(site)
+                .on_engine(g as u16, |engine, ctx| engine.broadcast(ctx, payload).1);
         } else {
             self.forward_to_group(site, g, request, true);
         }
@@ -1502,7 +1451,7 @@ impl Cluster {
         }
         let relay = self.topology.relay_idx() as u16;
         let payload = TxnPayload::Cross(Arc::new(tag));
-        self.on_engine(site, relay, |engine, ctx| engine.broadcast(ctx, payload).1);
+        self.site_view(site).on_engine(relay, |engine, ctx| engine.broadcast(ctx, payload).1);
     }
 
     /// Delivers one tick's worth of wires to `to`: crash/partition/recovery
@@ -1543,9 +1492,8 @@ impl Cluster {
         }
         for (domain, bucket) in buckets.into_iter().enumerate() {
             if !bucket.is_empty() {
-                self.on_engine(to, domain as u16, |engine, ctx| {
-                    engine.on_receive_batch(ctx, bucket)
-                });
+                self.site_view(to)
+                    .on_engine(domain as u16, |engine, ctx| engine.on_receive_batch(ctx, bucket));
             }
         }
     }
@@ -1566,18 +1514,11 @@ impl Cluster {
                 if to == initiator || self.status(to) == Status::Recovering {
                     return;
                 }
-                // The member fences the old epoch here and ships its state
-                // only when the floor arrives. Engine state only grows, so
-                // that later digest still holds every order assignment
-                // this member accepted from the dead incarnation before
-                // the fence, and anything arriving after it is fenced — no
-                // assignment can slip between the two (the union argument,
-                // DESIGN.md §7).
-                self.record_install(to, d, epoch, self.domain_sequencer(du) == Some(initiator));
-                let delivered = self.domain_log_len(to, d) as u64;
-                let summary = Wire::StateSummary { epoch, from: to, delivered };
+                let fence = self.domain_sequencer(du) == Some(initiator);
+                let summary = self.nodes[to.index()].site.on_view_change(d, epoch, fence);
                 self.view_summary_bytes.add(u64::from(summary.size_bytes()));
-                self.apply_engine_actions(to, d, vec![EngineAction::Send(initiator, summary)]);
+                self.site_view(to)
+                    .apply_engine_actions(d, [EngineAction::Send(initiator, summary)]);
             }
             Wire::StateSummary { epoch, from, delivered } => {
                 let Some((round, _)) = self.pending_views.get_mut(&(d, to)) else {
@@ -1607,11 +1548,9 @@ impl Cluster {
                     self.stale_view_digests.incr();
                     return;
                 }
-                let snapshot = self.slot(to, d).engine.snapshot();
-                let digest =
-                    Wire::StateDigest { epoch, from: to, snapshot: snapshot.delta_above(floor) };
+                let digest = self.node(to).on_view_floor(d, epoch, floor);
                 self.view_digest_bytes.add(u64::from(digest.size_bytes()));
-                self.apply_engine_actions(to, d, vec![EngineAction::Send(initiator, digest)]);
+                self.site_view(to).apply_engine_actions(d, [EngineAction::Send(initiator, digest)]);
             }
             Wire::StateDigest { epoch, from, snapshot } => {
                 let Some((round, _)) = self.pending_views.get_mut(&(d, to)) else {
@@ -1634,39 +1573,7 @@ impl Cluster {
     /// summarised or crashed, so the floor goes out to the domain.
     fn announce_floor(&mut self, d: u16, site: SiteId, epoch: u64, floor: u64) {
         let wire = Wire::ViewFloor { epoch, initiator: site, floor };
-        self.apply_engine_actions(site, d, vec![EngineAction::Multicast(wire)]);
-    }
-
-    /// Installs `epoch` for domain `d` at `site`: the domain's engine
-    /// learns the epoch (and, when `fence_orders` — the round re-admits
-    /// the ordering authority — fences the dead incarnation's
-    /// assignments), and a newer epoch joins the site's history for the
-    /// domain. The group domain's history is what the invariant bundle
-    /// checks; relay installs are also counted on their own, so the
-    /// single-group `view_install` counter is untouched by sharding.
-    fn record_install(&mut self, site: SiteId, d: u16, epoch: u64, fence_orders: bool) {
-        let slot = self.slot_mut(site, d);
-        slot.engine.install_view(epoch, fence_orders);
-        if epoch > slot.installed() {
-            slot.epochs.push(epoch);
-            if self.topology.is_relay(d as usize) {
-                self.relay_view_installs.incr();
-            }
-        }
-    }
-
-    /// The group-domain view epoch `site` currently has installed (0 =
-    /// the boot view).
-    pub(crate) fn installed_epoch(&self, site: SiteId) -> u64 {
-        self.group_epochs(site).last().copied().unwrap_or(0)
-    }
-
-    /// `site`'s group-domain view epochs in installation order
-    /// (invariant: strictly increasing; live group members converge on
-    /// the newest).
-    pub(crate) fn group_epochs(&self, site: SiteId) -> &[u64] {
-        let node = &self.nodes[site.index()].site;
-        &node.slot(node.group).epochs
+        self.site_view(site).apply_engine_actions(d, [EngineAction::Multicast(wire)]);
     }
 
     /// Marks `site` down: its event epoch advances (cancelling in-flight
@@ -1676,7 +1583,7 @@ impl Cluster {
     /// reply).
     fn crash_site(&mut self, site: SiteId) {
         let node = &mut self.nodes[site.index()];
-        if std::mem::replace(&mut node.status, Status::Crashed) == Status::Recovering {
+        if std::mem::replace(&mut node.site.status, Status::Crashed) == Status::Recovering {
             node.pending_domains.clear();
             self.pending_views.retain(|(_, s), _| *s != site);
         }
@@ -1747,7 +1654,7 @@ impl Cluster {
         }
         assert!(self.is_live(donor), "donor {donor} must be up");
         let node = &mut self.nodes[site.index()];
-        node.status = Status::Recovering;
+        node.site.status = Status::Recovering;
         node.pending_domains = node.site.domains.iter().map(|d| d.index).collect();
         let domains: Vec<u16> = node.pending_domains.iter().copied().collect();
         self.net.set_up(site);
@@ -1779,11 +1686,8 @@ impl Cluster {
         if complete {
             self.install_view_for(d, site);
         } else {
-            self.apply_engine_actions(
-                site,
-                d,
-                vec![EngineAction::Multicast(Wire::ViewChange { epoch, initiator: site })],
-            );
+            let wire = Wire::ViewChange { epoch, initiator: site };
+            self.site_view(site).apply_engine_actions(d, [EngineAction::Multicast(wire)]);
         }
     }
 
@@ -1844,38 +1748,36 @@ impl Cluster {
         } else {
             HashSet::new()
         };
-        let mut fresh_engine = self.make_engine(site, du);
+        // The replacement engine shares the site's registry counters, so
+        // rejects and decisions observed before the swap stay visible.
+        let scope = Scope::site(site).group(d);
+        let mut fresh_engine =
+            self.engine_factory.make(&self.topology.domains[du], &self.metrics, scope);
         let engine_actions = {
             let ctx = EngineCtx::at_epoch(site, &self.topology.domains[du], epoch);
             fresh_engine.restore(&ctx, engine_snap)
         };
         self.slot_mut(site, d).engine = fresh_engine;
-        if self.topology.is_relay(du) {
-            // The descriptor store rides alongside the relay engine the
-            // way the message map rides alongside the group engine.
-            if primary != site {
-                self.nodes[site.index()].relay_map = self.nodes[primary.index()].relay_map.clone();
-            }
-        } else {
+        if primary != site {
+            let [node, base] =
+                self.nodes.get_disjoint_mut([site.index(), primary.index()]).expect("two sites");
+            node.site.adopt(d, &base.site);
+        }
+        if !self.topology.is_relay(du) {
             // Fresh replica from the primary's database + pending tail.
             // (The primary's message map holds exactly what it
             // Opt-delivered and has not TO-delivered — the restored log's
             // undelivered tail; ids only the digests knew are re-filled by
             // the replayed Opt-deliveries below.)
-            let replica_actions = self.restore_replica_from(site, primary);
-            self.apply_replica_actions(site, replica_actions);
-            if self.config.groups > 1 {
-                if primary != site {
-                    let source = &self.nodes[primary.index()];
-                    let (gate, processed) = (source.site.gate.clone(), source.relay_processed);
-                    let node = &mut self.nodes[site.index()];
-                    (node.site.gate, node.relay_processed) = (gate, processed);
-                }
-                self.group_site(site).restore_gate(delivered_subs);
-            }
+            let registry = Arc::clone(&self.registry);
+            let (fresh, actions) = self.replicas[primary.index()].restored_at(site, registry);
+            self.replicas[site.index()] = fresh;
+            let mut view = self.site_view(site);
+            view.apply_replica_actions(actions);
+            view.restore_gate(delivered_subs);
         }
         // Deliveries the engine replays (tentative again here).
-        self.apply_engine_actions(site, d, engine_actions);
+        self.site_view(site).apply_engine_actions(d, engine_actions);
         // Re-teach the fresh engine its own pre-crash *payloads*: a data
         // wire this site multicast before crashing may exist only in the
         // driver's hold buffers (cut by a partition, or destined to a site
@@ -1888,19 +1790,20 @@ impl Cluster {
         // re-teaching them would be fenced anyway (the base snapshot
         // inherits the primary's raised fence).
         for wire in self.own_held_wires(site, d) {
-            self.on_engine(site, d, |engine, ctx| engine.on_receive(ctx, site, wire));
+            self.site_view(site).on_engine(d, |engine, ctx| engine.on_receive(ctx, site, wire));
         }
         // The new incarnation: its own id space jumps past anything the
         // dead one could still have in flight, and the view installs (with
         // the order fence when this site is the domain's sequencer) so the
         // repair pass below emits under the new epoch.
         self.slot_mut(site, d).engine.bump_incarnation();
-        self.record_install(site, d, epoch, self.domain_sequencer(du) == Some(site));
+        let fence = self.domain_sequencer(du) == Some(site);
+        self.nodes[site.index()].site.install_view(d, epoch, fence);
         // With every surviving self-sent wire re-learned and the view
         // installed, the engine repairs what no snapshot or wire carries:
         // a restored sequencer renumbers assignments no survivor knew and
         // re-announces the rest under the new epoch.
-        self.on_engine(site, d, |engine, ctx| engine.finish_restore(ctx));
+        self.site_view(site).on_engine(d, |engine, ctx| engine.finish_restore(ctx));
         // Re-apply the highest order fence any round for this domain ever
         // proposed — a concurrent round can have re-admitted the ordering
         // authority, and this site missed that announcement (the base
@@ -1917,20 +1820,17 @@ impl Cluster {
     }
 
     /// The site's last pending domain installed: catch up to the newest
-    /// epochs any live peer carries, reconcile the relay tail into the
-    /// gate, refresh the cluster-wide membership view and replay
-    /// everything held while down.
+    /// epochs any live peer carries, serve again (folding in the relay
+    /// tail, [`Site::finish_recovery`]), refresh the cluster-wide
+    /// membership view and replay everything held while down.
     fn finish_site_recovery(&mut self, site: SiteId) {
-        // The site serves again under the installed views.
-        self.nodes[site.index()].status = Status::Up;
         // Overlapping rounds: a newer view may have installed while this
         // site was mid-round (it ignores other rounds' announcements — a
         // recovering engine has nothing to contribute). Catch up, domain
         // by domain (group first, relay second), to the newest epoch any
         // live member carries, so the re-admitted site is never left
         // serving under a superseded view.
-        let domains: Vec<u16> =
-            self.nodes[site.index()].site.domains.iter().map(|d| d.index).collect();
+        let domains: Vec<u16> = self.node(site).domains.iter().map(|d| d.index).collect();
         for d in domains {
             let newest = self.topology.domains[d as usize]
                 .members
@@ -1940,27 +1840,18 @@ impl Cluster {
                 .max()
                 .unwrap_or(0);
             if newest > self.slot(site, d).installed() {
-                self.record_install(site, d, newest, false);
+                self.nodes[site.index()].site.install_view(d, newest, false);
             }
         }
-        if self.config.groups > 1 {
-            // Relay definitive deliveries beyond what the adopted gate had
-            // folded in were skipped while recovering (`process_relay_to`
-            // no-ops then): fold the tail in now. Prefix consistency
-            // (Global Order) guarantees the restored relay log extends the
-            // gate primary's processed prefix; `.get` clamps defensively.
-            let done = self.nodes[site.index()].relay_processed;
-            let relay = self.slot(site, self.topology.relay_idx() as u16);
-            let tail: Vec<MsgId> =
-                relay.engine.definitive_log().get(done..).map(|s| s.to_vec()).unwrap_or_default();
-            if !tail.is_empty() {
-                self.process_relay_to(site, &tail);
-            }
-        }
+        self.site_view(site).finish_recovery();
         // The cluster-wide view is monotonic even when rounds complete out
         // of epoch order (round A can outwait round B across a partition).
-        let view_newest =
-            self.live_sites().into_iter().map(|s| self.installed_epoch(s)).max().unwrap_or(0);
+        let view_newest = self
+            .live_sites()
+            .into_iter()
+            .map(|s| self.node(s).installed_epoch())
+            .max()
+            .unwrap_or(0);
         self.view = Membership::new(ViewId(self.view.id.0.max(view_newest)), self.live_sites());
         // Everything held while down and during the rounds arrives now.
         // (Wires whose link a partition currently cuts go back on hold at
@@ -1969,17 +1860,6 @@ impl Cluster {
         let wires =
             held.into_iter().map(|(domain, from, wire)| (from, site, domain, wire)).collect();
         self.replay_staggered(wires);
-    }
-
-    /// Replaces `site`'s replica with a fresh one restored from `source`'s
-    /// snapshot taken now, clones `source`'s message map (ids it knows map
-    /// identically everywhere), and returns the restore actions.
-    fn restore_replica_from(&mut self, site: SiteId, source: SiteId) -> Vec<ReplicaAction> {
-        let (fresh, actions) =
-            self.replicas[source.index()].restored_at(site, Arc::clone(&self.registry));
-        self.nodes[site.index()].site.msg_map = self.nodes[source.index()].site.msg_map.clone();
-        self.replicas[site.index()] = fresh;
-        actions
     }
 
     /// `site`'s own surviving pre-crash payload wires for domain `domain`
@@ -2056,81 +1936,6 @@ impl Cluster {
             NemesisEvent::ThreadStall { .. } | NemesisEvent::PressureSpike { .. } => {}
         }
     }
-
-    /// Interprets `site`'s engine actions for domain `domain`, in order.
-    /// A group stream's are the shared site code's
-    /// ([`Site::apply_engine_actions`]). On the relay stream, deliveries
-    /// stock the descriptor store and extend the relay order; its wires
-    /// and timers go to the site code too.
-    fn apply_engine_actions(
-        &mut self,
-        site: SiteId,
-        domain: u16,
-        actions: Vec<EngineAction<TxnPayload>>,
-    ) {
-        if !self.topology.is_relay(domain as usize) {
-            self.site_view(site, domain).apply_engine_actions(actions);
-            return;
-        }
-        for a in actions {
-            match a {
-                EngineAction::OptDeliver(msg) => {
-                    // Relay descriptors never touch the replica.
-                    let TxnPayload::Cross(tag) = msg.payload else {
-                        unreachable!("relay stream carries only cross descriptors")
-                    };
-                    self.nodes[site.index()].relay_map.insert(msg.id, tag);
-                }
-                EngineAction::ToDeliver(ids) => self.process_relay_to(site, &ids),
-                a => self.site_view(site, domain).apply_engine_actions([a]),
-            }
-        }
-    }
-
-    /// Consumes definitively-delivered relay descriptors at `site`: each
-    /// new cross id extends the gate's relay order and this site
-    /// broadcasts its own group's sub into the group stream. Every live
-    /// member of a group injects the sub (distinct message ids, same
-    /// transaction id — the gate's dedup sets collapse the copies), so a
-    /// crashed origin site can never stall a cross-group transaction:
-    /// one live member suffices.
-    fn process_relay_to(&mut self, site: SiteId, ids: &[MsgId]) {
-        if self.status(site) == Status::Recovering {
-            // Folded in from `relay_processed` when recovery finishes.
-            return;
-        }
-        let my_group = self.nodes[site.index()].site.group;
-        for id in ids {
-            let node = &mut self.nodes[site.index()];
-            let tag = Arc::clone(
-                node.relay_map
-                    .get(id)
-                    .expect("relay Local Order: descriptor Opt-delivery precedes TO-delivery"),
-            );
-            node.relay_processed += 1;
-            if !node.site.gate.relay_seen.insert(tag.cross) {
-                continue;
-            }
-            let Some(sub) = tag
-                .subs
-                .iter()
-                .find(|s| self.topology.group_of_class(s.class) == my_group as usize)
-            else {
-                continue; // descriptor has no sub for this site's group
-            };
-            node.site.gate.relay_order.push(tag.cross);
-            // End of the relay wait: the cluster-wide relay order just
-            // admitted this sub into its group stream.
-            self.trace_stage(site, sub.id, my_group, Stage::RelayWait);
-            let payload = TxnPayload::Txn { req: Arc::clone(sub), cross: Some(tag.cross) };
-            self.on_engine(site, my_group, |engine, ctx| engine.broadcast(ctx, payload).1);
-            self.group_site(site).release_gate();
-        }
-    }
-
-    fn apply_replica_actions(&mut self, site: SiteId, actions: Vec<ReplicaAction>) {
-        self.group_site(site).apply_replica_actions(actions);
-    }
 }
 
 /// The simulator's side of one site's [`SiteEffects`]: wires become
@@ -2140,8 +1945,6 @@ impl Cluster {
 /// fields for one step, beside the [`Site`] view of the same site.
 struct SimSite<'a> {
     site: SiteId,
-    /// Order domain the site's wires and timers belong to.
-    domain: u16,
     /// The site's event epoch: a crash cancels its pending executions.
     epoch: u32,
     queue: &'a mut EventQueue<Ev>,
@@ -2158,13 +1961,13 @@ struct SimSite<'a> {
 }
 
 impl SimSite<'_> {
-    /// Schedules `wire`'s arrival at `to`, counting a frame that crosses
-    /// a group boundary.
-    fn arrive(&mut self, to: SiteId, at: SimTime, wire: Wire<TxnPayload>) {
+    /// Schedules the arrival at `to` of `wire`, a message of domain
+    /// `domain`, counting a frame that crosses a group boundary.
+    fn arrive(&mut self, domain: u16, to: SiteId, at: SimTime, wire: Wire<TxnPayload>) {
         if self.topology.cross_frame(self.site, to) {
             self.cross_group_frames.incr();
         }
-        let (from, domain) = (self.site, self.domain);
+        let from = self.site;
         self.queue.schedule(at, Ev::Wire { from, to, domain, wire });
     }
 }
@@ -2174,12 +1977,12 @@ impl SiteEffects for SimSite<'_> {
         self.queue.now()
     }
 
-    fn multicast(&mut self, wire: Wire<TxnPayload>) {
-        let domain = self.domain as usize;
+    fn multicast(&mut self, domain: u16, wire: Wire<TxnPayload>) {
+        let du = domain as usize;
         let deliveries = self.net.multicast_to_on(
-            self.topology.segment_of(domain),
+            self.topology.segment_of(du),
             self.site,
-            &self.topology.domains[domain].members,
+            &self.topology.domains[du].members,
             wire.size_bytes(),
             self.queue.now(),
             self.rng,
@@ -2188,21 +1991,21 @@ impl SiteEffects for SimSite<'_> {
         // payloads are Arc-shared).
         if let Some((last, rest)) = deliveries.split_last() {
             for d in rest {
-                self.arrive(d.to, d.arrival, wire.clone());
+                self.arrive(domain, d.to, d.arrival, wire.clone());
             }
-            self.arrive(last.to, last.arrival, wire);
+            self.arrive(domain, last.to, last.arrival, wire);
         }
     }
 
-    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
-        let segment = self.topology.segment_of(self.domain as usize);
+    fn send(&mut self, domain: u16, to: SiteId, wire: Wire<TxnPayload>) {
+        let segment = self.topology.segment_of(domain as usize);
         let (site, now) = (self.site, self.queue.now());
         let d = self.net.unicast_on(segment, site, to, wire.size_bytes(), now, self.rng);
-        self.arrive(to, d.arrival, wire);
+        self.arrive(domain, to, d.arrival, wire);
     }
 
-    fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
-        let (site, domain) = (self.site, self.domain);
+    fn set_timer(&mut self, domain: u16, token: TimerToken, delay: SimDuration) {
+        let site = self.site;
         self.queue.schedule(self.queue.now() + delay, Ev::Timer { site, domain, token });
     }
 
@@ -2267,6 +2070,7 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ReplicaAction;
     use otp_storage::{ObjectKey, ProcError};
     use otp_txn::history::{check_one_copy_serializable, check_same_committed_set};
 
@@ -2564,10 +2368,10 @@ mod tests {
             index: otp_storage::TxnIndex::new(9),
             output: Vec::new(),
         };
-        c.apply_replica_actions(home, vec![commit(held)]);
+        c.site_view(home).apply_replica_actions(vec![commit(held)]);
         let before = c.stats();
-        c.apply_replica_actions(SiteId::new(0), vec![commit(released)]);
-        c.apply_replica_actions(home, vec![commit(held)]);
+        c.site_view(SiteId::new(0)).apply_replica_actions(vec![commit(released)]);
+        c.site_view(home).apply_replica_actions(vec![commit(held)]);
         let after = c.stats();
         assert_eq!(after.completed, before.completed);
         assert_eq!(after.commit_latency.len(), before.commit_latency.len());
@@ -2779,8 +2583,9 @@ mod tests {
             assert_eq!(c.current_view().len(), 4, "{engine:?}: all live again");
             for s in 0..4 {
                 let site = SiteId::new(s as u16);
-                assert_eq!(c.installed_epoch(site), 2, "{engine:?}: site {s} on the newest view");
-                assert_eq!(c.group_epochs(site), [1, 2], "{engine:?}: site {s}");
+                let node = c.node(site);
+                assert_eq!(node.installed_epoch(), 2, "{engine:?}: site {s} on the newest view");
+                assert_eq!(node.group_epochs(), [1, 2], "{engine:?}: site {s}");
             }
             let report = c.check_invariants(&[]);
             assert!(report.is_ok(), "{engine:?}: {report}");

@@ -388,7 +388,7 @@ impl Cluster {
             dbs: self.replicas.iter().map(|r| r.db().clone()).collect(),
             live: self.live_sites(),
             epoch_history: SiteId::all(self.config().sites)
-                .map(|s| self.group_epochs(s).to_vec())
+                .map(|s| self.node(s).group_epochs().to_vec())
                 .collect(),
             site_group: self.topology.site_group.clone(),
             txn_group: self.txn_group.clone(),

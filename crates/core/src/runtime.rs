@@ -636,7 +636,7 @@ impl LiveCluster {
             let me = SiteId::new(i as u16);
             let engine = engines.make(&domain, &metrics, Scope::site(me).group(0));
             let worker = SiteWorker {
-                node: SiteNode::new(me, 0, vec![DomainSlot::new(0, domain.clone(), engine)]),
+                node: SiteNode::new(me, 0, 1, vec![DomainSlot::new(0, domain.clone(), engine)]),
                 replica,
                 trace: trace.clone(),
                 io: LiveIo {
@@ -1223,7 +1223,7 @@ impl SiteWorker {
         }
         let delivered = wires.len() as i64;
         let wires = std::mem::take(wires);
-        self.site().on_group_engine(|engine, ctx| engine.on_receive_batch(ctx, wires));
+        self.site().on_engine(0, |engine, ctx| engine.on_receive_batch(ctx, wires));
         self.io.shared.in_flight.add(-delivered);
     }
 
@@ -1265,7 +1265,7 @@ impl SiteWorker {
                 Pending::Wire { from, wire, .. } => wires.push((from, wire)),
                 Pending::Timer(token) => {
                     self.flush(&mut wires);
-                    self.site().on_group_engine(|engine, ctx| engine.on_timer(ctx, token));
+                    self.site().on_engine(0, |engine, ctx| engine.on_timer(ctx, token));
                     self.io.shared.in_flight.add(-1);
                 }
                 Pending::ExecDone(token) => {
@@ -1380,7 +1380,7 @@ impl SiteEffects for &mut LiveIo {
         stamp(self.anchor, Instant::now())
     }
 
-    fn multicast(&mut self, wire: Wire<TxnPayload>) {
+    fn multicast(&mut self, _domain: u16, wire: Wire<TxnPayload>) {
         let n = self.cfg.sites;
         self.shared.in_flight.add(n as i64);
         let now = Instant::now();
@@ -1394,13 +1394,13 @@ impl SiteEffects for &mut LiveIo {
         self.hand_off(SiteId::new((n - 1) as u16), due, wire);
     }
 
-    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
+    fn send(&mut self, _domain: u16, to: SiteId, wire: Wire<TxnPayload>) {
         self.shared.in_flight.add(1);
         let due = self.due(Instant::now());
         self.hand_off(to, due, wire);
     }
 
-    fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
+    fn set_timer(&mut self, _domain: u16, token: TimerToken, delay: SimDuration) {
         if !self.stopping {
             self.arm(Duration::from_nanos(delay.as_nanos()), Pending::Timer(token));
         }

@@ -7,15 +7,22 @@
 //!
 //! * what a site keeps for ordering ([`SiteNode`]): one engine per order
 //!   domain it belongs to, with the view epochs installed for it, its
-//!   message map and its [`CrossGate`];
-//! * building the site's ordering engines ([`EngineFactory`]) and replica
-//!   ([`replicas`]);
+//!   message map, its [`CrossGate`], the relay stream's descriptor store
+//!   and whether it serves;
+//! * building the site's ordering engines ([`EngineFactory`], the relay's
+//!   included) and replica ([`replicas`]);
 //! * handing a submitted request to the engine ([`Site::submit`]);
-//! * interpreting a group stream's engine actions
-//!   ([`Site::apply_engine_actions`]): the one deep copy and the
-//!   message-map insert at Opt-delivery, and every TO-delivery through
-//!   the gate, which passes it straight on when the site has no
-//!   cross-group sub waiting;
+//! * interpreting both order streams' engine actions
+//!   ([`Site::apply_engine_actions`]): on a group stream, the one deep
+//!   copy and the message-map insert at Opt-delivery, and every
+//!   TO-delivery through the gate, which passes it straight on when the
+//!   site has no cross-group sub waiting; on the relay stream, the
+//!   descriptor store at Opt-delivery, and at TO-delivery the relay order,
+//!   the site's own sub broadcast on its group stream and the gate
+//!   release that admits — or, while the site recovers, nothing until
+//!   [`Site::finish_recovery`] folds the skipped tail in;
+//! * a view-change member's side of a round ([`SiteNode::install_view`],
+//!   [`SiteNode::on_view_change`], [`SiteNode::on_view_floor`]);
 //! * interpreting the replica's actions ([`Site::apply_replica_actions`]);
 //! * tracing every lifecycle stage on that path ([`record_stage`]).
 //!
@@ -26,11 +33,11 @@
 //! through them. This file is in determinism scope: it reads no clock of
 //! its own (DESIGN.md §16).
 
-use crate::cluster::{EngineKind, Mode, TxnPayload};
+use crate::cluster::{CrossTag, EngineKind, Mode, TxnPayload};
 use crate::event::{ExecToken, ReplicaAction};
 use crate::replica::Replica;
 use otp_broadcast::{
-    AtomicBroadcast, EngineAction, EngineCtx, EngineSnapshot, Message, MsgId, OptAbcast,
+    AtomicBroadcast, EngineAction, EngineCtx, EngineSnapshot, GroupId, MsgId, OptAbcast,
     OptAbcastConfig, Oracle, OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast, TimerToken,
     Wire,
 };
@@ -70,7 +77,10 @@ impl EngineFactory {
     }
 
     /// A fresh engine ordering `domain`, counting into `metrics` under
-    /// `scope` (see [`attach_engine_counters`]).
+    /// `scope` (see [`attach_engine_counters`]). The relay's engine is
+    /// always a plain sequencer, whatever the kind: cross-group
+    /// descriptors are rare and need nothing fancier than a total order
+    /// everyone shares, and building it takes nothing from the rng.
     pub(crate) fn make(
         &mut self,
         domain: &OrderDomain,
@@ -78,6 +88,7 @@ impl EngineFactory {
         scope: Scope,
     ) -> Engine {
         let mut engine: Engine = match self.kind {
+            _ if domain.id == GroupId::RELAY => Box::new(SeqAbcast::new(domain.sequencer())),
             EngineKind::Opt { consensus_timeout } => {
                 Box::new(OptAbcast::new(OptAbcastConfig::new(domain.len(), consensus_timeout)))
             }
@@ -102,7 +113,7 @@ impl EngineFactory {
 /// and order domain): stale-epoch rejects, one-step and round decisions.
 /// The engine bumps them in place of private tallies, so the registry is
 /// the one place the counts live.
-pub(crate) fn attach_engine_counters(engine: &mut Engine, metrics: &MetricsRegistry, scope: Scope) {
+fn attach_engine_counters(engine: &mut Engine, metrics: &MetricsRegistry, scope: Scope) {
     engine.set_stale_counter(metrics.counter("stale_epoch_reject", scope));
     engine.set_decide_counters(
         metrics.counter("fast_decide", scope),
@@ -153,27 +164,56 @@ impl DomainSlot {
     }
 }
 
+/// Whether a site serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
+    Up,
+    Crashed,
+    /// Running its view-change rounds: it serves nothing, and its relay
+    /// deliveries wait for [`Site::finish_recovery`].
+    Recovering,
+}
+
 /// What one site keeps for ordering, in either driver: one slot per order
 /// domain it belongs to (its group's first, the relay's second when the
-/// cluster is sharded), the group stream's message map and the gate that
-/// merges the group's TO-stream with the relay order. The replica stays
-/// with the driver; [`Site`] borrows both for one step.
+/// cluster is sharded), the group stream's message map, the gate that
+/// merges the group's TO-stream with the relay order, the relay stream's
+/// descriptor store and whether the site serves. The replica stays with
+/// the driver; [`Site`] borrows both for one step.
 pub(crate) struct SiteNode {
     me: SiteId,
     /// This site's ordering group: the domain index of its group stream
     /// and the group label of its trace events (0 when unsharded).
     pub(crate) group: u16,
+    /// Number of ordering groups: group `c % groups` orders class `c`.
+    groups: usize,
+    pub(crate) status: Status,
     pub(crate) domains: Vec<DomainSlot>,
     pub(crate) msg_map: SiteMsgMap,
     pub(crate) gate: CrossGate,
+    /// Relay-stream message id → its descriptor.
+    pub(crate) relay_map: HashMap<MsgId, Arc<CrossTag>>,
+    /// Relay definitive deliveries already folded into the gate — the
+    /// recovery reconcile point for the relay stream.
+    pub(crate) relay_processed: usize,
 }
 
 impl SiteNode {
-    /// Site `me` of group `group`, ordering the domains of `domains`
-    /// (group domain first).
-    pub(crate) fn new(me: SiteId, group: u16, domains: Vec<DomainSlot>) -> Self {
+    /// Site `me` of group `group` (of `groups`), ordering the domains of
+    /// `domains` (group domain first), up and serving.
+    pub(crate) fn new(me: SiteId, group: u16, groups: usize, domains: Vec<DomainSlot>) -> Self {
         debug_assert_eq!(domains.first().map(|d| d.index), Some(group), "group domain first");
-        SiteNode { me, group, domains, msg_map: SiteMsgMap::new(), gate: CrossGate::default() }
+        SiteNode {
+            me,
+            group,
+            groups,
+            status: Status::Up,
+            domains,
+            msg_map: SiteMsgMap::new(),
+            gate: CrossGate::default(),
+            relay_map: HashMap::new(),
+            relay_processed: 0,
+        }
     }
 
     /// The slot of domain `index`.
@@ -192,11 +232,71 @@ impl SiteNode {
 
     /// The engine of domain `index`, with the context the next call on it
     /// needs (the domain's installed epoch).
-    pub(crate) fn engine_parts(&mut self, index: u16) -> (&mut Engine, EngineCtx<'_>) {
+    fn engine_parts(&mut self, index: u16) -> (&mut Engine, EngineCtx<'_>) {
         let me = self.me;
         let slot = self.slot_mut(index);
         let epoch = slot.installed();
         (&mut slot.engine, EngineCtx::at_epoch(me, &slot.domain, epoch))
+    }
+
+    /// The group-domain view epochs in installation order (invariant:
+    /// strictly increasing; live group members converge on the newest).
+    pub(crate) fn group_epochs(&self) -> &[u64] {
+        &self.slot(self.group).epochs
+    }
+
+    /// The group-domain view epoch currently installed (0 = the boot
+    /// view).
+    pub(crate) fn installed_epoch(&self) -> u64 {
+        self.slot(self.group).installed()
+    }
+
+    /// Installs `epoch` for domain `d`: the domain's engine learns the
+    /// epoch (and, with `fence` — the round re-admits the ordering
+    /// authority — fences the dead incarnation's order assignments), and
+    /// a newer epoch joins the domain's history.
+    pub(crate) fn install_view(&mut self, d: u16, epoch: u64, fence: bool) {
+        let slot = self.slot_mut(d);
+        slot.engine.install_view(epoch, fence);
+        if epoch > slot.installed() {
+            slot.epochs.push(epoch);
+        }
+    }
+
+    /// Takes over from `base`, the site a recovery restores domain `d`'s
+    /// engine from, what rides beside that engine: the relay's descriptor
+    /// store, or the group stream's message map (its ids name the same
+    /// messages everywhere), gate and relay processed count.
+    pub(crate) fn adopt(&mut self, d: u16, base: &SiteNode) {
+        if d == self.group {
+            self.msg_map = base.msg_map.clone();
+            self.gate = base.gate.clone();
+            self.relay_processed = base.relay_processed;
+        } else {
+            self.relay_map = base.relay_map.clone();
+        }
+    }
+
+    /// A member's reply to domain `d`'s round announcement for `epoch`:
+    /// it fences the old epoch now (`fence` as in
+    /// [`SiteNode::install_view`]) and answers with how far it delivered
+    /// ([`Wire::StateSummary`]). Its state ships only once the floor
+    /// arrives ([`SiteNode::on_view_floor`]). Engine state only grows, so
+    /// that later digest still holds every order assignment this member
+    /// accepted from the dead incarnation before the fence, and anything
+    /// arriving after it is fenced — no assignment can slip between the
+    /// two (the union argument, DESIGN.md §7).
+    pub(crate) fn on_view_change(&mut self, d: u16, epoch: u64, fence: bool) -> Wire<TxnPayload> {
+        self.install_view(d, epoch, fence);
+        let delivered = self.slot(d).engine.definitive_log().len() as u64;
+        Wire::StateSummary { epoch, from: self.me, delivered }
+    }
+
+    /// A member's reply to the floor of domain `d`'s round `epoch`: its
+    /// engine state cut above the floor ([`Wire::StateDigest`]).
+    pub(crate) fn on_view_floor(&self, d: u16, epoch: u64, floor: u64) -> Wire<TxnPayload> {
+        let snapshot = self.slot(d).engine.snapshot().delta_above(floor);
+        Wire::StateDigest { epoch, from: self.me, snapshot }
     }
 }
 
@@ -300,22 +400,25 @@ pub(crate) fn delivered_cross_subs(snap: &EngineSnapshot<TxnPayload>) -> HashSet
 /// The simulator schedules each effect on its virtual-time event queue
 /// and network model; the threaded runtime hands wires to the destination
 /// site's channel and arms wall-clock timers. Every call happens in the
-/// order the engine or replica emitted the action it stands for.
+/// order the engine or replica emitted the action it stands for. A wire or
+/// timer names the order domain whose engine emitted it: one relay
+/// delivery emits group-stream wires within the same step.
 pub(crate) trait SiteEffects {
     /// The instant a trace event is stamped with: virtual time in the
     /// simulator, nanoseconds since cluster start in the threaded
     /// runtime. Asked only while a trace sink is attached.
     fn now(&self) -> SimTime;
 
-    /// Sends `wire` to every member of the engine's order domain, this
-    /// site included.
-    fn multicast(&mut self, wire: Wire<TxnPayload>);
+    /// Sends `wire` to every member of order domain `domain`, this site
+    /// included.
+    fn multicast(&mut self, domain: u16, wire: Wire<TxnPayload>);
 
-    /// Sends `wire` to `to`.
-    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>);
+    /// Sends `wire`, a message of order domain `domain`, to `to`.
+    fn send(&mut self, domain: u16, to: SiteId, wire: Wire<TxnPayload>);
 
-    /// Arms engine timer `token` to fire `delay` from now.
-    fn set_timer(&mut self, token: TimerToken, delay: SimDuration);
+    /// Arms timer `token` of domain `domain`'s engine to fire `delay` from
+    /// now.
+    fn set_timer(&mut self, domain: u16, token: TimerToken, delay: SimDuration);
 
     /// Starts execution attempt `token`. Once the execution time has
     /// elapsed, the driver hands the token to [`Site::exec_done`].
@@ -348,15 +451,16 @@ impl<'a, F: SiteEffects> Site<'a, F> {
         Site { node, replica, trace, fx }
     }
 
-    /// Runs `call` on the engine of this site's group stream and
-    /// interprets what it emits.
-    pub(crate) fn on_group_engine(
+    /// Runs `call` on the site's engine for domain `d` and interprets what
+    /// it emits.
+    pub(crate) fn on_engine(
         &mut self,
+        d: u16,
         call: impl FnOnce(&mut Engine, &EngineCtx<'_>) -> Vec<EngineAction<TxnPayload>>,
     ) {
-        let (engine, ctx) = self.node.engine_parts(self.node.group);
+        let (engine, ctx) = self.node.engine_parts(d);
         let actions = call(engine, &ctx);
-        self.apply_engine_actions(actions);
+        self.apply_engine_actions(d, actions);
     }
 
     /// Accepts a client request at this site and broadcasts it on the
@@ -365,29 +469,44 @@ impl<'a, F: SiteEffects> Site<'a, F> {
         self.trace(request.id, Stage::Submit);
         self.trace(request.id, Stage::Broadcast);
         let payload = TxnPayload::Txn { req: Arc::new(request), cross: None };
-        self.on_group_engine(|engine, ctx| engine.broadcast(ctx, payload).1);
+        self.on_engine(self.node.group, |engine, ctx| engine.broadcast(ctx, payload).1);
     }
 
-    /// Interprets a group-stream engine's actions in order: wires and
-    /// timers go to the driver untouched, deliveries to the replica, every
-    /// TO-delivery through the gate.
+    /// Interprets the actions of the site's engine for domain `d`, in
+    /// order: wires and timers go to the driver untouched. A group
+    /// stream's deliveries go to the replica, every TO-delivery through
+    /// the gate; the relay stream's stock the descriptor store and feed
+    /// the gate ([`Site::relay_to_deliver`]).
     ///
     /// # Panics
     ///
     /// Panics when a TO-delivered id was never Opt-delivered here (the
-    /// engine broke Local Order), or when the stream carries a relay
-    /// descriptor.
+    /// engine broke Local Order), or when a stream carries the other
+    /// stream's payload.
     pub(crate) fn apply_engine_actions(
         &mut self,
+        d: u16,
         actions: impl IntoIterator<Item = EngineAction<TxnPayload>>,
     ) {
+        let group_stream = d == self.node.group;
         for a in actions {
             match a {
-                EngineAction::Multicast(wire) => self.fx.multicast(wire),
-                EngineAction::Send(to, wire) => self.fx.send(to, wire),
-                EngineAction::SetTimer { token, delay } => self.fx.set_timer(token, delay),
-                EngineAction::OptDeliver(msg) => self.opt_deliver(msg),
-                EngineAction::ToDeliver(ids) => {
+                EngineAction::Multicast(wire) => self.fx.multicast(d, wire),
+                EngineAction::Send(to, wire) => self.fx.send(d, to, wire),
+                EngineAction::SetTimer { token, delay } => self.fx.set_timer(d, token, delay),
+                EngineAction::OptDeliver(msg) => match msg.payload {
+                    TxnPayload::Txn { req, cross } if group_stream => {
+                        self.opt_deliver(msg.id, req, cross);
+                    }
+                    // Relay descriptors never touch the replica.
+                    TxnPayload::Cross(tag) if !group_stream => {
+                        self.node.relay_map.insert(msg.id, tag);
+                    }
+                    _ => {
+                        unreachable!("group streams carry only transactions, the relay descriptors")
+                    }
+                },
+                EngineAction::ToDeliver(ids) if group_stream => {
                     let gate = &mut self.node.gate;
                     for id in &ids {
                         let (req, cross) = self
@@ -402,30 +521,83 @@ impl<'a, F: SiteEffects> Site<'a, F> {
                     }
                     self.release_gate();
                 }
+                EngineAction::ToDeliver(ids) => self.relay_to_deliver(&ids),
             }
         }
     }
 
-    /// One tentative delivery: the map keeps the body for the TO-delivery
-    /// that will name only its id, and the replica gets its own copy.
-    /// Every live member of a group injects each cross-group sub, so only
-    /// the first copy reaches the replica; every copy keeps its map entry
-    /// for the TO-delivery that consumes it.
-    fn opt_deliver(&mut self, msg: Message<TxnPayload>) {
-        let TxnPayload::Txn { req, cross } = msg.payload else {
-            unreachable!("group streams carry only transactions")
-        };
+    /// One tentative delivery on the group stream: the map keeps the body
+    /// for the TO-delivery that will name only its id, and the replica
+    /// gets its own copy. Every live member of a group injects each
+    /// cross-group sub, so only the first copy reaches the replica; every
+    /// copy keeps its map entry for the TO-delivery that consumes it.
+    fn opt_deliver(&mut self, id: MsgId, req: Arc<TxnRequest>, cross: Option<u64>) {
         if cross.is_some() && !self.node.gate.seen_opt.insert(req.id) {
-            self.node.msg_map.insert(msg.id, (req, cross));
+            self.node.msg_map.insert(id, (req, cross));
             return;
         }
         // The one deep copy on the delivery path: the replica takes
         // ownership of the request body.
         let request = TxnRequest::clone(&req);
-        self.node.msg_map.insert(msg.id, (req, cross));
+        self.node.msg_map.insert(id, (req, cross));
         self.trace(request.id, Stage::OptDeliver);
         let actions = self.replica.on_opt_deliver(request);
         self.apply_replica_actions(actions);
+    }
+
+    /// Consumes definitively delivered relay descriptors: each new cross
+    /// id extends the gate's relay order, and this site broadcasts its own
+    /// group's sub into the group stream and releases what that admits.
+    /// Every live member of a group injects the sub (distinct message ids,
+    /// one transaction id — the gate's dedup sets collapse the copies), so
+    /// a crashed origin site can never stall a cross-group transaction:
+    /// one live member suffices. A recovering site consumes nothing here;
+    /// [`Site::finish_recovery`] folds the tail in.
+    fn relay_to_deliver(&mut self, ids: &[MsgId]) {
+        if self.node.status == Status::Recovering {
+            return;
+        }
+        let (group, groups) = (self.node.group, self.node.groups);
+        for id in ids {
+            let tag = Arc::clone(
+                self.node
+                    .relay_map
+                    .get(id)
+                    .expect("relay Local Order: descriptor Opt-delivery precedes TO-delivery"),
+            );
+            self.node.relay_processed += 1;
+            if !self.node.gate.relay_seen.insert(tag.cross) {
+                continue;
+            }
+            let Some(sub) =
+                tag.subs.iter().find(|s| s.class.raw() as usize % groups == usize::from(group))
+            else {
+                continue; // descriptor has no sub for this site's group
+            };
+            self.node.gate.relay_order.push(tag.cross);
+            // End of the relay wait: the cluster-wide relay order just
+            // admitted this sub into its group stream.
+            self.trace(sub.id, Stage::RelayWait);
+            let payload = TxnPayload::Txn { req: Arc::clone(sub), cross: Some(tag.cross) };
+            self.on_engine(group, |engine, ctx| engine.broadcast(ctx, payload).1);
+            self.release_gate();
+        }
+    }
+
+    /// The site's recovery finished: it serves again, and the relay
+    /// deliveries beyond what its adopted gate had folded in, skipped
+    /// while it recovered, are folded in now. Prefix consistency (Global
+    /// Order) guarantees the restored relay log extends the gate
+    /// primary's processed prefix; `.get` clamps defensively.
+    pub(crate) fn finish_recovery(&mut self) {
+        self.node.status = Status::Up;
+        let group = self.node.group;
+        let Some(relay) = self.node.domains.iter().find(|d| d.index != group) else {
+            return;
+        };
+        let done = self.node.relay_processed;
+        let tail = relay.engine.definitive_log().get(done..).map(<[MsgId]>::to_vec);
+        self.relay_to_deliver(&tail.unwrap_or_default());
     }
 
     /// Hands everything the gate's rules admit, in release order, to the
@@ -515,6 +687,7 @@ pub(crate) fn record_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otp_broadcast::Message;
     use otp_storage::{ObjectKey, ProcError, ProcId, TxnIndex};
     use std::sync::Mutex;
 
@@ -550,12 +723,13 @@ mod tests {
     }
 
     /// A recording [`SiteEffects`]: notes each call in the shared log and
-    /// keeps what it was handed.
+    /// keeps what it was handed, with the order domain of each wire and
+    /// timer.
     #[derive(Default)]
     struct Fake {
         log: Arc<Log>,
-        wires: Vec<(Option<SiteId>, Wire<TxnPayload>)>,
-        timers: Vec<(TimerToken, SimDuration)>,
+        wires: Vec<(u16, Option<SiteId>, Wire<TxnPayload>)>,
+        timers: Vec<(u16, TimerToken, SimDuration)>,
         execs: Vec<ExecToken>,
         commits: Vec<(TxnId, Vec<Value>)>,
     }
@@ -565,19 +739,19 @@ mod tests {
             SimTime::ZERO
         }
 
-        fn multicast(&mut self, wire: Wire<TxnPayload>) {
+        fn multicast(&mut self, domain: u16, wire: Wire<TxnPayload>) {
             self.log.note("multicast");
-            self.wires.push((None, wire));
+            self.wires.push((domain, None, wire));
         }
 
-        fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
+        fn send(&mut self, domain: u16, to: SiteId, wire: Wire<TxnPayload>) {
             self.log.note("send");
-            self.wires.push((Some(to), wire));
+            self.wires.push((domain, Some(to), wire));
         }
 
-        fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
+        fn set_timer(&mut self, domain: u16, token: TimerToken, delay: SimDuration) {
             self.log.note("set_timer");
-            self.timers.push((token, delay));
+            self.timers.push((domain, token, delay));
         }
 
         fn start_execution(&mut self, token: ExecToken) {
@@ -591,8 +765,17 @@ mod tests {
         }
     }
 
-    /// An OTP replica at [`ME`] with its site node (group 3), the log and
-    /// the fake.
+    /// [`ME`]'s group: the domain index of its group stream. The cluster
+    /// has [`GROUPS`] groups, so group `GROUP` orders class 3.
+    const GROUP: u16 = 3;
+    const GROUPS: usize = 4;
+    /// The relay's domain index.
+    const RELAY: u16 = 4;
+
+    /// An OTP replica at [`ME`] with its site node, the log and the fake.
+    /// The node orders its group's stream over sites 0 and 1 (site 0
+    /// sequences) and a relay stream of which it is the only member, so
+    /// its own relay wires, fed back, order its relay broadcasts.
     struct Fixture {
         replica: Replica,
         node: SiteNode,
@@ -612,18 +795,19 @@ mod tests {
                 ctx.emit(Value::Int(v + d));
                 Ok(())
             });
-            let data = [(ObjectId::new(0, 0), Value::Int(0))];
-            let replica = replicas(Mode::Otp, 2, 1, &Arc::new(reg), &data).remove(ME.index());
+            let data = [(ObjectId::new(0, 0), Value::Int(0)), (ObjectId::new(3, 0), Value::Int(0))];
+            let replica = replicas(Mode::Otp, 2, GROUPS, &Arc::new(reg), &data).remove(ME.index());
             let log = Arc::new(Log::default());
             let fake = Fake { log: Arc::clone(&log), ..Fake::default() };
-            let domain = OrderDomain::global(2);
             let metrics = MetricsRegistry::new();
-            let engine = EngineFactory::new(EngineKind::Sequencer, 1).make(
-                &domain,
-                &metrics,
-                Scope::site(ME),
-            );
-            let node = SiteNode::new(ME, 3, vec![DomainSlot::new(3, domain, engine)]);
+            let mut factory = EngineFactory::new(EngineKind::Sequencer, 1);
+            let domains =
+                [(GROUP, OrderDomain::global(2)), (RELAY, OrderDomain::new(GroupId::RELAY, [ME]))]
+                    .map(|(d, domain)| {
+                        let engine = factory.make(&domain, &metrics, Scope::site(ME).group(d));
+                        DomainSlot::new(d, domain, engine)
+                    });
+            let node = SiteNode::new(ME, GROUP, GROUPS, domains.into());
             Fixture { replica, node, log, fake }
         }
 
@@ -631,11 +815,48 @@ mod tests {
             let trace: &dyn TraceSink = self.log.as_ref();
             Site::new(&mut self.node, &mut self.replica, Some(trace), &mut self.fake)
         }
+
+        /// Feeds domain `d`'s wires back to this site's engine until none
+        /// is left: the loopback of a domain whose only member it is.
+        fn pump(&mut self, d: u16) {
+            loop {
+                let (mine, rest): (Vec<_>, Vec<_>) =
+                    std::mem::take(&mut self.fake.wires).into_iter().partition(|w| w.0 == d);
+                self.fake.wires = rest;
+                if mine.is_empty() {
+                    return;
+                }
+                for (_, _, wire) in mine {
+                    self.site().on_engine(d, |engine, ctx| engine.on_receive(ctx, ME, wire));
+                }
+            }
+        }
+
+        /// Opt- and then TO-delivers `msg` on the relay stream.
+        fn relay_deliver(&mut self, msg: Message<TxnPayload>) {
+            let id = msg.id;
+            self.site().apply_engine_actions(RELAY, [EngineAction::OptDeliver(msg)]);
+            self.site().apply_engine_actions(RELAY, [EngineAction::ToDeliver(vec![id])]);
+        }
     }
 
     fn request(seq: u64) -> Arc<TxnRequest> {
         let args = vec![Value::Int(5)];
         Arc::new(TxnRequest::new(TxnId::new(ME, seq), ClassId::new(0), ProcId::new(0), args))
+    }
+
+    /// Cross-group sub `seq` of site 0, in class `class` (class 3 is
+    /// [`GROUP`]'s).
+    fn sub(seq: u64, class: u32) -> Arc<TxnRequest> {
+        let (id, args) = (TxnId::new(SiteId::new(0), seq), vec![Value::Int(5)]);
+        Arc::new(TxnRequest::new(id, ClassId::new(class), ProcId::new(0), args))
+    }
+
+    /// Relay message `n` of site 0: the descriptor of cross transaction
+    /// `cross` with `subs`.
+    fn descriptor(n: u64, cross: u64, subs: Vec<Arc<TxnRequest>>) -> Message<TxnPayload> {
+        let payload = TxnPayload::Cross(Arc::new(CrossTag { cross, subs }));
+        Message { id: MsgId::new(SiteId::new(0), n), payload }
     }
 
     fn txn_msg(seq: u64) -> Message<TxnPayload> {
@@ -648,12 +869,12 @@ mod tests {
         let mut f = Fixture::new();
         let msg = txn_msg(0);
         let id = msg.id;
-        f.site().apply_engine_actions([EngineAction::OptDeliver(msg)]);
+        f.site().apply_engine_actions(GROUP, [EngineAction::OptDeliver(msg)]);
         assert_eq!(f.node.msg_map.len(), 1, "the body waits for its TO-delivery");
         let token = f.fake.execs[0];
         assert_eq!((token.txn, token.attempt), (TxnId::new(ME, 0), 0));
         f.site().exec_done(token);
-        f.site().apply_engine_actions([EngineAction::ToDeliver(vec![id])]);
+        f.site().apply_engine_actions(GROUP, [EngineAction::ToDeliver(vec![id])]);
         let expected =
             ["opt_deliver", "execute", "start_execution", "to_deliver", "commit", "committed"];
         assert_eq!(f.log.take(), expected);
@@ -695,14 +916,17 @@ mod tests {
         let order = Wire::SeqOrderBatch { epoch: 1, start_seqno: 9, ids: vec![MsgId::new(ME, 2)] };
         let token = TimerToken { instance: 3, round: 1 };
         let delay = SimDuration::from_micros(70);
-        f.site().apply_engine_actions([
-            EngineAction::Multicast(data.clone()),
-            EngineAction::Send(SiteId::new(0), order.clone()),
-            EngineAction::SetTimer { token, delay },
-        ]);
+        f.site().apply_engine_actions(
+            GROUP,
+            [
+                EngineAction::Multicast(data.clone()),
+                EngineAction::Send(SiteId::new(0), order.clone()),
+                EngineAction::SetTimer { token, delay },
+            ],
+        );
         assert_eq!(f.log.take(), ["multicast", "send", "set_timer"]);
-        assert_eq!(f.fake.wires, vec![(None, data), (Some(SiteId::new(0)), order)]);
-        assert_eq!(f.fake.timers, vec![(token, delay)]);
+        assert_eq!(f.fake.wires, vec![(GROUP, None, data), (GROUP, Some(SiteId::new(0)), order)]);
+        assert_eq!(f.fake.timers, vec![(GROUP, token, delay)]);
         assert!(f.node.msg_map.is_empty() && f.fake.execs.is_empty());
     }
 
@@ -715,11 +939,11 @@ mod tests {
         let mut f = Fixture::new();
         let msgs: Vec<_> = (0..3).map(txn_msg).collect();
         let ids: Vec<MsgId> = [2, 0, 1].iter().map(|&k| msgs[k].id).collect();
-        f.site().apply_engine_actions(msgs.into_iter().map(EngineAction::OptDeliver));
+        f.site().apply_engine_actions(GROUP, msgs.into_iter().map(EngineAction::OptDeliver));
         let token = f.fake.execs[0];
         f.site().exec_done(token);
         f.log.take();
-        f.site().apply_engine_actions([EngineAction::ToDeliver(ids)]);
+        f.site().apply_engine_actions(GROUP, [EngineAction::ToDeliver(ids)]);
         assert_eq!(f.log.to_delivered(), [2, 0, 1], "in TO order");
         assert_eq!(f.log.take()[..3], ["to_deliver"; 3], "one batch, before any replica action");
         assert!(f.node.gate.queue.is_empty(), "nothing is held");
@@ -738,13 +962,13 @@ mod tests {
             payload: TxnPayload::Txn { req: request(4), cross: Some(7) },
         };
         let ids = vec![copy(0).id, copy(1).id];
-        f.site().apply_engine_actions([copy(0), copy(1)].map(EngineAction::OptDeliver));
+        f.site().apply_engine_actions(GROUP, [copy(0), copy(1)].map(EngineAction::OptDeliver));
         assert_eq!(f.log.take(), ["opt_deliver", "execute", "start_execution"], "one copy");
         assert_eq!(f.node.msg_map.len(), 2, "both copies wait for their TO-delivery");
         let token = f.fake.execs[0];
         f.site().exec_done(token);
         f.node.gate.relay_order.push(7);
-        f.site().apply_engine_actions([EngineAction::ToDeliver(ids)]);
+        f.site().apply_engine_actions(GROUP, [EngineAction::ToDeliver(ids)]);
         assert_eq!(f.log.to_delivered(), [4], "one copy");
         assert_eq!(f.fake.commits.len(), 1);
         assert_eq!(f.node.msg_map.len(), 0);
@@ -781,11 +1005,105 @@ mod tests {
         assert!(g.queue.is_empty());
     }
 
+    /// A relay descriptor with a sub for this site's group admits that
+    /// sub: its relay wait ends, it is broadcast on the group stream, and
+    /// the gate releases the copy another member injected, which was
+    /// waiting for exactly this relay slot.
+    #[test]
+    fn a_relay_descriptor_broadcasts_this_groups_sub_and_releases_the_gate() {
+        let mut f = Fixture::new();
+        let payload = TxnPayload::Txn { req: sub(4, 3), cross: Some(7) };
+        let copy = Message { id: MsgId::new(SiteId::new(0), 0), payload: payload.clone() };
+        let id = copy.id;
+        f.site().apply_engine_actions(GROUP, [EngineAction::OptDeliver(copy)]);
+        f.site().apply_engine_actions(GROUP, [EngineAction::ToDeliver(vec![id])]);
+        assert_eq!(f.node.gate.queue.len(), 1, "held for its relay slot");
+        f.log.take();
+        f.relay_deliver(descriptor(0, 7, vec![sub(9, 1), sub(4, 3)]));
+        assert_eq!(f.log.take(), ["relay_wait", "multicast", "to_deliver"]);
+        assert_eq!(f.log.to_delivered(), [4]);
+        let [(GROUP, None, Wire::Data(msg))] = &f.fake.wires[..] else {
+            panic!("one multicast on the group stream: {:?}", f.fake.wires)
+        };
+        assert_eq!(msg.payload, payload);
+        assert_eq!(f.node.gate.relay_order, [7]);
+        assert_eq!(f.node.relay_processed, 1);
+        assert!(f.node.gate.queue.is_empty());
+    }
+
+    /// Every live member injects a cross-group descriptor, so its copies
+    /// reach the relay under distinct message ids: only the first admits
+    /// the sub, and each is counted as processed.
+    #[test]
+    fn a_duplicate_relay_descriptor_broadcasts_nothing() {
+        let mut f = Fixture::new();
+        f.relay_deliver(descriptor(0, 7, vec![sub(4, 3)]));
+        f.relay_deliver(descriptor(1, 7, vec![sub(4, 3)]));
+        assert_eq!(f.log.take(), ["relay_wait", "multicast"], "one admission");
+        assert_eq!(f.fake.wires.len(), 1);
+        assert_eq!(f.node.gate.relay_order, [7]);
+        assert_eq!(f.node.relay_processed, 2);
+    }
+
+    /// A descriptor whose subs all belong to other groups leaves this
+    /// site's stream and gate alone; only the processed count moves.
+    #[test]
+    fn a_relay_descriptor_without_a_sub_for_this_group_only_counts() {
+        let mut f = Fixture::new();
+        f.relay_deliver(descriptor(0, 7, vec![sub(4, 1), sub(5, 2)]));
+        assert!(f.log.take().is_empty(), "no trace, no effect");
+        assert!(f.fake.wires.is_empty());
+        assert!(f.node.gate.relay_order.is_empty());
+        assert_eq!(f.node.relay_processed, 1);
+    }
+
+    /// A recovering site stocks relay descriptors but consumes none of
+    /// the relay's TO-deliveries; once recovery finishes, every relay
+    /// delivery beyond the processed count is folded in.
+    #[test]
+    fn a_recovering_site_folds_the_relay_tail_in_when_recovery_finishes() {
+        let mut f = Fixture::new();
+        f.node.status = Status::Recovering;
+        let payload = TxnPayload::Cross(Arc::new(CrossTag { cross: 7, subs: vec![sub(4, 3)] }));
+        f.site().on_engine(RELAY, |engine, ctx| engine.broadcast(ctx, payload).1);
+        f.pump(RELAY);
+        assert_eq!(f.node.slot(RELAY).engine.definitive_log().len(), 1, "the relay ordered it");
+        assert_eq!(f.node.relay_map.len(), 1, "stocked while recovering");
+        assert_eq!(f.node.relay_processed, 0, "not consumed while recovering");
+        assert!(!f.log.take().contains(&"relay_wait".to_string()));
+        f.site().finish_recovery();
+        assert_eq!(f.node.status, Status::Up);
+        assert_eq!(f.node.relay_processed, 1);
+        assert_eq!(f.log.take(), ["relay_wait", "multicast"]);
+        assert_eq!(f.node.gate.relay_order, [7]);
+    }
+
+    /// A gate adopted at recovery can hold a sub that was TO-delivered but
+    /// not yet released. The restored replica never saw that sub, so
+    /// `restore_gate` hands it the Opt-delivery again (and the seen sets
+    /// describe the restored log); the gate's later release commits it.
+    #[test]
+    fn restore_gate_opt_delivers_the_queued_subs_again() {
+        let mut f = Fixture::new();
+        f.node.gate.queue.push_back((sub(4, 3), Some(7)));
+        let delivered = HashSet::from([TxnId::new(SiteId::new(0), 2)]);
+        f.site().restore_gate(delivered.clone());
+        assert_eq!((&f.node.gate.seen_opt, &f.node.gate.seen_to), (&delivered, &delivered));
+        assert_eq!(f.log.take(), ["execute", "start_execution"], "the replica runs the sub");
+        let token = f.fake.execs[0];
+        assert_eq!(token.txn, TxnId::new(SiteId::new(0), 4));
+        f.site().exec_done(token);
+        f.node.gate.relay_order.push(7);
+        f.site().release_gate();
+        assert_eq!(f.log.to_delivered(), [4]);
+        assert_eq!(f.fake.commits.len(), 1);
+    }
+
     #[test]
     #[should_panic(expected = "Local Order: Opt-delivery precedes TO-delivery")]
     fn to_delivering_an_id_never_opt_delivered_panics() {
         Fixture::new()
             .site()
-            .apply_engine_actions([EngineAction::ToDeliver(vec![MsgId::new(ME, 7)])]);
+            .apply_engine_actions(GROUP, [EngineAction::ToDeliver(vec![MsgId::new(ME, 7)])]);
     }
 }
