@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench-test bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines fmt clippy ci clean
+.PHONY: all build test bench-test bench-check bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines fmt clippy ci clean
 
 all: build
 
@@ -34,6 +34,17 @@ test:
 ## calls the library's public surface.
 bench-test:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+
+## Run the repo's benchmark for one second on the two simulated
+## workloads that recover a site (sim-seq-crash) and cross groups
+## (sim-sharded-cross); fails unless each result line says the run's
+## outputs were correct. The clock is simulated, so it does not flake.
+bench-check:
+	@for w in sim-seq-crash sim-sharded-cross; do \
+		last="$$(bash benchmark/run.sh --workload "$$w" --seconds 1 | tail -n 1)"; \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct": true'*) ;; *) exit 1 ;; esac; \
+	done
 
 ## Run the criterion-style micro-benchmarks (wall-clock, release).
 bench:
@@ -111,7 +122,7 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 ## The full CI pipeline, in CI's order.
-ci: build test bench-test chaos perf-check lint
+ci: build test bench-test bench-check chaos perf-check lint
 
 clean:
 	$(CARGO) clean

@@ -12,19 +12,23 @@
 //!
 //! A `SimNode` is the site layer's `SiteNode` — the site's engines, one
 //! per order domain it belongs to, with their installed view epochs, its
-//! message map, its cross-group gate, the relay descriptor store and its
-//! up/crashed/recovering status — plus what only the simulator keeps per
-//! site: event epoch, hold and quantum buffers, pending recovery domains,
-//! id counters and retention gauges. Engines and replicas are built, both
-//! order streams' deliveries are turned into gate and replica calls and
-//! traced, and a view-change member answers a round, by the site layer
-//! the threaded runtime shares (`site.rs`, DESIGN.md §16). This driver
-//! supplies the simulated effects (`SimSite`: frames on the modelled
-//! network, events on the virtual-time queue, completion accounting) and
-//! keeps what only the simulator has: request routing, the delivery
-//! quantum, the nemesis and the rounds themselves — their bookkeeping,
-//! the staleness check on a floor, and the installer's choice of base and
-//! its restore, which read other sites' state.
+//! message map, its cross-group gate, the relay descriptor store, its
+//! up/crashed/recovering status and its open view-change rounds — plus
+//! what only the simulator keeps per site: event epoch, hold and quantum
+//! buffers, id counters and retention gauges. Engines and replicas are
+//! built, both order streams' deliveries are turned into gate and replica
+//! calls and traced, and both sides of a view-change round run — a
+//! member's replies, the initiator's summary, floor and digest steps,
+//! supersession and the install — by the site layer the threaded runtime
+//! shares (`site.rs`, DESIGN.md §16). This driver supplies the simulated
+//! effects (`SimSite`: frames on the modelled network, events on the
+//! virtual-time queue, completion accounting) and keeps what a site
+//! cannot know about itself: request routing, the delivery quantum, the
+//! nemesis, and for the view change the per-domain epoch counter and
+//! order fence, the live members a round is proposed over, the crash
+//! notification of every open round, the staleness check on a floor, the
+//! choice of base with its floor check, the hold buffers and the catch-up
+//! once a site's last round installed.
 //!
 //! # Sharded sequencing groups
 //!
@@ -49,10 +53,9 @@
 use crate::event::ExecToken;
 use crate::replica::Replica;
 use crate::site::{
-    delivered_cross_subs, record_stage, DomainSlot, EngineFactory, Site, SiteEffects, SiteNode,
-    Status,
+    record_stage, EngineFactory, Site, SiteEffects, SiteNode, Status, VIEW_COUNTERS,
 };
-use otp_broadcast::{EngineAction, EngineCtx, GroupId, OrderDomain, PayloadSize, TimerToken, Wire};
+use otp_broadcast::{GroupId, OrderDomain, PayloadSize, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
@@ -60,8 +63,8 @@ use otp_storage::{ClassId, ObjectId, ProcId, ProcRegistry, SnapshotIndex, Value}
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
 use otp_txn::history::CommittedTxn;
 use otp_txn::txn::{TxnId, TxnRequest};
-use otp_view::{CrashOutcome, DigestOutcome, Membership, SummaryOutcome, ViewChange, ViewId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use otp_view::{Membership, ViewChange, ViewId};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A cross-group transaction descriptor, TO-broadcast on the relay
@@ -184,6 +187,15 @@ pub enum EngineKind {
         /// Probability of an adjacent tentative-order swap.
         swap_probability: f64,
     },
+}
+
+impl EngineKind {
+    /// True for the sequencer family, whose order one site assigns: only
+    /// these can order a sharded cluster's groups, and a round that
+    /// re-admits that site fences its dead incarnation's assignments.
+    pub(crate) fn has_authority(self) -> bool {
+        matches!(self, EngineKind::Sequencer | EngineKind::SequencerBatched { .. })
+    }
 }
 
 /// Which transaction-processing algorithm runs at each site: the execution
@@ -421,7 +433,7 @@ impl ClusterBuilder {
                 c.groups
             );
             assert!(
-                matches!(c.engine, EngineKind::Sequencer | EngineKind::SequencerBatched { .. }),
+                c.engine.has_authority(),
                 "sharded sequencing groups require a sequencer-family engine, got {:?}",
                 c.engine
             );
@@ -665,9 +677,6 @@ struct SimNode {
     /// event scheduled for a window that was fenced early cannot close a
     /// newer window.
     quantum_gen: u64,
-    /// While recovering: the domains whose round has not installed yet.
-    /// The site starts serving when this empties.
-    pending_domains: BTreeSet<u16>,
     next_txn_seq: u64,
     next_cross_seq: u64,
     retention: RetentionGauges,
@@ -697,24 +706,6 @@ pub struct Cluster {
     /// must still fence the dead incarnation's order assignments when it
     /// catches up at install.
     sequencer_fence: Vec<u64>,
-    /// In-flight view-change rounds, keyed by (domain, recovering
-    /// initiator) — a sharded site recovers each of its domains
-    /// independently. BTreeMap: crash notifications iterate this, and the
-    /// iteration order must be deterministic for byte-identical replays.
-    /// Each round carries the instant it was proposed (`view_round_us`).
-    pending_views: BTreeMap<(u16, SiteId), (ViewChange<TxnPayload>, SimTime)>,
-    /// Round replies and floor messages that arrived for a round that no
-    /// longer exists (superseded, completed or abandoned) — normal under
-    /// churn, but kept visible.
-    stale_view_digests: Arc<Counter>,
-    /// Wire bytes of every `StateSummary` / `StateDigest` sent, and the
-    /// simulated microseconds rounds spent between propose and install.
-    view_summary_bytes: Arc<Counter>,
-    view_digest_bytes: Arc<Counter>,
-    view_round_us: Arc<Counter>,
-    /// Rounds explicitly aborted because a newer round for the same site
-    /// superseded them (newest epoch wins).
-    superseded_views: Arc<Counter>,
     /// Wires whose directed link is cut by a nemesis partition, replayed
     /// on heal (channels are reliable across partitions, like crashes).
     partition_held: Vec<(SiteId, SiteId, u16, Wire<TxnPayload>)>,
@@ -775,19 +766,15 @@ impl Cluster {
                 let domains = (0..num_domains as u16)
                     .map(|d| (d, &topology.domains[d as usize]))
                     .filter(|(_, domain)| domain.contains(s))
-                    .map(|(d, domain)| {
-                        let engine = factory.make(domain, &metrics, Scope::site(s).group(d));
-                        DomainSlot::new(d, domain.clone(), engine)
-                    })
+                    .map(|(d, domain)| factory.slot(s, d, domain.clone(), &metrics))
                     .collect();
                 let g = topology.group_of_site(s) as u16;
                 SimNode {
-                    site: SiteNode::new(s, g, config.groups, domains),
+                    site: SiteNode::new(s, g, config.groups, domains).with_view_counters(&metrics),
                     epoch: 0,
                     held_wires: Vec::new(),
                     open_quantum: Vec::new(),
                     quantum_gen: 0,
-                    pending_domains: BTreeSet::new(),
                     next_txn_seq: 0,
                     next_cross_seq: 0,
                     retention: RetentionGauges {
@@ -824,12 +811,6 @@ impl Cluster {
             view: Membership::initial(sites),
             next_epoch: vec![1; num_domains],
             sequencer_fence: vec![0; num_domains],
-            pending_views: BTreeMap::new(),
-            stale_view_digests: metrics.counter("stale_view_digest", Scope::global()),
-            view_summary_bytes: metrics.counter("view_summary_bytes", Scope::global()),
-            view_digest_bytes: metrics.counter("view_digest_bytes", Scope::global()),
-            view_round_us: metrics.counter("view_round_us", Scope::global()),
-            superseded_views: metrics.counter("view_supersede", Scope::global()),
             partition_held: Vec::new(),
             completions: HashMap::new(),
             txn_group: HashMap::new(),
@@ -932,34 +913,9 @@ impl Cluster {
         &self.nodes[site.index()].site
     }
 
-    /// `s`'s slot (engine and installed epochs) for domain `d`.
-    fn slot(&self, s: SiteId, d: u16) -> &DomainSlot {
-        self.node(s).slot(d)
-    }
-
-    /// [`Cluster::slot`], mutably.
-    fn slot_mut(&mut self, s: SiteId, d: u16) -> &mut DomainSlot {
-        self.nodes[s.index()].site.slot_mut(d)
-    }
-
     /// Definitive-log length of the engine serving domain `d` at `s`.
     fn domain_log_len(&self, s: SiteId, d: u16) -> usize {
-        self.slot(s, d).engine.definitive_log().len()
-    }
-
-    /// The ordering-authority site of domain `du`, if its engine has one.
-    /// Recovering *this* site fences order assignments of its dead
-    /// incarnation at every member of the new view.
-    fn domain_sequencer(&self, du: usize) -> Option<SiteId> {
-        if self.topology.is_relay(du) {
-            return Some(self.topology.domains[du].sequencer());
-        }
-        match self.config.engine {
-            EngineKind::Sequencer | EngineKind::SequencerBatched { .. } => {
-                Some(self.topology.domains[du].sequencer())
-            }
-            _ => None,
-        }
+        self.node(s).slot(d).engine.definitive_log().len()
     }
 
     /// Schedules a client update request at `site`: the stored procedure
@@ -1260,11 +1216,10 @@ impl Cluster {
         counters.add("stale_epoch_reject", rejects);
         counters.add("fast_decide", fast);
         counters.add("slow_decide", slow);
-        counters.add("stale_view_digest", self.stale_view_digests.get());
-        counters.add("view_summary_bytes", self.view_summary_bytes.get());
-        counters.add("view_digest_bytes", self.view_digest_bytes.get());
-        counters.add("view_round_us", self.view_round_us.get());
-        counters.add("view_supersede", self.superseded_views.get());
+        // The view change's own counters, bumped by the sites' rounds.
+        for name in VIEW_COUNTERS {
+            counters.add(name, self.metrics.counter_total(name));
+        }
         if self.config.groups > 1 {
             counters.add("relay_view_install", relay_installs);
         }
@@ -1482,7 +1437,12 @@ impl Cluster {
             } else if self.net.pair_blocked(from, to) {
                 self.partition_held.push((from, to, domain, wire));
             } else if is_view {
-                self.handle_view_wire(to, domain, wire);
+                // The staleness check on a floor reads its initiator.
+                let floor_live = matches!(&wire, Wire::ViewFloor { epoch, initiator, .. }
+                    if self.node(*initiator).round(domain).is_some_and(|r| r.epoch() == *epoch));
+                if self.site_view(to).on_view_wire(domain, wire, floor_live) {
+                    self.install_view_for(domain, to);
+                }
             } else if status == Status::Recovering {
                 // Held during the round, replayed under the installed view.
                 self.nodes[to.index()].held_wires.push((domain, from, wire));
@@ -1498,180 +1458,77 @@ impl Cluster {
         }
     }
 
-    /// Handles membership traffic for domain `d` addressed to the live
-    /// site `to`. A round has two request/reply phases: the announcement
-    /// is answered with a [`Wire::StateSummary`] (how far the member
-    /// delivered), the floor message — the minimum over the summaries —
-    /// with a [`Wire::StateDigest`] cut above it.
-    fn handle_view_wire(&mut self, to: SiteId, d: u16, wire: Wire<TxnPayload>) {
-        let du = d as usize;
-        match wire {
-            Wire::ViewChange { epoch, initiator } => {
-                // The initiator's own loopback copy, or an announcement
-                // reaching a site that is itself mid-round: nothing useful
-                // to contribute (a recovering engine's state is not a
-                // survivor's state).
-                if to == initiator || self.status(to) == Status::Recovering {
-                    return;
-                }
-                let fence = self.domain_sequencer(du) == Some(initiator);
-                let summary = self.nodes[to.index()].site.on_view_change(d, epoch, fence);
-                self.view_summary_bytes.add(u64::from(summary.size_bytes()));
-                self.site_view(to)
-                    .apply_engine_actions(d, [EngineAction::Send(initiator, summary)]);
-            }
-            Wire::StateSummary { epoch, from, delivered } => {
-                let Some((round, _)) = self.pending_views.get_mut(&(d, to)) else {
-                    self.stale_view_digests.incr(); // reply to a dead round
-                    return;
-                };
-                match round.on_summary(from, epoch, delivered) {
-                    SummaryOutcome::FloorReady(floor) => self.announce_floor(d, to, epoch, floor),
-                    SummaryOutcome::Accepted => {}
-                    SummaryOutcome::WrongEpoch { .. } | SummaryOutcome::Unexpected => {
-                        self.stale_view_digests.incr();
-                    }
-                }
-            }
-            Wire::ViewFloor { epoch, initiator, floor } => {
-                if to == initiator || self.status(to) == Status::Recovering {
-                    return;
-                }
-                // A floor held at a partition can outlive its round (the
-                // initiator crashed, or re-proposed under a newer epoch):
-                // nobody is waiting for that digest.
-                let live_round = self
-                    .pending_views
-                    .get(&(d, initiator))
-                    .is_some_and(|(r, _)| r.epoch() == epoch);
-                if !live_round {
-                    self.stale_view_digests.incr();
-                    return;
-                }
-                let digest = self.node(to).on_view_floor(d, epoch, floor);
-                self.view_digest_bytes.add(u64::from(digest.size_bytes()));
-                self.site_view(to).apply_engine_actions(d, [EngineAction::Send(initiator, digest)]);
-            }
-            Wire::StateDigest { epoch, from, snapshot } => {
-                let Some((round, _)) = self.pending_views.get_mut(&(d, to)) else {
-                    self.stale_view_digests.incr(); // reply to a dead round
-                    return;
-                };
-                match round.on_digest(from, epoch, snapshot) {
-                    DigestOutcome::Completed => self.install_view_for(d, to),
-                    DigestOutcome::Accepted => {}
-                    DigestOutcome::WrongEpoch { .. } | DigestOutcome::Unexpected => {
-                        self.stale_view_digests.incr();
-                    }
-                }
-            }
-            _ => unreachable!("handle_view_wire only sees view wires"),
-        }
-    }
-
-    /// Second phase of `site`'s round for domain `d`: every member has
-    /// summarised or crashed, so the floor goes out to the domain.
-    fn announce_floor(&mut self, d: u16, site: SiteId, epoch: u64, floor: u64) {
-        let wire = Wire::ViewFloor { epoch, initiator: site, floor };
-        self.site_view(site).apply_engine_actions(d, [EngineAction::Multicast(wire)]);
-    }
-
     /// Marks `site` down: its event epoch advances (cancelling in-flight
     /// local events), the network stops considering it a receiver, any
     /// recovery rounds it was driving are abandoned, and every round
-    /// waiting on its digest is notified (the crashed member will never
-    /// reply).
+    /// waiting on its reply is notified (the crashed member will never
+    /// reply) — domain by domain, and within a domain by initiator.
     fn crash_site(&mut self, site: SiteId) {
-        let node = &mut self.nodes[site.index()];
-        if std::mem::replace(&mut node.site.status, Status::Crashed) == Status::Recovering {
-            node.pending_domains.clear();
-            self.pending_views.retain(|(_, s), _| *s != site);
-        }
+        self.nodes[site.index()].site.crash();
         self.nodes[site.index()].epoch += 1;
         self.net.set_down(site);
-        let advanced: Vec<(u16, SiteId, u64, CrashOutcome)> = self
-            .pending_views
-            .iter_mut()
-            .map(|((d, initiator), (round, _))| {
-                (*d, *initiator, round.epoch(), round.on_member_crashed(site))
-            })
-            .collect();
-        for (d, initiator, epoch, outcome) in advanced {
-            match outcome {
-                CrashOutcome::Pending => {}
-                CrashOutcome::FloorReady(floor) => self.announce_floor(d, initiator, epoch, floor),
-                CrashOutcome::Completed => self.install_view_for(d, initiator),
+        for d in 0..self.topology.domains.len() as u16 {
+            for initiator in SiteId::all(self.config.sites) {
+                if self.site_view(initiator).on_member_crashed(d, site) {
+                    self.install_view_for(d, initiator);
+                }
             }
         }
     }
 
     /// Starts view-change recovery of `site`: one round per domain the
     /// site participates in (own group + relay when sharded), each
-    /// proposing that domain's next epoch over its current live members.
-    /// Every member replies with a summary and then a state digest (see
-    /// [`Cluster::handle_view_wire`]); a domain's view installs when the
-    /// union of its digests is merged, and the site starts
-    /// serving once every domain has installed (see
+    /// proposing that domain's next epoch over its current live members
+    /// and run by the site ([`Site::on_view_wire`]); a domain's view
+    /// installs when the union of its digests is merged, and the site
+    /// starts serving once every domain has installed (see
     /// [`Cluster::install_view_for`] / [`Cluster::finish_site_recovery`]).
     /// `donor` is a liveness hint kept from the pre-view-change API: it
     /// must be up, but the actual state sources are *all* live members,
     /// with the most advanced survivor as the base.
     ///
-    /// Overlapping rounds for the **same** site resolve by supersession:
-    /// a recovery that starts while this site's previous rounds are still
-    /// collecting digests aborts each older round explicitly (newest
-    /// epoch wins — [`ViewChange::superseded_by`]) and proposes afresh
-    /// under the domain's next epoch. The old rounds' late replies land
-    /// as `stale_view_digest`s; each abort is counted as
-    /// `view_supersede`.
+    /// A recovery that starts while this site's previous rounds are still
+    /// open proposes afresh under each domain's next epoch, superseding
+    /// them ([`SiteNode::open_round`]).
     ///
     /// # Panics
     ///
     /// Panics if the donor hint is itself crashed or recovering.
     fn begin_recovery(&mut self, site: SiteId, donor: SiteId) {
-        if self.status(site) == Status::Recovering {
-            // A second recovery racing the pending rounds for this same
-            // site: newest epoch wins, each older round aborts explicitly.
-            // (Epochs are handed out from strictly increasing per-domain
-            // counters, so the new rounds always supersede.)
-            let stale: Vec<(u16, SiteId)> =
-                self.pending_views.keys().filter(|(_, s)| *s == site).copied().collect();
-            for (d, s) in stale {
-                let superseded = self
-                    .pending_views
-                    .get(&(d, s))
-                    .is_some_and(|(round, _)| round.superseded_by(self.next_epoch[d as usize]));
-                if superseded {
-                    self.pending_views.remove(&(d, s));
-                    self.superseded_views.incr();
-                    self.propose_round(d, site);
+        match self.status(site) {
+            Status::Up => return,
+            Status::Recovering => {
+                for d in self.node(site).round_domains() {
+                    self.propose(d, site);
                 }
+                return;
             }
-            return;
-        }
-        if self.status(site) == Status::Up {
-            return;
+            Status::Crashed => {}
         }
         assert!(self.is_live(donor), "donor {donor} must be up");
-        let node = &mut self.nodes[site.index()];
-        node.site.status = Status::Recovering;
-        node.pending_domains = node.site.domains.iter().map(|d| d.index).collect();
-        let domains: Vec<u16> = node.pending_domains.iter().copied().collect();
         self.net.set_up(site);
+        // Every round is open before the first one is announced: a round
+        // complete at once installs there, and the site must not finish
+        // recovering while its other domains have not proposed yet.
+        let domains: Vec<u16> = self.node(site).domains.iter().map(|d| d.index).collect();
+        for &d in &domains {
+            self.open_round(d, site);
+        }
         for d in domains {
-            self.propose_round(d, site);
+            if self.site_view(site).announce(d) {
+                self.install_view_for(d, site);
+            }
         }
     }
 
-    /// Proposes domain `d`'s next epoch for recovering `site` and
-    /// multicasts the announcement to the domain. A domain with no other
-    /// live member completes at propose (nothing to collect) and installs
-    /// immediately from this site's own stable-storage state.
-    fn propose_round(&mut self, d: u16, site: SiteId) {
+    /// Opens `site`'s round for domain `d` under the domain's next epoch,
+    /// over the domain's live members, raising the domain's order fence
+    /// when the round re-admits its ordering authority.
+    fn open_round(&mut self, d: u16, site: SiteId) {
         let du = d as usize;
         let epoch = self.next_epoch[du];
         self.next_epoch[du] += 1;
-        if self.domain_sequencer(du) == Some(site) {
+        if self.node(site).slot(d).authority == Some(site) {
             self.sequencer_fence[du] = self.sequencer_fence[du].max(epoch);
         }
         let members: Vec<SiteId> = self.topology.domains[du]
@@ -1681,140 +1538,66 @@ impl Cluster {
             .filter(|s| self.is_live(*s))
             .collect();
         let round = ViewChange::propose(epoch, site, members);
-        let complete = round.is_complete();
-        self.pending_views.insert((d, site), (round, self.queue.now()));
-        if complete {
+        let now = self.queue.now();
+        self.nodes[site.index()].site.open_round(d, round, now);
+    }
+
+    /// Opens and announces `site`'s round for domain `d`; a round with
+    /// nobody to answer installs at once.
+    fn propose(&mut self, d: u16, site: SiteId) {
+        self.open_round(d, site);
+        if self.site_view(site).announce(d) {
             self.install_view_for(d, site);
-        } else {
-            let wire = Wire::ViewChange { epoch, initiator: site };
-            self.site_view(site).apply_engine_actions(d, [EngineAction::Multicast(wire)]);
         }
     }
 
-    /// Completes one domain's view-change round: restores `site`'s engine
-    /// for that domain from the most advanced survivor's state (engine +
-    /// replica snapshotted at the same instant, so the pair is
-    /// consistent) merged with the union of every collected digest,
-    /// re-teaches the site its own surviving held wires, fences the dead
-    /// incarnation where needed — and, once the site's *last* pending
-    /// domain installs, finishes recovery
-    /// ([`Cluster::finish_site_recovery`]).
+    /// Completes `site`'s round for domain `d`: picks the base — the most
+    /// advanced survivor, whose engine and replica are one consistent
+    /// pair — and has the site install the round from it onto a fresh
+    /// engine ([`Site::install`]); once the site's last round installed,
+    /// finishes recovery ([`Cluster::finish_site_recovery`]).
     fn install_view_for(&mut self, d: u16, site: SiteId) {
         let du = d as usize;
-        // The base pair: among the domain's live members, the one whose
-        // definitive log is longest — restoring from the most advanced
-        // survivor minimizes re-execution at the recovered replica.
-        // Consistency does not depend on this choice as long as the base
-        // has delivered at least the round's floor (below): `EngineSnapshot
-        // ::merge` never lets a digest extend the base's definitive log (a
-        // digest sender that was ahead may have crashed since replying),
-        // so the restored engine only suppresses re-delivery of what the
-        // base replica actually executed; everything beyond it re-delivers
-        // through the merged order tags / decided instances.
-        let mut primary: Option<SiteId> = None;
-        let members = self.topology.domains[du].members.clone();
-        for s in members {
-            if s == site || !self.is_live(s) {
-                continue;
-            }
-            let len = self.domain_log_len(s, d);
-            if primary.is_none_or(|p| len > self.domain_log_len(p, d)) {
-                primary = Some(s);
-            }
-        }
-        // No live member left in the domain: restore from this site's own
-        // pre-crash state — a crash never destroys the driver-held
-        // engine/replica pair, which models stable storage.
-        let primary = primary.unwrap_or(site);
-        let (round, proposed_at) =
-            self.pending_views.remove(&(d, site)).expect("round pending for installer");
+        // Among the domain's live members, the one whose definitive log is
+        // longest — restoring from the most advanced survivor minimizes
+        // re-execution at the recovered replica. Consistency does not
+        // depend on this choice as long as the base has delivered at least
+        // the round's floor (below): `EngineSnapshot::merge` never lets a
+        // digest extend the base's definitive log (a digest sender that
+        // was ahead may have crashed since replying), so the restored
+        // engine only suppresses re-delivery of what the base replica
+        // actually executed; everything beyond it re-delivers through the
+        // merged order tags / decided instances.
+        // The first such member on a tie (`max_by_key` keeps the last, so
+        // the walk is reversed). With no live member left in the domain, the
+        // site restores from its own pre-crash state — a crash never
+        // destroys the driver-held engine/replica pair, which models stable
+        // storage.
+        let base = (self.topology.domains[du].members.iter().copied())
+            .filter(|&s| s != site && self.is_live(s))
+            .rev()
+            .max_by_key(|&s| self.domain_log_len(s, d))
+            .unwrap_or(site);
         // The digests were cut above the floor, so the base must cover
         // everything below it. Every member that summarised and is still
         // alive has delivered at least the floor (logs only grow) — the
         // one way to get here with a shorter base is that all of them
         // crashed since. What they shipped is then not enough to restore
         // from: ask whoever is live now (possibly nobody) afresh.
-        if round.floor().is_some_and(|floor| (self.domain_log_len(primary, d) as u64) < floor) {
-            self.superseded_views.incr();
-            self.propose_round(d, site);
+        let floor = self.node(site).round(d).and_then(ViewChange::floor);
+        if floor.is_some_and(|floor| (self.domain_log_len(base, d) as u64) < floor) {
+            self.propose(d, site);
             return;
         }
-        let epoch = round.epoch();
-        self.view_round_us.add(self.queue.now().saturating_since(proposed_at).as_micros());
-        let mut engine_snap = self.slot(primary, d).engine.snapshot();
-        engine_snap.merge(round.into_merged());
-        let delivered_subs = if self.config.groups > 1 && !self.topology.is_relay(du) {
-            delivered_cross_subs(&engine_snap)
-        } else {
-            HashSet::new()
-        };
+        let registry = Arc::clone(&self.registry);
+        let base = self.node(base).base(d, &self.replicas[base.index()], site, registry);
         // The replacement engine shares the site's registry counters, so
         // rejects and decisions observed before the swap stay visible.
         let scope = Scope::site(site).group(d);
-        let mut fresh_engine =
-            self.engine_factory.make(&self.topology.domains[du], &self.metrics, scope);
-        let engine_actions = {
-            let ctx = EngineCtx::at_epoch(site, &self.topology.domains[du], epoch);
-            fresh_engine.restore(&ctx, engine_snap)
-        };
-        self.slot_mut(site, d).engine = fresh_engine;
-        if primary != site {
-            let [node, base] =
-                self.nodes.get_disjoint_mut([site.index(), primary.index()]).expect("two sites");
-            node.site.adopt(d, &base.site);
-        }
-        if !self.topology.is_relay(du) {
-            // Fresh replica from the primary's database + pending tail.
-            // (The primary's message map holds exactly what it
-            // Opt-delivered and has not TO-delivered — the restored log's
-            // undelivered tail; ids only the digests knew are re-filled by
-            // the replayed Opt-deliveries below.)
-            let registry = Arc::clone(&self.registry);
-            let (fresh, actions) = self.replicas[primary.index()].restored_at(site, registry);
-            self.replicas[site.index()] = fresh;
-            let mut view = self.site_view(site);
-            view.apply_replica_actions(actions);
-            view.restore_gate(delivered_subs);
-        }
-        // Deliveries the engine replays (tentative again here).
-        self.site_view(site).apply_engine_actions(d, engine_actions);
-        // Re-teach the fresh engine its own pre-crash *payloads*: a data
-        // wire this site multicast before crashing may exist only in the
-        // driver's hold buffers (cut by a partition, or destined to a site
-        // that was down) — no survivor's digest has it, so without this
-        // the message could only surface at the staggered replay. Dead-
-        // incarnation *order assignments* are deliberately not re-taught
-        // here: every member of the view fenced them at the announcement,
-        // so held copies are rejected everywhere and `finish_restore`
-        // renumbers the affected messages under the new epoch instead —
-        // re-teaching them would be fenced anyway (the base snapshot
-        // inherits the primary's raised fence).
-        for wire in self.own_held_wires(site, d) {
-            self.site_view(site).on_engine(d, |engine, ctx| engine.on_receive(ctx, site, wire));
-        }
-        // The new incarnation: its own id space jumps past anything the
-        // dead one could still have in flight, and the view installs (with
-        // the order fence when this site is the domain's sequencer) so the
-        // repair pass below emits under the new epoch.
-        self.slot_mut(site, d).engine.bump_incarnation();
-        let fence = self.domain_sequencer(du) == Some(site);
-        self.nodes[site.index()].site.install_view(d, epoch, fence);
-        // With every surviving self-sent wire re-learned and the view
-        // installed, the engine repairs what no snapshot or wire carries:
-        // a restored sequencer renumbers assignments no survivor knew and
-        // re-announces the rest under the new epoch.
-        self.site_view(site).on_engine(d, |engine, ctx| engine.finish_restore(ctx));
-        // Re-apply the highest order fence any round for this domain ever
-        // proposed — a concurrent round can have re-admitted the ordering
-        // authority, and this site missed that announcement (the base
-        // snapshot usually inherits the fence from the primary, but the
-        // primary is not guaranteed to have processed every concurrent
-        // announcement yet).
+        let fresh = self.engine_factory.make(&self.topology.domains[du], &self.metrics, scope);
+        let own_wires = self.own_held_wires(site, d);
         let fence = self.sequencer_fence[du];
-        self.slot_mut(site, d).engine.install_view(fence, true);
-        let pending = &mut self.nodes[site.index()].pending_domains;
-        pending.remove(&d);
-        if pending.is_empty() {
+        if self.site_view(site).install(d, base, fresh, own_wires, fence) {
             self.finish_site_recovery(site);
         }
     }
@@ -1836,10 +1619,10 @@ impl Cluster {
                 .members
                 .iter()
                 .filter(|s| self.is_live(**s))
-                .map(|s| self.slot(*s, d).installed())
+                .map(|s| self.node(*s).slot(d).installed())
                 .max()
                 .unwrap_or(0);
-            if newest > self.slot(site, d).installed() {
+            if newest > self.node(site).slot(d).installed() {
                 self.nodes[site.index()].site.install_view(d, newest, false);
             }
         }

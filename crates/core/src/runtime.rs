@@ -80,7 +80,7 @@ use crate::cluster::{EngineKind, Mode, TxnPayload};
 use crate::event::ExecToken;
 use crate::invariants::{InvariantReport, RunHistories};
 use crate::replica::Replica;
-use crate::site::{record_stage, replicas, DomainSlot, EngineFactory, Site, SiteEffects, SiteNode};
+use crate::site::{record_stage, replicas, EngineFactory, Site, SiteEffects, SiteNode};
 use otp_broadcast::{OrderDomain, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
@@ -451,7 +451,7 @@ pub struct LiveCluster {
 }
 
 /// Cheap clonable handle applying fault events to a running cluster: used
-/// by the [`LiveCluster`] chaos methods and owned by the [`LiveNemesis`]
+/// by [`LiveCluster::apply_fault`] and owned by the [`LiveNemesis`]
 /// injector thread.
 #[derive(Clone)]
 struct ChaosHandle {
@@ -461,63 +461,41 @@ struct ChaosHandle {
 }
 
 impl ChaosHandle {
-    fn partition_halves(&self, group_a: &[SiteId]) {
-        let sites = self.ctrl_txs.len();
-        let mut side = vec![false; sites];
-        for s in group_a {
-            side[s.index()] = true;
-        }
-        *self.chaos.cut.lock() = Some(side);
-        self.chaos.bump();
-    }
-
-    fn heal(&self) {
-        *self.chaos.cut.lock() = None;
-        self.chaos.bump();
-    }
-
-    fn crash_site(&self, site: SiteId) {
-        self.chaos.isolated.lock()[site.index()] = true;
-        self.chaos.bump();
-        let _ = self.ctrl_txs[site.index()].send(SiteCtrl::Freeze);
-    }
-
-    fn recover_site(&self, site: SiteId) {
-        self.chaos.isolated.lock()[site.index()] = false;
-        self.chaos.bump();
-        let _ = self.ctrl_txs[site.index()].send(SiteCtrl::Thaw);
-    }
-
-    fn set_loss(&self, p: f64) {
-        self.chaos.loss_bits.store(p.clamp(0.0, 1.0).to_bits(), Ordering::Release);
-    }
-
-    fn set_jitter_scale(&self, scale: f64) {
-        self.chaos.jitter_bits.store(scale.max(1.0).to_bits(), Ordering::Release);
-    }
-
-    fn stall_site(&self, site: SiteId, dur: Duration) {
-        let _ = self.ctrl_txs[site.index()].send(SiteCtrl::Stall(dur));
-    }
-
-    fn pressure_site(&self, site: SiteId, drain_limit: usize, dur: Duration) {
-        let _ = self.ctrl_txs[site.index()].send(SiteCtrl::Pressure { drain_limit, dur });
-    }
-
+    /// Applies one fault now (DESIGN.md §10).
     fn apply(&self, ev: &NemesisEvent) {
         let wall = |d: &SimDuration| Duration::from_nanos(d.as_nanos());
+        let ctrl = |site: &SiteId, msg| {
+            let _ = self.ctrl_txs[site.index()].send(msg);
+        };
+        let cut = |side| {
+            *self.chaos.cut.lock() = side;
+            self.chaos.bump();
+        };
+        let isolate = |site: &SiteId, isolated, msg| {
+            self.chaos.isolated.lock()[site.index()] = isolated;
+            self.chaos.bump();
+            ctrl(site, msg);
+        };
+        let set_loss = |p: f64| self.chaos.loss_bits.store(p.to_bits(), Ordering::Release);
+        let set_jitter =
+            |scale: f64| self.chaos.jitter_bits.store(scale.to_bits(), Ordering::Release);
         match ev {
-            NemesisEvent::PartitionHalves { group_a } => self.partition_halves(group_a),
-            NemesisEvent::Heal => self.heal(),
-            NemesisEvent::Crash { site } => self.crash_site(*site),
-            NemesisEvent::Recover { site } => self.recover_site(*site),
-            NemesisEvent::LossBurst { probability } => self.set_loss(*probability),
-            NemesisEvent::LossEnd => self.set_loss(0.0),
-            NemesisEvent::JitterSpike { scale } => self.set_jitter_scale(*scale),
-            NemesisEvent::JitterEnd => self.set_jitter_scale(1.0),
-            NemesisEvent::ThreadStall { site, duration } => self.stall_site(*site, wall(duration)),
+            NemesisEvent::PartitionHalves { group_a } => {
+                cut(Some(SiteId::all(self.ctrl_txs.len()).map(|s| group_a.contains(&s)).collect()));
+            }
+            NemesisEvent::Heal => cut(None),
+            NemesisEvent::Crash { site } => isolate(site, true, SiteCtrl::Freeze),
+            NemesisEvent::Recover { site } => isolate(site, false, SiteCtrl::Thaw),
+            NemesisEvent::LossBurst { probability } => set_loss(probability.clamp(0.0, 1.0)),
+            NemesisEvent::LossEnd => set_loss(0.0),
+            NemesisEvent::JitterSpike { scale } => set_jitter(scale.max(1.0)),
+            NemesisEvent::JitterEnd => set_jitter(1.0),
+            NemesisEvent::ThreadStall { site, duration } => {
+                ctrl(site, SiteCtrl::Stall(wall(duration)));
+            }
             NemesisEvent::PressureSpike { site, drain_limit, duration } => {
-                self.pressure_site(*site, *drain_limit, wall(duration));
+                let (drain_limit, dur) = (*drain_limit, wall(duration));
+                ctrl(site, SiteCtrl::Pressure { drain_limit, dur });
             }
         }
     }
@@ -634,9 +612,8 @@ impl LiveCluster {
             site_rxs.into_iter().enumerate().zip(ctrl_rxs).zip(replicas)
         {
             let me = SiteId::new(i as u16);
-            let engine = engines.make(&domain, &metrics, Scope::site(me).group(0));
             let worker = SiteWorker {
-                node: SiteNode::new(me, 0, 1, vec![DomainSlot::new(0, domain.clone(), engine)]),
+                node: SiteNode::new(me, 0, 1, vec![engines.slot(me, 0, domain.clone(), &metrics)]),
                 replica,
                 trace: trace.clone(),
                 io: LiveIo {
@@ -803,61 +780,19 @@ impl LiveCluster {
         self.shared.metrics.clone()
     }
 
-    // ------------------------------------------------------------------
-    // Real-clock nemesis: the chaos vocabulary applied to live threads.
-    // See DESIGN.md §10 for what each fault maps to in the thread/channel
-    // topology and why none of them can corrupt the in-flight accounting.
-
-    /// Splits the network in two: cross-cut wires are parked at their
-    /// destination (still counted in flight) until [`LiveCluster::heal`].
-    pub fn partition_halves(&self, group_a: &[SiteId]) {
-        self.chaos.partition_halves(group_a);
-    }
-
-    /// Removes the partition; parked cross-cut wires are released with a
-    /// small delivery stagger.
-    pub fn heal(&self) {
-        self.chaos.heal();
-    }
-
-    /// Live mapping of a nemesis crash: freezes the site's worker thread
-    /// (no processing, no timers) and isolates it on the network (inbound
-    /// wires park). State is *not* lost — the threaded runtime has no
-    /// state-transfer recovery; the simulator remains the oracle for that
-    /// path. See DESIGN.md §10.
-    pub fn crash_site(&self, site: SiteId) {
-        self.chaos.crash_site(site);
-    }
-
-    /// Thaws a crashed (frozen) site and rejoins it to the network; parked
-    /// inbound wires are released and the site catches up.
-    pub fn recover_site(&self, site: SiteId) {
-        self.chaos.recover_site(site);
-    }
-
-    /// Sets the message-loss probability (loss is modeled as retransmission
-    /// delay — channels stay reliable, as in the simulator). Pass `0.0` to
-    /// end the burst.
-    pub fn set_loss(&self, probability: f64) {
-        self.chaos.set_loss(probability);
-    }
-
-    /// Scales network jitter by `scale` (≥ 1.0) until reset to `1.0`.
-    pub fn set_jitter_scale(&self, scale: f64) {
-        self.chaos.set_jitter_scale(scale);
-    }
-
-    /// *(live-only fault)* Stalls `site`'s worker thread for `dur`: it
-    /// sleeps mid-drain, processing nothing and firing no timers.
-    pub fn stall_site(&self, site: SiteId, dur: Duration) {
-        self.chaos.stall_site(site, dur);
-    }
-
-    /// *(live-only fault)* Shrinks `site`'s effective drain budget to
-    /// `drain_limit` (with a pause between drains) for `dur`, so its
-    /// bounded queue saturates and admission backpressure fires.
-    pub fn pressure_site(&self, site: SiteId, drain_limit: usize, dur: Duration) {
-        self.chaos.pressure_site(site, drain_limit, dur);
+    /// Applies one fault of the chaos vocabulary now, on the wall clock
+    /// (DESIGN.md §10). A partition or a crashed site's isolation parks the
+    /// wires it cuts (still counted in flight) until the heal or recovery
+    /// releases them with a small delivery stagger. A crash freezes the
+    /// site's worker thread and loses no state — the threaded runtime has
+    /// no state-transfer recovery; the simulator remains the oracle for
+    /// that path. Loss is retransmission delay, as in the simulator, and a
+    /// jitter spike scales the network jitter (≥ 1.0). Two faults exist
+    /// only here: a thread stall sleeps the site's worker mid-drain, and a
+    /// pressure spike shrinks its drain budget so its bounded queue
+    /// saturates and admission backpressure fires.
+    pub fn apply_fault(&self, ev: &NemesisEvent) {
+        self.chaos.apply(ev);
     }
 
     /// Spawns the real-clock fault injector: each event of `schedule`

@@ -7,8 +7,9 @@
 //!
 //! * what a site keeps for ordering ([`SiteNode`]): one engine per order
 //!   domain it belongs to, with the view epochs installed for it, its
-//!   message map, its [`CrossGate`], the relay stream's descriptor store
-//!   and whether it serves;
+//!   message map, its [`CrossGate`], the relay stream's descriptor store,
+//!   whether it serves and, while it recovers, its open view-change
+//!   rounds;
 //! * building the site's ordering engines ([`EngineFactory`], the relay's
 //!   included) and replica ([`replicas`]);
 //! * handing a submitted request to the engine ([`Site::submit`]);
@@ -21,8 +22,12 @@
 //!   the site's own sub broadcast on its group stream and the gate
 //!   release that admits — or, while the site recovers, nothing until
 //!   [`Site::finish_recovery`] folds the skipped tail in;
-//! * a view-change member's side of a round ([`SiteNode::install_view`],
-//!   [`SiteNode::on_view_change`], [`SiteNode::on_view_floor`]);
+//! * both sides of a view-change round (DESIGN.md §7): a member's
+//!   replies and a recovering initiator's steps ([`Site::on_view_wire`],
+//!   [`Site::on_member_crashed`]), opening a round and superseding an
+//!   older one ([`SiteNode::open_round`], [`Site::announce`]), and the
+//!   install ([`Site::install`]) from a base the driver picks
+//!   ([`SiteNode::base`]) onto a fresh engine it builds;
 //! * interpreting the replica's actions ([`Site::apply_replica_actions`]);
 //! * tracing every lifecycle stage on that path ([`record_stage`]).
 //!
@@ -43,9 +48,10 @@ use otp_broadcast::{
 };
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, Value};
-use otp_telemetry::{MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
+use otp_telemetry::{Counter, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
 use otp_txn::txn::{TxnId, TxnRequest};
-use std::collections::{HashMap, HashSet, VecDeque};
+use otp_view::{CrashOutcome, DigestOutcome, SummaryOutcome, ViewChange};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// An ordering engine as both drivers hold it (`Send`: a site thread
@@ -107,6 +113,24 @@ impl EngineFactory {
         attach_engine_counters(&mut engine, metrics, scope);
         engine
     }
+
+    /// Site `site`'s slot for `domain`, at table index `index`: a fresh
+    /// engine counting into `metrics` under the site and the index, in the
+    /// boot view. The domain's ordering authority is its sequencer when
+    /// the engine is the relay's or of the sequencer family
+    /// ([`EngineKind::has_authority`]).
+    pub(crate) fn slot(
+        &mut self,
+        site: SiteId,
+        index: u16,
+        domain: OrderDomain,
+        metrics: &MetricsRegistry,
+    ) -> DomainSlot {
+        let engine = self.make(&domain, metrics, Scope::site(site).group(index));
+        let authority =
+            (domain.id == GroupId::RELAY || self.kind.has_authority()).then(|| domain.sequencer());
+        DomainSlot { index, domain, engine, authority, epochs: Vec::new() }
+    }
 }
 
 /// Hands `engine` its handles in the driver's registry (`scope` = its site
@@ -146,18 +170,16 @@ pub(crate) struct DomainSlot {
     pub(crate) index: u16,
     pub(crate) domain: OrderDomain,
     pub(crate) engine: Engine,
+    /// The domain's ordering authority, if its engine has one
+    /// ([`EngineFactory::slot`]): a round that re-admits it fences its dead
+    /// incarnation's order assignments.
+    pub(crate) authority: Option<SiteId>,
     /// Installed view epochs in installation order (strictly increasing;
     /// empty = the boot view, epoch 0).
     pub(crate) epochs: Vec<u64>,
 }
 
 impl DomainSlot {
-    /// Domain `domain` at table index `index`, ordered by `engine`, in its
-    /// boot view.
-    pub(crate) fn new(index: u16, domain: OrderDomain, engine: Engine) -> Self {
-        DomainSlot { index, domain, engine, epochs: Vec::new() }
-    }
-
     /// The epoch the site currently has installed (0 = the boot view).
     pub(crate) fn installed(&self) -> u64 {
         self.epochs.last().copied().unwrap_or(0)
@@ -174,12 +196,40 @@ pub(crate) enum Status {
     Recovering,
 }
 
+/// The registry names of [`ViewCounters`], in field order.
+pub(crate) const VIEW_COUNTERS: [&str; 5] = [
+    "stale_view_digest",
+    "view_summary_bytes",
+    "view_digest_bytes",
+    "view_round_us",
+    "view_supersede",
+];
+
+/// The view change's cluster-wide counters (`Scope::global()`), bumped
+/// where a round step runs. Detached until
+/// [`SiteNode::with_view_counters`] registers them.
+#[derive(Debug, Default)]
+struct ViewCounters {
+    /// Round replies and floors for a round that no longer exists
+    /// (superseded, completed or abandoned) or of another epoch — normal
+    /// under churn, but kept visible.
+    stale: Arc<Counter>,
+    /// Wire bytes of every `StateSummary` / `StateDigest` sent.
+    summary_bytes: Arc<Counter>,
+    digest_bytes: Arc<Counter>,
+    /// Microseconds rounds spent between propose and install.
+    round_us: Arc<Counter>,
+    /// Rounds replaced by a newer proposal for the same site.
+    supersede: Arc<Counter>,
+}
+
 /// What one site keeps for ordering, in either driver: one slot per order
 /// domain it belongs to (its group's first, the relay's second when the
 /// cluster is sharded), the group stream's message map, the gate that
 /// merges the group's TO-stream with the relay order, the relay stream's
-/// descriptor store and whether the site serves. The replica stays with
-/// the driver; [`Site`] borrows both for one step.
+/// descriptor store, whether the site serves and, while it recovers, its
+/// open view-change rounds. The replica stays with the driver; [`Site`]
+/// borrows both for one step.
 pub(crate) struct SiteNode {
     me: SiteId,
     /// This site's ordering group: the domain index of its group stream
@@ -196,6 +246,11 @@ pub(crate) struct SiteNode {
     /// Relay definitive deliveries already folded into the gate — the
     /// recovery reconcile point for the relay stream.
     pub(crate) relay_processed: usize,
+    /// The open round of each domain not yet installed, while the site
+    /// recovers, and the instant it was proposed (BTreeMap: domains are
+    /// walked in index order).
+    rounds: BTreeMap<u16, (ViewChange<TxnPayload>, SimTime)>,
+    view: ViewCounters,
 }
 
 impl SiteNode {
@@ -213,7 +268,18 @@ impl SiteNode {
             gate: CrossGate::default(),
             relay_map: HashMap::new(),
             relay_processed: 0,
+            rounds: BTreeMap::new(),
+            view: ViewCounters::default(),
         }
+    }
+
+    /// Counts the site's view-change steps into `metrics`, under the
+    /// [`VIEW_COUNTERS`] names, shared by every site.
+    pub(crate) fn with_view_counters(mut self, metrics: &MetricsRegistry) -> Self {
+        let [stale, summary_bytes, digest_bytes, round_us, supersede] =
+            VIEW_COUNTERS.map(|name| metrics.counter(name, Scope::global()));
+        self.view = ViewCounters { stale, summary_bytes, digest_bytes, round_us, supersede };
+        self
     }
 
     /// The slot of domain `index`.
@@ -263,41 +329,87 @@ impl SiteNode {
         }
     }
 
-    /// Takes over from `base`, the site a recovery restores domain `d`'s
-    /// engine from, what rides beside that engine: the relay's descriptor
-    /// store, or the group stream's message map (its ids name the same
-    /// messages everywhere), gate and relay processed count.
-    pub(crate) fn adopt(&mut self, d: u16, base: &SiteNode) {
-        if d == self.group {
-            self.msg_map = base.msg_map.clone();
-            self.gate = base.gate.clone();
-            self.relay_processed = base.relay_processed;
-        } else {
-            self.relay_map = base.relay_map.clone();
+    /// The site's open round for domain `d`, if it is recovering it.
+    pub(crate) fn round(&self, d: u16) -> Option<&ViewChange<TxnPayload>> {
+        self.rounds.get(&d).map(|(round, _)| round)
+    }
+
+    /// The domains the site still has an open round for, in index order.
+    pub(crate) fn round_domains(&self) -> Vec<u16> {
+        self.rounds.keys().copied().collect()
+    }
+
+    /// Opens `round`, proposed `at`, for domain `d`: the site recovers
+    /// until every open round installed. A round still open for `d` is
+    /// superseded — newest epoch wins ([`ViewChange::superseded_by`]):
+    /// its late replies land as stale, and it counts as `view_supersede`.
+    pub(crate) fn open_round(&mut self, d: u16, round: ViewChange<TxnPayload>, at: SimTime) {
+        let epoch = round.epoch();
+        self.status = Status::Recovering;
+        if let Some((old, _)) = self.rounds.insert(d, (round, at)) {
+            debug_assert!(old.superseded_by(epoch), "a newer round supersedes");
+            self.view.supersede.incr();
         }
     }
 
-    /// A member's reply to domain `d`'s round announcement for `epoch`:
-    /// it fences the old epoch now (`fence` as in
-    /// [`SiteNode::install_view`]) and answers with how far it delivered
-    /// ([`Wire::StateSummary`]). Its state ships only once the floor
-    /// arrives ([`SiteNode::on_view_floor`]). Engine state only grows, so
-    /// that later digest still holds every order assignment this member
-    /// accepted from the dead incarnation before the fence, and anything
-    /// arriving after it is fenced — no assignment can slip between the
-    /// two (the union argument, DESIGN.md §7).
-    pub(crate) fn on_view_change(&mut self, d: u16, epoch: u64, fence: bool) -> Wire<TxnPayload> {
-        self.install_view(d, epoch, fence);
-        let delivered = self.slot(d).engine.definitive_log().len() as u64;
-        Wire::StateSummary { epoch, from: self.me, delivered }
+    /// The site crashed: a round it was driving is abandoned with it.
+    pub(crate) fn crash(&mut self) {
+        self.status = Status::Crashed;
+        self.rounds.clear();
     }
 
-    /// A member's reply to the floor of domain `d`'s round `epoch`: its
-    /// engine state cut above the floor ([`Wire::StateDigest`]).
-    pub(crate) fn on_view_floor(&self, d: u16, epoch: u64, floor: u64) -> Wire<TxnPayload> {
-        let snapshot = self.slot(d).engine.snapshot().delta_above(floor);
-        Wire::StateDigest { epoch, from: self.me, snapshot }
+    /// What a site recovering domain `d` restores from when this site is
+    /// its base, copied off this site and its `replica`: the engine's
+    /// snapshot and what rides beside the engine. On a group stream that
+    /// is the replica restored at `installer` (over `registry`), the
+    /// message map (its ids name the same messages everywhere), the gate
+    /// and the relay processed count; on the relay stream, the descriptor
+    /// store.
+    pub(crate) fn base(
+        &self,
+        d: u16,
+        replica: &Replica,
+        installer: SiteId,
+        registry: Arc<ProcRegistry>,
+    ) -> Base {
+        let snapshot = self.slot(d).engine.snapshot();
+        let beside = if d == self.group {
+            let (replica, actions) = replica.restored_at(installer, registry);
+            Beside::Group {
+                replica: Box::new(replica),
+                actions,
+                msg_map: self.msg_map.clone(),
+                gate: Box::new(self.gate.clone()),
+                relay_processed: self.relay_processed,
+            }
+        } else {
+            Beside::Relay(self.relay_map.clone())
+        };
+        Base { snapshot, beside }
     }
+}
+
+/// What a recovering site restores one order domain from
+/// ([`SiteNode::base`]): a copy of the state of its base — the live member
+/// with the longest log, or the site's own pre-crash state when no member
+/// is live.
+pub(crate) struct Base {
+    /// The base engine's snapshot; the round's union is merged in at
+    /// install.
+    snapshot: EngineSnapshot<TxnPayload>,
+    beside: Beside,
+}
+
+/// What rides beside a base's engine.
+enum Beside {
+    Group {
+        replica: Box<Replica>,
+        actions: Vec<ReplicaAction>,
+        msg_map: SiteMsgMap,
+        gate: Box<CrossGate>,
+        relay_processed: usize,
+    },
+    Relay(HashMap<MsgId, Arc<CrossTag>>),
 }
 
 /// Per-site gate that merges a group's own TO-stream with the relay's
@@ -633,6 +745,189 @@ impl<'a, F: SiteEffects> Site<'a, F> {
         }
     }
 
+    /// Starts the site's open round for domain `d`: multicasts its
+    /// announcement, or returns true when nobody is left to answer — the
+    /// round is complete at once, and the driver installs it from the
+    /// site's own stable-storage state.
+    pub(crate) fn announce(&mut self, d: u16) -> bool {
+        let (round, _) = &self.node.rounds[&d];
+        let (complete, epoch) = (round.is_complete(), round.epoch());
+        if !complete {
+            self.fx.multicast(d, Wire::ViewChange { epoch, initiator: self.node.me });
+        }
+        complete
+    }
+
+    /// Handles a view-change wire of domain `d` addressed to this site
+    /// (DESIGN.md §7). As a recovering initiator the site feeds a summary
+    /// into its round, multicasting the floor once every member
+    /// summarised, and a digest; a reply to no round of its own, or of
+    /// another epoch, is stale. As a member it answers an announcement and
+    /// a floor — unless the round is its own (the loopback copy) or it
+    /// recovers itself (a recovering engine's state is not a survivor's
+    /// state). `floor_live` is the driver's read of the initiator's state
+    /// for a `ViewFloor`: whether that round still runs (a floor
+    /// held at a partition can outlive it). Returns true when the wire
+    /// completed the site's round for `d`: the driver then installs it.
+    pub(crate) fn on_view_wire(
+        &mut self,
+        d: u16,
+        wire: Wire<TxnPayload>,
+        floor_live: bool,
+    ) -> bool {
+        let node = &mut *self.node;
+        let round = node.rounds.get_mut(&d).map(|(round, _)| round);
+        match wire {
+            Wire::StateSummary { epoch, from, delivered } => {
+                match round.map(|r| r.on_summary(from, epoch, delivered)) {
+                    Some(SummaryOutcome::FloorReady(floor)) => {
+                        self.fx.multicast(d, Wire::ViewFloor { epoch, initiator: node.me, floor });
+                    }
+                    Some(SummaryOutcome::Accepted) => {}
+                    _ => node.view.stale.incr(),
+                }
+            }
+            Wire::StateDigest { epoch, from, snapshot } => {
+                match round.map(|r| r.on_digest(from, epoch, snapshot)) {
+                    Some(DigestOutcome::Completed) => return true,
+                    Some(DigestOutcome::Accepted) => {}
+                    _ => node.view.stale.incr(),
+                }
+            }
+            Wire::ViewChange { initiator, .. } | Wire::ViewFloor { initiator, .. }
+                if initiator == node.me || node.status == Status::Recovering => {}
+            // The member fences the old epoch now (when the round re-admits
+            // the domain's ordering authority) and answers with how far it
+            // delivered; its state ships only once the floor arrives.
+            // Engine state only grows, so that later digest still holds
+            // every order assignment this member accepted from the dead
+            // incarnation before the fence, and anything arriving after it
+            // is fenced — no assignment can slip between the two (the union
+            // argument, DESIGN.md §7).
+            Wire::ViewChange { epoch, initiator } => {
+                node.install_view(d, epoch, node.slot(d).authority == Some(initiator));
+                let delivered = node.slot(d).engine.definitive_log().len() as u64;
+                let summary = Wire::StateSummary { epoch, from: node.me, delivered };
+                node.view.summary_bytes.add(u64::from(summary.size_bytes()));
+                self.fx.send(d, initiator, summary);
+            }
+            // The member's engine state, cut above the floor.
+            Wire::ViewFloor { epoch, initiator, floor } if floor_live => {
+                let snapshot = node.slot(d).engine.snapshot().delta_above(floor);
+                let digest = Wire::StateDigest { epoch, from: node.me, snapshot };
+                node.view.digest_bytes.add(u64::from(digest.size_bytes()));
+                self.fx.send(d, initiator, digest);
+            }
+            Wire::ViewFloor { .. } => node.view.stale.incr(), // nobody waits for its digest
+            _ => unreachable!("on_view_wire only sees view wires"),
+        }
+        false
+    }
+
+    /// Member `crashed` of domain `d` went down and will never reply to
+    /// the site's open round for `d`, if it has one: the floor goes out
+    /// when that was the last missing summary, and true is returned when
+    /// nothing is outstanding any more — the driver then installs the
+    /// round.
+    pub(crate) fn on_member_crashed(&mut self, d: u16, crashed: SiteId) -> bool {
+        let Some((round, _)) = self.node.rounds.get_mut(&d) else { return false };
+        match round.on_member_crashed(crashed) {
+            CrashOutcome::Pending => false,
+            CrashOutcome::FloorReady(floor) => {
+                let wire = Wire::ViewFloor { epoch: round.epoch(), initiator: self.node.me, floor };
+                self.fx.multicast(d, wire);
+                false
+            }
+            CrashOutcome::Completed => true,
+        }
+    }
+
+    /// Installs the site's completed round for domain `d`: restores the
+    /// domain from `base` merged with the union of the round's digests,
+    /// onto `fresh`, a new engine for the domain. `own_wires` are the
+    /// site's own pre-crash payload wires still held in the driver's
+    /// buffers, and `fence` the highest order fence any round for the
+    /// domain proposed. Returns true when that was the site's last open
+    /// round: the driver then finishes its recovery.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the site has no open round for `d`.
+    pub(crate) fn install(
+        &mut self,
+        d: u16,
+        base: Base,
+        mut fresh: Engine,
+        own_wires: Vec<Wire<TxnPayload>>,
+        fence: u64,
+    ) -> bool {
+        let me = self.node.me;
+        let (round, proposed_at) =
+            self.node.rounds.remove(&d).expect("round open for the installer");
+        let epoch = round.epoch();
+        self.node.view.round_us.add(self.fx.now().saturating_since(proposed_at).as_micros());
+        let Base { mut snapshot, beside } = base;
+        snapshot.merge(round.into_merged());
+        let delivered_subs = if self.node.groups > 1 && d == self.node.group {
+            delivered_cross_subs(&snapshot)
+        } else {
+            HashSet::new()
+        };
+        let slot = self.node.slot_mut(d);
+        let engine_actions = fresh.restore(&EngineCtx::at_epoch(me, &slot.domain, epoch), snapshot);
+        slot.engine = fresh;
+        match beside {
+            Beside::Group { replica, actions, msg_map, gate, relay_processed } => {
+                self.node.msg_map = msg_map;
+                self.node.gate = *gate;
+                self.node.relay_processed = relay_processed;
+                // A fresh replica from the base's database and pending
+                // tail. (The base's message map holds exactly what it
+                // Opt-delivered and has not TO-delivered — the restored
+                // log's undelivered tail; ids only the digests knew are
+                // re-filled by the replayed Opt-deliveries below.)
+                *self.replica = *replica;
+                self.apply_replica_actions(actions);
+                self.restore_gate(delivered_subs);
+            }
+            Beside::Relay(relay_map) => self.node.relay_map = relay_map,
+        }
+        // Deliveries the engine replays (tentative again here).
+        self.apply_engine_actions(d, engine_actions);
+        // Re-teach the fresh engine its own pre-crash *payloads*: a data
+        // wire this site multicast before crashing may exist only in the
+        // driver's hold buffers (cut by a partition, or destined to a site
+        // that was down) — no survivor's digest has it, so without this
+        // the message could only surface at the staggered replay. Dead-
+        // incarnation *order assignments* are deliberately not re-taught:
+        // every member of the view fenced them at the announcement, so
+        // held copies are rejected everywhere and `finish_restore`
+        // renumbers the affected messages under the new epoch instead.
+        for wire in own_wires {
+            self.on_engine(d, |engine, ctx| engine.on_receive(ctx, me, wire));
+        }
+        // The new incarnation: its own id space jumps past anything the
+        // dead one could still have in flight, and the view installs (with
+        // the order fence when this site is the domain's authority) so the
+        // repair pass below emits under the new epoch.
+        let slot = self.node.slot_mut(d);
+        slot.engine.bump_incarnation();
+        let authority = slot.authority == Some(me);
+        self.node.install_view(d, epoch, authority);
+        // With every surviving self-sent wire re-learned and the view
+        // installed, the engine repairs what no snapshot or wire carries:
+        // a restored sequencer renumbers assignments no survivor knew and
+        // re-announces the rest under the new epoch.
+        self.on_engine(d, |engine, ctx| engine.finish_restore(ctx));
+        // Re-apply the highest order fence any round for this domain ever
+        // proposed — a concurrent round can have re-admitted the ordering
+        // authority, and this site missed that announcement (the base's
+        // snapshot usually carries the fence, but the base is not
+        // guaranteed to have processed every concurrent announcement yet).
+        self.node.slot_mut(d).engine.install_view(fence, true);
+        self.node.rounds.is_empty()
+    }
+
     /// Execution attempt `token` has run for its modelled time.
     pub(crate) fn exec_done(&mut self, token: ExecToken) {
         let actions = self.replica.on_exec_done(token);
@@ -781,6 +1076,8 @@ mod tests {
         node: SiteNode,
         log: Arc<Log>,
         fake: Fake,
+        /// Where the node counts its view-change steps.
+        metrics: MetricsRegistry,
     }
 
     impl Fixture {
@@ -803,12 +1100,10 @@ mod tests {
             let mut factory = EngineFactory::new(EngineKind::Sequencer, 1);
             let domains =
                 [(GROUP, OrderDomain::global(2)), (RELAY, OrderDomain::new(GroupId::RELAY, [ME]))]
-                    .map(|(d, domain)| {
-                        let engine = factory.make(&domain, &metrics, Scope::site(ME).group(d));
-                        DomainSlot::new(d, domain, engine)
-                    });
-            let node = SiteNode::new(ME, GROUP, GROUPS, domains.into());
-            Fixture { replica, node, log, fake }
+                    .map(|(d, domain)| factory.slot(ME, d, domain, &metrics));
+            let node =
+                SiteNode::new(ME, GROUP, GROUPS, domains.into()).with_view_counters(&metrics);
+            Fixture { replica, node, log, fake, metrics }
         }
 
         fn site(&mut self) -> Site<'_, &mut Fake> {
@@ -1097,6 +1392,122 @@ mod tests {
         f.site().release_gate();
         assert_eq!(f.log.to_delivered(), [4]);
         assert_eq!(f.fake.commits.len(), 1);
+    }
+
+    /// Opens [`ME`]'s round for the group domain under epoch 5 over sites
+    /// 0, 2 and 3 (and [`ME`], which expects nothing of itself), announces
+    /// it and clears the announcement.
+    fn open_round(f: &mut Fixture) {
+        let members = [0, 1, 2, 3].map(SiteId::new);
+        f.node.open_round(GROUP, ViewChange::propose(5, ME, members), SimTime::ZERO);
+        assert!(!f.site().announce(GROUP), "three members to answer");
+        let announcement = Wire::ViewChange { epoch: 5, initiator: ME };
+        assert_eq!(std::mem::take(&mut f.fake.wires), [(GROUP, None, announcement)]);
+    }
+
+    /// Member `from`'s summary for `epoch`: it delivered `10 + from`.
+    fn summary(epoch: u64, from: u16) -> Wire<TxnPayload> {
+        Wire::StateSummary { epoch, from: SiteId::new(from), delivered: 10 + u64::from(from) }
+    }
+
+    /// Member `from`'s (empty) digest for `epoch`.
+    fn digest(epoch: u64, from: u16) -> Wire<TxnPayload> {
+        Wire::StateDigest { epoch, from: SiteId::new(from), snapshot: EngineSnapshot::empty() }
+    }
+
+    /// [`ME`]'s floor multicast for round 5: the lowest summary, site 0's.
+    fn floor_multicast() -> (u16, Option<SiteId>, Wire<TxnPayload>) {
+        (GROUP, None, Wire::ViewFloor { epoch: 5, initiator: ME, floor: 10 })
+    }
+
+    fn stale(f: &Fixture) -> u64 {
+        f.metrics.counter_total("stale_view_digest")
+    }
+
+    /// The last of three summaries multicasts the floor, once, and the
+    /// last of three digests completes the round.
+    #[test]
+    fn three_summaries_multicast_the_floor_and_three_digests_complete_the_round() {
+        let mut f = Fixture::new();
+        open_round(&mut f);
+        for from in [3, 0] {
+            assert!(!f.site().on_view_wire(GROUP, summary(5, from), false));
+            assert!(f.fake.wires.is_empty(), "a summary is still missing");
+        }
+        assert!(!f.site().on_view_wire(GROUP, summary(5, 2), false));
+        assert_eq!(std::mem::take(&mut f.fake.wires), [floor_multicast()]);
+        for from in [2, 3] {
+            assert!(!f.site().on_view_wire(GROUP, digest(5, from), false), "not complete yet");
+        }
+        assert!(f.site().on_view_wire(GROUP, digest(5, 0), false), "the last digest completes");
+        assert!(f.fake.wires.is_empty());
+        assert_eq!(f.metrics.counter_total("view_summary_bytes"), 0, "no reply sent here");
+        assert_eq!(stale(&f), 0);
+    }
+
+    /// A member that never summarises, or never sends its digest, is
+    /// waited for until it crashes: the crash of the last missing
+    /// summariser releases the floor, that of the last missing digest
+    /// completes the round.
+    #[test]
+    fn member_crashes_release_the_floor_and_complete_the_round() {
+        let mut f = Fixture::new();
+        open_round(&mut f);
+        f.site().on_view_wire(GROUP, summary(5, 0), false);
+        f.site().on_view_wire(GROUP, summary(5, 2), false);
+        assert!(!f.site().on_member_crashed(RELAY, SiteId::new(3)), "no round for the relay");
+        assert!(f.fake.wires.is_empty());
+        assert!(!f.site().on_member_crashed(GROUP, SiteId::new(3)));
+        assert_eq!(std::mem::take(&mut f.fake.wires), [floor_multicast()]);
+        f.site().on_view_wire(GROUP, digest(5, 0), false);
+        assert!(f.site().on_member_crashed(GROUP, SiteId::new(2)), "the last digest crashed");
+        assert!(f.fake.wires.is_empty());
+    }
+
+    /// A summary or digest for a round this site does not run, or of
+    /// another epoch, counts as `stale_view_digest` and leaves the round
+    /// as it was.
+    #[test]
+    fn a_stale_summary_or_digest_counts_and_changes_nothing() {
+        let mut f = Fixture::new();
+        assert!(!f.site().on_view_wire(GROUP, summary(5, 0), false), "no round");
+        assert!(!f.site().on_view_wire(GROUP, digest(5, 0), false), "no round");
+        assert_eq!(stale(&f), 2);
+        open_round(&mut f);
+        let outstanding = |f: &Fixture| f.node.round(GROUP).map(|r| r.outstanding().count());
+        f.site().on_view_wire(GROUP, summary(4, 0), false);
+        assert_eq!((stale(&f), outstanding(&f)), (3, Some(3)), "wrong epoch");
+        for from in [0, 2, 3] {
+            f.site().on_view_wire(GROUP, summary(5, from), false);
+        }
+        assert_eq!(std::mem::take(&mut f.fake.wires), [floor_multicast()]);
+        assert!(!f.site().on_view_wire(GROUP, digest(4, 0), false), "wrong epoch");
+        assert_eq!((stale(&f), outstanding(&f)), (4, Some(3)));
+        assert!(f.fake.wires.is_empty());
+    }
+
+    /// As a member, the site answers an announcement with its summary and
+    /// a floor with its digest, both to the initiator; a floor whose round
+    /// no longer runs is only counted.
+    #[test]
+    fn a_member_answers_the_announcement_and_a_live_floor() {
+        let mut f = Fixture::new();
+        let initiator = SiteId::new(0);
+        let announcement = Wire::ViewChange { epoch: 5, initiator };
+        assert!(!f.site().on_view_wire(GROUP, announcement, false));
+        assert_eq!(f.node.group_epochs(), [5]);
+        let reply = Wire::StateSummary { epoch: 5, from: ME, delivered: 0 };
+        assert_eq!(std::mem::take(&mut f.fake.wires), [(GROUP, Some(initiator), reply)]);
+        let floor = || Wire::ViewFloor { epoch: 5, initiator, floor: 0 };
+        f.site().on_view_wire(GROUP, floor(), false);
+        assert!(f.fake.wires.is_empty());
+        assert_eq!(stale(&f), 1);
+        f.site().on_view_wire(GROUP, floor(), true);
+        let [(GROUP, Some(to), Wire::StateDigest { epoch: 5, from: ME, .. })] = &f.fake.wires[..]
+        else {
+            panic!("one digest to the initiator: {:?}", f.fake.wires)
+        };
+        assert_eq!(*to, initiator);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use otp_core::runtime::{LiveCluster, LiveConfig, SubmitError};
 use otp_core::{EngineKind, Mode};
 use otp_lab::watchdog::with_watchdog;
+use otp_simnet::nemesis::NemesisEvent;
 use otp_simnet::{SimDuration, SiteId};
 use otp_storage::{ClassId, ObjectId, ObjectKey, ProcError, ProcId, ProcRegistry, Value};
 use std::sync::Arc;
@@ -170,13 +171,13 @@ fn conflict_aborts_converge_without_burning_deadline() {
                 .expect("admitted");
         };
         let loner = SiteId::new(7);
-        cluster.partition_halves(&[loner]);
+        cluster.apply_fault(&NemesisEvent::PartitionHalves { group_a: vec![loner] });
         submit(7); // X: tentative at site 7, invisible to everyone else
         submit(0); // Y: definitive first, by a majority that never saw X
         while cluster.committed_total() < 7 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        cluster.heal();
+        cluster.apply_fault(&NemesisEvent::Heal);
         for i in 2..300u64 {
             submit((i % 8) as u16);
         }
@@ -318,7 +319,10 @@ fn stalled_site_catches_up_with_prefix_consistent_order() {
             submit(i);
         }
         // Mid-run: stall site 2 while traffic keeps flowing around it.
-        cluster.stall_site(SiteId::new(2), Duration::from_millis(200));
+        cluster.apply_fault(&NemesisEvent::ThreadStall {
+            site: SiteId::new(2),
+            duration: SimDuration::from_millis(200),
+        });
         for i in 40..80u64 {
             submit(i);
         }
@@ -369,7 +373,11 @@ fn pressure_spike_backpressures_then_commits_exactly_once() {
         let diag = cluster.diag_handle();
         dog.set_diag("live-cluster", move || diag.snapshot());
 
-        cluster.pressure_site(SiteId::new(0), 1, Duration::from_millis(400));
+        cluster.apply_fault(&NemesisEvent::PressureSpike {
+            site: SiteId::new(0),
+            drain_limit: 1,
+            duration: SimDuration::from_millis(400),
+        });
         // Give the control message one idle tick to land before hammering.
         std::thread::sleep(Duration::from_millis(30));
 
@@ -462,7 +470,7 @@ fn shutdown_is_bounded_under_never_healed_partition() {
 
         // Phase B: cut site 3 off forever; the 3-site majority quorum
         // keeps deciding, its wires to site 3 park at site 3.
-        cluster.partition_halves(&[SiteId::new(3)]);
+        cluster.apply_fault(&NemesisEvent::PartitionHalves { group_a: vec![SiteId::new(3)] });
         for i in 0..20u64 {
             cluster
                 .submit(
@@ -531,7 +539,7 @@ fn crashed_site_parks_inbound_traffic_then_commits_exactly_once() {
                 submit(i % 4, i);
             }
             let frozen = SiteId::new(3);
-            cluster.crash_site(frozen);
+            cluster.apply_fault(&NemesisEvent::Crash { site: frozen });
             let mut max_held = 0;
             let mut admitted = 40u64;
             std::thread::scope(|s| {
@@ -551,7 +559,7 @@ fn crashed_site_parks_inbound_traffic_then_commits_exactly_once() {
                     max_held = max_held.max(held(&diag.snapshot()));
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                cluster.recover_site(frozen);
+                cluster.apply_fault(&NemesisEvent::Recover { site: frozen });
                 at_frozen.join().expect("submitter at the frozen site");
             });
             admitted += 10;
