@@ -195,7 +195,7 @@ mod tests {
         assert!(c.determinism_scope("crates/core/src/cluster.rs"));
         assert!(!c.concurrency_scope("crates/core/src/cluster.rs"));
         // The site layer both drivers share is simulator code too: the
-        // live time source reaches it only through `SiteEffects::now`.
+        // live time source reaches it only as the trace clock in `Env`.
         assert!(c.determinism_scope("crates/core/src/site.rs"));
         assert!(!c.concurrency_scope("crates/core/src/site.rs"));
         assert!(c.scope_allow_for("crates/core/src/site.rs", RuleId::WallClock).is_none());

@@ -504,18 +504,12 @@ pub fn e9_batching(batch_delays_ms: &[u64], updates: u64, seed: u64) -> Table {
 /// same two-partition transfer load under both models on one replica and
 /// reports latency and makespan.
 pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> Table {
-    use otp_core::multiclass::{MultiRegistry, MultiReplica, MultiRequest};
-    use otp_core::MultiAction;
-    use otp_simnet::EventQueue;
+    use otp_core::multiclass::{MultiInput, MultiRegistry, MultiReplica, MultiRequest};
+    use otp_simnet::sched::{Links, Sched};
+    use otp_simnet::DurationDist;
     use otp_storage::{ClassId, Database, ObjectId, Value};
     use otp_txn::txn::TxnId;
     use std::sync::Arc;
-
-    enum Ev {
-        Opt(MultiRequest),
-        To(TxnId),
-        Done(otp_core::ExecToken),
-    }
 
     let mut table = Table::new(vec!["partitions", "model", "mean_latency_ms", "makespan_ms"]);
 
@@ -539,9 +533,11 @@ pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> 
                 db.load(ObjectId::new(c, 0), Value::Int(1000));
             }
             let mut replica = MultiReplica::new(SiteId::new(0), db, Arc::new(reg));
-            let mut queue: EventQueue<Ev> = EventQueue::new();
             let mut rng = SimRng::seed_from(seed);
-            let exec = SimDuration::from_millis(2);
+            let exec = DurationDist::Fixed(SimDuration::from_millis(2));
+            let mut sched =
+                Sched::new(Links::uniform(1, SimDuration::ZERO), SimRng::seed_from(seed))
+                    .with_work_time(exec);
             let agreement = SimDuration::from_millis(3);
             let spacing = SimDuration::from_micros(500);
 
@@ -575,31 +571,18 @@ pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> 
                     vec![Value::Int(pa as i64), Value::Int(pb as i64)],
                 );
                 submit_time.insert(id, t);
-                queue.schedule(t, Ev::Opt(req));
-                queue.schedule(t + agreement, Ev::To(id));
+                let site = SiteId::new(0);
+                sched.schedule_submit(t, site, MultiInput::Opt(req));
+                sched.schedule_submit(t + agreement, site, MultiInput::To(id));
                 t += spacing;
             }
 
             let mut lat = otp_simnet::metrics::Histogram::new();
             let mut done_at = SimTime::ZERO;
-            while let Some((now, ev)) = queue.pop() {
-                let actions = match ev {
-                    Ev::Opt(req) => replica.on_opt_deliver(req),
-                    Ev::To(id) => replica.on_to_deliver(id),
-                    Ev::Done(tok) => replica.on_exec_done(tok),
-                };
-                for a in actions {
-                    match a {
-                        MultiAction::StartExecution { token } => {
-                            queue.schedule(now + exec, Ev::Done(token));
-                        }
-                        MultiAction::Committed { txn, .. } => {
-                            lat.record(now - submit_time[&txn]);
-                            done_at = now;
-                        }
-                    }
-                }
-            }
+            sched.run_until(SimTime::MAX, &mut replica, |_, now, txn| {
+                lat.record(now - submit_time[&txn]);
+                done_at = now;
+            });
             assert_eq!(lat.len() as u64, txns, "all committed");
             table.row(vec![
                 k.to_string(),

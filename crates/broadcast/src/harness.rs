@@ -1,14 +1,17 @@
-//! Simulation harness wiring broadcast engines to the LAN model.
+//! Broadcast engines on the simulated LAN.
 //!
-//! [`LanCluster`] owns `n` engine endpoints, a [`MulticastNet`] and the
-//! event queue, and drives them deterministically: engine actions become
-//! network sends or timers, network arrivals become `on_receive` calls, and
+//! [`LanCluster`] runs `n` engine endpoints on the one deterministic
+//! scheduler ([`otp_simnet::sched::Sched`]) over a [`MulticastNet`]: the
+//! engines are one scheduler node, engine actions become its outputs
+//! (sends, multicasts, timers), arrivals become `on_receive` calls, and
 //! Opt-/TO-deliveries are logged per site. Crash and recovery (with state
-//! transfer from a donor site) can be scheduled at absolute times.
+//! transfer from a donor site) can be scheduled at absolute times; the
+//! scheduler holds what reaches a crashed site and replays it after the
+//! recovery, 10 µs apart.
 //!
 //! The harness powers this crate's property tests and the protocol-level
 //! experiments in `otp-bench`; the full transaction-processing cluster in
-//! `otp-core` follows the same structure with a replica attached to each
+//! `otp-core` runs on the same scheduler with a replica beside each
 //! engine.
 //!
 //! # Examples
@@ -34,20 +37,133 @@
 use crate::domain::{EngineCtx, OrderDomain};
 use crate::msg::{EngineAction, MsgId, PayloadSize, TimerToken, Wire};
 use crate::traits::AtomicBroadcast;
-use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
+use otp_simnet::sched::{Data, Input, Links, Node, Output, Outputs, Sched};
+use otp_simnet::{MulticastNet, NetConfig, SimRng, SimTime, SiteId};
 
 /// Factory producing a fresh engine for a site — used at startup and again
 /// when a crashed site recovers with a blank state.
 pub type EngineFactory<E> = Box<dyn Fn(SiteId) -> E>;
 
-/// Events flowing through the harness queue.
+/// One engine per site, as one scheduler node over the single global
+/// order domain (sharded domains live in the `otp-core` cluster driver).
+pub struct Engines<P, E> {
+    engines: Vec<E>,
+    factory: EngineFactory<E>,
+    domain: OrderDomain,
+    _payload: std::marker::PhantomData<P>,
+}
+
+/// What an engine site reports to its driver.
 #[derive(Debug)]
-enum Ev<P> {
-    Wire { from: SiteId, to: SiteId, wire: Wire<P> },
-    Timer { site: SiteId, token: TimerToken },
-    Broadcast { site: SiteId, payload: P, size: u32 },
-    Crash { site: SiteId },
-    Recover { site: SiteId, donor: SiteId },
+pub enum Delivered {
+    /// A data wire arrived (the raw receive order, before any engine
+    /// logic).
+    Received(MsgId),
+    /// The site broadcast a message under this id.
+    Broadcast(MsgId),
+    /// Opt-delivery.
+    Opt(MsgId),
+    /// TO-delivery, in order.
+    To(Vec<MsgId>),
+    /// The site was restored: both its delivery logs restart from this
+    /// definitive log.
+    Restored(Vec<MsgId>),
+}
+
+impl<P: Clone + PayloadSize, E> Data for Engines<P, E> {
+    type Wire = Wire<P>;
+    type Timer = TimerToken;
+    type Work = ();
+    type Submit = P;
+    /// Recover from this donor.
+    type Control = SiteId;
+    type Report = Delivered;
+
+    fn wire_size(wire: &Wire<P>) -> u32 {
+        wire.size_bytes()
+    }
+}
+
+impl<P: Clone + PayloadSize, E: AtomicBroadcast<P>> Engines<P, E> {
+    /// The engines `factory` builds for sites `0..n`.
+    pub fn new(n: usize, factory: EngineFactory<E>) -> Self {
+        let engines = SiteId::all(n).map(&factory).collect();
+        Self::with_engines(engines, factory)
+    }
+
+    /// `engines`, one per site in site order; `factory` builds a
+    /// recovering site's fresh engine.
+    pub fn with_engines(engines: Vec<E>, factory: EngineFactory<E>) -> Self {
+        let n = engines.len();
+        Engines {
+            engines,
+            factory,
+            domain: OrderDomain::global(n),
+            _payload: std::marker::PhantomData,
+        }
+    }
+
+    /// Site `site`'s engine.
+    pub fn engine(&self, site: SiteId) -> &E {
+        &self.engines[site.index()]
+    }
+}
+
+/// Pushes `actions` as the node's outputs, in order.
+fn push_actions<P: Clone + PayloadSize, E>(
+    actions: Vec<EngineAction<P>>,
+    out: &mut Outputs<Engines<P, E>>,
+) {
+    for a in actions {
+        match a {
+            EngineAction::Multicast(wire) => out.push(Output::Multicast { group: 0, wire }),
+            EngineAction::Send(to, wire) => out.push(Output::Send { group: 0, to, wire }),
+            EngineAction::SetTimer { token, delay } => {
+                out.push(Output::Timer { after: delay, timer: token })
+            }
+            EngineAction::OptDeliver(msg) => out.push(Output::Report(Delivered::Opt(msg.id))),
+            EngineAction::ToDeliver(ids) => out.push(Output::Report(Delivered::To(ids))),
+        }
+    }
+}
+
+impl<P: Clone + PayloadSize, E: AtomicBroadcast<P>> Node for Engines<P, E> {
+    type Data = Self;
+
+    fn handle(&mut self, at: SiteId, _now: SimTime, input: Input<Self>, out: &mut Outputs<Self>) {
+        let ctx = EngineCtx::new(at, &self.domain);
+        let engine = &mut self.engines[at.index()];
+        match input {
+            Input::Wires(batch) => {
+                for a in batch {
+                    if let Wire::Data(m) | Wire::OracleData { msg: m, .. } = &a.wire {
+                        out.push(Output::Report(Delivered::Received(m.id)));
+                    }
+                    push_actions(engine.on_receive(&ctx, a.from, a.wire), out);
+                }
+            }
+            Input::Timer(token) => push_actions(engine.on_timer(&ctx, token), out),
+            Input::Submit(payload) => {
+                let (id, actions) = engine.broadcast(&ctx, payload);
+                out.push(Output::Report(Delivered::Broadcast(id)));
+                push_actions(actions, out);
+            }
+            // Fresh engine + state transfer from the donor, then the
+            // post-restore repair (the harness holds no partition buffers,
+            // so there are no self-sent wires to re-teach first — see the
+            // cluster driver for the full sequence).
+            Input::Control(donor) => {
+                let snapshot = self.engines[donor.index()].snapshot();
+                let mut fresh = (self.factory)(at);
+                let actions = fresh.restore(&ctx, snapshot);
+                out.push(Output::Report(Delivered::Restored(fresh.definitive_log().to_vec())));
+                push_actions(actions, out);
+                push_actions(fresh.finish_restore(&ctx), out);
+                self.engines[at.index()] = fresh;
+            }
+            Input::Done(()) => {}
+        }
+    }
 }
 
 /// A deterministic simulated cluster of broadcast endpoints.
@@ -55,17 +171,9 @@ enum Ev<P> {
 /// Public log fields hold, per site: the raw data receive order
 /// ([`LanCluster::receive_logs`] — the input to the Figure 1 metric), the
 /// Opt-delivery order and the TO-delivery order.
-pub struct LanCluster<P, E> {
-    engines: Vec<E>,
-    factory: EngineFactory<E>,
-    /// The single global order domain the harness runs (sharded domains
-    /// live in the `otp-core` cluster driver).
-    domain: OrderDomain,
-    net: MulticastNet,
-    queue: EventQueue<Ev<P>>,
-    rng: SimRng,
-    crashed: Vec<bool>,
-    held: Vec<Vec<(SiteId, Wire<P>)>>,
+pub struct LanCluster<P: Clone + PayloadSize, E> {
+    engines: Engines<P, E>,
+    sched: Sched<Engines<P, E>>,
     /// Raw data-message receive order per site (tentative order source).
     pub receive_logs: Vec<Vec<MsgId>>,
     /// Opt-delivery order per site.
@@ -84,16 +192,10 @@ where
     /// Creates a cluster over `net_config.sites` endpoints.
     pub fn new(net_config: NetConfig, seed: u64, factory: EngineFactory<E>) -> Self {
         let n = net_config.sites;
-        let engines = SiteId::all(n).map(&factory).collect();
+        let links = Links::Net(Box::new(MulticastNet::new(net_config)));
         LanCluster {
-            engines,
-            factory,
-            domain: OrderDomain::global(n),
-            net: MulticastNet::new(net_config),
-            queue: EventQueue::new(),
-            rng: SimRng::seed_from(seed),
-            crashed: vec![false; n],
-            held: (0..n).map(|_| Vec::new()).collect(),
+            engines: Engines::new(n, factory),
+            sched: Sched::new(links, SimRng::seed_from(seed)),
             receive_logs: vec![Vec::new(); n],
             opt_logs: vec![Vec::new(); n],
             to_logs: vec![Vec::new(); n],
@@ -103,173 +205,72 @@ where
 
     /// Number of sites.
     pub fn sites(&self) -> usize {
-        self.engines.len()
+        self.to_logs.len()
     }
 
     /// Immutable access to an engine (for assertions).
     pub fn engine(&self, site: SiteId) -> &E {
-        &self.engines[site.index()]
+        self.engines.engine(site)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.sched.now()
     }
 
     /// Total frames the simulated network carried.
     pub fn network_frames(&self) -> u64 {
-        self.net.sent_frames()
+        self.sched.net().sent_frames()
     }
 
-    /// Schedules a TO-broadcast of `payload` (`size` bytes on the wire)
-    /// from `site` at absolute time `at`.
+    /// Schedules a TO-broadcast of `payload` from `site` at absolute time
+    /// `at`. `size` is not used: a frame's size on the wire is its
+    /// [`PayloadSize`].
     pub fn schedule_broadcast(&mut self, at: SimTime, site: SiteId, payload: P, size: u32) {
-        self.queue.schedule(at, Ev::Broadcast { site, payload, size });
+        let _ = size;
+        self.sched.schedule_submit(at, site, payload);
     }
 
     /// Schedules a crash of `site` at `at`. A crashed site stops processing
     /// and its inbound messages are buffered (reliable channels).
     pub fn schedule_crash(&mut self, at: SimTime, site: SiteId) {
-        self.queue.schedule(at, Ev::Crash { site });
+        self.sched.schedule_crash(at, site);
     }
 
     /// Schedules recovery of `site` at `at`, with state transferred from
     /// `donor` (which must be up at that time).
     pub fn schedule_recover(&mut self, at: SimTime, site: SiteId, donor: SiteId) {
-        self.queue.schedule(at, Ev::Recover { site, donor });
-    }
-
-    fn apply_actions(&mut self, site: SiteId, actions: Vec<EngineAction<P>>) {
-        let now = self.queue.now();
-        for a in actions {
-            match a {
-                EngineAction::Multicast(wire) => {
-                    let size = wire.size_bytes();
-                    let deliveries = self.net.multicast(site, size, now, &mut self.rng);
-                    for d in deliveries {
-                        self.queue.schedule(
-                            d.arrival,
-                            Ev::Wire { from: site, to: d.to, wire: wire.clone() },
-                        );
-                    }
-                }
-                EngineAction::Send(to, wire) => {
-                    let size = wire.size_bytes();
-                    let d = self.net.unicast(site, to, size, now, &mut self.rng);
-                    self.queue.schedule(d.arrival, Ev::Wire { from: site, to, wire });
-                }
-                EngineAction::SetTimer { token, delay } => {
-                    self.queue.schedule(now + delay, Ev::Timer { site, token });
-                }
-                EngineAction::OptDeliver(msg) => {
-                    self.opt_logs[site.index()].push(msg.id);
-                }
-                EngineAction::ToDeliver(ids) => {
-                    self.to_logs[site.index()].extend(ids);
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, ev: Ev<P>) {
-        match ev {
-            Ev::Wire { from, to, wire } => {
-                if self.crashed[to.index()] {
-                    self.held[to.index()].push((from, wire));
-                    return;
-                }
-                if matches!(wire, Wire::Data(_) | Wire::OracleData { .. }) {
-                    let id = match &wire {
-                        Wire::Data(m) => m.id,
-                        Wire::OracleData { msg, .. } => msg.id,
-                        _ => unreachable!(),
-                    };
-                    self.receive_logs[to.index()].push(id);
-                }
-                let ctx = EngineCtx::new(to, &self.domain);
-                let actions = self.engines[to.index()].on_receive(&ctx, from, wire);
-                self.apply_actions(to, actions);
-            }
-            Ev::Timer { site, token } => {
-                if self.crashed[site.index()] {
-                    return;
-                }
-                let ctx = EngineCtx::new(site, &self.domain);
-                let actions = self.engines[site.index()].on_timer(&ctx, token);
-                self.apply_actions(site, actions);
-            }
-            Ev::Broadcast { site, payload, size } => {
-                if self.crashed[site.index()] {
-                    return; // a crashed client/site cannot broadcast
-                }
-                let _ = size;
-                let ctx = EngineCtx::new(site, &self.domain);
-                let (id, actions) = self.engines[site.index()].broadcast(&ctx, payload);
-                self.broadcasts.push(id);
-                self.apply_actions(site, actions);
-            }
-            Ev::Crash { site } => {
-                self.crashed[site.index()] = true;
-                self.net.set_down(site);
-            }
-            Ev::Recover { site, donor } => {
-                assert!(!self.crashed[donor.index()], "donor {donor} must be up");
-                self.crashed[site.index()] = false;
-                self.net.set_up(site);
-                // Fresh engine + state transfer.
-                let snapshot = self.engines[donor.index()].snapshot();
-                let ctx = EngineCtx::new(site, &self.domain);
-                let mut fresh = (self.factory)(site);
-                let actions = fresh.restore(&ctx, snapshot);
-                self.engines[site.index()] = fresh;
-                // Reset local delivery logs to the definitive log we now
-                // claim to have delivered (the pre-crash prefix is gone
-                // from the fresh engine's perspective), then apply the
-                // restore actions (re-emitted tentative deliveries).
-                self.to_logs[site.index()] = self.engines[site.index()].definitive_log().to_vec();
-                self.opt_logs[site.index()] = self.engines[site.index()].definitive_log().to_vec();
-                self.apply_actions(site, actions);
-                // Post-restore repair (the harness holds no partition
-                // buffers, so there are no self-sent wires to re-teach
-                // first — see the cluster driver for the full sequence).
-                let finish = {
-                    let ctx = EngineCtx::new(site, &self.domain);
-                    self.engines[site.index()].finish_restore(&ctx)
-                };
-                self.apply_actions(site, finish);
-                // Replay everything buffered while down.
-                let held = std::mem::take(&mut self.held[site.index()]);
-                let now = self.queue.now();
-                let mut delay = SimDuration::from_micros(10);
-                for (from, wire) in held {
-                    self.queue.schedule(now + delay, Ev::Wire { from, to: site, wire });
-                    delay += SimDuration::from_micros(10);
-                }
-            }
-        }
+        self.sched.schedule_restore(at, site, donor);
     }
 
     /// Runs until the queue empties or `deadline` passes, whichever comes
     /// first. Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
+        let (receive, opt, to, broadcasts) =
+            (&mut self.receive_logs, &mut self.opt_logs, &mut self.to_logs, &mut self.broadcasts);
+        self.sched.run_until(deadline, &mut self.engines, |site, _, delivered| {
+            let s = site.index();
+            match delivered {
+                Delivered::Received(id) => receive[s].push(id),
+                Delivered::Broadcast(id) => broadcasts.push(id),
+                Delivered::Opt(id) => opt[s].push(id),
+                Delivered::To(ids) => to[s].extend(ids),
+                // The pre-crash prefix is gone from the fresh engine's
+                // perspective: both logs restart from its definitive log.
+                Delivered::Restored(log) => {
+                    opt[s] = log.clone();
+                    to[s] = log;
+                }
             }
-            let (_, ev) = self.queue.pop().expect("peeked");
-            self.handle(ev);
-            processed += 1;
-        }
-        processed
+        })
     }
 }
 
-impl<P, E: std::fmt::Debug> std::fmt::Debug for LanCluster<P, E> {
+impl<P: Clone + PayloadSize, E> std::fmt::Debug for LanCluster<P, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LanCluster")
-            .field("sites", &self.engines.len())
-            .field("now", &self.queue.now())
+            .field("sites", &self.to_logs.len())
+            .field("now", &self.sched.now())
             .field("broadcasts", &self.broadcasts.len())
             .finish_non_exhaustive()
     }
@@ -280,6 +281,7 @@ mod tests {
     use super::*;
     use crate::opt::{OptAbcast, OptAbcastConfig};
     use crate::seq::SeqAbcast;
+    use otp_simnet::SimDuration;
 
     fn opt_cluster(n: usize, seed: u64) -> LanCluster<u64, OptAbcast<u64>> {
         let cfg = OptAbcastConfig::new(n, SimDuration::from_millis(50));

@@ -253,78 +253,47 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
 mod tests {
     use super::*;
     use crate::domain::OrderDomain;
+    use crate::harness::{Delivered, Engines};
+    use otp_simnet::sched::{Links, Sched};
+    use otp_simnet::SimTime;
 
-    /// Timed mini-driver for the oracle engine (it needs timers).
+    /// The oracle engines on the scheduler (they need timers), every link
+    /// 100 µs.
     struct Driver {
-        engines: Vec<ScrambledAbcast<u32>>,
+        engines: Engines<u32, ScrambledAbcast<u32>>,
+        sched: Sched<Engines<u32, ScrambledAbcast<u32>>>,
         /// Each site's Opt-deliveries, in order: its tentative order.
         opt_logs: Vec<Vec<MsgId>>,
-        dom: OrderDomain,
-        queue: otp_simnet::EventQueue<Ev>,
-    }
-
-    enum Ev {
-        Deliver { to: SiteId, from: SiteId, wire: Wire<u32> },
-        Timer { site: SiteId, token: TimerToken },
     }
 
     impl Driver {
         fn new(n: usize, cfg: ScrambleConfig, seed: u64) -> Self {
             let mut rng = SimRng::seed_from(seed);
-            Driver {
-                engines: ScrambledAbcast::group(n, cfg, &mut rng),
-                opt_logs: vec![Vec::new(); n],
-                dom: OrderDomain::global(n),
-                queue: otp_simnet::EventQueue::new(),
-            }
-        }
-
-        fn apply(&mut self, site: SiteId, actions: Vec<EngineAction<u32>>) {
-            let now = self.queue.now();
+            let group = ScrambledAbcast::group(n, cfg, &mut rng);
             let hop = SimDuration::from_micros(100);
-            for a in actions {
-                match a {
-                    EngineAction::Multicast(w) => {
-                        for to in SiteId::all(self.engines.len()) {
-                            self.queue.schedule(
-                                now + hop,
-                                Ev::Deliver { to, from: site, wire: w.clone() },
-                            );
-                        }
-                    }
-                    EngineAction::Send(to, w) => {
-                        self.queue.schedule(now + hop, Ev::Deliver { to, from: site, wire: w });
-                    }
-                    EngineAction::SetTimer { token, delay } => {
-                        self.queue.schedule(now + delay, Ev::Timer { site, token });
-                    }
-                    EngineAction::OptDeliver(m) => self.opt_logs[site.index()].push(m.id),
-                    EngineAction::ToDeliver(_) => {}
-                }
+            Driver {
+                engines: Engines::with_engines(group, Box::new(|_| unreachable!("no recovery"))),
+                sched: Sched::new(Links::uniform(n, hop), rng),
+                opt_logs: vec![Vec::new(); n],
             }
         }
 
+        fn engine(&self, i: usize) -> &ScrambledAbcast<u32> {
+            self.engines.engine(SiteId::new(i as u16))
+        }
+
+        /// Broadcasts `payload` from `site` at time 0.
         fn broadcast(&mut self, site: SiteId, payload: u32) {
-            let ctx = EngineCtx::new(site, &self.dom);
-            let (_, actions) = self.engines[site.index()].broadcast(&ctx, payload);
-            self.apply(site, actions);
+            self.sched.schedule_submit(SimTime::ZERO, site, payload);
         }
 
         fn run(&mut self) {
-            while let Some((_, ev)) = self.queue.pop() {
-                match ev {
-                    Ev::Deliver { to, from, wire } => {
-                        let ctx = EngineCtx::new(to, &self.dom);
-                        let actions = self.engines[to.index()].on_receive(&ctx, from, wire);
-                        self.apply(to, actions);
-                    }
-                    Ev::Timer { site, token } => {
-                        let ctx = EngineCtx::new(site, &self.dom);
-                        let actions = self.engines[site.index()].on_timer(&ctx, token);
-                        self.apply(site, actions);
-                    }
+            let logs = &mut self.opt_logs;
+            self.sched.run_until(SimTime::MAX, &mut self.engines, |site, _, delivered| {
+                if let Delivered::Opt(id) = delivered {
+                    logs[site.index()].push(id);
                 }
-            }
+            });
         }
     }
 
@@ -335,10 +304,10 @@ mod tests {
             d.broadcast(SiteId::new((k % 3) as u16), k);
         }
         d.run();
-        let log0 = d.engines[0].definitive_log().to_vec();
+        let log0 = d.engine(0).definitive_log().to_vec();
         assert_eq!(log0.len(), 10);
-        for e in &d.engines {
-            assert_eq!(e.definitive_log(), log0.as_slice());
+        for i in 0..3 {
+            assert_eq!(d.engine(i).definitive_log(), log0.as_slice());
         }
     }
 
@@ -349,8 +318,8 @@ mod tests {
             d.broadcast(SiteId::new(0), k);
         }
         d.run();
-        for (e, tentative) in d.engines.iter().zip(&d.opt_logs) {
-            assert_eq!(tentative, e.definitive_log());
+        for (i, tentative) in d.opt_logs.iter().enumerate() {
+            assert_eq!(tentative, d.engine(i).definitive_log());
         }
     }
 
@@ -363,10 +332,10 @@ mod tests {
             d.broadcast(SiteId::new(0), k);
         }
         d.run();
-        let e = &d.engines[1];
+        let e = d.engine(1);
         assert_eq!(e.definitive_log().len(), 100, "all TO-delivered");
         // Definitive order is the oracle order at every site.
-        assert_eq!(d.engines[0].definitive_log(), e.definitive_log());
+        assert_eq!(d.engine(0).definitive_log(), e.definitive_log());
         // The tentative order should differ somewhere.
         assert_ne!(d.opt_logs[1], e.definitive_log(), "swaps must show up");
         // But as a *set* it is the same 100 messages.
@@ -502,7 +471,7 @@ mod tests {
             d.broadcast(SiteId::new(0), k);
         }
         d.run();
-        let e = &d.engines[1];
+        let e = d.engine(1);
         let mismatches =
             d.opt_logs[1].iter().zip(e.definitive_log()).filter(|(a, b)| a != b).count();
         let rate = mismatches as f64 / 2000.0;

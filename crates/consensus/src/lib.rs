@@ -555,7 +555,8 @@ impl<V: Clone + PartialEq + fmt::Debug> Instance<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otp_simnet::{EventQueue, SimTime};
+    use otp_simnet::sched::{Data, Input, Links, Node, Output, Outputs, Sched};
+    use otp_simnet::SimTime;
 
     const HOP: SimDuration = SimDuration::from_micros(100);
     const PATIENCE: SimDuration = SimDuration::from_millis(20);
@@ -580,28 +581,13 @@ mod tests {
         }
     }
 
-    /// Minimal deterministic driver: delivers every Send/Broadcast with a
-    /// fixed per-hop delay plus a per-sender skew and a per-link extra,
-    /// supports sites that crash at an instant and sites that come back
-    /// without their memory. Timers fire via the same queue.
-    struct Driver {
+    /// The instances, one per site, as one scheduler node: what each site
+    /// decided and when, and the messages sent and consumed.
+    struct Sites {
         instances: Vec<Instance<u32>>,
-        queue: EventQueue<Ev>,
-        /// Instant from which a site processes nothing.
-        crash_at: Vec<Option<SimTime>>,
-        /// Incarnation of each site: bumped when it rejoins, so that the
-        /// timers of the dead incarnation die with it.
-        life: Vec<u32>,
-        /// What reached a crashed site that is going to rejoin: held, and
-        /// delivered to the new incarnation (reliable channels).
-        held: Vec<Vec<(SiteId, ConsensusMsg<u32>)>>,
-        will_rejoin: Vec<bool>,
         /// Every `Decided` any incarnation ever emitted: site, value, and
         /// whether it was decided in one step.
         decided_log: Vec<(usize, u32, bool)>,
-        skew: Vec<SimDuration>,
-        /// Extra delay of the directed link `[from][to]`.
-        link: Vec<Vec<SimDuration>>,
         decided_at: Vec<Option<SimTime>>,
         /// Messages handed to the transport, one per Send or Broadcast.
         sent: Vec<Kind>,
@@ -609,10 +595,113 @@ mod tests {
         consumed: Vec<Kind>,
     }
 
-    enum Ev {
-        Msg { from: SiteId, to: SiteId, msg: ConsensusMsg<u32> },
-        Timer { site: SiteId, life: u32, round: u64 },
-        Rejoin { site: SiteId, proposal: u32 },
+    impl Data for Sites {
+        type Wire = ConsensusMsg<u32>;
+        /// The round whose patience ran out.
+        type Timer = u64;
+        type Work = ();
+        type Submit = ();
+        /// Rejoin without memory, proposing this.
+        type Control = u32;
+        type Report = ();
+    }
+
+    impl Sites {
+        /// Pushes `actions` of site `me` as outputs and records decisions.
+        fn push(
+            &mut self,
+            me: SiteId,
+            now: SimTime,
+            actions: Vec<Action<u32>>,
+            out: &mut Outputs<Self>,
+        ) {
+            for a in actions {
+                match a {
+                    Action::Send(to, msg) => {
+                        self.sent.push(kind_of(&msg));
+                        out.push(Output::Send { group: 0, to, wire: msg });
+                    }
+                    Action::Broadcast(msg) => {
+                        self.sent.push(kind_of(&msg));
+                        out.push(Output::Multicast { group: 0, wire: msg });
+                    }
+                    Action::SetTimer { round, delay } => {
+                        out.push(Output::Timer { after: delay, timer: round })
+                    }
+                    Action::Decided(v) => {
+                        self.decided_at[me.index()] = Some(now);
+                        let one_step = self.instances[me.index()].decided_in_one_step();
+                        self.decided_log.push((me.index(), v, one_step));
+                    }
+                }
+            }
+        }
+    }
+
+    impl Node for Sites {
+        type Data = Self;
+
+        fn handle(
+            &mut self,
+            at: SiteId,
+            now: SimTime,
+            input: Input<Self>,
+            out: &mut Outputs<Self>,
+        ) {
+            let i = at.index();
+            match input {
+                Input::Wires(batch) => {
+                    for a in batch {
+                        if self.instances[i].decided().is_none() {
+                            self.consumed.push(kind_of(&a.wire));
+                        }
+                        let actions = self.instances[i].on_message(a.from, a.wire);
+                        self.push(at, now, actions, out);
+                    }
+                }
+                Input::Timer(round) => {
+                    let actions = self.instances[i].on_timeout(round);
+                    self.push(at, now, actions, out);
+                }
+                Input::Control(proposal) => {
+                    self.decided_at[i] = None;
+                    let cfg = InstanceConfig::new(self.decided_at.len(), PATIENCE);
+                    let (inst, actions) = Instance::rejoin(at, cfg, proposal);
+                    self.instances[i] = inst;
+                    self.push(at, now, actions, out);
+                }
+                Input::Done(()) | Input::Submit(()) => {}
+            }
+        }
+    }
+
+    /// The instances on the scheduler: every message takes a fixed hop
+    /// plus a per-sender skew and a per-link extra; a site can crash at an
+    /// instant, and come back without its memory, when what reached it
+    /// meanwhile is replayed to the new incarnation (reliable channels)
+    /// and the old incarnation's timers are dead.
+    struct Driver {
+        sites: Sites,
+        sched: Sched<Sites>,
+        /// Instant from which a site that never comes back processes
+        /// nothing.
+        crash_at: Vec<Option<SimTime>>,
+        skew: Vec<SimDuration>,
+        /// Extra delay of the directed link `[from][to]`.
+        link: Vec<Vec<SimDuration>>,
+    }
+
+    impl std::ops::Deref for Driver {
+        type Target = Sites;
+        fn deref(&self) -> &Sites {
+            &self.sites
+        }
+    }
+
+    impl std::ops::DerefMut for Driver {
+        fn deref_mut(&mut self) -> &mut Sites {
+            &mut self.sites
+        }
     }
 
     impl Driver {
@@ -628,125 +717,63 @@ mod tests {
         /// [`Driver::start`] after shaping the links.
         fn idle(n: usize) -> Self {
             Driver {
-                instances: Vec::new(),
-                queue: EventQueue::new(),
+                sites: Sites {
+                    instances: Vec::new(),
+                    decided_log: Vec::new(),
+                    decided_at: vec![None; n],
+                    sent: Vec::new(),
+                    consumed: Vec::new(),
+                },
+                sched: Sched::new(Links::uniform(n, HOP), otp_simnet::SimRng::seed_from(0)),
                 crash_at: vec![None; n],
-                life: vec![0; n],
-                held: vec![Vec::new(); n],
-                will_rejoin: vec![false; n],
-                decided_log: Vec::new(),
                 skew: vec![SimDuration::ZERO; n],
                 link: vec![vec![SimDuration::ZERO; n]; n],
-                decided_at: vec![None; n],
-                sent: Vec::new(),
-                consumed: Vec::new(),
+            }
+        }
+
+        /// Brings the scheduler's delay table up to the skews and links.
+        fn sync_links(&mut self) {
+            let delays = self.sched.delays_mut();
+            for (from, row) in delays.iter_mut().enumerate() {
+                for (to, d) in row.iter_mut().enumerate() {
+                    *d = HOP + self.skew[from] + self.link[from][to];
+                }
             }
         }
 
         /// Sites must start in index order.
         fn start(&mut self, me: SiteId, proposal: u32) {
-            assert_eq!(me.index(), self.instances.len());
+            assert_eq!(me.index(), self.sites.instances.len());
+            self.sync_links();
             let cfg = InstanceConfig::new(self.crash_at.len(), PATIENCE);
             let (inst, actions) = Instance::new(me, cfg, proposal);
-            self.instances.push(inst);
-            self.apply_actions(me, actions);
+            self.sites.instances.push(inst);
+            let mut out = Vec::new();
+            self.sites.push(me, self.sched.now(), actions, &mut out);
+            self.sched.apply(me, &mut out, |_, _, ()| {});
         }
 
         fn crash(&mut self, site: usize) {
-            self.crash_at[site] = Some(SimTime::ZERO);
+            self.crash_at(site, SimTime::ZERO);
+        }
+
+        /// `site` processes nothing from `at` on.
+        fn crash_at(&mut self, site: usize, at: SimTime) {
+            self.crash_at[site] = Some(at);
+            self.sched.schedule_crash(at, SiteId::new(site as u16));
         }
 
         /// `site` crashes at `crash` and comes back at `back`, rebuilt
         /// without its memory, proposing `proposal`.
         fn crash_and_rejoin(&mut self, site: usize, crash: SimTime, back: SimTime, proposal: u32) {
-            self.crash_at[site] = Some(crash);
-            self.will_rejoin[site] = true;
-            self.queue.schedule(back, Ev::Rejoin { site: SiteId::new(site as u16), proposal });
-        }
-
-        fn is_down(&self, site: SiteId) -> bool {
-            self.crash_at[site.index()].is_some_and(|t| self.queue.now() >= t)
-        }
-
-        fn post(&mut self, from: SiteId, to: SiteId, msg: ConsensusMsg<u32>) {
-            let at = self.queue.now()
-                + HOP
-                + self.skew[from.index()]
-                + self.link[from.index()][to.index()];
-            self.queue.schedule(at, Ev::Msg { from, to, msg });
-        }
-
-        fn apply_actions(&mut self, me: SiteId, actions: Vec<Action<u32>>) {
-            let now = self.queue.now();
-            for a in actions {
-                match a {
-                    Action::Send(to, msg) => {
-                        self.sent.push(kind_of(&msg));
-                        self.post(me, to, msg);
-                    }
-                    Action::Broadcast(msg) => {
-                        self.sent.push(kind_of(&msg));
-                        for to in SiteId::all(self.crash_at.len()) {
-                            self.post(me, to, msg.clone());
-                        }
-                    }
-                    Action::SetTimer { round, delay } => {
-                        let life = self.life[me.index()];
-                        self.queue.schedule(now + delay, Ev::Timer { site: me, life, round });
-                    }
-                    Action::Decided(v) => {
-                        self.decided_at[me.index()] = Some(now);
-                        let one_step = self.instances[me.index()].decided_in_one_step();
-                        self.decided_log.push((me.index(), v, one_step));
-                    }
-                }
-            }
+            let site = SiteId::new(site as u16);
+            self.sched.schedule_crash(crash, site);
+            self.sched.schedule_restore(back, site, proposal);
         }
 
         fn run(&mut self, deadline: SimTime) {
-            while let Some(t) = self.queue.peek_time() {
-                if t > deadline {
-                    break;
-                }
-                let (_, ev) = self.queue.pop().unwrap();
-                match ev {
-                    Ev::Msg { from, to, msg } => {
-                        if self.is_down(to) {
-                            if self.will_rejoin[to.index()] {
-                                self.held[to.index()].push((from, msg));
-                            }
-                            continue;
-                        }
-                        if self.instances[to.index()].decided().is_none() {
-                            self.consumed.push(kind_of(&msg));
-                        }
-                        let actions = self.instances[to.index()].on_message(from, msg);
-                        self.apply_actions(to, actions);
-                    }
-                    Ev::Timer { site, life, round } => {
-                        if self.is_down(site) || life != self.life[site.index()] {
-                            continue;
-                        }
-                        let actions = self.instances[site.index()].on_timeout(round);
-                        self.apply_actions(site, actions);
-                    }
-                    Ev::Rejoin { site, proposal } => {
-                        let i = site.index();
-                        self.crash_at[i] = None;
-                        self.will_rejoin[i] = false;
-                        self.life[i] += 1;
-                        self.decided_at[i] = None;
-                        let cfg = InstanceConfig::new(self.crash_at.len(), PATIENCE);
-                        let (inst, actions) = Instance::rejoin(site, cfg, proposal);
-                        self.instances[i] = inst;
-                        self.apply_actions(site, actions);
-                        for (from, msg) in std::mem::take(&mut self.held[i]) {
-                            let at = self.queue.now() + HOP;
-                            self.queue.schedule(at, Ev::Msg { from, to: site, msg });
-                        }
-                    }
-                }
-            }
+            self.sync_links();
+            self.sched.run_until(deadline, &mut self.sites, |_, _, ()| {});
         }
 
         fn decisions(&self) -> Vec<Option<u32>> {
@@ -1253,8 +1280,7 @@ mod tests {
             }
             let victim = rng.uniform_range(0, n as u64) as usize;
             if rng.chance(0.7) {
-                d.crash_at[victim] =
-                    Some(SimTime::ZERO + SimDuration::from_micros(rng.uniform_range(0, 1500)));
+                d.crash_at(victim, SimTime::ZERO + SimDuration::from_micros(rng.uniform_range(0, 1500)));
             }
             let bias = rng.uniform_range(0, 3);
             let proposals: Vec<u32> = (0..n)

@@ -26,7 +26,8 @@
 
 use otp_broadcast::PayloadSize;
 use otp_simnet::metrics::{Counters, Histogram};
-use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
+use otp_simnet::sched::{Data, Input, Links, Node, Output, Outputs, Sched};
+use otp_simnet::{MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{
     ClassId, Database, ObjectId, ObjectKey, ProcId, ProcRegistry, TxnCtx, TxnIndex, Value,
 };
@@ -89,46 +90,68 @@ impl AsyncConfig {
     }
 }
 
-enum Ev {
-    Submit {
-        site: SiteId,
-        request: TxnRequest,
-    },
-    /// Request arriving at the class primary (possibly forwarded).
-    AtPrimary {
-        request: TxnRequest,
-        origin: SiteId,
-    },
-    ExecDone {
-        class: ClassId,
-        txn: TxnId,
-    },
-    /// Commit acknowledgment travelling back to the origin site.
-    Response {
-        origin: SiteId,
-        txn: TxnId,
-    },
-    /// Lazy write-set propagation arriving at a site.
-    Apply {
-        site: SiteId,
-        ws: WriteSet,
-    },
-    Query {
-        site: SiteId,
-        qid: TxnId,
-        reads: Vec<ObjectId>,
-    },
+/// What travels between the lazy cluster's sites.
+#[derive(Debug, Clone)]
+enum LazyWire {
+    /// A request forwarded to its class's primary.
+    Request(TxnRequest),
+    /// The commit acknowledgment travelling back to the origin site.
+    Response(TxnId),
+    /// Lazy write-set propagation.
+    Apply(WriteSet),
 }
 
-/// The lazy primary-copy cluster. See the [module docs](self).
-pub struct AsyncCluster {
-    config: AsyncConfig,
+/// A hand-off within one site, at the instant it is made.
+enum LocalStep {
+    /// A request submitted at its class's primary reaches the primary.
+    AtPrimary(TxnRequest),
+    /// The commit acknowledgment of a request the primary itself took.
+    Response(TxnId),
+}
+
+/// A client call at a site.
+enum LazySubmit {
+    Update(TxnRequest),
+    Query { qid: TxnId, reads: Vec<ObjectId> },
+}
+
+/// What the lazy sites report to the cluster's statistics.
+enum LazyReport {
+    /// Submit → response at the origin.
+    Latency(SimDuration),
+    /// Primary commit → apply at a replica.
+    Staleness(SimDuration),
+    Query(TxnId, Vec<Value>),
+    Count(&'static str),
+}
+
+/// The vocabulary of the lazy sites on the scheduler.
+struct Lazy;
+
+impl Data for Lazy {
+    type Wire = LazyWire;
+    type Timer = LocalStep;
+    /// The head of a class queue at its primary finished executing.
+    type Work = (ClassId, TxnId);
+    type Submit = LazySubmit;
+    type Control = ();
+    type Report = LazyReport;
+
+    fn wire_size(wire: &LazyWire) -> u32 {
+        match wire {
+            LazyWire::Request(request) => request.size_bytes(),
+            LazyWire::Response(_) => 32,
+            LazyWire::Apply(ws) => ws.size_bytes(),
+        }
+    }
+}
+
+/// Every site of the lazy cluster, as one scheduler node.
+struct LazySites {
+    sites: usize,
     registry: Arc<ProcRegistry>,
-    net: MulticastNet,
-    queue: EventQueue<Ev>,
-    rng: SimRng,
     dbs: Vec<Database>,
-    /// Per-class queue at the class's primary.
+    /// Per-class queue at the class's primary, with each request's origin.
     class_queues: Vec<VecDeque<(TxnRequest, SiteId)>>,
     executing: Vec<bool>,
     /// Per-class commit counter at the primary.
@@ -137,12 +160,17 @@ pub struct AsyncCluster {
     applied: Vec<Vec<u64>>,
     /// Out-of-order write sets buffered per site per class.
     buffered: Vec<Vec<BTreeMap<u64, WriteSet>>>,
-    /// Pending origin info per transaction (at the primary).
-    origins: HashMap<TxnId, SiteId>,
     submit_time: HashMap<TxnId, SimTime>,
     /// Per-site logical position counters for history records.
     position: Vec<u64>,
     histories: Vec<HistoryLog>,
+}
+
+/// The lazy primary-copy cluster. See the [module docs](self).
+pub struct AsyncCluster {
+    config: AsyncConfig,
+    sched: Sched<Lazy>,
+    sites: LazySites,
     /// Results of completed queries.
     pub query_results: HashMap<TxnId, Vec<Value>>,
     next_query_seq: u64,
@@ -165,10 +193,10 @@ impl AsyncCluster {
         for (oid, v) in &initial_data {
             base_db.load(*oid, v.clone());
         }
-        AsyncCluster {
-            net: MulticastNet::new(config.net.clone()),
-            queue: EventQueue::new(),
-            rng: SimRng::seed_from(config.seed),
+        let links = Links::Net(Box::new(MulticastNet::new(config.net.clone())));
+        let sites = LazySites {
+            sites: config.sites,
+            registry,
             dbs: (0..config.sites).map(|_| base_db.clone()).collect(),
             class_queues: (0..config.classes).map(|_| VecDeque::new()).collect(),
             executing: vec![false; config.classes],
@@ -177,43 +205,47 @@ impl AsyncCluster {
             buffered: (0..config.sites)
                 .map(|_| (0..config.classes).map(|_| BTreeMap::new()).collect())
                 .collect(),
-            origins: HashMap::new(),
             submit_time: HashMap::new(),
             position: vec![0; config.sites],
             histories: vec![HistoryLog::new(); config.sites],
+        };
+        AsyncCluster {
+            sched: Sched::new(links, SimRng::seed_from(config.seed))
+                .with_work_time(config.exec_time),
+            sites,
             query_results: HashMap::new(),
             next_query_seq: 0,
             commit_latency: Histogram::new(),
             staleness: Histogram::new(),
             counters: Counters::new(),
             config,
-            registry,
         }
     }
 
     /// Primary site of a class.
     pub fn primary(&self, class: ClassId) -> SiteId {
-        SiteId::new((class.raw() as usize % self.config.sites) as u16)
+        self.sites.primary(class)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.sched.now()
     }
 
     /// The database copy at a site.
     pub fn db(&self, site: SiteId) -> &Database {
-        &self.dbs[site.index()]
+        &self.sites.dbs[site.index()]
     }
 
     /// Per-site histories for serializability checking.
     pub fn histories(&self) -> Vec<Vec<CommittedTxn>> {
-        self.histories.iter().map(HistoryLog::to_vec).collect()
+        self.sites.histories.iter().map(HistoryLog::to_vec).collect()
     }
 
     /// Whether all sites converged to the same committed state.
     pub fn converged(&self) -> bool {
-        self.dbs.iter().all(|d| d.committed_state_eq(&self.dbs[0]))
+        let dbs = &self.sites.dbs;
+        dbs.iter().all(|d| d.committed_state_eq(&dbs[0]))
     }
 
     /// Schedules a client update.
@@ -225,9 +257,9 @@ impl AsyncCluster {
         proc: ProcId,
         args: Vec<Value>,
     ) -> TxnId {
-        let id = TxnId::new(site, self.submit_time.len() as u64);
+        let id = TxnId::new(site, self.sites.submit_time.len() as u64);
         let request = TxnRequest::new(id, class, proc, args);
-        self.queue.schedule(at, Ev::Submit { site, request });
+        self.sched.schedule_submit(at, site, LazySubmit::Update(request));
         id
     }
 
@@ -235,101 +267,136 @@ impl AsyncCluster {
     pub fn schedule_query(&mut self, at: SimTime, site: SiteId, reads: Vec<ObjectId>) -> TxnId {
         let qid = TxnId::new(site, (1 << 63) | self.next_query_seq);
         self.next_query_seq += 1;
-        self.queue.schedule(at, Ev::Query { site, qid, reads });
+        self.sched.schedule_submit(at, site, LazySubmit::Query { qid, reads });
         qid
     }
 
     /// Runs until quiescence or `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
+        let (latency, staleness) = (&mut self.commit_latency, &mut self.staleness);
+        let (queries, counters) = (&mut self.query_results, &mut self.counters);
+        self.sched.run_until(deadline, &mut self.sites, |_, _, report| match report {
+            LazyReport::Latency(d) => latency.record(d),
+            LazyReport::Staleness(d) => staleness.record(d),
+            LazyReport::Query(qid, values) => {
+                queries.insert(qid, values);
             }
-            let (_, ev) = self.queue.pop().expect("peeked");
-            self.handle(ev);
-            n += 1;
-        }
-        n
+            LazyReport::Count(name) => counters.incr(name),
+        })
     }
+}
 
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::Submit { site, request } => {
-                self.submit_time.insert(request.id, self.queue.now());
+impl Node for LazySites {
+    type Data = Lazy;
+
+    fn handle(&mut self, at: SiteId, now: SimTime, input: Input<Lazy>, out: &mut Outputs<Lazy>) {
+        match input {
+            Input::Submit(LazySubmit::Update(request)) => {
+                self.submit_time.insert(request.id, now);
                 let primary = self.primary(request.class);
-                if primary == site {
-                    self.queue.schedule(self.queue.now(), Ev::AtPrimary { request, origin: site });
+                if primary == at {
+                    out.push(Output::Timer {
+                        after: SimDuration::ZERO,
+                        timer: LocalStep::AtPrimary(request),
+                    });
                 } else {
                     // Forward to the primary over the LAN.
-                    self.counters.incr("forward");
-                    let d = self.net.unicast(
-                        site,
-                        primary,
-                        request.size_bytes(),
-                        self.queue.now(),
-                        &mut self.rng,
-                    );
-                    self.queue.schedule(d.arrival, Ev::AtPrimary { request, origin: site });
+                    out.push(Output::Report(LazyReport::Count("forward")));
+                    out.push(Output::Send {
+                        group: 0,
+                        to: primary,
+                        wire: LazyWire::Request(request),
+                    });
                 }
             }
-            Ev::AtPrimary { request, origin } => {
-                let class = request.class;
-                self.origins.insert(request.id, origin);
-                self.class_queues[class.index()].push_back((request, origin));
-                if !self.executing[class.index()] {
-                    self.start_next(class);
+            Input::Timer(LocalStep::AtPrimary(request)) => self.at_primary(request, at, out),
+            Input::Timer(LocalStep::Response(txn)) => self.response(txn, now, out),
+            Input::Wires(batch) => {
+                for a in batch {
+                    match a.wire {
+                        LazyWire::Request(request) => self.at_primary(request, a.from, out),
+                        LazyWire::Response(txn) => self.response(txn, now, out),
+                        // The primary applied its own write set at commit.
+                        LazyWire::Apply(_) if a.from == at => {}
+                        LazyWire::Apply(ws) => self.receive_write_set(at, ws, now, out),
+                    }
                 }
             }
-            Ev::ExecDone { class, txn } => {
-                self.commit_at_primary(class, txn);
-            }
-            Ev::Response { origin, txn } => {
-                if let Some(t0) = self.submit_time.get(&txn) {
-                    self.commit_latency.record(self.queue.now().saturating_since(*t0));
-                }
-                let _ = origin;
-            }
-            Ev::Apply { site, ws } => {
-                let class = ws.class;
-                self.buffered[site.index()][class.index()].insert(ws.seq, ws);
-                // Apply any contiguous run.
-                loop {
-                    let next = self.applied[site.index()][class.index()];
-                    let Some(ws) = self.buffered[site.index()][class.index()].remove(&next) else {
-                        break;
-                    };
-                    self.apply_write_set(site, ws);
-                    self.applied[site.index()][class.index()] = next + 1;
-                }
-            }
-            Ev::Query { site, qid, reads } => {
+            Input::Done((class, txn)) => self.commit_at_primary(class, txn, now, out),
+            Input::Submit(LazySubmit::Query { qid, reads }) => {
                 // Read-committed on the local copy: fast, maybe stale.
                 let values: Vec<Value> = reads
                     .iter()
                     .map(|oid| {
-                        self.dbs[site.index()].read_committed(*oid).cloned().unwrap_or(Value::Null)
+                        self.dbs[at.index()].read_committed(*oid).cloned().unwrap_or(Value::Null)
                     })
                     .collect();
-                self.position[site.index()] += 2;
-                let pos = self.position[site.index()] - 1; // between updates
-                self.histories[site.index()].push(qid, pos, reads, []);
-                self.query_results.insert(qid, values);
-                self.counters.incr("query");
+                self.position[at.index()] += 2;
+                let pos = self.position[at.index()] - 1; // between updates
+                self.histories[at.index()].push(qid, pos, reads, []);
+                out.push(Output::Report(LazyReport::Query(qid, values)));
+                out.push(Output::Report(LazyReport::Count("query")));
             }
+            Input::Control(()) => {}
+        }
+    }
+}
+
+impl LazySites {
+    fn primary(&self, class: ClassId) -> SiteId {
+        SiteId::new((class.raw() as usize % self.sites) as u16)
+    }
+
+    /// A request reaches its class's primary, from `origin`.
+    fn at_primary(&mut self, request: TxnRequest, origin: SiteId, out: &mut Outputs<Lazy>) {
+        let class = request.class;
+        self.class_queues[class.index()].push_back((request, origin));
+        if !self.executing[class.index()] {
+            self.start_next(class, out);
         }
     }
 
-    fn start_next(&mut self, class: ClassId) {
-        let Some((request, _origin)) = self.class_queues[class.index()].front().cloned() else {
+    fn response(&self, txn: TxnId, now: SimTime, out: &mut Outputs<Lazy>) {
+        if let Some(t0) = self.submit_time.get(&txn) {
+            out.push(Output::Report(LazyReport::Latency(now.saturating_since(*t0))));
+        }
+    }
+
+    /// Buffers `ws` at `site` and applies the contiguous run it completes.
+    fn receive_write_set(
+        &mut self,
+        site: SiteId,
+        ws: WriteSet,
+        now: SimTime,
+        out: &mut Outputs<Lazy>,
+    ) {
+        let (s, class) = (site.index(), ws.class.index());
+        self.buffered[s][class].insert(ws.seq, ws);
+        loop {
+            let next = self.applied[s][class];
+            let Some(ws) = self.buffered[s][class].remove(&next) else {
+                break;
+            };
+            self.apply_write_set(site, ws, now, out);
+            self.applied[s][class] = next + 1;
+        }
+    }
+
+    fn start_next(&mut self, class: ClassId, out: &mut Outputs<Lazy>) {
+        let Some((request, _origin)) = self.class_queues[class.index()].front() else {
             return;
         };
         self.executing[class.index()] = true;
-        let d = self.config.exec_time.sample(&mut self.rng);
-        self.queue.schedule(self.queue.now() + d, Ev::ExecDone { class, txn: request.id });
+        out.push(Output::Work((class, request.id)));
     }
 
-    fn commit_at_primary(&mut self, class: ClassId, txn: TxnId) {
+    fn commit_at_primary(
+        &mut self,
+        class: ClassId,
+        txn: TxnId,
+        now: SimTime,
+        out: &mut Outputs<Lazy>,
+    ) {
         let primary = self.primary(class);
         let (request, origin) =
             self.class_queues[class.index()].pop_front().expect("head was executing");
@@ -347,7 +414,7 @@ impl AsyncCluster {
         let db = &mut self.dbs[primary.index()];
         let mut ctx = TxnCtx::new(db, class);
         if proc.execute(&mut ctx, &request.args).is_err() {
-            self.counters.incr("proc_error");
+            out.push(Output::Report(LazyReport::Count("proc_error")));
         }
         let effects = ctx.finish();
         let seq = self.commit_seq[class.index()];
@@ -369,7 +436,7 @@ impl AsyncCluster {
             })
             .collect();
         db.partition_mut(class).expect("class exists").promote(effects.undo.written_keys(), index);
-        self.counters.incr("commit");
+        out.push(Output::Report(LazyReport::Count("commit")));
 
         // Record in the primary's history.
         self.position[primary.index()] += 2;
@@ -382,37 +449,36 @@ impl AsyncCluster {
         );
 
         // Respond to the client.
-        let now = self.queue.now();
         if origin == primary {
-            self.queue.schedule(now, Ev::Response { origin, txn });
+            out.push(Output::Timer { after: SimDuration::ZERO, timer: LocalStep::Response(txn) });
         } else {
-            let d = self.net.unicast(primary, origin, 32, now, &mut self.rng);
-            self.queue.schedule(d.arrival, Ev::Response { origin, txn });
+            out.push(Output::Send { group: 0, to: origin, wire: LazyWire::Response(txn) });
         }
 
         // Lazy propagation to everyone else.
         let ws =
             WriteSet { txn, class, seq, writes, reads: effects.reads.clone(), committed_at: now };
-        let size = ws.size_bytes();
-        for d in self.net.multicast(primary, size, now, &mut self.rng) {
-            if d.to != primary {
-                self.queue.schedule(d.arrival, Ev::Apply { site: d.to, ws: ws.clone() });
-            }
-        }
+        out.push(Output::Multicast { group: 0, wire: LazyWire::Apply(ws) });
 
         // Next transaction of this class.
-        self.start_next(class);
+        self.start_next(class, out);
     }
 
-    fn apply_write_set(&mut self, site: SiteId, ws: WriteSet) {
+    fn apply_write_set(
+        &mut self,
+        site: SiteId,
+        ws: WriteSet,
+        now: SimTime,
+        out: &mut Outputs<Lazy>,
+    ) {
         let db = &mut self.dbs[site.index()];
         let p = db.partition_mut(ws.class).expect("class exists");
         for (k, v) in &ws.writes {
             p.write_current(*k, v.clone());
         }
         p.promote(ws.writes.iter().map(|(k, _)| *k), TxnIndex::new(ws.seq + 1));
-        self.staleness.record(self.queue.now().saturating_since(ws.committed_at));
-        self.counters.incr("apply");
+        out.push(Output::Report(LazyReport::Staleness(now.saturating_since(ws.committed_at))));
+        out.push(Output::Report(LazyReport::Count("apply")));
         self.position[site.index()] += 2;
         let pos = self.position[site.index()];
         let class = ws.class;
@@ -430,7 +496,7 @@ impl std::fmt::Debug for AsyncCluster {
         f.debug_struct("AsyncCluster")
             .field("sites", &self.config.sites)
             .field("classes", &self.config.classes)
-            .field("now", &self.queue.now())
+            .field("now", &self.sched.now())
             .finish_non_exhaustive()
     }
 }

@@ -1,34 +1,35 @@
 //! The simulated replicated-database cluster.
 //!
-//! [`Cluster`] is the top-level driver: it owns the LAN model, one
-//! `SimNode` and one replica per site, and an event queue. Client requests
-//! enter as scheduled events; engine actions become network frames;
-//! deliveries drive the replicas; `StartExecution` actions become timed
-//! `ExecDone` events (execution duration is sampled from a configurable
-//! distribution). Queries run locally against snapshots. Crashes and
-//! recoveries can be scheduled at absolute times; recovery runs a
-//! view-change round ([`otp_view`]) in simulated time, restoring the site
-//! from the union of every live member's state digest (see DESIGN.md §7).
+//! [`Cluster`] is the top-level driver: it owns one `SimNode` and one
+//! replica per site, and runs them on the one deterministic scheduler
+//! ([`otp_simnet::sched::Sched`], DESIGN.md §19) over the LAN model. Client
+//! requests enter as scheduled events; a site's outputs become network
+//! frames, timers and executions (execution duration is sampled from a
+//! configurable distribution). Queries run locally against snapshots.
+//! Crashes and recoveries can be scheduled at absolute times; recovery
+//! runs a view-change round ([`otp_view`]) in simulated time, restoring the
+//! site from the union of every live member's state digest (see DESIGN.md
+//! §7).
 //!
 //! A `SimNode` is the site layer's `SiteNode` — the site's engines, one
 //! per order domain it belongs to, with their installed view epochs, its
 //! message map, its cross-group gate, the relay descriptor store, its
 //! up/crashed/recovering status and its open view-change rounds — plus
-//! what only the simulator keeps per site: event epoch, hold and quantum
-//! buffers, id counters and retention gauges. Engines and replicas are
-//! built, both order streams' deliveries are turned into gate and replica
-//! calls and traced, and both sides of a view-change round run — a
-//! member's replies, the initiator's summary, floor and digest steps,
-//! supersession and the install — by the site layer the threaded runtime
-//! shares (`site.rs`, DESIGN.md §16). This driver supplies the simulated
-//! effects (`SimSite`: frames on the modelled network, events on the
-//! virtual-time queue, completion accounting) and keeps what a site
-//! cannot know about itself: request routing, the delivery quantum, the
-//! nemesis, and for the view change the per-domain epoch counter and
-//! order fence, the live members a round is proposed over, the crash
+//! what only the simulator keeps per site: the quantum buffer, id counters
+//! and retention gauges. Engines and replicas are built, both order
+//! streams' deliveries are turned into gate and replica calls and traced,
+//! and both sides of a view-change round run — a member's replies, the
+//! initiator's summary, floor and digest steps, supersession and the
+//! install — by the site layer the threaded runtime shares (`site.rs`,
+//! DESIGN.md §16), reached through its one entry point,
+//! `SiteNode::handle`. The scheduler carries the site's outputs out and
+//! holds its incarnations and held wires. This driver keeps what neither
+//! can know: request routing, the delivery quantum, the nemesis, the
+//! completion ledger, and for the view change the per-domain epoch counter
+//! and order fence, the live members a round is proposed over, the crash
 //! notification of every open round, the staleness check on a floor, the
-//! choice of base with its floor check, the hold buffers and the catch-up
-//! once a site's last round installed.
+//! choice of base with its floor check and the catch-up once a site's
+//! last round installed.
 //!
 //! # Sharded sequencing groups
 //!
@@ -53,12 +54,15 @@
 use crate::event::ExecToken;
 use crate::replica::Replica;
 use crate::site::{
-    record_stage, EngineFactory, Site, SiteEffects, SiteNode, Status, VIEW_COUNTERS,
+    is_view_wire, record_stage, EngineFactory, Env, SiteControl, SiteData, SiteNode, SiteOutputs,
+    SiteReport, SiteSubmit, Status, VIEW_COUNTERS,
 };
 use otp_broadcast::{GroupId, OrderDomain, PayloadSize, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
-use otp_simnet::{EventQueue, MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
+pub use otp_simnet::rng::DurationDist;
+use otp_simnet::sched::{Arrival, Data, Group, Input, Links, Output, Sched};
+use otp_simnet::{MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, ObjectId, ProcId, ProcRegistry, SnapshotIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
 use otp_txn::history::CommittedTxn;
@@ -111,42 +115,6 @@ impl PayloadSize for TxnPayload {
             TxnPayload::Txn { req, .. } => req.size_bytes(),
             // Sub bodies plus the descriptor header.
             TxnPayload::Cross(tag) => tag.subs.iter().map(|r| r.size_bytes()).sum::<u32>() + 16,
-        }
-    }
-}
-
-/// A sampled duration distribution for execution/query times.
-#[derive(Debug, Clone, Copy)]
-pub enum DurationDist {
-    /// Always the same duration.
-    Fixed(SimDuration),
-    /// Normal, clamped at a small positive floor.
-    Normal {
-        /// Mean duration.
-        mean: SimDuration,
-        /// Standard deviation.
-        std: SimDuration,
-    },
-    /// Exponential with the given mean.
-    Exponential {
-        /// Mean duration.
-        mean: SimDuration,
-    },
-}
-
-impl DurationDist {
-    /// Draws one duration.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        match self {
-            DurationDist::Fixed(d) => *d,
-            DurationDist::Normal { mean, std } => SimDuration::from_secs_f64(rng.normal_min(
-                mean.as_secs_f64(),
-                std.as_secs_f64(),
-                mean.as_secs_f64() * 0.05,
-            )),
-            DurationDist::Exponential { mean } => {
-                SimDuration::from_secs_f64(rng.exponential(mean.as_secs_f64()))
-            }
         }
     }
 }
@@ -517,56 +485,61 @@ impl GroupTopology {
     }
 }
 
+/// The cluster's own events, scheduled as controls on its scheduler
+/// ([`Sched::schedule_control`]) to the site they concern (site 0 for a
+/// nemesis event, which concerns the network).
 enum Ev {
-    Submit {
-        site: SiteId,
-        request: TxnRequest,
-    },
-    SubmitCross {
-        site: SiteId,
-        tag: CrossTag,
-    },
-    Wire {
-        from: SiteId,
-        to: SiteId,
-        domain: u16,
-        wire: Wire<TxnPayload>,
-    },
-    Timer {
-        site: SiteId,
-        domain: u16,
-        token: TimerToken,
-    },
-    ExecDone {
-        site: SiteId,
-        epoch: u32,
-        token: ExecToken,
-    },
+    /// A client request reaching `site` (directly or forwarded).
+    Submit(TxnRequest),
+    SubmitCross(CrossTag),
     Query {
-        site: SiteId,
         qid: TxnId,
         reads: Vec<ObjectId>,
     },
+    /// The query finished, if the site's incarnation `life` still runs.
     QueryDone {
-        site: SiteId,
-        epoch: u32,
+        life: u32,
         qid: TxnId,
     },
-    Crash {
-        site: SiteId,
-    },
+    Crash,
     Recover {
-        site: SiteId,
         donor: SiteId,
     },
     Nemesis(NemesisEvent),
-    /// Closes the delivery quantum `site` opened at `gen` (stale
+    /// Closes the delivery quantum the site opened at `gen` (stale
     /// generations — the window was fenced by a fault event meanwhile —
     /// are no-ops).
     QuantumFlush {
-        site: SiteId,
         gen: u64,
     },
+}
+
+/// The cluster's scheduler vocabulary: the sites' wires, timers and
+/// executions ([`SiteData`]), and the cluster's own events as controls.
+struct ClusterData;
+
+impl Data for ClusterData {
+    type Wire = Wire<TxnPayload>;
+    type Timer = (u16, TimerToken);
+    type Work = ExecToken;
+    /// Requests are routed by the cluster ([`Ev::Submit`]).
+    type Submit = std::convert::Infallible;
+    type Control = Ev;
+    type Report = std::convert::Infallible;
+
+    /// An engine timer armed before a crash fires if the site serves
+    /// again by then: the rule this driver always had, kept because the
+    /// scheduler's (timers die with their incarnation) moves the chaos
+    /// sweep's schedules (DESIGN.md §19).
+    const TIMERS_OUTLIVE_CRASH: bool = true;
+
+    fn wire_size(wire: &Wire<TxnPayload>) -> u32 {
+        SiteData::wire_size(wire)
+    }
+
+    fn held_while_down(wire: &Wire<TxnPayload>) -> bool {
+        SiteData::held_while_down(wire)
+    }
 }
 
 /// Aggregate results of a run.
@@ -638,6 +611,70 @@ impl Completion {
     }
 }
 
+/// What the driver counts of the commits it sees: every transaction's
+/// completion entry from its submission on, and the completions and
+/// latencies they settle into.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Per transaction, from submission until the last member of its
+    /// group commits it.
+    completions: HashMap<TxnId, Completion>,
+    /// Transactions committed at the origin (completed requests).
+    completed: u64,
+    commit_latency: Histogram,
+    global_commit_latency: Histogram,
+}
+
+impl Ledger {
+    /// `txn` committed at `site` at `now`, with `output`: the home commit
+    /// completes it (its output kept in `txn_outputs`), the last group
+    /// member's releases the entry.
+    fn settle(
+        &mut self,
+        txn_outputs: &mut HashMap<TxnId, Vec<Value>>,
+        topology: &GroupTopology,
+        site: SiteId,
+        now: SimTime,
+        txn: TxnId,
+        output: Vec<Value>,
+    ) {
+        // "Global" commit = committed at every member of the ordering
+        // group (the whole cluster when unsharded). A site's replica only
+        // commits transactions of its own group.
+        let group = topology.group_of_site(site);
+        let group_size = topology.domains[group].len() as u32;
+        // Every routed transaction holds an entry from its submission on,
+        // so a commit without one is a recovery replay at a site whose
+        // earlier incarnation committed it before the last member did:
+        // nothing is left to count.
+        let Some(entry) = self.completions.get_mut(&txn) else {
+            return;
+        };
+        // Tracked per site: a recovery replay can re-commit at the same
+        // site (see below) and must not make the group-commit count reach
+        // the group size early.
+        entry.committed_at |= 1 << site.index();
+        // The home site (the group member that broadcast the request)
+        // counts completion; cross subs have no home — their first commit
+        // anywhere completes them. A site that commits, crashes, and is
+        // recovered from a donor that never saw the transaction
+        // legitimately re-commits it on replay — count the completion (and
+        // its latency) only once.
+        let is_home = entry.home.is_none_or(|h| h == site);
+        if is_home && !txn_outputs.contains_key(&txn) {
+            self.completed += 1;
+            self.commit_latency.record(now.saturating_since(entry.submitted));
+            txn_outputs.insert(txn, output);
+        }
+        // The last member's commit releases the entry; nothing reads it
+        // afterwards.
+        if entry.committed_at.count_ones() == group_size {
+            self.global_commit_latency.record(now.saturating_since(entry.submitted));
+            self.completions.remove(&txn);
+        }
+    }
+}
+
 /// One site's state-size gauges in the registry.
 #[derive(Debug)]
 struct RetentionGauges {
@@ -659,20 +696,14 @@ struct RetentionGauges {
 /// One simulated site: its [`SiteNode`] (engines, message map, gate,
 /// relay descriptors, status) and what only the simulator keeps for it.
 /// A recovering site is re-admitted to the network so its view-change
-/// rounds can run, but its non-view wires are held and replayed once
-/// every round installed.
+/// rounds can run, but its non-view wires are held by the scheduler and
+/// replayed once every round installed.
 struct SimNode {
     site: SiteNode,
-    /// Event epoch, bumped at crash to cancel in-flight local events
-    /// (exec/query completions) of the dead incarnation.
-    epoch: u32,
-    /// Wires that reached the site while it was down or recovering,
-    /// replayed once it serves again.
-    held_wires: Vec<(u16, SiteId, Wire<TxnPayload>)>,
     /// Open delivery quantum: wires accumulated since the window opened
     /// (empty = no window open). Only used when
     /// `config.delivery_quantum > 0`.
-    open_quantum: Vec<(u16, SiteId, Wire<TxnPayload>)>,
+    open_quantum: Vec<Arrival<Wire<TxnPayload>>>,
     /// Quantum generation, bumped every time a window opens, so a flush
     /// event scheduled for a window that was fenced early cannot close a
     /// newer window.
@@ -686,9 +717,12 @@ struct SimNode {
 pub struct Cluster {
     config: ClusterConfig,
     registry: Arc<ProcRegistry>,
-    net: MulticastNet,
-    queue: EventQueue<Ev>,
-    rng: SimRng,
+    /// Virtual time, the network (one multicast group per order domain),
+    /// the sites' timers, executions and held wires, and the cluster's
+    /// own events.
+    sched: Sched<ClusterData>,
+    /// The one output buffer every site step reuses.
+    out: SiteOutputs,
     /// Group topology: domains (groups + relay), site→group, class→group.
     pub(crate) topology: GroupTopology,
     /// One per site; index by `SiteId::index`.
@@ -706,12 +740,8 @@ pub struct Cluster {
     /// must still fence the dead incarnation's order assignments when it
     /// catches up at install.
     sequencer_fence: Vec<u64>,
-    /// Wires whose directed link is cut by a nemesis partition, replayed
-    /// on heal (channels are reliable across partitions, like crashes).
-    partition_held: Vec<(SiteId, SiteId, u16, Wire<TxnPayload>)>,
-    /// Per transaction, from submission until the last member of its
-    /// group commits it.
-    completions: HashMap<TxnId, Completion>,
+    /// Completion entries and what they settled into.
+    ledger: Ledger,
     /// Group that orders each scheduled transaction — recorded only when
     /// sharded (with one group every lookup's fallback is the answer).
     pub(crate) txn_group: HashMap<TxnId, u16>,
@@ -723,10 +753,7 @@ pub struct Cluster {
     pub query_results: HashMap<TxnId, (SnapshotIndex, Vec<Value>)>,
     /// Output of committed transactions at their origin site.
     pub txn_outputs: HashMap<TxnId, Vec<Value>>,
-    commit_latency: Histogram,
-    global_commit_latency: Histogram,
     query_latency: Histogram,
-    completed: u64,
     cross_group_frames: Arc<Counter>,
     /// The unified metrics registry every counter above is registered in
     /// (engines hold per-site/per-group `stale_epoch_reject` handles).
@@ -771,8 +798,6 @@ impl Cluster {
                 let g = topology.group_of_site(s) as u16;
                 SimNode {
                     site: SiteNode::new(s, g, config.groups, domains).with_view_counters(&metrics),
-                    epoch: 0,
-                    held_wires: Vec::new(),
                     open_quantum: Vec::new(),
                     quantum_gen: 0,
                     next_txn_seq: 0,
@@ -799,11 +824,19 @@ impl Cluster {
         if config.groups > 1 {
             net.add_segments(config.groups);
         }
+        let groups = (0..num_domains)
+            .map(|d| Group {
+                segment: topology.segment_of(d),
+                members: topology.domains[d].members.clone(),
+            })
+            .collect();
+        let sched = Sched::new(Links::Net(Box::new(net)), rng)
+            .with_groups(groups)
+            .with_work_time(config.exec_time);
 
         Cluster {
-            net,
-            queue: EventQueue::new(),
-            rng,
+            sched,
+            out: Vec::new(),
             topology,
             nodes,
             engine_factory: factory,
@@ -811,18 +844,14 @@ impl Cluster {
             view: Membership::initial(sites),
             next_epoch: vec![1; num_domains],
             sequencer_fence: vec![0; num_domains],
-            partition_held: Vec::new(),
-            completions: HashMap::new(),
+            ledger: Ledger::default(),
             txn_group: HashMap::new(),
             cross_of: HashMap::new(),
             next_query_seq: 0,
             query_start: HashMap::new(),
             query_results: HashMap::new(),
             txn_outputs: HashMap::new(),
-            commit_latency: Histogram::new(),
-            global_commit_latency: Histogram::new(),
             query_latency: Histogram::new(),
-            completed: 0,
             cross_group_frames: metrics.counter("cross_group_frames", Scope::global()),
             metrics,
             trace,
@@ -838,7 +867,7 @@ impl Cluster {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.sched.now()
     }
 
     /// Frames that crossed a group boundary so far (0 with one group).
@@ -860,7 +889,7 @@ impl Cluster {
     fn refresh_retention(&self) {
         for (node, replica) in self.nodes.iter().zip(&self.replicas) {
             let (g, site) = (&node.retention, replica.site());
-            let pending = self.completions.keys().filter(|t| t.origin == site).count();
+            let pending = self.ledger.completions.keys().filter(|t| t.origin == site).count();
             g.msg_map.set(node.site.msg_map.len() as i64);
             g.pending_completions.set(pending as i64);
             g.versions.set(replica.db().retained_versions() as i64);
@@ -882,30 +911,55 @@ impl Cluster {
     /// `Broadcast` at the group member that takes the request, which may
     /// be two sites, so it does not go through [`Site::submit`].
     fn trace_stage(&self, site: SiteId, txn: TxnId, group: u16, stage: Stage) {
-        record_stage(self.trace.as_deref(), || self.queue.now(), site, group, txn, stage);
+        record_stage(self.trace.as_deref(), || self.sched.now(), site, group, txn, stage);
     }
 
-    /// `site` as the shared site code sees it, acting through the
-    /// simulated effects.
-    fn site_view(&mut self, site: SiteId) -> Site<'_, SimSite<'_>> {
-        let node = &mut self.nodes[site.index()];
-        let fx = SimSite {
-            site,
-            epoch: node.epoch,
-            queue: &mut self.queue,
-            net: &mut self.net,
-            rng: &mut self.rng,
-            topology: &self.topology,
-            exec_time: self.config.exec_time,
-            cross_group_frames: &self.cross_group_frames,
-            completions: &mut self.completions,
-            txn_outputs: &mut self.txn_outputs,
-            completed: &mut self.completed,
-            commit_latency: &mut self.commit_latency,
-            global_commit_latency: &mut self.global_commit_latency,
-        };
-        let (replica, trace) = (&mut self.replicas[site.index()], self.trace.as_deref());
-        Site::new(&mut node.site, replica, trace, fx)
+    /// Runs one step of `site` — [`SiteNode::handle`] with its replica —
+    /// and carries its outputs out on the scheduler: a frame crossing a
+    /// group boundary is counted, a commit settles the transaction's
+    /// completion entry, a completed round installs and the last install
+    /// finishes the site's recovery.
+    fn site_step(&mut self, site: SiteId, input: Input<SiteData>) {
+        let now = self.sched.now();
+        let mut out = std::mem::take(&mut self.out);
+        let replica = &mut self.replicas[site.index()];
+        let env = Env { replica, trace: self.trace.as_deref(), now: &|| now };
+        self.nodes[site.index()].site.handle(env, input, &mut out);
+        if self.config.groups > 1 {
+            let topology = &self.topology;
+            for o in out.iter() {
+                let crossing = match o {
+                    Output::Send { to, .. } => usize::from(topology.cross_frame(site, *to)),
+                    Output::Multicast { group, .. } => (topology.domains[*group as usize].members)
+                        .iter()
+                        .filter(|&&m| topology.cross_frame(site, m))
+                        .count(),
+                    _ => 0,
+                };
+                self.cross_group_frames.add(crossing as u64);
+            }
+        }
+        let (mut rounds, mut recovered) = (Vec::new(), false);
+        let (ledger, outputs, topology) = (&mut self.ledger, &mut self.txn_outputs, &self.topology);
+        self.sched.apply(site, &mut out, |site, now, report| match report {
+            SiteReport::Committed { txn, output } => {
+                ledger.settle(outputs, topology, site, now, txn, output);
+            }
+            SiteReport::RoundComplete(d) => rounds.push(d),
+            SiteReport::Recovered => recovered = true,
+        });
+        self.out = out;
+        for d in rounds {
+            self.install_view_for(d, site);
+        }
+        if recovered {
+            self.finish_site_recovery(site);
+        }
+    }
+
+    /// Hands `control` to `site` ([`Cluster::site_step`]).
+    fn site_control(&mut self, site: SiteId, control: SiteControl) {
+        self.site_step(site, Input::Control(control));
     }
 
     /// `site`'s site node.
@@ -937,7 +991,7 @@ impl Cluster {
             self.txn_group.insert(id, self.topology.group_of_class(class) as u16);
         }
         let request = TxnRequest::new(id, class, proc, args);
-        self.queue.schedule(at, Ev::Submit { site, request });
+        self.sched.schedule_control(at, site, Ev::Submit(request));
         id
     }
 
@@ -987,7 +1041,7 @@ impl Cluster {
             ids.push(id);
             subs.push(Arc::new(TxnRequest::new(id, class, proc, args)));
         }
-        self.queue.schedule(at, Ev::SubmitCross { site, tag: CrossTag { cross, subs } });
+        self.sched.schedule_control(at, site, Ev::SubmitCross(CrossTag { cross, subs }));
         ids
     }
 
@@ -1033,13 +1087,13 @@ impl Cluster {
         // high bit so they never collide with update ids.
         let qid = TxnId::new(site, (1 << 63) | self.next_query_seq);
         self.next_query_seq += 1;
-        self.queue.schedule(at, Ev::Query { site, qid, reads });
+        self.sched.schedule_control(at, site, Ev::Query { qid, reads });
         qid
     }
 
     /// Schedules a crash of `site`.
     pub fn schedule_crash(&mut self, at: SimTime, site: SiteId) {
-        self.queue.schedule(at, Ev::Crash { site });
+        self.sched.schedule_control(at, site, Ev::Crash);
     }
 
     /// Schedules recovery of `site`. Recovery runs a view-change round in
@@ -1053,7 +1107,7 @@ impl Cluster {
     /// is kept as a liveness hint (it must be up at recovery time); the
     /// state actually comes from all live members.
     pub fn schedule_recover(&mut self, at: SimTime, site: SiteId, donor: SiteId) {
-        self.queue.schedule(at, Ev::Recover { site, donor });
+        self.sched.schedule_control(at, site, Ev::Recover { donor });
     }
 
     /// Schedules every event of a nemesis fault plan as timed mid-run
@@ -1063,7 +1117,7 @@ impl Cluster {
     /// events hold cross-partition traffic until the matching heal.
     pub fn schedule_nemesis(&mut self, schedule: &NemesisSchedule) {
         for (at, ev) in &schedule.events {
-            self.queue.schedule(*at, Ev::Nemesis(ev.clone()));
+            self.sched.schedule_control(*at, SiteId::new(0), Ev::Nemesis(ev.clone()));
         }
     }
 
@@ -1111,54 +1165,41 @@ impl Cluster {
     /// physically arrived before a fault is never reordered behind it.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let quantum = self.config.delivery_quantum;
-        let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (_, ev) = self.queue.pop().expect("peeked");
-            processed += 1;
-            let Ev::Wire { from, to, domain, wire } = ev else {
-                self.handle(ev);
-                continue;
-            };
-            if !quantum.is_zero() {
-                self.quantum_accumulate(to, domain, from, wire, t + quantum);
-                continue;
-            }
-            let mut batch = vec![(domain, from, wire)];
-            while let Some((nt, Ev::Wire { to: next_to, .. })) = self.queue.peek() {
-                if nt != t || *next_to != to {
-                    break;
+        let start = self.sched.events();
+        while let Some((site, input)) = self.sched.next(deadline) {
+            match input {
+                Input::Wires(batch) if quantum.is_zero() => self.handle_wire_batch(site, batch),
+                Input::Wires(batch) => self.quantum_accumulate(site, batch, quantum),
+                // A recovering site's engines wait for the installed view.
+                Input::Timer(timer) if self.is_live(site) => {
+                    self.site_step(site, Input::Timer(timer));
                 }
-                let Some((_, Ev::Wire { from, domain, wire, .. })) = self.queue.pop() else {
-                    unreachable!("peeked a same-instant wire");
-                };
-                batch.push((domain, from, wire));
-                processed += 1;
+                Input::Timer(_) => {}
+                Input::Done(token) => self.site_step(site, Input::Done(token)),
+                Input::Control(ev) => self.handle(site, ev),
+                Input::Submit(never) => match never {},
             }
-            self.handle_wire_batch(to, batch);
         }
-        processed
+        self.sched.events() - start
     }
 
-    /// Adds one wire arrival to `to`'s delivery quantum, opening a window
-    /// (and scheduling its flush) if none is open.
+    /// Adds a run of wire arrivals to `to`'s delivery quantum, opening a
+    /// window (and scheduling its flush `quantum` from now) if none is
+    /// open.
     fn quantum_accumulate(
         &mut self,
         to: SiteId,
-        domain: u16,
-        from: SiteId,
-        wire: Wire<TxnPayload>,
-        flush_at: SimTime,
+        batch: Vec<Arrival<Wire<TxnPayload>>>,
+        quantum: SimDuration,
     ) {
         let node = &mut self.nodes[to.index()];
         let opening = node.open_quantum.is_empty();
-        node.open_quantum.push((domain, from, wire));
+        node.open_quantum.extend(batch);
         if opening {
             node.quantum_gen += 1;
             let gen = node.quantum_gen;
-            self.queue.schedule(flush_at, Ev::QuantumFlush { site: to, gen });
+            let flush_at = self.sched.now() + quantum;
+            self.sched.schedule_control(flush_at, to, Ev::QuantumFlush { gen });
         }
     }
 
@@ -1224,14 +1265,14 @@ impl Cluster {
             counters.add("relay_view_install", relay_installs);
         }
         RunStats {
-            commit_latency: self.commit_latency.clone(),
-            global_commit_latency: self.global_commit_latency.clone(),
+            commit_latency: self.ledger.commit_latency.clone(),
+            global_commit_latency: self.ledger.global_commit_latency.clone(),
             query_latency: self.query_latency.clone(),
             counters,
-            completed: self.completed,
-            network_frames: self.net.sent_frames(),
+            completed: self.ledger.completed,
+            network_frames: self.sched.net().sent_frames(),
             cross_group_frames: self.cross_group_frames.get(),
-            now: self.queue.now(),
+            now: self.sched.now(),
         }
     }
 
@@ -1257,24 +1298,11 @@ impl Cluster {
 
     // ------------------------------------------------------------------
 
-    fn handle(&mut self, ev: Ev) {
+    fn handle(&mut self, site: SiteId, ev: Ev) {
         match ev {
-            Ev::Submit { site, request } => self.route_submit(site, request),
-            Ev::SubmitCross { site, tag } => self.submit_cross(site, tag),
-            Ev::Wire { .. } => unreachable!("run_until delivers wires in batches"),
-            Ev::Timer { site, domain, token } => {
-                if self.is_live(site) {
-                    self.site_view(site)
-                        .on_engine(domain, |engine, ctx| engine.on_timer(ctx, token));
-                }
-            }
-            Ev::ExecDone { site, epoch, token } => {
-                if self.status(site) == Status::Crashed || epoch != self.nodes[site.index()].epoch {
-                    return;
-                }
-                self.site_view(site).exec_done(token);
-            }
-            Ev::Query { site, qid, reads } => {
+            Ev::Submit(request) => self.route_submit(site, request),
+            Ev::SubmitCross(tag) => self.submit_cross(site, tag),
+            Ev::Query { qid, reads } => {
                 // Queries are client requests, not replica-internal events:
                 // they run whenever the site is up, regardless of how many
                 // crash/recovery epochs passed since they were scheduled.
@@ -1289,28 +1317,30 @@ impl Cluster {
                     .collect();
                 replica.record_query(qid, reads, snap);
                 self.query_results.insert(qid, (snap, values));
-                self.query_start.insert(qid, self.queue.now());
-                let d = self.config.query_time.sample(&mut self.rng);
-                let epoch = self.nodes[site.index()].epoch;
-                self.queue.schedule(self.queue.now() + d, Ev::QueryDone { site, epoch, qid });
+                let now = self.sched.now();
+                self.query_start.insert(qid, now);
+                let d = self.config.query_time.sample(self.sched.rng());
+                let life = self.sched.incarnation(site);
+                self.sched.schedule_control(now + d, site, Ev::QueryDone { life, qid });
             }
-            Ev::QueryDone { site, epoch, qid } => {
-                if self.status(site) == Status::Crashed || epoch != self.nodes[site.index()].epoch {
+            Ev::QueryDone { life, qid } => {
+                // A crash cancels the dead incarnation's queries.
+                if !self.sched.is_up(site) || life != self.sched.incarnation(site) {
                     return;
                 }
                 if let Some(start) = self.query_start.remove(&qid) {
-                    self.query_latency.record(self.queue.now() - start);
+                    self.query_latency.record(self.sched.now() - start);
                 }
             }
-            Ev::Crash { site } => {
+            Ev::Crash => {
                 self.fence_quanta();
                 self.crash_site(site);
             }
-            Ev::Recover { site, donor } => {
+            Ev::Recover { donor } => {
                 // Fencing before the round starts also guarantees that any
                 // of the recovering site's own pre-crash wires sitting in
-                // an open window reach the driver's hold buffers (or their
-                // targets) before `own_held_wires` scans them.
+                // an open window reach the hold buffers (or their targets)
+                // before `own_held_wires` scans them.
                 self.fence_quanta();
                 self.begin_recovery(site, donor);
             }
@@ -1326,7 +1356,7 @@ impl Cluster {
                 }
                 self.handle_nemesis(ev);
             }
-            Ev::QuantumFlush { site, gen } => {
+            Ev::QuantumFlush { gen } => {
                 // A stale generation means the window this flush was armed
                 // for was already fenced; flushing here could close a
                 // *newer* window early, so only the matching generation
@@ -1352,9 +1382,10 @@ impl Cluster {
             self.forward_to_group(site, g, request, false);
             return;
         }
-        let now = self.queue.now();
+        let now = self.sched.now();
         let member = self.topology.group_of_site(site) == g;
-        let completion = self.completions.entry(request.id).or_insert_with(|| Completion::at(now));
+        let completion =
+            self.ledger.completions.entry(request.id).or_insert_with(|| Completion::at(now));
         if member {
             completion.home = Some(site);
         }
@@ -1364,11 +1395,15 @@ impl Cluster {
         if member {
             self.trace_stage(site, request.id, g as u16, Stage::Broadcast);
             let payload = TxnPayload::Txn { req: Arc::new(request), cross: None };
-            self.site_view(site)
-                .on_engine(g as u16, |engine, ctx| engine.broadcast(ctx, payload).1);
+            self.broadcast(site, g as u16, payload);
         } else {
             self.forward_to_group(site, g, request, true);
         }
+    }
+
+    /// Has `site` broadcast `payload` on domain `domain`.
+    fn broadcast(&mut self, site: SiteId, domain: u16, payload: TxnPayload) {
+        self.site_step(site, Input::Submit(SiteSubmit::Broadcast { domain, payload }));
     }
 
     /// Forwards a request to the first live member of group `g`. With
@@ -1383,14 +1418,15 @@ impl Cluster {
             return;
         };
         self.cross_group_frames.incr();
-        let now = self.queue.now();
+        let now = self.sched.now();
         let arrival = if via_net {
             let size = request.size_bytes();
-            self.net.unicast(from, target, size, now, &mut self.rng).arrival
+            let (net, rng) = self.sched.net_mut();
+            net.unicast(from, target, size, now, rng).arrival
         } else {
             now + SimDuration::from_micros(100)
         };
-        self.queue.schedule(arrival, Ev::Submit { site: target, request });
+        self.sched.schedule_control(arrival, target, Ev::Submit(request));
     }
 
     /// Broadcasts a cross-group descriptor on the relay stream.
@@ -1398,80 +1434,52 @@ impl Cluster {
         if !self.is_live(site) {
             return; // client's site is down; descriptor lost
         }
-        let now = self.queue.now();
+        let now = self.sched.now();
         for sub in &tag.subs {
-            self.completions.entry(sub.id).or_insert_with(|| Completion::at(now));
+            self.ledger.completions.entry(sub.id).or_insert_with(|| Completion::at(now));
             let g = self.topology.group_of_class(sub.class) as u16;
             self.trace_stage(site, sub.id, g, Stage::Submit);
         }
         let relay = self.topology.relay_idx() as u16;
-        let payload = TxnPayload::Cross(Arc::new(tag));
-        self.site_view(site).on_engine(relay, |engine, ctx| engine.broadcast(ctx, payload).1);
+        self.broadcast(site, relay, TxnPayload::Cross(Arc::new(tag)));
     }
 
-    /// Delivers one tick's worth of wires to `to`: crash/partition/recovery
-    /// holds are filtered per wire, view-change traffic is routed to the
-    /// membership layer, the rest goes to the domain's engine — one batch
-    /// per domain, ascending domain order (with one group there is one
-    /// domain, so this is the old single-batch path unchanged).
-    fn handle_wire_batch(&mut self, to: SiteId, wires: Vec<(u16, SiteId, Wire<TxnPayload>)>) {
-        let num_domains = self.topology.domains.len();
-        let mut buckets: Vec<Vec<(SiteId, Wire<TxnPayload>)>> =
-            (0..num_domains).map(|_| Vec::new()).collect();
-        for (domain, from, wire) in wires {
-            let is_view = matches!(
-                wire,
-                Wire::ViewChange { .. }
-                    | Wire::StateSummary { .. }
-                    | Wire::ViewFloor { .. }
-                    | Wire::StateDigest { .. }
-            );
-            let status = self.status(to);
-            if status == Status::Crashed {
-                // View wires belong to a round; a crashed addressee will
-                // never answer it (the round learns via the crash
-                // notification), so they die here instead of being held.
-                if !is_view {
-                    self.nodes[to.index()].held_wires.push((domain, from, wire));
-                }
-            } else if self.net.pair_blocked(from, to) {
-                self.partition_held.push((from, to, domain, wire));
-            } else if is_view {
+    /// Delivers one tick's worth of wires to `to`: the scheduler holds
+    /// what a crash or a partition cut keeps from it, view-change traffic
+    /// goes to the site's round, a recovering site's other wires are held
+    /// for after its recovery, and the rest reaches its engines.
+    fn handle_wire_batch(&mut self, to: SiteId, batch: Vec<Arrival<Wire<TxnPayload>>>) {
+        let mut deliver = Vec::with_capacity(batch.len());
+        for a in self.sched.admit(to, batch) {
+            if is_view_wire(&a.wire) {
                 // The staleness check on a floor reads its initiator.
-                let floor_live = matches!(&wire, Wire::ViewFloor { epoch, initiator, .. }
-                    if self.node(*initiator).round(domain).is_some_and(|r| r.epoch() == *epoch));
-                if self.site_view(to).on_view_wire(domain, wire, floor_live) {
-                    self.install_view_for(domain, to);
-                }
-            } else if status == Status::Recovering {
+                let floor_live = matches!(&a.wire, Wire::ViewFloor { epoch, initiator, .. }
+                    if self.node(*initiator).round(a.group).is_some_and(|r| r.epoch() == *epoch));
+                let (domain, wire) = (a.group, a.wire);
+                self.site_control(to, SiteControl::ViewWire { domain, wire, floor_live });
+            } else if self.status(to) == Status::Recovering {
                 // Held during the round, replayed under the installed view.
-                self.nodes[to.index()].held_wires.push((domain, from, wire));
+                self.sched.hold(to, a);
             } else {
-                buckets[domain as usize].push((from, wire));
+                deliver.push(a);
             }
         }
-        for (domain, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                self.site_view(to)
-                    .on_engine(domain as u16, |engine, ctx| engine.on_receive_batch(ctx, bucket));
-            }
+        if !deliver.is_empty() {
+            self.site_step(to, Input::Wires(deliver));
         }
     }
 
-    /// Marks `site` down: its event epoch advances (cancelling in-flight
+    /// Marks `site` down: its incarnation ends (cancelling in-flight
     /// local events), the network stops considering it a receiver, any
     /// recovery rounds it was driving are abandoned, and every round
     /// waiting on its reply is notified (the crashed member will never
     /// reply) — domain by domain, and within a domain by initiator.
     fn crash_site(&mut self, site: SiteId) {
-        self.nodes[site.index()].site.crash();
-        self.nodes[site.index()].epoch += 1;
-        self.net.set_down(site);
-        for d in 0..self.topology.domains.len() as u16 {
+        self.site_control(site, SiteControl::Crash);
+        self.sched.crash(site);
+        for domain in 0..self.topology.domains.len() as u16 {
             for initiator in SiteId::all(self.config.sites) {
-                if self.site_view(initiator).on_member_crashed(d, site) {
-                    self.install_view_for(d, initiator);
-                }
+                self.site_control(initiator, SiteControl::MemberCrashed { domain, crashed: site });
             }
         }
     }
@@ -1479,17 +1487,17 @@ impl Cluster {
     /// Starts view-change recovery of `site`: one round per domain the
     /// site participates in (own group + relay when sharded), each
     /// proposing that domain's next epoch over its current live members
-    /// and run by the site ([`Site::on_view_wire`]); a domain's view
-    /// installs when the union of its digests is merged, and the site
-    /// starts serving once every domain has installed (see
-    /// [`Cluster::install_view_for`] / [`Cluster::finish_site_recovery`]).
-    /// `donor` is a liveness hint kept from the pre-view-change API: it
-    /// must be up, but the actual state sources are *all* live members,
-    /// with the most advanced survivor as the base.
+    /// and run by the site; a domain's view installs when the union of its
+    /// digests is merged, and the site starts serving once every domain
+    /// has installed (see [`Cluster::install_view_for`] /
+    /// [`Cluster::finish_site_recovery`]). `donor` is a liveness hint kept
+    /// from the pre-view-change API: it must be up, but the actual state
+    /// sources are *all* live members, with the most advanced survivor as
+    /// the base.
     ///
     /// A recovery that starts while this site's previous rounds are still
     /// open proposes afresh under each domain's next epoch, superseding
-    /// them ([`SiteNode::open_round`]).
+    /// them ([`SiteControl::Open`]).
     ///
     /// # Panics
     ///
@@ -1506,7 +1514,7 @@ impl Cluster {
             Status::Crashed => {}
         }
         assert!(self.is_live(donor), "donor {donor} must be up");
-        self.net.set_up(site);
+        self.sched.restore(site);
         // Every round is open before the first one is announced: a round
         // complete at once installs there, and the site must not finish
         // recovering while its other domains have not proposed yet.
@@ -1515,9 +1523,7 @@ impl Cluster {
             self.open_round(d, site);
         }
         for d in domains {
-            if self.site_view(site).announce(d) {
-                self.install_view_for(d, site);
-            }
+            self.site_control(site, SiteControl::Announce(d));
         }
     }
 
@@ -1538,24 +1544,21 @@ impl Cluster {
             .filter(|s| self.is_live(*s))
             .collect();
         let round = ViewChange::propose(epoch, site, members);
-        let now = self.queue.now();
-        self.nodes[site.index()].site.open_round(d, round, now);
+        self.site_control(site, SiteControl::Open { domain: d, round });
     }
 
     /// Opens and announces `site`'s round for domain `d`; a round with
     /// nobody to answer installs at once.
     fn propose(&mut self, d: u16, site: SiteId) {
         self.open_round(d, site);
-        if self.site_view(site).announce(d) {
-            self.install_view_for(d, site);
-        }
+        self.site_control(site, SiteControl::Announce(d));
     }
 
     /// Completes `site`'s round for domain `d`: picks the base — the most
     /// advanced survivor, whose engine and replica are one consistent
     /// pair — and has the site install the round from it onto a fresh
-    /// engine ([`Site::install`]); once the site's last round installed,
-    /// finishes recovery ([`Cluster::finish_site_recovery`]).
+    /// engine ([`SiteControl::Install`]); once the site's last round
+    /// installed, finishes recovery ([`Cluster::finish_site_recovery`]).
     fn install_view_for(&mut self, d: u16, site: SiteId) {
         let du = d as usize;
         // Among the domain's live members, the one whose definitive log is
@@ -1597,15 +1600,14 @@ impl Cluster {
         let fresh = self.engine_factory.make(&self.topology.domains[du], &self.metrics, scope);
         let own_wires = self.own_held_wires(site, d);
         let fence = self.sequencer_fence[du];
-        if self.site_view(site).install(d, base, fresh, own_wires, fence) {
-            self.finish_site_recovery(site);
-        }
+        let install = SiteControl::Install { domain: d, base, fresh, own_wires, fence };
+        self.site_control(site, install);
     }
 
     /// The site's last pending domain installed: catch up to the newest
     /// epochs any live peer carries, serve again (folding in the relay
-    /// tail, [`Site::finish_recovery`]), refresh the cluster-wide
-    /// membership view and replay everything held while down.
+    /// tail), refresh the cluster-wide membership view and replay
+    /// everything held while down.
     fn finish_site_recovery(&mut self, site: SiteId) {
         // Overlapping rounds: a newer view may have installed while this
         // site was mid-round (it ignores other rounds' announcements — a
@@ -1613,20 +1615,16 @@ impl Cluster {
         // by domain (group first, relay second), to the newest epoch any
         // live member carries, so the re-admitted site is never left
         // serving under a superseded view.
-        let domains: Vec<u16> = self.node(site).domains.iter().map(|d| d.index).collect();
-        for d in domains {
-            let newest = self.topology.domains[d as usize]
-                .members
-                .iter()
-                .filter(|s| self.is_live(**s))
-                .map(|s| self.node(*s).slot(d).installed())
-                .max()
-                .unwrap_or(0);
-            if newest > self.node(site).slot(d).installed() {
-                self.nodes[site.index()].site.install_view(d, newest, false);
-            }
-        }
-        self.site_view(site).finish_recovery();
+        let newest = (self.node(site).domains.iter())
+            .map(|slot| {
+                (self.topology.domains[slot.index as usize].members.iter())
+                    .filter(|s| self.is_live(**s))
+                    .map(|s| self.node(*s).slot(slot.index).installed())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        self.site_control(site, SiteControl::FinishRecovery(newest));
         // The cluster-wide view is monotonic even when rounds complete out
         // of epoch order (round A can outwait round B across a partition).
         let view_newest = self
@@ -1639,58 +1637,32 @@ impl Cluster {
         // Everything held while down and during the rounds arrives now.
         // (Wires whose link a partition currently cuts go back on hold at
         // delivery time.)
-        let held = std::mem::take(&mut self.nodes[site.index()].held_wires);
-        let wires =
-            held.into_iter().map(|(domain, from, wire)| (from, site, domain, wire)).collect();
-        self.replay_staggered(wires);
+        self.sched.replay_held(site);
     }
 
     /// `site`'s own surviving pre-crash payload wires for domain `domain`
-    /// still sitting in the driver's hold buffers (cut by a partition, or
-    /// destined to a site that was down). Order-assignment wires are left
-    /// out — every view member fenced the dead incarnation's — and so are
-    /// consensus wires: re-proposing lost material is the consensus
+    /// still sitting in the scheduler's hold buffers (cut by a partition,
+    /// or destined to a site that was down). Order-assignment wires are
+    /// left out — every view member fenced the dead incarnation's — and so
+    /// are consensus wires: re-proposing lost material is the consensus
     /// protocol's own job.
     fn own_held_wires(&self, site: SiteId, domain: u16) -> Vec<Wire<TxnPayload>> {
-        self.partition_held
-            .iter()
-            .filter(|(from, _, d, _)| *from == site && *d == domain)
-            .map(|(_, _, _, w)| w.clone())
-            .chain(
-                self.nodes
-                    .iter()
-                    .flat_map(|n| &n.held_wires)
-                    .filter(|(d, from, _)| *from == site && *d == domain)
-                    .map(|(_, _, w)| w.clone()),
-            )
-            .filter(|w| matches!(w, Wire::Data(_) | Wire::OracleData { .. }))
+        (self.sched.held())
+            .filter(|(_, a)| a.from == site && a.group == domain)
+            .filter(|(_, a)| matches!(a.wire, Wire::Data(_) | Wire::OracleData { .. }))
+            .map(|(_, a)| a.wire.clone())
             .collect()
-    }
-
-    /// Schedules held wires for delivery now, 10 µs apart in hold order —
-    /// the one replay policy shared by crash recovery and partition heal.
-    fn replay_staggered(&mut self, wires: Vec<(SiteId, SiteId, u16, Wire<TxnPayload>)>) {
-        let now = self.queue.now();
-        let mut delay = SimDuration::from_micros(10);
-        for (from, to, domain, wire) in wires {
-            self.queue.schedule(now + delay, Ev::Wire { from, to, domain, wire });
-            delay += SimDuration::from_micros(10);
-        }
     }
 
     /// Applies one nemesis event at its scheduled time.
     fn handle_nemesis(&mut self, ev: NemesisEvent) {
         match ev {
             NemesisEvent::PartitionHalves { group_a } => {
-                self.net.partition_halves(&group_a);
+                self.sched.net_mut().0.partition_halves(&group_a);
             }
-            NemesisEvent::Heal => {
-                self.net.heal();
-                // Reliable channels: everything held at the cut arrives
-                // now, staggered like post-recovery replay.
-                let held = std::mem::take(&mut self.partition_held);
-                self.replay_staggered(held);
-            }
+            // Reliable channels: everything held at the cut arrives now,
+            // staggered like post-recovery replay.
+            NemesisEvent::Heal => self.sched.heal(),
             NemesisEvent::Crash { site } => {
                 if self.status(site) != Status::Crashed {
                     self.crash_site(site);
@@ -1705,11 +1677,11 @@ impl Cluster {
                 }
             }
             NemesisEvent::LossBurst { probability } => {
-                self.net.set_loss_override(Some(probability));
+                self.sched.net_mut().0.set_loss_override(Some(probability));
             }
-            NemesisEvent::LossEnd => self.net.set_loss_override(None),
-            NemesisEvent::JitterSpike { scale } => self.net.set_jitter_scale(scale),
-            NemesisEvent::JitterEnd => self.net.set_jitter_scale(1.0),
+            NemesisEvent::LossEnd => self.sched.net_mut().0.set_loss_override(None),
+            NemesisEvent::JitterSpike { scale } => self.sched.net_mut().0.set_jitter_scale(scale),
+            NemesisEvent::JitterEnd => self.sched.net_mut().0.set_jitter_scale(1.0),
             // Live-only faults: the virtual-time driver has no OS threads
             // to stall and no bounded channels to saturate, so a schedule
             // carrying them degrades to its network/crash subset here. The
@@ -1721,122 +1693,6 @@ impl Cluster {
     }
 }
 
-/// The simulator's side of one site's [`SiteEffects`]: wires become
-/// frames on the modelled network and arrival events, timers and
-/// executions become events on the virtual-time queue, and a commit
-/// settles the transaction's completion entry. Borrows the cluster's
-/// fields for one step, beside the [`Site`] view of the same site.
-struct SimSite<'a> {
-    site: SiteId,
-    /// The site's event epoch: a crash cancels its pending executions.
-    epoch: u32,
-    queue: &'a mut EventQueue<Ev>,
-    net: &'a mut MulticastNet,
-    rng: &'a mut SimRng,
-    topology: &'a GroupTopology,
-    exec_time: DurationDist,
-    cross_group_frames: &'a Counter,
-    completions: &'a mut HashMap<TxnId, Completion>,
-    txn_outputs: &'a mut HashMap<TxnId, Vec<Value>>,
-    completed: &'a mut u64,
-    commit_latency: &'a mut Histogram,
-    global_commit_latency: &'a mut Histogram,
-}
-
-impl SimSite<'_> {
-    /// Schedules the arrival at `to` of `wire`, a message of domain
-    /// `domain`, counting a frame that crosses a group boundary.
-    fn arrive(&mut self, domain: u16, to: SiteId, at: SimTime, wire: Wire<TxnPayload>) {
-        if self.topology.cross_frame(self.site, to) {
-            self.cross_group_frames.incr();
-        }
-        let from = self.site;
-        self.queue.schedule(at, Ev::Wire { from, to, domain, wire });
-    }
-}
-
-impl SiteEffects for SimSite<'_> {
-    fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    fn multicast(&mut self, domain: u16, wire: Wire<TxnPayload>) {
-        let du = domain as usize;
-        let deliveries = self.net.multicast_to_on(
-            self.topology.segment_of(du),
-            self.site,
-            &self.topology.domains[du].members,
-            wire.size_bytes(),
-            self.queue.now(),
-            self.rng,
-        );
-        // The last delivery takes ownership; the rest clone (cheap:
-        // payloads are Arc-shared).
-        if let Some((last, rest)) = deliveries.split_last() {
-            for d in rest {
-                self.arrive(domain, d.to, d.arrival, wire.clone());
-            }
-            self.arrive(domain, last.to, last.arrival, wire);
-        }
-    }
-
-    fn send(&mut self, domain: u16, to: SiteId, wire: Wire<TxnPayload>) {
-        let segment = self.topology.segment_of(domain as usize);
-        let (site, now) = (self.site, self.queue.now());
-        let d = self.net.unicast_on(segment, site, to, wire.size_bytes(), now, self.rng);
-        self.arrive(domain, to, d.arrival, wire);
-    }
-
-    fn set_timer(&mut self, domain: u16, token: TimerToken, delay: SimDuration) {
-        let site = self.site;
-        self.queue.schedule(self.queue.now() + delay, Ev::Timer { site, domain, token });
-    }
-
-    fn start_execution(&mut self, token: ExecToken) {
-        let d = self.exec_time.sample(self.rng);
-        let (site, epoch) = (self.site, self.epoch);
-        self.queue.schedule(self.queue.now() + d, Ev::ExecDone { site, epoch, token });
-    }
-
-    fn committed(&mut self, txn: TxnId, output: Vec<Value>) {
-        let (site, now) = (self.site, self.queue.now());
-        // "Global" commit = committed at every member of the ordering
-        // group (the whole cluster when unsharded). A site's replica only
-        // commits transactions of its own group.
-        let group = self.topology.group_of_site(site);
-        let group_size = self.topology.domains[group].len() as u32;
-        // Every routed transaction holds an entry from its submission on,
-        // so a commit without one is a recovery replay at a site whose
-        // earlier incarnation committed it before the last member did:
-        // nothing is left to count.
-        let Some(entry) = self.completions.get_mut(&txn) else {
-            return;
-        };
-        // Tracked per site: a recovery replay can re-commit at the same
-        // site (see below) and must not make the group-commit count reach
-        // the group size early.
-        entry.committed_at |= 1 << site.index();
-        // The home site (the group member that broadcast the request)
-        // counts completion; cross subs have no home — their first commit
-        // anywhere completes them. A site that commits, crashes, and is
-        // recovered from a donor that never saw the transaction
-        // legitimately re-commits it on replay — count the completion (and
-        // its latency) only once.
-        let is_home = entry.home.is_none_or(|h| h == site);
-        if is_home && !self.txn_outputs.contains_key(&txn) {
-            *self.completed += 1;
-            self.commit_latency.record(now.saturating_since(entry.submitted));
-            self.txn_outputs.insert(txn, output);
-        }
-        // The last member's commit releases the entry; nothing reads it
-        // afterwards.
-        if entry.committed_at.count_ones() == group_size {
-            self.global_commit_latency.record(now.saturating_since(entry.submitted));
-            self.completions.remove(&txn);
-        }
-    }
-}
-
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
@@ -1844,8 +1700,8 @@ impl std::fmt::Debug for Cluster {
             .field("classes", &self.config.classes)
             .field("groups", &self.config.groups)
             .field("mode", &self.config.mode)
-            .field("now", &self.queue.now())
-            .field("completed", &self.completed)
+            .field("now", &self.sched.now())
+            .field("completed", &self.ledger.completed)
             .finish_non_exhaustive()
     }
 }
@@ -1853,7 +1709,6 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ReplicaAction;
     use otp_storage::{ObjectKey, ProcError};
     use otp_txn::history::{check_one_copy_serializable, check_same_committed_set};
 
@@ -2140,26 +1995,26 @@ mod tests {
             args,
         );
         c.run_until(SimTime::from_secs(10));
-        assert!(c.completions.is_empty(), "every member committed: released");
+        assert!(c.ledger.completions.is_empty(), "every member committed: released");
         // Another transaction, committed so far only at its home.
         let home = SiteId::new(1);
         let held = TxnId::new(home, 99);
         let entry = Completion { home: Some(home), ..Completion::at(c.now()) };
-        c.completions.insert(held, entry);
-        let commit = |txn| ReplicaAction::Committed {
-            txn,
-            index: otp_storage::TxnIndex::new(9),
-            output: Vec::new(),
+        c.ledger.completions.insert(held, entry);
+        // What a site's commit report settles.
+        let commit = |c: &mut Cluster, site, txn| {
+            let now = c.now();
+            c.ledger.settle(&mut c.txn_outputs, &c.topology, site, now, txn, Vec::new());
         };
-        c.site_view(home).apply_replica_actions(vec![commit(held)]);
+        commit(&mut c, home, held);
         let before = c.stats();
-        c.site_view(SiteId::new(0)).apply_replica_actions(vec![commit(released)]);
-        c.site_view(home).apply_replica_actions(vec![commit(held)]);
+        commit(&mut c, SiteId::new(0), released);
+        commit(&mut c, home, held);
         let after = c.stats();
         assert_eq!(after.completed, before.completed);
         assert_eq!(after.commit_latency.len(), before.commit_latency.len());
         assert_eq!(after.global_commit_latency.len(), before.global_commit_latency.len());
-        assert_eq!(c.completions.keys().collect::<Vec<_>>(), vec![&held], "nothing re-held");
+        assert_eq!(c.ledger.completions.keys().collect::<Vec<_>>(), vec![&held], "nothing re-held");
     }
 
     #[test]

@@ -77,6 +77,6 @@ pub use cluster::{
 };
 pub use event::{ExecToken, ReplicaAction};
 pub use invariants::{check_invariants, InvariantReport, InvariantViolation, RunHistories};
-pub use multiclass::{MultiAction, MultiRegistry, MultiReplica, MultiRequest};
+pub use multiclass::{MultiAction, MultiInput, MultiRegistry, MultiReplica, MultiRequest};
 pub use replica::{ConservativeReplica, Replica, ReplicaSnapshot};
 pub use runtime::{LiveCluster, LiveConfig, LiveReport};

@@ -33,7 +33,8 @@
 use crate::event::ExecToken;
 use crate::replica::CommittedPrefix;
 use otp_simnet::metrics::Counters;
-use otp_simnet::SiteId;
+use otp_simnet::sched::{Data, Input, Node, Output, Outputs};
+use otp_simnet::{SimTime, SiteId};
 use otp_storage::{
     apply_multi_undo, ClassId, Database, MultiCtx, MultiEffects, ObjectId, SnapshotIndex, TxnIndex,
     Value,
@@ -210,6 +211,49 @@ pub enum MultiAction {
         /// Its definitive index.
         index: TxnIndex,
     },
+}
+
+/// A delivery a [`MultiReplica`] takes as a scheduler node
+/// ([`otp_simnet::sched::Sched`]): the engine's two deliveries, scheduled
+/// by the caller as client submissions.
+#[derive(Debug)]
+pub enum MultiInput {
+    /// Opt-delivery of a request.
+    Opt(MultiRequest),
+    /// TO-delivery of a transaction.
+    To(TxnId),
+}
+
+impl Data for MultiReplica {
+    /// A lone replica sends nothing.
+    type Wire = std::convert::Infallible;
+    type Timer = ();
+    type Work = ExecToken;
+    type Submit = MultiInput;
+    type Control = ();
+    /// A transaction committed.
+    type Report = TxnId;
+}
+
+/// The replica on the scheduler: deliveries come in as submissions, an
+/// execution is local work, and a commit is reported.
+impl Node for MultiReplica {
+    type Data = Self;
+
+    fn handle(&mut self, _at: SiteId, _now: SimTime, input: Input<Self>, out: &mut Outputs<Self>) {
+        let actions = match input {
+            Input::Submit(MultiInput::Opt(request)) => self.on_opt_deliver(request),
+            Input::Submit(MultiInput::To(txn)) => self.on_to_deliver(txn),
+            Input::Done(token) => self.on_exec_done(token),
+            Input::Wires(_) | Input::Timer(()) | Input::Control(()) => Vec::new(),
+        };
+        for a in actions {
+            match a {
+                MultiAction::StartExecution { token } => out.push(Output::Work(token)),
+                MultiAction::Committed { txn, .. } => out.push(Output::Report(txn)),
+            }
+        }
+    }
 }
 
 impl MultiReplica {

@@ -16,9 +16,10 @@
 //! the same replica over [`Mode`], and the same code handing deliveries to
 //! the replica and tracing lifecycle stages — so the one deep copy per
 //! transaction happens at Opt-delivery, exactly as in the simulator. This
-//! file supplies only the thread's side of `SiteEffects` (wires to the
-//! peers' channels; wires, timers and executions on a wall-clock heap;
-//! commit counters). Every wire that comes due in one pass over the heap
+//! file supplies only the thread's inputs to the site's one entry point,
+//! `SiteNode::handle`, and carries out its outputs (wires to the peers'
+//! channels; wires, timers and executions on a wall-clock heap; commit
+//! counters). Every wire that comes due in one pass over the heap
 //! goes to [`otp_broadcast::AtomicBroadcast::on_receive_batch`] as one
 //! batch (the real-clock analogue of the delivery quantum), and payloads
 //! stay `Arc`-shared end to end.
@@ -43,10 +44,10 @@
 //!
 //! This runtime exists to demonstrate that nothing in `otp-core` depends
 //! on virtual time: the state machines and the site layer feeding them
-//! are the simulator's own code, and wall time reaches that code only
-//! through `SiteEffects::now`. For experiments use the simulator — it is
-//! deterministic and much faster. For wall-clock scale numbers,
-//! `otp-bench soak` drives this runtime.
+//! are the simulator's own code, and wall time reaches that code only as
+//! the trace clock the thread hands each step. For experiments use the
+//! simulator — it is deterministic and much faster. For wall-clock scale
+//! numbers, `otp-bench soak` drives this runtime.
 //!
 //! # Example
 //!
@@ -80,10 +81,14 @@ use crate::cluster::{EngineKind, Mode, TxnPayload};
 use crate::event::ExecToken;
 use crate::invariants::{InvariantReport, RunHistories};
 use crate::replica::Replica;
-use crate::site::{record_stage, replicas, EngineFactory, Site, SiteEffects, SiteNode};
+use crate::site::{
+    record_stage, replicas, EngineFactory, Env, SiteData, SiteNode, SiteOutputs, SiteReport,
+    SiteSubmit,
+};
 use otp_broadcast::{OrderDomain, TimerToken, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
+use otp_simnet::sched::{Arrival, Input, Output};
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, TxnIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
@@ -616,6 +621,7 @@ impl LiveCluster {
                 node: SiteNode::new(me, 0, 1, vec![engines.slot(me, 0, domain.clone(), &metrics)]),
                 replica,
                 trace: trace.clone(),
+                out: Vec::new(),
                 io: LiveIo {
                     me,
                     cfg: config.clone(),
@@ -941,7 +947,7 @@ struct Frozen {
 
 /// Per-site thread state: one site node, one replica, one heap. The
 /// delivery path itself is the shared site layer ([`crate::site`]); this
-/// thread feeds it and carries out its effects ([`LiveIo`]).
+/// thread feeds it inputs and carries out its outputs ([`LiveIo`]).
 struct SiteWorker {
     /// The site's engine and message map. The threaded runtime is
     /// unsharded: the node orders the one global domain, as group 0, and
@@ -951,6 +957,8 @@ struct SiteWorker {
     /// Lifecycle trace sink (`None` = tracing off, the default; the hot
     /// path then pays one pointer-null branch per stage point).
     trace: Option<Arc<dyn TraceSink>>,
+    /// The one output buffer every step of the site reuses.
+    out: SiteOutputs,
     io: LiveIo,
     /// Nemesis control channel: stalls, pressure spikes, freeze/thaw.
     /// Control messages are *not* counted in `in_flight` — they carry no
@@ -969,10 +977,10 @@ struct SiteWorker {
     seen_version: u64,
 }
 
-/// A site thread's side of [`SiteEffects`]: wires go straight to the
-/// destination's channel, engine timers, executions and wires in transit
-/// into the thread's own heap, and every one of them is counted in flight
-/// until it is consumed.
+/// Where a site thread carries out its site's outputs: wires go straight
+/// to the destination's channel, engine timers, executions and wires in
+/// transit into the thread's own heap, and every one of them is counted in
+/// flight until it is consumed.
 struct LiveIo {
     me: SiteId,
     cfg: LiveConfig,
@@ -1000,10 +1008,24 @@ fn stamp(anchor: Instant, at: Instant) -> SimTime {
 }
 
 impl SiteWorker {
-    /// This site as the shared site code sees it.
-    fn site(&mut self) -> Site<'_, &mut LiveIo> {
-        let trace = self.trace.as_deref();
-        Site::new(&mut self.node, &mut self.replica, trace, &mut self.io)
+    /// One step of the shared site code ([`SiteNode::handle`]), its
+    /// outputs carried out in order: wires to the peers' channels, timers
+    /// and executions on the heap, commits into the counters.
+    fn step(&mut self, input: Input<SiteData>) {
+        let anchor = self.io.anchor;
+        let now = move || stamp(anchor, Instant::now());
+        let env = Env { replica: &mut self.replica, trace: self.trace.as_deref(), now: &now };
+        self.node.handle(env, input, &mut self.out);
+        for o in self.out.drain(..) {
+            match o {
+                Output::Multicast { wire, .. } => self.io.multicast(wire),
+                Output::Send { to, wire, .. } => self.io.send(to, wire),
+                Output::Timer { after, timer: (_, token) } => self.io.set_timer(token, after),
+                Output::Work(token) => self.io.arm(self.io.cfg.exec_time, Pending::ExecDone(token)),
+                Output::Report(SiteReport::Committed { txn, .. }) => self.io.committed(txn),
+                Output::Report(report) => unreachable!("no view change runs live: {report:?}"),
+            }
+        }
     }
 
     fn run(mut self, rx: crossbeam::channel::Receiver<SiteMsg>) -> SiteOutcome {
@@ -1147,18 +1169,17 @@ impl SiteWorker {
     /// Submission and broadcast coincide here: the site thread hands the
     /// accepted request straight to its engine.
     fn submit(&mut self, request: TxnRequest) {
-        self.site().submit(request);
+        self.step(Input::Submit(SiteSubmit::Request(request)));
         self.io.shared.in_flight.add(-1);
     }
 
     /// Hands the accumulated wires to the engine as one batch.
-    fn flush(&mut self, wires: &mut Vec<(SiteId, Wire<TxnPayload>)>) {
+    fn flush(&mut self, wires: &mut Vec<Arrival<Wire<TxnPayload>>>) {
         if wires.is_empty() {
             return;
         }
         let delivered = wires.len() as i64;
-        let wires = std::mem::take(wires);
-        self.site().on_engine(0, |engine, ctx| engine.on_receive_batch(ctx, wires));
+        self.step(Input::Wires(std::mem::take(wires)));
         self.io.shared.in_flight.add(-delivered);
     }
 
@@ -1197,15 +1218,15 @@ impl SiteWorker {
                 continue;
             }
             match item {
-                Pending::Wire { from, wire, .. } => wires.push((from, wire)),
+                Pending::Wire { from, wire, .. } => wires.push(Arrival { from, group: 0, wire }),
                 Pending::Timer(token) => {
                     self.flush(&mut wires);
-                    self.site().on_engine(0, |engine, ctx| engine.on_timer(ctx, token));
+                    self.step(Input::Timer((0, token)));
                     self.io.shared.in_flight.add(-1);
                 }
                 Pending::ExecDone(token) => {
                     self.flush(&mut wires);
-                    self.site().exec_done(token);
+                    self.step(Input::Done(token));
                     self.io.shared.in_flight.add(-1);
                 }
             }
@@ -1310,12 +1331,9 @@ impl LiveIo {
     }
 }
 
-impl SiteEffects for &mut LiveIo {
-    fn now(&self) -> SimTime {
-        stamp(self.anchor, Instant::now())
-    }
-
-    fn multicast(&mut self, _domain: u16, wire: Wire<TxnPayload>) {
+impl LiveIo {
+    /// Sends `wire` to every site, this one included.
+    fn multicast(&mut self, wire: Wire<TxnPayload>) {
         let n = self.cfg.sites;
         self.shared.in_flight.add(n as i64);
         let now = Instant::now();
@@ -1329,23 +1347,19 @@ impl SiteEffects for &mut LiveIo {
         self.hand_off(SiteId::new((n - 1) as u16), due, wire);
     }
 
-    fn send(&mut self, _domain: u16, to: SiteId, wire: Wire<TxnPayload>) {
+    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
         self.shared.in_flight.add(1);
         let due = self.due(Instant::now());
         self.hand_off(to, due, wire);
     }
 
-    fn set_timer(&mut self, _domain: u16, token: TimerToken, delay: SimDuration) {
+    fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
         if !self.stopping {
             self.arm(Duration::from_nanos(delay.as_nanos()), Pending::Timer(token));
         }
     }
 
-    fn start_execution(&mut self, token: ExecToken) {
-        self.arm(self.cfg.exec_time, Pending::ExecDone(token));
-    }
-
-    fn committed(&mut self, txn: TxnId, _output: Vec<Value>) {
+    fn committed(&mut self, txn: TxnId) {
         self.shared.committed_total.incr();
         if txn.origin == self.me {
             self.shared.origin_committed.incr();

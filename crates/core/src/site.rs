@@ -12,31 +12,32 @@
 //!   rounds;
 //! * building the site's ordering engines ([`EngineFactory`], the relay's
 //!   included) and replica ([`replicas`]);
-//! * handing a submitted request to the engine ([`Site::submit`]);
-//! * interpreting both order streams' engine actions
-//!   ([`Site::apply_engine_actions`]): on a group stream, the one deep
-//!   copy and the message-map insert at Opt-delivery, and every
-//!   TO-delivery through the gate, which passes it straight on when the
-//!   site has no cross-group sub waiting; on the relay stream, the
+//! * handing a submitted request to the engine;
+//! * interpreting both order streams' engine actions: on a group stream,
+//!   the one deep copy and the message-map insert at Opt-delivery, and
+//!   every TO-delivery through the gate, which passes it straight on when
+//!   the site has no cross-group sub waiting; on the relay stream, the
 //!   descriptor store at Opt-delivery, and at TO-delivery the relay order,
 //!   the site's own sub broadcast on its group stream and the gate
-//!   release that admits — or, while the site recovers, nothing until
-//!   [`Site::finish_recovery`] folds the skipped tail in;
+//!   release that admits — or, while the site recovers, nothing until its
+//!   recovery finishes and folds the skipped tail in;
 //! * both sides of a view-change round (DESIGN.md §7): a member's
-//!   replies and a recovering initiator's steps ([`Site::on_view_wire`],
-//!   [`Site::on_member_crashed`]), opening a round and superseding an
-//!   older one ([`SiteNode::open_round`], [`Site::announce`]), and the
-//!   install ([`Site::install`]) from a base the driver picks
-//!   ([`SiteNode::base`]) onto a fresh engine it builds;
-//! * interpreting the replica's actions ([`Site::apply_replica_actions`]);
+//!   replies and a recovering initiator's steps, opening a round and
+//!   superseding an older one, and the install from a base the driver
+//!   picks ([`SiteNode::base`]) onto a fresh engine it builds;
+//! * interpreting the replica's actions;
 //! * tracing every lifecycle stage on that path ([`record_stage`]).
 //!
-//! What differs between the drivers — how a wire travels, how a timer or
-//! an execution is armed, what a commit counts as, and what time it is —
-//! reaches this code through [`SiteEffects`]. The shared code takes the
-//! effects as a generic parameter, so the hot path makes no dynamic call
-//! through them. This file is in determinism scope: it reads no clock of
-//! its own (DESIGN.md §16).
+//! A driver reaches all of it through one entry point,
+//! [`SiteNode::handle`]: an input in — a wire batch, a timer, a finished
+//! execution, a submission or a control ([`SiteControl`]) — and plain-data
+//! outputs out ([`SiteOutputs`]: sends, multicasts, timers, executions to
+//! start, and [`SiteReport`]s such as a commit or a completed round).
+//! Both drivers carry the outputs out their own way: the simulator on its
+//! scheduler ([`otp_simnet::sched::Sched`]), the threaded runtime on its
+//! channels and wall-clock heap. This file is in determinism scope: it
+//! reads no clock of its own — the time a trace event is stamped with
+//! comes from the driver ([`Env`], DESIGN.md §16).
 
 use crate::cluster::{CrossTag, EngineKind, Mode, TxnPayload};
 use crate::event::{ExecToken, ReplicaAction};
@@ -46,7 +47,8 @@ use otp_broadcast::{
     OptAbcastConfig, Oracle, OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast, TimerToken,
     Wire,
 };
-use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
+use otp_simnet::sched::{Arrival, Data, Input, Output, Outputs};
+use otp_simnet::{SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, Value};
 use otp_telemetry::{Counter, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
 use otp_txn::txn::{TxnId, TxnRequest};
@@ -321,7 +323,7 @@ impl SiteNode {
     /// epoch (and, with `fence` — the round re-admits the ordering
     /// authority — fences the dead incarnation's order assignments), and
     /// a newer epoch joins the domain's history.
-    pub(crate) fn install_view(&mut self, d: u16, epoch: u64, fence: bool) {
+    fn install_view(&mut self, d: u16, epoch: u64, fence: bool) {
         let slot = self.slot_mut(d);
         slot.engine.install_view(epoch, fence);
         if epoch > slot.installed() {
@@ -343,7 +345,7 @@ impl SiteNode {
     /// until every open round installed. A round still open for `d` is
     /// superseded — newest epoch wins ([`ViewChange::superseded_by`]):
     /// its late replies land as stale, and it counts as `view_supersede`.
-    pub(crate) fn open_round(&mut self, d: u16, round: ViewChange<TxnPayload>, at: SimTime) {
+    fn open_round(&mut self, d: u16, round: ViewChange<TxnPayload>, at: SimTime) {
         let epoch = round.epoch();
         self.status = Status::Recovering;
         if let Some((old, _)) = self.rounds.insert(d, (round, at)) {
@@ -353,7 +355,7 @@ impl SiteNode {
     }
 
     /// The site crashed: a round it was driving is abandoned with it.
-    pub(crate) fn crash(&mut self) {
+    fn crash(&mut self) {
         self.status = Status::Crashed;
         self.rounds.clear();
     }
@@ -507,65 +509,202 @@ pub(crate) fn delivered_cross_subs(snap: &EngineSnapshot<TxnPayload>) -> HashSet
         .collect()
 }
 
-/// What a driver does on a site's behalf when the shared site code asks.
-///
-/// The simulator schedules each effect on its virtual-time event queue
-/// and network model; the threaded runtime hands wires to the destination
-/// site's channel and arms wall-clock timers. Every call happens in the
-/// order the engine or replica emitted the action it stands for. A wire or
-/// timer names the order domain whose engine emitted it: one relay
-/// delivery emits group-stream wires within the same step.
-pub(crate) trait SiteEffects {
+/// The site's vocabulary as plain data ([`otp_simnet::sched::Data`]): a
+/// wire, timer or multicast names the order domain it belongs to (the
+/// wire's `group`, the timer's first half).
+pub(crate) struct SiteData;
+
+impl Data for SiteData {
+    type Wire = Wire<TxnPayload>;
+    type Timer = (u16, TimerToken);
+    /// An execution attempt; the driver hands it back as
+    /// [`Input::Done`] once the execution time has elapsed.
+    type Work = ExecToken;
+    type Submit = SiteSubmit;
+    type Control = SiteControl;
+    type Report = SiteReport;
+
+    fn wire_size(wire: &Wire<TxnPayload>) -> u32 {
+        wire.size_bytes()
+    }
+
+    /// View wires belong to a round; a crashed addressee will never
+    /// answer it (the round learns via the crash notification), so they
+    /// die instead of being held.
+    fn held_while_down(wire: &Wire<TxnPayload>) -> bool {
+        !is_view_wire(wire)
+    }
+}
+
+/// The site's output buffer; a driver keeps one and reuses it.
+pub(crate) type SiteOutputs = Outputs<SiteData>;
+
+/// Whether `wire` is one of the view change's four wires.
+pub(crate) fn is_view_wire(wire: &Wire<TxnPayload>) -> bool {
+    matches!(
+        wire,
+        Wire::ViewChange { .. }
+            | Wire::StateSummary { .. }
+            | Wire::ViewFloor { .. }
+            | Wire::StateDigest { .. }
+    )
+}
+
+/// Something to broadcast.
+pub(crate) enum SiteSubmit {
+    /// A client request accepted here, broadcast on the site's group
+    /// stream and traced as `Submit` then `Broadcast`.
+    Request(TxnRequest),
+    /// A payload the driver routed here, broadcast on domain `domain`
+    /// untraced (the driver's router traces it).
+    Broadcast { domain: u16, payload: TxnPayload },
+}
+
+/// A driver's command to a site: the steps of the view change, which
+/// only a driver that sees every site can order (DESIGN.md §7).
+pub(crate) enum SiteControl {
+    /// The site crashed: it stops serving, and a round it was driving is
+    /// abandoned.
+    Crash,
+    /// Opens `round` for domain `domain`: the site recovers until every
+    /// open round installed. A round still open for the domain is
+    /// superseded.
+    Open { domain: u16, round: ViewChange<TxnPayload> },
+    /// Starts the open round of `domain`: multicasts its announcement, or
+    /// reports the round complete when nobody is left to answer.
+    Announce(u16),
+    /// A view-change wire of `domain` addressed to this site. `floor_live`
+    /// is the driver's read of the initiator's state for a `ViewFloor`:
+    /// whether that round still runs (a floor held at a partition can
+    /// outlive it).
+    ViewWire { domain: u16, wire: Wire<TxnPayload>, floor_live: bool },
+    /// Member `crashed` of `domain` went down and will never reply to the
+    /// site's open round for `domain`, if it has one.
+    MemberCrashed { domain: u16, crashed: SiteId },
+    /// Installs the site's completed round for `domain` from `base` onto
+    /// `fresh` ([`Site::install`]).
+    Install { domain: u16, base: Base, fresh: Engine, own_wires: Vec<Wire<TxnPayload>>, fence: u64 },
+    /// The site's last round installed: catch up to `newest`, the newest
+    /// epoch any live member carries for each of its domains (in slot
+    /// order), and serve again.
+    FinishRecovery(Vec<u64>),
+}
+
+/// What a site tells its driver.
+#[derive(Debug)]
+pub(crate) enum SiteReport {
+    /// `txn` committed here; `output` is what its procedure emitted for
+    /// the client.
+    Committed { txn: TxnId, output: Vec<Value> },
+    /// The site's round for this domain completed: the driver installs it.
+    RoundComplete(u16),
+    /// The site's last open round installed: the driver finishes its
+    /// recovery.
+    Recovered,
+}
+
+/// What a step borrows from its driver besides the node.
+pub(crate) struct Env<'a> {
+    pub(crate) replica: &'a mut Replica,
+    /// `None` = tracing off: one branch per stage point, no clock read.
+    pub(crate) trace: Option<&'a dyn TraceSink>,
     /// The instant a trace event is stamped with: virtual time in the
-    /// simulator, nanoseconds since cluster start in the threaded
-    /// runtime. Asked only while a trace sink is attached.
-    fn now(&self) -> SimTime;
+    /// simulator, nanoseconds since cluster start in the threaded runtime.
+    /// Read only while a trace sink is attached, and by the view change.
+    pub(crate) now: &'a dyn Fn() -> SimTime,
+}
 
-    /// Sends `wire` to every member of order domain `domain`, this site
-    /// included.
-    fn multicast(&mut self, domain: u16, wire: Wire<TxnPayload>);
-
-    /// Sends `wire`, a message of order domain `domain`, to `to`.
-    fn send(&mut self, domain: u16, to: SiteId, wire: Wire<TxnPayload>);
-
-    /// Arms timer `token` of domain `domain`'s engine to fire `delay` from
-    /// now.
-    fn set_timer(&mut self, domain: u16, token: TimerToken, delay: SimDuration);
-
-    /// Starts execution attempt `token`. Once the execution time has
-    /// elapsed, the driver hands the token to [`Site::exec_done`].
-    fn start_execution(&mut self, token: ExecToken);
-
-    /// `txn` committed at this site; `output` is what its procedure
-    /// emitted for the client.
-    fn committed(&mut self, txn: TxnId, output: Vec<Value>);
+impl SiteNode {
+    /// The one entry point: the site reacts to `input` — an arrival batch,
+    /// one of its engines' timers, a finished execution, a submission or a
+    /// control — with its replica and trace sink in `env`, and pushes what
+    /// it asks of the driver onto `out`, in order.
+    pub(crate) fn handle(&mut self, env: Env<'_>, input: Input<SiteData>, out: &mut SiteOutputs) {
+        let mut site =
+            Site { node: self, replica: env.replica, trace: env.trace, now: env.now, out };
+        match input {
+            Input::Wires(arrivals) => site.receive(arrivals),
+            Input::Timer((d, token)) => {
+                site.on_engine(d, |engine, ctx| engine.on_timer(ctx, token))
+            }
+            Input::Done(token) => site.exec_done(token),
+            Input::Submit(SiteSubmit::Request(request)) => site.submit(request),
+            Input::Submit(SiteSubmit::Broadcast { domain, payload }) => {
+                site.on_engine(domain, |engine, ctx| engine.broadcast(ctx, payload).1);
+            }
+            Input::Control(control) => site.control(control),
+        }
+    }
 }
 
 /// One site's [`SiteNode`] and replica, borrowed from its driver for one
-/// step of the shared site code, with the driver's effects `F` for that
-/// step.
-pub(crate) struct Site<'a, F> {
+/// [`SiteNode::handle`] step, with the step's output buffer.
+struct Site<'a> {
     node: &'a mut SiteNode,
     replica: &'a mut Replica,
-    /// `None` = tracing off: one branch per stage point, no clock read.
     trace: Option<&'a dyn TraceSink>,
-    fx: F,
+    now: &'a dyn Fn() -> SimTime,
+    out: &'a mut SiteOutputs,
 }
 
-impl<'a, F: SiteEffects> Site<'a, F> {
-    /// The view of `node` and its `replica`, acting through `fx`.
-    pub(crate) fn new(
-        node: &'a mut SiteNode,
-        replica: &'a mut Replica,
-        trace: Option<&'a dyn TraceSink>,
-        fx: F,
-    ) -> Self {
-        Site { node, replica, trace, fx }
+impl Site<'_> {
+    /// Carries out a driver's command.
+    fn control(&mut self, control: SiteControl) {
+        let report = match control {
+            SiteControl::Crash => {
+                self.node.crash();
+                None
+            }
+            SiteControl::Open { domain, round } => {
+                let at = (self.now)();
+                self.node.open_round(domain, round, at);
+                None
+            }
+            SiteControl::Announce(d) => self.announce(d).then_some(SiteReport::RoundComplete(d)),
+            SiteControl::ViewWire { domain, wire, floor_live } => self
+                .on_view_wire(domain, wire, floor_live)
+                .then_some(SiteReport::RoundComplete(domain)),
+            SiteControl::MemberCrashed { domain, crashed } => {
+                self.on_member_crashed(domain, crashed).then_some(SiteReport::RoundComplete(domain))
+            }
+            SiteControl::Install { domain, base, fresh, own_wires, fence } => {
+                self.install(domain, base, fresh, own_wires, fence).then_some(SiteReport::Recovered)
+            }
+            SiteControl::FinishRecovery(newest) => {
+                self.finish_recovery(&newest);
+                None
+            }
+        };
+        if let Some(report) = report {
+            self.out.push(Output::Report(report));
+        }
+    }
+
+    /// Hands an arrival batch to the engines, one batch per domain in
+    /// slot order (the group's, then the relay's).
+    fn receive(&mut self, arrivals: Vec<Arrival<Wire<TxnPayload>>>) {
+        if let [only] = &self.node.domains[..] {
+            let d = only.index;
+            let wires = arrivals.into_iter().map(|a| (a.from, a.wire)).collect();
+            return self.on_engine(d, |engine, ctx| engine.on_receive_batch(ctx, wires));
+        }
+        let mut buckets: Vec<Vec<(SiteId, Wire<TxnPayload>)>> =
+            self.node.domains.iter().map(|_| Vec::new()).collect();
+        for a in arrivals {
+            let k = self.node.domains.iter().position(|d| d.index == a.group);
+            buckets[k.expect("site belongs to the domain")].push((a.from, a.wire));
+        }
+        for (k, bucket) in buckets.into_iter().enumerate() {
+            if !bucket.is_empty() {
+                let d = self.node.domains[k].index;
+                self.on_engine(d, |engine, ctx| engine.on_receive_batch(ctx, bucket));
+            }
+        }
     }
 
     /// Runs `call` on the site's engine for domain `d` and interprets what
     /// it emits.
-    pub(crate) fn on_engine(
+    fn on_engine(
         &mut self,
         d: u16,
         call: impl FnOnce(&mut Engine, &EngineCtx<'_>) -> Vec<EngineAction<TxnPayload>>,
@@ -577,7 +716,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
 
     /// Accepts a client request at this site and broadcasts it on the
     /// site's group stream, traced as `Submit` then `Broadcast`.
-    pub(crate) fn submit(&mut self, request: TxnRequest) {
+    fn submit(&mut self, request: TxnRequest) {
         self.trace(request.id, Stage::Submit);
         self.trace(request.id, Stage::Broadcast);
         let payload = TxnPayload::Txn { req: Arc::new(request), cross: None };
@@ -595,7 +734,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// Panics when a TO-delivered id was never Opt-delivered here (the
     /// engine broke Local Order), or when a stream carries the other
     /// stream's payload.
-    pub(crate) fn apply_engine_actions(
+    fn apply_engine_actions(
         &mut self,
         d: u16,
         actions: impl IntoIterator<Item = EngineAction<TxnPayload>>,
@@ -603,9 +742,13 @@ impl<'a, F: SiteEffects> Site<'a, F> {
         let group_stream = d == self.node.group;
         for a in actions {
             match a {
-                EngineAction::Multicast(wire) => self.fx.multicast(d, wire),
-                EngineAction::Send(to, wire) => self.fx.send(d, to, wire),
-                EngineAction::SetTimer { token, delay } => self.fx.set_timer(d, token, delay),
+                EngineAction::Multicast(wire) => {
+                    self.out.push(Output::Multicast { group: d, wire })
+                }
+                EngineAction::Send(to, wire) => self.out.push(Output::Send { group: d, to, wire }),
+                EngineAction::SetTimer { token, delay } => {
+                    self.out.push(Output::Timer { after: delay, timer: (d, token) })
+                }
                 EngineAction::OptDeliver(msg) => match msg.payload {
                     TxnPayload::Txn { req, cross } if group_stream => {
                         self.opt_deliver(msg.id, req, cross);
@@ -701,7 +844,13 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// while it recovered, are folded in now. Prefix consistency (Global
     /// Order) guarantees the restored relay log extends the gate
     /// primary's processed prefix; `.get` clamps defensively.
-    pub(crate) fn finish_recovery(&mut self) {
+    fn finish_recovery(&mut self, newest: &[u64]) {
+        for (k, &epoch) in newest.iter().enumerate() {
+            let d = self.node.domains[k].index;
+            if epoch > self.node.domains[k].installed() {
+                self.node.install_view(d, epoch, false);
+            }
+        }
         self.node.status = Status::Up;
         let group = self.node.group;
         let Some(relay) = self.node.domains.iter().find(|d| d.index != group) else {
@@ -714,7 +863,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
 
     /// Hands everything the gate's rules admit, in release order, to the
     /// replica as one batch of definitive deliveries.
-    pub(crate) fn release_gate(&mut self) {
+    fn release_gate(&mut self) {
         let batch = self.node.gate.release();
         if batch.is_empty() {
             return;
@@ -734,7 +883,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// them, but they were never released to the replica, so the restored
     /// replica does not carry them — and it must see their Opt-delivery
     /// (Local Order) before the gate releases them.
-    pub(crate) fn restore_gate(&mut self, delivered_subs: HashSet<TxnId>) {
+    fn restore_gate(&mut self, delivered_subs: HashSet<TxnId>) {
         self.node.gate.seen_opt = delivered_subs.clone();
         self.node.gate.seen_to = delivered_subs;
         let queued: Vec<TxnRequest> =
@@ -749,11 +898,14 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// announcement, or returns true when nobody is left to answer — the
     /// round is complete at once, and the driver installs it from the
     /// site's own stable-storage state.
-    pub(crate) fn announce(&mut self, d: u16) -> bool {
+    fn announce(&mut self, d: u16) -> bool {
         let (round, _) = &self.node.rounds[&d];
         let (complete, epoch) = (round.is_complete(), round.epoch());
         if !complete {
-            self.fx.multicast(d, Wire::ViewChange { epoch, initiator: self.node.me });
+            self.out.push(Output::Multicast {
+                group: d,
+                wire: Wire::ViewChange { epoch, initiator: self.node.me },
+            });
         }
         complete
     }
@@ -769,19 +921,17 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// for a `ViewFloor`: whether that round still runs (a floor
     /// held at a partition can outlive it). Returns true when the wire
     /// completed the site's round for `d`: the driver then installs it.
-    pub(crate) fn on_view_wire(
-        &mut self,
-        d: u16,
-        wire: Wire<TxnPayload>,
-        floor_live: bool,
-    ) -> bool {
+    fn on_view_wire(&mut self, d: u16, wire: Wire<TxnPayload>, floor_live: bool) -> bool {
         let node = &mut *self.node;
         let round = node.rounds.get_mut(&d).map(|(round, _)| round);
         match wire {
             Wire::StateSummary { epoch, from, delivered } => {
                 match round.map(|r| r.on_summary(from, epoch, delivered)) {
                     Some(SummaryOutcome::FloorReady(floor)) => {
-                        self.fx.multicast(d, Wire::ViewFloor { epoch, initiator: node.me, floor });
+                        self.out.push(Output::Multicast {
+                            group: d,
+                            wire: Wire::ViewFloor { epoch, initiator: node.me, floor },
+                        });
                     }
                     Some(SummaryOutcome::Accepted) => {}
                     _ => node.view.stale.incr(),
@@ -809,14 +959,14 @@ impl<'a, F: SiteEffects> Site<'a, F> {
                 let delivered = node.slot(d).engine.definitive_log().len() as u64;
                 let summary = Wire::StateSummary { epoch, from: node.me, delivered };
                 node.view.summary_bytes.add(u64::from(summary.size_bytes()));
-                self.fx.send(d, initiator, summary);
+                self.out.push(Output::Send { group: d, to: initiator, wire: summary });
             }
             // The member's engine state, cut above the floor.
             Wire::ViewFloor { epoch, initiator, floor } if floor_live => {
                 let snapshot = node.slot(d).engine.snapshot().delta_above(floor);
                 let digest = Wire::StateDigest { epoch, from: node.me, snapshot };
                 node.view.digest_bytes.add(u64::from(digest.size_bytes()));
-                self.fx.send(d, initiator, digest);
+                self.out.push(Output::Send { group: d, to: initiator, wire: digest });
             }
             Wire::ViewFloor { .. } => node.view.stale.incr(), // nobody waits for its digest
             _ => unreachable!("on_view_wire only sees view wires"),
@@ -829,13 +979,13 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// when that was the last missing summary, and true is returned when
     /// nothing is outstanding any more — the driver then installs the
     /// round.
-    pub(crate) fn on_member_crashed(&mut self, d: u16, crashed: SiteId) -> bool {
+    fn on_member_crashed(&mut self, d: u16, crashed: SiteId) -> bool {
         let Some((round, _)) = self.node.rounds.get_mut(&d) else { return false };
         match round.on_member_crashed(crashed) {
             CrashOutcome::Pending => false,
             CrashOutcome::FloorReady(floor) => {
                 let wire = Wire::ViewFloor { epoch: round.epoch(), initiator: self.node.me, floor };
-                self.fx.multicast(d, wire);
+                self.out.push(Output::Multicast { group: d, wire });
                 false
             }
             CrashOutcome::Completed => true,
@@ -853,7 +1003,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// # Panics
     ///
     /// Panics when the site has no open round for `d`.
-    pub(crate) fn install(
+    fn install(
         &mut self,
         d: u16,
         base: Base,
@@ -865,7 +1015,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
         let (round, proposed_at) =
             self.node.rounds.remove(&d).expect("round open for the installer");
         let epoch = round.epoch();
-        self.node.view.round_us.add(self.fx.now().saturating_since(proposed_at).as_micros());
+        self.node.view.round_us.add((self.now)().saturating_since(proposed_at).as_micros());
         let Base { mut snapshot, beside } = base;
         snapshot.merge(round.into_merged());
         let delivered_subs = if self.node.groups > 1 && d == self.node.group {
@@ -929,13 +1079,13 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     }
 
     /// Execution attempt `token` has run for its modelled time.
-    pub(crate) fn exec_done(&mut self, token: ExecToken) {
+    fn exec_done(&mut self, token: ExecToken) {
         let actions = self.replica.on_exec_done(token);
         self.apply_replica_actions(actions);
     }
 
     /// Interprets the replica's actions in order.
-    pub(crate) fn apply_replica_actions(&mut self, actions: Vec<ReplicaAction>) {
+    fn apply_replica_actions(&mut self, actions: Vec<ReplicaAction>) {
         for a in actions {
             match a {
                 ReplicaAction::StartExecution { token } => {
@@ -946,11 +1096,11 @@ impl<'a, F: SiteEffects> Site<'a, F> {
                         self.trace(token.txn, Stage::Abort);
                     }
                     self.trace(token.txn, Stage::Execute);
-                    self.fx.start_execution(token);
+                    self.out.push(Output::Work(token));
                 }
                 ReplicaAction::Committed { txn, output, .. } => {
                     self.trace(txn, Stage::Commit);
-                    self.fx.committed(txn, output);
+                    self.out.push(Output::Report(SiteReport::Committed { txn, output }));
                 }
             }
         }
@@ -959,7 +1109,7 @@ impl<'a, F: SiteEffects> Site<'a, F> {
     /// Records `txn` reaching `stage` at this site.
     fn trace(&self, txn: TxnId, stage: Stage) {
         let (me, group) = (self.node.me, self.node.group);
-        record_stage(self.trace, || self.fx.now(), me, group, txn, stage);
+        record_stage(self.trace, self.now, me, group, txn, stage);
     }
 }
 
@@ -983,13 +1133,14 @@ pub(crate) fn record_stage(
 mod tests {
     use super::*;
     use otp_broadcast::Message;
+    use otp_simnet::SimDuration;
     use otp_storage::{ObjectKey, ProcError, ProcId, TxnIndex};
     use std::sync::Mutex;
 
     const ME: SiteId = SiteId::new(1);
 
-    /// Trace stages and effect calls, interleaved in call order, and the
-    /// transactions traced as TO-delivered, in trace order.
+    /// Trace stages in call order, each step's outputs after its stages,
+    /// and the transactions traced as TO-delivered, in trace order.
     #[derive(Default)]
     struct Log(Mutex<Vec<String>>, Mutex<Vec<u64>>);
 
@@ -1017,9 +1168,9 @@ mod tests {
         }
     }
 
-    /// A recording [`SiteEffects`]: notes each call in the shared log and
-    /// keeps what it was handed, with the order domain of each wire and
-    /// timer.
+    /// What one step's outputs were, in order: each noted in the shared
+    /// log (after the step's trace events), with the order domain of each
+    /// wire and timer.
     #[derive(Default)]
     struct Fake {
         log: Arc<Log>,
@@ -1029,35 +1180,66 @@ mod tests {
         commits: Vec<(TxnId, Vec<Value>)>,
     }
 
-    impl SiteEffects for &mut Fake {
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
+    impl Fake {
+        fn take(&mut self, out: &mut SiteOutputs) {
+            for o in out.drain(..) {
+                let what = match o {
+                    Output::Multicast { group, wire } => {
+                        self.wires.push((group, None, wire));
+                        "multicast"
+                    }
+                    Output::Send { group, to, wire } => {
+                        self.wires.push((group, Some(to), wire));
+                        "send"
+                    }
+                    Output::Timer { after, timer: (d, token) } => {
+                        self.timers.push((d, token, after));
+                        "set_timer"
+                    }
+                    Output::Work(token) => {
+                        self.execs.push(token);
+                        "start_execution"
+                    }
+                    Output::Report(SiteReport::Committed { txn, output }) => {
+                        self.commits.push((txn, output));
+                        "committed"
+                    }
+                    Output::Report(report) => panic!("unexpected {report:?}"),
+                };
+                self.log.note(what);
+            }
         }
+    }
 
-        fn multicast(&mut self, domain: u16, wire: Wire<TxnPayload>) {
-            self.log.note("multicast");
-            self.wires.push((domain, None, wire));
-        }
+    /// One step of the site: the [`Site`] view, whose outputs go to the
+    /// fake when the step ends.
+    struct Step<'a> {
+        site: Site<'a>,
+        fake: &'a mut Fake,
+    }
 
-        fn send(&mut self, domain: u16, to: SiteId, wire: Wire<TxnPayload>) {
-            self.log.note("send");
-            self.wires.push((domain, Some(to), wire));
+    impl<'a> std::ops::Deref for Step<'a> {
+        type Target = Site<'a>;
+        fn deref(&self) -> &Site<'a> {
+            &self.site
         }
+    }
 
-        fn set_timer(&mut self, domain: u16, token: TimerToken, delay: SimDuration) {
-            self.log.note("set_timer");
-            self.timers.push((domain, token, delay));
+    impl<'a> std::ops::DerefMut for Step<'a> {
+        fn deref_mut(&mut self) -> &mut Site<'a> {
+            &mut self.site
         }
+    }
 
-        fn start_execution(&mut self, token: ExecToken) {
-            self.log.note("start_execution");
-            self.execs.push(token);
+    impl Drop for Step<'_> {
+        fn drop(&mut self) {
+            self.fake.take(self.site.out);
         }
+    }
 
-        fn committed(&mut self, txn: TxnId, output: Vec<Value>) {
-            self.log.note("committed");
-            self.commits.push((txn, output));
-        }
+    /// The fixture's clock.
+    fn zero() -> SimTime {
+        SimTime::ZERO
     }
 
     /// [`ME`]'s group: the domain index of its group stream. The cluster
@@ -1075,6 +1257,7 @@ mod tests {
         replica: Replica,
         node: SiteNode,
         log: Arc<Log>,
+        out: SiteOutputs,
         fake: Fake,
         /// Where the node counts its view-change steps.
         metrics: MetricsRegistry,
@@ -1103,12 +1286,14 @@ mod tests {
                     .map(|(d, domain)| factory.slot(ME, d, domain, &metrics));
             let node =
                 SiteNode::new(ME, GROUP, GROUPS, domains.into()).with_view_counters(&metrics);
-            Fixture { replica, node, log, fake, metrics }
+            Fixture { replica, node, log, out: Vec::new(), fake, metrics }
         }
 
-        fn site(&mut self) -> Site<'_, &mut Fake> {
+        fn site(&mut self) -> Step<'_> {
             let trace: &dyn TraceSink = self.log.as_ref();
-            Site::new(&mut self.node, &mut self.replica, Some(trace), &mut self.fake)
+            let (node, replica, out) = (&mut self.node, &mut self.replica, &mut self.out);
+            let site = Site { node, replica, trace: Some(trace), now: &zero, out };
+            Step { site, fake: &mut self.fake }
         }
 
         /// Feeds domain `d`'s wires back to this site's engine until none
@@ -1198,7 +1383,7 @@ mod tests {
             output: vec![Value::Int(seq as i64)],
         };
         f.site().apply_replica_actions(vec![commit(0), commit(1)]);
-        assert_eq!(f.log.take(), ["commit", "committed", "commit", "committed"]);
+        assert_eq!(f.log.take(), ["commit", "commit", "committed", "committed"]);
         let expected: Vec<(TxnId, Vec<Value>)> =
             (0..2).map(|s| (TxnId::new(ME, s), vec![Value::Int(s as i64)])).collect();
         assert_eq!(f.fake.commits, expected);
@@ -1315,7 +1500,7 @@ mod tests {
         assert_eq!(f.node.gate.queue.len(), 1, "held for its relay slot");
         f.log.take();
         f.relay_deliver(descriptor(0, 7, vec![sub(9, 1), sub(4, 3)]));
-        assert_eq!(f.log.take(), ["relay_wait", "multicast", "to_deliver"]);
+        assert_eq!(f.log.take(), ["relay_wait", "to_deliver", "multicast"]);
         assert_eq!(f.log.to_delivered(), [4]);
         let [(GROUP, None, Wire::Data(msg))] = &f.fake.wires[..] else {
             panic!("one multicast on the group stream: {:?}", f.fake.wires)
@@ -1366,7 +1551,7 @@ mod tests {
         assert_eq!(f.node.relay_map.len(), 1, "stocked while recovering");
         assert_eq!(f.node.relay_processed, 0, "not consumed while recovering");
         assert!(!f.log.take().contains(&"relay_wait".to_string()));
-        f.site().finish_recovery();
+        f.site().finish_recovery(&[]);
         assert_eq!(f.node.status, Status::Up);
         assert_eq!(f.node.relay_processed, 1);
         assert_eq!(f.log.take(), ["relay_wait", "multicast"]);

@@ -18,6 +18,9 @@
 //! * [`nemesis`] — seed-deterministic fault schedules
 //!   ([`nemesis::NemesisSchedule`]): partitions, crashes, loss bursts and
 //!   jitter spikes generated from intensity knobs, for chaos testing;
+//! * [`sched`] — the one deterministic scheduler ([`sched::Sched`]) every
+//!   simulated part runs on: event order, links, crashes with
+//!   per-incarnation timers and work, held wires and their replay;
 //! * [`metrics`] — histograms, counters and result tables used by every
 //!   experiment harness.
 //!
@@ -47,10 +50,12 @@ pub mod metrics;
 pub mod nemesis;
 pub mod net;
 pub mod rng;
+pub mod sched;
 pub mod time;
 
 pub use event::EventQueue;
 pub use nemesis::{NemesisEvent, NemesisKnobs, NemesisSchedule};
 pub use net::{MulticastNet, NetConfig, SiteId};
-pub use rng::SimRng;
+pub use rng::{DurationDist, SimRng};
+pub use sched::Sched;
 pub use time::{SimDuration, SimTime};

@@ -17,16 +17,17 @@
 //!   (geometric number of timeouts), preserving the paper's reliable-
 //!   channel assumption ("a message sent by Nᵢ to Nⱼ is eventually
 //!   received by Nⱼ"),
-//! * sites can crash and recover; the driver buffers deliveries for down
-//!   sites (see [`MulticastNet::is_up`]) so reliability is preserved across
-//!   crashes,
-//! * links can be blocked to emulate partitions; blocked deliveries are
-//!   retried after the heal time.
+//! * links can be blocked to emulate partitions: until a heal time, when
+//!   blocked deliveries are retried ([`MulticastNet::block_link`]), or cut
+//!   until the nemesis heals them ([`MulticastNet::partition_halves`],
+//!   [`MulticastNet::pair_blocked`]).
 //!
 //! The model is a *timing calculator*: it maps a send to per-receiver
-//! arrival instants. The simulation driver owns the event queue and
-//! schedules the receive events; this keeps the network model independent
-//! of the message type flowing through it.
+//! arrival instants, for every receiver, up or not. The scheduler
+//! ([`crate::sched::Sched`]) owns the event queue, schedules the receive
+//! events and holds what a crash or a cut keeps from a site, so
+//! reliability is preserved across both; this keeps the network model
+//! independent of the message type flowing through it.
 //!
 //! # Examples
 //!
@@ -225,8 +226,8 @@ pub struct Delivery {
 
 /// The shared-medium multicast network.
 ///
-/// Tracks the wire occupancy (for serialization of frames), the up/down
-/// state of sites, and blocked links (partitions). See the module
+/// Tracks the wire occupancy (for serialization of frames) and blocked
+/// links (partitions). See the module
 /// documentation for the model.
 #[derive(Debug)]
 pub struct MulticastNet {
@@ -238,7 +239,6 @@ pub struct MulticastNet {
     /// unsegmented network has exactly one entry, which reproduces the
     /// single-shared-bus model byte for byte.
     wires: Vec<SimTime>,
-    down: HashSet<SiteId>,
     /// Blocked directed links with their heal time.
     blocked: Vec<(SiteId, SiteId, SimTime)>,
     /// Indefinitely blocked directed links (nemesis partitions): the driver
@@ -270,7 +270,6 @@ impl MulticastNet {
         MulticastNet {
             config,
             wires: vec![SimTime::ZERO],
-            down: HashSet::new(),
             blocked: Vec::new(),
             blocked_pairs: HashSet::new(),
             loss_override: None,
@@ -319,9 +318,9 @@ impl MulticastNet {
     /// receives its own multicast through the loopback of the stack — gets
     /// a delivery.
     ///
-    /// Deliveries to *down* sites are still returned (the driver must
-    /// buffer them until recovery — the channel is reliable); deliveries
-    /// over *blocked* links are postponed to the heal time plus jitter.
+    /// Deliveries to crashed sites are returned too (the scheduler holds
+    /// them — the channel is reliable); deliveries over *blocked* links are
+    /// postponed to the heal time plus jitter.
     pub fn multicast(
         &mut self,
         from: SiteId,
@@ -340,24 +339,11 @@ impl MulticastNet {
     }
 
     /// Computes per-receiver arrivals for a multicast addressed to an
-    /// explicit member set instead of every site — the group-scoped
-    /// variant used by sharded ordering domains. One wire occupancy, one
-    /// delivery per target (the sender gets its loopback delivery only
-    /// when it is itself a member of `targets`).
-    pub fn multicast_to(
-        &mut self,
-        from: SiteId,
-        targets: &[SiteId],
-        payload_bytes: u32,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<Delivery> {
-        self.multicast_to_on(0, from, targets, payload_bytes, now, rng)
-    }
-
-    /// [`MulticastNet::multicast_to`] on an explicit wire segment: the
-    /// frame serializes only against that segment's earlier frames. The
-    /// sharded cluster puts each group's stream on the group's own
+    /// explicit member set instead of every site, on an explicit wire
+    /// segment: one wire occupancy, one delivery per target (the sender
+    /// gets its loopback delivery only when it is itself a target), and
+    /// the frame serializes only against that segment's earlier frames.
+    /// The sharded cluster puts each group's stream on the group's own
     /// segment and relay traffic on the backbone (segment 0).
     pub fn multicast_to_on(
         &mut self,
@@ -445,22 +431,6 @@ impl MulticastNet {
         arrival
     }
 
-    /// Marks a site as crashed. Messages continue to be produced for it;
-    /// the simulation driver must hold them and replay on recovery.
-    pub fn set_down(&mut self, site: SiteId) {
-        self.down.insert(site);
-    }
-
-    /// Marks a site as recovered.
-    pub fn set_up(&mut self, site: SiteId) {
-        self.down.remove(&site);
-    }
-
-    /// Whether a site is currently up.
-    pub fn is_up(&self, site: SiteId) -> bool {
-        !self.down.contains(&site)
-    }
-
     /// Blocks the directed link `from → to` until `heal`. Messages whose
     /// arrival would fall inside the blocked window are postponed to just
     /// after `heal`.
@@ -470,9 +440,9 @@ impl MulticastNet {
 
     /// Blocks the directed link `from → to` with no scheduled heal time
     /// (nemesis partition). Unlike [`MulticastNet::block_link`], the model
-    /// does not postpone arrivals itself: the driver must hold deliveries
-    /// whose link [`MulticastNet::pair_blocked`] reports as cut, and replay
-    /// them after [`MulticastNet::heal`].
+    /// does not postpone arrivals itself: the scheduler holds deliveries
+    /// whose link [`MulticastNet::pair_blocked`] reports as cut, and
+    /// replays them after [`MulticastNet::heal`].
     pub fn block_pair(&mut self, from: SiteId, to: SiteId) {
         if from != to {
             self.blocked_pairs.insert((from, to));
@@ -637,20 +607,6 @@ mod tests {
             }
         }
         assert!(delayed > 20, "with p=0.5 many messages should be delayed: {delayed}");
-    }
-
-    #[test]
-    fn down_sites_are_tracked() {
-        let mut net = MulticastNet::new(NetConfig::lan_10mbps(3));
-        let s = SiteId::new(2);
-        assert!(net.is_up(s));
-        net.set_down(s);
-        assert!(!net.is_up(s));
-        // Deliveries are still produced for down sites.
-        let ds = net.multicast(SiteId::new(0), 64, SimTime::ZERO, &mut rng());
-        assert!(ds.iter().any(|d| d.to == s));
-        net.set_up(s);
-        assert!(net.is_up(s));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 //! ```
 
+use crate::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -212,6 +213,42 @@ impl Zipf {
             self.cdf[0]
         } else {
             self.cdf[k] - self.cdf[k - 1]
+        }
+    }
+}
+
+/// A sampled duration distribution for execution and query times.
+#[derive(Debug, Clone, Copy)]
+pub enum DurationDist {
+    /// Always the same duration.
+    Fixed(SimDuration),
+    /// Normal, clamped at a small positive floor.
+    Normal {
+        /// Mean duration.
+        mean: SimDuration,
+        /// Standard deviation.
+        std: SimDuration,
+    },
+    /// Exponential with the given mean.
+    Exponential {
+        /// Mean duration.
+        mean: SimDuration,
+    },
+}
+
+impl DurationDist {
+    /// Draws one duration.
+    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
+        match self {
+            DurationDist::Fixed(d) => *d,
+            DurationDist::Normal { mean, std } => SimDuration::from_secs_f64(rng.normal_min(
+                mean.as_secs_f64(),
+                std.as_secs_f64(),
+                mean.as_secs_f64() * 0.05,
+            )),
+            DurationDist::Exponential { mean } => {
+                SimDuration::from_secs_f64(rng.exponential(mean.as_secs_f64()))
+            }
         }
     }
 }

@@ -12,21 +12,15 @@
 //! between departments (classes) and shows the conservation invariant
 //! and definitive ordering holding under an adversarial tentative order.
 
-use otpdb::core::multiclass::{MultiRegistry, MultiReplica, MultiRequest};
-use otpdb::core::{ExecToken, MultiAction};
-use otpdb::simnet::{EventQueue, SimDuration, SimTime, SiteId};
+use otpdb::core::multiclass::{MultiInput, MultiRegistry, MultiReplica, MultiRequest};
+use otpdb::simnet::sched::{Links, Sched};
+use otpdb::simnet::{DurationDist, SimDuration, SimRng, SimTime, SiteId};
 use otpdb::storage::{ClassId, Database, ObjectId, Value};
 use otpdb::txn::txn::TxnId;
 use std::sync::Arc;
 
 const DEPARTMENTS: u32 = 6;
 const OPENING: i64 = 500;
-
-enum Ev {
-    Opt(MultiRequest),
-    To(TxnId),
-    Done(ExecToken),
-}
 
 fn main() {
     let mut reg = MultiRegistry::new();
@@ -51,7 +45,12 @@ fn main() {
     // 24 transfers between random-ish department pairs; TO-deliveries
     // arrive in REVERSE submission order — a maximally wrong tentative
     // order, so the correctness check has real work to do.
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    // The replica runs on the simulator's scheduler; an execution takes
+    // 1 ms.
+    let exec = DurationDist::Fixed(SimDuration::from_millis(1));
+    let mut sched =
+        Sched::new(Links::uniform(1, SimDuration::ZERO), SimRng::seed_from(0)).with_work_time(exec);
+    let site = SiteId::new(0);
     let n = 24u64;
     let mut t = SimTime::from_millis(1);
     for i in 0..n {
@@ -64,32 +63,17 @@ fn main() {
             mv,
             vec![Value::Int(from as i64), Value::Int(to as i64), Value::Int(10)],
         );
-        queue.schedule(t, Ev::Opt(req));
+        sched.schedule_submit(t, site, MultiInput::Opt(req));
         t += SimDuration::from_micros(400);
     }
     // Definitive order = reverse tentative order, arriving later.
     for i in 0..n {
         let at = SimTime::from_millis(30) + SimDuration::from_micros(100 * i);
-        queue.schedule(at, Ev::To(TxnId::new(SiteId::new(0), n - 1 - i)));
+        sched.schedule_submit(at, site, MultiInput::To(TxnId::new(site, n - 1 - i)));
     }
 
-    let exec = SimDuration::from_millis(1);
     let mut commits = 0u64;
-    while let Some((now, ev)) = queue.pop() {
-        let actions = match ev {
-            Ev::Opt(req) => replica.on_opt_deliver(req),
-            Ev::To(id) => replica.on_to_deliver(id),
-            Ev::Done(tok) => replica.on_exec_done(tok),
-        };
-        for a in actions {
-            match a {
-                MultiAction::StartExecution { token } => {
-                    queue.schedule(now + exec, Ev::Done(token));
-                }
-                MultiAction::Committed { .. } => commits += 1,
-            }
-        }
-    }
+    sched.run_until(SimTime::MAX, &mut replica, |_, _, _| commits += 1);
 
     println!("== otpdb cross-class transfers (multi-class extension) ==");
     println!("transfers committed : {commits}/{n}");

@@ -104,3 +104,42 @@ fn scope_table_paths_exist() {
         assert!(src.contains(&format!("fn {func}(")), "stale blocking-net-send entry: {f} {func}");
     }
 }
+
+/// Every simulated part runs on the one scheduler
+/// (`otp_simnet::sched::Sched`, DESIGN.md §19): no source file outside
+/// `otp-simnet` builds or names an event queue of its own. The benchmark's
+/// own workspace (`benchmark/`) measures the queue directly and is exempt.
+#[test]
+fn no_event_loop_outside_the_scheduler() {
+    fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else { return };
+        let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        paths.sort();
+        for p in paths {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            if p.is_dir() {
+                if !name.starts_with('.') && !["target", "vendor", "benchmark"].contains(&name) {
+                    walk(&p, out);
+                }
+            } else if name.ends_with(".rs") {
+                out.push(p);
+            }
+        }
+    }
+    let root = repo_root();
+    let mut files = Vec::new();
+    walk(&root, &mut files);
+    let exempt = root.join("crates/simnet/src");
+    let needles = [concat!("EventQueue", "::new"), concat!("EventQueue", "<")];
+    let offenders: Vec<String> = files
+        .iter()
+        .filter(|f| !f.starts_with(&exempt))
+        .filter(|f| {
+            let src = std::fs::read_to_string(f).unwrap_or_default();
+            needles.iter().any(|n| src.contains(n))
+        })
+        .map(|f| f.strip_prefix(&root).unwrap_or(f).display().to_string())
+        .collect();
+    assert!(files.len() > 50, "suspiciously few files walked: {}", files.len());
+    assert!(offenders.is_empty(), "event loops outside the scheduler: {offenders:?}");
+}
