@@ -5,9 +5,10 @@
 //! engines are one scheduler node, engine actions become its outputs
 //! (sends, multicasts, timers), arrivals become `on_receive` calls, and
 //! Opt-/TO-deliveries are logged per site. Crash and recovery (with state
-//! transfer from a donor site) can be scheduled at absolute times; the
-//! scheduler holds what reaches a crashed site and replays it after the
-//! recovery, 10 µs apart.
+//! transfer from a donor site, which must be up) can be scheduled at
+//! absolute times; the scheduler holds what reaches a crashed site and
+//! replays it after the recovery, 10 µs apart. A timer fires whenever its
+//! site is up, whichever incarnation armed it.
 //!
 //! The harness powers this crate's property tests and the protocol-level
 //! experiments in `otp-bench`; the full transaction-processing cluster in
@@ -238,7 +239,12 @@ where
     }
 
     /// Schedules recovery of `site` at `at`, with state transferred from
-    /// `donor` (which must be up at that time).
+    /// `donor`.
+    ///
+    /// # Panics
+    ///
+    /// [`LanCluster::run_until`] panics when it reaches the recovery and
+    /// `donor` is down.
     pub fn schedule_recover(&mut self, at: SimTime, site: SiteId, donor: SiteId) {
         self.sched.schedule_restore(at, site, donor);
     }
@@ -246,9 +252,10 @@ where
     /// Runs until the queue empties or `deadline` passes, whichever comes
     /// first. Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        let start = self.sched.events();
         let (receive, opt, to, broadcasts) =
             (&mut self.receive_logs, &mut self.opt_logs, &mut self.to_logs, &mut self.broadcasts);
-        self.sched.run_until(deadline, &mut self.engines, |site, _, delivered| {
+        let mut record = |site: SiteId, _, delivered| {
             let s = site.index();
             match delivered {
                 Delivered::Received(id) => receive[s].push(id),
@@ -262,7 +269,26 @@ where
                     to[s] = log;
                 }
             }
-        })
+        };
+        // `Sched::run_until`'s loop, with the donor checked before a
+        // restore (the only control this driver schedules) copies it.
+        let mut out = Vec::new();
+        while let Some((site, input)) = self.sched.next(deadline) {
+            if let Input::Control(donor) = &input {
+                assert!(self.sched.is_up(*donor), "donor {donor} must be up");
+            }
+            let restore = matches!(input, Input::Control(_));
+            let input = match input {
+                Input::Wires(batch) => Input::Wires(self.sched.admit(site, batch)),
+                input => input,
+            };
+            self.engines.handle(site, self.sched.now(), input, &mut out);
+            self.sched.apply(site, &mut out, &mut record);
+            if restore {
+                self.sched.replay_held(site);
+            }
+        }
+        self.sched.events() - start
     }
 }
 
@@ -366,6 +392,16 @@ mod tests {
         c.run_until(SimTime::from_secs(60));
         assert_eq!(c.to_logs[3].len(), 30, "recovered site has the full log");
         assert_eq!(c.to_logs[3], c.to_logs[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "donor N0 must be up")]
+    fn recovering_from_a_down_donor_panics() {
+        let mut c = opt_cluster(3, 5);
+        c.schedule_crash(SimTime::from_millis(1), SiteId::new(2));
+        c.schedule_crash(SimTime::from_millis(2), SiteId::new(0));
+        c.schedule_recover(SimTime::from_millis(3), SiteId::new(2), SiteId::new(0));
+        c.run_until(SimTime::from_secs(1));
     }
 
     #[test]

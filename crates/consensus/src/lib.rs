@@ -585,6 +585,9 @@ mod tests {
     /// decided and when, and the messages sent and consumed.
     struct Sites {
         instances: Vec<Instance<u32>>,
+        /// Incarnation of each site, bumped when it rejoins: a timer
+        /// carries the one it was armed in and dies with it.
+        life: Vec<u32>,
         /// Every `Decided` any incarnation ever emitted: site, value, and
         /// whether it was decided in one step.
         decided_log: Vec<(usize, u32, bool)>,
@@ -597,8 +600,9 @@ mod tests {
 
     impl Data for Sites {
         type Wire = ConsensusMsg<u32>;
-        /// The round whose patience ran out.
-        type Timer = u64;
+        /// The incarnation that armed it, and the round whose patience ran
+        /// out.
+        type Timer = (u32, u64);
         type Work = ();
         type Submit = ();
         /// Rejoin without memory, proposing this.
@@ -626,7 +630,8 @@ mod tests {
                         out.push(Output::Multicast { group: 0, wire: msg });
                     }
                     Action::SetTimer { round, delay } => {
-                        out.push(Output::Timer { after: delay, timer: round })
+                        let timer = (self.life[me.index()], round);
+                        out.push(Output::Timer { after: delay, timer });
                     }
                     Action::Decided(v) => {
                         self.decided_at[me.index()] = Some(now);
@@ -659,18 +664,19 @@ mod tests {
                         self.push(at, now, actions, out);
                     }
                 }
-                Input::Timer(round) => {
+                Input::Timer((life, round)) if life == self.life[i] => {
                     let actions = self.instances[i].on_timeout(round);
                     self.push(at, now, actions, out);
                 }
                 Input::Control(proposal) => {
+                    self.life[i] += 1;
                     self.decided_at[i] = None;
                     let cfg = InstanceConfig::new(self.decided_at.len(), PATIENCE);
                     let (inst, actions) = Instance::rejoin(at, cfg, proposal);
                     self.instances[i] = inst;
                     self.push(at, now, actions, out);
                 }
-                Input::Done(()) | Input::Submit(()) => {}
+                Input::Timer(_) | Input::Done(()) | Input::Submit(()) => {}
             }
         }
     }
@@ -719,6 +725,7 @@ mod tests {
             Driver {
                 sites: Sites {
                     instances: Vec::new(),
+                    life: vec![0; n],
                     decided_log: Vec::new(),
                     decided_at: vec![None; n],
                     sent: Vec::new(),
@@ -757,15 +764,20 @@ mod tests {
             self.crash_at(site, SimTime::ZERO);
         }
 
-        /// `site` processes nothing from `at` on.
+        /// `site` processes nothing from `at` on. The crash must precede
+        /// every event of its instant, so it is scheduled before any site
+        /// starts, or at time zero, when nothing arrives.
         fn crash_at(&mut self, site: usize, at: SimTime) {
+            assert!(self.instances.is_empty() || at == SimTime::ZERO, "crash scheduled too late");
             self.crash_at[site] = Some(at);
             self.sched.schedule_crash(at, SiteId::new(site as u16));
         }
 
         /// `site` crashes at `crash` and comes back at `back`, rebuilt
-        /// without its memory, proposing `proposal`.
+        /// without its memory, proposing `proposal`. Scheduled before any
+        /// site starts, like [`Driver::crash_at`].
         fn crash_and_rejoin(&mut self, site: usize, crash: SimTime, back: SimTime, proposal: u32) {
+            assert!(self.instances.is_empty(), "crash scheduled too late");
             let site = SiteId::new(site as u16);
             self.sched.schedule_crash(crash, site);
             self.sched.schedule_restore(back, site, proposal);

@@ -51,17 +51,16 @@
 //! produces the same run. With `groups == 1` the driver is byte-identical
 //! to the pre-sharding single-total-order cluster.
 
-use crate::event::ExecToken;
 use crate::replica::Replica;
 use crate::site::{
     is_view_wire, record_stage, EngineFactory, Env, SiteControl, SiteData, SiteNode, SiteOutputs,
     SiteReport, SiteSubmit, Status, VIEW_COUNTERS,
 };
-use otp_broadcast::{GroupId, OrderDomain, PayloadSize, TimerToken, Wire};
+use otp_broadcast::{GroupId, OrderDomain, PayloadSize, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 pub use otp_simnet::rng::DurationDist;
-use otp_simnet::sched::{Arrival, Data, Group, Input, Links, Output, Sched};
+use otp_simnet::sched::{Arrival, Group, Input, Links, Output, Sched};
 use otp_simnet::{MulticastNet, NetConfig, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, ObjectId, ProcId, ProcRegistry, SnapshotIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
@@ -515,32 +514,9 @@ enum Ev {
 }
 
 /// The cluster's scheduler vocabulary: the sites' wires, timers and
-/// executions ([`SiteData`]), and the cluster's own events as controls.
-struct ClusterData;
-
-impl Data for ClusterData {
-    type Wire = Wire<TxnPayload>;
-    type Timer = (u16, TimerToken);
-    type Work = ExecToken;
-    /// Requests are routed by the cluster ([`Ev::Submit`]).
-    type Submit = std::convert::Infallible;
-    type Control = Ev;
-    type Report = std::convert::Infallible;
-
-    /// An engine timer armed before a crash fires if the site serves
-    /// again by then: the rule this driver always had, kept because the
-    /// scheduler's (timers die with their incarnation) moves the chaos
-    /// sweep's schedules (DESIGN.md §19).
-    const TIMERS_OUTLIVE_CRASH: bool = true;
-
-    fn wire_size(wire: &Wire<TxnPayload>) -> u32 {
-        SiteData::wire_size(wire)
-    }
-
-    fn held_while_down(wire: &Wire<TxnPayload>) -> bool {
-        SiteData::held_while_down(wire)
-    }
-}
+/// executions, and the cluster's own events as controls (requests are
+/// routed by the cluster, [`Ev::Submit`]).
+type ClusterData = SiteData<std::convert::Infallible, Ev>;
 
 /// Aggregate results of a run.
 #[derive(Debug, Clone)]

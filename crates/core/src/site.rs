@@ -54,6 +54,7 @@ use otp_telemetry::{Counter, MetricsRegistry, Scope, Stage, TraceEvent, TraceSin
 use otp_txn::txn::{TxnId, TxnRequest};
 use otp_view::{CrashOutcome, DigestOutcome, SummaryOutcome, ViewChange};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// An ordering engine as both drivers hold it (`Send`: a site thread
@@ -511,17 +512,19 @@ pub(crate) fn delivered_cross_subs(snap: &EngineSnapshot<TxnPayload>) -> HashSet
 
 /// The site's vocabulary as plain data ([`otp_simnet::sched::Data`]): a
 /// wire, timer or multicast names the order domain it belongs to (the
-/// wire's `group`, the timer's first half).
-pub(crate) struct SiteData;
+/// wire's `group`, the timer's first half). A driver whose scheduler also
+/// carries requests and commands of its own names their types `S` and
+/// `C` (the simulated cluster does).
+pub(crate) struct SiteData<S = SiteSubmit, C = SiteControl>(PhantomData<(S, C)>);
 
-impl Data for SiteData {
+impl<S, C> Data for SiteData<S, C> {
     type Wire = Wire<TxnPayload>;
     type Timer = (u16, TimerToken);
     /// An execution attempt; the driver hands it back as
     /// [`Input::Done`] once the execution time has elapsed.
     type Work = ExecToken;
-    type Submit = SiteSubmit;
-    type Control = SiteControl;
+    type Submit = S;
+    type Control = C;
     type Report = SiteReport;
 
     fn wire_size(wire: &Wire<TxnPayload>) -> u32 {

@@ -11,9 +11,9 @@
 //!   ([`Group`]);
 //! * wire batching: an adjacent run of same-instant wires to one site
 //!   reaches the node as one [`Input::Wires`] batch;
-//! * crashes: a crashed site's timers and local work die with its
-//!   incarnation, and wires addressed to it are held (or dropped, per
-//!   [`Data::held_while_down`]);
+//! * crashes: a crashed site's local work dies with its incarnation, its
+//!   timers fire only while it is up, and wires addressed to it are held
+//!   (or dropped, per [`Data::held_while_down`]);
 //! * partitions: a wire over a cut link is held until [`Sched::heal`];
 //! * replay: held wires are delivered again 10 µs apart, in hold order.
 //!
@@ -83,12 +83,6 @@ pub trait Data {
     /// What the node tells its driver (a commit, a delivery).
     type Report;
 
-    /// Whether a timer armed before a crash still fires once its site is
-    /// up again. The rule is that timers, like local work, die with their
-    /// incarnation (false); the transaction cluster keeps the timers it
-    /// always had (DESIGN.md §19).
-    const TIMERS_OUTLIVE_CRASH: bool = false;
-
     /// Frame size of `wire` on the modelled network.
     fn wire_size(_wire: &Self::Wire) -> u32 {
         0
@@ -117,7 +111,9 @@ pub struct Arrival<W> {
 pub enum Input<D: Data> {
     /// An adjacent run of same-instant wires, in arrival order.
     Wires(Vec<Arrival<D::Wire>>),
-    /// A timer of the site's current incarnation fired.
+    /// A timer the site armed fired while it is up (perhaps armed by an
+    /// earlier incarnation: a node that must not see those tags its
+    /// timers).
     Timer(D::Timer),
     /// Local work of the site's current incarnation completed.
     Done(D::Work),
@@ -207,7 +203,7 @@ impl Links {
 
 enum Event<D: Data> {
     Wire { to: SiteId, arrival: Arrival<D::Wire> },
-    Timer { site: SiteId, life: u32, timer: D::Timer },
+    Timer { site: SiteId, timer: D::Timer },
     Work { site: SiteId, life: u32, work: D::Work },
     Submit { site: SiteId, submit: D::Submit },
     Control { site: SiteId, control: D::Control },
@@ -218,8 +214,8 @@ enum Event<D: Data> {
 /// What the scheduler keeps per site.
 struct SiteState<W> {
     up: bool,
-    /// Incarnation, bumped at each crash: timers and work carry the one
-    /// they were armed in.
+    /// Incarnation, bumped at each crash: work carries the one it was
+    /// started in.
     life: u32,
     /// Wires held for the site — it was down, or its node was not ready
     /// for them ([`Sched::hold`]) — in hold order.
@@ -236,9 +232,6 @@ pub struct Sched<D: Data> {
     sites: Vec<SiteState<D::Wire>>,
     /// Wires held at a partition cut, with their receiver, in hold order.
     cut: Vec<(SiteId, Arrival<D::Wire>)>,
-    /// A site [`Sched::run_until`] just restored: its held wires replay
-    /// once the node's restore outputs are out.
-    restored: Option<SiteId>,
     popped: u64,
     out: Outputs<D>,
 }
@@ -259,7 +252,6 @@ impl<D: Data> Sched<D> {
             work_time: DurationDist::Fixed(SimDuration::ZERO),
             sites: (0..n).map(|_| SiteState { up: true, life: 0, held: Vec::new() }).collect(),
             cut: Vec::new(),
-            restored: None,
             popped: 0,
             out: Vec::new(),
         }
@@ -358,8 +350,9 @@ impl<D: Data> Sched<D> {
         self.queue.schedule(at, Event::Restore { site, control });
     }
 
-    /// Crashes `site` now: its incarnation ends (pending timers and work
-    /// die with it) and wires addressed to it are held from now on.
+    /// Crashes `site` now: its incarnation ends (pending work dies with
+    /// it, pending timers wait for it to be up) and wires addressed to it
+    /// are held from now on.
     pub fn crash(&mut self, site: SiteId) {
         let s = &mut self.sites[site.index()];
         s.up = false;
@@ -373,7 +366,9 @@ impl<D: Data> Sched<D> {
     }
 
     /// Holds `arrival` for `site` as if it had arrived while the site was
-    /// down (a node that is not ready for it yet).
+    /// down (a node that is not ready for it yet), until
+    /// [`Sched::replay_held`]. For a driver that steps itself:
+    /// [`Sched::run_until`] replays a site's held wires once it is up.
     pub fn hold(&mut self, site: SiteId, arrival: Arrival<D::Wire>) {
         self.sites[site.index()].held.push(arrival);
     }
@@ -449,10 +444,10 @@ impl<D: Data> Sched<D> {
 
     /// Pops the next event due by `deadline` and returns the input it
     /// makes for its site. Same-instant wires to one site come as one
-    /// batch, not yet [`admitted`](Sched::admit); timers and work of a
-    /// dead incarnation, and requests to a down site, are dropped; a
-    /// scheduled crash is carried out; a scheduled restore brings its site
-    /// up and comes back as its control. `None` once nothing is due by
+    /// batch, not yet [`admitted`](Sched::admit); timers and requests of
+    /// a down site and work of a dead incarnation are dropped; a scheduled
+    /// crash is carried out; a scheduled restore brings its site up and
+    /// comes back as its control. `None` once nothing is due by
     /// `deadline`.
     pub fn next(&mut self, deadline: SimTime) -> Option<(SiteId, Input<D>)> {
         loop {
@@ -474,12 +469,12 @@ impl<D: Data> Sched<D> {
                     }
                     return Some((to, Input::Wires(batch)));
                 }
-                Event::Timer { site, life, timer }
-                    if self.alive(site, life) || D::TIMERS_OUTLIVE_CRASH && self.is_up(site) =>
-                {
+                Event::Timer { site, timer } if self.is_up(site) => {
                     return Some((site, Input::Timer(timer)));
                 }
-                Event::Work { site, life, work } if self.alive(site, life) => {
+                Event::Work { site, life, work }
+                    if self.is_up(site) && self.incarnation(site) == life =>
+                {
                     return Some((site, Input::Done(work)));
                 }
                 Event::Submit { site, submit } if self.is_up(site) => {
@@ -489,7 +484,6 @@ impl<D: Data> Sched<D> {
                 Event::Crash { site } => self.crash(site),
                 Event::Restore { site, control } => {
                     self.restore(site);
-                    self.restored = Some(site);
                     return Some((site, Input::Control(control)));
                 }
                 Event::Timer { .. } | Event::Work { .. } | Event::Submit { .. } => {}
@@ -497,14 +491,9 @@ impl<D: Data> Sched<D> {
         }
     }
 
-    fn alive(&self, site: SiteId, life: u32) -> bool {
-        let s = &self.sites[site.index()];
-        s.up && s.life == life
-    }
-
     /// Carries out `site`'s outputs in order, draining `out`: wires go on
-    /// the links, timers and work are armed in the site's incarnation
-    /// (work for a [`with_work_time`](Sched::with_work_time) draw), and
+    /// the links, timers are armed, work starts in the site's incarnation
+    /// (for a [`with_work_time`](Sched::with_work_time) draw), and
     /// reports go to `report` with the site and the time.
     ///
     /// The outputs may be of another vocabulary than the scheduler's, as
@@ -536,7 +525,7 @@ impl<D: Data> Sched<D> {
                 }
                 Output::Multicast { group, wire } => self.multicast(site, group, wire),
                 Output::Timer { after, timer } => {
-                    self.queue.schedule(now + after, Event::Timer { site, life, timer });
+                    self.queue.schedule(now + after, Event::Timer { site, timer });
                 }
                 Output::Work(work) => {
                     let d = self.work_time.sample(&mut self.rng);
@@ -574,8 +563,9 @@ impl<D: Data> Sched<D> {
 
     /// Runs `node` until nothing is due by `deadline`: each input goes to
     /// [`Node::handle`] (a wire batch once [admitted](Sched::admit)), and
-    /// its outputs are carried out at once ([`Sched::apply`]). Returns the
-    /// number of events popped.
+    /// its outputs are carried out at once ([`Sched::apply`]). A site that
+    /// is up and holds wires was just restored: they replay once its
+    /// restore outputs are out. Returns the number of events popped.
     pub fn run_until<N: Node<Data = D>>(
         &mut self,
         deadline: SimTime,
@@ -597,7 +587,7 @@ impl<D: Data> Sched<D> {
             };
             node.handle(site, self.now(), input, &mut out);
             self.apply(site, &mut out, &mut report);
-            if let Some(site) = self.restored.take() {
+            if self.is_up(site) && !self.sites[site.index()].held.is_empty() {
                 self.replay_held(site);
             }
         }
@@ -710,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_incarnations_timers_and_work_never_reach_the_node() {
+    fn a_dead_incarnations_work_never_reaches_the_node() {
         let mut s = sched();
         let me = SiteId::new(0);
         s.schedule_submit(SimTime::ZERO, me, 1);
@@ -718,7 +708,25 @@ mod tests {
         s.schedule_restore(SimTime::from_micros(600), me, ());
         s.schedule_submit(SimTime::from_micros(700), me, 2);
         let mine: Vec<_> = run(&mut s).into_iter().filter(|(a, _, _)| *a == me).collect();
-        assert_eq!(what(&mine), ["submit 1", "control", "submit 2", "timer 2", "done 2"]);
+        let done: Vec<_> = what(&mine).into_iter().filter(|w| w.starts_with("done")).collect();
+        assert_eq!(done, ["done 2"]);
+    }
+
+    /// Both sites arm a timer for 1 ms: site 0 is down then and never
+    /// sees it; site 2 crashed before it and is up again, so it fires.
+    #[test]
+    fn a_timer_fires_only_while_its_site_is_up() {
+        let mut s = sched();
+        let (down, back) = (SiteId::new(0), SiteId::new(2));
+        s.schedule_submit(SimTime::ZERO, down, 1);
+        s.schedule_submit(SimTime::ZERO, back, 3);
+        s.schedule_crash(SimTime::from_micros(500), down);
+        s.schedule_restore(SimTime::from_millis(2), down, ());
+        s.schedule_crash(SimTime::from_micros(200), back);
+        s.schedule_restore(SimTime::from_micros(500), back, ());
+        let seen = run(&mut s);
+        let timers: Vec<_> = seen.iter().filter(|(_, _, w)| w.starts_with("timer")).collect();
+        assert_eq!(timers, [&(back, SimTime::from_millis(1), "timer 3".to_string())]);
     }
 
     #[test]
