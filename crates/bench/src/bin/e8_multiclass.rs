@@ -8,8 +8,8 @@
 //! We are working on improving our concurrency model." This experiment
 //! quantifies the degradation: the same cross-partition transfer load
 //! executed (a) under the single-class model — which forces one coarse
-//! class — and (b) under the multi-class extension (`otp_core::multiclass`)
-//! where transactions declare exactly the partitions they touch.
+//! class — and (b) under the multi-class extension (DESIGN.md §17), where
+//! transactions declare exactly the partitions they touch.
 
 fn main() {
     let txns: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(400);

@@ -498,17 +498,18 @@ pub fn e9_batching(batch_delays_ms: &[u64], updates: u64, seed: u64) -> Table {
 ///
 /// The paper's conclusion concedes the one-class-per-transaction model is
 /// restrictive: a transaction touching two partitions forces those
-/// partitions into one *coarse* class, serializing everything. The
-/// multi-class replica (their \[13\] direction, `otp_core::multiclass`)
-/// instead declares exactly the classes touched. This experiment runs the
+/// partitions into one *coarse* class, serializing everything. Under the
+/// multi-class extension (their \[13\] direction, DESIGN.md §17) a
+/// transaction instead declares exactly the classes touched, and the one
+/// `Replica` queues it in each of them. This experiment runs the
 /// same two-partition transfer load under both models on one replica and
 /// reports latency and makespan.
 pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> Table {
-    use otp_core::multiclass::{MultiInput, MultiRegistry, MultiReplica, MultiRequest};
+    use otp_core::{Replica, ReplicaInput};
     use otp_simnet::sched::{Links, Sched};
     use otp_simnet::DurationDist;
-    use otp_storage::{ClassId, Database, ObjectId, Value};
-    use otp_txn::txn::TxnId;
+    use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, Value};
+    use otp_txn::txn::{TxnId, TxnRequest};
     use std::sync::Arc;
 
     let mut table = Table::new(vec!["partitions", "model", "mean_latency_ms", "makespan_ms"]);
@@ -517,22 +518,22 @@ pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> 
         // mode = false → coarse single class; true → one class/partition.
         for fine in [false, true] {
             let classes = if fine { k } else { 1 };
-            let mut reg = MultiRegistry::new();
+            let mut reg = ProcRegistry::new();
             let mv = reg.register_fn("move", |ctx, args| {
                 let g = |i: usize| args[i].as_int().expect("int");
                 let from = ObjectId::new(g(0) as u32, 0);
                 let to = ObjectId::new(g(1) as u32, 0);
-                let a = ctx.read(from)?.as_int().unwrap_or(0);
-                let b = ctx.read(to)?.as_int().unwrap_or(0);
-                ctx.write(from, Value::Int(a - 1))?;
-                ctx.write(to, Value::Int(b + 1))?;
+                let a = ctx.read_object(from)?.as_int().unwrap_or(0);
+                let b = ctx.read_object(to)?.as_int().unwrap_or(0);
+                ctx.write_object(from, Value::Int(a - 1))?;
+                ctx.write_object(to, Value::Int(b + 1))?;
                 Ok(())
             });
             let mut db = Database::new(classes);
             for c in 0..classes as u32 {
                 db.load(ObjectId::new(c, 0), Value::Int(1000));
             }
-            let mut replica = MultiReplica::new(SiteId::new(0), db, Arc::new(reg));
+            let mut replica = Replica::new(SiteId::new(0), db, Arc::new(reg));
             let mut rng = SimRng::seed_from(seed);
             let exec = DurationDist::Fixed(SimDuration::from_millis(2));
             let mut sched =
@@ -564,7 +565,7 @@ pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> 
                 } else {
                     vec![ClassId::new(0)]
                 };
-                let req = MultiRequest::new(
+                let req = TxnRequest::over_classes(
                     id,
                     classes_decl,
                     mv,
@@ -572,8 +573,9 @@ pub fn e8_multiclass_granularity(partitions: &[usize], txns: u64, seed: u64) -> 
                 );
                 submit_time.insert(id, t);
                 let site = SiteId::new(0);
-                sched.schedule_submit(t, site, MultiInput::Opt(req));
-                sched.schedule_submit(t + agreement, site, MultiInput::To(id));
+                let home = req.class;
+                sched.schedule_submit(t, site, ReplicaInput::Opt(req));
+                sched.schedule_submit(t + agreement, site, ReplicaInput::To(id, home));
                 t += spacing;
             }
 
@@ -699,6 +701,22 @@ mod tests {
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         let frames = |row: &str| -> f64 { row.split(',').nth(3).unwrap().parse().unwrap() };
         assert!(frames(rows[1]) < frames(rows[0]), "batching should reduce frames: {csv}");
+    }
+
+    /// E8's table at a fixed seed, pinned byte for byte: the replica's
+    /// class-set rules (DESIGN.md §17) decide when every transfer starts
+    /// and commits, so any change to them shows here.
+    #[test]
+    fn e8_output_is_pinned() {
+        let t = e8_multiclass_granularity(&[4, 8], 60, 9);
+        assert_eq!(
+            t.to_csv(),
+            "partitions,model,mean_latency_ms,makespan_ms\n\
+             4,coarse,47.25,122.0\n\
+             4,multi-class,36.51,102.5\n\
+             8,coarse,47.25,122.0\n\
+             8,multi-class,22.82,74.5\n"
+        );
     }
 
     #[test]

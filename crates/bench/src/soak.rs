@@ -177,7 +177,7 @@ pub fn parse_engine(name: &str) -> Result<EngineKind, String> {
             consensus_timeout: SimDuration::from_millis(100),
             batch_delay: SimDuration::from_micros(500),
         }),
-        "seq" => Ok(EngineKind::Sequencer),
+        "seq" => Ok(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }),
         "seqbatch" => {
             Ok(EngineKind::SequencerBatched { order_delay: SimDuration::from_micros(500) })
         }
@@ -365,7 +365,7 @@ pub fn soak_report_json(cfg: &SoakConfig, outcome: &SoakOutcome) -> Json {
     let engine = match cfg.engine {
         EngineKind::Opt { .. } => "opt",
         EngineKind::OptBatched { .. } => "optbatch",
-        EngineKind::Sequencer => "seq",
+        EngineKind::SequencerBatched { order_delay } if order_delay == SimDuration::ZERO => "seq",
         EngineKind::SequencerBatched { .. } => "seqbatch",
         EngineKind::Scrambled { .. } => "scramble",
     };
@@ -493,6 +493,13 @@ mod tests {
         let snaps = json.get("snapshots").and_then(Json::as_arr).expect("snapshots key");
         assert_eq!(snaps.len(), outcome.snapshots.len());
         assert!(json.to_pretty().contains("\"committed_total\": 900"));
+        // The artifact names each engine by its command-line name; a zero
+        // order window is the plain sequencer, `seq`.
+        for name in ["opt", "optbatch", "seq", "seqbatch", "scramble"] {
+            let cfg = SoakConfig { engine: parse_engine(name).unwrap(), ..cfg.clone() };
+            let rendered = soak_report_json(&cfg, &outcome).to_pretty();
+            assert!(rendered.contains(&format!("\"engine\": \"{name}\"")), "{rendered}");
+        }
 
         // Sampling off: no snapshots, no rows in the artifact.
         cfg.snapshot_every = None;

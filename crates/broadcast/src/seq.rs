@@ -56,11 +56,11 @@ pub struct SeqAbcast<P> {
     ///
     /// [`MetricsRegistry`]: otp_telemetry::MetricsRegistry
     stale_rejects: Arc<Counter>,
-    /// Sequencer-only: accumulation window for order assignments. `None`
-    /// multicasts every assignment immediately (one frame per message);
-    /// `Some(d)` holds assignments for `d` and flushes them as one
+    /// Sequencer-only: accumulation window for order assignments. Zero
+    /// multicasts the assignments of each receive call at its end; a
+    /// positive `d` holds assignments for `d` and flushes them as one
     /// [`Wire::SeqOrderBatch`] frame — the Slim-ABC amortization.
-    order_batch_delay: Option<SimDuration>,
+    order_batch_delay: SimDuration,
     /// Sequencer-only: next global sequence number to hand out.
     next_global: u64,
     /// Sequencer-only: ids already numbered (idempotence on duplicates).
@@ -93,7 +93,7 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
             epoch: 0,
             order_fence: 0,
             stale_rejects: Arc::new(Counter::new()),
-            order_batch_delay: None,
+            order_batch_delay: SimDuration::ZERO,
             next_global: 0,
             numbered: IdSet::new(),
             pending_order: Vec::new(),
@@ -107,8 +107,9 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
     /// `delay` and flushes them as one [`Wire::SeqOrderBatch`] multicast,
     /// trading a bounded confirmation-latency increase for far fewer
     /// ordering frames on the medium. Opt-delivery latency is unaffected.
+    /// A zero `delay` keeps the unbatched sequencer.
     pub fn with_order_batching(mut self, delay: SimDuration) -> Self {
-        self.order_batch_delay = Some(delay);
+        self.order_batch_delay = delay;
         self
     }
 
@@ -200,14 +201,12 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
             // never depend on the multicast looping back.
             self.order.entry(seqno).or_insert(id);
             self.pending_order.push((seqno, id));
-            if let Some(delay) = self.order_batch_delay {
-                if !self.batch_timer_armed {
-                    self.batch_timer_armed = true;
-                    out.push(EngineAction::SetTimer {
-                        token: TimerToken { instance: 0, round: SEQ_BATCH_ROUND },
-                        delay,
-                    });
-                }
+            if self.order_batch_delay > SimDuration::ZERO && !self.batch_timer_armed {
+                self.batch_timer_armed = true;
+                out.push(EngineAction::SetTimer {
+                    token: TimerToken { instance: 0, round: SEQ_BATCH_ROUND },
+                    delay: self.order_batch_delay,
+                });
             }
         }
     }
@@ -256,7 +255,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
         }
         // One flush and one delivery sweep for the whole tick: several data
         // frames arriving together cost one ordering frame, not one each.
-        if self.order_batch_delay.is_none() {
+        if self.order_batch_delay == SimDuration::ZERO {
             self.flush_pending(&mut out);
         }
         self.try_deliver(&mut out);
@@ -620,6 +619,26 @@ mod tests {
             }
         }
         out
+    }
+
+    /// A zero window is the unbatched sequencer: each receive call
+    /// multicasts its own assignments at its end and arms no flush timer.
+    #[test]
+    fn a_zero_window_is_the_unbatched_sequencer() {
+        let dom = dom4();
+        let c0 = EngineCtx::new(SiteId::new(0), &dom);
+        let mut zero: SeqAbcast<u32> =
+            SeqAbcast::new(SiteId::new(0)).with_order_batching(SimDuration::ZERO);
+        let mut plain: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
+        for k in 0..3u64 {
+            let id = MsgId::new(SiteId::new(1), k);
+            let wire = || Wire::Data(Message { id, payload: k as u32 });
+            let a = zero.on_receive(&c0, SiteId::new(1), wire());
+            assert!(!a.iter().any(|x| matches!(x, EngineAction::SetTimer { .. })), "{a:?}");
+            assert_eq!(order_assignments(&a), vec![(k, id)]);
+            let b = plain.on_receive(&c0, SiteId::new(1), wire());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
     }
 
     #[test]

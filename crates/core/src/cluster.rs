@@ -135,13 +135,13 @@ pub enum EngineKind {
         batch_delay: SimDuration,
     },
     /// Fixed-sequencer total order (the lowest member of each ordering
-    /// domain sequences).
-    Sequencer,
-    /// Fixed-sequencer total order with order-batching: the sequencer
-    /// accumulates assignments for `order_delay` and multicasts them as one
+    /// domain sequences) with order-batching: the sequencer accumulates
+    /// assignments for `order_delay` and multicasts them as one
     /// [`otp_broadcast::Wire::SeqOrderBatch`] frame, amortizing the
     /// per-message ordering frame (Slim-ABC style). Opt-delivery latency is
-    /// unaffected; confirmation waits at most `order_delay` longer.
+    /// unaffected; confirmation waits at most `order_delay` longer. A zero
+    /// window is the unbatched sequencer: it multicasts what each receive
+    /// step assigned at the end of that step.
     SequencerBatched {
         /// Accumulation window before the order multicast.
         order_delay: SimDuration,
@@ -161,7 +161,7 @@ impl EngineKind {
     /// these can order a sharded cluster's groups, and a round that
     /// re-admits that site fences its dead incarnation's assignments.
     pub(crate) fn has_authority(self) -> bool {
-        matches!(self, EngineKind::Sequencer | EngineKind::SequencerBatched { .. })
+        matches!(self, EngineKind::SequencerBatched { .. })
     }
 }
 
@@ -1837,7 +1837,7 @@ mod tests {
     #[test]
     fn sequencer_engine_works_for_conservative_mode() {
         let cfg = ClusterConfig::new(3, 2)
-            .with_engine(EngineKind::Sequencer)
+            .with_engine(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO })
             .with_mode(Mode::Conservative)
             .with_seed(23);
         let mut c = cluster(cfg, initial_data(2, 1));
@@ -2075,7 +2075,7 @@ mod tests {
         use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
         for engine in [
             EngineKind::Opt { consensus_timeout: SimDuration::from_millis(50) },
-            EngineKind::Sequencer,
+            EngineKind::SequencerBatched { order_delay: SimDuration::ZERO },
             EngineKind::Scrambled {
                 agreement_delay: SimDuration::from_millis(3),
                 swap_probability: 0.0,
@@ -2170,7 +2170,7 @@ mod tests {
     fn recovery_installs_monotonic_views_cluster_wide() {
         for engine in [
             EngineKind::Opt { consensus_timeout: SimDuration::from_millis(50) },
-            EngineKind::Sequencer,
+            EngineKind::SequencerBatched { order_delay: SimDuration::ZERO },
             EngineKind::SequencerBatched { order_delay: SimDuration::from_micros(250) },
         ] {
             let cfg = ClusterConfig::new(4, 2).with_engine(engine).with_seed(97);
@@ -2257,7 +2257,7 @@ mod tests {
 
     fn sharded_cfg(sites: usize, classes: usize, groups: usize, seed: u64) -> ClusterConfig {
         ClusterConfig::new(sites, classes)
-            .with_engine(EngineKind::Sequencer)
+            .with_engine(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO })
             .with_groups(groups)
             .with_seed(seed)
     }
@@ -2358,7 +2358,9 @@ mod tests {
     #[should_panic(expected = "do not partition evenly")]
     fn builder_rejects_uneven_site_partition() {
         let _ = ClusterBuilder::from_config(
-            ClusterConfig::new(5, 2).with_engine(EngineKind::Sequencer).with_groups(2),
+            ClusterConfig::new(5, 2)
+                .with_engine(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO })
+                .with_groups(2),
         )
         .build();
     }
@@ -2367,7 +2369,9 @@ mod tests {
     #[should_panic(expected = "at least one conflict class")]
     fn builder_rejects_fewer_classes_than_groups() {
         let _ = ClusterBuilder::from_config(
-            ClusterConfig::new(4, 1).with_engine(EngineKind::Sequencer).with_groups(2),
+            ClusterConfig::new(4, 1)
+                .with_engine(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO })
+                .with_groups(2),
         )
         .build();
     }

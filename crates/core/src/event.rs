@@ -19,7 +19,8 @@ use otp_txn::txn::TxnId;
 pub struct ExecToken {
     /// The executing transaction.
     pub txn: TxnId,
-    /// Its conflict class.
+    /// Its conflict class — the home class of a transaction over a class
+    /// set.
     pub class: ClassId,
     /// Attempt number (0 for the first execution).
     pub attempt: u32,

@@ -9,10 +9,13 @@
 //!   paper's Figures 4–6, over conflict-class queues and a multi-version
 //!   store. Transactions start executing on *tentative* (Opt-)delivery and
 //!   commit on *definitive* (TO-)delivery; mismatches abort and reschedule
-//!   exactly as in Section 3. The same replica in [`Mode::Conservative`]
-//!   is the classic execute-after-TO-deliver baseline (no optimism, no
-//!   aborts, full ordering latency on the critical path): it starts only
-//!   committable queue heads. [`ConservativeReplica`] is a logic-free
+//!   exactly as in Section 3. It also runs the paper's finer-granularity
+//!   extension, transactions over sets of classes
+//!   ([`otp_txn::txn::TxnRequest::over_classes`]), and can run alone on
+//!   the simulator's scheduler ([`ReplicaInput`]). The same replica in
+//!   [`Mode::Conservative`] is the classic execute-after-TO-deliver
+//!   baseline (no optimism, no aborts, full ordering latency on the
+//!   critical path): it starts only committable queue heads. [`ConservativeReplica`] is a logic-free
 //!   wrapper kept for callers that name that baseline by its former type.
 //! * [`AsyncCluster`] — lazy primary-copy replication (the "commercial"
 //!   baseline): local commits, lazy write-set propagation, demonstrably
@@ -65,10 +68,13 @@ pub mod asynchronous;
 pub mod cluster;
 pub mod event;
 pub mod invariants;
-pub mod multiclass;
 pub mod replica;
 pub mod runtime;
 mod site;
+
+#[cfg(test)]
+#[path = "class_set_tests.rs"]
+mod multiclass;
 
 pub use asynchronous::{AsyncCluster, AsyncConfig, WriteSet};
 pub use cluster::{
@@ -77,6 +83,5 @@ pub use cluster::{
 };
 pub use event::{ExecToken, ReplicaAction};
 pub use invariants::{check_invariants, InvariantReport, InvariantViolation, RunHistories};
-pub use multiclass::{MultiAction, MultiInput, MultiRegistry, MultiReplica, MultiRequest};
-pub use replica::{ConservativeReplica, Replica, ReplicaSnapshot};
+pub use replica::{ConservativeReplica, Replica, ReplicaInput, ReplicaSnapshot};
 pub use runtime::{LiveCluster, LiveConfig, LiveReport};

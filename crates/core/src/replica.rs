@@ -32,6 +32,18 @@
 //! CC10 keeps each queue's committable prefix in definitive order, so the
 //! conservative policy starts transactions in exactly that order.
 //!
+//! ## Class sets
+//!
+//! Under the multi-class extension of the paper's model a transaction
+//! declares a set of classes ([`TxnRequest::over_classes`]); its lowest
+//! class is its *home* class, which [`ExecToken`] and
+//! [`Replica::on_to_deliver`] name. A one-class transaction is a set of
+//! one. The modules above run over the whole set (DESIGN.md §17): the
+//! transaction enters every queue of its set, starts only when it heads
+//! all of them and none of its classes is executing, is checked in each
+//! of them at TO-delivery, is aborted in all of them at once, and leaves
+//! all of them at commit.
+//!
 //! ## Execution
 //!
 //! Stored procedures run *at submission time*, writing the class partition
@@ -57,12 +69,13 @@
 use crate::cluster::Mode;
 use crate::event::{ExecToken, ReplicaAction};
 use otp_simnet::metrics::Counters;
-use otp_simnet::SiteId;
+use otp_simnet::sched::{Data, Input, Node, Output, Outputs};
+use otp_simnet::{SimTime, SiteId};
 use otp_storage::{
     ClassId, Database, ObjectId, ProcRegistry, SnapshotIndex, TxnCtx, TxnEffects, TxnIndex,
 };
 use otp_txn::history::{CommittedTxn, HistoryLog};
-use otp_txn::queue::ClassQueue;
+use otp_txn::queue::{ClassQueue, QueueEntry};
 use otp_txn::txn::{DeliveryState, ExecState, TxnId, TxnRequest};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -274,17 +287,63 @@ impl Replica {
         self.queues.iter().map(ClassQueue::len).sum()
     }
 
-    /// Validates every class queue's structural invariant. Tests call this
-    /// after each event.
+    /// Validates that the class queues agree on each transaction — its
+    /// entries carry the same states in every queue of its class set, and
+    /// an executing transaction heads all of its queues and holds each of
+    /// its classes — and every class queue's structural invariant. Tests
+    /// call this after each event.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let states = |e: &QueueEntry| (e.exec, e.delivery, e.attempt);
+        for q in &self.queues {
+            for e in q.iter().filter(|e| e.request.class == q.class()) {
+                for &c in e.request.other_classes() {
+                    let other = self.queues[c.index()]
+                        .entry(e.id())
+                        .ok_or_else(|| format!("{} is missing from queue {c}", e.id()))?;
+                    if states(other) != states(e) {
+                        return Err(format!(
+                            "{} is {:?} in queue {} but {:?} in queue {c}",
+                            e.id(),
+                            states(e),
+                            q.class(),
+                            states(other)
+                        ));
+                    }
+                }
+            }
+        }
+        for (running, q) in self.executing.iter().zip(&self.queues) {
+            let Some((txn, _)) = *running else { continue };
+            let heads_and_holds = |c: ClassId| {
+                self.executing[c.index()] == *running
+                    && self.queues[c.index()].head().is_some_and(|h| h.id() == txn)
+            };
+            let set = q.head().filter(|h| h.id() == txn).map(|h| &h.request);
+            if let Some(c) =
+                set.map_or(Some(q.class()), |r| r.classes().find(|&c| !heads_and_holds(c)))
+            {
+                return Err(format!("{txn} executes but does not head and hold class {c}"));
+            }
+        }
         for q in &self.queues {
             q.check_invariants()?;
         }
         Ok(())
+    }
+
+    /// Appends an Opt-delivered request to every queue of its class set
+    /// (S1–S2). Returns `true` if it is alone in all of them — it heads
+    /// them all, and none of its classes is executing.
+    fn enqueue(&mut self, request: TxnRequest) -> bool {
+        let mut alone = true;
+        for &c in request.other_classes() {
+            alone &= self.queues[c.index()].append(request.clone());
+        }
+        alone & self.queues[request.class.index()].append(request)
     }
 
     // ------------------------------------------------------------------
@@ -294,16 +353,17 @@ impl Replica {
     /// Handles `Opt-deliver(m)` for the transaction in `m` (S1–S5).
     pub fn on_opt_deliver(&mut self, request: TxnRequest) -> Vec<ReplicaAction> {
         let class = request.class;
-        assert!(
-            class.index() < self.queues.len(),
-            "transaction {} names unknown class {class}",
-            request.id
-        );
+        for c in request.classes() {
+            assert!(
+                c.index() < self.queues.len(),
+                "transaction {} names unknown class {c}",
+                request.id
+            );
+        }
         self.counters.incr("opt_deliver");
-        // S1: append to the class queue; S2: pending+active (queue entry
-        // default); S3–S4: submit if alone.
-        let is_first = self.queues[class.index()].append(request);
-        if is_first {
+        // S1: append to every queue of the class set; S2: pending+active
+        // (queue entry default); S3–S4: submit if alone in all of them.
+        if self.enqueue(request) {
             return self.submit_head(class);
         }
         Vec::new()
@@ -325,16 +385,19 @@ impl Replica {
                 return Vec::new();
             }
         }
-        self.executing[class.index()] = None;
-        let queue = &mut self.queues[class.index()];
-        let head = queue.head().expect("executing txn must be queued");
+        let head = self.queues[class.index()].head().expect("executing txn must be queued");
         debug_assert_eq!(head.id(), token.txn, "only the head executes");
         if head.delivery == DeliveryState::Committable {
             // E1–E3: executed + committable → commit, start the next.
             self.commit_head(class, token.txn)
         } else {
-            // E5: executed, waiting for TO-delivery.
-            queue.mark_executed(token.txn).expect("head just finished executing");
+            // E5: executed, waiting for TO-delivery — in every queue of its
+            // set, each of which it heads.
+            let others: Box<[ClassId]> = head.request.other_classes().into();
+            for c in std::iter::once(class).chain(others.iter().copied()) {
+                self.executing[c.index()] = None;
+                self.queues[c.index()].mark_executed(token.txn).expect("it heads all its queues");
+            }
             Vec::new()
         }
     }
@@ -343,9 +406,10 @@ impl Replica {
     // Correctness-check module (Figure 6).
     // ------------------------------------------------------------------
 
-    /// Handles `TO-deliver(m)` (CC1–CC14). Assigns the next definitive
-    /// index to the transaction and reconciles the tentative schedule with
-    /// the definitive order.
+    /// Handles `TO-deliver(m)` (CC1–CC14) for the transaction `txn` of
+    /// home class `class`. Assigns the next definitive index to the
+    /// transaction and reconciles the tentative schedule with the
+    /// definitive order in every queue of its class set.
     ///
     /// # Panics
     ///
@@ -385,43 +449,54 @@ impl Replica {
             queue.entry(txn).unwrap_or_else(|| panic!("{txn} TO-delivered before Opt-delivery"));
 
         if entry.exec == ExecState::Executed {
-            // CC2–CC4: it can only be the head; commit and move on.
+            // CC2–CC4: it can only be the head (of all its queues); commit
+            // and move on.
             debug_assert_eq!(queue.head().map(|e| e.id()), Some(txn));
             out.extend(self.commit_head(class, txn));
             return;
         }
 
-        // CC6: fix the definitive position.
-        let queue = &mut self.queues[class.index()];
-        queue.mark_committable(txn).expect("entry exists");
+        debug_assert_eq!(entry.request.class, class, "TO-delivery names the home class");
+        let others: Box<[ClassId]> = entry.request.other_classes().into();
+        let mut reordered = false;
+        for c in std::iter::once(class).chain(others.iter().copied()) {
+            // CC6: fix the definitive position.
+            let queue = &mut self.queues[c.index()];
+            queue.mark_committable(txn).expect("queued in every class of its set");
 
-        // Was the tentative position wrong? (For statistics: the paper's
-        // claim is that mismatches only matter when they reorder a class.)
-        let tentative_pos = queue.position(txn).expect("entry exists");
+            // Was the tentative position wrong? (For statistics: the paper's
+            // claim is that mismatches only matter when they reorder a
+            // class.)
+            let tentative_pos = queue.position(txn).expect("entry exists");
 
-        // CC7–CC9: a pending head that has run (is executing, or executed)
-        // ran out of definitive order — abort it. A pending head has always
-        // run under OTP and never under conservative processing.
-        let head = queue.head().expect("queue is non-empty");
-        let has_run = head.exec == ExecState::Executed || self.executing[class.index()].is_some();
-        if head.delivery == DeliveryState::Pending && has_run {
-            debug_assert_ne!(head.id(), txn, "txn was just marked committable");
-            self.abort_head(class);
+            // CC7–CC9: a pending head that has run (is executing, or
+            // executed) ran out of definitive order — abort it, across its
+            // whole class set. A pending head has always run under OTP
+            // unless it waits on another of its queues, and never under
+            // conservative processing.
+            let head = queue.head().expect("queue is non-empty");
+            let has_run = head.exec == ExecState::Executed || self.executing[c.index()].is_some();
+            if head.delivery == DeliveryState::Pending && has_run {
+                debug_assert_ne!(head.id(), txn, "txn was just marked committable");
+                self.abort_head(c);
+            }
+
+            // CC10: schedule before the first pending transaction.
+            let queue = &mut self.queues[c.index()];
+            let new_pos = queue.reschedule_before_first_pending(txn).expect("entry exists");
+            reordered |= new_pos != tentative_pos;
         }
-
-        // CC10: schedule before the first pending transaction.
-        let queue = &mut self.queues[class.index()];
-        let new_pos = queue.reschedule_before_first_pending(txn).expect("entry exists");
-        if new_pos != tentative_pos {
+        if reordered {
             self.counters.incr("reorder");
         }
 
-        // CC11–CC13: if it reached the front and nothing of this class is
-        // executing, submit it. (It may already be executing: the case
-        // where the head was TO-delivered mid-execution — then E1 commits
-        // it when it finishes.)
-        if new_pos == 0 && self.executing[class.index()].is_none() {
-            out.extend(self.submit_head(class));
+        // CC11–CC13: if it reached the front of all its queues and none of
+        // its classes is executing, submit it. (It may already be
+        // executing: the case where the head was TO-delivered mid-execution
+        // — then E1 commits it when it finishes.) A committable head ahead
+        // of it that waited on this transaction's classes may start too.
+        for c in std::iter::once(class).chain(others.iter().copied()) {
+            out.extend(self.submit_head(c));
         }
     }
 
@@ -429,27 +504,34 @@ impl Replica {
     // Internals.
     // ------------------------------------------------------------------
 
-    /// Runs the head's stored procedure against the class partition and
-    /// reports the execution start. The effects (undo log, read/write
-    /// sets) are held until commit or abort. Conservative processing
-    /// starts only a committable head.
+    /// Runs the stored procedure of `class`'s queue head against its
+    /// classes' partitions and reports the execution start, if the head may
+    /// start: it heads every queue of its class set and none of its classes
+    /// is executing. Conservative processing starts only a committable
+    /// head. The effects (undo logs, read/write sets) are held until commit
+    /// or abort.
     fn submit_head(&mut self, class: ClassId) -> Vec<ReplicaAction> {
-        let queue = &mut self.queues[class.index()];
-        let Ok((txn, attempt)) = queue.head_for_execution() else {
+        let Some(head) = self.queues[class.index()].head() else {
             return Vec::new();
         };
-        let head = queue.head().expect("head exists");
         if self.mode == Mode::Conservative && head.delivery == DeliveryState::Pending {
             return Vec::new();
         }
-        debug_assert!(self.executing[class.index()].is_none(), "one execution per class");
-        let request = head.request.clone();
+        let (txn, attempt, request) = (head.id(), head.attempt, &head.request);
+        let free = |c: ClassId| {
+            self.executing[c.index()].is_none()
+                && self.queues[c.index()].head().is_some_and(|h| h.id() == txn)
+        };
+        if !request.classes().all(free) {
+            return Vec::new();
+        }
+        debug_assert_eq!(head.exec, ExecState::Active, "an executed head does not run again");
         let proc = self
             .registry
             .get(request.proc)
-            .unwrap_or_else(|| panic!("unknown stored procedure {}", request.proc))
-            .clone();
-        let mut ctx = TxnCtx::new(&mut self.db, class);
+            .unwrap_or_else(|| panic!("unknown stored procedure {}", request.proc));
+        let (home, others) = (request.class, request.other_classes());
+        let mut ctx = TxnCtx::over_classes(&mut self.db, home, others);
         if proc.execute(&mut ctx, &request.args).is_err() {
             // Deterministic failures (bad args / rule violations) happen
             // identically at every site; the transaction still commits
@@ -457,36 +539,49 @@ impl Replica {
             self.counters.incr("proc_error");
         }
         self.effects.insert(txn, ctx.finish());
-        self.executing[class.index()] = Some((txn, attempt));
+        for c in request.classes() {
+            self.executing[c.index()] = Some((txn, attempt));
+        }
         self.counters.incr("submit");
-        vec![ReplicaAction::StartExecution { token: ExecToken { txn, class, attempt } }]
+        vec![ReplicaAction::StartExecution { token: ExecToken { txn, class: home, attempt } }]
     }
 
-    /// CC8: abort the (pending) head — roll back its in-place writes and
-    /// bump its attempt so the in-flight completion is ignored. The entry
-    /// stays queued for re-execution.
+    /// CC8: abort the (pending) head of `class` in every queue of its
+    /// class set — it heads them all, having run — roll back its in-place
+    /// writes in every class and bump its attempt so the in-flight
+    /// completion is ignored. The entries stay queued for re-execution.
     fn abort_head(&mut self, class: ClassId) {
-        let queue = &mut self.queues[class.index()];
-        let aborted = queue.abort_head().expect("queue is non-empty");
-        if let Some(effects) = self.effects.remove(&aborted) {
-            self.db.partition_mut(class).expect("class exists").apply_undo(&effects.undo);
+        let victim = &self.queues[class.index()].head().expect("queue is non-empty").request;
+        let (aborted, home) = (victim.id, victim.class);
+        let others: Box<[ClassId]> = victim.other_classes().into();
+        for c in std::iter::once(home).chain(others.iter().copied()) {
+            let head = self.queues[c.index()].abort_head().expect("queue is non-empty");
+            debug_assert_eq!(head, aborted, "a transaction that ran heads all its queues");
+            self.executing[c.index()] = None;
         }
-        self.executing[class.index()] = None;
+        if let Some(effects) = self.effects.remove(&aborted) {
+            for (c, undo) in effects.undo_logs() {
+                self.db.partition_mut(c).expect("class exists").apply_undo(undo);
+            }
+        }
         self.counters.incr("abort");
     }
 
-    /// E2–E3 / CC3–CC4: commit the head, install its versions at its
-    /// definitive index, and submit the next transaction of the class.
+    /// E2–E3 / CC3–CC4: commit the head (of all its queues), install its
+    /// versions at its definitive index, and submit the next transaction of
+    /// each of its classes, in ascending class order.
     fn commit_head(&mut self, class: ClassId, txn: TxnId) -> Vec<ReplicaAction> {
         let index = *self.to_index.get(&txn).expect("commit requires TO-delivery");
         let queue = &mut self.queues[class.index()];
-        let (_entry, has_next) = queue.commit_head(txn).expect("txn is the head");
+        let (entry, _) = queue.commit_head(txn).expect("txn is the head");
+        for c in entry.request.other_classes() {
+            self.queues[c.index()].commit_head(txn).expect("txn heads all its queues");
+            self.executing[c.index()] = None;
+        }
         let effects = self.effects.remove(&txn).expect("committed txn must have executed");
-        let written = || effects.undo.written_keys().map(|key| ObjectId { class, key });
-        self.db
-            .partition_mut(class)
-            .expect("class exists")
-            .promote(effects.undo.written_keys(), index);
+        for (c, undo) in effects.undo_logs() {
+            self.db.partition_mut(c).expect("class exists").promote(undo.written_keys(), index);
+        }
         self.executing[class.index()] = None;
         self.to_index.remove(&txn);
 
@@ -495,15 +590,15 @@ impl Replica {
         self.history.push(
             txn,
             CommittedTxn::update_position(index),
-            effects.reads.iter().map(|&key| ObjectId { class, key }),
-            written(),
+            effects.objects_read(),
+            effects.objects_written(),
         );
-        self.prefix.commit(&mut self.db, index, written());
+        self.prefix.commit(&mut self.db, index, effects.objects_written());
         self.counters.incr("commit");
 
         let mut actions = vec![ReplicaAction::Committed { txn, index, output: effects.output }];
-        if has_next {
-            actions.extend(self.submit_head(class));
+        for c in entry.request.classes() {
+            actions.extend(self.submit_head(c));
         }
         actions
     }
@@ -518,7 +613,8 @@ impl Replica {
     pub fn snapshot(&self) -> ReplicaSnapshot {
         let mut pending: Vec<(TxnRequest, TxnIndex)> = Vec::new();
         for q in &self.queues {
-            for e in q.iter() {
+            // Each transaction once, from its home queue.
+            for e in q.iter().filter(|e| e.request.class == q.class()) {
                 if e.delivery == DeliveryState::Committable {
                     let idx = self.to_index[&e.id()];
                     pending.push((e.request.clone(), idx));
@@ -543,19 +639,21 @@ impl Replica {
         let pending_idx: BTreeSet<u64> = snapshot.pending.iter().map(|(_, i)| i.raw()).collect();
         r.prefix = CommittedPrefix::restored(snapshot.last_index, &pending_idx);
         // Re-enqueue the pending tail as committable, in definitive order,
-        // then start executing each class's head.
+        // then start each class's head.
         let mut actions = Vec::new();
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        let mut touched: BTreeSet<ClassId> = BTreeSet::new();
         for (req, idx) in snapshot.pending {
-            let class = req.class;
             let id = req.id;
+            let classes: Vec<ClassId> = req.classes().collect();
             r.to_index.insert(id, idx);
-            r.queues[class.index()].append(req);
-            r.queues[class.index()].mark_committable(id).expect("just appended");
-            touched.insert(class.index());
+            r.enqueue(req);
+            for c in classes {
+                r.queues[c.index()].mark_committable(id).expect("just appended");
+                touched.insert(c);
+            }
         }
         for c in touched {
-            actions.extend(r.submit_head(ClassId::new(c as u32)));
+            actions.extend(r.submit_head(c));
         }
         (r, actions)
     }
@@ -573,6 +671,50 @@ impl Replica {
         let (mut fresh, actions) = Replica::restore(site, registry, self.snapshot());
         fresh.mode = self.mode;
         (fresh, actions)
+    }
+}
+
+/// A delivery a lone [`Replica`] takes as a scheduler node
+/// ([`otp_simnet::sched::Sched`]): the engine's two deliveries, scheduled
+/// by the caller as client submissions.
+#[derive(Debug)]
+pub enum ReplicaInput {
+    /// Opt-delivery of a request.
+    Opt(TxnRequest),
+    /// TO-delivery of a transaction, named with its home class.
+    To(TxnId, ClassId),
+}
+
+impl Data for Replica {
+    /// A lone replica sends nothing.
+    type Wire = std::convert::Infallible;
+    type Timer = ();
+    type Work = ExecToken;
+    type Submit = ReplicaInput;
+    type Control = ();
+    /// A transaction committed.
+    type Report = TxnId;
+}
+
+/// The replica on the scheduler without a broadcast engine: deliveries
+/// come in as submissions, an execution is local work, and a commit is
+/// reported.
+impl Node for Replica {
+    type Data = Self;
+
+    fn handle(&mut self, _at: SiteId, _now: SimTime, input: Input<Self>, out: &mut Outputs<Self>) {
+        let actions = match input {
+            Input::Submit(ReplicaInput::Opt(request)) => self.on_opt_deliver(request),
+            Input::Submit(ReplicaInput::To(txn, class)) => self.on_to_deliver(txn, class),
+            Input::Done(token) => self.on_exec_done(token),
+            Input::Wires(_) | Input::Timer(()) | Input::Control(()) => Vec::new(),
+        };
+        for a in actions {
+            match a {
+                ReplicaAction::StartExecution { token } => out.push(Output::Work(token)),
+                ReplicaAction::Committed { txn, .. } => out.push(Output::Report(txn)),
+            }
+        }
     }
 }
 
@@ -990,16 +1132,20 @@ mod tests {
         assert_eq!(a.len(), 1, "the pending T1 does not start: {a:?}");
     }
 
-    /// Registry whose procedure 0 folds `args[1]` into key 0 as
-    /// `v·31 + delta`: any reordering within a class changes the value.
+    /// Registry whose procedure 0 folds `args[1]` into key 0 of every
+    /// declared class as `v·31 + delta`: any reordering within a class
+    /// changes the value.
     fn mix_registry() -> Arc<ProcRegistry> {
         let mut reg = ProcRegistry::new();
         reg.register_fn("mix", |ctx, args| {
             let d = args.get(1).and_then(Value::as_int).unwrap_or(0);
-            let v = ctx.read(ObjectKey::new(0))?.as_int().unwrap_or(0);
-            let next = v.wrapping_mul(31).wrapping_add(d);
-            ctx.write(ObjectKey::new(0), Value::Int(next))?;
-            ctx.emit(Value::Int(next));
+            for class in ctx.classes().collect::<Vec<_>>() {
+                let key = ObjectId { class, key: ObjectKey::new(0) };
+                let v = ctx.read_object(key)?.as_int().unwrap_or(0);
+                let next = v.wrapping_mul(31).wrapping_add(d);
+                ctx.write_object(key, Value::Int(next))?;
+                ctx.emit(Value::Int(next));
+            }
             Ok(())
         });
         Arc::new(reg)
@@ -1015,15 +1161,24 @@ mod tests {
         outputs: Vec<(TxnId, Vec<Value>)>,
     }
 
-    /// Drives a `mode` replica over transactions `txns[i] = (class, delta)`
-    /// with id `i`: Opt-deliveries in `opt` order, TO-deliveries in `to`
-    /// order and completions of running attempts, interleaved by `steps`
-    /// (`0` Opt-delivers, `1` TO-delivers — or Opt-delivers when the next
-    /// TO-delivery would break Local Order — and `2` completes the running
-    /// attempt the step's index picks), then drains everything.
+    /// The request of transaction `i` over classes `{a, b}` (one class
+    /// when `a == b`).
+    fn set_req(i: usize, (a, b, delta): (u32, u32, i64)) -> TxnRequest {
+        let classes = [ClassId::new(a), ClassId::new(b)];
+        let args = vec![Value::Int(0), Value::Int(delta)];
+        TxnRequest::over_classes(tid(i as u64), classes, otp_storage::ProcId::new(0), args)
+    }
+
+    /// Drives a `mode` replica over transactions `txns[i] = (a, b, delta)`
+    /// over classes `{a, b}` with id `i`: Opt-deliveries in `opt` order,
+    /// TO-deliveries in `to` order and completions of running attempts,
+    /// interleaved by `steps` (`0` Opt-delivers, `1` TO-delivers — or
+    /// Opt-delivers when the next TO-delivery would break Local Order —
+    /// and `2` completes the running attempt the step's index picks), then
+    /// drains everything.
     fn drive(
         mode: Mode,
-        txns: &[(u32, i64)],
+        txns: &[(u32, u32, i64)],
         opt: &[usize],
         to: &[usize],
         steps: &[(u8, usize)],
@@ -1038,7 +1193,8 @@ mod tests {
         let mut to_done = vec![false; txns.len()];
         let mut running: Vec<ExecToken> = Vec::new();
         // Enough drain steps for every delivery and every attempt,
-        // aborted ones included.
+        // aborted ones included (a TO-delivery aborts at most one
+        // transaction per class of its set).
         let drain = std::iter::repeat_n((3, 0), 6 * txns.len() + 2);
         for (op, pick) in steps.iter().copied().chain(drain) {
             let r = &mut run.replica;
@@ -1050,7 +1206,7 @@ mod tests {
                     let i = to[toed];
                     toed += 1;
                     to_done[i] = true;
-                    r.on_to_deliver(tid(i as u64), ClassId::new(txns[i].0))
+                    r.on_to_deliver(tid(i as u64), set_req(i, txns[i]).class)
                 }
                 2 | 3 if (op == 2 || draining) && !running.is_empty() => {
                     r.on_exec_done(running.remove(pick % running.len()))
@@ -1059,7 +1215,7 @@ mod tests {
                     let i = opt[opted];
                     opted += 1;
                     opt_done[i] = true;
-                    r.on_opt_deliver(req(i as u64, txns[i].0, txns[i].1))
+                    r.on_opt_deliver(set_req(i, txns[i]))
                 }
                 _ => Vec::new(),
             };
@@ -1072,6 +1228,7 @@ mod tests {
                     ReplicaAction::Committed { txn, output, .. } => run.outputs.push((txn, output)),
                 }
             }
+            assert_eq!(r.check_invariants(), Ok(()));
         }
         assert!(running.is_empty() && toed == to.len(), "the drain finished the run");
         run.outputs.sort_by_key(|(txn, _)| *txn);
@@ -1090,15 +1247,19 @@ mod tests {
 
         /// Conservative processing never aborts, starts only TO-delivered
         /// transactions, commits each class in TO order and ends in the
-        /// state the OTP policy reaches on the same inputs.
+        /// state the OTP policy reaches on the same inputs — over class
+        /// sets of one or two classes.
         #[test]
         fn prop_conservative_policy_is_otp_without_tentative_execution(
-            txns in proptest::collection::vec((0u32..3, -50i64..50, 0u64..1_000, 0u64..1_000), 1..14),
+            txns in proptest::collection::vec(
+                (0u32..3, 0u32..3, -50i64..50, 0u64..1_000, 0u64..1_000),
+                1..14,
+            ),
             steps in proptest::collection::vec((0u8..3, 0usize..8), 0..60),
         ) {
-            let opt = permutation(&txns.iter().map(|t| t.2).collect::<Vec<_>>());
-            let to = permutation(&txns.iter().map(|t| t.3).collect::<Vec<_>>());
-            let txns: Vec<(u32, i64)> = txns.iter().map(|t| (t.0, t.1)).collect();
+            let opt = permutation(&txns.iter().map(|t| t.3).collect::<Vec<_>>());
+            let to = permutation(&txns.iter().map(|t| t.4).collect::<Vec<_>>());
+            let txns: Vec<(u32, u32, i64)> = txns.iter().map(|t| (t.0, t.1, t.2)).collect();
             let cons = drive(Mode::Conservative, &txns, &opt, &to, &steps);
             let otp = drive(Mode::Otp, &txns, &opt, &to, &steps);
             let c = &cons.replica;
@@ -1107,14 +1268,15 @@ mod tests {
                 proptest::prop_assert_eq!(token.attempt, 0, "{:?}", token);
                 proptest::prop_assert!(*to_delivered, "{:?} started before its TO-delivery", token);
             }
+            let in_class = |i: usize, class: u32| txns[i].0 == class || txns[i].1 == class;
             for class in 0..3 {
                 let expected: Vec<TxnId> =
-                    to.iter().filter(|&&i| txns[i].0 == class).map(|&i| tid(i as u64)).collect();
+                    to.iter().filter(|&&i| in_class(i, class)).map(|&i| tid(i as u64)).collect();
                 let committed: Vec<TxnId> = c
                     .commit_log()
                     .iter()
                     .map(|(t, _)| *t)
-                    .filter(|t| txns[t.seq as usize].0 == class)
+                    .filter(|t| in_class(t.seq as usize, class))
                     .collect();
                 proptest::prop_assert_eq!(committed, expected, "class {} commits in TO order", class);
                 let key = ObjectId::new(class, 0);

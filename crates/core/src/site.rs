@@ -104,7 +104,6 @@ impl EngineFactory {
             EngineKind::OptBatched { consensus_timeout, batch_delay } => Box::new(OptAbcast::new(
                 OptAbcastConfig::new(domain.len(), consensus_timeout).with_batch_delay(batch_delay),
             )),
-            EngineKind::Sequencer => Box::new(SeqAbcast::new(domain.sequencer())),
             EngineKind::SequencerBatched { order_delay } => {
                 Box::new(SeqAbcast::new(domain.sequencer()).with_order_batching(order_delay))
             }
@@ -1283,7 +1282,10 @@ mod tests {
             let log = Arc::new(Log::default());
             let fake = Fake { log: Arc::clone(&log), ..Fake::default() };
             let metrics = MetricsRegistry::new();
-            let mut factory = EngineFactory::new(EngineKind::Sequencer, 1);
+            let mut factory = EngineFactory::new(
+                EngineKind::SequencerBatched { order_delay: SimDuration::ZERO },
+                1,
+            );
             let domains =
                 [(GROUP, OrderDomain::global(2)), (RELAY, OrderDomain::new(GroupId::RELAY, [ME]))]
                     .map(|(d, domain)| factory.slot(ME, d, domain, &metrics));

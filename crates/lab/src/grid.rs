@@ -48,7 +48,9 @@ impl EngineChoice {
             EngineChoice::Opt | EngineChoice::OptQuantum => {
                 EngineKind::Opt { consensus_timeout: SimDuration::from_millis(60) }
             }
-            EngineChoice::Seq | EngineChoice::Sharded => EngineKind::Sequencer,
+            EngineChoice::Seq | EngineChoice::Sharded => {
+                EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }
+            }
             EngineChoice::SeqBatch => {
                 EngineKind::SequencerBatched { order_delay: SimDuration::from_micros(250) }
             }
@@ -282,7 +284,10 @@ mod tests {
     #[test]
     fn sharded_column_configures_two_sequencer_groups() {
         assert_eq!(EngineChoice::Sharded.groups(), 2);
-        assert!(matches!(EngineChoice::Sharded.engine_kind(), EngineKind::Sequencer));
+        assert!(matches!(
+            EngineChoice::Sharded.engine_kind(),
+            EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }
+        ));
         for other in EngineChoice::all() {
             if other != EngineChoice::Sharded {
                 assert_eq!(other.groups(), 1, "{other:?}");

@@ -8,9 +8,11 @@
 //!   database is split so that update transactions of different classes
 //!   never conflict (Section 2.3);
 //! * **in-place execution with undo** ([`TxnCtx`], [`UndoLog`]) — a
-//!   transaction writes its partition directly; when the optimistic
-//!   scheduling order turns out wrong, the correctness-check module rolls
-//!   it back "using traditional recovery techniques" (Section 3.2);
+//!   transaction writes its partitions directly — its one class, or each
+//!   class of the set it declared under the multi-class extension — with
+//!   one undo log per class; when the optimistic scheduling order turns
+//!   out wrong, the correctness-check module rolls it back "using
+//!   traditional recovery techniques" (Section 3.2);
 //! * **committed version chains** ([`mvcc::VersionChain`]) labeled with
 //!   definitive-order indices ([`TxnIndex`]), feeding **snapshot queries**
 //!   ([`QueryCtx`], [`SnapshotIndex`]) with the paper's `i.5` semantics
@@ -48,16 +50,18 @@
 pub mod db;
 pub mod err;
 pub mod ids;
-pub mod multictx;
 pub mod mvcc;
 pub mod proc;
 pub mod txctx;
 pub mod value;
 
+#[cfg(test)]
+#[path = "class_set_tests.rs"]
+mod multictx;
+
 pub use db::{ClassPartition, Database, UndoLog};
 pub use err::{AccessError, ProcError};
 pub use ids::{ClassId, ObjectId, ObjectKey, SnapshotIndex, TxnIndex};
-pub use multictx::{apply_multi_undo, MultiCtx, MultiEffects};
 pub use proc::{FnProcedure, ProcId, ProcRegistry, StoredProcedure};
 pub use txctx::{QueryCtx, TxnCtx, TxnEffects};
 pub use value::Value;

@@ -19,7 +19,7 @@ fn engines() -> Vec<(&'static str, EngineKind)> {
                 batch_delay: SimDuration::from_millis(2),
             },
         ),
-        ("sequencer", EngineKind::Sequencer),
+        ("sequencer", EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }),
         (
             "scrambled",
             EngineKind::Scrambled {

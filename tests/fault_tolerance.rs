@@ -168,9 +168,10 @@ fn partition_during_recovery_heals() {
 /// the newest view.
 #[test]
 fn racing_recovery_rounds_for_one_site_supersede() {
-    for engine in
-        [EngineKind::Opt { consensus_timeout: SimDuration::from_millis(60) }, EngineKind::Sequencer]
-    {
+    for engine in [
+        EngineKind::Opt { consensus_timeout: SimDuration::from_millis(60) },
+        EngineKind::SequencerBatched { order_delay: SimDuration::ZERO },
+    ] {
         let (registry, _) = StandardProcs::registry();
         let mut initial = Vec::new();
         for c in 0..2u32 {

@@ -105,12 +105,9 @@ fn scope_table_paths_exist() {
     }
 }
 
-/// Every simulated part runs on the one scheduler
-/// (`otp_simnet::sched::Sched`, DESIGN.md §19): no source file outside
-/// `otp-simnet` builds or names an event queue of its own. The benchmark's
-/// own workspace (`benchmark/`) measures the queue directly and is exempt.
-#[test]
-fn no_event_loop_outside_the_scheduler() {
+/// Every `.rs` file under `dir`, sorted, skipping hidden directories, build
+/// output, the vendored shims and the benchmark's own workspace.
+fn rust_files(dir: &std::path::Path) -> Vec<PathBuf> {
     fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
         let Ok(entries) = std::fs::read_dir(dir) else { return };
         let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
@@ -126,9 +123,19 @@ fn no_event_loop_outside_the_scheduler() {
             }
         }
     }
-    let root = repo_root();
     let mut files = Vec::new();
-    walk(&root, &mut files);
+    walk(dir, &mut files);
+    files
+}
+
+/// Every simulated part runs on the one scheduler
+/// (`otp_simnet::sched::Sched`, DESIGN.md §19): no source file outside
+/// `otp-simnet` builds or names an event queue of its own. The benchmark's
+/// own workspace (`benchmark/`) measures the queue directly and is exempt.
+#[test]
+fn no_event_loop_outside_the_scheduler() {
+    let root = repo_root();
+    let files = rust_files(&root);
     let exempt = root.join("crates/simnet/src");
     let needles = [concat!("EventQueue", "::new"), concat!("EventQueue", "<")];
     let offenders: Vec<String> = files
@@ -142,4 +149,30 @@ fn no_event_loop_outside_the_scheduler() {
         .collect();
     assert!(files.len() > 50, "suspiciously few files walked: {}", files.len());
     assert!(offenders.is_empty(), "event loops outside the scheduler: {offenders:?}");
+}
+
+/// One replica (DESIGN.md §17): the paper's Serialization module is
+/// written once, in `crates/core/src/replica.rs`, for both execution
+/// policies and for class sets of any size. No other library source
+/// defines an Opt-delivery handler of a replica of its own. The
+/// benchmark's own workspace (`benchmark/`) is exempt.
+#[test]
+fn one_replica() {
+    let root = repo_root();
+    let files: Vec<PathBuf> =
+        ["crates", "src"].iter().flat_map(|d| rust_files(&root.join(d))).collect();
+    let home = root.join("crates/core/src/replica.rs");
+    let offenders: Vec<String> = files
+        .iter()
+        .filter(|f| **f != home)
+        .filter(|f| {
+            std::fs::read_to_string(f)
+                .unwrap_or_default()
+                .contains(concat!("fn ", "on_opt_deliver"))
+        })
+        .map(|f| f.strip_prefix(&root).unwrap_or(f).display().to_string())
+        .collect();
+    assert!(files.len() > 50, "suspiciously few files walked: {}", files.len());
+    assert!(files.contains(&home), "the replica moved: update this test");
+    assert!(offenders.is_empty(), "a second replica: {offenders:?}");
 }

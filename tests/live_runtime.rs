@@ -57,7 +57,7 @@ fn threaded_engine_mode_matrix() {
                     batch_delay: SimDuration::from_micros(500),
                 },
             ),
-            ("seq", EngineKind::Sequencer),
+            ("seq", EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }),
             (
                 "seqbatch",
                 EngineKind::SequencerBatched { order_delay: SimDuration::from_micros(500) },

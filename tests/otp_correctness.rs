@@ -85,7 +85,8 @@ fn otp_full_stack_uniform_load() {
 
 #[test]
 fn otp_full_stack_sequencer_engine() {
-    let (cluster, submitted) = run_cluster(3, 4, 60, EngineKind::Sequencer, 103);
+    let (cluster, submitted) =
+        run_cluster(3, 4, 60, EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }, 103);
     assert_eq!(cluster.stats().completed as usize, submitted);
     assert_lemma_4_1(&cluster);
     check_one_copy_serializable(&cluster.histories()).unwrap();

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 fn engine_strategy() -> impl Strategy<Value = EngineKind> {
     prop_oneof![
         Just(EngineKind::Opt { consensus_timeout: SimDuration::from_millis(60) }),
-        Just(EngineKind::Sequencer),
+        Just(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }),
         (1u64..8, 0.0..0.6f64).prop_map(|(d, p)| EngineKind::Scrambled {
             agreement_delay: SimDuration::from_millis(d),
             swap_probability: p,

@@ -19,7 +19,7 @@ use otpdb::workload::StandardProcs;
 fn sharded_cluster(sites: usize, classes: usize, groups: usize, seed: u64) -> (Cluster, ProcId) {
     let (registry, procs) = StandardProcs::registry();
     let config = ClusterConfig::new(sites, classes)
-        .with_engine(EngineKind::Sequencer)
+        .with_engine(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO })
         .with_groups(groups)
         .with_seed(seed);
     let data = (0..classes).map(|c| (ObjectId::new(c as u32, 0), Value::Int(0))).collect();

@@ -134,8 +134,12 @@ fn sim_trace_bytes_are_pinned_for_five_cluster_shapes() {
     );
 
     // Two sequencing groups with cross-group updates on the relay stream.
-    let sharded =
-        || ClusterConfig::new(4, 2).with_engine(EngineKind::Sequencer).with_groups(2).with_seed(9);
+    let sharded = || {
+        ClusterConfig::new(4, 2)
+            .with_engine(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO })
+            .with_groups(2)
+            .with_seed(9)
+    };
     let cross_load = |c: &mut Cluster| {
         let add = |d: i64| vec![Value::Int(0), Value::Int(d)];
         let mut t = SimTime::from_millis(1);

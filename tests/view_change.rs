@@ -65,7 +65,8 @@ fn seqbatch_cluster(seed: u64) -> Cluster {
 
 /// A plain-sequencer cluster under steady load from sites 1 and 2.
 fn sequencer_cluster(seed: u64) -> Cluster {
-    let mut cluster = cluster_over(EngineKind::Sequencer, seed);
+    let mut cluster =
+        cluster_over(EngineKind::SequencerBatched { order_delay: SimDuration::ZERO }, seed);
     schedule_load(&mut cluster, 40, 2, SimDuration::from_millis(2));
     cluster
 }
@@ -162,7 +163,7 @@ fn overlapping_rounds_resolve_to_the_newest_view() {
 fn recovery_installs_a_fresh_view_and_serves() {
     for engine in [
         EngineKind::Opt { consensus_timeout: SimDuration::from_millis(50) },
-        EngineKind::Sequencer,
+        EngineKind::SequencerBatched { order_delay: SimDuration::ZERO },
         EngineKind::SequencerBatched { order_delay: ORDER_WINDOW },
         EngineKind::Scrambled {
             agreement_delay: SimDuration::from_millis(3),
