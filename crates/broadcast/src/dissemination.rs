@@ -71,9 +71,9 @@ impl<P: Clone> Dissemination<P> {
         Some(!self.delivered.contains(msg.id))
     }
 
-    /// Whether the payload of `id` has arrived.
-    pub(crate) fn has(&self, id: MsgId) -> bool {
-        self.payloads.contains_key(&id)
+    /// The payload of `id`, once it has arrived.
+    pub(crate) fn payload(&self, id: MsgId) -> Option<&P> {
+        self.payloads.get(&id)
     }
 
     /// Whether `id` is TO-delivered.

@@ -8,7 +8,9 @@
 //! * `Opt-deliver(m)` — emitted as [`EngineAction::OptDeliver`] the moment
 //!   a message arrives from the network: the **tentative** order;
 //! * `TO-deliver(m)` — emitted as [`EngineAction::ToDeliver`] (id only, a
-//!   confirmation) once the sites agree: the **definitive** order.
+//!   confirmation) once the sites agree: the **definitive** order. The
+//!   body stays in the engine's payload store, where the application
+//!   reads it ([`AtomicBroadcast::payload`]) instead of keeping a copy.
 //!
 //! Guarantees (Termination, Global/Local Agreement, Global Order, Local
 //! Order) are documented on [`AtomicBroadcast`] and exercised by this

@@ -270,7 +270,9 @@ pub enum EngineAction<P> {
     OptDeliver(Message<P>),
     /// Definitive delivery confirmation — only the ids, matching the paper:
     /// "TO-deliver(m) will not deliver the entire body of the message …
-    /// but rather deliver only a confirmation message". Engines emit one
+    /// but rather deliver only a confirmation message". The driver reads
+    /// each body from the engine that emitted the action
+    /// ([`crate::AtomicBroadcast::payload`]). Engines emit one
     /// *batch* per causal step (a decided consensus batch, a filled order
     /// gap, a ripened timer run): everything that becomes definitive at one
     /// instant travels as one action, so drivers pay the dispatch and

@@ -305,7 +305,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
                     self.cursor_pos += 1;
                     continue;
                 }
-                if !self.dis.has(id) {
+                if self.dis.payload(id).is_none() {
                     // Data not here yet: TO-delivery must wait for the
                     // Opt-delivery (Local Order).
                     stalled = true;
@@ -509,6 +509,10 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         self.dis.definitive_log()
     }
 
+    fn payload(&self, id: MsgId) -> Option<&P> {
+        self.dis.payload(id)
+    }
+
     fn snapshot(&self) -> EngineSnapshot<P> {
         EngineSnapshot {
             decided: self.decided.iter().map(|(k, v)| (*k, v.as_ref().clone())).collect(),
@@ -566,10 +570,6 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
 
     fn retained(&self) -> EngineRetention {
         self.dis.retained(0)
-    }
-
-    fn decide_counts(&self) -> (u64, u64) {
-        (self.fast_decides.get(), self.slow_decides.get())
     }
 
     fn set_decide_counters(&mut self, fast: Arc<Counter>, slow: Arc<Counter>) {
@@ -953,6 +953,9 @@ mod tests {
         dom: OrderDomain,
         flight: Vec<(SiteId, SiteId, Wire<u32>)>,
         timers: Vec<(SiteId, TimerToken)>,
+        /// Each site's one-step and round decision counters, attached to
+        /// its engine the way a driver attaches its registry's.
+        decides: Vec<(Arc<Counter>, Arc<Counter>)>,
     }
 
     fn is_vote(w: &Wire<u32>) -> bool {
@@ -961,13 +964,32 @@ mod tests {
 
     impl Lab {
         fn new(n: usize) -> Self {
+            let decides: Vec<(Arc<Counter>, Arc<Counter>)> =
+                (0..n).map(|_| Default::default()).collect();
+            let mut es = engines(n);
+            for (e, (fast, slow)) in es.iter_mut().zip(&decides) {
+                e.set_decide_counters(Arc::clone(fast), Arc::clone(slow));
+            }
             Lab {
-                es: engines(n),
+                es,
                 opt_logs: vec![Vec::new(); n],
                 dom: OrderDomain::global(n),
                 flight: Vec::new(),
                 timers: Vec::new(),
+                decides,
             }
+        }
+
+        /// Hands `engine` site `site`'s decision counters.
+        fn attach(&self, site: usize, engine: &mut OptAbcast<u32>) {
+            let (fast, slow) = &self.decides[site];
+            engine.set_decide_counters(Arc::clone(fast), Arc::clone(slow));
+        }
+
+        /// `(fast, slow)`: the decisions counted at `site`.
+        fn decides(&self, site: usize) -> (u64, u64) {
+            let (fast, slow) = &self.decides[site];
+            (fast.get(), slow.get())
         }
 
         fn apply(&mut self, site: SiteId, actions: Vec<EngineAction<u32>>) {
@@ -1027,9 +1049,9 @@ mod tests {
         let mut lab = Lab::new(4);
         let id = lab.broadcast(1, 7);
         lab.deliver(|_, _, _| true);
-        for e in &lab.es {
+        for (site, e) in lab.es.iter().enumerate() {
             assert_eq!(e.definitive_log(), [id]);
-            assert_eq!(e.decide_counts(), (1, 0));
+            assert_eq!(lab.decides(site), (1, 0));
         }
         assert!(lab.flight.is_empty());
     }
@@ -1058,9 +1080,9 @@ mod tests {
         }
         assert_eq!(lab.es[3].decided_instances(), 1, "instance 1, ahead of instance 0");
         lab.deliver(|_, _, _| true);
-        for e in &lab.es {
+        for (site, e) in lab.es.iter().enumerate() {
             assert_eq!(e.definitive_log(), [m1, m2]);
-            assert_eq!(e.decide_counts(), (2, 0));
+            assert_eq!(lab.decides(site), (2, 0));
         }
     }
 
@@ -1166,7 +1188,7 @@ mod tests {
         lab.deliver(|f, t, _| !cut(f, t));
         assert_eq!(lab.es[0].definitive_log(), [m0]);
         assert_eq!(lab.es[1].definitive_log(), [m0]);
-        assert_eq!(lab.es[0].decide_counts(), (0, 1), "two of three: the rounds decided");
+        assert_eq!(lab.decides(0), (0, 1), "two of three: the rounds decided");
         assert_eq!(lab.opt_logs[2], [m2]);
         assert!(lab.es[2].definitive_log().is_empty());
         // One patience later, still cut off: site 2 suspects round 0.
@@ -1203,7 +1225,7 @@ mod tests {
         // and site 3 itself hears nothing more before it dies.
         lab.deliver(|f, t, w| is_vote(w) && t != x && (f != x || t == a));
         assert_eq!(lab.es[0].definitive_log(), [m1]);
-        assert_eq!(lab.es[0].decide_counts(), (1, 0));
+        assert_eq!(lab.decides(0), (1, 0));
         assert!(lab.es[1].definitive_log().is_empty() && lab.es[2].definitive_log().is_empty());
         // Sites 0 and 3 are gone; what they had in flight is lost with
         // them, what was in flight to them waits.
@@ -1216,6 +1238,7 @@ mod tests {
         let mut reborn: OptAbcast<u32> =
             OptAbcast::new(OptAbcastConfig::new(4, SimDuration::from_millis(20)));
         reborn.restore(&ctx_at(&lab.dom, x), snap);
+        lab.attach(3, &mut reborn);
         lab.es[3] = reborn;
         // What waited for site 3 is replayed: it joins instance 0 with its
         // own idea of the order, and votes again.
@@ -1269,11 +1292,12 @@ mod tests {
         let mut reborn: OptAbcast<u32> =
             OptAbcast::new(OptAbcastConfig::new(4, SimDuration::from_millis(20)));
         reborn.restore(&ctx_at(&lab.dom, x), snap);
+        lab.attach(3, &mut reborn);
         lab.es[3] = reborn;
         // The cut heals: the first incarnation's vote completes site 1's
         // tally.
         lab.deliver(|f, t, w| f == x && t == a && is_vote(w));
-        assert_eq!(lab.es[1].decide_counts(), (1, 0));
+        assert_eq!(lab.decides(1), (1, 0));
         assert_eq!(lab.es[1].definitive_log()[0], m1);
         // What waited for site 3 is replayed: it joins instance 0 with its
         // own idea of the order — as a rejoined site, so without a vote.
@@ -1296,6 +1320,6 @@ mod tests {
         for (site, e) in lab.es.iter().enumerate() {
             assert_eq!(e.definitive_log(), [m1, m2], "site {site}");
         }
-        assert_eq!(lab.es[3].decide_counts().0, 0, "a rejoined site decides nothing in one step");
+        assert_eq!(lab.decides(3).0, 0, "a rejoined site decides nothing in one step");
     }
 }

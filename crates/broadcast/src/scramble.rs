@@ -200,6 +200,10 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for ScrambledAbcast<P> {
         self.dis.definitive_log()
     }
 
+    fn payload(&self, id: MsgId) -> Option<&P> {
+        self.dis.payload(id)
+    }
+
     fn snapshot(&self) -> EngineSnapshot<P> {
         EngineSnapshot {
             // The oracle seq of every known message: the only way a

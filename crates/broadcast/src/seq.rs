@@ -137,7 +137,7 @@ impl<P: Clone + std::fmt::Debug> SeqAbcast<P> {
         loop {
             let next = self.deliver_next();
             let Some(entry) = self.order.first_entry() else { break };
-            if *entry.key() != next || !self.dis.has(*entry.get()) {
+            if *entry.key() != next || self.dis.payload(*entry.get()).is_none() {
                 break; // a gap, or data lagging behind its order assignment
             }
             let id = entry.remove();
@@ -277,6 +277,10 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
         self.dis.definitive_log()
     }
 
+    fn payload(&self, id: MsgId) -> Option<&P> {
+        self.dis.payload(id)
+    }
+
     fn snapshot(&self) -> EngineSnapshot<P> {
         EngineSnapshot {
             // Every sequence assignment seen so far, delivered or not — a
@@ -393,10 +397,6 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
 
     fn retained(&self) -> EngineRetention {
         self.dis.retained(self.numbered.runs() + self.order.len())
-    }
-
-    fn stale_epoch_rejects(&self) -> u64 {
-        self.stale_rejects.get()
     }
 
     fn set_stale_counter(&mut self, counter: Arc<Counter>) {
@@ -970,12 +970,14 @@ mod tests {
         let dom = dom4();
         let c1 = EngineCtx::new(SiteId::new(1), &dom);
         let mut e: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
+        let rejects = Arc::new(Counter::new());
+        e.set_stale_counter(Arc::clone(&rejects));
         let m_old = MsgId::new(SiteId::new(2), 0);
         let m_new = MsgId::new(SiteId::new(2), 1);
         e.install_view(1, true);
         // Late frame from the dead epoch-0 incarnation: rejected.
         e.on_receive(&c1, SiteId::new(0), order(0, 0, m_old));
-        assert_eq!(e.stale_epoch_rejects(), 1);
+        assert_eq!(rejects.get(), 1);
         // The restored incarnation's epoch-1 re-announce lands fine.
         e.on_receive(&c1, SiteId::new(0), order(1, 0, m_new));
         let a = e.on_receive(&c1, SiteId::new(2), Wire::Data(Message { id: m_new, payload: 9 }));
@@ -983,14 +985,14 @@ mod tests {
             a.iter().any(|x| matches!(x, EngineAction::ToDeliver(d) if d.as_slice() == [m_new])),
             "{a:?}"
         );
-        assert_eq!(e.stale_epoch_rejects(), 1, "accepted frames are not counted");
+        assert_eq!(rejects.get(), 1, "accepted frames are not counted");
         // A batch from the dead epoch is fenced as a whole.
         e.on_receive(
             &c1,
             SiteId::new(0),
             Wire::SeqOrderBatch { epoch: 0, start_seqno: 1, ids: vec![m_old] },
         );
-        assert_eq!(e.stale_epoch_rejects(), 2);
+        assert_eq!(rejects.get(), 2);
     }
 
     /// An installed view stamps subsequent assignments with its epoch, and
@@ -1016,9 +1018,11 @@ mod tests {
         assert_eq!(snap.epoch, 3);
         assert_eq!(snap.order_fence, 3);
         let mut fresh: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
+        let rejects = Arc::new(Counter::new());
+        fresh.set_stale_counter(Arc::clone(&rejects));
         fresh.restore(&c2, snap);
         fresh.on_receive(&c2, SiteId::new(0), order(2, 9, id));
-        assert_eq!(fresh.stale_epoch_rejects(), 1, "fence survives the transfer");
+        assert_eq!(rejects.get(), 1, "fence survives the transfer");
     }
 
     #[test]

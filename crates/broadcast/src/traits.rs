@@ -243,6 +243,11 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
     /// The definitive log so far: TO-delivered ids in delivery order.
     fn definitive_log(&self) -> &[MsgId];
 
+    /// The body of message `id` from the payload store, the one place a
+    /// site keeps it: a TO-delivery names only the id, and the driver
+    /// reads the body here. `None` until the data wire has arrived.
+    fn payload(&self, id: MsgId) -> Option<&P>;
+
     /// Produces a state snapshot for transferring to a recovering site.
     fn snapshot(&self) -> EngineSnapshot<P>;
 
@@ -283,13 +288,6 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
     /// nothing (engines without own-id state).
     fn bump_incarnation(&mut self) {}
 
-    /// Order-assignment frames this endpoint rejected because they carried
-    /// a dead sequencer incarnation's epoch (below the installed fence).
-    /// Surfaced in run statistics so stale traffic is loud, not silent.
-    fn stale_epoch_rejects(&self) -> u64 {
-        0
-    }
-
     /// Sizes of the structures this endpoint keeps per message, for a
     /// cluster's retention gauges. Sampled off the hot path. Default:
     /// nothing reported.
@@ -297,20 +295,13 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
         EngineRetention::default()
     }
 
-    /// `(fast, slow)`: consensus instances this endpoint decided in one
-    /// step — on `n` of `n` equal round-0 proposals, the paper's Figure 1
-    /// case measured where it is cashed in — and instances it decided
-    /// through a round, a `Decide` or a help-out. Engines that run no
-    /// consensus report none; default: `(0, 0)`.
-    fn decide_counts(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Attaches the shared counters behind
-    /// [`AtomicBroadcast::decide_counts`], the way
-    /// [`AtomicBroadcast::set_stale_counter`] does for rejects: the tally
-    /// becomes readable from a running cluster's registry and survives the
-    /// engine being replaced at a recovery. Default: nothing to count.
+    /// Attaches the shared counters the engine bumps for each consensus
+    /// instance it decides: `fast` for one decided in one step — on `n` of
+    /// `n` equal round-0 proposals, the paper's Figure 1 case measured
+    /// where it is cashed in — and `slow` for one decided through a round,
+    /// a `Decide` or a help-out. The tally lives in the driver's registry
+    /// and survives the engine being replaced at a recovery. Engines that
+    /// run no consensus count nothing; default: ignore.
     fn set_decide_counters(
         &mut self,
         _fast: std::sync::Arc<otp_telemetry::Counter>,
@@ -318,10 +309,11 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
     ) {
     }
 
-    /// Attaches a shared [`otp_telemetry`] counter that the engine bumps
-    /// instead of (or in addition to) its private tally, folding the
-    /// engine's rejects into the driver's unified
-    /// [`otp_telemetry::MetricsRegistry`]. Engines that never reject
-    /// (no ordering authority) ignore the handle; default: nothing.
+    /// Attaches the shared [`otp_telemetry`] counter the engine bumps for
+    /// each order-assignment frame it rejects because it carried a dead
+    /// sequencer incarnation's epoch (below the installed fence), so stale
+    /// traffic shows in the driver's [`otp_telemetry::MetricsRegistry`].
+    /// Engines that never reject (no ordering authority) ignore the
+    /// handle; default: nothing.
     fn set_stale_counter(&mut self, _counter: std::sync::Arc<otp_telemetry::Counter>) {}
 }

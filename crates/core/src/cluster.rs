@@ -13,8 +13,8 @@
 //!
 //! A `SimNode` is the site layer's `SiteNode` — the site's engines, one
 //! per order domain it belongs to, with their installed view epochs, its
-//! message map, its cross-group gate, the relay descriptor store, its
-//! up/crashed/recovering status and its open view-change rounds — plus
+//! cross-group gate, its up/crashed/recovering status and its open
+//! view-change rounds — plus
 //! what only the simulator keeps per site: the quantum buffer, id counters
 //! and retention gauges. Engines and replicas are built, both order
 //! streams' deliveries are turned into gate and replica calls and traced,
@@ -54,7 +54,7 @@
 use crate::replica::Replica;
 use crate::site::{
     is_view_wire, record_stage, EngineFactory, Env, SiteControl, SiteData, SiteNode, SiteOutputs,
-    SiteReport, SiteSubmit, Status, VIEW_COUNTERS,
+    SiteReport, SiteSubmit, Status, ENGINE_COUNTERS, VIEW_COUNTERS,
 };
 use otp_broadcast::{GroupId, OrderDomain, PayloadSize, Wire};
 use otp_simnet::metrics::{Counters, Histogram};
@@ -654,8 +654,6 @@ impl Ledger {
 /// One site's state-size gauges in the registry.
 #[derive(Debug)]
 struct RetentionGauges {
-    /// Entries in the site's message map.
-    msg_map: Arc<Gauge>,
     /// Transactions submitted at the site whose completion entry is held.
     pending_completions: Arc<Gauge>,
     /// Committed versions across the site's version chains.
@@ -669,8 +667,8 @@ struct RetentionGauges {
     engine_index: Arc<Gauge>,
 }
 
-/// One simulated site: its [`SiteNode`] (engines, message map, gate,
-/// relay descriptors, status) and what only the simulator keeps for it.
+/// One simulated site: its [`SiteNode`] (engines, gate, status) and what
+/// only the simulator keeps for it.
 /// A recovering site is re-admitted to the network so its view-change
 /// rounds can run, but its non-view wires are held by the scheduler and
 /// replayed once every round installed.
@@ -779,7 +777,6 @@ impl Cluster {
                     next_txn_seq: 0,
                     next_cross_seq: 0,
                     retention: RetentionGauges {
-                        msg_map: metrics.gauge("msg_map_entries", Scope::site(s)),
                         pending_completions: metrics.gauge("pending_completions", Scope::site(s)),
                         versions: metrics.gauge("retained_versions", Scope::site(s)),
                         history: metrics.gauge("history_entries", Scope::site(s)),
@@ -859,14 +856,13 @@ impl Cluster {
         Arc::clone(&self.metrics)
     }
 
-    /// Samples what each site keeps per transaction into its gauges:
-    /// message-map entries, held completion entries (by submitting site),
-    /// committed versions, history entries and the engines' stores.
+    /// Samples what each site keeps per transaction into its gauges: held
+    /// completion entries (by submitting site), committed versions,
+    /// history entries and the engines' stores.
     fn refresh_retention(&self) {
         for (node, replica) in self.nodes.iter().zip(&self.replicas) {
             let (g, site) = (&node.retention, replica.site());
             let pending = self.ledger.completions.keys().filter(|t| t.origin == site).count();
-            g.msg_map.set(node.site.msg_map.len() as i64);
             g.pending_completions.set(pending as i64);
             g.versions.set(replica.db().retained_versions() as i64);
             g.history.set(replica.history_log().len() as i64);
@@ -1210,12 +1206,12 @@ impl Cluster {
         }
         // Membership-layer counters: per-site view installations, group
         // and relay domains counted apart (so sharding leaves
-        // `view_install` untouched), order frames fenced as dead-epoch
-        // traffic, digests for dead rounds. One-step vs round decisions of
-        // the consensus-based engine: the hit rate is the paper's Figure 1
-        // quantity, measured where it pays off (the relay's sequencer
-        // decides nothing).
-        let (mut installs, mut relay_installs, mut rejects, mut fast, mut slow) = (0, 0, 0, 0, 0);
+        // `view_install` untouched), and the engines' registry counters:
+        // order frames fenced as dead-epoch traffic, and one-step vs round
+        // decisions of the consensus-based engine — the hit rate is the
+        // paper's Figure 1 quantity, measured where it pays off (the
+        // relay's sequencer decides nothing).
+        let (mut installs, mut relay_installs) = (0, 0);
         for node in &self.nodes {
             for d in &node.site.domains {
                 let epochs = d.epochs.len() as u64;
@@ -1224,15 +1220,12 @@ impl Cluster {
                 } else {
                     relay_installs += epochs;
                 }
-                rejects += d.engine.stale_epoch_rejects();
-                let (f, s) = d.engine.decide_counts();
-                (fast, slow) = (fast + f, slow + s);
             }
         }
         counters.add("view_install", installs);
-        counters.add("stale_epoch_reject", rejects);
-        counters.add("fast_decide", fast);
-        counters.add("slow_decide", slow);
+        for name in ENGINE_COUNTERS {
+            counters.add(name, self.metrics.counter_total(name));
+        }
         // The view change's own counters, bumped by the sites' rounds.
         for name in VIEW_COUNTERS {
             counters.add(name, self.metrics.counter_total(name));

@@ -905,6 +905,10 @@ impl LiveCluster {
             commit_latency.merge(&outcome.latency);
             counters.merge(&outcome.counters);
         }
+        // The engines' decisions, counted in the registry by every site.
+        for name in ["fast_decide", "slow_decide"] {
+            counters.add(name, self.shared.metrics.counter_total(name));
+        }
         let converged = dbs.iter().all(|d| d.committed_state_eq(&dbs[0]));
         LiveReport {
             committed,
@@ -949,7 +953,7 @@ struct Frozen {
 /// delivery path itself is the shared site layer ([`crate::site`]); this
 /// thread feeds it inputs and carries out its outputs ([`LiveIo`]).
 struct SiteWorker {
-    /// The site's engine and message map. The threaded runtime is
+    /// The site's engine. The threaded runtime is
     /// unsharded: the node orders the one global domain, as group 0, and
     /// installs no views, so every engine call runs at epoch 0.
     node: SiteNode,
@@ -1069,18 +1073,13 @@ impl SiteWorker {
         let log = self.replica.commit_log().iter().map(|(t, _)| *t).collect();
         // Hand the final database back by value; clone at shutdown.
         let db = self.replica.db().clone();
-        let mut counters = Counters::new();
-        counters.merge(self.replica.counters());
-        let (fast, slow) = self.node.domains[0].engine.decide_counts();
-        counters.add("fast_decide", fast);
-        counters.add("slow_decide", slow);
         SiteOutcome {
             log,
             commit_log: self.replica.commit_log().to_vec(),
             history: self.replica.take_history(),
             db,
             latency: self.io.latency,
-            counters,
+            counters: self.replica.counters().clone(),
         }
     }
 

@@ -7,20 +7,20 @@
 //!
 //! * what a site keeps for ordering ([`SiteNode`]): one engine per order
 //!   domain it belongs to, with the view epochs installed for it, its
-//!   message map, its [`CrossGate`], the relay stream's descriptor store,
-//!   whether it serves and, while it recovers, its open view-change
-//!   rounds;
+//!   [`CrossGate`], whether it serves and, while it recovers, its open
+//!   view-change rounds. A message body is kept in one place only, the
+//!   payload store of its domain's engine;
 //! * building the site's ordering engines ([`EngineFactory`], the relay's
 //!   included) and replica ([`replicas`]);
 //! * handing a submitted request to the engine;
 //! * interpreting both order streams' engine actions: on a group stream,
-//!   the one deep copy and the message-map insert at Opt-delivery, and
-//!   every TO-delivery through the gate, which passes it straight on when
-//!   the site has no cross-group sub waiting; on the relay stream, the
-//!   descriptor store at Opt-delivery, and at TO-delivery the relay order,
-//!   the site's own sub broadcast on its group stream and the gate
-//!   release that admits — or, while the site recovers, nothing until its
-//!   recovery finishes and folds the skipped tail in;
+//!   the one deep copy at Opt-delivery, and every TO-delivery — an id
+//!   whose body is read from the engine — through the gate, which passes
+//!   it straight on when the site has no cross-group sub waiting; on the
+//!   relay stream, at TO-delivery the relay order, the site's own sub
+//!   broadcast on its group stream and the gate release that admits — or,
+//!   while the site recovers, nothing until its recovery finishes and
+//!   folds the skipped tail in;
 //! * both sides of a view-change round (DESIGN.md §7): a member's
 //!   replies and a recovering initiator's steps, opening a round and
 //!   superseding an older one, and the install from a base the driver
@@ -39,7 +39,7 @@
 //! reads no clock of its own — the time a trace event is stamped with
 //! comes from the driver ([`Env`], DESIGN.md §16).
 
-use crate::cluster::{CrossTag, EngineKind, Mode, TxnPayload};
+use crate::cluster::{EngineKind, Mode, TxnPayload};
 use crate::event::{ExecToken, ReplicaAction};
 use crate::replica::Replica;
 use otp_broadcast::{
@@ -53,7 +53,7 @@ use otp_storage::{ClassId, Database, ObjectId, ProcRegistry, Value};
 use otp_telemetry::{Counter, MetricsRegistry, Scope, Stage, TraceEvent, TraceSink};
 use otp_txn::txn::{TxnId, TxnRequest};
 use otp_view::{CrashOutcome, DigestOutcome, SummaryOutcome, ViewChange};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -61,11 +61,9 @@ use std::sync::Arc;
 /// owns its engine).
 pub(crate) type Engine = Box<dyn AtomicBroadcast<TxnPayload> + Send>;
 
-/// One site's group-stream message bodies: id → (request, cross id when
-/// the transaction is a cross-group sub). Filled at Opt-delivery and
-/// consumed at TO-delivery, which carries only the id, so it holds the
-/// site's in-flight window and nothing older.
-pub(crate) type SiteMsgMap = HashMap<MsgId, (Arc<TxnRequest>, Option<u64>)>;
+/// The panic message of a delivery whose payload belongs to the other
+/// stream.
+const WRONG_STREAM: &str = "group streams carry only transactions, the relay descriptors";
 
 /// Builds the engines of one [`EngineKind`], in both drivers.
 #[derive(Debug)]
@@ -135,16 +133,17 @@ impl EngineFactory {
     }
 }
 
-/// Hands `engine` its handles in the driver's registry (`scope` = its site
-/// and order domain): stale-epoch rejects, one-step and round decisions.
-/// The engine bumps them in place of private tallies, so the registry is
-/// the one place the counts live.
+/// The registry names of an engine's counters: stale-epoch rejects,
+/// one-step and round decisions ([`attach_engine_counters`]).
+pub(crate) const ENGINE_COUNTERS: [&str; 3] = ["stale_epoch_reject", "fast_decide", "slow_decide"];
+
+/// Hands `engine` its [`ENGINE_COUNTERS`] handles in the driver's registry
+/// (`scope` = its site and order domain). The engine bumps them in place
+/// of private tallies, so the registry is the one place the counts live.
 fn attach_engine_counters(engine: &mut Engine, metrics: &MetricsRegistry, scope: Scope) {
-    engine.set_stale_counter(metrics.counter("stale_epoch_reject", scope));
-    engine.set_decide_counters(
-        metrics.counter("fast_decide", scope),
-        metrics.counter("slow_decide", scope),
-    );
+    let [stale, fast, slow] = ENGINE_COUNTERS.map(|name| metrics.counter(name, scope));
+    engine.set_stale_counter(stale);
+    engine.set_decide_counters(fast, slow);
 }
 
 /// One `mode` replica per site `0..sites`, each over its own copy of a
@@ -227,9 +226,8 @@ struct ViewCounters {
 
 /// What one site keeps for ordering, in either driver: one slot per order
 /// domain it belongs to (its group's first, the relay's second when the
-/// cluster is sharded), the group stream's message map, the gate that
-/// merges the group's TO-stream with the relay order, the relay stream's
-/// descriptor store, whether the site serves and, while it recovers, its
+/// cluster is sharded), the gate that merges the group's TO-stream with
+/// the relay order, whether the site serves and, while it recovers, its
 /// open view-change rounds. The replica stays with the driver; [`Site`]
 /// borrows both for one step.
 pub(crate) struct SiteNode {
@@ -241,10 +239,7 @@ pub(crate) struct SiteNode {
     groups: usize,
     pub(crate) status: Status,
     pub(crate) domains: Vec<DomainSlot>,
-    pub(crate) msg_map: SiteMsgMap,
     pub(crate) gate: CrossGate,
-    /// Relay-stream message id → its descriptor.
-    pub(crate) relay_map: HashMap<MsgId, Arc<CrossTag>>,
     /// Relay definitive deliveries already folded into the gate — the
     /// recovery reconcile point for the relay stream.
     pub(crate) relay_processed: usize,
@@ -266,9 +261,7 @@ impl SiteNode {
             groups,
             status: Status::Up,
             domains,
-            msg_map: SiteMsgMap::new(),
             gate: CrossGate::default(),
-            relay_map: HashMap::new(),
             relay_processed: 0,
             rounds: BTreeMap::new(),
             view: ViewCounters::default(),
@@ -296,6 +289,17 @@ impl SiteNode {
     /// [`SiteNode::slot`], mutably.
     pub(crate) fn slot_mut(&mut self, index: u16) -> &mut DomainSlot {
         self.domains.iter_mut().find(|d| d.index == index).expect("site belongs to the domain")
+    }
+
+    /// The body of message `id` of domain `d`, read from the domain's
+    /// engine: a TO-delivery names only the id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the engine holds no body for `id`: it TO-delivered a
+    /// message it never Opt-delivered (it broke Local Order).
+    fn payload(&self, d: u16, id: MsgId) -> &TxnPayload {
+        self.slot(d).engine.payload(id).expect("Local Order: Opt-delivery precedes TO-delivery")
     }
 
     /// The engine of domain `index`, with the context the next call on it
@@ -362,11 +366,9 @@ impl SiteNode {
 
     /// What a site recovering domain `d` restores from when this site is
     /// its base, copied off this site and its `replica`: the engine's
-    /// snapshot and what rides beside the engine. On a group stream that
-    /// is the replica restored at `installer` (over `registry`), the
-    /// message map (its ids name the same messages everywhere), the gate
-    /// and the relay processed count; on the relay stream, the descriptor
-    /// store.
+    /// snapshot and, on a group stream, what rides beside the engine — the
+    /// replica restored at `installer` (over `registry`), the gate and the
+    /// relay processed count.
     pub(crate) fn base(
         &self,
         d: u16,
@@ -375,19 +377,12 @@ impl SiteNode {
         registry: Arc<ProcRegistry>,
     ) -> Base {
         let snapshot = self.slot(d).engine.snapshot();
-        let beside = if d == self.group {
+        let group = (d == self.group).then(|| {
             let (replica, actions) = replica.restored_at(installer, registry);
-            Beside::Group {
-                replica: Box::new(replica),
-                actions,
-                msg_map: self.msg_map.clone(),
-                gate: Box::new(self.gate.clone()),
-                relay_processed: self.relay_processed,
-            }
-        } else {
-            Beside::Relay(self.relay_map.clone())
-        };
-        Base { snapshot, beside }
+            let gate = self.gate.clone();
+            Box::new(GroupBase { replica, actions, gate, relay_processed: self.relay_processed })
+        });
+        Base { snapshot, group }
     }
 }
 
@@ -399,19 +394,17 @@ pub(crate) struct Base {
     /// The base engine's snapshot; the round's union is merged in at
     /// install.
     snapshot: EngineSnapshot<TxnPayload>,
-    beside: Beside,
+    /// What rides beside a group stream's engine; a relay base is the
+    /// engine snapshot alone.
+    group: Option<Box<GroupBase>>,
 }
 
-/// What rides beside a base's engine.
-enum Beside {
-    Group {
-        replica: Box<Replica>,
-        actions: Vec<ReplicaAction>,
-        msg_map: SiteMsgMap,
-        gate: Box<CrossGate>,
-        relay_processed: usize,
-    },
-    Relay(HashMap<MsgId, Arc<CrossTag>>),
+/// What rides beside a group stream's engine in a base.
+struct GroupBase {
+    replica: Replica,
+    actions: Vec<ReplicaAction>,
+    gate: CrossGate,
+    relay_processed: usize,
 }
 
 /// Per-site gate that merges a group's own TO-stream with the relay's
@@ -728,14 +721,15 @@ impl Site<'_> {
     /// Interprets the actions of the site's engine for domain `d`, in
     /// order: wires and timers go to the driver untouched. A group
     /// stream's deliveries go to the replica, every TO-delivery through
-    /// the gate; the relay stream's stock the descriptor store and feed
-    /// the gate ([`Site::relay_to_deliver`]).
+    /// the gate; the relay stream's TO-deliveries feed the gate
+    /// ([`Site::relay_to_deliver`]). A TO-delivery names only ids: the
+    /// bodies are read from the engine ([`SiteNode::payload`]).
     ///
     /// # Panics
     ///
-    /// Panics when a TO-delivered id was never Opt-delivered here (the
-    /// engine broke Local Order), or when a stream carries the other
-    /// stream's payload.
+    /// Panics when the engine holds no body for a TO-delivered id (it
+    /// broke Local Order), or when a stream carries the other stream's
+    /// payload.
     fn apply_engine_actions(
         &mut self,
         d: u16,
@@ -752,76 +746,65 @@ impl Site<'_> {
                     self.out.push(Output::Timer { after: delay, timer: (d, token) })
                 }
                 EngineAction::OptDeliver(msg) => match msg.payload {
-                    TxnPayload::Txn { req, cross } if group_stream => {
-                        self.opt_deliver(msg.id, req, cross);
-                    }
+                    TxnPayload::Txn { req, cross } if group_stream => self.opt_deliver(&req, cross),
                     // Relay descriptors never touch the replica.
-                    TxnPayload::Cross(tag) if !group_stream => {
-                        self.node.relay_map.insert(msg.id, tag);
-                    }
-                    _ => {
-                        unreachable!("group streams carry only transactions, the relay descriptors")
-                    }
+                    TxnPayload::Cross(_) if !group_stream => {}
+                    _ => unreachable!("{}", WRONG_STREAM),
                 },
                 EngineAction::ToDeliver(ids) if group_stream => {
-                    let gate = &mut self.node.gate;
-                    for id in &ids {
-                        let (req, cross) = self
-                            .node
-                            .msg_map
-                            .remove(id)
-                            .expect("Local Order: Opt-delivery precedes TO-delivery");
-                        if cross.is_some() && !gate.seen_to.insert(req.id) {
+                    for id in ids {
+                        let TxnPayload::Txn { req, cross } = self.node.payload(d, id) else {
+                            unreachable!("{}", WRONG_STREAM)
+                        };
+                        let (req, cross) = (Arc::clone(req), *cross);
+                        if cross.is_some() && !self.node.gate.seen_to.insert(req.id) {
                             continue; // duplicate cross-sub copy, already queued
                         }
-                        gate.queue.push_back((req, cross));
+                        self.node.gate.queue.push_back((req, cross));
                     }
                     self.release_gate();
                 }
-                EngineAction::ToDeliver(ids) => self.relay_to_deliver(&ids),
+                EngineAction::ToDeliver(ids) => self.relay_to_deliver(d, &ids),
             }
         }
     }
 
-    /// One tentative delivery on the group stream: the map keeps the body
-    /// for the TO-delivery that will name only its id, and the replica
-    /// gets its own copy. Every live member of a group injects each
-    /// cross-group sub, so only the first copy reaches the replica; every
-    /// copy keeps its map entry for the TO-delivery that consumes it.
-    fn opt_deliver(&mut self, id: MsgId, req: Arc<TxnRequest>, cross: Option<u64>) {
+    /// One tentative delivery on the group stream: the replica gets its
+    /// own copy of the body (the engine keeps the message for the
+    /// TO-delivery that will name only its id). Every live member of a
+    /// group injects each cross-group sub, so only the first copy reaches
+    /// the replica.
+    fn opt_deliver(&mut self, req: &TxnRequest, cross: Option<u64>) {
         if cross.is_some() && !self.node.gate.seen_opt.insert(req.id) {
-            self.node.msg_map.insert(id, (req, cross));
             return;
         }
         // The one deep copy on the delivery path: the replica takes
         // ownership of the request body.
-        let request = TxnRequest::clone(&req);
-        self.node.msg_map.insert(id, (req, cross));
+        let request = req.clone();
         self.trace(request.id, Stage::OptDeliver);
         let actions = self.replica.on_opt_deliver(request);
         self.apply_replica_actions(actions);
     }
 
-    /// Consumes definitively delivered relay descriptors: each new cross
-    /// id extends the gate's relay order, and this site broadcasts its own
-    /// group's sub into the group stream and releases what that admits.
+    /// Consumes the relay descriptors that domain `d`'s engine definitively
+    /// delivered, reading each from that engine: each new cross id extends
+    /// the gate's relay order, and this site broadcasts its own group's
+    /// sub into the group stream and releases what that admits.
     /// Every live member of a group injects the sub (distinct message ids,
     /// one transaction id — the gate's dedup sets collapse the copies), so
     /// a crashed origin site can never stall a cross-group transaction:
     /// one live member suffices. A recovering site consumes nothing here;
     /// [`Site::finish_recovery`] folds the tail in.
-    fn relay_to_deliver(&mut self, ids: &[MsgId]) {
+    fn relay_to_deliver(&mut self, d: u16, ids: &[MsgId]) {
         if self.node.status == Status::Recovering {
             return;
         }
         let (group, groups) = (self.node.group, self.node.groups);
-        for id in ids {
-            let tag = Arc::clone(
-                self.node
-                    .relay_map
-                    .get(id)
-                    .expect("relay Local Order: descriptor Opt-delivery precedes TO-delivery"),
-            );
+        for &id in ids {
+            let TxnPayload::Cross(tag) = self.node.payload(d, id) else {
+                unreachable!("{}", WRONG_STREAM)
+            };
+            let tag = Arc::clone(tag);
             self.node.relay_processed += 1;
             if !self.node.gate.relay_seen.insert(tag.cross) {
                 continue;
@@ -860,7 +843,7 @@ impl Site<'_> {
         };
         let done = self.node.relay_processed;
         let tail = relay.engine.definitive_log().get(done..).map(<[MsgId]>::to_vec);
-        self.relay_to_deliver(&tail.unwrap_or_default());
+        self.relay_to_deliver(relay.index, &tail.unwrap_or_default());
     }
 
     /// Hands everything the gate's rules admit, in release order, to the
@@ -1018,7 +1001,7 @@ impl Site<'_> {
             self.node.rounds.remove(&d).expect("round open for the installer");
         let epoch = round.epoch();
         self.node.view.round_us.add((self.now)().saturating_since(proposed_at).as_micros());
-        let Base { mut snapshot, beside } = base;
+        let Base { mut snapshot, group } = base;
         snapshot.merge(round.into_merged());
         let delivered_subs = if self.node.groups > 1 && d == self.node.group {
             delivered_cross_subs(&snapshot)
@@ -1028,21 +1011,14 @@ impl Site<'_> {
         let slot = self.node.slot_mut(d);
         let engine_actions = fresh.restore(&EngineCtx::at_epoch(me, &slot.domain, epoch), snapshot);
         slot.engine = fresh;
-        match beside {
-            Beside::Group { replica, actions, msg_map, gate, relay_processed } => {
-                self.node.msg_map = msg_map;
-                self.node.gate = *gate;
-                self.node.relay_processed = relay_processed;
-                // A fresh replica from the base's database and pending
-                // tail. (The base's message map holds exactly what it
-                // Opt-delivered and has not TO-delivered — the restored
-                // log's undelivered tail; ids only the digests knew are
-                // re-filled by the replayed Opt-deliveries below.)
-                *self.replica = *replica;
-                self.apply_replica_actions(actions);
-                self.restore_gate(delivered_subs);
-            }
-            Beside::Relay(relay_map) => self.node.relay_map = relay_map,
+        if let Some(group) = group {
+            let GroupBase { replica, actions, gate, relay_processed } = *group;
+            self.node.gate = gate;
+            self.node.relay_processed = relay_processed;
+            // A fresh replica from the base's database and pending tail.
+            *self.replica = replica;
+            self.apply_replica_actions(actions);
+            self.restore_gate(delivered_subs);
         }
         // Deliveries the engine replays (tentative again here).
         self.apply_engine_actions(d, engine_actions);
@@ -1134,6 +1110,7 @@ pub(crate) fn record_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::CrossTag;
     use otp_broadcast::Message;
     use otp_simnet::SimDuration;
     use otp_storage::{ObjectKey, ProcError, ProcId, TxnIndex};
@@ -1317,9 +1294,20 @@ mod tests {
             }
         }
 
+        /// Hands domain `d`'s engine the data wire of each of `msgs`, so it
+        /// holds their bodies, and drops what it emits: the test injects
+        /// the deliveries that stand for those actions itself.
+        fn stock<'m>(&mut self, d: u16, msgs: impl IntoIterator<Item = &'m Message<TxnPayload>>) {
+            let (engine, ctx) = self.node.engine_parts(d);
+            for msg in msgs {
+                engine.on_receive(&ctx, msg.id.origin, Wire::Data(msg.clone()));
+            }
+        }
+
         /// Opt- and then TO-delivers `msg` on the relay stream.
         fn relay_deliver(&mut self, msg: Message<TxnPayload>) {
             let id = msg.id;
+            self.stock(RELAY, [&msg]);
             self.site().apply_engine_actions(RELAY, [EngineAction::OptDeliver(msg)]);
             self.site().apply_engine_actions(RELAY, [EngineAction::ToDeliver(vec![id])]);
         }
@@ -1354,8 +1342,8 @@ mod tests {
         let mut f = Fixture::new();
         let msg = txn_msg(0);
         let id = msg.id;
+        f.stock(GROUP, [&msg]);
         f.site().apply_engine_actions(GROUP, [EngineAction::OptDeliver(msg)]);
-        assert_eq!(f.node.msg_map.len(), 1, "the body waits for its TO-delivery");
         let token = f.fake.execs[0];
         assert_eq!((token.txn, token.attempt), (TxnId::new(ME, 0), 0));
         f.site().exec_done(token);
@@ -1364,7 +1352,6 @@ mod tests {
             ["opt_deliver", "execute", "start_execution", "to_deliver", "commit", "committed"];
         assert_eq!(f.log.take(), expected);
         assert_eq!(f.fake.commits, vec![(TxnId::new(ME, 0), vec![Value::Int(5)])]);
-        assert!(f.node.msg_map.is_empty(), "TO-delivery consumed the entry");
     }
 
     #[test]
@@ -1412,7 +1399,8 @@ mod tests {
         assert_eq!(f.log.take(), ["multicast", "send", "set_timer"]);
         assert_eq!(f.fake.wires, vec![(GROUP, None, data), (GROUP, Some(SiteId::new(0)), order)]);
         assert_eq!(f.fake.timers, vec![(GROUP, token, delay)]);
-        assert!(f.node.msg_map.is_empty() && f.fake.execs.is_empty());
+        assert!(f.fake.execs.is_empty());
+        assert_eq!(f.node.slot(GROUP).engine.retained().payloads, 0, "the engine stored nothing");
     }
 
     /// With no cross sub queued — the only case with one group and in the
@@ -1424,6 +1412,7 @@ mod tests {
         let mut f = Fixture::new();
         let msgs: Vec<_> = (0..3).map(txn_msg).collect();
         let ids: Vec<MsgId> = [2, 0, 1].iter().map(|&k| msgs[k].id).collect();
+        f.stock(GROUP, &msgs);
         f.site().apply_engine_actions(GROUP, msgs.into_iter().map(EngineAction::OptDeliver));
         let token = f.fake.execs[0];
         f.site().exec_done(token);
@@ -1432,13 +1421,11 @@ mod tests {
         assert_eq!(f.log.to_delivered(), [2, 0, 1], "in TO order");
         assert_eq!(f.log.take()[..3], ["to_deliver"; 3], "one batch, before any replica action");
         assert!(f.node.gate.queue.is_empty(), "nothing is held");
-        assert_eq!(f.node.msg_map.len(), 0);
     }
 
     /// Every live member of a group injects each cross-group sub, so its
     /// copies arrive under distinct message ids: the replica sees the
-    /// transaction once at Opt-delivery and once at TO-delivery, and
-    /// every copy's map entry is consumed.
+    /// transaction once at Opt-delivery and once at TO-delivery.
     #[test]
     fn duplicate_cross_sub_copies_reach_the_replica_once() {
         let mut f = Fixture::new();
@@ -1447,16 +1434,15 @@ mod tests {
             payload: TxnPayload::Txn { req: request(4), cross: Some(7) },
         };
         let ids = vec![copy(0).id, copy(1).id];
+        f.stock(GROUP, &[copy(0), copy(1)]);
         f.site().apply_engine_actions(GROUP, [copy(0), copy(1)].map(EngineAction::OptDeliver));
         assert_eq!(f.log.take(), ["opt_deliver", "execute", "start_execution"], "one copy");
-        assert_eq!(f.node.msg_map.len(), 2, "both copies wait for their TO-delivery");
         let token = f.fake.execs[0];
         f.site().exec_done(token);
         f.node.gate.relay_order.push(7);
         f.site().apply_engine_actions(GROUP, [EngineAction::ToDeliver(ids)]);
         assert_eq!(f.log.to_delivered(), [4], "one copy");
         assert_eq!(f.fake.commits.len(), 1);
-        assert_eq!(f.node.msg_map.len(), 0);
         assert!(f.node.gate.queue.is_empty());
     }
 
@@ -1500,6 +1486,7 @@ mod tests {
         let payload = TxnPayload::Txn { req: sub(4, 3), cross: Some(7) };
         let copy = Message { id: MsgId::new(SiteId::new(0), 0), payload: payload.clone() };
         let id = copy.id;
+        f.stock(GROUP, [&copy]);
         f.site().apply_engine_actions(GROUP, [EngineAction::OptDeliver(copy)]);
         f.site().apply_engine_actions(GROUP, [EngineAction::ToDeliver(vec![id])]);
         assert_eq!(f.node.gate.queue.len(), 1, "held for its relay slot");
@@ -1542,9 +1529,10 @@ mod tests {
         assert_eq!(f.node.relay_processed, 1);
     }
 
-    /// A recovering site stocks relay descriptors but consumes none of
-    /// the relay's TO-deliveries; once recovery finishes, every relay
-    /// delivery beyond the processed count is folded in.
+    /// A recovering site consumes none of the relay's TO-deliveries; the
+    /// relay engine keeps their descriptors, and once recovery finishes
+    /// every relay delivery beyond the processed count is folded in, read
+    /// from that engine.
     #[test]
     fn a_recovering_site_folds_the_relay_tail_in_when_recovery_finishes() {
         let mut f = Fixture::new();
@@ -1552,8 +1540,11 @@ mod tests {
         let payload = TxnPayload::Cross(Arc::new(CrossTag { cross: 7, subs: vec![sub(4, 3)] }));
         f.site().on_engine(RELAY, |engine, ctx| engine.broadcast(ctx, payload).1);
         f.pump(RELAY);
-        assert_eq!(f.node.slot(RELAY).engine.definitive_log().len(), 1, "the relay ordered it");
-        assert_eq!(f.node.relay_map.len(), 1, "stocked while recovering");
+        let [id] = f.node.slot(RELAY).engine.definitive_log() else {
+            panic!("the relay ordered it")
+        };
+        let held = matches!(f.node.payload(RELAY, *id), TxnPayload::Cross(tag) if tag.cross == 7);
+        assert!(held, "the relay engine holds the descriptor while the site recovers");
         assert_eq!(f.node.relay_processed, 0, "not consumed while recovering");
         assert!(!f.log.take().contains(&"relay_wait".to_string()));
         f.site().finish_recovery(&[]);

@@ -17,10 +17,8 @@
 //!   (geometric number of timeouts), preserving the paper's reliable-
 //!   channel assumption ("a message sent by Nᵢ to Nⱼ is eventually
 //!   received by Nⱼ"),
-//! * links can be blocked to emulate partitions: until a heal time, when
-//!   blocked deliveries are retried ([`MulticastNet::block_link`]), or cut
-//!   until the nemesis heals them ([`MulticastNet::partition_halves`],
-//!   [`MulticastNet::pair_blocked`]).
+//! * links can be cut to emulate partitions until the nemesis heals them
+//!   ([`MulticastNet::partition_halves`], [`MulticastNet::pair_blocked`]).
 //!
 //! The model is a *timing calculator*: it maps a send to per-receiver
 //! arrival instants, for every receiver, up or not. The scheduler
@@ -239,8 +237,6 @@ pub struct MulticastNet {
     /// unsegmented network has exactly one entry, which reproduces the
     /// single-shared-bus model byte for byte.
     wires: Vec<SimTime>,
-    /// Blocked directed links with their heal time.
-    blocked: Vec<(SiteId, SiteId, SimTime)>,
     /// Indefinitely blocked directed links (nemesis partitions): the driver
     /// holds deliveries crossing these pairs until [`MulticastNet::heal`].
     blocked_pairs: HashSet<(SiteId, SiteId)>,
@@ -270,7 +266,6 @@ impl MulticastNet {
         MulticastNet {
             config,
             wires: vec![SimTime::ZERO],
-            blocked: Vec::new(),
             blocked_pairs: HashSet::new(),
             loss_override: None,
             jitter_scale: 1.0,
@@ -314,16 +309,16 @@ impl MulticastNet {
     }
 
     /// Computes per-receiver arrivals for a multicast of `payload_bytes`
-    /// sent by `from` at `now`. Every site — including the sender, which
-    /// receives its own multicast through the loopback of the stack — gets
-    /// a delivery.
+    /// sent at `now` by `_from` (the bus times every sender alike). Every
+    /// site — including the sender, which receives its own multicast
+    /// through the loopback of the stack — gets a delivery.
     ///
     /// Deliveries to crashed sites are returned too (the scheduler holds
-    /// them — the channel is reliable); deliveries over *blocked* links are
-    /// postponed to the heal time plus jitter.
+    /// them — the channel is reliable), and so are deliveries over cut
+    /// links ([`MulticastNet::pair_blocked`]).
     pub fn multicast(
         &mut self,
-        from: SiteId,
+        _from: SiteId,
         payload_bytes: u32,
         now: SimTime,
         rng: &mut SimRng,
@@ -332,7 +327,7 @@ impl MulticastNet {
         let sites = self.config.sites;
         let mut out = Vec::with_capacity(sites);
         for to in SiteId::all(sites) {
-            let arrival = self.receiver_arrival(from, to, wire_done, rng);
+            let arrival = self.receiver_arrival(wire_done, rng);
             out.push(Delivery { to, arrival });
         }
         out
@@ -348,7 +343,7 @@ impl MulticastNet {
     pub fn multicast_to_on(
         &mut self,
         segment: usize,
-        from: SiteId,
+        _from: SiteId,
         targets: &[SiteId],
         payload_bytes: u32,
         now: SimTime,
@@ -357,7 +352,7 @@ impl MulticastNet {
         let wire_done = self.occupy_wire(segment, payload_bytes, now);
         let mut out = Vec::with_capacity(targets.len());
         for &to in targets {
-            let arrival = self.receiver_arrival(from, to, wire_done, rng);
+            let arrival = self.receiver_arrival(wire_done, rng);
             out.push(Delivery { to, arrival });
         }
         out
@@ -380,14 +375,14 @@ impl MulticastNet {
     pub fn unicast_on(
         &mut self,
         segment: usize,
-        from: SiteId,
+        _from: SiteId,
         to: SiteId,
         payload_bytes: u32,
         now: SimTime,
         rng: &mut SimRng,
     ) -> Delivery {
         let wire_done = self.occupy_wire(segment, payload_bytes, now);
-        let arrival = self.receiver_arrival(from, to, wire_done, rng);
+        let arrival = self.receiver_arrival(wire_done, rng);
         Delivery { to, arrival }
     }
 
@@ -400,13 +395,9 @@ impl MulticastNet {
         done
     }
 
-    fn receiver_arrival(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        wire_done: SimTime,
-        rng: &mut SimRng,
-    ) -> SimTime {
+    /// One receiver's arrival for a frame off the wire at `wire_done`:
+    /// every link is alike, so the sender and the receiver do not enter.
+    fn receiver_arrival(&self, wire_done: SimTime, rng: &mut SimRng) -> SimTime {
         let jitter =
             SimDuration::from_secs_f64(rng.normal_min(self.jitter_mean_s, self.jitter_std_s, 0.0));
         let mut arrival = wire_done + self.config.propagation + jitter;
@@ -421,32 +412,7 @@ impl MulticastNet {
         while loss > 0.0 && rng.chance(loss) {
             arrival += self.config.retransmit_delay;
         }
-        // Partition: postpone past the heal time, plus a fresh jitter for
-        // the retransmission that succeeds after healing.
-        if let Some(heal) = self.blocked_until(from, to) {
-            if arrival < heal {
-                arrival = heal + self.config.propagation + jitter;
-            }
-        }
         arrival
-    }
-
-    /// Blocks the directed link `from → to` until `heal`. Messages whose
-    /// arrival would fall inside the blocked window are postponed to just
-    /// after `heal`.
-    pub fn block_link(&mut self, from: SiteId, to: SiteId, heal: SimTime) {
-        self.blocked.push((from, to, heal));
-    }
-
-    /// Blocks the directed link `from → to` with no scheduled heal time
-    /// (nemesis partition). Unlike [`MulticastNet::block_link`], the model
-    /// does not postpone arrivals itself: the scheduler holds deliveries
-    /// whose link [`MulticastNet::pair_blocked`] reports as cut, and
-    /// replays them after [`MulticastNet::heal`].
-    pub fn block_pair(&mut self, from: SiteId, to: SiteId) {
-        if from != to {
-            self.blocked_pairs.insert((from, to));
-        }
     }
 
     /// Splits the network into `group_a` versus everyone else by blocking
@@ -484,15 +450,6 @@ impl MulticastNet {
         self.jitter_scale = if scale.is_finite() && scale > 0.0 { scale } else { 1.0 };
         self.jitter_mean_s = self.config.jitter_mean.as_secs_f64() * self.jitter_scale;
         self.jitter_std_s = self.config.jitter_std.as_secs_f64() * self.jitter_scale;
-    }
-
-    /// Heal time of the directed link, if it is currently blocked.
-    fn blocked_until(&self, from: SiteId, to: SiteId) -> Option<SimTime> {
-        self.blocked
-            .iter()
-            .filter(|(f, t, _)| *f == from && *t == to)
-            .map(|(_, _, heal)| *heal)
-            .max()
     }
 }
 
@@ -610,21 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_link_postpones_delivery() {
-        let mut net = MulticastNet::new(
-            NetConfig::lan_10mbps(2).with_jitter(SimDuration::ZERO, SimDuration::ZERO),
-        );
-        let heal = SimTime::from_millis(50);
-        net.block_link(SiteId::new(0), SiteId::new(1), heal);
-        let d = net.unicast(SiteId::new(0), SiteId::new(1), 64, SimTime::ZERO, &mut rng());
-        assert!(d.arrival > heal);
-        // The reverse direction is unaffected.
-        let d2 =
-            net.unicast(SiteId::new(1), SiteId::new(0), 64, SimTime::from_millis(1), &mut rng());
-        assert!(d2.arrival < heal);
-    }
-
-    #[test]
     fn spikes_occasionally_delay_arrivals() {
         let mut cfg = NetConfig::lan_10mbps(2).with_jitter(SimDuration::ZERO, SimDuration::ZERO);
         cfg.spike_probability = 0.2;
@@ -663,16 +605,6 @@ mod tests {
         assert!(!net.pair_blocked(SiteId::new(0), SiteId::new(0)), "loopback never cut");
         net.heal();
         assert!(!net.pair_blocked(SiteId::new(0), SiteId::new(1)));
-    }
-
-    #[test]
-    fn block_pair_ignores_loopback() {
-        let mut net = MulticastNet::new(NetConfig::lan_10mbps(2));
-        net.block_pair(SiteId::new(1), SiteId::new(1));
-        assert!(!net.pair_blocked(SiteId::new(1), SiteId::new(1)));
-        net.block_pair(SiteId::new(0), SiteId::new(1));
-        assert!(net.pair_blocked(SiteId::new(0), SiteId::new(1)));
-        assert!(!net.pair_blocked(SiteId::new(1), SiteId::new(0)), "directed");
     }
 
     #[test]

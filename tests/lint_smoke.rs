@@ -151,6 +151,28 @@ fn no_event_loop_outside_the_scheduler() {
     assert!(offenders.is_empty(), "event loops outside the scheduler: {offenders:?}");
 }
 
+/// One payload store per site (DESIGN.md §18): a message body is kept in
+/// its engine's store, and TO-delivery, which names only ids, reads it
+/// there. No library code in `otp-core` keeps a second index by message
+/// id; its test modules (`#[cfg(test)] mod tests`, at a file's end) may.
+#[test]
+fn no_message_id_map_in_the_site_layer() {
+    let root = repo_root();
+    let files = rust_files(&root.join("crates/core/src"));
+    let needles = [concat!("HashMap", "<MsgId"), concat!("BTreeMap", "<MsgId")];
+    let offenders: Vec<String> = files
+        .iter()
+        .filter(|f| {
+            let src = std::fs::read_to_string(f).unwrap_or_default();
+            let code = src.split("#[cfg(test)]\nmod tests").next().unwrap_or_default();
+            needles.iter().any(|n| code.contains(n))
+        })
+        .map(|f| f.strip_prefix(&root).unwrap_or(f).display().to_string())
+        .collect();
+    assert!(files.len() > 5, "suspiciously few files walked: {}", files.len());
+    assert!(offenders.is_empty(), "a second payload index keyed by message id: {offenders:?}");
+}
+
 /// One replica (DESIGN.md §17): the paper's Serialization module is
 /// written once, in `crates/core/src/replica.rs`, for both execution
 /// policies and for class sets of any size. No other library source

@@ -94,6 +94,12 @@ fn threaded_engine_mode_matrix() {
                     assert_eq!(log.len(), 30, "{name}/{mode:?}: site {s} missing commits");
                 }
                 assert_eq!(report.committed_total, 90, "{name}/{mode:?}");
+                // The registry's decision counters, summed over the sites:
+                // each of the three decides every instance once.
+                let decided =
+                    report.counters.get("fast_decide") + report.counters.get("slow_decide");
+                assert_eq!(decided > 0, name.starts_with("opt"), "{name}/{mode:?}: {decided}");
+                assert_eq!(decided % 3, 0, "{name}/{mode:?}: {decided}");
             }
         }
     });

@@ -193,3 +193,65 @@ fn group_sequencer_crash_and_recovery_stay_inside_the_group() {
         "one view, installed by the four members of group 0 — group 1 installs nothing"
     );
 }
+
+/// A member of one group crashes and recovers while cross-group
+/// transactions keep arriving — before the crash, while it is down, while
+/// its view-change rounds run and after it serves again. Its recovery
+/// installs the relay domain from the base's engine snapshot alone and
+/// folds the relay tail it skipped by reading the descriptors from the
+/// restored relay engine: every cross transaction still commits in both
+/// groups, at every member, once.
+#[test]
+fn cross_group_transactions_commit_across_a_member_crash_and_recovery() {
+    // 6 sites, 2 groups of 3: sites 0–2 order class 0, sites 3–5 class 1;
+    // every site is a relay member. Site 1 crashes and recovers.
+    let (mut cluster, add) = sharded_cluster(6, 2, 2, 47);
+    let crashed = SiteId::new(1);
+    let (crash_at, recover_at) = (SimTime::from_millis(30), SimTime::from_millis(90));
+    cluster.schedule_crash(crash_at, crashed);
+    cluster.schedule_recover(recover_at, crashed, SiteId::new(0));
+    let mut subs: Vec<Vec<TxnId>> = Vec::new();
+    let mut singles = 0u64;
+    let starts = [1, 40, 90, 150].map(SimTime::from_millis);
+    for (phase, start) in starts.into_iter().enumerate() {
+        for k in 0..6u64 {
+            let at = start + SimDuration::from_micros(700 * k);
+            // Live origins only: site 1 is down from the crash on.
+            let origin = SiteId::new([0, 2, 3, 4, 5][(k as usize + phase) % 5]);
+            let parts = [0, 1].map(|c| (ClassId::new(c), add, vec![Value::Int(0), Value::Int(1)]));
+            subs.push(cluster.schedule_cross_update(at, origin, parts.into()));
+            let class = ClassId::new((k % 2) as u32);
+            let home = SiteId::new(if k % 2 == 0 { 2 } else { 4 });
+            cluster.schedule_update(at, home, class, add, vec![Value::Int(0), Value::Int(1)]);
+            singles += 1;
+        }
+    }
+    cluster.run_until(SimTime::from_secs(60));
+    assert!(cluster.is_live(crashed), "the member serves again");
+    let stats = cluster.stats();
+    assert_eq!(stats.completed, singles + 2 * subs.len() as u64, "every sub and single commits");
+    assert!(stats.counters.get("relay_view_install") > 0, "the relay domain was installed");
+    assert!(cluster.converged());
+    let report = cluster.check_invariants(&[]);
+    assert!(report.is_ok(), "{report}");
+    // A member commits its group's sub once and never the other group's;
+    // the restored member's log starts at its recovery (what it missed
+    // arrived by state transfer, checked through the database below).
+    let logs = cluster.committed_ids();
+    for (k, pair) in subs.iter().enumerate() {
+        assert_eq!(pair.len(), 2, "cross {k} has a sub in each group");
+        for (s, log) in logs.iter().enumerate() {
+            let count = |sub: TxnId| log.iter().filter(|id| **id == sub).count();
+            let (mine, theirs) = (count(pair[s / 3]), count(pair[1 - s / 3]));
+            let expected = if s == crashed.index() { mine.min(1) } else { 1 };
+            assert_eq!((mine, theirs), (expected, 0), "cross {k} at site {s}");
+        }
+    }
+    // Each group's object took one +1 per single and per cross sub.
+    let per_group = singles / 2 + subs.len() as u64;
+    for s in 0..6 {
+        let class = (s / 3) as u32;
+        let v = cluster.replicas[s].db().read_committed(ObjectId::new(class, 0));
+        assert_eq!(v, Some(&Value::Int(per_group as i64)), "site {s}");
+    }
+}
