@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench-test bench-check bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines fmt clippy ci clean
+.PHONY: all build test bench-test bench-check bench bench-pair chaos live-chaos perf perf-check soak soak-smoke lint lint-otp net-lines same-schedules fmt clippy ci clean
 
 all: build
 
@@ -114,6 +114,15 @@ lint-otp:
 BASE ?= HEAD
 net-lines:
 	scripts/net_lines.sh $(BASE)
+
+## Prove a change schedule-neutral against BASE: BENCH.json and the swarm
+## tables of all five nemesis intensities (720 seeds each unless
+## CHAOS_SEEDS is given) must be byte-identical on both sides. Slow; not
+## part of `make ci`.
+##   make same-schedules BASE=<rev>
+same-schedules: CHAOS_SEEDS := $(if $(filter file,$(origin CHAOS_SEEDS)),720,$(CHAOS_SEEDS))
+same-schedules:
+	CHAOS_SEEDS=$(CHAOS_SEEDS) scripts/same_schedules.sh $(BASE)
 
 fmt:
 	$(CARGO) fmt --all --check

@@ -77,4 +77,4 @@ pub use msg::{EngineAction, Message, MsgId, PayloadSize, TimerToken, Wire, RECOV
 pub use opt::{OptAbcast, OptAbcastConfig};
 pub use scramble::{Oracle, ScrambleConfig, ScrambledAbcast};
 pub use seq::SeqAbcast;
-pub use traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
+pub use traits::{AtomicBroadcast, EngineCounters, EngineRetention, EngineSnapshot};

@@ -52,7 +52,7 @@
 use crate::dissemination::Dissemination;
 use crate::domain::EngineCtx;
 use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire};
-use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
+use crate::traits::{AtomicBroadcast, EngineCounters, EngineRetention, EngineSnapshot};
 use otp_consensus::{Action as CAction, ConsensusMsg, Instance, InstanceConfig};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
@@ -138,8 +138,8 @@ pub struct OptAbcast<P> {
     rejoined_below: u64,
     /// Instances this site decided in one step / through a round, a
     /// `Decide` or a help-out (restored decisions are neither). Detached
-    /// until [`AtomicBroadcast::set_decide_counters`] swaps in the
-    /// driver's registry handles.
+    /// until [`AtomicBroadcast::attach_counters`] hands over the driver's
+    /// registry handles.
     fast_decides: Arc<Counter>,
     slow_decides: Arc<Counter>,
 }
@@ -572,11 +572,9 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         self.dis.retained(0)
     }
 
-    fn set_decide_counters(&mut self, fast: Arc<Counter>, slow: Arc<Counter>) {
-        fast.add(self.fast_decides.get());
-        slow.add(self.slow_decides.get());
-        self.fast_decides = fast;
-        self.slow_decides = slow;
+    fn attach_counters(&mut self, counters: EngineCounters) {
+        self.fast_decides = counters.fast_decide;
+        self.slow_decides = counters.slow_decide;
     }
 }
 
@@ -589,6 +587,12 @@ mod tests {
     fn engines(n: usize) -> Vec<OptAbcast<u32>> {
         let cfg = OptAbcastConfig::new(n, SimDuration::from_millis(20));
         (0..n).map(|_| OptAbcast::new(cfg)).collect()
+    }
+
+    /// A site's decision counters, to attach to its engine.
+    fn decide_counters(fast: &Arc<Counter>, slow: &Arc<Counter>) -> EngineCounters {
+        let (fast_decide, slow_decide) = (Arc::clone(fast), Arc::clone(slow));
+        EngineCounters { fast_decide, slow_decide, ..Default::default() }
     }
 
     fn ctx_at(dom: &OrderDomain, me: SiteId) -> EngineCtx<'_> {
@@ -968,7 +972,7 @@ mod tests {
                 (0..n).map(|_| Default::default()).collect();
             let mut es = engines(n);
             for (e, (fast, slow)) in es.iter_mut().zip(&decides) {
-                e.set_decide_counters(Arc::clone(fast), Arc::clone(slow));
+                e.attach_counters(decide_counters(fast, slow));
             }
             Lab {
                 es,
@@ -983,7 +987,7 @@ mod tests {
         /// Hands `engine` site `site`'s decision counters.
         fn attach(&self, site: usize, engine: &mut OptAbcast<u32>) {
             let (fast, slow) = &self.decides[site];
-            engine.set_decide_counters(Arc::clone(fast), Arc::clone(slow));
+            engine.attach_counters(decide_counters(fast, slow));
         }
 
         /// `(fast, slow)`: the decisions counted at `site`.

@@ -25,7 +25,7 @@ use crate::dissemination::Dissemination;
 use crate::domain::EngineCtx;
 use crate::idset::IdSet;
 use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire};
-use crate::traits::{AtomicBroadcast, EngineRetention, EngineSnapshot};
+use crate::traits::{AtomicBroadcast, EngineCounters, EngineRetention, EngineSnapshot};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
 use std::collections::BTreeMap;
@@ -49,12 +49,9 @@ pub struct SeqAbcast<P> {
     /// the restored incarnation re-announces every live assignment under
     /// the new epoch, so nothing legitimate is lost.
     order_fence: u64,
-    /// Dead-epoch order frames rejected so far. A detached counter by
-    /// default; the driver may swap in a [`MetricsRegistry`] handle via
-    /// [`AtomicBroadcast::set_stale_counter`] so the tally lands in the
-    /// unified registry (the value is carried over on swap).
-    ///
-    /// [`MetricsRegistry`]: otp_telemetry::MetricsRegistry
+    /// Dead-epoch order frames rejected so far. A detached counter until
+    /// [`AtomicBroadcast::attach_counters`] hands over the driver's
+    /// registry handle.
     stale_rejects: Arc<Counter>,
     /// Sequencer-only: accumulation window for order assignments. Zero
     /// multicasts the assignments of each receive call at its end; a
@@ -399,9 +396,8 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for SeqAbcast<P> {
         self.dis.retained(self.numbered.runs() + self.order.len())
     }
 
-    fn set_stale_counter(&mut self, counter: Arc<Counter>) {
-        counter.add(self.stale_rejects.get());
-        self.stale_rejects = counter;
+    fn attach_counters(&mut self, counters: EngineCounters) {
+        self.stale_rejects = counters.stale_reject;
     }
 }
 
@@ -971,7 +967,10 @@ mod tests {
         let c1 = EngineCtx::new(SiteId::new(1), &dom);
         let mut e: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
         let rejects = Arc::new(Counter::new());
-        e.set_stale_counter(Arc::clone(&rejects));
+        e.attach_counters(EngineCounters {
+            stale_reject: Arc::clone(&rejects),
+            ..Default::default()
+        });
         let m_old = MsgId::new(SiteId::new(2), 0);
         let m_new = MsgId::new(SiteId::new(2), 1);
         e.install_view(1, true);
@@ -1019,7 +1018,10 @@ mod tests {
         assert_eq!(snap.order_fence, 3);
         let mut fresh: SeqAbcast<u32> = SeqAbcast::new(SiteId::new(0));
         let rejects = Arc::new(Counter::new());
-        fresh.set_stale_counter(Arc::clone(&rejects));
+        fresh.attach_counters(EngineCounters {
+            stale_reject: Arc::clone(&rejects),
+            ..Default::default()
+        });
         fresh.restore(&c2, snap);
         fresh.on_receive(&c2, SiteId::new(0), order(2, 9, id));
         assert_eq!(rejects.get(), 1, "fence survives the transfer");

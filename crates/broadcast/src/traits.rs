@@ -3,8 +3,10 @@
 use crate::domain::EngineCtx;
 use crate::msg::{EngineAction, Message, MsgId, TimerToken, Wire};
 use otp_simnet::SiteId;
+use otp_telemetry::Counter;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// State carried from a live site to a recovering one.
 ///
@@ -295,25 +297,28 @@ pub trait AtomicBroadcast<P>: fmt::Debug {
         EngineRetention::default()
     }
 
-    /// Attaches the shared counters the engine bumps for each consensus
-    /// instance it decides: `fast` for one decided in one step — on `n` of
-    /// `n` equal round-0 proposals, the paper's Figure 1 case measured
-    /// where it is cashed in — and `slow` for one decided through a round,
-    /// a `Decide` or a help-out. The tally lives in the driver's registry
-    /// and survives the engine being replaced at a recovery. Engines that
-    /// run no consensus count nothing; default: ignore.
-    fn set_decide_counters(
-        &mut self,
-        _fast: std::sync::Arc<otp_telemetry::Counter>,
-        _slow: std::sync::Arc<otp_telemetry::Counter>,
-    ) {
-    }
+    /// Hands the engine the driver's [`EngineCounters`]: from now on it
+    /// bumps them in place of the detached ones it was built with, so the
+    /// tallies live in the driver's [`otp_telemetry::MetricsRegistry`]
+    /// and survive the engine being replaced at a recovery. A driver
+    /// attaches an engine before its first call. Engines that count none
+    /// of them ignore the handles; default: ignore.
+    fn attach_counters(&mut self, _counters: EngineCounters) {}
+}
 
-    /// Attaches the shared [`otp_telemetry`] counter the engine bumps for
-    /// each order-assignment frame it rejects because it carried a dead
-    /// sequencer incarnation's epoch (below the installed fence), so stale
-    /// traffic shows in the driver's [`otp_telemetry::MetricsRegistry`].
-    /// Engines that never reject (no ordering authority) ignore the
-    /// handle; default: nothing.
-    fn set_stale_counter(&mut self, _counter: std::sync::Arc<otp_telemetry::Counter>) {}
+/// The shared counters an engine bumps ([`AtomicBroadcast::attach_counters`]).
+/// The default is detached counters that nobody reads, what an engine
+/// built outside a driver keeps.
+#[derive(Debug, Clone, Default)]
+pub struct EngineCounters {
+    /// Order-assignment frames rejected because they carried a dead
+    /// sequencer incarnation's epoch (below the installed fence).
+    pub stale_reject: Arc<Counter>,
+    /// Consensus instances decided in one step — on `n` of `n` equal
+    /// round-0 proposals, the paper's Figure 1 case measured where it is
+    /// cashed in.
+    pub fast_decide: Arc<Counter>,
+    /// Consensus instances decided through a round, a `Decide` or a
+    /// help-out.
+    pub slow_decide: Arc<Counter>,
 }

@@ -57,6 +57,7 @@ use crate::site::{
     SiteReport, SiteSubmit, Status, ENGINE_COUNTERS, VIEW_COUNTERS,
 };
 use otp_broadcast::{GroupId, OrderDomain, PayloadSize, Wire};
+use otp_simnet::faults::Todo;
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
 pub use otp_simnet::rng::DurationDist;
@@ -1314,16 +1315,10 @@ impl Cluster {
                 self.begin_recovery(site, donor);
             }
             Ev::Nemesis(ev) => {
-                if matches!(
-                    ev,
-                    NemesisEvent::PartitionHalves { .. }
-                        | NemesisEvent::Heal
-                        | NemesisEvent::Crash { .. }
-                        | NemesisEvent::Recover { .. }
-                ) {
+                if ev.changes_topology() {
                     self.fence_quanta();
                 }
-                self.handle_nemesis(ev);
+                self.handle_nemesis(&ev);
             }
             Ev::QuantumFlush { gen } => {
                 // A stale generation means the window this flush was armed
@@ -1387,13 +1382,10 @@ impl Cluster {
             return;
         };
         self.cross_group_frames.incr();
-        let now = self.sched.now();
         let arrival = if via_net {
-            let size = request.size_bytes();
-            let (net, rng) = self.sched.net_mut();
-            net.unicast(from, target, size, now, rng).arrival
+            self.sched.arrival(0, from, target, request.size_bytes())
         } else {
-            now + SimDuration::from_micros(100)
+            self.sched.now() + SimDuration::from_micros(100)
         };
         self.sched.schedule_control(arrival, target, Ev::Submit(request));
     }
@@ -1623,41 +1615,24 @@ impl Cluster {
             .collect()
     }
 
-    /// Applies one nemesis event at its scheduled time.
-    fn handle_nemesis(&mut self, ev: NemesisEvent) {
-        match ev {
-            NemesisEvent::PartitionHalves { group_a } => {
-                self.sched.net_mut().0.partition_halves(&group_a);
+    /// Applies one nemesis event at its scheduled time: the scheduler puts
+    /// it in force ([`Sched::fault`]), and a crash or a recovery it leaves
+    /// runs here. The live-only faults leave nothing: the virtual-time
+    /// driver has no OS threads to stall and no bounded channels to
+    /// saturate, so a schedule carrying them degrades to its network/crash
+    /// subset here. The threaded runtime (`runtime::LiveNemesis`) injects
+    /// them for real — the cross-driver conformance suite runs the same
+    /// schedule through both.
+    fn handle_nemesis(&mut self, ev: &NemesisEvent) {
+        match self.sched.fault(ev) {
+            Todo::Crash(site) => self.crash_site(site),
+            Todo::Recover(site) => {
+                let donor = SiteId::all(self.config.sites)
+                    .find(|s| *s != site && self.is_live(*s))
+                    .expect("nemesis recovery requires a live donor");
+                self.begin_recovery(site, donor);
             }
-            // Reliable channels: everything held at the cut arrives now,
-            // staggered like post-recovery replay.
-            NemesisEvent::Heal => self.sched.heal(),
-            NemesisEvent::Crash { site } => {
-                if self.status(site) != Status::Crashed {
-                    self.crash_site(site);
-                }
-            }
-            NemesisEvent::Recover { site } => {
-                if self.status(site) == Status::Crashed {
-                    let donor = SiteId::all(self.config.sites)
-                        .find(|s| *s != site && self.is_live(*s))
-                        .expect("nemesis recovery requires a live donor");
-                    self.begin_recovery(site, donor);
-                }
-            }
-            NemesisEvent::LossBurst { probability } => {
-                self.sched.net_mut().0.set_loss_override(Some(probability));
-            }
-            NemesisEvent::LossEnd => self.sched.net_mut().0.set_loss_override(None),
-            NemesisEvent::JitterSpike { scale } => self.sched.net_mut().0.set_jitter_scale(scale),
-            NemesisEvent::JitterEnd => self.sched.net_mut().0.set_jitter_scale(1.0),
-            // Live-only faults: the virtual-time driver has no OS threads
-            // to stall and no bounded channels to saturate, so a schedule
-            // carrying them degrades to its network/crash subset here. The
-            // threaded runtime (`runtime::LiveNemesis`) injects them for
-            // real — the cross-driver conformance suite runs the same
-            // schedule through both.
-            NemesisEvent::ThreadStall { .. } | NemesisEvent::PressureSpike { .. } => {}
+            Todo::Nothing | Todo::Stall { .. } | Todo::Pressure { .. } => {}
         }
     }
 }

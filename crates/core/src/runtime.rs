@@ -42,6 +42,16 @@
 //! the threads, which at that point have empty queues and no timers, so no
 //! wire can be lost. See DESIGN.md §9.
 //!
+//! # Faults
+//!
+//! [`LiveCluster::apply_fault`] and [`LiveCluster::inject_nemesis`] put
+//! faults in force under the simulator's own rules: one
+//! [`otp_simnet::Faults`] value, shared behind a lock, of which each site
+//! thread keeps a private copy it refreshes when the shared version moves.
+//! A cut or a down destination parks a wire (still counted in flight)
+//! until it can cross; loss and jitter stretch a wire's due instant; a
+//! down site's thread is frozen. See DESIGN.md §10.
+//!
 //! This runtime exists to demonstrate that nothing in `otp-core` depends
 //! on virtual time: the state machines and the site layer feeding them
 //! are the simulator's own code, and wall time reaches that code only as
@@ -86,9 +96,10 @@ use crate::site::{
     SiteSubmit,
 };
 use otp_broadcast::{OrderDomain, TimerToken, Wire};
+use otp_simnet::faults::{Faults, Todo};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
-use otp_simnet::sched::{Arrival, Input, Output};
+use otp_simnet::sched::{self, Arrival, Input, Output};
 use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, TxnIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
@@ -113,9 +124,9 @@ const SUBMIT_RETRY: Duration = Duration::from_micros(100);
 /// active (on top of the shrunken drain budget), so its bounded queue
 /// actually saturates instead of the smaller batches just running hotter.
 const PRESSURE_PAUSE: Duration = Duration::from_micros(200);
-/// Delivery stagger between wires released from a healed cut — the
-/// real-clock analogue of the simulator's staggered post-heal replay.
-const RELEASE_STAGGER: Duration = Duration::from_micros(50);
+/// Gap between two wires released from a healed cut or a recovered site:
+/// the simulator's replay gap, on the wall clock.
+const REPLAY_GAP: Duration = Duration::from_nanos(sched::REPLAY_GAP.as_nanos());
 
 /// Configuration of the live runtime.
 #[derive(Debug, Clone)]
@@ -263,92 +274,51 @@ struct Shared {
     /// The registry all of the above live in, snapshotable at any
     /// instant via [`LiveCluster::metrics`] (soak harness, watchdogs).
     metrics: Arc<MetricsRegistry>,
-}
-
-/// Dynamic fault state shared by the cluster handle, the injector thread
-/// and the site threads. All of it is *topology*, not payload: wires
-/// never bypass the in-flight accounting, they only get parked (still
-/// counted) or delayed.
-struct ChaosCtl {
-    /// Active partition: `side[i]` is true for sites on the isolated
-    /// group-A side. `None` when healed.
-    cut: Mutex<Option<Vec<bool>>>,
-    /// Per-site network isolation — the live mapping of a nemesis crash
-    /// (the site thread is frozen *and* cut off; see DESIGN.md §10).
-    isolated: Mutex<Vec<bool>>,
-    /// Bits of the f64 loss probability (0.0 outside a burst).
-    loss_bits: AtomicU64,
-    /// Bits of the f64 jitter scale (1.0 baseline).
-    jitter_bits: AtomicU64,
-    /// Wires currently parked behind a cut or an isolation. Every parked
-    /// wire is still counted in `Shared::in_flight`; shutdown treats
-    /// `in_flight == held` as quiescent-modulo-undeliverable.
-    held: AtomicI64,
-    /// Bumped on every topology change so each site thread rescans its
-    /// parked wires exactly when a release can matter.
+    /// The fault rules in force (DESIGN.md §10), changed only by
+    /// [`Shared::apply_fault`]. They are topology, not payload: a wire
+    /// never leaves the in-flight accounting, it is only parked (still
+    /// counted) or delayed.
+    faults: Mutex<Faults>,
+    /// Bumped, under the lock, on every change of `faults`: a site thread
+    /// keeps a private copy and copies again, under the lock, when this
+    /// moves, so a wire takes no lock. The lock publishes the rules; the
+    /// counter only says when to read them.
     version: AtomicU64,
-    /// Whether a cut or an isolation is in force, recomputed by `bump`:
-    /// while it is false, `blocked` takes no lock.
-    faulted: AtomicBool,
+    /// Wires parked behind a cut or at a down site. Every parked wire is
+    /// still counted in `in_flight`; shutdown treats `in_flight == held`
+    /// as quiescent-modulo-undeliverable.
+    held: AtomicI64,
+    /// Each site thread's control channel: stalls and pressure spikes.
+    ctrl: Vec<crossbeam::channel::Sender<SiteCtrl>>,
 }
 
-impl ChaosCtl {
-    fn new(sites: usize) -> Self {
-        ChaosCtl {
-            cut: Mutex::new(None),
-            isolated: Mutex::new(vec![false; sites]),
-            loss_bits: AtomicU64::new(0f64.to_bits()),
-            jitter_bits: AtomicU64::new(1f64.to_bits()),
-            held: AtomicI64::new(0),
-            version: AtomicU64::new(0),
-            faulted: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether a wire from `from` to `to` must be parked right now:
-    /// endpoints on opposite sides of the cut, or the destination
-    /// isolated. (Wires *from* an isolated site were sent before it
-    /// froze and still deliver — same as the simulator, where in-flight
-    /// frames of a crashing site are not clawed back.)
-    fn blocked(&self, from: SiteId, to: SiteId) -> bool {
-        if !self.faulted.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.isolated.lock()[to.index()] {
-            return true;
-        }
-        if let Some(side) = self.cut.lock().as_ref() {
-            return side[from.index()] != side[to.index()];
-        }
-        false
-    }
-
-    fn loss(&self) -> f64 {
-        f64::from_bits(self.loss_bits.load(Ordering::Acquire))
-    }
-
-    fn jitter_scale(&self) -> f64 {
-        f64::from_bits(self.jitter_bits.load(Ordering::Acquire))
-    }
-
-    /// Publishes a topology change. Holding both locks (in `blocked`'s
-    /// order) while storing `faulted` makes the last of racing bumps see
-    /// every change made before it.
-    fn bump(&self) {
-        let isolated = self.isolated.lock();
-        let cut = self.cut.lock();
-        let faulted = cut.is_some() || isolated.iter().any(|&i| i);
-        self.faulted.store(faulted, Ordering::Release);
-        drop(cut);
-        drop(isolated);
-        self.version.fetch_add(1, Ordering::AcqRel);
+impl Shared {
+    /// Puts one fault in force now (DESIGN.md §10). A crash or a recovery
+    /// needs nothing more: a site thread is frozen while the faults say
+    /// its site is down.
+    fn apply_fault(&self, ev: &NemesisEvent) {
+        let todo = {
+            let mut faults = self.faults.lock();
+            let todo = faults.apply(ev);
+            self.version.fetch_add(1, Ordering::AcqRel);
+            todo
+        };
+        let wall = |d: SimDuration| Duration::from_nanos(d.as_nanos());
+        let (site, msg) = match todo {
+            Todo::Stall { site, duration } => (site, SiteCtrl::Stall(wall(duration))),
+            Todo::Pressure { site, drain_limit, duration } => {
+                (site, SiteCtrl::Pressure { drain_limit, dur: wall(duration) })
+            }
+            Todo::Nothing | Todo::Crash(_) | Todo::Recover(_) => return,
+        };
+        let _ = self.ctrl[site.index()].send(msg);
     }
 }
 
 /// Control-plane message to one site thread. Deliberately *not* counted in
 /// `Shared::in_flight`: control messages carry no transaction work, and a
-/// stall/freeze only delays the worker's decrements — it can never skip
-/// one — so the accounting invariant is untouched (DESIGN.md §10).
+/// stall only delays the worker's decrements — it can never skip one — so
+/// the accounting invariant is untouched (DESIGN.md §10).
 enum SiteCtrl {
     /// Sleep mid-drain for the duration (thread stall).
     Stall(Duration),
@@ -360,10 +330,6 @@ enum SiteCtrl {
         /// Spike length.
         dur: Duration,
     },
-    /// Stop processing entirely until [`SiteCtrl::Thaw`] (live crash).
-    Freeze,
-    /// Resume processing (live recovery).
-    Thaw,
 }
 
 /// Final report returned by [`LiveCluster::shutdown`].
@@ -442,7 +408,6 @@ pub struct LiveCluster {
     site_txs: Vec<crossbeam::channel::Sender<SiteMsg>>,
     handles: Vec<JoinHandle<SiteOutcome>>,
     shared: Arc<Shared>,
-    chaos: ChaosHandle,
     next_seq: Mutex<Vec<u64>>,
     /// Per-origin-site submit timestamps, keyed by local sequence number.
     submit_times: Vec<Arc<Mutex<HashMap<u64, Instant>>>>,
@@ -453,57 +418,6 @@ pub struct LiveCluster {
     trace: Option<Arc<dyn TraceSink>>,
     /// Wall-clock zero of the trace timeline.
     anchor: Instant,
-}
-
-/// Cheap clonable handle applying fault events to a running cluster: used
-/// by [`LiveCluster::apply_fault`] and owned by the [`LiveNemesis`]
-/// injector thread.
-#[derive(Clone)]
-struct ChaosHandle {
-    chaos: Arc<ChaosCtl>,
-    ctrl_txs: Vec<crossbeam::channel::Sender<SiteCtrl>>,
-    shared: Arc<Shared>,
-}
-
-impl ChaosHandle {
-    /// Applies one fault now (DESIGN.md §10).
-    fn apply(&self, ev: &NemesisEvent) {
-        let wall = |d: &SimDuration| Duration::from_nanos(d.as_nanos());
-        let ctrl = |site: &SiteId, msg| {
-            let _ = self.ctrl_txs[site.index()].send(msg);
-        };
-        let cut = |side| {
-            *self.chaos.cut.lock() = side;
-            self.chaos.bump();
-        };
-        let isolate = |site: &SiteId, isolated, msg| {
-            self.chaos.isolated.lock()[site.index()] = isolated;
-            self.chaos.bump();
-            ctrl(site, msg);
-        };
-        let set_loss = |p: f64| self.chaos.loss_bits.store(p.to_bits(), Ordering::Release);
-        let set_jitter =
-            |scale: f64| self.chaos.jitter_bits.store(scale.to_bits(), Ordering::Release);
-        match ev {
-            NemesisEvent::PartitionHalves { group_a } => {
-                cut(Some(SiteId::all(self.ctrl_txs.len()).map(|s| group_a.contains(&s)).collect()));
-            }
-            NemesisEvent::Heal => cut(None),
-            NemesisEvent::Crash { site } => isolate(site, true, SiteCtrl::Freeze),
-            NemesisEvent::Recover { site } => isolate(site, false, SiteCtrl::Thaw),
-            NemesisEvent::LossBurst { probability } => set_loss(probability.clamp(0.0, 1.0)),
-            NemesisEvent::LossEnd => set_loss(0.0),
-            NemesisEvent::JitterSpike { scale } => set_jitter(scale.max(1.0)),
-            NemesisEvent::JitterEnd => set_jitter(1.0),
-            NemesisEvent::ThreadStall { site, duration } => {
-                ctrl(site, SiteCtrl::Stall(wall(duration)));
-            }
-            NemesisEvent::PressureSpike { site, drain_limit, duration } => {
-                let (drain_limit, dur) = (*drain_limit, wall(duration));
-                ctrl(site, SiteCtrl::Pressure { drain_limit, dur });
-            }
-        }
-    }
 }
 
 /// A running real-clock fault injector (see
@@ -530,7 +444,6 @@ impl LiveNemesis {
 #[derive(Clone)]
 pub struct LiveDiag {
     shared: Arc<Shared>,
-    chaos: Arc<ChaosCtl>,
 }
 
 impl LiveDiag {
@@ -540,7 +453,7 @@ impl LiveDiag {
             "in_flight={} held={} accepted={} origin_committed={} committed_total={} \
              backpressure={} admissions_open={} stop={}",
             self.shared.in_flight.get(),
-            self.chaos.held.load(Ordering::Acquire),
+            self.shared.held.load(Ordering::Acquire),
             self.shared.accepted.get(),
             self.shared.origin_committed.get(),
             self.shared.committed_total.get(),
@@ -577,17 +490,6 @@ impl LiveCluster {
         let n = config.sites;
         let anchor = Instant::now();
         let metrics = Arc::new(MetricsRegistry::new());
-        let shared = Arc::new(Shared {
-            running: AtomicBool::new(true),
-            stop: AtomicBool::new(false),
-            in_flight: metrics.gauge("in_flight", Scope::global()),
-            accepted: metrics.counter("accepted", Scope::global()),
-            origin_committed: metrics.counter("origin_committed", Scope::global()),
-            committed_total: metrics.counter("committed_total", Scope::global()),
-            backpressure: metrics.counter("backpressure_events", Scope::global()),
-            metrics: metrics.clone(),
-        });
-        let chaos = Arc::new(ChaosCtl::new(n));
         let mut site_txs = Vec::new();
         let mut site_rxs = Vec::new();
         let mut ctrl_txs = Vec::new();
@@ -602,6 +504,20 @@ impl LiveCluster {
             ctrl_txs.push(ctx);
             ctrl_rxs.push(crx);
         }
+        let shared = Arc::new(Shared {
+            running: AtomicBool::new(true),
+            stop: AtomicBool::new(false),
+            in_flight: metrics.gauge("in_flight", Scope::global()),
+            accepted: metrics.counter("accepted", Scope::global()),
+            origin_committed: metrics.counter("origin_committed", Scope::global()),
+            committed_total: metrics.counter("committed_total", Scope::global()),
+            backpressure: metrics.counter("backpressure_events", Scope::global()),
+            metrics: metrics.clone(),
+            faults: Mutex::new(Faults::new(n)),
+            version: AtomicU64::new(0),
+            held: AtomicI64::new(0),
+            ctrl: ctrl_txs,
+        });
 
         let submit_times: Vec<Arc<Mutex<HashMap<u64, Instant>>>> =
             (0..n).map(|_| Arc::new(Mutex::new(HashMap::new()))).collect();
@@ -628,7 +544,7 @@ impl LiveCluster {
                     heap: BinaryHeap::new(),
                     peers: site_txs.clone(),
                     shared: shared.clone(),
-                    chaos: chaos.clone(),
+                    faults: Faults::new(n),
                     submit_times: submit_times[i].clone(),
                     latency: Histogram::new(),
                     rng: SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64)),
@@ -637,7 +553,7 @@ impl LiveCluster {
                 },
                 ctrl,
                 pressure: None,
-                frozen: None,
+                frozen: Frozen::default(),
                 parked: Vec::new(),
                 seen_version: 0,
             };
@@ -647,7 +563,6 @@ impl LiveCluster {
         LiveCluster {
             site_txs,
             handles,
-            chaos: ChaosHandle { chaos, ctrl_txs, shared: shared.clone() },
             shared,
             next_seq: Mutex::new(vec![0; n]),
             submit_times,
@@ -786,19 +701,20 @@ impl LiveCluster {
         self.shared.metrics.clone()
     }
 
-    /// Applies one fault of the chaos vocabulary now, on the wall clock
-    /// (DESIGN.md §10). A partition or a crashed site's isolation parks the
-    /// wires it cuts (still counted in flight) until the heal or recovery
-    /// releases them with a small delivery stagger. A crash freezes the
-    /// site's worker thread and loses no state — the threaded runtime has
-    /// no state-transfer recovery; the simulator remains the oracle for
-    /// that path. Loss is retransmission delay, as in the simulator, and a
-    /// jitter spike scales the network jitter (≥ 1.0). Two faults exist
-    /// only here: a thread stall sleeps the site's worker mid-drain, and a
-    /// pressure spike shrinks its drain budget so its bounded queue
-    /// saturates and admission backpressure fires.
+    /// Applies one fault of the chaos vocabulary now, on the wall clock,
+    /// under the simulator's rules ([`Faults`], DESIGN.md §10). A cut or a
+    /// down site parks the wires it blocks (still counted in flight) until
+    /// the heal or recovery releases them [`otp_simnet::sched::REPLAY_GAP`]
+    /// apart. A crash freezes the site's worker thread and loses no state
+    /// — the threaded runtime has no state-transfer recovery; the
+    /// simulator remains the oracle for that path. Loss is retransmission
+    /// delay and a jitter spike scales the network jitter, as in the
+    /// simulator. Two faults act only here: a thread stall sleeps the
+    /// site's worker mid-drain, and a pressure spike shrinks its drain
+    /// budget so its bounded queue saturates and admission backpressure
+    /// fires.
     pub fn apply_fault(&self, ev: &NemesisEvent) {
-        self.chaos.apply(ev);
+        self.shared.apply_fault(ev);
     }
 
     /// Spawns the real-clock fault injector: each event of `schedule`
@@ -812,13 +728,13 @@ impl LiveCluster {
             .iter()
             .map(|(t, ev)| (Duration::from_nanos(t.as_nanos()), ev.clone()))
             .collect();
-        let h = self.chaos.clone();
+        let shared = self.shared.clone();
         let handle = std::thread::spawn(move || {
             let anchor = Instant::now();
             for (offset, ev) in events {
                 let due = anchor + offset;
                 loop {
-                    if !h.shared.running.load(Ordering::Acquire) {
+                    if !shared.running.load(Ordering::Acquire) {
                         return;
                     }
                     let left = due.saturating_duration_since(Instant::now());
@@ -827,7 +743,7 @@ impl LiveCluster {
                     }
                     std::thread::sleep(left.min(Duration::from_millis(5)));
                 }
-                h.apply(&ev);
+                shared.apply_fault(&ev);
             }
         });
         LiveNemesis { handle }
@@ -836,7 +752,7 @@ impl LiveCluster {
     /// A diagnostics handle that stays valid after
     /// [`LiveCluster::shutdown`] consumes the cluster (for watchdogs).
     pub fn diag_handle(&self) -> LiveDiag {
-        LiveDiag { shared: self.shared.clone(), chaos: self.chaos.chaos.clone() }
+        LiveDiag { shared: self.shared.clone() }
     }
 
     /// Stops the cluster with a two-phase quiescence protocol and reports.
@@ -871,7 +787,7 @@ impl LiveCluster {
             // admissions only a direct caller can trigger — the injector
             // has already exited.
             let in_flight = self.shared.in_flight.get();
-            let held = self.chaos.chaos.held.load(Ordering::Acquire);
+            let held = self.shared.held.load(Ordering::Acquire);
             if in_flight == held {
                 quiesced = true;
                 break;
@@ -881,7 +797,7 @@ impl LiveCluster {
             }
             std::thread::sleep(Duration::from_micros(500));
         }
-        let undelivered_at_stop = self.chaos.chaos.held.load(Ordering::Acquire).max(0) as u64;
+        let undelivered_at_stop = self.shared.held.load(Ordering::Acquire).max(0) as u64;
         // Make the verdict visible to registry consumers too (soak
         // snapshots, watchdog dumps), not just to LiveReport readers.
         self.shared
@@ -939,8 +855,8 @@ enum Pending {
     },
 }
 
-/// What a frozen site holds back until it is thawed (a live crash
-/// processes nothing, see [`SiteCtrl::Freeze`]).
+/// What a down site holds back until it is up again (a live crash
+/// processes nothing, DESIGN.md §10).
 #[derive(Default)]
 struct Frozen {
     /// Timers, executions and deliverable wires that came due.
@@ -964,7 +880,7 @@ struct SiteWorker {
     /// The one output buffer every step of the site reuses.
     out: SiteOutputs,
     io: LiveIo,
-    /// Nemesis control channel: stalls, pressure spikes, freeze/thaw.
+    /// Nemesis control channel: stalls and pressure spikes.
     /// Control messages are *not* counted in `in_flight` — they carry no
     /// protocol work, they only delay it (see DESIGN.md §10).
     ctrl: crossbeam::channel::Receiver<SiteCtrl>,
@@ -972,12 +888,12 @@ struct SiteWorker {
     /// drain batch shrinks to `drain_limit` and each iteration pauses,
     /// so the bounded inbound queue saturates and backpressure fires.
     pressure: Option<(usize, Instant)>,
-    /// Set between a freeze and its thaw.
-    frozen: Option<Frozen>,
-    /// Inbound wires that came due behind a cut or an isolation, each
-    /// counted in `ChaosCtl::held`, released when the topology changes.
+    /// What came due while the site was down.
+    frozen: Frozen,
+    /// Inbound wires that came due behind a cut or at this down site,
+    /// each counted in `Shared::held`, released when the faults change.
     parked: Vec<(SiteId, Wire<TxnPayload>)>,
-    /// The `ChaosCtl::version` the parked set was last scanned at.
+    /// The `Shared::version` the private faults were copied at.
     seen_version: u64,
 }
 
@@ -992,7 +908,8 @@ struct LiveIo {
     /// Every site's inbound channel, indexed by site.
     peers: Vec<crossbeam::channel::Sender<SiteMsg>>,
     shared: Arc<Shared>,
-    chaos: Arc<ChaosCtl>,
+    /// A private copy of the fault rules in force, as of `seen_version`.
+    faults: Faults,
     submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
     latency: Histogram,
     /// Jitter and loss draws.
@@ -1040,7 +957,7 @@ impl SiteWorker {
                 self.drain_at_stop(&rx);
                 break;
             }
-            self.release_parked();
+            self.refresh_faults();
             self.deliver_due();
             let drain_limit = self.effective_drain_limit(cfg_limit);
             let timeout = self
@@ -1092,17 +1009,11 @@ impl SiteWorker {
             match msg {
                 // A nested stall/pressure while frozen is meaningless;
                 // swallow it (schedules never overlap windows anyway).
-                SiteCtrl::Stall(_) | SiteCtrl::Pressure { .. } if self.frozen.is_some() => {}
+                SiteCtrl::Stall(_) | SiteCtrl::Pressure { .. } if self.io.is_frozen() => {}
                 SiteCtrl::Stall(d) => self.stall(d),
                 SiteCtrl::Pressure { drain_limit, dur } => {
                     self.pressure = Some((drain_limit.max(1), Instant::now() + dur));
                 }
-                SiteCtrl::Freeze => {
-                    self.frozen.get_or_insert_with(Frozen::default);
-                }
-                // A thaw without a matching freeze is stale (recover raced
-                // crash) and finds nothing to take.
-                SiteCtrl::Thaw => self.thaw(),
             }
         }
     }
@@ -1130,7 +1041,7 @@ impl SiteWorker {
     /// fail-stop-recover without state transfer; the simulator remains
     /// the oracle for recovery-with-state-transfer.
     fn thaw(&mut self) {
-        let Some(frozen) = self.frozen.take() else { return };
+        let frozen = std::mem::take(&mut self.frozen);
         self.io.heap.extend(frozen.due);
         for request in frozen.backlog {
             self.submit(request);
@@ -1158,10 +1069,8 @@ impl SiteWorker {
                 let to = self.io.me;
                 self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
             }
-            SiteMsg::Submit { request } => match &mut self.frozen {
-                Some(frozen) => frozen.backlog.push(request),
-                None => self.submit(request),
-            },
+            SiteMsg::Submit { request } if self.io.is_frozen() => self.frozen.backlog.push(request),
+            SiteMsg::Submit { request } => self.submit(request),
         }
     }
 
@@ -1182,11 +1091,11 @@ impl SiteWorker {
         self.io.shared.in_flight.add(-delivered);
     }
 
-    /// One pass over everything due in the heap, in due order. The fault
-    /// rules apply here, at the receiver: a wire whose link is cut or
-    /// whose destination is isolated is parked, a "lost" one is charged a
-    /// retransmission delay. The wires left are delivered as one batch; a
-    /// timer or completion in between flushes the wires before it.
+    /// One pass over everything due in the heap, in due order. The cut
+    /// and the down sites apply here, at the receiver: a wire whose link
+    /// is cut or whose destination is down is parked. The wires left are
+    /// delivered as one batch; a timer or completion in between flushes
+    /// the wires before it.
     fn deliver_due(&mut self) {
         let now = Instant::now();
         let me = self.io.me;
@@ -1198,22 +1107,15 @@ impl SiteWorker {
                     self.io.hand_off(to, due, wire);
                     continue;
                 }
-                Pending::Wire { from, wire, .. } if self.io.chaos.blocked(from, me) => {
-                    self.io.chaos.held.fetch_add(1, Ordering::AcqRel);
+                Pending::Wire { from, wire, .. } if self.io.blocked(from) => {
+                    self.io.shared.held.fetch_add(1, Ordering::AcqRel);
                     self.parked.push((from, wire));
-                    continue;
-                }
-                Pending::Wire { to, from, wire } if self.io.lost() => {
-                    // "Lost": charge a retransmission delay. The wire never
-                    // leaves the accounting, same as the sim.
-                    let due = now + self.io.cfg.net_delay.max(Duration::from_micros(500));
-                    self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
                     continue;
                 }
                 item => item,
             };
-            if let Some(frozen) = &mut self.frozen {
-                frozen.due.push(Due { due, item });
+            if self.io.is_frozen() {
+                self.frozen.due.push(Due { due, item });
                 continue;
             }
             match item {
@@ -1233,26 +1135,29 @@ impl SiteWorker {
         self.flush(&mut wires);
     }
 
-    /// Releases, on a topology change, every parked wire that can now
-    /// cross. Staggered due instants keep a large release from landing as
-    /// one burst on a just-thawed site.
-    fn release_parked(&mut self) {
-        let version = self.io.chaos.version.load(Ordering::Acquire);
+    /// Copies the fault rules again when they changed: a site that is up
+    /// again thaws, and every parked wire that can cross now is released,
+    /// [`REPLAY_GAP`] apart in parking order as the simulator replays.
+    fn refresh_faults(&mut self) {
+        let version = self.io.shared.version.load(Ordering::Acquire);
         if version == self.seen_version {
             return;
         }
         self.seen_version = version;
+        self.io.faults = self.io.shared.faults.lock().clone();
         let (now, to) = (Instant::now(), self.io.me);
-        let mut released = 0u32;
+        let mut due = now;
         for (from, wire) in std::mem::take(&mut self.parked) {
-            if self.io.chaos.blocked(from, to) {
+            if self.io.blocked(from) {
                 self.parked.push((from, wire));
                 continue;
             }
-            self.io.chaos.held.fetch_sub(1, Ordering::AcqRel);
-            let due = now + RELEASE_STAGGER * released;
-            released += 1;
+            self.io.shared.held.fetch_sub(1, Ordering::AcqRel);
+            due += REPLAY_GAP;
             self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
+        }
+        if !self.io.is_frozen() {
+            self.thaw();
         }
     }
 
@@ -1279,21 +1184,33 @@ impl SiteWorker {
 
 impl LiveIo {
     /// When a wire sent now is due: the base delay plus jitter, the jitter
-    /// stretched during a jitter spike (the spread, not the base delay,
-    /// mirroring the sim's scaled jitter draw).
+    /// stretched by the jitter scale in force (the spread, not the base
+    /// delay, as the simulator scales its jitter draw), and a
+    /// retransmission delay for each time the loss in force claims it, as
+    /// the simulator charges a loss: the wire is late, never dropped.
     fn due(&mut self, now: Instant) -> Instant {
         let span = self.cfg.net_jitter;
-        if span.is_zero() {
-            return now + self.cfg.net_delay;
+        let mut due = now + self.cfg.net_delay;
+        if !span.is_zero() {
+            due += span.mul_f64(self.faults.jitter_scale() * self.rng.uniform_f64());
         }
-        now + self.cfg.net_delay + span.mul_f64(self.chaos.jitter_scale() * self.rng.uniform_f64())
+        let loss = self.faults.loss(0.0);
+        while loss > 0.0 && self.rng.chance(loss) {
+            due += self.cfg.net_delay.max(Duration::from_micros(500));
+        }
+        due
     }
 
-    /// Whether a loss burst claims the wire being delivered (never in the
-    /// teardown drain, which must terminate).
-    fn lost(&mut self) -> bool {
-        let loss = self.chaos.loss();
-        !self.stopping && loss > 0.0 && self.rng.uniform_f64() < loss
+    /// Whether the faults in force park a wire from `from` to this site:
+    /// the cut separates them, or this site is down.
+    fn blocked(&self, from: SiteId) -> bool {
+        self.faults.is_down(self.me) || self.faults.cut(from, self.me)
+    }
+
+    /// Whether this site holds back its timers, completions and
+    /// submissions: it is down, and the teardown drain has not begun.
+    fn is_frozen(&self) -> bool {
+        !self.stopping && self.faults.is_down(self.me)
     }
 
     /// Hands a wire of this site's, counted in flight by the caller, to

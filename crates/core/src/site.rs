@@ -43,9 +43,9 @@ use crate::cluster::{EngineKind, Mode, TxnPayload};
 use crate::event::{ExecToken, ReplicaAction};
 use crate::replica::Replica;
 use otp_broadcast::{
-    AtomicBroadcast, EngineAction, EngineCtx, EngineSnapshot, GroupId, MsgId, OptAbcast,
-    OptAbcastConfig, Oracle, OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast, TimerToken,
-    Wire,
+    AtomicBroadcast, EngineAction, EngineCounters, EngineCtx, EngineSnapshot, GroupId, MsgId,
+    OptAbcast, OptAbcastConfig, Oracle, OrderDomain, ScrambleConfig, ScrambledAbcast, SeqAbcast,
+    TimerToken, Wire,
 };
 use otp_simnet::sched::{Arrival, Data, Input, Output, Outputs};
 use otp_simnet::{SimRng, SimTime, SiteId};
@@ -141,9 +141,9 @@ pub(crate) const ENGINE_COUNTERS: [&str; 3] = ["stale_epoch_reject", "fast_decid
 /// (`scope` = its site and order domain). The engine bumps them in place
 /// of private tallies, so the registry is the one place the counts live.
 fn attach_engine_counters(engine: &mut Engine, metrics: &MetricsRegistry, scope: Scope) {
-    let [stale, fast, slow] = ENGINE_COUNTERS.map(|name| metrics.counter(name, scope));
-    engine.set_stale_counter(stale);
-    engine.set_decide_counters(fast, slow);
+    let [stale_reject, fast_decide, slow_decide] =
+        ENGINE_COUNTERS.map(|name| metrics.counter(name, scope));
+    engine.attach_counters(EngineCounters { stale_reject, fast_decide, slow_decide });
 }
 
 /// One `mode` replica per site `0..sites`, each over its own copy of a

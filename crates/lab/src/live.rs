@@ -20,9 +20,9 @@
 //! doubles as the fault-free control.
 //!
 //! Live crash semantics differ from the simulator's on purpose: the live
-//! driver freezes the victim's thread and isolates it (fail-stop, no
-//! state loss), while the simulator loses state and recovers by state
-//! transfer. Both must end in the same place — that is the point of the
+//! driver freezes the victim's thread while the shared fault rules say it
+//! is down, parking what is sent to it (fail-stop, no state loss), while
+//! the simulator loses state and recovers by state transfer. Both must end in the same place — that is the point of the
 //! conformance check; the simulator remains the oracle for the recovery
 //! protocol itself.
 
@@ -62,7 +62,7 @@ pub const DEFAULT_LIVE_TXNS: u64 = 40;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiveFault {
     /// Crash + recover one site (sim: state loss + transfer; live:
-    /// freeze + isolate, then thaw).
+    /// frozen while down, then thawed).
     Crash,
     /// Partition one site away from the majority, then heal.
     Partition,

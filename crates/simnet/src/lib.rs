@@ -12,12 +12,15 @@
 //!   FIFO tie-breaking;
 //! * [`rng`] — seeded random streams and the distributions the models
 //!   need ([`rng::SimRng`], [`rng::Zipf`]);
-//! * [`net`] — shared-bus LAN multicast with per-receiver jitter, loss,
-//!   crash and partition injection ([`net::MulticastNet`]) — the physics
-//!   behind *spontaneous total order* (the paper's Figure 1);
+//! * [`net`] — shared-bus LAN multicast with per-receiver jitter and loss
+//!   ([`net::MulticastNet`]) — the physics behind *spontaneous total
+//!   order* (the paper's Figure 1);
 //! * [`nemesis`] — seed-deterministic fault schedules
 //!   ([`nemesis::NemesisSchedule`]): partitions, crashes, loss bursts and
 //!   jitter spikes generated from intensity knobs, for chaos testing;
+//! * [`faults`] — the fault rules in force ([`faults::Faults`]) and the one
+//!   interpreter of the fault vocabulary, shared by the simulator and the
+//!   threaded runtime;
 //! * [`sched`] — the one deterministic scheduler ([`sched::Sched`]) every
 //!   simulated part runs on: event order, links, crashes with
 //!   per-incarnation timers and work, held wires and their replay;
@@ -46,6 +49,7 @@
 //! ```
 
 pub mod event;
+pub mod faults;
 pub mod metrics;
 pub mod nemesis;
 pub mod net;
@@ -54,6 +58,7 @@ pub mod sched;
 pub mod time;
 
 pub use event::EventQueue;
+pub use faults::Faults;
 pub use nemesis::{NemesisEvent, NemesisKnobs, NemesisSchedule};
 pub use net::{MulticastNet, NetConfig, SiteId};
 pub use rng::{DurationDist, SimRng};

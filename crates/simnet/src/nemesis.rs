@@ -6,7 +6,8 @@
 //! This module turns "imagine a bad network" into an enumerable surface: a
 //! [`NemesisSchedule`] is a timed list of [`NemesisEvent`]s generated
 //! *deterministically* from `(seed, sites, horizon, knobs)`, so any failing
-//! run is reproducible from a single seed.
+//! run is reproducible from a single seed. What each event does is written
+//! once, for both drivers, in [`Faults::apply`](crate::faults::Faults::apply).
 //!
 //! The generator is deliberately conservative so that every generated
 //! schedule is *survivable* by construction:
@@ -112,6 +113,23 @@ pub enum NemesisEvent {
         /// How long the throttle lasts.
         duration: SimDuration,
     },
+}
+
+impl NemesisEvent {
+    /// Whether the event changes which wires can arrive (a cut, a heal, a
+    /// crash or a recovery): a driver that batches arrivals delivers what
+    /// arrived before it first. What the event does is [`Faults::apply`]'s.
+    ///
+    /// [`Faults::apply`]: crate::faults::Faults::apply
+    pub fn changes_topology(&self) -> bool {
+        matches!(
+            self,
+            NemesisEvent::PartitionHalves { .. }
+                | NemesisEvent::Heal
+                | NemesisEvent::Crash { .. }
+                | NemesisEvent::Recover { .. }
+        )
+    }
 }
 
 /// Intensity knobs for [`NemesisSchedule::generate`]: how many windows of

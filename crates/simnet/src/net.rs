@@ -16,16 +16,16 @@
 //! * optional per-receiver loss is modeled as a retransmission *delay*
 //!   (geometric number of timeouts), preserving the paper's reliable-
 //!   channel assumption ("a message sent by Nᵢ to Nⱼ is eventually
-//!   received by Nⱼ"),
-//! * links can be cut to emulate partitions until the nemesis heals them
-//!   ([`MulticastNet::partition_halves`], [`MulticastNet::pair_blocked`]).
+//!   received by Nⱼ").
 //!
 //! The model is a *timing calculator*: it maps a send to per-receiver
-//! arrival instants, for every receiver, up or not. The scheduler
-//! ([`crate::sched::Sched`]) owns the event queue, schedules the receive
-//! events and holds what a crash or a cut keeps from a site, so
-//! reliability is preserved across both; this keeps the network model
-//! independent of the message type flowing through it.
+//! arrival instants, for every receiver, up or not. The faults in force
+//! ([`Faults`]: a loss burst, a jitter spike) come with each send the
+//! scheduler makes; the scheduler ([`crate::sched::Sched`]) owns them,
+//! owns the event queue, schedules the receive events and holds what a
+//! crash or a cut keeps from a site, so reliability is preserved across
+//! both; this keeps the network model independent of the message type
+//! flowing through it.
 //!
 //! # Examples
 //!
@@ -40,10 +40,10 @@
 //! assert_eq!(arrivals.len(), 4); // every site, including the sender
 //! ```
 
+use crate::faults::Faults;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Identifier of a site (replica host) in the system.
@@ -224,8 +224,7 @@ pub struct Delivery {
 
 /// The shared-medium multicast network.
 ///
-/// Tracks the wire occupancy (for serialization of frames) and blocked
-/// links (partitions). See the module
+/// Tracks the wire occupancy (for serialization of frames). See the module
 /// documentation for the model.
 #[derive(Debug)]
 pub struct MulticastNet {
@@ -237,38 +236,25 @@ pub struct MulticastNet {
     /// unsegmented network has exactly one entry, which reproduces the
     /// single-shared-bus model byte for byte.
     wires: Vec<SimTime>,
-    /// Indefinitely blocked directed links (nemesis partitions): the driver
-    /// holds deliveries crossing these pairs until [`MulticastNet::heal`].
-    blocked_pairs: HashSet<(SiteId, SiteId)>,
-    /// Temporary loss probability replacing the configured baseline
-    /// (nemesis loss burst).
-    loss_override: Option<f64>,
-    /// Multiplier on the configured receive jitter (nemesis jitter spike).
-    jitter_scale: f64,
-    /// Pre-scaled jitter mean in seconds (`jitter_mean × jitter_scale`).
+    /// The configured jitter mean in seconds.
     /// [`MulticastNet::receiver_arrival`] runs once per `(message,
     /// receiver)` pair — the hottest call in the whole simulation — so the
-    /// duration→f64 conversions and the scale multiply are hoisted here and
-    /// recomputed only when the scale changes. The *sampling* is untouched:
-    /// the rng stream and every arrival instant stay byte-identical.
+    /// duration→f64 conversion is hoisted here.
     jitter_mean_s: f64,
-    /// Pre-scaled jitter standard deviation in seconds.
+    /// The configured jitter standard deviation in seconds.
     jitter_std_s: f64,
     sent_frames: u64,
     sent_bytes: u64,
 }
 
 impl MulticastNet {
-    /// Creates a network with all sites up and no partitions.
+    /// Creates a network.
     pub fn new(config: NetConfig) -> Self {
         let jitter_mean_s = config.jitter_mean.as_secs_f64();
         let jitter_std_s = config.jitter_std.as_secs_f64();
         MulticastNet {
             config,
             wires: vec![SimTime::ZERO],
-            blocked_pairs: HashSet::new(),
-            loss_override: None,
-            jitter_scale: 1.0,
             jitter_mean_s,
             jitter_std_s,
             sent_frames: 0,
@@ -285,9 +271,8 @@ impl MulticastNet {
     /// single shared bus into a switched topology: segment 0 stays the
     /// shared backbone (inter-group links, relay traffic), segments
     /// `1..=n` are per-group collision domains whose frames serialize only
-    /// against their own segment. Crash, partition, loss and jitter state
-    /// are properties of sites and links, so they apply across all
-    /// segments unchanged.
+    /// against their own segment. Faults are properties of sites and
+    /// links, so they apply across all segments unchanged.
     pub fn add_segments(&mut self, n: usize) {
         let len = self.wires.len() + n;
         self.wires.resize(len, SimTime::ZERO);
@@ -309,13 +294,14 @@ impl MulticastNet {
     }
 
     /// Computes per-receiver arrivals for a multicast of `payload_bytes`
-    /// sent at `now` by `_from` (the bus times every sender alike). Every
-    /// site — including the sender, which receives its own multicast
-    /// through the loopback of the stack — gets a delivery.
+    /// sent at `now` by `_from` (the bus times every sender alike), with
+    /// no fault in force. Every site — including the sender, which
+    /// receives its own multicast through the loopback of the stack — gets
+    /// a delivery.
     ///
     /// Deliveries to crashed sites are returned too (the scheduler holds
     /// them — the channel is reliable), and so are deliveries over cut
-    /// links ([`MulticastNet::pair_blocked`]).
+    /// links.
     pub fn multicast(
         &mut self,
         _from: SiteId,
@@ -325,9 +311,10 @@ impl MulticastNet {
     ) -> Vec<Delivery> {
         let wire_done = self.occupy_wire(0, payload_bytes, now);
         let sites = self.config.sites;
+        let calm = Faults::new(0);
         let mut out = Vec::with_capacity(sites);
         for to in SiteId::all(sites) {
-            let arrival = self.receiver_arrival(wire_done, rng);
+            let arrival = self.receiver_arrival(wire_done, &calm, rng);
             out.push(Delivery { to, arrival });
         }
         out
@@ -337,52 +324,42 @@ impl MulticastNet {
     /// explicit member set instead of every site, on an explicit wire
     /// segment: one wire occupancy, one delivery per target (the sender
     /// gets its loopback delivery only when it is itself a target), and
-    /// the frame serializes only against that segment's earlier frames.
-    /// The sharded cluster puts each group's stream on the group's own
-    /// segment and relay traffic on the backbone (segment 0).
+    /// the frame serializes only against that segment's earlier frames,
+    /// under the loss and jitter `faults` put in force. The sharded
+    /// cluster puts each group's stream on the group's own segment and
+    /// relay traffic on the backbone (segment 0).
     pub fn multicast_to_on(
         &mut self,
         segment: usize,
-        _from: SiteId,
         targets: &[SiteId],
         payload_bytes: u32,
         now: SimTime,
+        faults: &Faults,
         rng: &mut SimRng,
     ) -> Vec<Delivery> {
         let wire_done = self.occupy_wire(segment, payload_bytes, now);
         let mut out = Vec::with_capacity(targets.len());
         for &to in targets {
-            let arrival = self.receiver_arrival(wire_done, rng);
+            let arrival = self.receiver_arrival(wire_done, faults, rng);
             out.push(Delivery { to, arrival });
         }
         out
     }
 
-    /// Computes the arrival for a point-to-point message. Unicasts share
-    /// the same medium as multicasts (it is one wire).
-    pub fn unicast(
-        &mut self,
-        from: SiteId,
-        to: SiteId,
-        payload_bytes: u32,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Delivery {
-        self.unicast_on(0, from, to, payload_bytes, now, rng)
-    }
-
-    /// [`MulticastNet::unicast`] on an explicit wire segment.
+    /// Computes the arrival of a point-to-point message on a wire segment,
+    /// under the loss and jitter `faults` put in force. Unicasts share the
+    /// medium with multicasts (it is one wire).
     pub fn unicast_on(
         &mut self,
         segment: usize,
-        _from: SiteId,
         to: SiteId,
         payload_bytes: u32,
         now: SimTime,
+        faults: &Faults,
         rng: &mut SimRng,
     ) -> Delivery {
         let wire_done = self.occupy_wire(segment, payload_bytes, now);
-        let arrival = self.receiver_arrival(wire_done, rng);
+        let arrival = self.receiver_arrival(wire_done, faults, rng);
         Delivery { to, arrival }
     }
 
@@ -397,9 +374,10 @@ impl MulticastNet {
 
     /// One receiver's arrival for a frame off the wire at `wire_done`:
     /// every link is alike, so the sender and the receiver do not enter.
-    fn receiver_arrival(&self, wire_done: SimTime, rng: &mut SimRng) -> SimTime {
-        let jitter =
-            SimDuration::from_secs_f64(rng.normal_min(self.jitter_mean_s, self.jitter_std_s, 0.0));
+    fn receiver_arrival(&self, wire_done: SimTime, faults: &Faults, rng: &mut SimRng) -> SimTime {
+        let scale = faults.jitter_scale();
+        let (mean, std) = (self.jitter_mean_s * scale, self.jitter_std_s * scale);
+        let jitter = SimDuration::from_secs_f64(rng.normal_min(mean, std, 0.0));
         let mut arrival = wire_done + self.config.propagation + jitter;
         // Rare receive-path processing spike.
         if self.config.spike_probability > 0.0 && rng.chance(self.config.spike_probability) {
@@ -408,57 +386,26 @@ impl MulticastNet {
         }
         // Loss → geometric number of retransmission rounds, each adding a
         // fixed delay. The message is never dropped: channels are reliable.
-        let loss = self.loss_override.unwrap_or(self.config.loss_probability);
+        let loss = faults.loss(self.config.loss_probability);
         while loss > 0.0 && rng.chance(loss) {
             arrival += self.config.retransmit_delay;
         }
         arrival
-    }
-
-    /// Splits the network into `group_a` versus everyone else by blocking
-    /// every cross-group directed link in both directions.
-    pub fn partition_halves(&mut self, group_a: &[SiteId]) {
-        let a: HashSet<SiteId> = group_a.iter().copied().collect();
-        for x in SiteId::all(self.config.sites) {
-            for y in SiteId::all(self.config.sites) {
-                if x != y && a.contains(&x) != a.contains(&y) {
-                    self.blocked_pairs.insert((x, y));
-                }
-            }
-        }
-    }
-
-    /// Removes every indefinitely blocked pair (heals all partitions).
-    pub fn heal(&mut self) {
-        self.blocked_pairs.clear();
-    }
-
-    /// Whether the directed link `from → to` is currently cut by a
-    /// partition.
-    pub fn pair_blocked(&self, from: SiteId, to: SiteId) -> bool {
-        self.blocked_pairs.contains(&(from, to))
-    }
-
-    /// Replaces the configured loss probability (`Some(p)` during a nemesis
-    /// loss burst, `None` to restore the baseline).
-    pub fn set_loss_override(&mut self, p: Option<f64>) {
-        self.loss_override = p.map(|v| v.clamp(0.0, 0.999));
-    }
-
-    /// Scales the configured receive jitter (1.0 restores the baseline).
-    pub fn set_jitter_scale(&mut self, scale: f64) {
-        self.jitter_scale = if scale.is_finite() && scale > 0.0 { scale } else { 1.0 };
-        self.jitter_mean_s = self.config.jitter_mean.as_secs_f64() * self.jitter_scale;
-        self.jitter_std_s = self.config.jitter_std.as_secs_f64() * self.jitter_scale;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nemesis::NemesisEvent;
 
     fn rng() -> SimRng {
         SimRng::seed_from(42)
+    }
+
+    /// The arrival at site 1 of a 64-byte unicast sent at `now`.
+    fn unicast(net: &mut MulticastNet, now: SimTime, faults: &Faults, r: &mut SimRng) -> SimTime {
+        net.unicast_on(0, SiteId::new(1), 64, now, faults, r).arrival
     }
 
     #[test]
@@ -518,16 +465,17 @@ mod tests {
         let mut r = rng();
         let g0: Vec<SiteId> = (0..4).map(SiteId::new).collect();
         let g1: Vec<SiteId> = (4..8).map(SiteId::new).collect();
-        let a = net.multicast_to_on(1, SiteId::new(0), &g0, 500, SimTime::ZERO, &mut r);
-        let b = net.multicast_to_on(2, SiteId::new(4), &g1, 500, SimTime::ZERO, &mut r);
+        let f = Faults::new(8);
+        let a = net.multicast_to_on(1, &g0, 500, SimTime::ZERO, &f, &mut r);
+        let b = net.multicast_to_on(2, &g1, 500, SimTime::ZERO, &f, &mut r);
         // Independent segments transmit concurrently: with zero jitter the
         // two frames arrive at the same instant instead of queueing.
         assert_eq!(a[0].arrival, b[0].arrival);
         // A second frame on an occupied segment queues behind the first.
-        let c = net.multicast_to_on(1, SiteId::new(1), &g0, 500, SimTime::ZERO, &mut r);
+        let c = net.multicast_to_on(1, &g0, 500, SimTime::ZERO, &f, &mut r);
         assert!(c[0].arrival > a[0].arrival);
         // The backbone is its own segment too.
-        let d = net.unicast_on(0, SiteId::new(0), SiteId::new(7), 500, SimTime::ZERO, &mut r);
+        let d = net.unicast_on(0, SiteId::new(7), 500, SimTime::ZERO, &f, &mut r);
         assert_eq!(d.arrival, a[0].arrival);
     }
 
@@ -558,8 +506,8 @@ mod tests {
         let mut delayed = 0;
         for i in 0..100 {
             let now = SimTime::from_millis(i * 20);
-            let d = net.unicast(SiteId::new(0), SiteId::new(1), 64, now, &mut r);
-            if d.arrival.saturating_since(now) >= SimDuration::from_millis(5) {
+            let arrival = unicast(&mut net, now, &Faults::new(2), &mut r);
+            if arrival.saturating_since(now) >= SimDuration::from_millis(5) {
                 delayed += 1;
             }
         }
@@ -576,8 +524,8 @@ mod tests {
         let mut spiked = 0;
         for i in 0..200 {
             let now = SimTime::from_millis(i * 10);
-            let d = net.unicast(SiteId::new(0), SiteId::new(1), 64, now, &mut r);
-            if d.arrival.saturating_since(now) > SimDuration::from_millis(1) {
+            let arrival = unicast(&mut net, now, &Faults::new(2), &mut r);
+            if arrival.saturating_since(now) > SimDuration::from_millis(1) {
                 spiked += 1;
             }
         }
@@ -594,41 +542,29 @@ mod tests {
     }
 
     #[test]
-    fn partition_halves_blocks_exactly_the_cross_pairs() {
-        let mut net = MulticastNet::new(NetConfig::lan_10mbps(4));
-        net.partition_halves(&[SiteId::new(0), SiteId::new(3)]);
-        assert!(net.pair_blocked(SiteId::new(0), SiteId::new(1)));
-        assert!(net.pair_blocked(SiteId::new(1), SiteId::new(0)));
-        assert!(net.pair_blocked(SiteId::new(3), SiteId::new(2)));
-        assert!(!net.pair_blocked(SiteId::new(0), SiteId::new(3)), "same side");
-        assert!(!net.pair_blocked(SiteId::new(1), SiteId::new(2)), "same side");
-        assert!(!net.pair_blocked(SiteId::new(0), SiteId::new(0)), "loopback never cut");
-        net.heal();
-        assert!(!net.pair_blocked(SiteId::new(0), SiteId::new(1)));
-    }
-
-    #[test]
     fn loss_override_raises_and_restores_delay_behaviour() {
-        // Baseline has zero loss; the override must introduce retransmit
-        // delays, and clearing it must restore clean arrivals.
+        // Baseline has zero loss; a loss burst must introduce retransmit
+        // delays, and ending it must restore clean arrivals.
         let cfg = NetConfig::lan_10mbps(2).with_jitter(SimDuration::ZERO, SimDuration::ZERO);
         let mut net = MulticastNet::new(cfg);
         let mut r = rng();
-        net.set_loss_override(Some(0.9));
+        let mut faults = Faults::new(2);
+        faults.apply(&NemesisEvent::LossBurst { probability: 0.9 });
         let mut delayed = 0;
         for i in 0..50 {
             let now = SimTime::from_millis(i * 20);
-            let d = net.unicast(SiteId::new(0), SiteId::new(1), 64, now, &mut r);
-            if d.arrival.saturating_since(now) >= SimDuration::from_millis(5) {
+            if unicast(&mut net, now, &faults, &mut r).saturating_since(now)
+                >= SimDuration::from_millis(5)
+            {
                 delayed += 1;
             }
         }
         assert!(delayed > 25, "p=0.9 burst must delay most messages: {delayed}");
-        net.set_loss_override(None);
+        faults.apply(&NemesisEvent::LossEnd);
         for i in 50..80 {
             let now = SimTime::from_millis(i * 20);
-            let d = net.unicast(SiteId::new(0), SiteId::new(1), 64, now, &mut r);
-            assert!(d.arrival.saturating_since(now) < SimDuration::from_millis(5));
+            let arrival = unicast(&mut net, now, &faults, &mut r);
+            assert!(arrival.saturating_since(now) < SimDuration::from_millis(5));
         }
     }
 
@@ -638,21 +574,19 @@ mod tests {
             NetConfig::lan_10mbps(2).with_jitter(SimDuration::from_micros(100), SimDuration::ZERO);
         let mut net = MulticastNet::new(cfg);
         let mut r = rng();
-        let base = net.unicast(SiteId::new(0), SiteId::new(1), 64, SimTime::ZERO, &mut r);
-        net.set_jitter_scale(10.0);
+        let mut faults = Faults::new(2);
+        let base = unicast(&mut net, SimTime::ZERO, &faults, &mut r);
+        faults.apply(&NemesisEvent::JitterSpike { scale: 10.0 });
         let now = SimTime::from_millis(10);
-        let spiked = net.unicast(SiteId::new(0), SiteId::new(1), 64, now, &mut r);
+        let spiked = unicast(&mut net, now, &faults, &mut r);
         assert!(
-            spiked.arrival.saturating_since(now) > base.arrival.saturating_since(SimTime::ZERO),
+            spiked.saturating_since(now) > base.saturating_since(SimTime::ZERO),
             "scaled jitter dominates"
         );
-        net.set_jitter_scale(0.0); // invalid → restores 1.0
+        faults.apply(&NemesisEvent::JitterSpike { scale: 0.0 }); // invalid → 1.0
         let now2 = SimTime::from_millis(20);
-        let restored = net.unicast(SiteId::new(0), SiteId::new(1), 64, now2, &mut r);
-        assert_eq!(
-            restored.arrival.saturating_since(now2),
-            base.arrival.saturating_since(SimTime::ZERO)
-        );
+        let restored = unicast(&mut net, now2, &faults, &mut r);
+        assert_eq!(restored.saturating_since(now2), base.saturating_since(SimTime::ZERO));
     }
 
     #[test]
@@ -661,7 +595,7 @@ mod tests {
             NetConfig::lan_10mbps(3).with_jitter(SimDuration::ZERO, SimDuration::ZERO),
         );
         let mut r = rng();
-        let d1 = net.unicast(SiteId::new(0), SiteId::new(1), 1000, SimTime::ZERO, &mut r);
+        let d1 = net.unicast_on(0, SiteId::new(1), 1000, SimTime::ZERO, &Faults::new(3), &mut r);
         let ds = net.multicast(SiteId::new(2), 1000, SimTime::ZERO, &mut r);
         assert!(ds[0].arrival > d1.arrival, "multicast queued behind the unicast");
     }

@@ -11,11 +11,15 @@
 //!   ([`Group`]);
 //! * wire batching: an adjacent run of same-instant wires to one site
 //!   reaches the node as one [`Input::Wires`] batch;
+//! * the fault rules in force ([`Faults`], the one value both drivers
+//!   keep them in, changed through [`Sched::fault`]): loss and jitter for
+//!   the links, and which sites are down and which links are cut;
 //! * crashes: a crashed site's local work dies with its incarnation, its
 //!   timers fire only while it is up, and wires addressed to it are held
 //!   (or dropped, per [`Data::held_while_down`]);
-//! * partitions: a wire over a cut link is held until [`Sched::heal`];
-//! * replay: held wires are delivered again 10 µs apart, in hold order.
+//! * partitions: a wire over a cut link is held until the cut heals;
+//! * replay: held wires are delivered again [`REPLAY_GAP`] apart, in hold
+//!   order.
 //!
 //! A node is plain data in, plain data out: [`Node::handle`] gets an
 //! [`Input`] and pushes [`Output`]s. The simple drivers hand the whole
@@ -59,12 +63,15 @@
 //! ```
 
 use crate::event::EventQueue;
+use crate::faults::{Faults, Todo};
+use crate::nemesis::NemesisEvent;
 use crate::net::{MulticastNet, SiteId};
 use crate::rng::{DurationDist, SimRng};
 use crate::time::{SimDuration, SimTime};
 
 /// Gap between two replayed held wires (and from the replay instant to
-/// the first of them).
+/// the first of them), for both drivers: the threaded runtime releases
+/// the wires a healed cut or a recovered site held this far apart too.
 pub const REPLAY_GAP: SimDuration = SimDuration::from_micros(10);
 
 /// The plain-data vocabulary of one kind of node.
@@ -188,7 +195,7 @@ pub struct Group {
 /// How a wire travels.
 #[derive(Debug)]
 pub enum Links {
-    /// The modelled LAN: serialization, jitter, loss, partitions.
+    /// The modelled LAN: serialization, jitter, loss.
     Net(Box<MulticastNet>),
     /// A fixed delay per directed link `[from][to]`.
     Table(Vec<Vec<SimDuration>>),
@@ -213,7 +220,6 @@ enum Event<D: Data> {
 
 /// What the scheduler keeps per site.
 struct SiteState<W> {
-    up: bool,
     /// Incarnation, bumped at each crash: work carries the one it was
     /// started in.
     life: u32,
@@ -230,6 +236,9 @@ pub struct Sched<D: Data> {
     rng: SimRng,
     work_time: DurationDist,
     sites: Vec<SiteState<D::Wire>>,
+    /// The fault rules in force: which sites are up, which links are cut,
+    /// and the loss and jitter the links apply.
+    faults: Faults,
     /// Wires held at a partition cut, with their receiver, in hold order.
     cut: Vec<(SiteId, Arrival<D::Wire>)>,
     popped: u64,
@@ -250,7 +259,8 @@ impl<D: Data> Sched<D> {
             groups: vec![Group { segment: 0, members: SiteId::all(n).collect() }],
             rng,
             work_time: DurationDist::Fixed(SimDuration::ZERO),
-            sites: (0..n).map(|_| SiteState { up: true, life: 0, held: Vec::new() }).collect(),
+            sites: (0..n).map(|_| SiteState { life: 0, held: Vec::new() }).collect(),
+            faults: Faults::new(n),
             cut: Vec::new(),
             popped: 0,
             out: Vec::new(),
@@ -287,18 +297,6 @@ impl<D: Data> Sched<D> {
         }
     }
 
-    /// The modelled network and the random stream its draws take from.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the links are a delay table.
-    pub fn net_mut(&mut self) -> (&mut MulticastNet, &mut SimRng) {
-        match &mut self.links {
-            Links::Net(net) => (net, &mut self.rng),
-            Links::Table(_) => panic!("a delay table has no network"),
-        }
-    }
-
     /// The per-link delays.
     ///
     /// # Panics
@@ -318,7 +316,22 @@ impl<D: Data> Sched<D> {
 
     /// Whether `site` is up.
     pub fn is_up(&self, site: SiteId) -> bool {
-        self.sites[site.index()].up
+        !self.faults.is_down(site)
+    }
+
+    /// Puts `ev` in force now and returns what it leaves the driver to do
+    /// ([`Faults::apply`]): a crash or a recovery the driver carries out
+    /// with [`Sched::crash`] or [`Sched::restore`] and its own state. The
+    /// wires a cut held that can cross now replay, like
+    /// [`Sched::replay_held`].
+    pub fn fault(&mut self, ev: &NemesisEvent) -> Todo {
+        let todo = self.faults.apply(ev);
+        let (free, cut): (Vec<_>, Vec<_>) = std::mem::take(&mut self.cut)
+            .into_iter()
+            .partition(|(to, a)| !self.faults.cut(a.from, *to));
+        self.cut = cut;
+        self.replay(free.into_iter());
+        todo
     }
 
     /// `site`'s incarnation: the number of crashes it went through.
@@ -354,15 +367,14 @@ impl<D: Data> Sched<D> {
     /// it, pending timers wait for it to be up) and wires addressed to it
     /// are held from now on.
     pub fn crash(&mut self, site: SiteId) {
-        let s = &mut self.sites[site.index()];
-        s.up = false;
-        s.life += 1;
+        self.faults.set_down(site, true);
+        self.sites[site.index()].life += 1;
     }
 
     /// Brings `site` up again. What was held for it stays held until
     /// [`Sched::replay_held`].
     pub fn restore(&mut self, site: SiteId) {
-        self.sites[site.index()].up = true;
+        self.faults.set_down(site, false);
     }
 
     /// Holds `arrival` for `site` as if it had arrived while the site was
@@ -390,16 +402,6 @@ impl<D: Data> Sched<D> {
         self.replay(held.into_iter().map(|a| (site, a)));
     }
 
-    /// Heals every partition cut of the network and replays what the cuts
-    /// held, like [`Sched::replay_held`].
-    pub fn heal(&mut self) {
-        if let Links::Net(net) = &mut self.links {
-            net.heal();
-        }
-        let cut = std::mem::take(&mut self.cut);
-        self.replay(cut.into_iter());
-    }
-
     fn replay(&mut self, wires: impl Iterator<Item = (SiteId, Arrival<D::Wire>)>) {
         let now = self.queue.now();
         let mut delay = REPLAY_GAP;
@@ -411,24 +413,19 @@ impl<D: Data> Sched<D> {
 
     /// The wires of `batch` that `to` takes now: a wire to a down site is
     /// held for it (or dropped, [`Data::held_while_down`]), a wire over a
-    /// cut link is held until [`Sched::heal`].
+    /// cut link is held until the cut heals ([`Sched::fault`]).
     pub fn admit(&mut self, to: SiteId, batch: Vec<Arrival<D::Wire>>) -> Vec<Arrival<D::Wire>> {
-        let up = self.sites[to.index()].up;
-        let net = match &self.links {
-            Links::Net(net) => Some(net),
-            Links::Table(_) => None,
-        };
-        let cut = |from| net.is_some_and(|n| n.pair_blocked(from, to));
-        if up && !batch.iter().any(|a| cut(a.from)) {
+        let down = self.faults.is_down(to);
+        if !down && !batch.iter().any(|a| self.faults.cut(a.from, to)) {
             return batch;
         }
         let mut kept = Vec::with_capacity(batch.len());
         for arrival in batch {
-            if !up {
+            if down {
                 if D::held_while_down(&arrival.wire) {
                     self.sites[to.index()].held.push(arrival);
                 }
-            } else if cut(arrival.from) {
+            } else if self.faults.cut(arrival.from, to) {
                 self.cut.push((to, arrival));
             } else {
                 kept.push(arrival);
@@ -512,14 +509,8 @@ impl<D: Data> Sched<D> {
         for o in out.drain(..) {
             match o {
                 Output::Send { group, to, wire } => {
-                    let at = match &mut self.links {
-                        Links::Net(net) => {
-                            let (segment, size) =
-                                (self.groups[group as usize].segment, D::wire_size(&wire));
-                            net.unicast_on(segment, site, to, size, now, &mut self.rng).arrival
-                        }
-                        Links::Table(t) => now + t[site.index()][to.index()],
-                    };
+                    let segment = self.groups[group as usize].segment;
+                    let at = self.arrival(segment, site, to, D::wire_size(&wire));
                     let arrival = Arrival { from: site, group, wire };
                     self.queue.schedule(at, Event::Wire { to, arrival });
                 }
@@ -536,14 +527,28 @@ impl<D: Data> Sched<D> {
         }
     }
 
+    /// When a frame of `size` bytes that `from` sends now on `segment`
+    /// reaches `to`: the modelled network's timing under the faults in
+    /// force, or the table's delay.
+    pub fn arrival(&mut self, segment: usize, from: SiteId, to: SiteId, size: u32) -> SimTime {
+        let now = self.queue.now();
+        match &mut self.links {
+            Links::Net(net) => {
+                net.unicast_on(segment, to, size, now, &self.faults, &mut self.rng).arrival
+            }
+            Links::Table(t) => now + t[from.index()][to.index()],
+        }
+    }
+
     /// Schedules `wire`'s arrival at every member of `group`; the last
     /// arrival takes the wire, the others clone it.
     fn multicast(&mut self, from: SiteId, group: u16, wire: D::Wire) {
         let now = self.queue.now();
         let Group { segment, members } = &self.groups[group as usize];
+        let size = D::wire_size(&wire);
         let arrivals: Vec<(SiteId, SimTime)> = match &mut self.links {
             Links::Net(net) => net
-                .multicast_to_on(*segment, from, members, D::wire_size(&wire), now, &mut self.rng)
+                .multicast_to_on(*segment, members, size, now, &self.faults, &mut self.rng)
                 .into_iter()
                 .map(|d| (d.to, d.arrival))
                 .collect(),
@@ -748,16 +753,16 @@ mod tests {
 
     #[test]
     fn a_cut_link_holds_its_wires_until_the_heal() {
-        let mut net = MulticastNet::new(crate::NetConfig::lan_fast(3));
-        net.partition_halves(&[SiteId::new(1)]);
+        let net = MulticastNet::new(crate::NetConfig::lan_fast(3));
         let mut s: Sched<Probe> = Sched::new(Links::Net(Box::new(net)), SimRng::seed_from(2));
+        s.fault(&NemesisEvent::PartitionHalves { group_a: vec![SiteId::new(1)] });
         s.schedule_submit(SimTime::ZERO, SiteId::new(0), 9);
         let mut probe = Probe::default();
         s.run_until(SimTime::from_millis(50), &mut probe, |_, _, ()| {});
         assert!(probe.seen.iter().all(|(a, _, _)| *a != SiteId::new(1)), "nothing crossed");
         assert_eq!(s.held().count(), 1);
         let healed = s.now();
-        s.heal();
+        assert_eq!(s.fault(&NemesisEvent::Heal), Todo::Nothing);
         s.run_until(SimTime::from_secs(1), &mut probe, |_, _, ()| {});
         let at_1: Vec<_> = probe.seen.iter().filter(|(a, _, _)| *a == SiteId::new(1)).collect();
         assert_eq!(at_1.len(), 1);

@@ -198,3 +198,93 @@ fn one_replica() {
     assert!(files.contains(&home), "the replica moved: update this test");
     assert!(offenders.is_empty(), "a second replica: {offenders:?}");
 }
+
+/// One interpreter of the fault vocabulary (DESIGN.md §10): what a
+/// `NemesisEvent` does is written once, in `Faults::apply` in
+/// `otp-simnet`, for both drivers. No library code outside
+/// `crates/simnet/src` matches on the vocabulary — no `match` arm, guard,
+/// `matches!` or `let` pattern naming one of its variants. Test modules
+/// (at a file's end) and integration tests may.
+#[test]
+fn one_interpreter_of_the_fault_vocabulary() {
+    let root = repo_root();
+    let files: Vec<PathBuf> =
+        ["crates", "src", "examples"].iter().flat_map(|d| rust_files(&root.join(d))).collect();
+    let exempt = root.join("crates/simnet/src");
+    let offenders: Vec<String> = files
+        .iter()
+        .filter(|f| !f.starts_with(&exempt) && !f.components().any(|c| c.as_os_str() == "tests"))
+        .flat_map(|f| {
+            let src = std::fs::read_to_string(f).unwrap_or_default();
+            let code = src.split("#[cfg(test)]\nmod tests").next().unwrap_or_default().to_string();
+            let name = f.strip_prefix(&root).unwrap_or(f).display().to_string();
+            fault_patterns(&code).into_iter().map(move |line| format!("{name}:{line}"))
+        })
+        .collect();
+    assert!(files.len() > 50, "suspiciously few files walked: {}", files.len());
+    assert!(offenders.is_empty(), "the fault vocabulary matched outside otp-simnet: {offenders:?}");
+}
+
+/// The 1-based lines of `code` where a `NemesisEvent` variant is a
+/// pattern: its path (and its `{ .. }` or `( .. )` fields) is followed by
+/// `=>`, a match guard, a `|` alternative or a `let`'s `=`, or closes a
+/// `matches!(..)`.
+fn fault_patterns(code: &str) -> Vec<usize> {
+    let needle = concat!("Nemesis", "Event::");
+    let bytes = code.as_bytes();
+    let mut lines = Vec::new();
+    for (at, _) in code.match_indices(needle) {
+        let mut i = at + needle.len();
+        while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+            i += 1;
+        }
+        let skip_ws = |mut i: usize| {
+            while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+                i += 1;
+            }
+            i
+        };
+        i = skip_ws(i);
+        if i < bytes.len() && (bytes[i] == b'{' || bytes[i] == b'(') {
+            let mut depth = 0i32;
+            while i < bytes.len() {
+                match bytes[i] {
+                    b'{' | b'(' | b'[' => depth += 1,
+                    b'}' | b')' | b']' => depth -= 1,
+                    _ => {}
+                }
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            i = skip_ws(i);
+        }
+        let rest = &code[i..];
+        let pattern = rest.starts_with("=>")
+            || rest.starts_with("if ")
+            || (rest.starts_with('|') && !rest.starts_with("||"))
+            || (rest.starts_with('=') && !rest.starts_with("=="))
+            || (rest.starts_with(')') && closes_matches(&code[..at]));
+        if pattern {
+            lines.push(code[..at].matches('\n').count() + 1);
+        }
+    }
+    lines
+}
+
+/// Whether the innermost bracket still open at the end of `before` is a
+/// `matches!(`.
+fn closes_matches(before: &str) -> bool {
+    let mut depth = 0i32;
+    for (i, b) in before.bytes().enumerate().rev() {
+        match b {
+            b')' | b'}' | b']' => depth += 1,
+            b'(' | b'{' | b'[' if depth > 0 => depth -= 1,
+            b'(' => return before[..i].ends_with("matches!"),
+            b'{' | b'[' => return false,
+            _ => {}
+        }
+    }
+    false
+}

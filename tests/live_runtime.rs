@@ -585,6 +585,58 @@ fn crashed_site_parks_inbound_traffic_then_commits_exactly_once() {
     );
 }
 
+/// Loss and jitter on the wall clock, under the simulator's rules
+/// (`Faults`): during a loss burst a wire is charged retransmission
+/// delays, never dropped, and a jitter spike stretches each wire's spread.
+/// Traffic keeps flowing through both and after them, and every admitted
+/// transaction must commit exactly once at every site, in one definitive
+/// order.
+#[test]
+fn loss_burst_and_jitter_spike_delay_but_lose_nothing() {
+    with_watchdog("loss_burst_and_jitter_spike_delay_but_lose_nothing", WATCHDOG_CAP, |dog| {
+        let cfg = LiveConfig::new(4, 2).with_exec_time(Duration::from_micros(200));
+        let cluster = LiveCluster::start(cfg, registry(), initial(2));
+        let diag = cluster.diag_handle();
+        dog.set_diag("live-cluster", move || diag.snapshot());
+        let submit = |i: u64| {
+            cluster
+                .submit(
+                    SiteId::new((i % 4) as u16),
+                    ClassId::new((i % 2) as u32),
+                    ProcId::new(0),
+                    vec![Value::Int(0), Value::Int(1)],
+                )
+                .expect("admitted")
+        };
+        for i in 0..40u64 {
+            submit(i);
+        }
+        cluster.apply_fault(&NemesisEvent::LossBurst { probability: 0.3 });
+        cluster.apply_fault(&NemesisEvent::JitterSpike { scale: 4.0 });
+        let t0 = Instant::now();
+        let mut admitted = 40u64;
+        while t0.elapsed() < Duration::from_millis(200) {
+            submit(admitted);
+            admitted += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        cluster.apply_fault(&NemesisEvent::LossEnd);
+        cluster.apply_fault(&NemesisEvent::JitterEnd);
+        for _ in 0..40 {
+            submit(admitted);
+            admitted += 1;
+        }
+        let report = cluster.shutdown(Duration::from_secs(60));
+        assert!(report.quiesced, "loss and jitter only delay work, it must all drain");
+        assert_eq!(report.undelivered_at_stop, 0);
+        assert_eq!(report.accepted, admitted);
+        assert_eq!(report.committed_total, admitted * 4);
+        assert!(report.converged);
+        let inv = report.check_invariants(&[]);
+        assert!(inv.is_ok(), "{inv}");
+    });
+}
+
 /// Satellite (deadlock freedom at the smallest queue): with every site
 /// queue one message deep, each wire a site sends finds its peer's queue
 /// full most of the time. No site may block on a peer — a site blocked
