@@ -178,8 +178,8 @@ fn main() -> ExitCode {
         }
         let outcome = run_cell(&spec);
         println!(
-            "seed {} cell {} — completed {} aborts {}",
-            seed, cell, outcome.completed, outcome.aborts
+            "seed {} cell {} — completed {} aborts {} events {} commit_hash {:016x}",
+            seed, cell, outcome.completed, outcome.aborts, outcome.events, outcome.commit_hash
         );
         print!("{}", outcome.stats_digest);
         println!("{}", outcome.report);
@@ -225,13 +225,23 @@ fn main() -> ExitCode {
     );
     let report = run_swarm(&config);
 
-    let mut table = Table::new(vec!["seed", "cell", "completed", "aborts", "invariants"]);
+    let mut table = Table::new(vec![
+        "seed",
+        "cell",
+        "completed",
+        "aborts",
+        "events",
+        "commit_hash",
+        "invariants",
+    ]);
     for o in &report.outcomes {
         table.row(vec![
             o.spec.seed.to_string(),
             o.spec.cell.id(),
             o.completed.to_string(),
             o.aborts.to_string(),
+            o.events.to_string(),
+            format!("{:016x}", o.commit_hash),
             if o.passed() { "ok".into() } else { "VIOLATED".into() },
         ]);
     }

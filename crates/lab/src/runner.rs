@@ -161,6 +161,12 @@ pub struct CellOutcome {
     pub completed: u64,
     /// Aborts observed cluster-wide (OTP mismatch reschedules).
     pub aborts: u64,
+    /// Events the run popped off the scheduler.
+    pub events: u64,
+    /// FNV-1a hash over every site's `(index, txn)` commit log, site by
+    /// site ([`commit_hash`]): a moved schedule that keeps the completed
+    /// and abort counts still moves this.
+    pub commit_hash: u64,
     /// Canonical multi-line rendering of the run statistics; byte-identical
     /// across replays of the same spec.
     pub stats_digest: String,
@@ -270,7 +276,7 @@ pub fn run_cell_with_schedule(
         ));
     }
 
-    cluster.run_until(probe_at + DRAIN_BUDGET);
+    let events = cluster.run_until(probe_at + DRAIN_BUDGET);
 
     if let Some(Sabotage::PhantomProbe) = spec.sabotage {
         probes.push(TxnId::new(SiteId::new(0), 0xdead_beef));
@@ -285,6 +291,8 @@ pub fn run_cell_with_schedule(
         report,
         completed: stats.completed,
         aborts: stats.counters.get("abort"),
+        events,
+        commit_hash: commit_hash(&cluster),
         stats_digest,
         fingerprint,
         reproducer: spec.reproducer(),
@@ -336,6 +344,20 @@ pub fn stats_digest(cluster: &Cluster) -> String {
         let _ = writeln!(out, "site{i}: commits={} log_hash={h:016x}", log.len());
     }
     out
+}
+
+/// FNV-1a over every site's commit log, site by site: each entry's
+/// definitive index, then its transaction id.
+pub fn commit_hash(cluster: &Cluster) -> u64 {
+    let mut h = FNV_OFFSET;
+    for replica in &cluster.replicas {
+        for (txn, index) in replica.commit_log() {
+            h = fnv1a_step(h, &index.raw().to_le_bytes());
+            h = fnv1a_step(h, &txn.origin.raw().to_le_bytes());
+            h = fnv1a_step(h, &txn.seq.to_le_bytes());
+        }
+    }
+    h
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -398,6 +420,8 @@ mod tests {
         let b = run_cell(&spec);
         assert_eq!(a.stats_digest, b.stats_digest, "byte-identical replay");
         assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!((a.events, a.commit_hash), (b.events, b.commit_hash));
+        assert!(a.events > 0);
     }
 
     #[test]
@@ -406,6 +430,7 @@ mod tests {
         let a = run_cell(&CellSpec::new(1, c).with_txns(24));
         let b = run_cell(&CellSpec::new(2, c).with_txns(24));
         assert_ne!(a.fingerprint, b.fingerprint);
+        assert_ne!(a.commit_hash, b.commit_hash);
     }
 
     #[test]
