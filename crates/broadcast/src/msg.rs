@@ -199,7 +199,10 @@ pub enum Wire<P> {
         /// The replying member.
         from: SiteId,
         /// The member's broadcast-engine state above the round's floor.
-        snapshot: EngineSnapshot<P>,
+        /// Boxed: a digest travels once per member per view change, and
+        /// inline it would make every wire, action and queued event of
+        /// the per-message path as large as a whole snapshot.
+        snapshot: Box<EngineSnapshot<P>>,
     },
 }
 

@@ -56,7 +56,7 @@ use crate::traits::{AtomicBroadcast, EngineCounters, EngineRetention, EngineSnap
 use otp_consensus::{Action as CAction, ConsensusMsg, Instance, InstanceConfig};
 use otp_simnet::{SimDuration, SiteId};
 use otp_telemetry::Counter;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Marker in [`TimerToken::round`] identifying batch-initiation timers
@@ -176,13 +176,16 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         self.decided.len()
     }
 
+    // The helpers below append what they emit to `out`, one buffer per
+    // trait call, in emission order.
+
     fn consensus_actions(
         &mut self,
         me: SiteId,
         instance: u64,
         actions: Vec<CAction<OrderBatch>>,
-    ) -> Vec<EngineAction<P>> {
-        let mut out = Vec::new();
+        out: &mut Vec<EngineAction<P>>,
+    ) {
         for a in actions {
             match a {
                 CAction::Send(to, msg) => {
@@ -201,25 +204,29 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
                     let one_step =
                         self.instances.get(&instance).is_some_and(Instance::decided_in_one_step);
                     if one_step { &self.fast_decides } else { &self.slow_decides }.incr();
-                    out.extend(self.on_decided(me, instance, batch));
+                    self.on_decided(me, instance, batch, out);
                 }
             }
         }
-        out
     }
 
-    fn on_decided(&mut self, me: SiteId, instance: u64, batch: OrderBatch) -> Vec<EngineAction<P>> {
+    fn on_decided(
+        &mut self,
+        me: SiteId,
+        instance: u64,
+        batch: OrderBatch,
+        out: &mut Vec<EngineAction<P>>,
+    ) {
         self.decided.entry(instance).or_insert(batch);
         self.instances.remove(&instance);
-        let mut out = self.try_deliver();
-        out.extend(self.maybe_initiate(me));
-        out
+        self.try_deliver(out);
+        self.maybe_initiate(me, out);
     }
 
     /// Starts the next instance if the previous one is decided and there
     /// is something to order. With batching enabled, arms a timer instead
     /// and initiates when it fires.
-    fn maybe_initiate(&mut self, me: SiteId) -> Vec<EngineAction<P>> {
+    fn maybe_initiate(&mut self, me: SiteId, out: &mut Vec<EngineAction<P>>) {
         // Find the first instance number not yet decided and not running.
         while self.decided.contains_key(&self.next_initiate) {
             self.next_initiate += 1;
@@ -231,25 +238,24 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             // otherwise we would be racing our own proposals.
             || (k > 0 && !self.decided.contains_key(&(k - 1)))
         {
-            return Vec::new();
+            return;
         }
         if let Some(delay) = self.cfg.batch_delay {
             if self.batch_timer_for == Some(k) {
-                return Vec::new(); // timer already armed for this batch
+                return; // timer already armed for this batch
             }
             self.batch_timer_for = Some(k);
-            return vec![EngineAction::SetTimer {
-                token: TimerToken { instance: k, round: BATCH_ROUND },
-                delay,
-            }];
+            let token = TimerToken { instance: k, round: BATCH_ROUND };
+            out.push(EngineAction::SetTimer { token, delay });
+            return;
         }
-        self.join_instance(me, k)
+        self.join_instance(me, k, out);
     }
 
     /// Fires the batch timer: initiate the instance if it is still needed
     /// (it may have been joined meanwhile through another site's traffic,
     /// or decided already).
-    fn on_batch_timer(&mut self, me: SiteId, instance: u64) -> Vec<EngineAction<P>> {
+    fn on_batch_timer(&mut self, me: SiteId, instance: u64, out: &mut Vec<EngineAction<P>>) {
         if self.batch_timer_for == Some(instance) {
             self.batch_timer_for = None;
         }
@@ -258,14 +264,15 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             || self.decided.contains_key(&instance)
         {
             // Re-evaluate: a later batch may still be owed a timer.
-            return self.maybe_initiate(me);
+            self.maybe_initiate(me, out);
+        } else {
+            self.join_instance(me, instance, out);
         }
-        self.join_instance(me, instance)
     }
 
-    fn join_instance(&mut self, me: SiteId, instance: u64) -> Vec<EngineAction<P>> {
+    fn join_instance(&mut self, me: SiteId, instance: u64, out: &mut Vec<EngineAction<P>>) {
         if self.instances.contains_key(&instance) || self.decided.contains_key(&instance) {
-            return Vec::new();
+            return;
         }
         // The one allocation per joined instance; every subsequent clone of
         // the proposal (estimates, proposes, decides, per-receiver wire
@@ -289,12 +296,12 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             Instance::new(me, self.ccfg, proposal)
         };
         self.instances.insert(instance, inst);
-        self.consensus_actions(me, instance, actions)
+        self.consensus_actions(me, instance, actions, out);
     }
 
     /// Drains decided batches through the delivery cursor. Everything that
     /// becomes definitive in this step leaves as one `ToDeliver` batch.
-    fn try_deliver(&mut self) -> Vec<EngineAction<P>> {
+    fn try_deliver(&mut self, out: &mut Vec<EngineAction<P>>) {
         let mut delivered: Vec<MsgId> = Vec::new();
         while let Some(batch) = self.decided.get(&self.cursor_instance) {
             let batch = Arc::clone(batch);
@@ -324,28 +331,29 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             }
         }
         if delivered.is_empty() {
-            return Vec::new();
+            return;
         }
         // One sweep over the proposal queue for the whole batch instead of
         // one retain per delivered message (that was quadratic under load).
-        let gone: HashSet<MsgId> = delivered.iter().copied().collect();
-        self.undecided.retain(|u| !gone.contains(u));
-        vec![EngineAction::ToDeliver(delivered)]
+        // `undecided` never holds an id delivered before this step (ids
+        // enter it undelivered and leave it here), so what is delivered
+        // now is exactly what the definitive log marks delivered.
+        let dis = &self.dis;
+        self.undecided.retain(|u| !dis.is_delivered(*u));
+        out.push(EngineAction::ToDeliver(delivered));
     }
 
-    fn on_data(&mut self, me: SiteId, msg: Message<P>) -> Vec<EngineAction<P>> {
+    fn on_data(&mut self, me: SiteId, msg: Message<P>, out: &mut Vec<EngineAction<P>>) {
         let Some(fresh) = self.dis.accept(me, &msg) else {
-            return Vec::new(); // duplicate
+            return; // duplicate
         };
-        let mut out = Vec::new();
         if fresh {
             self.undecided.push(msg.id);
             out.push(EngineAction::OptDeliver(msg));
         }
         // A decided batch may have been stalled waiting for this data.
-        out.extend(self.try_deliver());
-        out.extend(self.maybe_initiate(me));
-        out
+        self.try_deliver(out);
+        self.maybe_initiate(me, out);
     }
 
     fn on_consensus(
@@ -354,7 +362,8 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         from: SiteId,
         instance: u64,
         msg: ConsensusMsg<OrderBatch>,
-    ) -> Vec<EngineAction<P>> {
+        out: &mut Vec<EngineAction<P>>,
+    ) {
         // Already decided instance: help a straggler that pulls — its
         // estimate or nack reaching this site as the round's coordinator —
         // with the decision. (Nobody relays decisions, so this is how a
@@ -368,45 +377,41 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
                     self.pending_helpouts.entry(from).or_default().insert(instance);
                 }
             }
-            return Vec::new();
+            return;
         }
         // Join unknown instances on first contact.
-        let mut out = if !self.instances.contains_key(&instance) {
-            self.join_instance(me, instance)
-        } else {
-            Vec::new()
-        };
+        if !self.instances.contains_key(&instance) {
+            self.join_instance(me, instance, out);
+        }
         if let Some(inst) = self.instances.get_mut(&instance) {
             let actions = inst.on_message(from, msg);
-            out.extend(self.consensus_actions(me, instance, actions));
+            self.consensus_actions(me, instance, actions, out);
         }
-        out
     }
 
     /// Handles one wire without flushing the helpout buffer — the receive
     /// path flushes exactly once per call, however many wires landed.
-    fn ingest_wire(&mut self, me: SiteId, from: SiteId, wire: Wire<P>) -> Vec<EngineAction<P>> {
+    fn ingest_wire(
+        &mut self,
+        me: SiteId,
+        from: SiteId,
+        wire: Wire<P>,
+        out: &mut Vec<EngineAction<P>>,
+    ) {
         match wire {
-            Wire::Data(msg) => self.on_data(me, msg),
-            Wire::Consensus { instance, msg } => self.on_consensus(me, from, instance, msg),
+            Wire::Data(msg) => self.on_data(me, msg, out),
+            Wire::Consensus { instance, msg } => self.on_consensus(me, from, instance, msg, out),
             Wire::DecideBatch { decides } => {
-                let mut out = Vec::new();
                 for (instance, value) in decides {
-                    out.extend(self.on_consensus(
-                        me,
-                        from,
-                        instance,
-                        ConsensusMsg::Decide { value },
-                    ));
+                    self.on_consensus(me, from, instance, ConsensusMsg::Decide { value }, out);
                 }
-                out
             }
             Wire::SeqOrderBatch { .. }
             | Wire::OracleData { .. }
             | Wire::ViewChange { .. }
             | Wire::StateSummary { .. }
             | Wire::ViewFloor { .. }
-            | Wire::StateDigest { .. } => Vec::new(),
+            | Wire::StateDigest { .. } => {}
         }
     }
 
@@ -484,7 +489,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         let decided_before = self.decided.len();
         let mut out = Vec::new();
         for (from, wire) in wires {
-            out.extend(self.ingest_wire(ctx.me, from, wire));
+            self.ingest_wire(ctx.me, from, wire, &mut out);
         }
         self.drop_moot(decided_before, &mut out);
         // One helpout flush for the whole tick: a straggler's burst of
@@ -495,14 +500,14 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
     }
 
     fn on_timer(&mut self, ctx: &EngineCtx<'_>, token: TimerToken) -> Vec<EngineAction<P>> {
+        let mut out = Vec::new();
         if token.round == BATCH_ROUND {
-            return self.on_batch_timer(ctx.me, token.instance);
+            self.on_batch_timer(ctx.me, token.instance, &mut out);
+        } else if let Some(inst) = self.instances.get_mut(&token.instance) {
+            let actions = inst.on_timeout(token.round);
+            self.consensus_actions(ctx.me, token.instance, actions, &mut out);
         }
-        let Some(inst) = self.instances.get_mut(&token.instance) else {
-            return Vec::new();
-        };
-        let actions = inst.on_timeout(token.round);
-        self.consensus_actions(ctx.me, token.instance, actions)
+        out
     }
 
     fn definitive_log(&self) -> &[MsgId] {
@@ -560,7 +565,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         self.next_initiate = self.cursor_instance;
         // Decided batches may be immediately deliverable from the restored
         // state (data present, not yet in the definitive log).
-        actions.extend(self.try_deliver());
+        self.try_deliver(&mut actions);
         actions
     }
 

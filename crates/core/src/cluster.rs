@@ -1158,16 +1158,17 @@ impl Cluster {
 
     /// Adds a run of wire arrivals to `to`'s delivery quantum, opening a
     /// window (and scheduling its flush `quantum` from now) if none is
-    /// open.
+    /// open. The emptied run goes back to the scheduler for its next one.
     fn quantum_accumulate(
         &mut self,
         to: SiteId,
-        batch: Vec<Arrival<Wire<TxnPayload>>>,
+        mut batch: Vec<Arrival<Wire<TxnPayload>>>,
         quantum: SimDuration,
     ) {
         let node = &mut self.nodes[to.index()];
         let opening = node.open_quantum.is_empty();
-        node.open_quantum.extend(batch);
+        node.open_quantum.append(&mut batch);
+        self.sched.recycle(batch);
         if opening {
             node.quantum_gen += 1;
             let gen = node.quantum_gen;
@@ -1410,8 +1411,17 @@ impl Cluster {
     /// goes to the site's round, a recovering site's other wires are held
     /// for after its recovery, and the rest reaches its engines.
     fn handle_wire_batch(&mut self, to: SiteId, batch: Vec<Arrival<Wire<TxnPayload>>>) {
+        let batch = self.sched.admit(to, batch);
+        // Without view traffic nothing in the batch changes the site's
+        // status, so a serving site takes the batch as it is.
+        if self.status(to) != Status::Recovering && !batch.iter().any(|a| is_view_wire(&a.wire)) {
+            if !batch.is_empty() {
+                self.site_step(to, Input::Wires(batch));
+            }
+            return;
+        }
         let mut deliver = Vec::with_capacity(batch.len());
-        for a in self.sched.admit(to, batch) {
+        for a in batch {
             if is_view_wire(&a.wire) {
                 // The staleness check on a floor reads its initiator.
                 let floor_live = matches!(&a.wire, Wire::ViewFloor { epoch, initiator, .. }
@@ -1505,7 +1515,7 @@ impl Cluster {
             .filter(|s| self.is_live(*s))
             .collect();
         let round = ViewChange::propose(epoch, site, members);
-        self.site_control(site, SiteControl::Open { domain: d, round });
+        self.site_control(site, SiteControl::Open { domain: d, round: Box::new(round) });
     }
 
     /// Opens and announces `site`'s round for domain `d`; a round with
@@ -1554,7 +1564,7 @@ impl Cluster {
             return;
         }
         let registry = Arc::clone(&self.registry);
-        let base = self.node(base).base(d, &self.replicas[base.index()], site, registry);
+        let base = Box::new(self.node(base).base(d, &self.replicas[base.index()], site, registry));
         // The replacement engine shares the site's registry counters, so
         // rejects and decisions observed before the swap stay visible.
         let scope = Scope::site(site).group(d);
@@ -2320,6 +2330,25 @@ mod tests {
         // 4 adds of +1 plus one add of +100 per class.
         assert_eq!(c.replicas[0].db().read_committed(ObjectId::new(0, 0)), Some(&Value::Int(104)));
         assert_eq!(c.replicas[3].db().read_committed(ObjectId::new(1, 0)), Some(&Value::Int(104)));
+    }
+
+    #[test]
+    fn hot_path_values_stay_small() {
+        use otp_broadcast::EngineAction;
+        use std::mem::size_of;
+        // A variant off the per-message path is boxed: each of these
+        // moves by value on every message, timer or site step.
+        let pinned = [
+            ("Wire", size_of::<Wire<TxnPayload>>(), 48),
+            ("EngineAction", size_of::<EngineAction<TxnPayload>>(), 56),
+            ("Arrival", size_of::<Arrival<Wire<TxnPayload>>>(), 56),
+            ("Output", size_of::<Output<SiteData>>(), 56),
+            ("queued event", Sched::<ClusterData>::EVENT_BYTES, 80),
+            ("Input", size_of::<Input<SiteData>>(), 80),
+        ];
+        for (name, size, bound) in pinned {
+            assert!(size <= bound, "{name} is {size} B, more than {bound} B");
+        }
     }
 
     #[test]

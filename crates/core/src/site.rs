@@ -240,6 +240,9 @@ pub(crate) struct SiteNode {
     pub(crate) status: Status,
     pub(crate) domains: Vec<DomainSlot>,
     pub(crate) gate: CrossGate,
+    /// What the gate releases in one step, handed to the replica as one
+    /// batch; empty between steps, kept for its allocation.
+    released: Vec<(TxnId, ClassId)>,
     /// Relay definitive deliveries already folded into the gate — the
     /// recovery reconcile point for the relay stream.
     pub(crate) relay_processed: usize,
@@ -262,6 +265,7 @@ impl SiteNode {
             status: Status::Up,
             domains,
             gate: CrossGate::default(),
+            released: Vec::new(),
             relay_processed: 0,
             rounds: BTreeMap::new(),
             view: ViewCounters::default(),
@@ -453,9 +457,8 @@ pub(crate) struct CrossGate {
 }
 
 impl CrossGate {
-    /// Releases every transaction the rules admit, in order.
-    fn release(&mut self) -> Vec<(TxnId, ClassId)> {
-        let mut out = Vec::with_capacity(self.queue.len());
+    /// Appends every transaction the rules admit to `out`, in order.
+    fn release(&mut self, out: &mut Vec<(TxnId, ClassId)>) {
         loop {
             match self.queue.front() {
                 Some((req, None)) => {
@@ -483,7 +486,6 @@ impl CrossGate {
                 None => break,
             }
         }
-        out
     }
 }
 
@@ -556,7 +558,9 @@ pub(crate) enum SiteSubmit {
 }
 
 /// A driver's command to a site: the steps of the view change, which
-/// only a driver that sees every site can order (DESIGN.md §7).
+/// only a driver that sees every site can order (DESIGN.md §7). An input
+/// moves on every site step, so the large payloads of the rare steps are
+/// boxed.
 pub(crate) enum SiteControl {
     /// The site crashed: it stops serving, and a round it was driving is
     /// abandoned.
@@ -564,7 +568,7 @@ pub(crate) enum SiteControl {
     /// Opens `round` for domain `domain`: the site recovers until every
     /// open round installed. A round still open for the domain is
     /// superseded.
-    Open { domain: u16, round: ViewChange<TxnPayload> },
+    Open { domain: u16, round: Box<ViewChange<TxnPayload>> },
     /// Starts the open round of `domain`: multicasts its announcement, or
     /// reports the round complete when nobody is left to answer.
     Announce(u16),
@@ -578,7 +582,13 @@ pub(crate) enum SiteControl {
     MemberCrashed { domain: u16, crashed: SiteId },
     /// Installs the site's completed round for `domain` from `base` onto
     /// `fresh` ([`Site::install`]).
-    Install { domain: u16, base: Base, fresh: Engine, own_wires: Vec<Wire<TxnPayload>>, fence: u64 },
+    Install {
+        domain: u16,
+        base: Box<Base>,
+        fresh: Engine,
+        own_wires: Vec<Wire<TxnPayload>>,
+        fence: u64,
+    },
     /// The site's last round installed: catch up to `newest`, the newest
     /// epoch any live member carries for each of its domains (in slot
     /// order), and serve again.
@@ -652,7 +662,7 @@ impl Site<'_> {
             }
             SiteControl::Open { domain, round } => {
                 let at = (self.now)();
-                self.node.open_round(domain, round, at);
+                self.node.open_round(domain, *round, at);
                 None
             }
             SiteControl::Announce(d) => self.announce(d).then_some(SiteReport::RoundComplete(d)),
@@ -662,9 +672,9 @@ impl Site<'_> {
             SiteControl::MemberCrashed { domain, crashed } => {
                 self.on_member_crashed(domain, crashed).then_some(SiteReport::RoundComplete(domain))
             }
-            SiteControl::Install { domain, base, fresh, own_wires, fence } => {
-                self.install(domain, base, fresh, own_wires, fence).then_some(SiteReport::Recovered)
-            }
+            SiteControl::Install { domain, base, fresh, own_wires, fence } => self
+                .install(domain, *base, fresh, own_wires, fence)
+                .then_some(SiteReport::Recovered),
             SiteControl::FinishRecovery(newest) => {
                 self.finish_recovery(&newest);
                 None
@@ -849,15 +859,17 @@ impl Site<'_> {
     /// Hands everything the gate's rules admit, in release order, to the
     /// replica as one batch of definitive deliveries.
     fn release_gate(&mut self) {
-        let batch = self.node.gate.release();
-        if batch.is_empty() {
-            return;
+        let mut batch = std::mem::take(&mut self.node.released);
+        self.node.gate.release(&mut batch);
+        if !batch.is_empty() {
+            for (txn, _) in &batch {
+                self.trace(*txn, Stage::ToDeliver);
+            }
+            let actions = self.replica.on_to_deliver_batch(&batch);
+            self.apply_replica_actions(actions);
+            batch.clear();
         }
-        for (txn, _) in &batch {
-            self.trace(*txn, Stage::ToDeliver);
-        }
-        let actions = self.replica.on_to_deliver_batch(&batch);
-        self.apply_replica_actions(actions);
+        self.node.released = batch;
     }
 
     /// After the replica and the group engine were restored (recovery):
@@ -923,7 +935,7 @@ impl Site<'_> {
                 }
             }
             Wire::StateDigest { epoch, from, snapshot } => {
-                match round.map(|r| r.on_digest(from, epoch, snapshot)) {
+                match round.map(|r| r.on_digest(from, epoch, *snapshot)) {
                     Some(DigestOutcome::Completed) => return true,
                     Some(DigestOutcome::Accepted) => {}
                     _ => node.view.stale.incr(),
@@ -948,7 +960,7 @@ impl Site<'_> {
             }
             // The member's engine state, cut above the floor.
             Wire::ViewFloor { epoch, initiator, floor } if floor_live => {
-                let snapshot = node.slot(d).engine.snapshot().delta_above(floor);
+                let snapshot = Box::new(node.slot(d).engine.snapshot().delta_above(floor));
                 let digest = Wire::StateDigest { epoch, from: node.me, snapshot };
                 node.view.digest_bytes.add(u64::from(digest.size_bytes()));
                 self.out.push(Output::Send { group: d, to: initiator, wire: digest });
@@ -1455,24 +1467,29 @@ mod tests {
             Arc::new(TxnRequest::new(TxnId::new(ME, n), ClassId::new(0), ProcId::new(0), vec![]))
         };
         let released = |n: u64| vec![(TxnId::new(ME, n), ClassId::new(0))];
+        let release = |g: &mut CrossGate| {
+            let mut out = Vec::new();
+            g.release(&mut out);
+            out
+        };
         let mut g = CrossGate::default();
         // Rule 1: a plain head releases immediately.
         g.queue.push_back((req(0), None));
-        assert_eq!(g.release(), released(0));
+        assert_eq!(release(&mut g), released(0));
         // Rule 2: a cross head stalls until the relay admits its id...
         g.queue.push_back((req(1), Some(7)));
-        assert!(g.release().is_empty(), "no relay slot yet");
+        assert!(release(&mut g).is_empty(), "no relay slot yet");
         g.relay_order.push(7);
-        assert_eq!(g.release(), released(1));
+        assert_eq!(release(&mut g), released(1));
         // Rule 3: relay order [.., 9, 8] vs queue [8, 9] — the relay's
         // next admission (9) jumps the stalled head (8), then 8 follows
         // once the relay admits it.
         g.relay_order.push(9);
         g.queue.push_back((req(2), Some(8)));
         g.queue.push_back((req(3), Some(9)));
-        assert_eq!(g.release(), released(3), "9 jumps");
+        assert_eq!(release(&mut g), released(3), "9 jumps");
         g.relay_order.push(8);
-        assert_eq!(g.release(), released(2), "8 follows");
+        assert_eq!(release(&mut g), released(2), "8 follows");
         assert!(g.queue.is_empty());
     }
 
@@ -1593,7 +1610,11 @@ mod tests {
 
     /// Member `from`'s (empty) digest for `epoch`.
     fn digest(epoch: u64, from: u16) -> Wire<TxnPayload> {
-        Wire::StateDigest { epoch, from: SiteId::new(from), snapshot: EngineSnapshot::empty() }
+        Wire::StateDigest {
+            epoch,
+            from: SiteId::new(from),
+            snapshot: Box::new(EngineSnapshot::empty()),
+        }
     }
 
     /// [`ME`]'s floor multicast for round 5: the lowest summary, site 0's.

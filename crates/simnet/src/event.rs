@@ -5,6 +5,14 @@
 //! deterministic: two events scheduled for the same instant always pop in
 //! the order they were pushed, regardless of heap internals.
 //!
+//! The queue keeps two heaps. Events due within [`NEAR_HORIZON`] of the
+//! clock when they are scheduled go to the *near* heap: the wires, work
+//! and timers in flight, a few hundred at most. The rest go to the *far*
+//! heap: a pre-applied schedule of client requests (up to hundreds of
+//! thousands) and long timers. Most pops and pushes then sift through the
+//! small heap only. A pop takes whichever top has the smaller
+//! `(time, seq)`, so the pop order is exactly that of one heap.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,7 +27,7 @@
 //! assert!(q.pop().is_none());
 //! ```
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -53,6 +61,13 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// How far ahead of the clock an event may be due and still go to the near
+/// heap. Above every per-message delay of the modelled networks (tens to
+/// hundreds of microseconds, a few milliseconds on the 10 Mbit/s LAN) and
+/// far below the span of a pre-applied request schedule (seconds). It only
+/// decides where an event waits, never when it pops.
+pub const NEAR_HORIZON: SimDuration = SimDuration::from_millis(10);
+
 /// A deterministic discrete-event queue.
 ///
 /// The queue tracks the virtual clock: [`EventQueue::pop`] advances
@@ -61,7 +76,10 @@ impl<E> Ord for Entry<E> {
 /// bugs in protocol implementations early.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Events due within [`NEAR_HORIZON`] of the clock when scheduled.
+    near: BinaryHeap<Entry<E>>,
+    /// Every other event.
+    far: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -76,7 +94,13 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO, scheduled_total: 0 }
+        EventQueue {
+            near: BinaryHeap::new(),
+            far: BinaryHeap::new(),
+            next_seq: 0,
+            now: SimTime::ZERO,
+            scheduled_total: 0,
+        }
     }
 
     /// Current virtual time: the timestamp of the most recently popped
@@ -89,13 +113,13 @@ impl<E> EventQueue<E> {
     /// Number of events waiting in the queue.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near.len() + self.far.len()
     }
 
     /// Returns true if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.near.is_empty() && self.far.is_empty()
     }
 
     /// Total number of events scheduled over the queue's lifetime.
@@ -118,25 +142,48 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.heap.push(Entry { time: at, seq, event });
+        let heap = if at.saturating_since(self.now) < NEAR_HORIZON {
+            &mut self.near
+        } else {
+            &mut self.far
+        };
+        heap.push(Entry { time: at, seq, event });
+    }
+
+    /// Whether the earliest `(time, seq)` is the far heap's top.
+    fn far_first(&self) -> bool {
+        match (self.near.peek(), self.far.peek()) {
+            // `Entry` orders inverted: the earlier entry is the greater.
+            (Some(near), Some(far)) => far > near,
+            (near, far) => near.is_none() && far.is_some(),
+        }
+    }
+
+    /// The earliest entry without popping it.
+    fn first(&self) -> Option<&Entry<E>> {
+        if self.far_first() {
+            self.far.peek()
+        } else {
+            self.near.peek()
+        }
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.first().map(|e| e.time)
     }
 
     /// The next event (timestamp and a borrow of its payload) without
     /// popping it. Drivers use this to coalesce runs of same-instant events
     /// into one batch before committing to the pops.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|e| (e.time, &e.event))
+        self.first().map(|e| (e.time, &e.event))
     }
 
     /// Pops the earliest event, advancing the virtual clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let entry = if self.far_first() { self.far.pop() } else { self.near.pop() }?;
         debug_assert!(entry.time >= self.now, "heap produced an out-of-order event");
         self.now = entry.time;
         Some((entry.time, entry.event))
@@ -144,7 +191,8 @@ impl<E> EventQueue<E> {
 
     /// Discards all pending events without advancing the clock.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.near.clear();
+        self.far.clear();
     }
 }
 
@@ -245,5 +293,81 @@ mod tests {
         assert_eq!(q.peek(), Some((t, &"b")));
         q.pop();
         assert_eq!(q.peek(), None);
+    }
+
+    /// An event due beyond the horizon waits in the far heap; one
+    /// scheduled later for the same instant, once the clock has come
+    /// close, waits in the near heap. The earlier-scheduled one still pops
+    /// first.
+    #[test]
+    fn equal_times_across_the_heaps_pop_fifo() {
+        let mut q = EventQueue::new();
+        let t = SimTime::ZERO + NEAR_HORIZON + NEAR_HORIZON;
+        q.schedule(t, "far");
+        q.schedule(SimTime::ZERO + NEAR_HORIZON.mul_u64(3).div_u64(2), "step");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("step"));
+        q.schedule(t, "near");
+        assert_eq!((q.far.len(), q.near.len()), (1, 1));
+        assert_eq!(q.peek(), Some((t, &"far")));
+        assert_eq!(q.pop(), Some((t, "far")));
+        assert_eq!(q.pop(), Some((t, "near")));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of `schedule`, `pop`, `peek` and `clear`
+        /// against a reference that sorts by `(time, seq)`: due times fall
+        /// just below, at and above the horizon, and on a grid of absolute
+        /// instants that two heaps can both hold. `peek` and `peek_time`
+        /// name the next pop, and `len` counts both heaps.
+        #[test]
+        fn prop_pops_like_one_sorted_queue(
+            ops in proptest::collection::vec((0u64..8, 0u64..9), 1..300),
+        ) {
+            let h = NEAR_HORIZON.as_nanos();
+            let ahead = [0, 1, h / 2, h - 1, h, h + 1, 2 * h, 3 * h + 7, 40 * h];
+            let mut q = EventQueue::new();
+            // (time, seq) of every pending event; the event is its seq.
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let mut seq = 0u64;
+            for (op, k) in ops {
+                let now = q.now();
+                match op {
+                    0..=2 => {
+                        let at = now + SimDuration::from_nanos(ahead[k as usize]);
+                        q.schedule(at, seq);
+                        model.push((at, seq));
+                        seq += 1;
+                    }
+                    3 | 4 => {
+                        // Grid instants h/2 apart, or 1 ns either side.
+                        let grid = (k / 3 + 1) * h / 2 + (k % 3) - 1;
+                        let at = now.max(SimTime::from_nanos(grid));
+                        q.schedule(at, seq);
+                        model.push((at, seq));
+                        seq += 1;
+                    }
+                    5 | 6 => {
+                        model.sort();
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        proptest::prop_assert_eq!(q.pop(), want);
+                    }
+                    _ if k == 0 => {
+                        q.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                model.sort();
+                let first = model.first().copied();
+                proptest::prop_assert_eq!(q.peek_time(), first.map(|(t, _)| t));
+                proptest::prop_assert_eq!(q.peek(), first.as_ref().map(|(t, s)| (*t, s)));
+                proptest::prop_assert_eq!(q.len(), model.len());
+                proptest::prop_assert_eq!(q.is_empty(), model.is_empty());
+            }
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            proptest::prop_assert_eq!(rest, model);
+        }
     }
 }

@@ -245,6 +245,8 @@ pub struct MulticastNet {
     jitter_std_s: f64,
     sent_frames: u64,
     sent_bytes: u64,
+    /// The last [`MulticastNet::multicast_to_on`]'s deliveries.
+    fanout: Vec<Delivery>,
 }
 
 impl MulticastNet {
@@ -259,6 +261,7 @@ impl MulticastNet {
             jitter_std_s,
             sent_frames: 0,
             sent_bytes: 0,
+            fanout: Vec::new(),
         }
     }
 
@@ -327,7 +330,8 @@ impl MulticastNet {
     /// the frame serializes only against that segment's earlier frames,
     /// under the loss and jitter `faults` put in force. The sharded
     /// cluster puts each group's stream on the group's own segment and
-    /// relay traffic on the backbone (segment 0).
+    /// relay traffic on the backbone (segment 0). The deliveries are one
+    /// per target, in target order, in a buffer the next call reuses.
     pub fn multicast_to_on(
         &mut self,
         segment: usize,
@@ -336,14 +340,16 @@ impl MulticastNet {
         now: SimTime,
         faults: &Faults,
         rng: &mut SimRng,
-    ) -> Vec<Delivery> {
+    ) -> &[Delivery] {
         let wire_done = self.occupy_wire(segment, payload_bytes, now);
-        let mut out = Vec::with_capacity(targets.len());
+        let mut fanout = std::mem::take(&mut self.fanout);
+        fanout.clear();
         for &to in targets {
             let arrival = self.receiver_arrival(wire_done, faults, rng);
-            out.push(Delivery { to, arrival });
+            fanout.push(Delivery { to, arrival });
         }
-        out
+        self.fanout = fanout;
+        &self.fanout
     }
 
     /// Computes the arrival of a point-to-point message on a wire segment,
@@ -466,8 +472,8 @@ mod tests {
         let g0: Vec<SiteId> = (0..4).map(SiteId::new).collect();
         let g1: Vec<SiteId> = (4..8).map(SiteId::new).collect();
         let f = Faults::new(8);
-        let a = net.multicast_to_on(1, &g0, 500, SimTime::ZERO, &f, &mut r);
-        let b = net.multicast_to_on(2, &g1, 500, SimTime::ZERO, &f, &mut r);
+        let a = net.multicast_to_on(1, &g0, 500, SimTime::ZERO, &f, &mut r).to_vec();
+        let b = net.multicast_to_on(2, &g1, 500, SimTime::ZERO, &f, &mut r).to_vec();
         // Independent segments transmit concurrently: with zero jitter the
         // two frames arrive at the same instant instead of queueing.
         assert_eq!(a[0].arrival, b[0].arrival);

@@ -65,7 +65,7 @@
 use crate::event::EventQueue;
 use crate::faults::{Faults, Todo};
 use crate::nemesis::NemesisEvent;
-use crate::net::{MulticastNet, SiteId};
+use crate::net::{Delivery, MulticastNet, SiteId};
 use crate::rng::{DurationDist, SimRng};
 use crate::time::{SimDuration, SimTime};
 
@@ -243,9 +243,18 @@ pub struct Sched<D: Data> {
     cut: Vec<(SiteId, Arrival<D::Wire>)>,
     popped: u64,
     out: Outputs<D>,
+    /// An empty batch [`Sched::next`] fills next; a driver hands a batch it
+    /// emptied back with [`Sched::recycle`].
+    spare: Vec<Arrival<D::Wire>>,
 }
 
 impl<D: Data> Sched<D> {
+    /// Bytes one queued event takes, without its key in the queue (time
+    /// and sequence number): a wire with its receiver, or a timer, work,
+    /// request or command with its site. Every event moves through the
+    /// queue's heaps by value, so a size test pins this.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<Event<D>>();
+
     /// A scheduler over `links`, every site up, one multicast group (0) of
     /// all sites on segment 0, drawing from `rng`, with zero work time.
     pub fn new(links: Links, rng: SimRng) -> Self {
@@ -264,6 +273,7 @@ impl<D: Data> Sched<D> {
             cut: Vec::new(),
             popped: 0,
             out: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -439,6 +449,15 @@ impl<D: Data> Sched<D> {
         self.popped
     }
 
+    /// Takes back a wire batch the driver has emptied, so the next batch
+    /// [`Sched::next`] makes reuses its allocation.
+    pub fn recycle(&mut self, mut batch: Vec<Arrival<D::Wire>>) {
+        batch.clear();
+        if batch.capacity() > self.spare.capacity() {
+            self.spare = batch;
+        }
+    }
+
     /// Pops the next event due by `deadline` and returns the input it
     /// makes for its site. Same-instant wires to one site come as one
     /// batch, not yet [`admitted`](Sched::admit); timers and requests of
@@ -453,7 +472,8 @@ impl<D: Data> Sched<D> {
             self.popped += 1;
             match ev {
                 Event::Wire { to, arrival } => {
-                    let mut batch = vec![arrival];
+                    let mut batch = std::mem::take(&mut self.spare);
+                    batch.push(arrival);
                     while let Some((nt, Event::Wire { to: next, .. })) = self.queue.peek() {
                         if nt != t || *next != to {
                             break;
@@ -546,23 +566,24 @@ impl<D: Data> Sched<D> {
         let now = self.queue.now();
         let Group { segment, members } = &self.groups[group as usize];
         let size = D::wire_size(&wire);
-        let arrivals: Vec<(SiteId, SimTime)> = match &mut self.links {
-            Links::Net(net) => net
-                .multicast_to_on(*segment, members, size, now, &self.faults, &mut self.rng)
-                .into_iter()
-                .map(|d| (d.to, d.arrival))
-                .collect(),
+        let table: Vec<Delivery>;
+        let fanout = match &mut self.links {
+            Links::Net(net) => {
+                net.multicast_to_on(*segment, members, size, now, &self.faults, &mut self.rng)
+            }
             Links::Table(t) => {
-                members.iter().map(|&to| (to, now + t[from.index()][to.index()])).collect()
+                let at = |to: SiteId| now + t[from.index()][to.index()];
+                table = members.iter().map(|&to| Delivery { to, arrival: at(to) }).collect();
+                &table
             }
         };
-        if let Some(((last, at), rest)) = arrivals.split_last() {
-            for &(to, at) in rest {
+        if let Some((last, rest)) = fanout.split_last() {
+            for d in rest {
                 let arrival = Arrival { from, group, wire: wire.clone() };
-                self.queue.schedule(at, Event::Wire { to, arrival });
+                self.queue.schedule(d.arrival, Event::Wire { to: d.to, arrival });
             }
             let arrival = Arrival { from, group, wire };
-            self.queue.schedule(*at, Event::Wire { to: *last, arrival });
+            self.queue.schedule(last.arrival, Event::Wire { to: last.to, arrival });
         }
     }
 
