@@ -11,19 +11,17 @@
 //! lists payloads in. Each engine embeds one and keeps only its ordering
 //! half beside it (DESIGN.md §18).
 
-use crate::idset::IdSet;
+use crate::idset::{IdSet, SeqMap};
 use crate::msg::{Message, MsgId, RECOVERY_SEQ_GAP};
 use crate::traits::{EngineRetention, EngineSnapshot};
 use otp_simnet::SiteId;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Payload store, definitive log and own-message cursor of one endpoint.
 #[derive(Debug)]
 pub(crate) struct Dissemination<P> {
-    /// Payload of every received data message; also what makes a data
-    /// wire a duplicate.
-    payloads: HashMap<MsgId, P>,
+    /// Payload of every received data message, by origin site and then
+    /// sequence number; also what makes a data wire a duplicate.
+    payloads: Vec<SeqMap<P>>,
     /// Ids TO-delivered, in definitive order.
     log: Vec<MsgId>,
     /// The same ids as a set, for the skip-if-delivered checks.
@@ -35,7 +33,7 @@ pub(crate) struct Dissemination<P> {
 impl<P: Clone> Dissemination<P> {
     pub(crate) fn new() -> Self {
         Dissemination {
-            payloads: HashMap::new(),
+            payloads: Vec::new(),
             log: Vec::new(),
             delivered: IdSet::new(),
             next_seq: 0,
@@ -61,19 +59,35 @@ impl<P: Clone> Dissemination<P> {
     /// incarnation sent before crashing: its sequence number is never
     /// reused.
     pub(crate) fn accept(&mut self, me: SiteId, msg: &Message<P>) -> Option<bool> {
-        let Entry::Vacant(slot) = self.payloads.entry(msg.id) else {
+        if !self.store(msg.id, msg.payload.clone()) {
             return None;
-        };
-        slot.insert(msg.payload.clone());
+        }
         if msg.id.origin == me {
             self.next_seq = self.next_seq.max(msg.id.seq + 1);
         }
         Some(!self.delivered.contains(msg.id))
     }
 
+    /// Stores the payload of `id` unless one is stored; true if it was not.
+    fn store(&mut self, id: MsgId, payload: P) -> bool {
+        let origin = id.origin.index();
+        if self.payloads.len() <= origin {
+            self.payloads.resize_with(origin + 1, SeqMap::new);
+        }
+        self.payloads[origin].insert(id.seq, payload)
+    }
+
     /// The payload of `id`, once it has arrived.
     pub(crate) fn payload(&self, id: MsgId) -> Option<&P> {
-        self.payloads.get(&id)
+        self.payloads.get(id.origin.index())?.get(id.seq)
+    }
+
+    /// Every stored id with its payload, in id order: origins ascending,
+    /// each one's sequence numbers ascending.
+    fn stored(&self) -> impl Iterator<Item = (MsgId, &P)> {
+        (0..).zip(&self.payloads).flat_map(|(origin, seqs)| {
+            seqs.iter().map(move |(seq, payload)| (MsgId::new(SiteId::new(origin), seq), payload))
+        })
     }
 
     /// Whether `id` is TO-delivered.
@@ -87,7 +101,7 @@ impl<P: Clone> Dissemination<P> {
     ///
     /// Panics if its payload has not arrived.
     pub(crate) fn message(&self, id: MsgId) -> Message<P> {
-        Message { id, payload: self.payloads[&id].clone() }
+        Message { id, payload: self.payload(id).expect("payload of a stored message").clone() }
     }
 
     /// TO-delivers `id`: its position is the log's length.
@@ -104,9 +118,7 @@ impl<P: Clone> Dissemination<P> {
 
     /// Stored ids that `keep` selects, in id order.
     pub(crate) fn stored_where(&self, keep: impl Fn(MsgId) -> bool) -> Vec<MsgId> {
-        let mut ids: Vec<MsgId> = self.payloads.keys().copied().filter(|id| keep(*id)).collect();
-        ids.sort_unstable();
-        ids
+        self.stored().map(|(id, _)| id).filter(|id| keep(*id)).collect()
     }
 
     /// Stored ids not yet delivered, in id order: after a restore they are
@@ -116,19 +128,15 @@ impl<P: Clone> Dissemination<P> {
         self.stored_where(|id| !self.delivered.contains(id))
     }
 
-    /// The dissemination part of a snapshot: the payloads sorted by id —
-    /// a snapshot is state-transfer payload, its order must not depend on
-    /// hash iteration order —, the log and its length. The engine adds its
-    /// ordering half.
+    /// The dissemination part of a snapshot: the payloads in id order —
+    /// the store's own order (DESIGN.md §18) —, the log and its length.
+    /// The engine adds its ordering half.
     pub(crate) fn snapshot(&self) -> EngineSnapshot<P> {
-        let mut received: Vec<Message<P>> = self
-            .payloads
-            .iter()
-            .map(|(id, payload)| Message { id: *id, payload: payload.clone() })
-            .collect();
-        received.sort_by_key(|m| m.id);
         EngineSnapshot {
-            received,
+            received: self
+                .stored()
+                .map(|(id, payload)| Message { id, payload: payload.clone() })
+                .collect(),
             definitive_log: self.log.clone(),
             min_delivered: self.log.len() as u64,
             ..EngineSnapshot::empty()
@@ -155,14 +163,16 @@ impl<P: Clone> Dissemination<P> {
     ) {
         self.delivered = log.iter().copied().collect();
         self.log = log;
-        self.payloads.extend(received.into_iter().map(|m| (m.id, m.payload)));
+        for m in received {
+            self.store(m.id, m.payload);
+        }
         let own_max = self
             .payloads
-            .keys()
-            .copied()
-            .chain(ordered)
-            .filter(|id| id.origin == me)
-            .map(|id| id.seq)
+            .get(me.index())
+            .into_iter()
+            .flat_map(SeqMap::iter)
+            .map(|(seq, _)| seq)
+            .chain(ordered.filter(|id| id.origin == me).map(|id| id.seq))
             .max();
         if let Some(max) = own_max {
             self.next_seq = self.next_seq.max(max + 1);
@@ -173,7 +183,7 @@ impl<P: Clone> Dissemination<P> {
     /// the delivered set's runs.
     pub(crate) fn retained(&self, ordering_index: usize) -> EngineRetention {
         EngineRetention {
-            payloads: self.payloads.len(),
+            payloads: self.payloads.iter().map(SeqMap::len).sum(),
             log: self.log.len(),
             index: self.delivered.runs() + ordering_index,
         }

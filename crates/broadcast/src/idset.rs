@@ -1,11 +1,13 @@
-//! A set of message ids stored as per-origin runs of sequence numbers.
+//! Sets and maps keyed by dense counters, stored as runs.
 //!
 //! Every origin numbers its messages `0, 1, 2, …` (plus one
 //! [`crate::RECOVERY_SEQ_GAP`] jump per incarnation), and an engine's
-//! delivered or numbered ids fill that space almost gap-free. So the set
-//! keeps, per origin, the sorted maximal runs `[start, end)` it holds. Its
-//! size follows the number of holes — the out-of-order window plus one run
-//! per incarnation jump — and not the number of messages.
+//! delivered or numbered ids fill that space almost gap-free. So
+//! [`IdSet`] keeps, per origin, the sorted maximal runs `[start, end)` it
+//! holds. Its size follows the number of holes — the out-of-order window
+//! plus one run per incarnation jump — and not the number of messages.
+//! [`SeqMap`] keeps values the same way, one slot per number, for the
+//! payloads of one origin and for consensus instances, which count from 0.
 
 use crate::msg::MsgId;
 
@@ -63,6 +65,77 @@ impl IdSet {
     /// Runs held across all origins — the set's memory in entries.
     pub fn runs(&self) -> usize {
         self.runs.iter().map(Vec::len).sum()
+    }
+}
+
+/// The most empty slots an insert puts between a run's end and its key
+/// (DESIGN.md §18). A key further out starts a run of its own — one per
+/// incarnation jump. A slot costs one `Option<V>` (8 bytes for the `Arc`
+/// payloads and batches), so the bound keeps a hole cheaper than a run's
+/// own allocation while an out-of-order window still fills one run.
+pub(crate) const MAX_HOLE: u64 = 64;
+
+/// A map `u64 → V` for keys that count up almost gap-free, held as sorted,
+/// disjoint runs of consecutive keys `(start, slots)`: the value of key
+/// `start + i` is in `slots[i]`. Lookups search the runs, not the keys,
+/// and iteration is in key order.
+#[derive(Debug)]
+pub(crate) struct SeqMap<V> {
+    runs: Vec<(u64, Vec<Option<V>>)>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl<V> SeqMap<V> {
+    /// An empty map.
+    pub(crate) fn new() -> Self {
+        SeqMap { runs: Vec::new(), len: 0 }
+    }
+
+    /// Stores `value` at `key` unless the key holds a value already (which
+    /// stays); true if it was vacant.
+    pub(crate) fn insert(&mut self, key: u64, value: V) -> bool {
+        // First run starting above `key`; the run before it is the only
+        // one that can hold `key` or reach it within `MAX_HOLE`.
+        let i = self.runs.partition_point(|r| r.0 <= key);
+        let extends = i > 0 && {
+            let (start, slots) = &self.runs[i - 1];
+            key - start <= slots.len() as u64 + MAX_HOLE
+        };
+        if !extends {
+            self.runs.insert(i, (key, vec![Some(value)]));
+            self.len += 1;
+            return true;
+        }
+        let (start, slots) = &mut self.runs[i - 1];
+        let at = usize::try_from(key - *start).expect("a run spans less than usize::MAX keys");
+        if at >= slots.len() {
+            slots.resize_with(at + 1, || None);
+        } else if slots[at].is_some() {
+            return false;
+        }
+        slots[at] = Some(value);
+        self.len += 1;
+        true
+    }
+
+    /// The value at `key`.
+    pub(crate) fn get(&self, key: u64) -> Option<&V> {
+        let i = self.runs.partition_point(|r| r.0 <= key);
+        let (start, slots) = self.runs.get(i.checked_sub(1)?)?;
+        slots.get(usize::try_from(key - start).ok()?)?.as_ref()
+    }
+
+    /// Number of keys holding a value.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Keys and values in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.runs.iter().flat_map(|(start, slots)| {
+            (*start..).zip(slots).filter_map(|(key, slot)| Some((key, slot.as_ref()?)))
+        })
     }
 }
 

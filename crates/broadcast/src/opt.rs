@@ -51,6 +51,7 @@
 
 use crate::dissemination::Dissemination;
 use crate::domain::EngineCtx;
+use crate::idset::SeqMap;
 use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire};
 use crate::traits::{AtomicBroadcast, EngineCounters, EngineRetention, EngineSnapshot};
 use otp_consensus::{Action as CAction, ConsensusMsg, Instance, InstanceConfig};
@@ -116,9 +117,11 @@ pub struct OptAbcast<P> {
     /// (`Arc`-shared): one proposal allocation per joined instance, and all
     /// the estimate/propose/decide fan-out is reference-count bumps.
     instances: BTreeMap<u64, Instance<OrderBatch>>,
-    /// Decided batches by instance (shared with helpout frames and the
-    /// delivery cursor — cloning a batch is a refcount bump).
-    decided: BTreeMap<u64, OrderBatch>,
+    /// Decided batches by instance number (shared with helpout frames and
+    /// the delivery cursor — cloning a batch is a refcount bump). Its
+    /// `len` rises only on a new instance: `drop_moot` reads it as "did
+    /// anything decide".
+    decided: SeqMap<OrderBatch>,
     /// Next instance this site would initiate.
     next_initiate: u64,
     /// Batch timer currently armed for this instance number, if any.
@@ -154,7 +157,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             dis: Dissemination::new(),
             undecided: Vec::new(),
             instances: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            decided: SeqMap::new(),
             next_initiate: 0,
             batch_timer_for: None,
             cursor_instance: 0,
@@ -217,7 +220,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         batch: OrderBatch,
         out: &mut Vec<EngineAction<P>>,
     ) {
-        self.decided.entry(instance).or_insert(batch);
+        self.decided.insert(instance, batch);
         self.instances.remove(&instance);
         self.try_deliver(out);
         self.maybe_initiate(me, out);
@@ -228,7 +231,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
     /// and initiates when it fires.
     fn maybe_initiate(&mut self, me: SiteId, out: &mut Vec<EngineAction<P>>) {
         // Find the first instance number not yet decided and not running.
-        while self.decided.contains_key(&self.next_initiate) {
+        while self.decided.get(self.next_initiate).is_some() {
             self.next_initiate += 1;
         }
         let k = self.next_initiate;
@@ -236,7 +239,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             || self.instances.contains_key(&k)
             // Only initiate k if every instance below k is decided —
             // otherwise we would be racing our own proposals.
-            || (k > 0 && !self.decided.contains_key(&(k - 1)))
+            || (k > 0 && self.decided.get(k - 1).is_none())
         {
             return;
         }
@@ -261,7 +264,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         }
         if self.undecided.is_empty()
             || self.instances.contains_key(&instance)
-            || self.decided.contains_key(&instance)
+            || self.decided.get(instance).is_some()
         {
             // Re-evaluate: a later batch may still be owed a timer.
             self.maybe_initiate(me, out);
@@ -271,7 +274,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
     }
 
     fn join_instance(&mut self, me: SiteId, instance: u64, out: &mut Vec<EngineAction<P>>) {
-        if self.instances.contains_key(&instance) || self.decided.contains_key(&instance) {
+        if self.instances.contains_key(&instance) || self.decided.get(instance).is_some() {
             return;
         }
         // The one allocation per joined instance; every subsequent clone of
@@ -303,7 +306,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
     /// becomes definitive in this step leaves as one `ToDeliver` batch.
     fn try_deliver(&mut self, out: &mut Vec<EngineAction<P>>) {
         let mut delivered: Vec<MsgId> = Vec::new();
-        while let Some(batch) = self.decided.get(&self.cursor_instance) {
+        while let Some(batch) = self.decided.get(self.cursor_instance) {
             let batch = Arc::clone(batch);
             let mut stalled = false;
             while self.cursor_pos < batch.len() {
@@ -371,7 +374,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         // peer still running a round, and the round will serve it.)
         // Buffered, not sent — the receive path flushes everything owed to
         // one target as a single frame per tick (see `flush_helpouts`).
-        if self.decided.contains_key(&instance) {
+        if self.decided.get(instance).is_some() {
             if let ConsensusMsg::Estimate { round, .. } | ConsensusMsg::Nack { round } = msg {
                 if self.ccfg.coordinator(round) == me {
                     self.pending_helpouts.entry(from).or_default().insert(instance);
@@ -439,7 +442,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
                 }
                 _ => return true,
             };
-            !self.decided.contains_key(instance)
+            self.decided.get(*instance).is_none()
         });
     }
 
@@ -453,7 +456,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         for (to, owed) in std::mem::take(&mut self.pending_helpouts) {
             let decides: Vec<(u64, OrderBatch)> = owed
                 .into_iter()
-                .filter_map(|k| self.decided.get(&k).map(|batch| (k, Arc::clone(batch))))
+                .filter_map(|k| self.decided.get(k).map(|batch| (k, Arc::clone(batch))))
                 .collect();
             match decides.len() {
                 0 => {}
@@ -520,11 +523,12 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
 
     fn snapshot(&self) -> EngineSnapshot<P> {
         EngineSnapshot {
-            decided: self.decided.iter().map(|(k, v)| (*k, v.as_ref().clone())).collect(),
+            decided: self.decided.iter().map(|(k, v)| (k, v.as_ref().clone())).collect(),
             instance_horizon: Some(
                 self.decided
-                    .keys()
-                    .chain(self.instances.keys())
+                    .iter()
+                    .map(|(k, _)| k)
+                    .chain(self.instances.keys().copied())
                     .max()
                     .map_or(0, |highest| highest + 1),
             ),
@@ -544,7 +548,10 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         self.rejoined_below = snapshot.instance_horizon.unwrap_or(0) + 1;
         let decided_ids = snapshot.decided.values().flatten().copied();
         self.dis.restore(ctx.me, snapshot.received, snapshot.definitive_log, decided_ids);
-        self.decided = snapshot.decided.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
+        self.decided = SeqMap::new();
+        for (k, v) in snapshot.decided {
+            self.decided.insert(k, Arc::new(v));
+        }
         // Messages received but not yet definitively delivered are
         // tentative again: our undecided proposal material, and fresh
         // Opt-deliveries.
@@ -555,7 +562,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
         // Fast-forward the cursor past fully-delivered decided batches.
         self.cursor_instance = 0;
         self.cursor_pos = 0;
-        while let Some(batch) = self.decided.get(&self.cursor_instance) {
+        while let Some(batch) = self.decided.get(self.cursor_instance) {
             if batch.iter().all(|id| self.dis.is_delivered(*id)) {
                 self.cursor_instance += 1;
             } else {
