@@ -35,12 +35,14 @@ test:
 bench-test:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
-## Run the repo's benchmark for one second on the two simulated
-## workloads that recover a site (sim-seq-crash) and cross groups
-## (sim-sharded-cross); fails unless each result line says the run's
-## outputs were correct. The clock is simulated, so it does not flake.
+## Run the repo's benchmark for one second on three simulated
+## workloads: the one on the opt engine (sim-opt-sparse: consensus
+## instances and their decided store), the one that recovers a site
+## (sim-seq-crash) and the one that crosses groups (sim-sharded-cross);
+## fails unless each result line says the run's outputs were correct.
+## The clock is simulated, so it does not flake.
 bench-check:
-	@for w in sim-seq-crash sim-sharded-cross; do \
+	@for w in sim-opt-sparse sim-seq-crash sim-sharded-cross; do \
 		last="$$(bash benchmark/run.sh --workload "$$w" --seconds 1 | tail -n 1)"; \
 		echo "$$w: $$last"; \
 		case "$$last" in *'"correct": true'*) ;; *) exit 1 ;; esac; \

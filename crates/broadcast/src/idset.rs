@@ -68,11 +68,22 @@ impl IdSet {
     }
 }
 
+impl FromIterator<MsgId> for IdSet {
+    fn from_iter<I: IntoIterator<Item = MsgId>>(iter: I) -> Self {
+        let mut set = IdSet::new();
+        for id in iter {
+            set.insert(id);
+        }
+        set
+    }
+}
+
 /// The most empty slots an insert puts between a run's end and its key
 /// (DESIGN.md §18). A key further out starts a run of its own — one per
-/// incarnation jump. A slot costs one `Option<V>` (8 bytes for the `Arc`
-/// payloads and batches), so the bound keeps a hole cheaper than a run's
-/// own allocation while an out-of-order window still fills one run.
+/// incarnation jump. A slot costs one `Option<V>` (8 bytes for an `Arc`
+/// batch, 24 for the cluster's payload): the bound caps what one hole can
+/// waste, while an out-of-order window or an instance decided ahead of
+/// its predecessor still fills one run.
 pub(crate) const MAX_HOLE: u64 = 64;
 
 /// A map `u64 → V` for keys that count up almost gap-free, held as sorted,
@@ -139,22 +150,12 @@ impl<V> SeqMap<V> {
     }
 }
 
-impl FromIterator<MsgId> for IdSet {
-    fn from_iter<I: IntoIterator<Item = MsgId>>(iter: I) -> Self {
-        let mut set = IdSet::new();
-        for id in iter {
-            set.insert(id);
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::RECOVERY_SEQ_GAP;
     use otp_simnet::SiteId;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     fn id(origin: u16, seq: u64) -> MsgId {
         MsgId::new(SiteId::new(origin), seq)
@@ -245,6 +246,55 @@ mod tests {
                 }
                 for w in runs.windows(2) {
                     proptest::prop_assert!(w[0].1 < w[1].0, "{:?}", runs);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random inserts against a `BTreeMap` that keeps the first value
+        /// per key: in order, out of order within a window of 8, repeats,
+        /// keys one below, at and one past the hole limit, and incarnation
+        /// jumps. After every step `insert`, `get`, `len` and `iter` agree
+        /// with the reference, the runs stay sorted and disjoint, and a key
+        /// past the last run extends it exactly when it is at most
+        /// `MAX_HOLE` past its end.
+        #[test]
+        fn prop_seq_map_agrees_with_a_btree_map(
+            ops in proptest::collection::vec((0u8..5, 0u64..1_000), 1..200),
+        ) {
+            let mut map = SeqMap::new();
+            let mut model: BTreeMap<u64, usize> = BTreeMap::new();
+            let mut cursor = 0u64;
+            for (step, (kind, x)) in ops.into_iter().enumerate() {
+                let end = model.keys().next_back().map_or(0, |k| k + 1);
+                let key = match kind {
+                    0 => cursor,
+                    1 => cursor.saturating_sub(8) + x % 16,
+                    2 => model.keys().nth(x as usize % model.len().max(1)).copied().unwrap_or(0),
+                    3 => end + MAX_HOLE - 1 + x % 3,
+                    _ => cursor + RECOVERY_SEQ_GAP,
+                };
+                cursor = cursor.max(key + 1);
+                let runs_before = map.runs.len();
+                let vacant = !model.contains_key(&key);
+                proptest::prop_assert_eq!(map.insert(key, step), vacant, "key {}", key);
+                model.entry(key).or_insert(step);
+                if kind == 3 && end > 0 {
+                    let new_run = key - end > MAX_HOLE;
+                    proptest::prop_assert_eq!(map.runs.len(), runs_before + usize::from(new_run));
+                }
+                proptest::prop_assert_eq!(map.len(), model.len());
+                let listed: Vec<(u64, usize)> = map.iter().map(|(k, v)| (k, *v)).collect();
+                let expected: Vec<(u64, usize)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+                proptest::prop_assert_eq!(listed, expected);
+                for k in model.keys().flat_map(|k| [k.saturating_sub(1), *k, k + 1]) {
+                    proptest::prop_assert_eq!(map.get(k), model.get(&k));
+                }
+                for w in map.runs.windows(2) {
+                    proptest::prop_assert!(w[0].0 + w[0].1.len() as u64 <= w[1].0);
                 }
             }
         }

@@ -594,6 +594,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
 mod tests {
     use super::*;
     use crate::domain::OrderDomain;
+    use crate::idset::MAX_HOLE;
     use crate::msg::RECOVERY_SEQ_GAP;
 
     fn engines(n: usize) -> Vec<OptAbcast<u32>> {
@@ -935,6 +936,65 @@ mod tests {
         fresh.bump_incarnation();
         let (id, _) = fresh.broadcast(&c2, 9);
         assert!(id.seq > huge, "must clear every reported id: {} <= {huge}", id.seq);
+    }
+
+    /// Decided batches are kept by instance number. Instance 1 decided
+    /// before instance 0 leaves a hole, a repeat decision for an instance
+    /// changes nothing, and a restore from a snapshot whose `decided` has
+    /// gaps (one within the store's hole limit, one past it) keeps them.
+    /// After every step `decided_instances()`, `snapshot().decided` and
+    /// `instance_horizon` are what a `BTreeMap` of the decisions gives,
+    /// and the definitive order follows instance order up to the first
+    /// hole.
+    #[test]
+    fn decided_is_kept_by_instance() {
+        let dom = OrderDomain::global(3);
+        let c2 = ctx_at(&dom, SiteId::new(2));
+        let from = SiteId::new(0);
+        let ids: Vec<MsgId> = (0..4).map(|seq| MsgId::new(from, seq)).collect();
+        let data: Vec<Message<u32>> =
+            ids.iter().map(|id| Message { id: *id, payload: id.seq as u32 }).collect();
+        let decide = |instance: u64, batch: &[MsgId]| Wire::Consensus {
+            instance,
+            msg: ConsensusMsg::Decide { value: Arc::new(batch.to_vec()) },
+        };
+        let check = |e: &OptAbcast<u32>, reference: &BTreeMap<u64, Vec<MsgId>>| {
+            assert_eq!(e.decided_instances(), reference.len());
+            let snap = e.snapshot();
+            assert_eq!(&snap.decided, reference);
+            let highest = reference.keys().chain(e.instances.keys()).max();
+            assert_eq!(snap.instance_horizon, Some(highest.map_or(0, |h| h + 1)));
+        };
+
+        let mut e = engines(3).remove(2);
+        for m in &data {
+            e.on_receive(&c2, from, Wire::Data(m.clone()));
+        }
+        let mut reference = BTreeMap::new();
+        for (instance, batch) in [(1, &ids[2..]), (1, &ids[..1]), (0, &ids[..2])] {
+            e.on_receive(&c2, from, decide(instance, batch));
+            reference.entry(instance).or_insert_with(|| batch.to_vec());
+            check(&e, &reference);
+        }
+        assert_eq!(e.definitive_log(), ids);
+
+        let far = 2 + MAX_HOLE + 5;
+        let mut snap: EngineSnapshot<u32> = EngineSnapshot::empty();
+        snap.received = data;
+        snap.decided = BTreeMap::from([
+            (0, ids[..1].to_vec()),
+            (2, ids[2..3].to_vec()),
+            (far, ids[3..].to_vec()),
+        ]);
+        let mut restored = engines(3).remove(2);
+        restored.restore(&c2, snap.clone());
+        let mut reference = snap.decided;
+        check(&restored, &reference);
+        assert_eq!(restored.definitive_log(), &ids[..1]);
+        restored.on_receive(&c2, from, decide(1, &ids[1..2]));
+        reference.insert(1, ids[1..2].to_vec());
+        check(&restored, &reference);
+        assert_eq!(restored.definitive_log(), &ids[..3]);
     }
 
     #[test]
