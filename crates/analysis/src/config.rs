@@ -96,12 +96,8 @@ impl Config {
             "crates/simnet/src/metrics.rs",
         ];
         // A site thread is the network: it hands each wire to the peer's
-        // queue itself, and must never block doing so (DESIGN.md §9).
-        let net_fns = [
-            ("crates/core/src/runtime.rs", "hand_off"),
-            ("crates/core/src/runtime.rs", "multicast"),
-            ("crates/core/src/runtime.rs", "send"),
-        ];
+        // queue itself (`carry`), and must never block doing so (DESIGN.md §9).
+        let net_fns = [("crates/core/src/runtime.rs", "carry")];
         let allows: &[(&str, RuleId, &str)] = &[
             (
                 "crates/core/src/runtime.rs",

@@ -3,13 +3,17 @@
 //! [`LiveCluster`] runs one OS thread per site and no other: the site
 //! threads *are* the network. Each thread hosts the same engine + replica
 //! state machines the simulator drives, fed from a *bounded* crossbeam
-//! channel. A wire leaves its sender stamped with the instant it is due
-//! (a configurable real-time delay plus jitter, so spontaneous order — and
-//! its violations — happen for real) and goes straight into its
-//! destination's channel; the destination keeps it in the heap it also
-//! keeps its timers in until that instant. Stored-procedure "execution
-//! time" is modeled the same way as in the simulator: effects apply at
-//! submission, the completion fires after the configured delay.
+//! channel. Each thread drives one [`otp_simnet::sched::Sched`] over all
+//! sites, of which only its own is local, on the wall clock: it moves the
+//! scheduler's clock to now before each step. A wire leaves its sender
+//! stamped with the instant it is due (the scheduler's
+//! [`otp_simnet::sched::Links::Jittered`]: a configurable real-time delay
+//! plus jitter, so spontaneous order — and its violations — happen for
+//! real) and goes straight into its destination's channel; the
+//! destination's scheduler keeps it, beside the site's timers and
+//! executions, until that instant. Stored-procedure "execution time" is
+//! modeled the same way as in the simulator: effects apply at submission,
+//! the completion fires after the configured delay.
 //!
 //! Each site thread runs the site layer the simulated [`crate::Cluster`]
 //! runs (`site.rs`): the same engine factory over [`EngineKind`],
@@ -18,8 +22,8 @@
 //! transaction happens at Opt-delivery, exactly as in the simulator. This
 //! file supplies only the thread's inputs to the site's one entry point,
 //! `SiteNode::handle`, and carries out its outputs (wires to the peers'
-//! channels; wires, timers and executions on a wall-clock heap; commit
-//! counters). Every wire that comes due in one pass over the heap
+//! channels; wires, timers and executions on the scheduler; commit
+//! counters). Every wire due by now, up to the next timer or completion,
 //! goes to [`otp_broadcast::AtomicBroadcast::on_receive_batch`] as one
 //! batch (the real-clock analogue of the delivery quantum), and payloads
 //! stay `Arc`-shared end to end.
@@ -31,7 +35,7 @@
 //! capacity) and blocks the *caller* under overload;
 //! [`LiveCluster::try_submit`] is the non-blocking variant. A site thread
 //! never blocks on a peer: a full peer queue makes it keep the wire in its
-//! own heap and retry after a small backoff, and every site thread keeps
+//! own scheduler and retry after a small backoff, and every site thread keeps
 //! draining its own channel, so the bounded channels cannot deadlock.
 //!
 //! Shutdown is a two-phase quiescence protocol built on exact in-flight
@@ -47,10 +51,11 @@
 //! [`LiveCluster::apply_fault`] and [`LiveCluster::inject_nemesis`] put
 //! faults in force under the simulator's own rules: one
 //! [`otp_simnet::Faults`] value, shared behind a lock, of which each site
-//! thread keeps a private copy it refreshes when the shared version moves.
-//! A cut or a down destination parks a wire (still counted in flight)
-//! until it can cross; loss and jitter stretch a wire's due instant; a
-//! down site's thread is frozen. See DESIGN.md §10.
+//! thread's scheduler keeps a copy it refreshes when the shared version
+//! moves. A cut or a down destination holds a wire (still counted in
+//! flight) until it can cross; loss and jitter stretch a wire's due
+//! instant; a down site's thread pops nothing until it is up. See
+//! DESIGN.md §10.
 //!
 //! This runtime exists to demonstrate that nothing in `otp-core` depends
 //! on virtual time: the state machines and the site layer feeding them
@@ -88,25 +93,25 @@
 //! ```
 
 use crate::cluster::{EngineKind, Mode, TxnPayload};
-use crate::event::ExecToken;
 use crate::invariants::{InvariantReport, RunHistories};
 use crate::replica::Replica;
 use crate::site::{
     record_stage, replicas, EngineFactory, Env, SiteData, SiteNode, SiteOutputs, SiteReport,
     SiteSubmit,
 };
-use otp_broadcast::{OrderDomain, TimerToken, Wire};
+use crossbeam::channel::TrySendError;
+use otp_broadcast::{OrderDomain, Wire};
 use otp_simnet::faults::{Faults, Todo};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
-use otp_simnet::sched::{self, Arrival, Input, Output};
-use otp_simnet::{SimDuration, SimRng, SimTime, SiteId};
+use otp_simnet::sched::{Arrival, Carried, Input, Links, Output, Sched};
+use otp_simnet::{DurationDist, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, TxnIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
 use otp_txn::history::HistoryLog;
 use otp_txn::txn::{TxnId, TxnRequest};
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,17 +122,13 @@ use std::time::{Duration, Instant};
 const IDLE_TICK: Duration = Duration::from_millis(20);
 /// Retry delay of a wire whose destination queue was full (a site thread
 /// never blocks on a peer).
-const FULL_RETRY: Duration = Duration::from_micros(500);
+const FULL_RETRY: SimDuration = SimDuration::from_micros(500);
 /// Backoff of the blocking [`LiveCluster::submit`] under backpressure.
 const SUBMIT_RETRY: Duration = Duration::from_micros(100);
 /// Pause a site thread inserts between drains while a pressure spike is
 /// active (on top of the shrunken drain budget), so its bounded queue
 /// actually saturates instead of the smaller batches just running hotter.
 const PRESSURE_PAUSE: Duration = Duration::from_micros(200);
-/// Gap between two wires released from a healed cut or a recovered site:
-/// the simulator's replay gap, on the wall clock.
-const REPLAY_GAP: Duration = Duration::from_nanos(sched::REPLAY_GAP.as_nanos());
-
 /// Configuration of the live runtime.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
@@ -213,40 +214,20 @@ impl LiveConfig {
 
 pub use crate::cluster::SubmitError;
 
+/// `d` on the scheduler's timeline.
+fn sim(d: Duration) -> SimDuration {
+    SimDuration::from_nanos(d.as_nanos().min(u128::from(u64::MAX)) as u64)
+}
+
 enum SiteMsg {
-    /// A wire in transit, to be delivered at `due`.
+    /// A wire in transit, due at `due` on the cluster's timeline.
     Wire {
-        due: Instant,
-        from: SiteId,
-        wire: Wire<TxnPayload>,
+        due: SimTime,
+        arrival: Arrival<Wire<TxnPayload>>,
     },
     Submit {
         request: TxnRequest,
     },
-}
-
-/// `item`, due at `due`. Ordered by `due` alone and reversed, so a
-/// `BinaryHeap` of them pops the earliest first.
-struct Due<T> {
-    due: Instant,
-    item: T,
-}
-
-impl<T> PartialEq for Due<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl<T> Eq for Due<T> {}
-impl<T> PartialOrd for Due<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Due<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due) // min-heap
-    }
 }
 
 /// State shared between the controller and the site threads.
@@ -533,29 +514,33 @@ impl LiveCluster {
             site_rxs.into_iter().enumerate().zip(ctrl_rxs).zip(replicas)
         {
             let me = SiteId::new(i as u16);
+            let links = Links::Jittered {
+                sites: n,
+                delay: sim(config.net_delay),
+                jitter: sim(config.net_jitter),
+            };
+            let rng = SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64));
             let worker = SiteWorker {
+                me,
                 node: SiteNode::new(me, 0, 1, vec![engines.slot(me, 0, domain.clone(), &metrics)]),
                 replica,
                 trace: trace.clone(),
                 out: Vec::new(),
-                io: LiveIo {
-                    me,
-                    cfg: config.clone(),
-                    heap: BinaryHeap::new(),
-                    peers: site_txs.clone(),
-                    shared: shared.clone(),
-                    faults: Faults::new(n),
-                    submit_times: submit_times[i].clone(),
-                    latency: Histogram::new(),
-                    rng: SimRng::seed_from(config.seed ^ (0x9e3779b97f4a7c15 + i as u64)),
-                    stopping: false,
-                    anchor,
-                },
+                sched: Sched::new(links, rng)
+                    .with_work_time(DurationDist::Fixed(sim(config.exec_time)))
+                    .with_local(me),
+                carried: Vec::new(),
+                peers: site_txs.clone(),
+                shared: shared.clone(),
+                held: 0,
+                submit_times: submit_times[i].clone(),
+                latency: Histogram::new(),
                 ctrl,
                 pressure: None,
-                frozen: Frozen::default(),
-                parked: Vec::new(),
+                drain_limit: config.drain_limit.max(1),
                 seen_version: 0,
+                stopping: false,
+                anchor,
             };
             handles.push(std::thread::spawn(move || worker.run(rx)));
         }
@@ -842,36 +827,16 @@ impl LiveCluster {
     }
 }
 
-/// What a site thread keeps in its heap besides channel messages.
-enum Pending {
-    Timer(TimerToken),
-    ExecDone(ExecToken),
-    /// A wire in transit: to this site (`to == me`), delivered when due;
-    /// or to a peer whose queue was full, handed over again when due.
-    Wire {
-        to: SiteId,
-        from: SiteId,
-        wire: Wire<TxnPayload>,
-    },
-}
-
-/// What a down site holds back until it is up again (a live crash
-/// processes nothing, DESIGN.md §10).
-#[derive(Default)]
-struct Frozen {
-    /// Timers, executions and deliverable wires that came due.
-    due: Vec<Due<Pending>>,
-    /// Submissions that arrived, in arrival order.
-    backlog: Vec<TxnRequest>,
-}
-
-/// Per-site thread state: one site node, one replica, one heap. The
+/// Per-site thread state: one site node, one replica, and one scheduler
+/// ([`Sched`]) over every site, of which only this thread's is local. The
 /// delivery path itself is the shared site layer ([`crate::site`]); this
-/// thread feeds it inputs and carries out its outputs ([`LiveIo`]).
+/// thread feeds the scheduler from its channel on the wall clock and
+/// carries the wires it sends to the peers' channels.
 struct SiteWorker {
-    /// The site's engine. The threaded runtime is
-    /// unsharded: the node orders the one global domain, as group 0, and
-    /// installs no views, so every engine call runs at epoch 0.
+    me: SiteId,
+    /// The site's engine. The threaded runtime is unsharded: the node
+    /// orders the one global domain, as group 0, and installs no views, so
+    /// every engine call runs at epoch 0.
     node: SiteNode,
     replica: Replica,
     /// Lifecycle trace sink (`None` = tracing off, the default; the hot
@@ -879,7 +844,20 @@ struct SiteWorker {
     trace: Option<Arc<dyn TraceSink>>,
     /// The one output buffer every step of the site reuses.
     out: SiteOutputs,
-    io: LiveIo,
+    /// Timers, executions, submissions waiting out a crash, wires until
+    /// they are due and wires a full peer gave back; the wires held at a
+    /// cut or while the site is down; the fault rules in force, as of
+    /// `seen_version`.
+    sched: Sched<SiteData>,
+    /// Wires on their way to the peers ([`SiteWorker::carry`]).
+    carried: Vec<Carried<Wire<TxnPayload>>>,
+    /// Every site's inbound channel, indexed by site.
+    peers: Vec<crossbeam::channel::Sender<SiteMsg>>,
+    shared: Arc<Shared>,
+    /// Wires `sched` holds, as last added to `Shared::held`.
+    held: usize,
+    submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
+    latency: Histogram,
     /// Nemesis control channel: stalls and pressure spikes.
     /// Control messages are *not* counted in `in_flight` — they carry no
     /// protocol work, they only delay it (see DESIGN.md §10).
@@ -888,36 +866,14 @@ struct SiteWorker {
     /// drain batch shrinks to `drain_limit` and each iteration pauses,
     /// so the bounded inbound queue saturates and backpressure fires.
     pressure: Option<(usize, Instant)>,
-    /// What came due while the site was down.
-    frozen: Frozen,
-    /// Inbound wires that came due behind a cut or at this down site,
-    /// each counted in `Shared::held`, released when the faults change.
-    parked: Vec<(SiteId, Wire<TxnPayload>)>,
-    /// The `Shared::version` the private faults were copied at.
+    drain_limit: usize,
+    /// The `Shared::version` the scheduler's faults were copied at.
     seen_version: u64,
-}
-
-/// Where a site thread carries out its site's outputs: wires go straight
-/// to the destination's channel, engine timers, executions and wires in
-/// transit into the thread's own heap, and every one of them is counted in
-/// flight until it is consumed.
-struct LiveIo {
-    me: SiteId,
-    cfg: LiveConfig,
-    heap: BinaryHeap<Due<Pending>>,
-    /// Every site's inbound channel, indexed by site.
-    peers: Vec<crossbeam::channel::Sender<SiteMsg>>,
-    shared: Arc<Shared>,
-    /// A private copy of the fault rules in force, as of `seen_version`.
-    faults: Faults,
-    submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
-    latency: Histogram,
-    /// Jitter and loss draws.
-    rng: SimRng,
     /// Set once the stop flag is observed; engine timers stop re-arming so
     /// the teardown drain terminates.
     stopping: bool,
-    /// Wall-clock zero of the trace timeline (cluster start).
+    /// Wall-clock zero of the scheduler's clock and the trace timeline
+    /// (cluster start).
     anchor: Instant,
 }
 
@@ -929,44 +885,97 @@ fn stamp(anchor: Instant, at: Instant) -> SimTime {
 }
 
 impl SiteWorker {
-    /// One step of the shared site code ([`SiteNode::handle`]), its
-    /// outputs carried out in order: wires to the peers' channels, timers
-    /// and executions on the heap, commits into the counters.
-    fn step(&mut self, input: Input<SiteData>) {
-        let anchor = self.io.anchor;
-        let now = move || stamp(anchor, Instant::now());
-        let env = Env { replica: &mut self.replica, trace: self.trace.as_deref(), now: &now };
+    /// The wall clock on the scheduler's timeline.
+    fn clock(&self) -> SimTime {
+        stamp(self.anchor, Instant::now())
+    }
+
+    /// Whether the site is down: its thread pops nothing (a live crash is
+    /// a freeze, DESIGN.md §10).
+    fn down(&self) -> bool {
+        !self.sched.is_up(self.me)
+    }
+
+    /// One step of the shared site code ([`SiteNode::handle`]) at the wall
+    /// clock, its outputs carried out by the scheduler ([`Sched::apply`]):
+    /// timers and executions into the queue, wires to the peers
+    /// ([`SiteWorker::carry`]), commits into the counters. `consumed` work
+    /// units were spent; each output is one more (a multicast one per
+    /// site), counted before it can be carried.
+    fn step(&mut self, input: Input<SiteData>, consumed: usize) {
+        self.sched.advance_to(self.clock());
+        let now = self.sched.now();
+        let env = Env { replica: &mut self.replica, trace: self.trace.as_deref(), now: &|| now };
         self.node.handle(env, input, &mut self.out);
-        for o in self.out.drain(..) {
-            match o {
-                Output::Multicast { wire, .. } => self.io.multicast(wire),
-                Output::Send { to, wire, .. } => self.io.send(to, wire),
-                Output::Timer { after, timer: (_, token) } => self.io.set_timer(token, after),
-                Output::Work(token) => self.io.arm(self.io.cfg.exec_time, Pending::ExecDone(token)),
-                Output::Report(SiteReport::Committed { txn, .. }) => self.io.committed(txn),
-                Output::Report(report) => unreachable!("no view change runs live: {report:?}"),
+        if self.stopping {
+            self.out.retain(|o| !matches!(o, Output::Timer { .. }));
+        }
+        let sites = self.peers.len();
+        let made: usize = (self.out.iter())
+            .map(|o| match o {
+                Output::Multicast { .. } => sites,
+                Output::Report(_) => 0,
+                _ => 1,
+            })
+            .sum();
+        self.shared.in_flight.add(made as i64 - consumed as i64);
+        let (me, shared, times, latency) =
+            (self.me, &self.shared, &self.submit_times, &mut self.latency);
+        self.sched.apply(me, &mut self.out, |_, _, report| match report {
+            SiteReport::Committed { txn, .. } => {
+                shared.committed_total.incr();
+                if txn.origin == me {
+                    shared.origin_committed.incr();
+                    if let Some(t0) = times.lock().remove(&txn.seq) {
+                        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                        latency.record(SimDuration::from_nanos(ns));
+                    }
+                }
+            }
+            report => unreachable!("no view change runs live: {report:?}"),
+        });
+        self.carry();
+    }
+
+    /// Hands every wire this site sent elsewhere to its receiver's
+    /// channel, stamped with the instant it is due. The thread never
+    /// blocks on a peer: a full queue gives the wire back, and it waits in
+    /// this site's queue to be handed over again after [`FULL_RETRY`].
+    fn carry(&mut self) {
+        self.sched.take_carried(&mut self.carried);
+        for (to, due, arrival) in self.carried.drain(..) {
+            match self.peers[to.index()].try_send(SiteMsg::Wire { due, arrival }) {
+                Ok(()) => {}
+                Err(TrySendError::Full(SiteMsg::Wire { due, arrival })) => {
+                    let retry = due.max(self.sched.now() + FULL_RETRY);
+                    self.sched.schedule_wire(retry, to, arrival);
+                }
+                Err(TrySendError::Full(SiteMsg::Submit { .. })) => unreachable!("we sent a Wire"),
+                // The destination already exited (forced teardown): the
+                // wire is lost; account for its unit.
+                Err(TrySendError::Disconnected(_)) => {
+                    self.shared.in_flight.add(-1);
+                }
             }
         }
     }
 
     fn run(mut self, rx: crossbeam::channel::Receiver<SiteMsg>) -> SiteOutcome {
-        let cfg_limit = self.io.cfg.drain_limit.max(1);
         loop {
             self.poll_ctrl();
-            if self.io.shared.stop.load(Ordering::Acquire) {
+            if self.shared.stop.load(Ordering::Acquire) {
                 self.drain_at_stop(&rx);
                 break;
             }
             self.refresh_faults();
-            self.deliver_due();
-            let drain_limit = self.effective_drain_limit(cfg_limit);
-            let timeout = self
-                .io
-                .heap
-                .peek()
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .unwrap_or(IDLE_TICK)
-                .min(IDLE_TICK);
+            let timeout = if self.down() {
+                IDLE_TICK
+            } else {
+                self.run_due();
+                let next = self.sched.next_due().map(|t| t.saturating_since(self.clock()));
+                next.map_or(IDLE_TICK, |d| Duration::from_nanos(d.as_nanos()).min(IDLE_TICK))
+            };
+            let drain_limit = self.effective_drain_limit();
             let first = match rx.recv_timeout(timeout) {
                 Ok(m) => m,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
@@ -995,7 +1004,7 @@ impl SiteWorker {
             commit_log: self.replica.commit_log().to_vec(),
             history: self.replica.take_history(),
             db,
-            latency: self.io.latency,
+            latency: self.latency,
             counters: self.replica.counters().clone(),
         }
     }
@@ -1007,9 +1016,9 @@ impl SiteWorker {
     fn poll_ctrl(&mut self) {
         while let Ok(msg) = self.ctrl.try_recv() {
             match msg {
-                // A nested stall/pressure while frozen is meaningless;
+                // A nested stall/pressure while down is meaningless;
                 // swallow it (schedules never overlap windows anyway).
-                SiteCtrl::Stall(_) | SiteCtrl::Pressure { .. } if self.io.is_frozen() => {}
+                SiteCtrl::Stall(_) | SiteCtrl::Pressure { .. } if self.down() => {}
                 SiteCtrl::Stall(d) => self.stall(d),
                 SiteCtrl::Pressure { drain_limit, dur } => {
                     self.pressure = Some((drain_limit.max(1), Instant::now() + dur));
@@ -1024,7 +1033,7 @@ impl SiteWorker {
     fn stall(&mut self, d: Duration) {
         let until = Instant::now() + d;
         loop {
-            if self.io.shared.stop.load(Ordering::Acquire) {
+            if self.shared.stop.load(Ordering::Acquire) {
                 return;
             }
             let left = until.saturating_duration_since(Instant::now());
@@ -1035,254 +1044,124 @@ impl SiteWorker {
         }
     }
 
-    /// Ends a crash emulation: everything held back while frozen runs now,
-    /// timers and deliveries through the heap, submissions in arrival
-    /// order. No state was lost — the live driver models
-    /// fail-stop-recover without state transfer; the simulator remains
-    /// the oracle for recovery-with-state-transfer.
-    fn thaw(&mut self) {
-        let frozen = std::mem::take(&mut self.frozen);
-        self.io.heap.extend(frozen.due);
-        for request in frozen.backlog {
-            self.submit(request);
-        }
-    }
-
     /// Current drain budget: the pressure spike's limit while one is
     /// active, the configured limit otherwise.
-    fn effective_drain_limit(&mut self, cfg_limit: usize) -> usize {
+    fn effective_drain_limit(&mut self) -> usize {
         if let Some((limit, expires)) = self.pressure {
             if Instant::now() < expires {
                 return limit;
             }
             self.pressure = None;
         }
-        cfg_limit
+        self.drain_limit
     }
 
-    /// Consumes one channel message: a wire joins the heap until it is
-    /// due, a submission goes to the engine (or, while frozen, to the
-    /// backlog).
+    /// Consumes one channel message: a wire enters the queue at the
+    /// instant it is due, a submission goes to the engine. While the site
+    /// is down, a wire is held for it and a submission waits in the queue.
     fn ingest(&mut self, msg: SiteMsg) {
         match msg {
-            SiteMsg::Wire { due, from, wire } => {
-                let to = self.io.me;
-                self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
+            SiteMsg::Wire { arrival, .. } if self.down() => {
+                self.sched.hold(self.me, arrival);
+                self.publish_held(self.held + 1);
             }
-            SiteMsg::Submit { request } if self.io.is_frozen() => self.frozen.backlog.push(request),
-            SiteMsg::Submit { request } => self.submit(request),
+            SiteMsg::Wire { due, arrival } => self.sched.schedule_wire(due, self.me, arrival),
+            SiteMsg::Submit { request } if self.down() => {
+                let (at, submit) = (self.sched.now(), SiteSubmit::Request(request));
+                self.sched.schedule_submit(at, self.me, submit);
+            }
+            SiteMsg::Submit { request } => {
+                self.step(Input::Submit(SiteSubmit::Request(request)), 1);
+            }
         }
     }
 
-    /// Submission and broadcast coincide here: the site thread hands the
-    /// accepted request straight to its engine.
-    fn submit(&mut self, request: TxnRequest) {
-        self.step(Input::Submit(SiteSubmit::Request(request)));
-        self.io.shared.in_flight.add(-1);
-    }
-
-    /// Hands the accumulated wires to the engine as one batch.
-    fn flush(&mut self, wires: &mut Vec<Arrival<Wire<TxnPayload>>>) {
-        if wires.is_empty() {
-            return;
-        }
-        let delivered = wires.len() as i64;
-        self.step(Input::Wires(std::mem::take(wires)));
-        self.io.shared.in_flight.add(-delivered);
-    }
-
-    /// One pass over everything due in the heap, in due order. The cut
-    /// and the down sites apply here, at the receiver: a wire whose link
-    /// is cut or whose destination is down is parked. The wires left are
-    /// delivered as one batch; a timer or completion in between flushes
-    /// the wires before it.
-    fn deliver_due(&mut self) {
-        let now = Instant::now();
-        let me = self.io.me;
-        let mut wires = Vec::new();
-        while self.io.heap.peek().is_some_and(|t| t.due <= now) {
-            let Due { due, item } = self.io.heap.pop().expect("peeked");
-            let item = match item {
-                Pending::Wire { to, wire, .. } if to != me => {
-                    self.io.hand_off(to, due, wire);
-                    continue;
+    /// Runs everything due by now, in due order. The wires due, up to the
+    /// next timer, completion or submission, reach the engine as one batch
+    /// once the scheduler has admitted them (a wire over a cut is held);
+    /// a wire a full peer gave back is carried again.
+    fn run_due(&mut self) {
+        let deadline = self.clock();
+        let mut wires: Vec<Arrival<Wire<TxnPayload>>> = Vec::new();
+        while let Some((to, input)) = self.sched.next(deadline) {
+            match input {
+                Input::Wires(batch) if to != self.me => {
+                    let at = self.sched.now();
+                    self.carried.extend(batch.into_iter().map(|a| (to, at, a)));
+                    self.carry();
                 }
-                Pending::Wire { from, wire, .. } if self.io.blocked(from) => {
-                    self.io.shared.held.fetch_add(1, Ordering::AcqRel);
-                    self.parked.push((from, wire));
-                    continue;
+                Input::Wires(batch) => {
+                    let n = batch.len();
+                    let mut kept = self.sched.admit(to, batch);
+                    if kept.len() < n {
+                        self.publish_held(self.held + n - kept.len());
+                    }
+                    if wires.is_empty() {
+                        wires = kept;
+                    } else {
+                        wires.append(&mut kept);
+                        self.sched.recycle(kept);
+                    }
                 }
-                item => item,
-            };
-            if self.io.is_frozen() {
-                self.frozen.due.push(Due { due, item });
-                continue;
-            }
-            match item {
-                Pending::Wire { from, wire, .. } => wires.push(Arrival { from, group: 0, wire }),
-                Pending::Timer(token) => {
+                input => {
                     self.flush(&mut wires);
-                    self.step(Input::Timer((0, token)));
-                    self.io.shared.in_flight.add(-1);
-                }
-                Pending::ExecDone(token) => {
-                    self.flush(&mut wires);
-                    self.step(Input::Done(token));
-                    self.io.shared.in_flight.add(-1);
+                    self.step(input, 1);
                 }
             }
         }
         self.flush(&mut wires);
     }
 
-    /// Copies the fault rules again when they changed: a site that is up
-    /// again thaws, and every parked wire that can cross now is released,
-    /// [`REPLAY_GAP`] apart in parking order as the simulator replays.
+    /// Hands the accumulated wires to the engine as one batch.
+    fn flush(&mut self, wires: &mut Vec<Arrival<Wire<TxnPayload>>>) {
+        if !wires.is_empty() {
+            let n = wires.len();
+            self.step(Input::Wires(std::mem::take(wires)), n);
+        }
+    }
+
+    /// Adds the change in the number of wires the scheduler holds to
+    /// `Shared::held`.
+    fn publish_held(&mut self, held: usize) {
+        self.shared.held.fetch_add(held as i64 - self.held as i64, Ordering::AcqRel);
+        self.held = held;
+    }
+
+    /// Copies the fault rules again when they changed. The scheduler
+    /// replays the wires a healed cut held, and those it held while this
+    /// site was down once it is up again, [`otp_simnet::sched::REPLAY_GAP`] apart.
     fn refresh_faults(&mut self) {
-        let version = self.io.shared.version.load(Ordering::Acquire);
+        let version = self.shared.version.load(Ordering::Acquire);
         if version == self.seen_version {
             return;
         }
         self.seen_version = version;
-        self.io.faults = self.io.shared.faults.lock().clone();
-        let (now, to) = (Instant::now(), self.io.me);
-        let mut due = now;
-        for (from, wire) in std::mem::take(&mut self.parked) {
-            if self.io.blocked(from) {
-                self.parked.push((from, wire));
-                continue;
-            }
-            self.io.shared.held.fetch_sub(1, Ordering::AcqRel);
-            due += REPLAY_GAP;
-            self.io.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
+        let was_down = self.down();
+        let faults = self.shared.faults.lock().clone();
+        self.sched.set_faults(faults);
+        if was_down && !self.down() {
+            self.sched.replay_held(self.me);
         }
-        if !self.io.is_frozen() {
-            self.thaw();
-        }
+        self.publish_held(self.sched.held().count());
     }
 
     /// Teardown drain: consume whatever is still queued or due without
     /// blocking. After a clean (quiesced) phase one this is a no-op; in a
-    /// forced teardown it processes what is reachable so a site never
-    /// exits with messages sitting in its channel. Engine timers no
-    /// longer re-arm (`stopping`), so the loop terminates.
+    /// forced teardown it processes what is reachable, a down site
+    /// included, so a site never exits with messages sitting in its
+    /// channel. Engine timers no longer re-arm (`stopping`), so the loop
+    /// terminates.
     fn drain_at_stop(&mut self, rx: &crossbeam::channel::Receiver<SiteMsg>) {
-        self.io.stopping = true;
-        self.thaw();
+        self.stopping = true;
+        self.sched.restore(self.me);
         loop {
-            self.deliver_due();
+            self.run_due();
             while let Ok(msg) = rx.try_recv() {
                 self.ingest(msg);
             }
-            let Some(next) = self.io.heap.peek().map(|t| t.due) else { break };
-            std::thread::sleep(
-                next.saturating_duration_since(Instant::now()).min(Duration::from_millis(1)),
-            );
-        }
-    }
-}
-
-impl LiveIo {
-    /// When a wire sent now is due: the base delay plus jitter, the jitter
-    /// stretched by the jitter scale in force (the spread, not the base
-    /// delay, as the simulator scales its jitter draw), and a
-    /// retransmission delay for each time the loss in force claims it, as
-    /// the simulator charges a loss: the wire is late, never dropped.
-    fn due(&mut self, now: Instant) -> Instant {
-        let span = self.cfg.net_jitter;
-        let mut due = now + self.cfg.net_delay;
-        if !span.is_zero() {
-            due += span.mul_f64(self.faults.jitter_scale() * self.rng.uniform_f64());
-        }
-        let loss = self.faults.loss(0.0);
-        while loss > 0.0 && self.rng.chance(loss) {
-            due += self.cfg.net_delay.max(Duration::from_micros(500));
-        }
-        due
-    }
-
-    /// Whether the faults in force park a wire from `from` to this site:
-    /// the cut separates them, or this site is down.
-    fn blocked(&self, from: SiteId) -> bool {
-        self.faults.is_down(self.me) || self.faults.cut(from, self.me)
-    }
-
-    /// Whether this site holds back its timers, completions and
-    /// submissions: it is down, and the teardown drain has not begun.
-    fn is_frozen(&self) -> bool {
-        !self.stopping && self.faults.is_down(self.me)
-    }
-
-    /// Hands a wire of this site's, counted in flight by the caller, to
-    /// `to`, due at `due`. A loopback wire goes straight into this site's
-    /// heap. The thread never blocks on a peer: a full queue keeps the
-    /// wire in this heap for another try after [`FULL_RETRY`].
-    fn hand_off(&mut self, to: SiteId, due: Instant, wire: Wire<TxnPayload>) {
-        let from = self.me;
-        if to == from {
-            self.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
-            return;
-        }
-        match self.peers[to.index()].try_send(SiteMsg::Wire { due, from, wire }) {
-            Ok(()) => {}
-            Err(crossbeam::channel::TrySendError::Full(SiteMsg::Wire { due, wire, .. })) => {
-                let due = due.max(Instant::now() + FULL_RETRY);
-                self.heap.push(Due { due, item: Pending::Wire { to, from, wire } });
-            }
-            Err(crossbeam::channel::TrySendError::Full(SiteMsg::Submit { .. })) => {
-                unreachable!("we sent a Wire")
-            }
-            // The destination already exited (forced teardown): the wire
-            // is lost; account for its unit.
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                self.shared.in_flight.add(-1);
-            }
-        }
-    }
-
-    /// Arms `what` to fire `after` from now, counted in flight until then.
-    fn arm(&mut self, after: Duration, what: Pending) {
-        self.shared.in_flight.add(1);
-        self.heap.push(Due { due: Instant::now() + after, item: what });
-    }
-}
-
-impl LiveIo {
-    /// Sends `wire` to every site, this one included.
-    fn multicast(&mut self, wire: Wire<TxnPayload>) {
-        let n = self.cfg.sites;
-        self.shared.in_flight.add(n as i64);
-        let now = Instant::now();
-        // Clone for all but the last destination — payloads are
-        // Arc-shared, so each clone is a refcount bump.
-        for to in SiteId::all(n - 1) {
-            let due = self.due(now);
-            self.hand_off(to, due, wire.clone());
-        }
-        let due = self.due(now);
-        self.hand_off(SiteId::new((n - 1) as u16), due, wire);
-    }
-
-    fn send(&mut self, to: SiteId, wire: Wire<TxnPayload>) {
-        self.shared.in_flight.add(1);
-        let due = self.due(Instant::now());
-        self.hand_off(to, due, wire);
-    }
-
-    fn set_timer(&mut self, token: TimerToken, delay: SimDuration) {
-        if !self.stopping {
-            self.arm(Duration::from_nanos(delay.as_nanos()), Pending::Timer(token));
-        }
-    }
-
-    fn committed(&mut self, txn: TxnId) {
-        self.shared.committed_total.incr();
-        if txn.origin == self.me {
-            self.shared.origin_committed.incr();
-            if let Some(t0) = self.submit_times.lock().remove(&txn.seq) {
-                let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                self.latency.record(SimDuration::from_nanos(ns));
-            }
+            let Some(next) = self.sched.next_due() else { break };
+            let left = next.saturating_since(self.clock()).min(SimDuration::from_millis(1));
+            std::thread::sleep(Duration::from_nanos(left.as_nanos()));
         }
     }
 }

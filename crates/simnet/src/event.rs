@@ -73,7 +73,9 @@ pub const NEAR_HORIZON: SimDuration = SimDuration::from_millis(10);
 /// The queue tracks the virtual clock: [`EventQueue::pop`] advances
 /// [`EventQueue::now`] to the timestamp of the popped event. Scheduling in
 /// the past is rejected (see [`EventQueue::schedule`]), which catches causal
-/// bugs in protocol implementations early.
+/// bugs in protocol implementations early. A driver whose time is read off
+/// a wall clock also moves the clock forward itself
+/// ([`EventQueue::advance_to`]); the simulator never does.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Events due within [`NEAR_HORIZON`] of the clock when scheduled.
@@ -81,7 +83,11 @@ pub struct EventQueue<E> {
     /// Every other event.
     far: BinaryHeap<Entry<E>>,
     next_seq: u64,
+    /// The timestamp of the most recently popped event.
     now: SimTime,
+    /// The clock's floor, moved by [`EventQueue::advance_to`]: zero in the
+    /// simulator.
+    floor: SimTime,
     scheduled_total: u64,
 }
 
@@ -99,15 +105,25 @@ impl<E> EventQueue<E> {
             far: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
+            floor: SimTime::ZERO,
             scheduled_total: 0,
         }
     }
 
     /// Current virtual time: the timestamp of the most recently popped
-    /// event, or [`SimTime::ZERO`] before the first pop.
+    /// event, or [`SimTime::ZERO`] before the first pop, or the instant
+    /// the clock was advanced to ([`EventQueue::advance_to`]) if that is
+    /// later.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.now.max(self.floor)
+    }
+
+    /// Moves the clock forward to `t`; an earlier `t` changes nothing.
+    /// Events due before `t` still pop, in order, without moving the clock
+    /// back, and events scheduled from now on are due relative to `t`.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.floor = self.floor.max(t);
     }
 
     /// Number of events waiting in the queue.
@@ -138,15 +154,13 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than [`EventQueue::now`] — scheduling into
     /// the past is always a logic error in the caller.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "cannot schedule into the past: at={at} now={}", self.now);
+        let now = self.now();
+        assert!(at >= now, "cannot schedule into the past: at={at} now={now}");
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let heap = if at.saturating_since(self.now) < NEAR_HORIZON {
-            &mut self.near
-        } else {
-            &mut self.far
-        };
+        let heap =
+            if at.saturating_since(now) < NEAR_HORIZON { &mut self.near } else { &mut self.far };
         heap.push(Entry { time: at, seq, event });
     }
 
@@ -181,7 +195,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event, advancing the virtual clock to its
-    /// timestamp. Returns `None` when the queue is exhausted.
+    /// timestamp (or leaving it at a later [`EventQueue::advance_to`]).
+    /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = if self.far_first() { self.far.pop() } else { self.near.pop() }?;
         debug_assert!(entry.time >= self.now, "heap produced an out-of-order event");

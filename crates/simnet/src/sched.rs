@@ -21,6 +21,14 @@
 //! * replay: held wires are delivered again [`REPLAY_GAP`] apart, in hold
 //!   order.
 //!
+//! The simulator's clock is the queue's own time. A driver on a wall clock
+//! (the threaded runtime) runs one `Sched` per thread over every site, of
+//! which only its own is local ([`Sched::with_local`]): it moves the clock
+//! forward before each step ([`Sched::advance_to`]), takes the wires its
+//! site sends elsewhere off [`Sched::take_carried`] to carry them, and
+//! schedules the wires it receives at the instant they are due
+//! ([`Sched::schedule_wire`]).
+//!
 //! A node is plain data in, plain data out: [`Node::handle`] gets an
 //! [`Input`] and pushes [`Output`]s. The simple drivers hand the whole
 //! loop to [`Sched::run_until`]; a driver that keeps cross-site knowledge
@@ -199,6 +207,19 @@ pub enum Links {
     Net(Box<MulticastNet>),
     /// A fixed delay per directed link `[from][to]`.
     Table(Vec<Vec<SimDuration>>),
+    /// Every link of `sites` sites: `delay` plus a uniform draw from
+    /// `[0, jitter)`, the draw stretched by the jitter scale in force, and
+    /// a retransmission delay of `max(delay, 500 µs)` each time the loss in
+    /// force claims the wire (late, never dropped). The threaded runtime's
+    /// links.
+    Jittered {
+        /// Number of sites.
+        sites: usize,
+        /// Base one-way delay.
+        delay: SimDuration,
+        /// Width of the uniform jitter.
+        jitter: SimDuration,
+    },
 }
 
 impl Links {
@@ -206,6 +227,25 @@ impl Links {
     pub fn uniform(n: usize, delay: SimDuration) -> Self {
         Links::Table(vec![vec![delay; n]; n])
     }
+}
+
+/// When a wire sent at `now` over [`Links::Jittered`] arrives.
+fn jittered(
+    now: SimTime,
+    delay: SimDuration,
+    jitter: SimDuration,
+    faults: &Faults,
+    rng: &mut SimRng,
+) -> SimTime {
+    let mut at = now + delay;
+    if !jitter.is_zero() {
+        at += jitter.mul_f64(faults.jitter_scale() * rng.uniform_f64());
+    }
+    let loss = faults.loss(0.0);
+    while loss > 0.0 && rng.chance(loss) {
+        at += delay.max(SimDuration::from_micros(500));
+    }
+    at
 }
 
 enum Event<D: Data> {
@@ -246,7 +286,17 @@ pub struct Sched<D: Data> {
     /// An empty batch [`Sched::next`] fills next; a driver hands a batch it
     /// emptied back with [`Sched::recycle`].
     spare: Vec<Arrival<D::Wire>>,
+    /// The only site whose wires enter the queue, if not every site's
+    /// ([`Sched::with_local`]).
+    local: Option<SiteId>,
+    /// Wires sent to other sites than the local one, each with its
+    /// receiver and the instant it is due, until the driver takes them.
+    carried: Vec<Carried<D::Wire>>,
 }
+
+/// A wire to a site another driver runs: its receiver, the instant it is
+/// due there, and the arrival ([`Sched::take_carried`]).
+pub type Carried<W> = (SiteId, SimTime, Arrival<W>);
 
 impl<D: Data> Sched<D> {
     /// Bytes one queued event takes, without its key in the queue (time
@@ -261,6 +311,7 @@ impl<D: Data> Sched<D> {
         let n = match &links {
             Links::Net(net) => net.config().sites,
             Links::Table(t) => t.len(),
+            Links::Jittered { sites, .. } => *sites,
         };
         Sched {
             queue: EventQueue::new(),
@@ -274,7 +325,17 @@ impl<D: Data> Sched<D> {
             popped: 0,
             out: Vec::new(),
             spare: Vec::new(),
+            local: None,
+            carried: Vec::new(),
         }
+    }
+
+    /// Makes `site` the only local site: a wire sent to another site does
+    /// not enter the queue but waits for the driver to carry it
+    /// ([`Sched::take_carried`]).
+    pub fn with_local(mut self, site: SiteId) -> Self {
+        self.local = Some(site);
+        self
     }
 
     /// Replaces the multicast groups (indexed by [`Output::Multicast`]'s
@@ -295,15 +356,27 @@ impl<D: Data> Sched<D> {
         self.queue.now()
     }
 
+    /// Moves the clock forward to `t` ([`EventQueue::advance_to`]), for a
+    /// driver on a wall clock: what a step then arms or sends is due
+    /// relative to `t`. The simulator never calls it.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.queue.advance_to(t);
+    }
+
+    /// When the next event is due, if any.
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// The modelled network.
     ///
     /// # Panics
     ///
-    /// Panics when the links are a delay table.
+    /// Panics when the links are not the modelled network.
     pub fn net(&self) -> &MulticastNet {
         match &self.links {
             Links::Net(net) => net,
-            Links::Table(_) => panic!("a delay table has no network"),
+            _ => panic!("these links are not the modelled network"),
         }
     }
 
@@ -311,11 +384,11 @@ impl<D: Data> Sched<D> {
     ///
     /// # Panics
     ///
-    /// Panics when the links are the modelled network.
+    /// Panics when the links are not a delay table.
     pub fn delays_mut(&mut self) -> &mut Vec<Vec<SimDuration>> {
         match &mut self.links {
             Links::Table(t) => t,
-            Links::Net(_) => panic!("the modelled network has no delay table"),
+            _ => panic!("these links are not a delay table"),
         }
     }
 
@@ -336,12 +409,25 @@ impl<D: Data> Sched<D> {
     /// [`Sched::replay_held`].
     pub fn fault(&mut self, ev: &NemesisEvent) -> Todo {
         let todo = self.faults.apply(ev);
+        self.replay_crossing();
+        todo
+    }
+
+    /// Puts `faults` in force as a whole, for a driver that keeps the rules
+    /// elsewhere and copies them in. As with [`Sched::fault`], the wires a
+    /// cut held that can cross now replay.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.faults = faults;
+        self.replay_crossing();
+    }
+
+    /// Replays the wires held at a cut that no longer separates them.
+    fn replay_crossing(&mut self) {
         let (free, cut): (Vec<_>, Vec<_>) = std::mem::take(&mut self.cut)
             .into_iter()
             .partition(|(to, a)| !self.faults.cut(a.from, *to));
         self.cut = cut;
         self.replay(free.into_iter());
-        todo
     }
 
     /// `site`'s incarnation: the number of crashes it went through.
@@ -353,6 +439,20 @@ impl<D: Data> Sched<D> {
     /// then never sees it.
     pub fn schedule_submit(&mut self, at: SimTime, site: SiteId, submit: D::Submit) {
         self.queue.schedule(at, Event::Submit { site, submit });
+    }
+
+    /// Schedules `arrival` to reach `to` at `at`, or now if `at` has passed
+    /// (a wire that came in late over a wall-clock carrier). It enters the
+    /// queue whether or not `to` is local: a driver that could not carry a
+    /// wire keeps it here to carry it again when it pops.
+    pub fn schedule_wire(&mut self, at: SimTime, to: SiteId, arrival: Arrival<D::Wire>) {
+        self.queue.schedule(at.max(self.queue.now()), Event::Wire { to, arrival });
+    }
+
+    /// Moves every wire sent to a site other than the local one since the
+    /// last call to the end of `into`, in the order they were sent.
+    pub fn take_carried(&mut self, into: &mut Vec<Carried<D::Wire>>) {
+        into.append(&mut self.carried);
     }
 
     /// Schedules a driver command to `site` at `at`.
@@ -532,7 +632,7 @@ impl<D: Data> Sched<D> {
                     let segment = self.groups[group as usize].segment;
                     let at = self.arrival(segment, site, to, D::wire_size(&wire));
                     let arrival = Arrival { from: site, group, wire };
-                    self.queue.schedule(at, Event::Wire { to, arrival });
+                    send_wire(&mut self.queue, &mut self.carried, self.local, at, to, arrival);
                 }
                 Output::Multicast { group, wire } => self.multicast(site, group, wire),
                 Output::Timer { after, timer } => {
@@ -557,6 +657,9 @@ impl<D: Data> Sched<D> {
                 net.unicast_on(segment, to, size, now, &self.faults, &mut self.rng).arrival
             }
             Links::Table(t) => now + t[from.index()][to.index()],
+            Links::Jittered { delay, jitter, .. } => {
+                jittered(now, *delay, *jitter, &self.faults, &mut self.rng)
+            }
         }
     }
 
@@ -576,14 +679,21 @@ impl<D: Data> Sched<D> {
                 table = members.iter().map(|&to| Delivery { to, arrival: at(to) }).collect();
                 &table
             }
+            Links::Jittered { delay, jitter, .. } => {
+                let (faults, rng) = (&self.faults, &mut self.rng);
+                let mut at = || jittered(now, *delay, *jitter, faults, rng);
+                table = members.iter().map(|&to| Delivery { to, arrival: at() }).collect();
+                &table
+            }
         };
+        let (queue, carried, local) = (&mut self.queue, &mut self.carried, self.local);
         if let Some((last, rest)) = fanout.split_last() {
             for d in rest {
                 let arrival = Arrival { from, group, wire: wire.clone() };
-                self.queue.schedule(d.arrival, Event::Wire { to: d.to, arrival });
+                send_wire(queue, carried, local, d.arrival, d.to, arrival);
             }
             let arrival = Arrival { from, group, wire };
-            self.queue.schedule(last.arrival, Event::Wire { to: last.to, arrival });
+            send_wire(queue, carried, local, last.arrival, last.to, arrival);
         }
     }
 
@@ -619,6 +729,22 @@ impl<D: Data> Sched<D> {
         }
         self.out = out;
         self.popped - start
+    }
+}
+
+/// Sends `arrival` to `to`, due at `at`: into `queue`, or onto `carried`
+/// when `to` is not the `local` site.
+fn send_wire<D: Data>(
+    queue: &mut EventQueue<Event<D>>,
+    carried: &mut Vec<Carried<D::Wire>>,
+    local: Option<SiteId>,
+    at: SimTime,
+    to: SiteId,
+    arrival: Arrival<D::Wire>,
+) {
+    match local {
+        Some(local) if local != to => carried.push((to, at, arrival)),
+        _ => queue.schedule(at, Event::Wire { to, arrival }),
     }
 }
 
@@ -788,5 +914,66 @@ mod tests {
         let at_1: Vec<_> = probe.seen.iter().filter(|(a, _, _)| *a == SiteId::new(1)).collect();
         assert_eq!(at_1.len(), 1);
         assert_eq!(at_1[0].1, healed + REPLAY_GAP);
+    }
+
+    /// Pops the next input for `site` and steps the probe with it at the
+    /// scheduler's clock, its outputs carried out.
+    fn step(s: &mut Sched<Probe>, probe: &mut Probe, deadline: SimTime) -> Option<SiteId> {
+        let (site, input) = s.next(deadline)?;
+        let mut out = Vec::new();
+        probe.handle(site, s.now(), input, &mut out);
+        s.apply(site, &mut out, |_, _, ()| {});
+        Some(site)
+    }
+
+    /// A wall-clock driver advances the clock past the submit's instant
+    /// before stepping it: the timer and the work it arms are due relative
+    /// to the advanced clock, not to the pop.
+    #[test]
+    fn what_a_step_arms_is_due_from_the_advanced_clock() {
+        let mut s = sched();
+        let mut probe = Probe::default();
+        s.schedule_submit(SimTime::ZERO, SiteId::new(0), 1);
+        let wall = SimTime::from_millis(5);
+        s.advance_to(wall);
+        assert_eq!(step(&mut s, &mut probe, wall), Some(SiteId::new(0)));
+        assert_eq!(probe.seen[0].1, wall, "the step runs at the advanced clock");
+        s.run_until(SimTime::from_secs(1), &mut probe, |_, _, ()| {});
+        let at = |w: &str| probe.seen.iter().find(|(_, _, x)| x == w).map(|(_, t, _)| *t);
+        assert_eq!(at("timer 1"), Some(wall + SimDuration::from_millis(1)));
+        assert_eq!(at("done 1"), Some(wall + SimDuration::from_millis(2)));
+        assert_eq!(at("wires [1]"), Some(wall + HOP));
+    }
+
+    /// A wire that arrives stamped behind the clock is scheduled at the
+    /// clock instead of into the past.
+    #[test]
+    fn a_wire_stamped_behind_the_clock_runs_at_the_clock() {
+        let mut s = sched();
+        let wall = SimTime::from_millis(5);
+        s.advance_to(wall);
+        let arrival = Arrival { from: SiteId::new(2), group: 0, wire: 7 };
+        s.schedule_wire(SimTime::from_millis(1), SiteId::new(1), arrival);
+        let seen = run(&mut s);
+        assert_eq!(seen, [(SiteId::new(1), wall, "wires [7]".to_string())]);
+    }
+
+    /// With one local site, a wire it sends elsewhere reaches the carrier
+    /// with the instant it is due and never enters the queue.
+    #[test]
+    fn a_wire_to_a_remote_site_goes_to_the_carrier() {
+        let me = SiteId::new(0);
+        let mut s = sched().with_local(me);
+        let mut probe = Probe::default();
+        s.schedule_submit(SimTime::ZERO, me, 3);
+        step(&mut s, &mut probe, SimTime::ZERO);
+        let mut carried = Vec::new();
+        s.take_carried(&mut carried);
+        let wire = Arrival { from: me, group: 0, wire: 3 };
+        assert_eq!(carried, [(SiteId::new(1), SimTime::ZERO + HOP, wire)]);
+        s.run_until(SimTime::from_secs(1), &mut probe, |_, _, ()| {});
+        assert_eq!(what(&probe.seen), ["submit 3", "timer 3", "done 3"]);
+        s.take_carried(&mut carried);
+        assert_eq!(carried.len(), 1, "nothing more was carried");
     }
 }

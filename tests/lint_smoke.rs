@@ -128,22 +128,26 @@ fn rust_files(dir: &std::path::Path) -> Vec<PathBuf> {
     files
 }
 
-/// Every simulated part runs on the one scheduler
-/// (`otp_simnet::sched::Sched`, DESIGN.md §19): no source file outside
-/// `otp-simnet` builds or names an event queue of its own. The benchmark's
-/// own workspace (`benchmark/`) measures the queue directly and is exempt.
+/// Every simulated part, and the threaded runtime's site worker, runs on
+/// the one scheduler (`otp_simnet::sched::Sched`, DESIGN.md §19): no source
+/// file outside `otp-simnet` builds or names an event queue of its own,
+/// and no library code outside it keeps a private due-heap. The
+/// benchmark's own workspace (`benchmark/`) measures the queue directly and
+/// is exempt.
 #[test]
 fn no_event_loop_outside_the_scheduler() {
     let root = repo_root();
     let files = rust_files(&root);
     let exempt = root.join("crates/simnet/src");
     let needles = [concat!("EventQueue", "::new"), concat!("EventQueue", "<")];
+    let heaps = [concat!("BinaryHeap", "<"), concat!("BinaryHeap", "::new")];
     let offenders: Vec<String> = files
         .iter()
         .filter(|f| !f.starts_with(&exempt))
         .filter(|f| {
             let src = std::fs::read_to_string(f).unwrap_or_default();
-            needles.iter().any(|n| src.contains(n))
+            let code = src.split("#[cfg(test)]\nmod tests").next().unwrap_or_default();
+            needles.iter().any(|n| src.contains(n)) || heaps.iter().any(|n| code.contains(n))
         })
         .map(|f| f.strip_prefix(&root).unwrap_or(f).display().to_string())
         .collect();

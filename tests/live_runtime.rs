@@ -677,3 +677,35 @@ fn smallest_queues_cannot_deadlock() {
         assert_eq!(report.committed_total, report.accepted * 4);
     });
 }
+
+/// A live crash is a freeze: the crashed site's timers and executions
+/// that come due while it is down wait for it instead of being dropped.
+/// Site 2 takes a submission and crashes before its 1 ms execution and
+/// its batch timer come due; 50 ms later it recovers, and every
+/// transaction commits exactly once everywhere with nothing left behind.
+#[test]
+fn crashed_site_keeps_its_pending_timers_and_work() {
+    with_watchdog("crashed_site_keeps_its_pending_timers_and_work", WATCHDOG_CAP, |dog| {
+        let cluster = LiveCluster::start(LiveConfig::new(3, 1), registry(), initial(1));
+        let diag = cluster.diag_handle();
+        dog.set_diag("live-cluster", move || diag.snapshot());
+        let site = SiteId::new(2);
+        cluster
+            .submit(site, ClassId::new(0), ProcId::new(0), vec![Value::Int(0), Value::Int(1)])
+            .expect("admitted");
+        // Past the wire delay (its execution has started), before the
+        // execution time.
+        std::thread::sleep(Duration::from_micros(600));
+        cluster.apply_fault(&NemesisEvent::Crash { site });
+        std::thread::sleep(Duration::from_millis(50));
+        cluster.apply_fault(&NemesisEvent::Recover { site });
+        let report = cluster.shutdown(Duration::from_secs(30));
+        assert!(report.quiesced, "the freeze only delayed the site's work");
+        assert_eq!(report.undelivered_at_stop, 0);
+        assert!(report.converged);
+        assert_eq!(report.committed_total, 3);
+        for (s, log) in report.committed.iter().enumerate() {
+            assert_eq!(log.len(), 1, "site {s} commits the transaction exactly once");
+        }
+    });
+}
