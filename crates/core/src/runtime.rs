@@ -54,8 +54,9 @@
 //! thread's scheduler keeps a copy it refreshes when the shared version
 //! moves. A cut or a down destination holds a wire (still counted in
 //! flight) until it can cross; loss and jitter stretch a wire's due
-//! instant; a down site's thread pops nothing until it is up. See
-//! DESIGN.md §10.
+//! instant; a down site is frozen, not crashed: its scheduler sets aside
+//! what comes due for it until it is up, and still carries its wires to
+//! the peers. See DESIGN.md §10.
 //!
 //! This runtime exists to demonstrate that nothing in `otp-core` depends
 //! on virtual time: the state machines and the site layer feeding them
@@ -104,7 +105,7 @@ use otp_broadcast::{OrderDomain, Wire};
 use otp_simnet::faults::{Faults, Todo};
 use otp_simnet::metrics::{Counters, Histogram};
 use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
-use otp_simnet::sched::{Arrival, Carried, Input, Links, Output, Sched};
+use otp_simnet::sched::{Arrival, Input, Links, Output, Sched};
 use otp_simnet::{DurationDist, SimDuration, SimRng, SimTime, SiteId};
 use otp_storage::{ClassId, Database, ObjectId, ProcId, ProcRegistry, TxnIndex, Value};
 use otp_telemetry::{Counter, Gauge, MetricsRegistry, Scope, Stage, TraceSink};
@@ -275,8 +276,8 @@ struct Shared {
 
 impl Shared {
     /// Puts one fault in force now (DESIGN.md §10). A crash or a recovery
-    /// needs nothing more: a site thread is frozen while the faults say
-    /// its site is down.
+    /// needs nothing more: a site is frozen while the faults say it is
+    /// down.
     fn apply_fault(&self, ev: &NemesisEvent) {
         let todo = {
             let mut faults = self.faults.lock();
@@ -529,10 +530,8 @@ impl LiveCluster {
                 sched: Sched::new(links, rng)
                     .with_work_time(DurationDist::Fixed(sim(config.exec_time)))
                     .with_local(me),
-                carried: Vec::new(),
                 peers: site_txs.clone(),
                 shared: shared.clone(),
-                held: 0,
                 submit_times: submit_times[i].clone(),
                 latency: Histogram::new(),
                 ctrl,
@@ -690,8 +689,8 @@ impl LiveCluster {
     /// under the simulator's rules ([`Faults`], DESIGN.md §10). A cut or a
     /// down site parks the wires it blocks (still counted in flight) until
     /// the heal or recovery releases them [`otp_simnet::sched::REPLAY_GAP`]
-    /// apart. A crash freezes the site's worker thread and loses no state
-    /// — the threaded runtime has no state-transfer recovery; the
+    /// apart. A crash freezes the site (what comes due for it waits) and
+    /// loses no state — the threaded runtime has no state-transfer recovery; the
     /// simulator remains the oracle for that path. Loss is retransmission
     /// delay and a jitter spike scales the network jitter, as in the
     /// simulator. Two faults act only here: a thread stall sleeps the
@@ -844,18 +843,14 @@ struct SiteWorker {
     trace: Option<Arc<dyn TraceSink>>,
     /// The one output buffer every step of the site reuses.
     out: SiteOutputs,
-    /// Timers, executions, submissions waiting out a crash, wires until
-    /// they are due and wires a full peer gave back; the wires held at a
-    /// cut or while the site is down; the fault rules in force, as of
+    /// Timers, executions, wires until they are due and wires a full peer
+    /// gave back; what came due while the site was down; the wires held
+    /// at a cut or for the down site; the fault rules in force, as of
     /// `seen_version`.
     sched: Sched<SiteData>,
-    /// Wires on their way to the peers ([`SiteWorker::carry`]).
-    carried: Vec<Carried<Wire<TxnPayload>>>,
     /// Every site's inbound channel, indexed by site.
     peers: Vec<crossbeam::channel::Sender<SiteMsg>>,
     shared: Arc<Shared>,
-    /// Wires `sched` holds, as last added to `Shared::held`.
-    held: usize,
     submit_times: Arc<Mutex<HashMap<u64, Instant>>>,
     latency: Histogram,
     /// Nemesis control channel: stalls and pressure spikes.
@@ -890,7 +885,7 @@ impl SiteWorker {
         stamp(self.anchor, Instant::now())
     }
 
-    /// Whether the site is down: its thread pops nothing (a live crash is
+    /// Whether the site is down: the scheduler freezes it (a live crash is
     /// a freeze, DESIGN.md §10).
     fn down(&self) -> bool {
         !self.sched.is_up(self.me)
@@ -937,27 +932,25 @@ impl SiteWorker {
         self.carry();
     }
 
-    /// Hands every wire this site sent elsewhere to its receiver's
+    /// Hands every wire waiting for another site to its receiver's
     /// channel, stamped with the instant it is due. The thread never
     /// blocks on a peer: a full queue gives the wire back, and it waits in
     /// this site's queue to be handed over again after [`FULL_RETRY`].
     fn carry(&mut self) {
-        self.sched.take_carried(&mut self.carried);
-        for (to, due, arrival) in self.carried.drain(..) {
-            match self.peers[to.index()].try_send(SiteMsg::Wire { due, arrival }) {
-                Ok(()) => {}
-                Err(TrySendError::Full(SiteMsg::Wire { due, arrival })) => {
-                    let retry = due.max(self.sched.now() + FULL_RETRY);
-                    self.sched.schedule_wire(retry, to, arrival);
-                }
+        let (peers, in_flight) = (&self.peers, &self.shared.in_flight);
+        self.sched.carry(FULL_RETRY, |to, due, arrival| {
+            match peers[to.index()].try_send(SiteMsg::Wire { due, arrival }) {
+                Ok(()) => None,
+                Err(TrySendError::Full(SiteMsg::Wire { arrival, .. })) => Some(arrival),
                 Err(TrySendError::Full(SiteMsg::Submit { .. })) => unreachable!("we sent a Wire"),
                 // The destination already exited (forced teardown): the
                 // wire is lost; account for its unit.
                 Err(TrySendError::Disconnected(_)) => {
-                    self.shared.in_flight.add(-1);
+                    in_flight.add(-1);
+                    None
                 }
             }
-        }
+        });
     }
 
     fn run(mut self, rx: crossbeam::channel::Receiver<SiteMsg>) -> SiteOutcome {
@@ -968,13 +961,10 @@ impl SiteWorker {
                 break;
             }
             self.refresh_faults();
-            let timeout = if self.down() {
-                IDLE_TICK
-            } else {
-                self.run_due();
-                let next = self.sched.next_due().map(|t| t.saturating_since(self.clock()));
-                next.map_or(IDLE_TICK, |d| Duration::from_nanos(d.as_nanos()).min(IDLE_TICK))
-            };
+            self.run_due();
+            let next = self.sched.next_due().map(|t| t.saturating_since(self.clock()));
+            let timeout =
+                next.map_or(IDLE_TICK, |d| Duration::from_nanos(d.as_nanos()).min(IDLE_TICK));
             let drain_limit = self.effective_drain_limit();
             let first = match rx.recv_timeout(timeout) {
                 Ok(m) => m,
@@ -1057,14 +1047,10 @@ impl SiteWorker {
     }
 
     /// Consumes one channel message: a wire enters the queue at the
-    /// instant it is due, a submission goes to the engine. While the site
-    /// is down, a wire is held for it and a submission waits in the queue.
+    /// instant it is due, a submission goes to the engine, or, while the
+    /// site is down, into the queue to wait for it.
     fn ingest(&mut self, msg: SiteMsg) {
         match msg {
-            SiteMsg::Wire { arrival, .. } if self.down() => {
-                self.sched.hold(self.me, arrival);
-                self.publish_held(self.held + 1);
-            }
             SiteMsg::Wire { due, arrival } => self.sched.schedule_wire(due, self.me, arrival),
             SiteMsg::Submit { request } if self.down() => {
                 let (at, submit) = (self.sched.now(), SiteSubmit::Request(request));
@@ -1078,23 +1064,20 @@ impl SiteWorker {
 
     /// Runs everything due by now, in due order. The wires due, up to the
     /// next timer, completion or submission, reach the engine as one batch
-    /// once the scheduler has admitted them (a wire over a cut is held);
-    /// a wire a full peer gave back is carried again.
+    /// once the scheduler has admitted them (a wire over a cut or to the
+    /// down site is held); a wire a full peer gave back is carried again.
+    /// While the site is down the scheduler freezes what comes due for it.
     fn run_due(&mut self) {
         let deadline = self.clock();
         let mut wires: Vec<Arrival<Wire<TxnPayload>>> = Vec::new();
         while let Some((to, input)) = self.sched.next(deadline) {
             match input {
-                Input::Wires(batch) if to != self.me => {
-                    let at = self.sched.now();
-                    self.carried.extend(batch.into_iter().map(|a| (to, at, a)));
-                    self.carry();
-                }
                 Input::Wires(batch) => {
                     let n = batch.len();
                     let mut kept = self.sched.admit(to, batch);
-                    if kept.len() < n {
-                        self.publish_held(self.held + n - kept.len());
+                    let held = (n - kept.len()) as i64;
+                    if held > 0 {
+                        self.shared.held.fetch_add(held, Ordering::AcqRel);
                     }
                     if wires.is_empty() {
                         wires = kept;
@@ -1110,6 +1093,7 @@ impl SiteWorker {
             }
         }
         self.flush(&mut wires);
+        self.carry();
     }
 
     /// Hands the accumulated wires to the engine as one batch.
@@ -1120,29 +1104,22 @@ impl SiteWorker {
         }
     }
 
-    /// Adds the change in the number of wires the scheduler holds to
-    /// `Shared::held`.
-    fn publish_held(&mut self, held: usize) {
-        self.shared.held.fetch_add(held as i64 - self.held as i64, Ordering::AcqRel);
-        self.held = held;
-    }
-
-    /// Copies the fault rules again when they changed. The scheduler
-    /// replays the wires a healed cut held, and those it held while this
-    /// site was down once it is up again, [`otp_simnet::sched::REPLAY_GAP`] apart.
+    /// Copies the fault rules again when they changed, at the wall clock.
+    /// The scheduler replays the wires a healed cut held and, once this
+    /// site is up again, runs what came due while it was down and replays
+    /// the wires held for it, [`otp_simnet::sched::REPLAY_GAP`] apart.
     fn refresh_faults(&mut self) {
         let version = self.shared.version.load(Ordering::Acquire);
         if version == self.seen_version {
             return;
         }
         self.seen_version = version;
-        let was_down = self.down();
+        let held = self.sched.held().count() as i64;
         let faults = self.shared.faults.lock().clone();
+        self.sched.advance_to(self.clock());
         self.sched.set_faults(faults);
-        if was_down && !self.down() {
-            self.sched.replay_held(self.me);
-        }
-        self.publish_held(self.sched.held().count());
+        let released = held - self.sched.held().count() as i64;
+        self.shared.held.fetch_sub(released, Ordering::AcqRel);
     }
 
     /// Teardown drain: consume whatever is still queued or due without

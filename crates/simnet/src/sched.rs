@@ -24,10 +24,11 @@
 //! The simulator's clock is the queue's own time. A driver on a wall clock
 //! (the threaded runtime) runs one `Sched` per thread over every site, of
 //! which only its own is local ([`Sched::with_local`]): it moves the clock
-//! forward before each step ([`Sched::advance_to`]), takes the wires its
-//! site sends elsewhere off [`Sched::take_carried`] to carry them, and
-//! schedules the wires it receives at the instant they are due
-//! ([`Sched::schedule_wire`]).
+//! forward before each step ([`Sched::advance_to`]), hands the wires its
+//! site sends elsewhere to [`Sched::carry`], and schedules the wires it
+//! receives at the instant they are due ([`Sched::schedule_wire`]). Its
+//! local site, while down, is frozen rather than crashed: what comes due
+//! for it waits until it is up again, and its wires to others still leave.
 //!
 //! A node is plain data in, plain data out: [`Node::handle`] gets an
 //! [`Input`] and pushes [`Output`]s. The simple drivers hand the whole
@@ -73,7 +74,7 @@
 use crate::event::EventQueue;
 use crate::faults::{Faults, Todo};
 use crate::nemesis::NemesisEvent;
-use crate::net::{Delivery, MulticastNet, SiteId};
+use crate::net::{MulticastNet, SiteId};
 use crate::rng::{DurationDist, SimRng};
 use crate::time::{SimDuration, SimTime};
 
@@ -289,14 +290,13 @@ pub struct Sched<D: Data> {
     /// The only site whose wires enter the queue, if not every site's
     /// ([`Sched::with_local`]).
     local: Option<SiteId>,
-    /// Wires sent to other sites than the local one, each with its
-    /// receiver and the instant it is due, until the driver takes them.
-    carried: Vec<Carried<D::Wire>>,
+    /// Wires to other sites than the local one, each with its receiver
+    /// and the instant it is due, until [`Sched::carry`].
+    carried: Vec<(SiteId, SimTime, Arrival<D::Wire>)>,
+    /// The local site's timers, work and requests that came due while it
+    /// was down, in due order, until it is up again.
+    frozen: Vec<Event<D>>,
 }
-
-/// A wire to a site another driver runs: its receiver, the instant it is
-/// due there, and the arrival ([`Sched::take_carried`]).
-pub type Carried<W> = (SiteId, SimTime, Arrival<W>);
 
 impl<D: Data> Sched<D> {
     /// Bytes one queued event takes, without its key in the queue (time
@@ -327,12 +327,15 @@ impl<D: Data> Sched<D> {
             spare: Vec::new(),
             local: None,
             carried: Vec::new(),
+            frozen: Vec::new(),
         }
     }
 
-    /// Makes `site` the only local site: a wire sent to another site does
-    /// not enter the queue but waits for the driver to carry it
-    /// ([`Sched::take_carried`]).
+    /// Makes `site` the only local site: a wire to another site waits for
+    /// the driver to carry it ([`Sched::carry`]), and while `site` is down
+    /// it is frozen, not crashed: its timers, work and requests that come
+    /// due wait, in due order, until it is up again
+    /// ([`Sched::set_faults`], [`Sched::restore`]).
     pub fn with_local(mut self, site: SiteId) -> Self {
         self.local = Some(site);
         self
@@ -415,10 +418,25 @@ impl<D: Data> Sched<D> {
 
     /// Puts `faults` in force as a whole, for a driver that keeps the rules
     /// elsewhere and copies them in. As with [`Sched::fault`], the wires a
-    /// cut held that can cross now replay.
+    /// cut held that can cross now replay; a local site that is up again
+    /// gets back what came due while it was frozen, now, and the wires
+    /// held for it replay after that.
     pub fn set_faults(&mut self, faults: Faults) {
         self.faults = faults;
         self.replay_crossing();
+        if let Some(me) = self.local.filter(|&me| self.is_up(me)) {
+            self.thaw();
+            self.replay_held(me);
+        }
+    }
+
+    /// Schedules what came due while the local site was frozen back in,
+    /// now, in the order it came due.
+    fn thaw(&mut self) {
+        let now = self.queue.now();
+        for ev in self.frozen.drain(..) {
+            self.queue.schedule(now, ev);
+        }
     }
 
     /// Replays the wires held at a cut that no longer separates them.
@@ -442,17 +460,28 @@ impl<D: Data> Sched<D> {
     }
 
     /// Schedules `arrival` to reach `to` at `at`, or now if `at` has passed
-    /// (a wire that came in late over a wall-clock carrier). It enters the
-    /// queue whether or not `to` is local: a driver that could not carry a
-    /// wire keeps it here to carry it again when it pops.
+    /// (a wire that came in late over a wall-clock carrier).
     pub fn schedule_wire(&mut self, at: SimTime, to: SiteId, arrival: Arrival<D::Wire>) {
         self.queue.schedule(at.max(self.queue.now()), Event::Wire { to, arrival });
     }
 
-    /// Moves every wire sent to a site other than the local one since the
-    /// last call to the end of `into`, in the order they were sent.
-    pub fn take_carried(&mut self, into: &mut Vec<Carried<D::Wire>>) {
-        into.append(&mut self.carried);
+    /// Hands every wire waiting for a site other than the local one to
+    /// `send` with its receiver and the instant it is due, in the order
+    /// they were sent. A wire `send` gives back is scheduled to be handed
+    /// over again `retry` from now (or when it is due, if later).
+    pub fn carry(
+        &mut self,
+        retry: SimDuration,
+        mut send: impl FnMut(SiteId, SimTime, Arrival<D::Wire>) -> Option<Arrival<D::Wire>>,
+    ) {
+        let again = self.queue.now() + retry;
+        let mut carried = std::mem::take(&mut self.carried);
+        for (to, at, arrival) in carried.drain(..) {
+            if let Some(arrival) = send(to, at, arrival) {
+                self.queue.schedule(at.max(again), Event::Wire { to, arrival });
+            }
+        }
+        self.carried = carried;
     }
 
     /// Schedules a driver command to `site` at `at`.
@@ -482,9 +511,13 @@ impl<D: Data> Sched<D> {
     }
 
     /// Brings `site` up again. What was held for it stays held until
-    /// [`Sched::replay_held`].
+    /// [`Sched::replay_held`]; what came due while the local site was
+    /// frozen is scheduled again now.
     pub fn restore(&mut self, site: SiteId) {
         self.faults.set_down(site, false);
+        if self.local == Some(site) {
+            self.thaw();
+        }
     }
 
     /// Holds `arrival` for `site` as if it had arrived while the site was
@@ -563,7 +596,9 @@ impl<D: Data> Sched<D> {
     /// batch, not yet [`admitted`](Sched::admit); timers and requests of
     /// a down site and work of a dead incarnation are dropped; a scheduled
     /// crash is carried out; a scheduled restore brings its site up and
-    /// comes back as its control. `None` once nothing is due by
+    /// comes back as its control. With a local site, a wire to another
+    /// site waits for [`Sched::carry`], and what the frozen local site
+    /// would drop waits for it to be up. `None` once nothing is due by
     /// `deadline`.
     pub fn next(&mut self, deadline: SimTime) -> Option<(SiteId, Input<D>)> {
         loop {
@@ -571,6 +606,9 @@ impl<D: Data> Sched<D> {
             let (_, ev) = self.queue.pop().expect("peeked");
             self.popped += 1;
             match ev {
+                Event::Wire { to, arrival } if self.local.is_some_and(|me| me != to) => {
+                    self.carried.push((to, t, arrival));
+                }
                 Event::Wire { to, arrival } => {
                     let mut batch = std::mem::take(&mut self.spare);
                     batch.push(arrival);
@@ -602,6 +640,13 @@ impl<D: Data> Sched<D> {
                 Event::Restore { site, control } => {
                     self.restore(site);
                     return Some((site, Input::Control(control)));
+                }
+                Event::Timer { site, .. }
+                | Event::Work { site, .. }
+                | Event::Submit { site, .. }
+                    if self.local == Some(site) && !self.is_up(site) =>
+                {
+                    self.frozen.push(ev);
                 }
                 Event::Timer { .. } | Event::Work { .. } | Event::Submit { .. } => {}
             }
@@ -668,32 +713,25 @@ impl<D: Data> Sched<D> {
     fn multicast(&mut self, from: SiteId, group: u16, wire: D::Wire) {
         let now = self.queue.now();
         let Group { segment, members } = &self.groups[group as usize];
-        let size = D::wire_size(&wire);
-        let table: Vec<Delivery>;
-        let fanout = match &mut self.links {
+        let (queue, carried, local) = (&mut self.queue, &mut self.carried, self.local);
+        let send = |to, at, wire| {
+            send_wire(queue, carried, local, at, to, Arrival { from, group, wire });
+        };
+        let (faults, rng) = (&self.faults, &mut self.rng);
+        match &mut self.links {
             Links::Net(net) => {
-                net.multicast_to_on(*segment, members, size, now, &self.faults, &mut self.rng)
+                let size = D::wire_size(&wire);
+                let fanout = net.multicast_to_on(*segment, members, size, now, faults, rng);
+                fan_out(fanout.iter().map(|d| (d.to, d.arrival)), wire, send);
             }
             Links::Table(t) => {
-                let at = |to: SiteId| now + t[from.index()][to.index()];
-                table = members.iter().map(|&to| Delivery { to, arrival: at(to) }).collect();
-                &table
+                let at = |&to: &SiteId| (to, now + t[from.index()][to.index()]);
+                fan_out(members.iter().map(at), wire, send);
             }
             Links::Jittered { delay, jitter, .. } => {
-                let (faults, rng) = (&self.faults, &mut self.rng);
-                let mut at = || jittered(now, *delay, *jitter, faults, rng);
-                table = members.iter().map(|&to| Delivery { to, arrival: at() }).collect();
-                &table
+                let at = |&to: &SiteId| (to, jittered(now, *delay, *jitter, faults, rng));
+                fan_out(members.iter().map(at), wire, send);
             }
-        };
-        let (queue, carried, local) = (&mut self.queue, &mut self.carried, self.local);
-        if let Some((last, rest)) = fanout.split_last() {
-            for d in rest {
-                let arrival = Arrival { from, group, wire: wire.clone() };
-                send_wire(queue, carried, local, d.arrival, d.to, arrival);
-            }
-            let arrival = Arrival { from, group, wire };
-            send_wire(queue, carried, local, last.arrival, last.to, arrival);
         }
     }
 
@@ -732,11 +770,26 @@ impl<D: Data> Sched<D> {
     }
 }
 
+/// Sends `wire` to each receiver at its instant, in order: the last takes
+/// the wire, the others clone it.
+fn fan_out<W: Clone>(
+    to: impl ExactSizeIterator<Item = (SiteId, SimTime)>,
+    wire: W,
+    mut send: impl FnMut(SiteId, SimTime, W),
+) {
+    let last = to.len().saturating_sub(1);
+    let mut wire = Some(wire);
+    for (i, (to, at)) in to.enumerate() {
+        let wire = if i < last { wire.clone() } else { wire.take() };
+        send(to, at, wire.expect("the last receiver takes the wire"));
+    }
+}
+
 /// Sends `arrival` to `to`, due at `at`: into `queue`, or onto `carried`
 /// when `to` is not the `local` site.
 fn send_wire<D: Data>(
     queue: &mut EventQueue<Event<D>>,
-    carried: &mut Vec<Carried<D::Wire>>,
+    carried: &mut Vec<(SiteId, SimTime, Arrival<D::Wire>)>,
     local: Option<SiteId>,
     at: SimTime,
     to: SiteId,
@@ -968,12 +1021,71 @@ mod tests {
         s.schedule_submit(SimTime::ZERO, me, 3);
         step(&mut s, &mut probe, SimTime::ZERO);
         let mut carried = Vec::new();
-        s.take_carried(&mut carried);
+        s.carry(HOP, |to, at, a| {
+            carried.push((to, at, a));
+            None
+        });
         let wire = Arrival { from: me, group: 0, wire: 3 };
         assert_eq!(carried, [(SiteId::new(1), SimTime::ZERO + HOP, wire)]);
         s.run_until(SimTime::from_secs(1), &mut probe, |_, _, ()| {});
         assert_eq!(what(&probe.seen), ["submit 3", "timer 3", "done 3"]);
-        s.take_carried(&mut carried);
-        assert_eq!(carried.len(), 1, "nothing more was carried");
+        s.carry(HOP, |_, _, _| unreachable!("nothing more was carried"));
+    }
+
+    /// A wire the carrier gives back pops again `retry` after the hand-off
+    /// (or when it is due, if later) and waits for the carrier again; it
+    /// never reaches the local site.
+    #[test]
+    fn a_wire_given_back_is_carried_again_after_the_retry() {
+        let me = SiteId::new(0);
+        let mut s = sched().with_local(me);
+        let mut probe = Probe::default();
+        s.schedule_submit(SimTime::ZERO, me, 3);
+        step(&mut s, &mut probe, SimTime::ZERO);
+        let retry = SimDuration::from_millis(5);
+        s.carry(retry, |_, _, a| Some(a));
+        assert_eq!(s.next_due(), Some(SimTime::ZERO + SimDuration::from_millis(1)));
+        let mut tries = Vec::new();
+        let deadline = SimTime::from_secs(1);
+        while let Some((site, input)) = s.next(deadline) {
+            let mut out = Vec::new();
+            probe.handle(site, s.now(), input, &mut out);
+            s.apply(site, &mut out, |_, _, ()| {});
+        }
+        s.carry(retry, |to, at, a| {
+            tries.push((to, at, a.wire));
+            None
+        });
+        assert_eq!(tries, [(SiteId::new(1), SimTime::ZERO + retry, 3)]);
+        assert_eq!(what(&probe.seen), ["submit 3", "timer 3", "done 3"]);
+    }
+
+    /// While the local site is down, its timer and work that come due wait
+    /// for it, and its wire to another site still reaches the carrier;
+    /// once it is up again they run in the order they came due.
+    #[test]
+    fn a_down_local_site_is_frozen_and_its_wires_still_leave() {
+        let me = SiteId::new(0);
+        let mut s = sched().with_local(me);
+        let mut probe = Probe::default();
+        s.schedule_submit(SimTime::ZERO, me, 3);
+        step(&mut s, &mut probe, SimTime::ZERO);
+        s.carry(SimDuration::from_millis(2), |_, _, a| Some(a));
+        let mut down = Faults::new(3);
+        down.set_down(me, true);
+        s.set_faults(down);
+        let mut carried = Vec::new();
+        let later = SimTime::from_millis(10);
+        assert!(s.next(later).is_none(), "nothing runs at a frozen site");
+        s.carry(HOP, |to, at, a| {
+            carried.push((to, at, a.wire));
+            None
+        });
+        assert_eq!(carried, [(SiteId::new(1), SimTime::from_millis(2), 3)]);
+        s.advance_to(later);
+        s.set_faults(Faults::new(3));
+        s.run_until(SimTime::from_secs(1), &mut probe, |_, _, ()| {});
+        let seen: Vec<_> = probe.seen.iter().map(|(_, t, w)| (*t, w.as_str())).collect();
+        assert_eq!(seen, [(SimTime::ZERO, "submit 3"), (later, "timer 3"), (later, "done 3")]);
     }
 }

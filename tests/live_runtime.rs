@@ -680,22 +680,24 @@ fn smallest_queues_cannot_deadlock() {
 
 /// A live crash is a freeze: the crashed site's timers and executions
 /// that come due while it is down wait for it instead of being dropped.
-/// Site 2 takes a submission and crashes before its 1 ms execution and
-/// its batch timer come due; 50 ms later it recovers, and every
-/// transaction commits exactly once everywhere with nothing left behind.
+/// Site 2 takes a submission with a 50 ms execution and crashes 5 ms
+/// later, before its completion and batch timer come due; 50 ms later it
+/// recovers, and every transaction commits exactly once everywhere with
+/// nothing left behind.
 #[test]
 fn crashed_site_keeps_its_pending_timers_and_work() {
     with_watchdog("crashed_site_keeps_its_pending_timers_and_work", WATCHDOG_CAP, |dog| {
-        let cluster = LiveCluster::start(LiveConfig::new(3, 1), registry(), initial(1));
+        let cfg = LiveConfig::new(3, 1).with_exec_time(Duration::from_millis(50));
+        let cluster = LiveCluster::start(cfg, registry(), initial(1));
         let diag = cluster.diag_handle();
         dog.set_diag("live-cluster", move || diag.snapshot());
         let site = SiteId::new(2);
         cluster
             .submit(site, ClassId::new(0), ProcId::new(0), vec![Value::Int(0), Value::Int(1)])
             .expect("admitted");
-        // Past the wire delay (its execution has started), before the
-        // execution time.
-        std::thread::sleep(Duration::from_micros(600));
+        // Past the wire delay (its execution has started), well before
+        // the execution time.
+        std::thread::sleep(Duration::from_millis(5));
         cluster.apply_fault(&NemesisEvent::Crash { site });
         std::thread::sleep(Duration::from_millis(50));
         cluster.apply_fault(&NemesisEvent::Recover { site });
@@ -707,5 +709,56 @@ fn crashed_site_keeps_its_pending_timers_and_work() {
         for (s, log) in report.committed.iter().enumerate() {
             assert_eq!(log.len(), 1, "site {s} commits the transaction exactly once");
         }
+    });
+}
+
+/// A live crash does not claw back what the site sent: the wires a full
+/// peer queue gave back still leave while it is down. With one-message
+/// site queues, site 3 crashes for good in the middle of a burst, with
+/// wires to its peers likely still waiting to be handed over again.
+/// Each of the other three then commits every transaction submitted at
+/// it afterwards; one of them could not if a transaction of site 3 it
+/// never got were ordered before its own.
+#[test]
+fn crashed_site_still_hands_off_what_it_sent() {
+    with_watchdog("crashed_site_still_hands_off_what_it_sent", WATCHDOG_CAP, |dog| {
+        let mut cfg = LiveConfig::new(4, 1).with_exec_time(Duration::from_micros(200));
+        cfg.site_queue = 1;
+        cfg.quiesce_grace = Duration::from_millis(200);
+        let cluster = LiveCluster::start(cfg, registry(), initial(1));
+        let diag = cluster.diag_handle();
+        dog.set_diag("live-cluster", move || diag.snapshot());
+        let submit = |site: u16| {
+            let args = vec![Value::Int(0), Value::Int(1)];
+            cluster.submit(SiteId::new(site), ClassId::new(0), ProcId::new(0), args)
+        };
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        submit(3).expect("admitted");
+                    }
+                });
+            }
+            while cluster.accepted() < 24 {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            cluster.apply_fault(&NemesisEvent::Crash { site: SiteId::new(3) });
+        });
+        // Long enough for site 3's thread to see the crash: it commits
+        // nothing of its own from then on.
+        std::thread::sleep(Duration::from_millis(100));
+        let origin = || cluster.metrics().counter_total("origin_committed");
+        let before = origin();
+        for i in 0..30u16 {
+            submit(i % 3).expect("admitted");
+        }
+        let start = Instant::now();
+        while origin() < before + 30 && start.elapsed() < Duration::from_secs(20) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(origin() - before, 30, "every live site commits its own transactions");
+        let report = cluster.shutdown(Duration::ZERO);
+        assert_eq!(report.accepted, 70);
     });
 }
